@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench perf lint tracecover fuzz sweep-smoke
+.PHONY: all build test race bench perf perf-compare lint tracecover fuzz sweep-smoke
 
 all: build lint test
 
@@ -32,6 +32,18 @@ bench:
 perf:
 	$(GO) test -run 'AllocBudget' -count=1 ./internal/ga/ ./internal/cellular/ ./internal/island/
 	$(GO) run ./cmd/pgabench -json -quick -gate 1.0 -out BENCH_8.json
+
+# Cross-commit comparison on this host, by the benchmark's own rules
+# (cmd/pgaperf/README.md, "Comparing two commits by hand"): BASE is
+# exported with `git archive` into a temp dir and each side runs
+# `pgaperf -workload W -seed i -seconds 20 -trace 0` for PAIRS seeds,
+# alternating which goes first. Prints per-metric wins, medians, the
+# base's IQR and a verdict; non-zero exit on a regression beyond a
+# BENCHMARK.json bound.  make perf-compare BASE=HEAD~1 WORKLOAD=bitwise-gen
+PAIRS ?= 10
+perf-compare:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make perf-compare BASE=<rev> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
+	$(GO) run ./cmd/perfcompare -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # Static gate: pgalint (determinism + concurrency contracts) and vet,
 # including explicit copylocks/unusedresult passes. -time reports

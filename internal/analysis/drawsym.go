@@ -20,7 +20,14 @@ package analysis
 //     the method name with the Into-variants normalized (SampleInto →
 //     Sample, PermInto → Perm); argument values are not compared. A draw
 //     site is never folded further, so rng.Intn's internal Uint64
-//     rejection loop is not double-counted.
+//     rejection loop is not double-counted. ChanceMask — up to 64
+//     Chance draws taken in one call by the packed bit-string kernels —
+//     is a kind of its own and is deliberately NOT normalized to
+//     64×Chance: its count argument is a value the engine does not
+//     compare, so `w×ChanceMask` and `n×Chance` are different shapes
+//     even where the streams agree at run time. A pair therefore stays
+//     provable only while both members call one shared kernel, and a
+//     content guard around a ChanceMask is reported like any other.
 //   - Loops multiply the body's terms by a *bound symbol*: "n" for
 //     X.Len() on a genome (or len of a Genes/Perm slice), "pop" for
 //     Population lengths, "w" for packed words, "#k"/"len#k" for the

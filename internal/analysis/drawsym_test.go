@@ -31,12 +31,13 @@ func TestDrawShapeCatchesWhatOthersMiss(t *testing.T) {
 }
 
 // TestDrawParityRule pins rule 14 on its fixtures via a config naming
-// the fixture pairs: a desynced pair is reported at both members, a
-// dangling pair at its surviving member, while equal-shaped and
+// the fixture pairs: a desynced pair and a per-gene/bulk-kernel split
+// are reported at both members, a dangling pair at its surviving member, while equal-shaped and
 // Incomplete (recursive) pairs stay silent.
 func TestDrawParityRule(t *testing.T) {
 	bad := DrawParityWith(DrawParityConfig{Pairs: []DrawPairSpec{
 		{A: "pga/internal/pairfix.Cross", B: "pga/internal/pairfix.CrossInto"},
+		{A: "pga/internal/pairfix.Flip", B: "pga/internal/pairfix.FlipInto"},
 		{A: "pga/internal/pairfix.Spin", B: "pga/internal/pairfix.SpinInto"},
 	}})
 	checkRule(t, bad, "drawparity_bad.go")
@@ -81,6 +82,7 @@ func TestDrawShapeContentDeps(t *testing.T) {
 	facts := ComputeFacts(fixtureGroupPkgs(t, "drawshape_bad.go"))
 	deps := map[string]int{
 		"pga/internal/operators.BadMut.Mutate":  1,
+		"pga/internal/operators.BadFlip.Mutate": 1,
 		"pga/internal/operators.BadSel.Select":  1,
 		"pga/internal/operators.CrossInto":      1,
 		"pga/internal/operators.TailSel.Select": 1,

@@ -30,5 +30,20 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
+// Chance draws one outcome of probability p.
+func (s *Source) Chance(p float64) bool { return s.Float64() < p }
+
+// ChanceMask packs n consecutive Chance(p) outcomes LSB-first: the same
+// n draws, taken in bulk.
+func (s *Source) ChanceMask(p float64, n int) uint64 {
+	var m uint64
+	for i := 0; i < n; i++ {
+		if s.Float64() < p {
+			m |= 1 << uint(i)
+		}
+	}
+	return m
+}
+
 // Split derives an independent child stream.
 func (s *Source) Split() *Source { return &Source{state: s.Uint64()} }

@@ -1,6 +1,8 @@
 // Fixture for drawparity (bad): a desynced allocating/in-place pair —
-// Cross draws once per gene while CrossInto draws once total — and a
-// pair whose second member was deleted without updating the registry.
+// Cross draws once per gene while CrossInto draws once total — a pair
+// split between the per-gene Chance loop and the bulk ChanceMask kernel,
+// and a pair whose second member was deleted without updating the
+// registry.
 // Checked as pga/internal/pairfix; the test wires these names in via a
 // custom DrawParityConfig.
 package fixture
@@ -33,6 +35,31 @@ func CrossInto(dst, a, b *Vec, r *rng.Source) { // want drawparity
 		} else {
 			dst.Genes[i] = b.Genes[i]
 		}
+	}
+}
+
+// Bits is a packed fixture genome.
+type Bits struct {
+	Words []uint64
+	N     int
+}
+
+// Flip is the per-gene loop: shape N×Chance.
+func Flip(b *Bits, p float64, r *rng.Source) { // want drawparity
+	for i := 0; i < b.N; i++ {
+		if r.Chance(p) {
+			b.Words[i>>6] ^= 1 << (uint(i) & 63)
+		}
+	}
+}
+
+// FlipInto takes the same draws 64 at a time: shape w×ChanceMask. The
+// two streams agree at run time, but the prover compares draw kinds,
+// not their semantics — a pair stays provable only while both members
+// run one shared kernel.
+func FlipInto(b *Bits, p float64, r *rng.Source) { // want drawparity
+	for w := range b.Words {
+		b.Words[w] ^= r.ChanceMask(p, 64)
 	}
 }
 

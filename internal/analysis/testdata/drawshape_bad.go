@@ -13,6 +13,7 @@ import (
 // Genome carries content fields so conditions over them taint.
 type Genome struct {
 	Genes   []float64
+	Words   []uint64
 	Fitness float64
 }
 
@@ -34,6 +35,20 @@ func (BadMut) Mutate(g Genome, r *rng.Source) {
 	if g.Fitness > 0 {
 		i := r.Intn(len(g.Genes)) // want drawshape
 		g.Genes[i] = 0
+	}
+}
+
+// BadFlip takes its draws in bulk, but only for words that already hold
+// a set bit: a content guard around ChanceMask skips 64 draws at a time
+// and is reported exactly like a per-gene guard.
+type BadFlip struct{}
+
+// Mutate matches the Mutate role.
+func (BadFlip) Mutate(g Genome, r *rng.Source) {
+	for w := range g.Words {
+		if g.Words[w] != 0 {
+			g.Words[w] ^= r.ChanceMask(0.5, 64) // want drawshape
+		}
 	}
 }
 

@@ -15,9 +15,14 @@ import (
 // onemaxEngines returns an engine factory for OneMax(bits) with the given
 // per-deme population.
 func onemaxEngines(bits, popSize int) func(int, *rng.Source) ga.Engine {
+	return enginesFor(problems.OneMax{N: bits}, popSize)
+}
+
+// enginesFor returns a generational bit-string engine factory for p.
+func enginesFor(p core.Problem, popSize int) func(int, *rng.Source) ga.Engine {
 	return func(deme int, r *rng.Source) ga.Engine {
 		return ga.NewGenerational(ga.Config{
-			Problem:   problems.OneMax{N: bits},
+			Problem:   p,
 			PopSize:   popSize,
 			Selector:  operators.Tournament{K: 2},
 			Crossover: operators.Uniform{},

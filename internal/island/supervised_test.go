@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pga/internal/core"
 	"pga/internal/ga"
 	"pga/internal/migration"
 	"pga/internal/operators"
@@ -144,6 +145,10 @@ func TestSupervisedDeadDemeIsRoutedAround(t *testing.T) {
 	}
 }
 
+// untargeted strips core.TargetAware (and every other optional
+// extension) from a problem, so no deme can halt early on Solved.
+type untargeted struct{ core.Problem }
+
 // TestSupervisedAsyncDeadLetter stalls a deme long enough for its
 // neighbour's migrant batches to exhaust their retry budget, and checks
 // the lost traffic is dead-lettered rather than silently dropped.
@@ -158,10 +163,15 @@ func TestSupervisedAsyncDeadLetter(t *testing.T) {
 	// Deme 1 wedges at generation 2 for well over the heartbeat; deme 0
 	// keeps migrating into deme 1's undrained 1-slot inbox meanwhile.
 	plan := supervise.NewFaultPlan().HangAt(1, 2, 300*time.Millisecond)
+	// The problem hides OneMax's known optimum: with it visible, deme 0
+	// can solve 64 bits before deme 1 is first scheduled, and deme 1 then
+	// immigrates the optimum and halts on Solved at generation 1, never
+	// reaching its scripted hang. Without a target both demes run their
+	// full budget whatever their relative speed.
 	m := New(Config{
 		Topology:   topology.Ring(2),
 		Policy:     migration.Policy{Interval: 1, Count: 1, Sync: false, Buffer: 1},
-		NewEngine:  onemaxEngines(64, 10),
+		NewEngine:  enginesFor(untargeted{problems.OneMax{N: 64}}, 10),
 		Seed:       21,
 		Resilience: res,
 		Faults:     plan,

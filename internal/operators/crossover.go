@@ -54,37 +54,64 @@ func (k KPoint) Name() string { return fmt.Sprintf("%d-point", k.K) }
 
 // Cross implements Crossover.
 func (k KPoint) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	n := a.Len()
-	if b.Len() != n {
+	if b.Len() != a.Len() {
 		panic("operators: KPoint parents of different lengths")
 	}
 	ca, cb := a.Clone(), b.Clone()
-	if n < 2 {
-		return ca, cb
-	}
-	kk := k.K
-	if kk < 1 {
-		kk = 1
-	}
-	if kk > n-1 {
-		kk = n - 1
-	}
-	// Choose kk distinct cut points in [1, n-1].
-	cutIdx := r.Sample(n-1, kk)
-	cuts := make([]bool, n)
-	for _, c := range cutIdx {
-		cuts[c+1] = true
-	}
-	swap := false
-	for i := 0; i < n; i++ {
-		if cuts[i] {
-			swap = !swap
-		}
-		if swap {
-			swapGene(ca, cb, i)
-		}
-	}
+	kpointSwap(ca, cb, k.K, r, &Scratch{})
 	return ca, cb
+}
+
+// kpointSwap exchanges the alternating segments of two equal-length
+// children between k cut points (capped to [1, Len-1]) — the one kernel
+// behind Cross and CrossInto of the whole k-point family, so the members
+// of each pair cannot drift apart. The cuts are Sample draws over
+// [1, n-1]; their parity prefix is the swap mask (gene i is exchanged
+// when an odd number of cuts lie at or before it), built a word at a
+// time. Bit strings then swap 64 genes per XOR — the mask's bits past N
+// meet the zero tails of x^y, so the tail-mask invariant holds unmasked —
+// while the other classes walk the same mask gene by gene.
+func kpointSwap(c1, c2 core.Genome, k int, r *rng.Source, s *Scratch) {
+	n := c1.Len()
+	if n < 2 {
+		return
+	}
+	if k < 1 {
+		k = 1
+	}
+	if k > n-1 {
+		k = n - 1
+	}
+	mask := s.words((n + 63) >> 6)
+	for _, c := range r.SampleInto(s.ints(n-1), k) {
+		mask[(c+1)>>6] ^= 1 << (uint(c+1) & 63)
+	}
+	var carry uint64 // all ones while the running parity is odd
+	for w, m := range mask {
+		m ^= m << 1
+		m ^= m << 2
+		m ^= m << 4
+		m ^= m << 8
+		m ^= m << 16
+		m ^= m << 32
+		m ^= carry
+		carry = -(m >> 63)
+		mask[w] = m
+	}
+	if x, ok := c1.(*genome.BitString); ok {
+		y := c2.(*genome.BitString)
+		for w, m := range mask {
+			d := (x.Words[w] ^ y.Words[w]) & m
+			x.Words[w] ^= d
+			y.Words[w] ^= d
+		}
+		return
+	}
+	for i := 0; i < n; i++ {
+		if mask[i>>6]>>(uint(i)&63)&1 == 1 {
+			swapGene(c1, c2, i)
+		}
+	}
 }
 
 // Uniform is uniform crossover: each gene is exchanged independently with
@@ -106,18 +133,35 @@ func (u Uniform) p() float64 {
 
 // Cross implements Crossover.
 func (u Uniform) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	n := a.Len()
-	if b.Len() != n {
+	if b.Len() != a.Len() {
 		panic("operators: Uniform parents of different lengths")
 	}
 	ca, cb := a.Clone(), b.Clone()
-	p := u.p()
+	uniformSwap(ca, cb, u.p(), r)
+	return ca, cb
+}
+
+// uniformSwap exchanges each gene of two equal-length children with
+// probability p — the one kernel behind Uniform.Cross and CrossInto. The
+// draws are one Chance(p) per gene in gene order for every genome class;
+// bit strings take them 64 at a time as a ChanceMask and swap a word per
+// XOR (x^y has a zero tail, so the tail-mask invariant needs no masking).
+func uniformSwap(c1, c2 core.Genome, p float64, r *rng.Source) {
+	n := c1.Len()
+	if x, ok := c1.(*genome.BitString); ok {
+		y := c2.(*genome.BitString)
+		for w := range x.Words {
+			d := (x.Words[w] ^ y.Words[w]) & r.ChanceMask(p, min(64, n-w<<6))
+			x.Words[w] ^= d
+			y.Words[w] ^= d
+		}
+		return
+	}
 	for i := 0; i < n; i++ {
 		if r.Chance(p) {
-			swapGene(ca, cb, i)
+			swapGene(c1, c2, i)
 		}
 	}
-	return ca, cb
 }
 
 // swapGene exchanges gene i between two genomes of the same concrete type.

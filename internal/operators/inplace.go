@@ -30,6 +30,7 @@ type Scratch struct {
 	table  []int
 	table2 []int
 	flags  []bool
+	mask   []uint64
 	rank   rankSorter
 	sus    []int
 
@@ -69,6 +70,18 @@ func (s *Scratch) bools(n int) []bool {
 		f[i] = false
 	}
 	return f
+}
+
+// words returns a length-n word buffer cleared to zero.
+func (s *Scratch) words(n int) []uint64 {
+	if cap(s.mask) < n {
+		s.mask = make([]uint64, n)
+	}
+	m := s.mask[:n]
+	for i := range m {
+		m[i] = 0
+	}
+	return m
 }
 
 // rankSorter sorts an index buffer worst → best under a direction without
@@ -295,53 +308,22 @@ func (TwoPoint) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 
 // CrossInto implements InPlaceCrossover.
 func (k KPoint) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
-	n := a.Len()
-	if b.Len() != n {
+	if b.Len() != a.Len() {
 		panic("operators: KPoint parents of different lengths")
 	}
 	c1.(core.InPlace).CopyFrom(a)
 	c2.(core.InPlace).CopyFrom(b)
-	if n < 2 {
-		return
-	}
-	kk := k.K
-	if kk < 1 {
-		kk = 1
-	}
-	if kk > n-1 {
-		kk = n - 1
-	}
-	// Choose kk distinct cut points in [1, n-1].
-	cutIdx := r.SampleInto(s.ints(n-1), kk)
-	cuts := s.bools(n)
-	for _, c := range cutIdx {
-		cuts[c+1] = true
-	}
-	swap := false
-	for i := 0; i < n; i++ {
-		if cuts[i] {
-			swap = !swap
-		}
-		if swap {
-			swapGene(c1, c2, i)
-		}
-	}
+	kpointSwap(c1, c2, k.K, r, s)
 }
 
 // CrossInto implements InPlaceCrossover.
 func (u Uniform) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
-	n := a.Len()
-	if b.Len() != n {
+	if b.Len() != a.Len() {
 		panic("operators: Uniform parents of different lengths")
 	}
 	c1.(core.InPlace).CopyFrom(a)
 	c2.(core.InPlace).CopyFrom(b)
-	p := u.p()
-	for i := 0; i < n; i++ {
-		if r.Chance(p) {
-			swapGene(c1, c2, i)
-		}
-	}
+	uniformSwap(c1, c2, u.p(), r)
 }
 
 // CrossInto implements InPlaceCrossover.

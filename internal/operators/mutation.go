@@ -39,12 +39,12 @@ func (m BitFlip) Mutate(g core.Genome, r *rng.Source) {
 	if p <= 0 {
 		p = 1 / float64(b.N)
 	}
-	// One Chance draw per gene, exactly as before the packed layout —
-	// the draw sequence is pinned by the equiv golden traces.
-	for i := 0; i < b.N; i++ {
-		if r.Chance(p) {
-			b.Flip(i)
-		}
+	// One Chance(p) draw per gene in gene order — the sequence the equiv
+	// golden traces pin — taken 64 at a time and applied as one XOR per
+	// word. ChanceMask sets no bit at or past its count, so the tail-mask
+	// invariant holds without masking.
+	for w := range b.Words {
+		b.Words[w] ^= r.ChanceMask(p, min(64, b.N-w<<6))
 	}
 }
 

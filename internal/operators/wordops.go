@@ -2,14 +2,13 @@ package operators
 
 // Word-wise operators for packed BitString genomes.
 //
-// The bit-wise operators (Uniform, KPoint, BitFlip) kept their historical
-// one-draw-per-gene RNG sequences when BitString moved to the packed
-// []uint64 layout, so the pre-existing golden traces stayed byte-identical.
-// The operators in this file are the other half of that bargain: they
-// exploit the packed layout directly — one RNG word per 64 genes, segment
-// swaps as masked XORs — and therefore consume deliberately different draw
-// sequences. They are pinned by their own golden traces (internal/equiv),
-// never by the bit-wise ones.
+// The bit-wise operators (Uniform, KPoint, BitFlip) keep their historical
+// one-draw-per-gene RNG sequences on the packed []uint64 layout — applied
+// a word at a time, but drawn gene by gene — so the pre-existing golden
+// traces stay byte-identical. UniformWord and BlockFlip are the other half
+// of that bargain: they spend one RNG word per 64 genes and therefore
+// consume deliberately different draw sequences, pinned by their own
+// golden traces (internal/equiv), never by the bit-wise ones.
 //
 // Every whole-word write ANDs its mask with genome.TailMask so the
 // tail-mask invariant (bits at positions >= N stay zero) survives; the
@@ -84,10 +83,11 @@ func uniformWords(ca, cb *genome.BitString, r *rng.Source) {
 	}
 }
 
-// KPointWord is k-point crossover executed as word-granular segment
-// swaps: the cut points are drawn exactly like KPoint's, but alternating
-// segments are exchanged with masked XORs over whole words instead of a
-// per-gene swap loop.
+// KPointWord is KPoint restricted to bit strings. It was introduced as
+// the word-granular execution of KPoint's cuts; KPoint now applies its
+// cuts a word at a time itself, so the two share draws, kernel
+// (kpointSwap) and children, and KPointWord survives for its spec key
+// and golden traces.
 type KPointWord struct {
 	// K is the number of cut points; it is capped at Len-1.
 	K int
@@ -96,96 +96,27 @@ type KPointWord struct {
 // Name implements Crossover.
 func (k KPointWord) Name() string { return fmt.Sprintf("%d-point-word", k.K) }
 
-func (k KPointWord) clamp(n int) int {
-	kk := k.K
-	if kk < 1 {
-		kk = 1
-	}
-	if kk > n-1 {
-		kk = n - 1
-	}
-	return kk
-}
-
 // Cross implements Crossover.
 func (k KPointWord) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
 	ba, bb := mustBits(a), mustBits(b)
-	n := ba.N
-	if bb.N != n {
+	if ba.N != bb.N {
 		panic("operators: KPointWord parents of different lengths")
 	}
-	ca := ba.Clone().(*genome.BitString)
-	cb := bb.Clone().(*genome.BitString)
-	if n < 2 {
-		return ca, cb
-	}
-	cuts := r.Sample(n-1, k.clamp(n))
-	kpointWordSwap(ca, cb, cuts)
+	ca, cb := ba.Clone(), bb.Clone()
+	kpointSwap(ca, cb, k.K, r, &Scratch{})
 	return ca, cb
 }
 
 // CrossInto implements InPlaceCrossover.
 func (k KPointWord) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	ba, bb := mustBits(a), mustBits(b)
-	n := ba.N
-	if bb.N != n {
+	if ba.N != bb.N {
 		panic("operators: KPointWord parents of different lengths")
 	}
 	ca, cb := mustBits(c1), mustBits(c2)
 	ca.CopyFrom(ba)
 	cb.CopyFrom(bb)
-	if n < 2 {
-		return
-	}
-	cuts := r.SampleInto(s.ints(n-1), k.clamp(n))
-	kpointWordSwap(ca, cb, cuts)
-}
-
-// kpointWordSwap exchanges the alternating segments delimited by the cut
-// draws (each cut c means a boundary before gene c+1, as in KPoint).
-// cuts is reordered in place; the swap touches each word at most
-// ceil(k/2)+1 times via swapBitRange's masked XORs.
-func kpointWordSwap(ca, cb *genome.BitString, cuts []int) {
-	// Cut draws are distinct but unordered; a tiny insertion sort keeps
-	// this allocation-free for CrossInto (k is small).
-	for i := 1; i < len(cuts); i++ {
-		for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
-			cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
-		}
-	}
-	for i := 0; i+1 < len(cuts); i += 2 {
-		swapBitRange(ca, cb, cuts[i]+1, cuts[i+1]+1)
-	}
-	if len(cuts)%2 == 1 {
-		swapBitRange(ca, cb, cuts[len(cuts)-1]+1, ca.N)
-	}
-}
-
-// swapBitRange exchanges genes [lo, hi) between two equal-length
-// genomes: masked XORs on the boundary words, straight word swaps in
-// between.
-func swapBitRange(ca, cb *genome.BitString, lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	fw, lw := lo>>6, (hi-1)>>6
-	first := ^uint64(0) << (uint(lo) & 63)
-	last := ^uint64(0) >> (63 - uint(hi-1)&63)
-	if fw == lw {
-		x := (ca.Words[fw] ^ cb.Words[fw]) & first & last
-		ca.Words[fw] ^= x
-		cb.Words[fw] ^= x
-		return
-	}
-	x := (ca.Words[fw] ^ cb.Words[fw]) & first
-	ca.Words[fw] ^= x
-	cb.Words[fw] ^= x
-	for w := fw + 1; w < lw; w++ {
-		ca.Words[w], cb.Words[w] = cb.Words[w], ca.Words[w]
-	}
-	x = (ca.Words[lw] ^ cb.Words[lw]) & last
-	ca.Words[lw] ^= x
-	cb.Words[lw] ^= x
+	kpointSwap(ca, cb, k.K, r, s)
 }
 
 // BlockFlip is a word-granular bit-flip mutator: for each 64-gene word

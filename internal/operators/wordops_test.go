@@ -189,6 +189,27 @@ func TestBlockFlipDrawCountIndependentOfContent(t *testing.T) {
 	}
 }
 
+// TestKPointWordLengthMismatchPanics: the operator shares KPoint's kernel
+// but reports a mismatch under its own name, from Cross and CrossInto.
+func TestKPointWordLengthMismatchPanics(t *testing.T) {
+	a, b := genome.NewBitString(4), genome.NewBitString(5)
+	for name, call := range map[string]func(){
+		"Cross": func() { KPointWord{K: 2}.Cross(a, b, rng.New(1)) },
+		"CrossInto": func() {
+			KPointWord{K: 2}.CrossInto(a, b, genome.NewBitString(4), genome.NewBitString(5), rng.New(1), &Scratch{})
+		},
+	} {
+		func() {
+			defer func() {
+				if got, want := recover(), "operators: KPointWord parents of different lengths"; got != want {
+					t.Fatalf("%s: panic %v, want %q", name, got, want)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func TestWordOperatorTypePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -137,6 +137,49 @@ func (r *Source) Chance(p float64) bool {
 	return r.Float64() < p
 }
 
+// ChanceMask returns the outcomes of n consecutive Chance(p) calls packed
+// LSB-first (bit i is the i-th call), leaving the stream exactly where
+// those calls would: one draw per bit for 0 < p < 1 and for NaN (whose
+// mask is zero, as Float64() < NaN never holds), none for p <= 0 or
+// p >= 1. It is the bulk form the packed bit-string operators apply a
+// word at a time. It panics unless 0 <= n <= 64.
+//
+// Float64() is k·2^-53 for the integer k = Uint64()>>11, and both that
+// product and p·2^53 are exact in float64, so Float64() < p ⇔ k < p·2^53
+// ⇔ k < ceil(p·2^53): one integer compare per draw, no float conversion.
+func (r *Source) ChanceMask(p float64, n int) uint64 {
+	if uint(n) > 64 {
+		panic("rng: ChanceMask called with n outside [0, 64]")
+	}
+	if p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return ^uint64(0) >> (64 - uint(n)) // Go defines x>>64 as 0
+	}
+	var thr uint64 // NaN keeps 0: every compare fails
+	if !math.IsNaN(p) {
+		thr = uint64(math.Ceil(p * (1 << 53)))
+	}
+	// The xoshiro state lives in locals for the whole batch; k and thr are
+	// both <= 2^53, so the sign bit of k-thr is exactly k < thr.
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var mask uint64
+	for i := 0; i < n; i++ {
+		k := (rotl(s1*5, 7) * 9) >> 11
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		mask = mask>>1 | (k-thr)&(1<<63)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return mask >> (64 - uint(n))
+}
+
 // NormFloat64 returns a normally distributed float64 with mean 0 and
 // standard deviation 1, using the Marsaglia polar method.
 func (r *Source) NormFloat64() float64 {

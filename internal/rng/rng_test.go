@@ -190,6 +190,56 @@ func TestChance(t *testing.T) {
 	}
 }
 
+// TestChanceMaskMatchesChance is the draw-compatibility property behind
+// the word-parallel bit operators: for every n in 0..64, ChanceMask(p, n)
+// is bit for bit the outcomes of n Chance(p) calls on a copy of the
+// stream, and both leave the same State(). The fixed probabilities sit on
+// every branch and on the edges of the integer-threshold compare.
+func TestChanceMaskMatchesChance(t *testing.T) {
+	ps := []float64{
+		0, math.SmallestNonzeroFloat64, 1.0 / 1024, 0.5, 0.9,
+		1 - 1.0/(1<<53), 1, 1.5, -0.25, math.NaN(),
+		1.0 / (1 << 53), math.Nextafter(1.0/(1<<53), 1), math.Inf(1), math.Inf(-1),
+	}
+	pr := New(67)
+	for i := 0; i < 200; i++ {
+		ps = append(ps, pr.Float64(), pr.Float64()/1024)
+	}
+	seed := uint64(1)
+	for _, p := range ps {
+		for n := 0; n <= 64; n++ {
+			seed++
+			bulk, ref := New(seed), New(seed)
+			got := bulk.ChanceMask(p, n)
+			var want uint64
+			for i := 0; i < n; i++ {
+				if ref.Chance(p) {
+					want |= 1 << uint(i)
+				}
+			}
+			if got != want {
+				t.Fatalf("ChanceMask(%v, %d) = %#x, %d Chance calls give %#x", p, n, got, n, want)
+			}
+			if bulk.State() != ref.State() {
+				t.Fatalf("ChanceMask(%v, %d) left state %v, Chance calls left %v", p, n, bulk.State(), ref.State())
+			}
+		}
+	}
+}
+
+func TestChanceMaskPanicsOutOfRange(t *testing.T) {
+	for _, n := range []int{-1, 65} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("ChanceMask(0.5, %d) did not panic", n)
+				}
+			}()
+			New(1).ChanceMask(0.5, n)
+		}()
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := New(29)
 	check := func(n uint8) bool {
@@ -327,6 +377,24 @@ func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
+	}
+}
+
+// BenchmarkChance and BenchmarkChanceMask draw the same 64 outcomes per
+// iteration, one call at a time and in bulk.
+func BenchmarkChance(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			_ = r.Chance(0.5)
+		}
+	}
+}
+
+func BenchmarkChanceMask(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		_ = r.ChanceMask(0.5, 64)
 	}
 }
 
