@@ -114,15 +114,8 @@ func Registry() []*Analyzer {
 		BoundedRes(),
 		WaitGroupMisuse(),
 		DrawShapeRule(),
-		DrawParityRule(),
 	}
 }
-
-// ruleAliases maps retired rule names to their successors: a directive
-// naming the retired rule keeps suppressing the successor's findings, so
-// existing //pgalint:ignore comments survive rule renames (ctxleak was
-// subsumed by goroleak in PR 7).
-var ruleAliases = map[string]string{"ctxleak": "goroleak"}
 
 // ignoreDirective is the comment prefix of a suppression.
 const ignoreDirective = "pgalint:ignore"
@@ -174,8 +167,7 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) ignoreIndex {
 	return idx
 }
 
-// suppressed reports whether rule is ignored at the given position,
-// honoring retired-rule aliases.
+// suppressed reports whether rule is ignored at the given position.
 func (idx ignoreIndex) suppressed(pos token.Position, rule string) bool {
 	m := idx[pos.Filename]
 	if m == nil {
@@ -185,15 +177,7 @@ func (idx ignoreIndex) suppressed(pos token.Position, rule string) bool {
 	if set == nil {
 		return false
 	}
-	if set[rule] || set["all"] {
-		return true
-	}
-	for retired, successor := range ruleAliases {
-		if successor == rule && set[retired] {
-			return true
-		}
-	}
-	return false
+	return set[rule] || set["all"]
 }
 
 // RunAnalyzers executes every analyzer over every package and returns the

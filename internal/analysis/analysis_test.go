@@ -38,7 +38,6 @@ var fixturePkgPaths = map[string]string{
 	"chantopo_ok.go":      "pga/internal/island",
 	"bareignore.go":       "pga/internal/ga",
 	"goroleak_x.go":       "pga/internal/cluster",
-	"goroleak_alias.go":   "pga/internal/cluster",
 	"lockorder_bad.go":    "pga/internal/lockfix",
 	"lockorder_ok.go":     "pga/internal/lockfix",
 	"lockorder_x.go":      "pga/internal/lockfix",
@@ -50,8 +49,6 @@ var fixturePkgPaths = map[string]string{
 	"waitgroup_x.go":      "pga/internal/farm",
 	"drawshape_bad.go":    "pga/internal/operators",
 	"drawshape_ok.go":     "pga/internal/operators",
-	"drawparity_bad.go":   "pga/internal/pairfix",
-	"drawparity_ok.go":    "pga/internal/pairfix2",
 	"auxrng.go":           "pga/internal/fixrng",
 	"auxtail.go":          "pga/internal/fixgen",
 	"auxchan.go":          "pga/internal/chanutil",
@@ -77,8 +74,6 @@ var fixtureGroups = map[string][]string{
 	"waitgroup_x.go":     {"auxwg.go"},
 	"drawshape_bad.go":   {"auxrng.go", "auxtail.go"},
 	"drawshape_ok.go":    {"auxrng.go"},
-	"drawparity_bad.go":  {"auxrng.go"},
-	"drawparity_ok.go":   {"auxrng.go"},
 }
 
 // The fixture loader shares one file set, one stdlib source importer and

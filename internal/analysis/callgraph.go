@@ -121,7 +121,6 @@ type Graph struct {
 	byObj  map[*types.Func]*Node
 	byDecl map[*ast.FuncDecl]*Node
 	byLit  map[*ast.FuncLit]*Node
-	byName map[string]*Node // declared nodes by qualified name; lazy
 
 	sccs [][]*Node // bottom-up (callee-first) order; built lazily
 }
@@ -131,22 +130,6 @@ func (g *Graph) NodeOf(fd *ast.FuncDecl) *Node { return g.byDecl[fd] }
 
 // NodeOfLit returns the node for a closure literal, or nil.
 func (g *Graph) NodeOfLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
-
-// NodeByName returns the declared function/method node with the given
-// qualified display name ("pga/internal/operators.KPoint.Cross"), or nil.
-// The index is built lazily; closures are excluded (their $n names are
-// positional, not stable identities).
-func (g *Graph) NodeByName(name string) *Node {
-	if g.byName == nil {
-		g.byName = make(map[string]*Node, len(g.Nodes))
-		for _, n := range g.Nodes {
-			if n.Decl != nil {
-				g.byName[n.Name] = n
-			}
-		}
-	}
-	return g.byName[name]
-}
 
 // BuildGraph constructs the call graph over pkgs (normally a full module
 // in topological order, or a handful of fixture packages in tests).

@@ -5,11 +5,10 @@ package analysis
 // a symbolic sum over loop bounds and parameters — `n×Chance + 1×Sample`
 // for uniform crossover, `2×#1×Split` for the island seed-split loop —
 // computed bottom-up over the same Tarjan SCC condensation the effect
-// summaries use. The drawshape and drawparity rules are built on these:
-// the first proves the PR 8 draw-compatibility contract (no draw may be
-// guarded by genome/population *content*), the second proves declared
-// equivalence pairs (allocating/in-place operators, scalar/batch
-// evaluators, the New/WireStreams seed split) consume identical shapes.
+// summaries use. The drawshape rule is built on these: it proves the PR 8
+// draw-compatibility contract (no draw may be guarded by genome/population
+// *content*) from a shape's ContentDep sites, and renders the shape's
+// terms in its findings.
 //
 // The abstraction is deliberately coarse and, like the rest of the suite,
 // optimistic — a shape that cannot be resolved can only suppress findings,
@@ -24,18 +23,16 @@ package analysis
 //     Chance draws taken in one call by the packed bit-string kernels —
 //     is a kind of its own and is deliberately NOT normalized to
 //     64×Chance: its count argument is a value the engine does not
-//     compare, so `w×ChanceMask` and `n×Chance` are different shapes
-//     even where the streams agree at run time. A pair therefore stays
-//     provable only while both members call one shared kernel, and a
-//     content guard around a ChanceMask is reported like any other.
+//     read, so `w×ChanceMask` and `n×Chance` render as different shapes
+//     even where the streams agree at run time. A content guard around
+//     a ChanceMask is reported like any other.
 //   - Loops multiply the body's terms by a *bound symbol*: "n" for
 //     X.Len() on a genome (or len of a Genes/Perm slice), "pop" for
 //     Population lengths, "w" for packed words, "#k"/"len#k" for the
 //     unified parameter at index k, a literal coefficient for constant
 //     bounds, a struct-field name for config fields, and "?" when the
 //     bound cannot be resolved. Additive constants in bounds are dropped
-//     (n-1 ≈ n): equivalence pairs mirror each other's loop structure, so
-//     the approximation cancels out in comparisons.
+//     (n-1 ≈ n).
 //   - Conditional draws gain a "cond" marker. If the condition mentions
 //     genome/population content — a Fitness/Evaluated field, indexing
 //     into Genes/Perm/Words/Members, a non-Len method on a genome-like
@@ -135,26 +132,6 @@ func (s *DrawShape) String() string {
 	return out
 }
 
-// EqualTerms reports whether two shapes have identical canonical terms
-// (content flags and completeness are compared by the rules separately).
-func (s *DrawShape) EqualTerms(o *DrawShape) bool {
-	if len(s.Terms) != len(o.Terms) {
-		return false
-	}
-	for i, t := range s.Terms {
-		u := o.Terms[i]
-		if t.Coeff != u.Coeff || t.Kind != u.Kind || len(t.Mult) != len(u.Mult) {
-			return false
-		}
-		for j := range t.Mult {
-			if t.Mult[j] != u.Mult[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // canonicalize sorts the multiplier multisets, merges equal terms, drops
 // zero coefficients and orders the sum deterministically.
 func (s *DrawShape) canonicalize() {
@@ -205,7 +182,7 @@ func normalizeMult(mult []string) []string {
 }
 
 // normalizeDrawKind maps the Into-variants onto their allocating
-// counterparts so equivalence pairs compare equal.
+// counterparts: the same draws into a caller-owned buffer are one kind.
 func normalizeDrawKind(name string) string {
 	switch name {
 	case "SampleInto":
@@ -217,7 +194,7 @@ func normalizeDrawKind(name string) string {
 }
 
 // DrawShape returns the symbolic draw shape for n, computing all shapes
-// on first use (lazily: only the drawshape/drawparity rules pay for it).
+// on first use (lazily: only the drawshape rule pays for it).
 func (f *Facts) DrawShape(n *Node) *DrawShape {
 	if f.drawShapes == nil {
 		f.computeDrawShapes()

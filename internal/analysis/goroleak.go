@@ -19,8 +19,6 @@ package analysis
 // call was missed. goroleak reads the Joins bit off the interprocedural
 // summary instead, which propagates over call and ref edges (never spawn
 // edges — a child goroutine's select does not make its parent joinable).
-// Legacy //pgalint:ignore ctxleak directives keep suppressing goroleak
-// via the rule-alias table.
 //
 // Optimism: a go statement whose callee cannot be resolved produces no
 // spawn edge, and unresolved callees are given the benefit of the doubt.

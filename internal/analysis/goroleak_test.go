@@ -41,12 +41,3 @@ func TestGoroLeakCtxLeakParity(t *testing.T) {
 		}
 	}
 }
-
-// TestGoroLeakAliasSuppression: a legacy //pgalint:ignore ctxleak
-// directive keeps suppressing goroleak findings via the alias table.
-func TestGoroLeakAliasSuppression(t *testing.T) {
-	diags := runFixture(t, GoroLeak(), "goroleak_alias.go")
-	if len(diags) != 0 {
-		t.Fatalf("legacy ctxleak ignore no longer suppresses goroleak: %v", diags)
-	}
-}

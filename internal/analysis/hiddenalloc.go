@@ -58,7 +58,6 @@ func DefaultHiddenAllocConfig() HiddenAllocConfig {
 		"pga/internal/operators.CrossInto",
 		"pga/internal/operators.SelectScratch",
 		"pga/internal/operators.SelectWith",
-		"pga/internal/operators.SUSInto",
 		// Batched evaluation seam: runs once per generation on the
 		// engine goroutine, between births.
 		"pga/internal/core.EvaluateAll",

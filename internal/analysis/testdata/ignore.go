@@ -18,6 +18,6 @@ func suppressedAll(out chan<- int) {
 }
 
 func wrongRule(out chan<- int) {
-	//pgalint:ignore ctxleak a misdirected suppression does not apply
+	//pgalint:ignore goroleak a misdirected suppression does not apply
 	out <- 4 // want blockingsend
 }

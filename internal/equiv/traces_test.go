@@ -85,9 +85,9 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
-// TestScenarioOpsAreRegistered guards the tracecover inputs: every
+// TestScenarioOpsAreRegistered guards the coverage claims: every
 // operator name a scenario claims to exercise must exist in the operator
-// registry, so coverage claims cannot rot through renames.
+// registry, so they cannot rot through renames.
 func TestScenarioOpsAreRegistered(t *testing.T) {
 	known := map[string]bool{}
 	for _, op := range operators.RegisteredOperators() {
@@ -101,6 +101,30 @@ func TestScenarioOpsAreRegistered(t *testing.T) {
 			if !known[op] {
 				t.Errorf("%s: claims unregistered operator %q", sc.Name, op)
 			}
+		}
+	}
+}
+
+// TestRegisteredOperatorsHaveGoldenScenario is the other direction: every
+// registered operator is exercised by at least one pinned trajectory.
+// Best and Random are the exceptions — draw-free and one-Intn selectors
+// used as the control arms of the takeover experiments, which no engine
+// scenario runs.
+func TestRegisteredOperatorsHaveGoldenScenario(t *testing.T) {
+	unpinned := map[string]bool{"Best": true, "Random": true}
+	pinned := map[string]bool{}
+	for _, sc := range Scenarios() {
+		for _, op := range sc.Ops {
+			pinned[op] = true
+		}
+	}
+	for _, op := range operators.RegisteredOperators() {
+		name := operators.OperatorTypeName(op)
+		switch {
+		case !pinned[name] && !unpinned[name]:
+			t.Errorf("operator %s is exercised by no golden scenario", name)
+		case pinned[name] && unpinned[name]:
+			t.Errorf("operator %s has a golden scenario now: drop it from the allowlist", name)
 		}
 	}
 }

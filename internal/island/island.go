@@ -164,10 +164,8 @@ func New(cfg Config) *Model {
 
 // newDemeStreams splits the per-deme RNG streams off the master source:
 // engine stream then migration stream, per deme in id order. WireStreams
-// performs the identical split for one-island-per-process runs, so a
-// wire run reproduces the in-process streams bit-for-bit — the pair is
-// declared in DrawPairs and proven shape-identical by pgalint's
-// drawparity rule.
+// indexes the same split for one-island-per-process runs, so a wire run
+// reproduces the in-process streams bit-for-bit.
 func newDemeStreams(master *rng.Source, n int) (engineRNGs, migRNGs []*rng.Source) {
 	engineRNGs = make([]*rng.Source, n)
 	migRNGs = make([]*rng.Source, n)

@@ -59,21 +59,17 @@ type WireConfig struct {
 	Observers []engine.Observer
 }
 
-// WireStreams splits the master seed exactly the way the in-process
-// model's New does — engine stream then migration stream, per deme in
-// id order — and returns island self's pair. A wire run over n islands
-// with seed s therefore gives every island the same private streams its
-// deme would have had in-process.
+// WireStreams returns the engine and migration streams the in-process
+// model's New gives deme self of n under the same seed (newDemeStreams),
+// so a wire run over n islands hands every island the private streams its
+// deme would have had in-process. A self outside [0, n) has no deme and
+// gets nil, nil.
 func WireStreams(seed uint64, n, self int) (engineRNG, migRNG *rng.Source) {
-	master := rng.New(seed)
-	for i := 0; i < n; i++ {
-		er := master.Split()
-		mr := master.Split()
-		if i == self {
-			engineRNG, migRNG = er, mr
-		}
+	if self < 0 || self >= n {
+		return nil, nil
 	}
-	return engineRNG, migRNG
+	engineRNGs, migRNGs := newDemeStreams(rng.New(seed), n)
+	return engineRNGs[self], migRNGs[self]
 }
 
 // wireDeme is the engine.Stepper of one wire-mode island.

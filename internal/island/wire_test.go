@@ -4,7 +4,9 @@ import (
 	"sync"
 	"testing"
 
+	"pga/internal/ga"
 	"pga/internal/migration"
+	"pga/internal/rng"
 	"pga/internal/topology"
 	"pga/internal/transport"
 )
@@ -83,29 +85,48 @@ func TestRunWireSoloWhenAllPeersLost(t *testing.T) {
 
 // TestWireStreamsMatchInProcessSplit pins the cross-process determinism
 // contract: WireStreams must hand island i exactly the engine and
-// migration streams the in-process model's seed split would, and the
-// pairs must be distinct across islands.
+// migration streams the in-process model's New gives deme i — which also
+// pins that New splits the restart stream after every deme's pair — and
+// the streams must be distinct across islands.
 func TestWireStreamsMatchInProcessSplit(t *testing.T) {
 	const n, seed = 4, 42
-	for i := 0; i < n; i++ {
-		e1, m1 := WireStreams(seed, n, i)
-		e2, m2 := WireStreams(seed, n, i)
-		for k := 0; k < 8; k++ {
-			if e1.Uint64() != e2.Uint64() || m1.Uint64() != m2.Uint64() {
-				t.Fatalf("island %d: WireStreams is not a pure function of (seed, n, self)", i)
-			}
-		}
-	}
-	// Distinctness across islands (first draw collision would mean a
-	// shared stream — the bug the stream-per-goroutine rule exists for).
+	// New hands engineRNGs[i] to NewEngine, which draws the initial
+	// population from it: capture each stream's state on the way in.
+	engineStates := make([][5]uint64, n)
+	m := New(Config{
+		Topology: topology.Ring(n),
+		Seed:     seed,
+		NewEngine: func(i int, r *rng.Source) ga.Engine {
+			engineStates[i] = r.State()
+			return onemaxEngines(16, 8)(i, r)
+		},
+	})
 	seen := map[uint64]int{}
 	for i := 0; i < n; i++ {
-		e, m := WireStreams(seed, n, i)
-		for name, v := range map[string]uint64{"engine": e.Uint64(), "migration": m.Uint64()} {
+		e, mig := WireStreams(seed, n, i)
+		if e.State() != engineStates[i] {
+			t.Errorf("island %d: engine stream differs from the in-process deme's", i)
+		}
+		if mig.State() != m.migRNGs[i].State() {
+			t.Errorf("island %d: migration stream differs from the in-process deme's", i)
+		}
+		// Distinctness across islands (a first-draw collision would mean a
+		// shared stream — the bug the stream-per-goroutine rule exists for).
+		for name, v := range map[string]uint64{"engine": e.Uint64(), "migration": mig.Uint64()} {
 			if j, dup := seen[v]; dup {
 				t.Fatalf("island %d %s stream collides with stream %d", i, name, j)
 			}
 			seen[v] = i
+		}
+	}
+	master := rng.New(seed)
+	newDemeStreams(master, n)
+	if m.restartRNG.State() != master.Split().State() {
+		t.Error("restart stream is not the split after every deme's pair")
+	}
+	for _, self := range []int{-1, n} {
+		if e, mig := WireStreams(seed, n, self); e != nil || mig != nil {
+			t.Errorf("WireStreams(self=%d) returned streams for an island outside [0, %d)", self, n)
 		}
 	}
 }

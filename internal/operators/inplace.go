@@ -1,15 +1,16 @@
 package operators
 
-// In-place operator variants for the zero-allocation generation hot path.
+// The operator implementations, in in-place form.
 //
-// The allocating Crossover.Cross API clones both parents per call, which
-// made GC pressure — not the GA — dominate wall time on single-core
-// builds. Every crossover here can instead write its offspring into
-// caller-provided genomes (the engine's double-buffered next generation),
-// drawing exactly the same RNG sequence as its allocating twin, so seeded
-// trajectories are bit-for-bit identical either way. Working memory that
-// the allocating forms rebuilt per call (cut-point tables, used-flags,
-// ranked indices, SUS wheels) lives in a per-engine Scratch instead.
+// Every library crossover is implemented once, as CrossInto: it writes
+// its offspring into caller-provided genomes (the engine's double-buffered
+// next generation) and takes its working memory (cut-point tables,
+// used-flags, ERX adjacency) from a per-engine Scratch, so the generation
+// hot path allocates nothing. Crossover.Cross is crossClone — fresh
+// clones of the parents handed to the same CrossInto — so there is no
+// second body to keep draw-identical. The rank-based selectors follow the
+// same shape: SelectScratch is the implementation, Select calls it with a
+// throwaway Scratch.
 
 import (
 	"math"
@@ -20,8 +21,8 @@ import (
 	"pga/internal/rng"
 )
 
-// Scratch is reusable per-engine working memory for the in-place operator
-// variants: index tables, flag vectors and the ranked-order buffer of
+// Scratch is reusable per-engine working memory for the operators: index
+// tables, flag vectors and the ranked-order buffer of
 // rank-based selection. It grows to the largest size requested and is then
 // allocation-free. A Scratch is NOT safe for concurrent use — give each
 // engine (and each worker of a shared-memory engine) its own, exactly like
@@ -32,7 +33,6 @@ type Scratch struct {
 	flags  []bool
 	mask   []uint64
 	rank   rankSorter
-	sus    []int
 
 	// ERX working memory: the union adjacency of two closed tours is at
 	// most four neighbours per city, so the edge table is a flat n×4
@@ -96,13 +96,13 @@ type rankSorter struct {
 func (s *rankSorter) Len() int      { return len(s.idx) }
 func (s *rankSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
 func (s *rankSorter) Less(a, b int) bool {
-	// worst first — identical comparator to the allocating rankIndices.
+	// worst first
 	return s.d.Better(s.pop.Members[s.idx[b]].Fitness, s.pop.Members[s.idx[a]].Fitness)
 }
 
-// rankIndicesInto returns population indices ordered worst → best under d,
-// reusing the scratch rank buffer. The ordering is identical to
-// rankIndices (both sorts are stable with the same comparator).
+// rankIndicesInto returns population indices ordered worst → best under d
+// (stable: equal fitness keeps index order), reusing the scratch rank
+// buffer.
 func rankIndicesInto(s *Scratch, pop *core.Population, d core.Direction) []int {
 	n := pop.Len()
 	if cap(s.rank.idx) < n {
@@ -122,8 +122,7 @@ func rankIndicesInto(s *Scratch, pop *core.Population, d core.Direction) []int {
 // memory (ranked index buffers) can live in an engine-owned Scratch.
 type ScratchSelector interface {
 	Selector
-	// SelectScratch is Select with caller-provided scratch; the RNG draw
-	// sequence and the chosen index are identical to Select.
+	// SelectScratch is Select with caller-provided scratch.
 	SelectScratch(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int
 }
 
@@ -141,6 +140,7 @@ func SelectWith(sel Selector, pop *core.Population, d core.Direction, r *rng.Sou
 func (sel LinearRank) SelectScratch(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int {
 	n := pop.Len()
 	ranked := rankIndicesInto(s, pop, d)
+	// rank 0 = worst … n-1 = best; weight(rank) = 2-SP + 2(SP-1)rank/(n-1).
 	sp := sel.sp()
 	if n == 1 {
 		return 0
@@ -169,70 +169,18 @@ func (sel Truncation) SelectScratch(pop *core.Population, d core.Direction, r *r
 	return ranked[n-k+r.Intn(k)]
 }
 
-// SUSInto is SUS writing the chosen indices into dst (len(dst) == count),
-// allocation-free. The RNG draw sequence and results are identical to SUS.
-func SUSInto(dst []int, pop *core.Population, d core.Direction, r *rng.Source) []int {
-	count := len(dst)
-	n := pop.Len()
-	min, max := pop.Members[0].Fitness, pop.Members[0].Fitness
-	for _, ind := range pop.Members {
-		if ind.Fitness < min {
-			min = ind.Fitness
-		}
-		if ind.Fitness > max {
-			max = ind.Fitness
-		}
-	}
-	const eps = 0.01
-	span := max - min
-	weight := func(f float64) float64 {
-		if span == 0 {
-			return 1
-		}
-		if d == core.Maximize {
-			return (f-min)/span + eps
-		}
-		return (max-f)/span + eps
-	}
-	total := 0.0
-	for _, ind := range pop.Members {
-		total += weight(ind.Fitness)
-	}
-	step := total / float64(count)
-	x := r.Float64() * step
-	out := 0
-	acc := 0.0
-	i := 0
-	for out < count {
-		for acc+weight(pop.Members[i].Fitness) < x {
-			acc += weight(pop.Members[i].Fitness)
-			i++
-			if i >= n { // numeric safety net
-				i = n - 1
-				break
-			}
-		}
-		dst[out] = i
-		out++
-		x += step
-	}
-	return dst
-}
-
 // InPlaceCrossover is implemented by crossovers that can write their
 // offspring into caller-provided genomes without allocating. c1 and c2
 // must share concrete type and length with a and b and must not alias
 // them (or each other); Scratch supplies working memory.
 type InPlaceCrossover interface {
 	Crossover
-	// CrossInto recombines a and b into c1 and c2 with the exact RNG draw
-	// sequence of Cross.
+	// CrossInto recombines a and b into c1 and c2, overwriting whatever
+	// they held.
 	CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch)
 }
 
-// Compile-time checks: every library crossover has an in-place variant
-// (ERX's per-call edge maps are replaced by a flat scratch-owned
-// adjacency table).
+// Compile-time checks: every library crossover is in-place capable.
 var (
 	_ InPlaceCrossover = OnePoint{}
 	_ InPlaceCrossover = TwoPoint{}
@@ -249,9 +197,9 @@ var (
 
 // CrossInto recombines parents a and b into the two child individuals'
 // existing genomes, in place when the crossover and the child genomes
-// support it, falling back to the allocating Cross otherwise. Either way
-// the RNG draw sequence is identical, the children never alias the
-// parents, and the children's fitness is left untouched (callers
+// support it; a foreign Crossover, or children that cannot be reused,
+// get fresh genomes from c.Cross instead. Either way the children never
+// alias the parents and their fitness is left untouched (callers
 // invalidate). This is the engines' hot-path entry point for
 // recombination.
 func CrossInto(c Crossover, a, b core.Genome, ch1, ch2 *core.Individual, r *rng.Source, s *Scratch) {
@@ -403,7 +351,8 @@ func (OX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	oxChildInto(cb, pb, pa, i, j, s)
 }
 
-// oxChildInto is oxChild writing into child's existing Perm.
+// oxChildInto keeps keep[i..j] in child and fills the rest from other in
+// order.
 func oxChildInto(child, keep, other *genome.Permutation, i, j int, s *Scratch) {
 	n := keep.Len()
 	used := s.bools(n)
@@ -442,7 +391,8 @@ func (PMX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	pmxChildInto(cb, pb, pa, i, j, s)
 }
 
-// pmxChildInto is pmxChild writing into child's existing Perm.
+// pmxChildInto takes segment [i,j] from donor and maps the rest of child
+// from filler through the segment's mapping.
 func pmxChildInto(child, donor, filler *genome.Permutation, i, j int, s *Scratch) {
 	n := donor.Len()
 	inSeg := s.bools(n) // value → lies in donor segment
@@ -515,9 +465,8 @@ func (ERX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 
 // erxEdgesInto fills the scratch adjacency table with each city's
 // neighbour set over both parent tours (closed tours: first and last are
-// adjacent). Per-city lists are kept ascending by sorted insertion, which
-// is what buildEdgeMap's post-sort produces — the candidate scan order,
-// and therefore the RNG draw sequence, is identical to erxChild's.
+// adjacent). Per-city lists are kept ascending by sorted insertion; the
+// candidate scan order, and therefore the tie-break draws, depend on it.
 func erxEdgesInto(s *Scratch, pa, pb []int) {
 	n := len(pa)
 	if cap(s.erxEdges) < 4*n {
@@ -558,9 +507,8 @@ func erxEdgesInto(s *Scratch, pa, pb []int) {
 	addTour(pb)
 }
 
-// erxChildInto is erxChild writing into child's existing Perm, reading
-// the adjacency table prepared by erxEdgesInto. The greedy walk, the
-// tie-break draws and the dead-end restart draws mirror erxChild exactly.
+// erxChildInto builds one child tour from start, reading the adjacency
+// table prepared by erxEdgesInto.
 func erxChildInto(child *genome.Permutation, start, n int, r *rng.Source, s *Scratch) {
 	edges, cnt := s.erxEdges, s.erxCnt
 	rem := s.erxRem[:n]
@@ -605,7 +553,7 @@ func erxChildInto(child *genome.Permutation, start, n int, r *rng.Source, s *Scr
 		}
 		if candN == 0 {
 			// Dead end: restart from a uniformly random unused city
-			// (ascending scan, exactly like erxChild's unused slice).
+			// (ascending scan).
 			unused := s.erxUnused[:n]
 			un := 0
 			for v := 0; v < n; v++ {

@@ -48,15 +48,8 @@ type UniformWord struct{}
 func (UniformWord) Name() string { return "uniform-word" }
 
 // Cross implements Crossover.
-func (UniformWord) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	ba, bb := mustBits(a), mustBits(b)
-	if ba.N != bb.N {
-		panic("operators: UniformWord parents of different lengths")
-	}
-	ca := ba.Clone().(*genome.BitString)
-	cb := bb.Clone().(*genome.BitString)
-	uniformWords(ca, cb, r)
-	return ca, cb
+func (c UniformWord) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
+	return crossClone(c, a, b, r)
 }
 
 // CrossInto implements InPlaceCrossover.
@@ -72,9 +65,8 @@ func (UniformWord) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch
 }
 
 // uniformWords exchanges masked bits between two equal-length children:
-// one Uint64 draw per word, shared by Cross and CrossInto. The XOR of
-// two tail-invariant genomes has a zero tail, so the swap preserves the
-// invariant without masking.
+// one Uint64 draw per word. The XOR of two tail-invariant genomes has a
+// zero tail, so the swap preserves the invariant without masking.
 func uniformWords(ca, cb *genome.BitString, r *rng.Source) {
 	for w := range ca.Words {
 		x := (ca.Words[w] ^ cb.Words[w]) & r.Uint64()
@@ -98,13 +90,7 @@ func (k KPointWord) Name() string { return fmt.Sprintf("%d-point-word", k.K) }
 
 // Cross implements Crossover.
 func (k KPointWord) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	ba, bb := mustBits(a), mustBits(b)
-	if ba.N != bb.N {
-		panic("operators: KPointWord parents of different lengths")
-	}
-	ca, cb := ba.Clone(), bb.Clone()
-	kpointSwap(ca, cb, k.K, r, &Scratch{})
-	return ca, cb
+	return crossClone(k, a, b, r)
 }
 
 // CrossInto implements InPlaceCrossover.

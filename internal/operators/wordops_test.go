@@ -56,83 +56,6 @@ func TestUniformWordExchangeRate(t *testing.T) {
 	}
 }
 
-func TestKPointWordMatchesBitKPointStructure(t *testing.T) {
-	// All-ones vs all-zeros parents: child 1 must consist of at most K+1
-	// maximal runs (the segments), i.e. at most K transitions.
-	for _, k := range []int{1, 2, 3, 5} {
-		n := 131
-		a := genome.NewBitString(n)
-		for i := 0; i < n; i++ {
-			a.Set(i, true)
-		}
-		b := genome.NewBitString(n)
-		ga, gb := KPointWord{K: k}.Cross(a, b, rng.New(uint64(3+k)))
-		ca, cb := ga.(*genome.BitString), gb.(*genome.BitString)
-		transitions := 0
-		for i := 1; i < n; i++ {
-			if ca.Get(i) != ca.Get(i-1) {
-				transitions++
-			}
-		}
-		if transitions > k {
-			t.Fatalf("K=%d: %d transitions in child", k, transitions)
-		}
-		for i := 0; i < n; i++ {
-			if ca.Get(i) == cb.Get(i) {
-				t.Fatalf("K=%d: children agree at %d (should be complementary)", k, i)
-			}
-		}
-		if !tailBitsClean(ca) || !tailBitsClean(cb) {
-			t.Fatalf("K=%d: tail bits dirtied", k)
-		}
-	}
-}
-
-func TestKPointWordCrossIntoMatchesCross(t *testing.T) {
-	// Cross and CrossInto draw identically (Sample vs SampleInto), so from
-	// equal RNG states they must produce identical children.
-	for _, n := range []int{2, 63, 64, 65, 200} {
-		init := rng.New(uint64(20 + n))
-		a := genome.RandomBitString(n, init)
-		b := genome.RandomBitString(n, init)
-		op := KPointWord{K: 3}
-
-		r1 := rng.New(99)
-		ga, gb := op.Cross(a, b, r1)
-
-		r2 := rng.New(99)
-		c1, c2 := genome.NewBitString(n), genome.NewBitString(n)
-		op.CrossInto(a, b, c1, c2, r2, &Scratch{})
-
-		if !c1.Equal(ga.(*genome.BitString)) || !c2.Equal(gb.(*genome.BitString)) {
-			t.Fatalf("n=%d: CrossInto diverged from Cross", n)
-		}
-		if r1.Uint64() != r2.Uint64() {
-			t.Fatalf("n=%d: Cross and CrossInto consumed different draw counts", n)
-		}
-	}
-}
-
-func TestUniformWordCrossIntoMatchesCross(t *testing.T) {
-	init := rng.New(30)
-	a := genome.RandomBitString(100, init)
-	b := genome.RandomBitString(100, init)
-
-	r1 := rng.New(7)
-	ga, gb := UniformWord{}.Cross(a, b, r1)
-
-	r2 := rng.New(7)
-	c1, c2 := genome.NewBitString(100), genome.NewBitString(100)
-	UniformWord{}.CrossInto(a, b, c1, c2, r2, &Scratch{})
-
-	if !c1.Equal(ga.(*genome.BitString)) || !c2.Equal(gb.(*genome.BitString)) {
-		t.Fatal("CrossInto diverged from Cross")
-	}
-	if r1.Uint64() != r2.Uint64() {
-		t.Fatal("Cross and CrossInto consumed different draw counts")
-	}
-}
-
 func TestWordCrossoversPreserveParents(t *testing.T) {
 	r := rng.New(40)
 	a := genome.RandomBitString(100, r)
