@@ -17,7 +17,7 @@ test:
 race:
 	$(GO) test -race ./internal/island/... ./internal/supervise/... \
 		./internal/masterslave/... ./internal/cellular/... ./internal/p2p/... \
-		./internal/cluster/... ./internal/hga/... ./internal/ga/... \
+		./internal/hga/... ./internal/ga/... \
 		./internal/transport/...
 
 bench:

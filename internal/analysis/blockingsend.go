@@ -32,7 +32,6 @@ func DefaultBlockingSendConfig() BlockingSendConfig {
 	return BlockingSendConfig{ScopePaths: []string{
 		"pga/internal/island",
 		"pga/internal/migration",
-		"pga/internal/cluster",
 		"pga/internal/p2p",
 		"pga/internal/masterslave",
 		"pga/internal/cellular",

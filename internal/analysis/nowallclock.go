@@ -61,11 +61,10 @@ func DefaultNoWallClockConfig() NoWallClockConfig {
 		// Run-orchestration entry points: they time Elapsed around the
 		// (deterministic) evolution loop, never inside a step. engine.Loop
 		// is the shared run-loop driver every runtime delegates to; the
-		// async island wrappers additionally time the goroutine join.
+		// free-running island wrapper additionally times the goroutine join.
 		"pga/internal/engine.Loop",
 		"pga/internal/hga.Run",
-		"pga/internal/island.runParallelAsync",
-		"pga/internal/island.runParallelAsyncSupervised",
+		"pga/internal/island.runFree",
 		// The wire transport is the one place the repository touches real
 		// I/O: dial/write deadlines, reconnect backoff and interruptible
 		// sleeps are its job. The determinism contract stops at the wire —

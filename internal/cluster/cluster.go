@@ -1,11 +1,23 @@
+// Package cluster is the wall-clock cost model of the modelled experiments:
+// a description of a machine room (NodeSpec, LinkSpec and the interconnect
+// presets) and closed-form makespan functions over it (model.go).
+//
+// Why modelled: the survey's quantitative parallel claims — linear and
+// super-linear speedup on clusters of workstations (Alba & Troya 2001),
+// master–slave superiority on heterogeneous Beowulfs with hard failures
+// (Gagné 2003), scalability to many processors (Rivera 2001, Pelikan
+// 2002) — were measured on multi-machine testbeds this reproduction does
+// not have. The makespan functions take a run profile measured on the real
+// engines (generations, evaluations per generation, cost per evaluation,
+// migration schedule) and charge it against the described hardware:
+// compute by node speed, messages by latency and bandwidth, barriers by
+// the slowest survivor, crashes by lost work. Nothing here executes a GA,
+// passes a message or runs a clock — an explicit cost model in the sense
+// of Harada, Alba & Luque — and EXPERIMENTS.md labels every number derived
+// from it as "modelled". The *algorithmic* speedup measurements
+// (evaluations to solution) run for real on the actual engines; only
+// wall-clock is modelled.
 package cluster
-
-import (
-	"fmt"
-
-	"pga/internal/rng"
-	"pga/internal/transport"
-)
 
 // NodeSpec describes one virtual machine in the cluster.
 type NodeSpec struct {
@@ -33,9 +45,11 @@ type LinkSpec struct {
 	Latency float64
 	// BytesPerSec is the link bandwidth; 0 means infinite.
 	BytesPerSec float64
-	// Jitter is the maximum extra uniform random delay per message.
-	Jitter float64
-	// LossProb is the probability a message is silently dropped.
+	// Jitter is the maximum extra uniform random delay per message and
+	// LossProb the probability a message is silently dropped. They
+	// describe the link (the Internet preset has both); the closed-form
+	// models charge TransferTime only, which excludes them.
+	Jitter   float64
 	LossProb float64
 }
 
@@ -51,16 +65,6 @@ var (
 	Internet = LinkSpec{Latency: 50e-3, BytesPerSec: 1e6, Jitter: 10e-3, LossProb: 0.01}
 )
 
-// Faults returns the link's stochastic loss/jitter model in the form
-// shared with the real transport layer: the same transport.LinkFaults
-// drives both this simulated cluster's Send and a transport.Faulty
-// wrapper around real sockets, so a scenario tuned here injects the
-// identical fault model on the wire (and, per seed, the identical draw
-// sequence).
-func (l LinkSpec) Faults() transport.LinkFaults {
-	return transport.LinkFaults{LossProb: l.LossProb, Jitter: l.Jitter}
-}
-
 // TransferTime returns the modelled delay for size bytes, excluding jitter.
 func (l LinkSpec) TransferTime(size float64) float64 {
 	t := l.Latency
@@ -68,113 +72,4 @@ func (l LinkSpec) TransferTime(size float64) float64 {
 		t += size / l.BytesPerSec
 	}
 	return t
-}
-
-// Cluster is a virtual machine room: nodes, a uniform interconnect and a
-// shared virtual clock.
-type Cluster struct {
-	Sim   *Sim
-	nodes []NodeSpec
-	link  LinkSpec
-	rng   *rng.Source
-
-	// busyUntil tracks each node's earliest free time, so Compute calls
-	// serialise per node like a real single-core worker.
-	busyUntil []float64
-	sent      int64
-	dropped   int64
-}
-
-// New creates a cluster with the given nodes and uniform link, seeding the
-// jitter/loss stream from seed.
-func New(nodes []NodeSpec, link LinkSpec, seed uint64) *Cluster {
-	if len(nodes) == 0 {
-		panic("cluster: at least one node required")
-	}
-	c := &Cluster{
-		Sim:       NewSim(),
-		nodes:     append([]NodeSpec(nil), nodes...),
-		link:      link,
-		rng:       rng.New(seed),
-		busyUntil: make([]float64, len(nodes)),
-	}
-	for i := range c.nodes {
-		if c.nodes[i].Speed <= 0 {
-			c.nodes[i].Speed = 1
-		}
-	}
-	return c
-}
-
-// Nodes returns the node count.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
-
-// Alive reports whether node i is alive at the current virtual time.
-func (c *Cluster) Alive(i int) bool {
-	return c.nodes[i].CrashAt == 0 || c.Sim.Now() < c.nodes[i].CrashAt
-}
-
-// MessagesSent returns the number of successfully delivered messages.
-func (c *Cluster) MessagesSent() int64 { return c.sent }
-
-// MessagesDropped returns the number of lost messages.
-func (c *Cluster) MessagesDropped() int64 { return c.dropped }
-
-// Compute schedules work units of compute on node i, invoking done at
-// completion. Work on one node serialises; a node that crashes before the
-// work completes never invokes done (the caller models the loss, exactly
-// like a real dead machine).
-func (c *Cluster) Compute(i int, work float64, done func()) {
-	if i < 0 || i >= len(c.nodes) {
-		panic(fmt.Sprintf("cluster: no node %d", i))
-	}
-	start := c.Sim.Now()
-	if c.busyUntil[i] > start {
-		start = c.busyUntil[i]
-	}
-	finish := start + work/c.nodes[i].Speed
-	c.busyUntil[i] = finish
-	crashAt := c.nodes[i].CrashAt
-	c.Sim.Schedule(finish-c.Sim.Now(), func() {
-		if crashAt != 0 && finish >= crashAt {
-			return // node died mid-computation
-		}
-		done()
-	})
-}
-
-// Send schedules delivery of a size-byte message from node from to node
-// to. Delivery honours latency, bandwidth, jitter and loss; a dropped or
-// dead-receiver message never invokes deliver.
-func (c *Cluster) Send(from, to int, size float64, deliver func()) {
-	if from < 0 || from >= len(c.nodes) || to < 0 || to >= len(c.nodes) {
-		panic("cluster: Send endpoint out of range")
-	}
-	if !c.Alive(from) {
-		// A dead sender's message is lost traffic just like a dropped or
-		// dead-receiver one: count it so MessagesDropped reflects every
-		// message that never arrived.
-		c.dropped++
-		return
-	}
-	// Loss and jitter are drawn from the fault model shared with the
-	// real transport (transport.LinkFaults), replacing the drop logic
-	// that used to be duplicated here: one model, one draw order, for
-	// the simulated and the socket-backed paths alike.
-	drop, jitter := c.link.Faults().Roll(c.rng)
-	if drop {
-		c.dropped++
-		return
-	}
-	delay := c.link.TransferTime(size) + jitter
-	arrival := c.Sim.Now() + delay
-	crashAt := c.nodes[to].CrashAt
-	c.Sim.Schedule(delay, func() {
-		if crashAt != 0 && arrival >= crashAt {
-			c.dropped++
-			return // receiver is dead
-		}
-		c.sent++
-		deliver()
-	})
 }

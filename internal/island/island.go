@@ -8,22 +8,27 @@
 // periodically exchanges individuals with its topological neighbours under
 // a migration.Policy.
 //
-// Two execution modes are provided:
+// The model has two communication disciplines (Alba & Troya 2001) and the
+// package has one engine.Stepper for each; every run mode is one of the
+// two under the shared engine.Loop, optionally supervised
+// (Config.Resilience, internal/supervise):
 //
-//   - RunSequential: all demes advance in lockstep inside one goroutine.
-//     Fully deterministic; the numeric experiments use this mode.
-//   - RunParallel: one goroutine per deme, migrants carried by channels —
-//     the CSP analogue of the MPI/PVM message passing used by the
-//     libraries in the survey's Table 1. Synchronous policies barrier
-//     every generation; asynchronous policies exchange through bounded
-//     non-blocking buffers (Alba & Troya 2001's async model).
+//   - barrierStepper (barrier.go): all demes complete a generation, then
+//     migrants are exchanged centrally and losslessly. RunSequential
+//     advances the demes in the calling goroutine; RunParallel with a Sync
+//     policy runs a goroutine per deme behind a per-generation barrier.
+//     Both are fully deterministic and bit-identical to each other.
+//   - freeDeme (free.go): each deme free-runs its own loop and exchanges
+//     migrants best-effort over a transport.Endpoint — the CSP analogue
+//     of the MPI/PVM message passing used by the libraries in the survey's
+//     Table 1. RunParallel with an async policy runs one per goroutine over
+//     in-process loopback endpoints; RunWire (wire.go) runs one per OS
+//     process over whatever endpoint it is given. Migrant arrival order is
+//     scheduling dependent — the only permitted nondeterminism in the
+//     library.
 package island
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"pga/internal/core"
 	"pga/internal/engine"
 	"pga/internal/ga"
@@ -31,7 +36,6 @@ import (
 	"pga/internal/rng"
 	"pga/internal/supervise"
 	"pga/internal/topology"
-	"pga/internal/transport"
 )
 
 // Config describes an island-model run.
@@ -227,31 +231,16 @@ func (m *Model) globalBestRef() (*core.Individual, float64) {
 	return best, bestFit
 }
 
-// globalBest returns a clone of the best individual across demes.
-func (m *Model) globalBest() (*core.Individual, float64) {
-	best, bestFit := m.globalBestRef()
-	if best != nil {
-		best = best.Clone()
-	}
-	return best, bestFit
-}
-
 // maybeRewire rewires a dynamic topology on schedule, reporting whether
-// it did. epoch counts completed migration epochs.
+// it did. epoch counts completed migration epochs (1-based).
 func (m *Model) maybeRewire(epoch int64) bool {
-	if m.cfg.RewireEvery <= 0 || epoch == 0 || epoch%int64(m.cfg.RewireEvery) != 0 {
+	rw, ok := m.cfg.Topology.(rewirable)
+	if !ok || m.cfg.RewireEvery <= 0 || epoch%int64(m.cfg.RewireEvery) != 0 {
 		return false
 	}
-	if rw, ok := m.cfg.Topology.(rewirable); ok {
-		rw.Rewire()
-		return true
-	}
-	return false
+	rw.Rewire()
+	return true
 }
-
-// exchange performs one synchronous migration epoch over the configured
-// topology.
-func (m *Model) exchange() int64 { return m.exchangeOn(m.cfg.Topology) }
 
 // exchangeOn performs one synchronous migration epoch over topo: every
 // deme's emigrants are picked from the pre-exchange populations, then
@@ -279,59 +268,11 @@ func (m *Model) exchangeOn(topo topology.Topology) int64 {
 				continue
 			}
 			// Each neighbour receives its own clones.
-			migrants := make([]*core.Individual, len(outgoing[i]))
-			for k, ind := range outgoing[i] {
-				migrants[k] = ind.Clone()
-			}
-			p.Replace.Integrate(m.engines[nbr].Population(), m.dir, migrants, m.migRNGs[nbr])
+			p.Replace.Integrate(m.engines[nbr].Population(), m.dir, migration.CloneBatch(outgoing[i]), m.migRNGs[nbr])
 			batches++
 		}
 	}
 	return batches
-}
-
-// modelStepper is the engine.Stepper state shared by the lockstep
-// (sequential) and barriered (sync-parallel) runners: global best,
-// evaluation totals and the migration-epoch counter live here; only the
-// way demes advance differs.
-type modelStepper struct {
-	m      *Model
-	epochs int64
-}
-
-// migrateDue runs one synchronous migration epoch over topo when the
-// policy is due at gen, counting completed epochs for dynamic rewiring.
-func (s *modelStepper) migrateDue(gen int) (batches int64) {
-	if !s.m.cfg.Policy.Due(gen) {
-		return 0
-	}
-	batches = s.m.exchange()
-	s.epochs++
-	s.m.maybeRewire(s.epochs)
-	return batches
-}
-
-// Best implements engine.Stepper.
-func (s *modelStepper) Best() (*core.Individual, float64) { return s.m.globalBestRef() }
-
-// Evaluations implements engine.Stepper.
-func (s *modelStepper) Evaluations() int64 { return s.m.totalEvaluations() }
-
-// Direction implements engine.Stepper.
-func (s *modelStepper) Direction() core.Direction { return s.m.dir }
-
-// MeanFitness implements engine.MeanReporter.
-func (s *modelStepper) MeanFitness() float64 { return s.m.meanFitness() }
-
-// lockstepStepper advances every deme in the calling goroutine.
-type lockstepStepper struct{ modelStepper }
-
-// Step implements engine.Stepper.
-func (s *lockstepStepper) Step(gen int) engine.StepInfo {
-	for _, e := range s.m.engines {
-		e.Step()
-	}
-	return engine.StepInfo{Migrations: s.migrateDue(gen)}
 }
 
 // RunSequential advances all demes in lockstep until stop fires,
@@ -341,18 +282,12 @@ func (m *Model) RunSequential(stop core.StopCondition, trace bool) *Result {
 	if stop == nil {
 		panic("island: stop condition required")
 	}
-	res := &Result{}
-	ta, _ := m.problem.(core.TargetAware)
-	totals := engine.Loop(&lockstepStepper{modelStepper{m: m}}, engine.Options{
+	return m.runBarrier(false, nil, engine.Options{
 		Stop:              stop,
-		Target:            ta,
 		InitialSolve:      true,
 		Trace:             trace,
 		InitialTracePoint: true,
-	}, &res.RunStats)
-	res.Migrations = totals.Migrations
-	m.finish(res)
-	return res
+	})
 }
 
 // meanFitness returns the mean fitness over all demes' members.
@@ -373,7 +308,7 @@ func (m *Model) meanFitness() float64 {
 }
 
 // finish fills the island-specific tail of a Result (the common
-// accounting in RunStats is filled by engine.Loop).
+// accounting in RunStats is filled by engine.Loop, or by runFree).
 func (m *Model) finish(res *Result) {
 	res.PerDemeBest = make([]float64, len(m.engines))
 	for i := range m.engines {
@@ -393,206 +328,41 @@ func (m *Model) finish(res *Result) {
 // most maxGens island generations, stopping early when the problem's known
 // optimum is found. Policy.Sync selects barriered generations (globally
 // deterministic); otherwise demes free-run and exchange migrants through
-// bounded non-blocking channels (migrant arrival order is scheduling
-// dependent — the only permitted nondeterminism in the library).
+// bounded non-blocking endpoints. Config.Resilience supervises either.
 func (m *Model) RunParallel(maxGens int, trace bool) *Result {
+	var sup *supervise.Supervisor
 	if m.cfg.Resilience != nil {
-		sup := supervise.New(*m.cfg.Resilience, m.cfg.Faults, m.cfg.Topology,
+		sup = supervise.New(*m.cfg.Resilience, m.cfg.Faults, m.cfg.Topology,
 			m.cfg.NewEngine, m.restartRNG)
 		for i := range m.engines {
 			sup.Attach(i, m.engineRNGs[i])
 		}
 		m.sup = sup
 		m.deadPops = make([]*core.Population, len(m.engines))
-		if m.cfg.Policy.Sync {
-			return m.runParallelSyncSupervised(maxGens, trace, sup)
-		}
-		return m.runParallelAsyncSupervised(maxGens, sup)
 	}
-	if m.cfg.Policy.Sync {
-		return m.runParallelSync(maxGens, trace)
+	if !m.cfg.Policy.Sync {
+		return m.runFree(maxGens, sup)
 	}
-	return m.runParallelAsync(maxGens)
-}
-
-// syncStepper advances every deme behind a per-generation barrier.
-type syncStepper struct{ modelStepper }
-
-// Step implements engine.Stepper.
-func (s *syncStepper) Step(gen int) engine.StepInfo {
-	var wg sync.WaitGroup
-	for _, e := range s.m.engines {
-		wg.Add(1)
-		go func(e ga.Engine) {
-			defer wg.Done()
-			e.Step()
-		}(e)
-	}
-	wg.Wait()
-	return engine.StepInfo{Migrations: s.migrateDue(gen)}
-}
-
-// runParallelSync: barrier per generation, central migration.
-func (m *Model) runParallelSync(maxGens int, trace bool) *Result {
-	res := &Result{}
-	ta, _ := m.problem.(core.TargetAware)
-	totals := engine.Loop(&syncStepper{modelStepper{m: m}}, engine.Options{
+	return m.runBarrier(true, sup, engine.Options{
 		Stop:        core.MaxGenerations(maxGens),
-		Target:      ta,
 		HaltOnSolve: true,
 		Trace:       trace,
-	}, &res.RunStats)
-	res.Migrations = totals.Migrations
-	m.finish(res)
-	return res
+	})
 }
 
-// demeHalt is the per-deme stop condition of the asynchronous modes: a
-// free-running deme leaves its loop when any deme has solved or the
-// generation cap is reached.
-type demeHalt struct {
-	solved *atomic.Bool
-	max    int
+// failureKind maps a failed supervised step to its failure class.
+func failureKind(out supervise.StepOutcome) supervise.FailureKind {
+	if out.Status == supervise.StepTimedOut {
+		return supervise.FailureTimeout
+	}
+	return supervise.FailurePanic
 }
 
-// Done implements core.StopCondition.
-func (h demeHalt) Done(s core.Status) bool { return s.Generation >= h.max || h.solved.Load() }
-
-// Reason implements core.StopCondition.
-func (h demeHalt) Reason() string { return "max generations" }
-
-// asyncDeme is one free-running deme's engine.Stepper: evolve, check the
-// deme's own population against the target, then (when the policy is due)
-// emigrate over its transport endpoint and drain its inbox. The global
-// best is computed after the demes join, so its loop runs with SkipBest.
-type asyncDeme struct {
-	m         *Model
-	i         int
-	e         ga.Engine
-	mr        *rng.Source
-	nbrs      []int
-	ep        transport.Endpoint
-	solved    *atomic.Bool
-	solvedGen *atomic.Int64
-	gens      []int
-	ta        core.TargetAware
-}
-
-// Step implements engine.Stepper.
-func (d *asyncDeme) Step(g int) engine.StepInfo {
-	var info engine.StepInfo
-	d.e.Step()
-	d.gens[d.i] = g
-	if d.ta != nil {
-		if f := d.e.Population().BestFitness(d.m.dir); d.ta.Solved(f) {
-			if d.solved.CompareAndSwap(false, true) {
-				d.solvedGen.Store(int64(g))
-			}
-			info.Halt = true
-			return info
-		}
+// retireDeme records a dead deme's frozen population so statistics never
+// touch its abandoned engine again.
+func (m *Model) retireDeme(i int, frozen *core.Population) {
+	if frozen == nil {
+		frozen = core.NewPopulation(0)
 	}
-	p := d.m.cfg.Policy
-	if p.Due(g) {
-		// Emigrate: best-effort offer of a fresh clone batch per link.
-		// A refused batch (receiver's buffer full) is dropped — never
-		// block evolution (bounded-staleness async model).
-		if len(d.nbrs) > 0 {
-			out := p.Select.Pick(d.e.Population(), d.m.dir, p.Count, d.mr)
-			for _, nbr := range d.nbrs {
-				if d.ep.Send(nbr, migration.CloneBatch(out)) {
-					info.Migrations++
-				}
-			}
-		}
-		// Immigrate: drain whatever has arrived.
-		for {
-			batch, ok := d.ep.Recv()
-			if !ok {
-				break
-			}
-			p.Replace.Integrate(d.e.Population(), d.m.dir, batch, d.mr)
-		}
-	}
-	return info
-}
-
-// Best implements engine.Stepper (unused: the deme loops run SkipBest).
-func (d *asyncDeme) Best() (*core.Individual, float64) { return nil, d.m.dir.Worst() }
-
-// Evaluations implements engine.Stepper.
-func (d *asyncDeme) Evaluations() int64 { return d.e.Evaluations() }
-
-// Direction implements engine.Stepper.
-func (d *asyncDeme) Direction() core.Direction { return d.m.dir }
-
-// runParallelAsync: free-running demes exchanging migrants over
-// in-process loopback transport endpoints, one engine.Loop per deme
-// goroutine. The endpoints are the same seam wire-mode islands run
-// over (internal/transport), with Loopback as the medium.
-func (m *Model) runParallelAsync(maxGens int) *Result {
-	start := time.Now()
-	res := &Result{}
-	ta, _ := m.problem.(core.TargetAware)
-	p := m.cfg.Policy
-	n := len(m.engines)
-
-	eps := transport.NewLoopback(n, p.Buffer)
-	var solved atomic.Bool
-	var solvedGen atomic.Int64
-	gens := make([]int, n)
-	totals := make([]engine.Totals, n)
-
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			d := &asyncDeme{
-				m: m, i: i, e: m.engines[i], mr: m.migRNGs[i],
-				nbrs: m.cfg.Topology.Neighbors(i), ep: eps[i],
-				solved: &solved, solvedGen: &solvedGen, gens: gens, ta: ta,
-			}
-			var stats core.RunStats
-			totals[i] = engine.Loop(d, engine.Options{
-				Stop:     demeHalt{solved: &solved, max: maxGens},
-				SkipBest: true,
-			}, &stats)
-		}(i)
-	}
-	wg.Wait()
-
-	for _, ep := range eps {
-		res.Net.Add(ep.Stats())
-	}
-	m.finishAsync(res, totals, gens, &solved, &solvedGen)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// finishAsync fills a Result after the deme goroutines of an asynchronous
-// run have joined: global best, migration totals, solve point and the
-// maximum per-deme generation.
-func (m *Model) finishAsync(res *Result, totals []engine.Totals, gens []int, solved *atomic.Bool, solvedGen *atomic.Int64) {
-	res.Best, res.BestFitness = m.globalBest()
-	for _, t := range totals {
-		res.Migrations += t.Migrations
-	}
-	res.StopReason = "max generations"
-	if solved.Load() {
-		res.Solved = true
-		// In async mode evaluation counters cannot be snapshotted at the
-		// instant of solving without racing other demes; the post-stop
-		// total is a slight overcount and is documented as such.
-		res.SolvedAtEval = m.totalEvaluations()
-		res.SolvedAtGen = int(solvedGen.Load())
-		res.StopReason = "target reached"
-	}
-	for _, g := range gens {
-		if g > res.Generations {
-			res.Generations = g
-		}
-	}
-	res.Evaluations = m.totalEvaluations()
-	m.finish(res)
+	m.deadPops[i] = frozen
 }

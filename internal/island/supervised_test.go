@@ -292,3 +292,52 @@ func TestSupervisedTraceMonotone(t *testing.T) {
 		t.Fatalf("PanicsRecovered = %d", r.PanicsRecovered)
 	}
 }
+
+// TestAsyncNetConservation checks the NetStats identity of the in-process
+// endpoints after a free-running run, unsupervised and supervised: every
+// offered batch was either delivered or dropped, nothing is received that
+// was not delivered, and Migrations counts exactly the delivered batches.
+// Complete(4) into 1-slot inboxes makes refusals certain.
+func TestAsyncNetConservation(t *testing.T) {
+	for _, res := range []*supervise.Config{nil, {CheckpointEvery: 5, MaxSendRetries: 2}} {
+		r := New(Config{
+			Topology:   topology.Complete(4),
+			Policy:     migration.Policy{Interval: 1, Count: 1, Buffer: 1},
+			NewEngine:  enginesFor(untargeted{problems.OneMax{N: 48}}, 12),
+			Seed:       9,
+			Resilience: res,
+		}).RunParallel(120, false)
+		n := r.Net
+		if n.Sent == 0 || n.Dropped == 0 {
+			t.Errorf("supervised=%v: no refusals exercised: %+v", res != nil, n)
+		}
+		if n.Sent != n.Delivered+n.Dropped {
+			t.Errorf("supervised=%v: Sent %d != Delivered %d + Dropped %d", res != nil, n.Sent, n.Delivered, n.Dropped)
+		}
+		if n.Received > n.Delivered {
+			t.Errorf("supervised=%v: Received %d > Delivered %d", res != nil, n.Received, n.Delivered)
+		}
+		if r.Migrations != n.Delivered {
+			t.Errorf("supervised=%v: Migrations %d != Net.Delivered %d", res != nil, r.Migrations, n.Delivered)
+		}
+	}
+}
+
+// TestSupervisedAllDeadStopReason: when every deme exhausts its restart
+// budget the run stops because nothing is left to evolve, and both
+// communication disciplines must say so.
+func TestSupervisedAllDeadStopReason(t *testing.T) {
+	for _, sync := range []bool{true, false} {
+		plan := supervise.NewFaultPlan()
+		for i := 0; i < 4; i++ {
+			plan.PanicAt(i, 2)
+		}
+		r := New(supervisedConfig(sync, &supervise.Config{MaxRestarts: -1}, plan)).RunParallel(300, false)
+		if len(r.DeadDemes) != 4 {
+			t.Fatalf("sync=%v: DeadDemes = %v, want all four", sync, r.DeadDemes)
+		}
+		if r.StopReason != "all demes dead" {
+			t.Errorf("sync=%v: StopReason = %q, want %q (gens=%d)", sync, r.StopReason, "all demes dead", r.Generations)
+		}
+	}
+}

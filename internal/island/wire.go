@@ -23,6 +23,8 @@ package island
 //     job (cmd/pgaisland exits; the peers' sends to it dead-letter).
 
 import (
+	"fmt"
+
 	"pga/internal/core"
 	"pga/internal/engine"
 	"pga/internal/ga"
@@ -72,74 +74,6 @@ func WireStreams(seed uint64, n, self int) (engineRNG, migRNG *rng.Source) {
 	return engineRNGs[self], migRNGs[self]
 }
 
-// wireDeme is the engine.Stepper of one wire-mode island.
-type wireDeme struct {
-	cfg    *WireConfig
-	e      ga.Engine
-	router *supervise.Router
-	dir    core.Direction
-}
-
-// Step implements engine.Stepper: evolve, then (when due) emigrate
-// over the healed routes and integrate whatever the wire delivered.
-func (d *wireDeme) Step(g int) engine.StepInfo {
-	var info engine.StepInfo
-	d.e.Step()
-	p := d.cfg.Policy
-	if p.Due(g) {
-		nbrs := d.router.Neighbors(d.cfg.Self)
-		if len(nbrs) > 0 {
-			out := p.Select.Pick(d.e.Population(), d.dir, p.Count, d.cfg.MigRNG)
-			for _, nbr := range nbrs {
-				if nbr == d.cfg.Self {
-					continue
-				}
-				if d.cfg.Endpoint.Send(nbr, migration.CloneBatch(out)) {
-					info.Migrations++
-				}
-			}
-		}
-		for {
-			batch, ok := d.cfg.Endpoint.Recv()
-			if !ok {
-				break
-			}
-			p.Replace.Integrate(d.e.Population(), d.dir, batch, d.cfg.MigRNG)
-		}
-	}
-	return info
-}
-
-// Best implements engine.Stepper.
-func (d *wireDeme) Best() (*core.Individual, float64) {
-	pop := d.e.Population()
-	if i := pop.Best(d.dir); i >= 0 {
-		return pop.Members[i], pop.Members[i].Fitness
-	}
-	return nil, d.dir.Worst()
-}
-
-// Evaluations implements engine.Stepper.
-func (d *wireDeme) Evaluations() int64 { return d.e.Evaluations() }
-
-// Direction implements engine.Stepper.
-func (d *wireDeme) Direction() core.Direction { return d.dir }
-
-// MeanFitness implements engine.MeanReporter.
-func (d *wireDeme) MeanFitness() float64 {
-	sum, n := 0.0, 0
-	for _, ind := range d.e.Population().Members {
-		if ind.Evaluated {
-			sum += ind.Fitness
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // RunWire runs one island over its transport endpoint until it solves
 // or reaches MaxGens. The returned Result maps transport accounting
 // onto the supervision fields: DeadLettered counts transport-level
@@ -158,6 +92,9 @@ func RunWire(cfg WireConfig) *Result {
 	if cfg.MigRNG == nil {
 		panic("island: WireConfig.MigRNG is required")
 	}
+	if cfg.Self < 0 || cfg.Self >= cfg.Topology.Size() {
+		panic(fmt.Sprintf("island: WireConfig.Self %d is outside [0, %d)", cfg.Self, cfg.Topology.Size()))
+	}
 	cfg.Policy = cfg.Policy.WithDefaults()
 
 	router := supervise.NewRouter(cfg.Topology)
@@ -171,11 +108,12 @@ func RunWire(cfg WireConfig) *Result {
 		})
 	}
 
-	d := &wireDeme{
-		cfg:    &cfg,
-		e:      cfg.Engine,
-		router: router,
-		dir:    cfg.Engine.Problem().Direction(),
+	// The island is the freeDeme the in-process async mode runs per
+	// goroutine, unsupervised and with no shared solve flag: its one loop
+	// checks the target itself and so also tracks best and trace.
+	d := &freeDeme{
+		self: cfg.Self, e: cfg.Engine, dir: cfg.Engine.Problem().Direction(),
+		policy: cfg.Policy, mr: cfg.MigRNG, ep: cfg.Endpoint, routes: router,
 	}
 	res := &Result{}
 	ta, _ := cfg.Engine.Problem().(core.TargetAware)

@@ -1,11 +1,15 @@
 package island
 
 import (
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"pga/internal/core"
 	"pga/internal/ga"
 	"pga/internal/migration"
+	"pga/internal/problems"
 	"pga/internal/rng"
 	"pga/internal/topology"
 	"pga/internal/transport"
@@ -129,4 +133,83 @@ func TestWireStreamsMatchInProcessSplit(t *testing.T) {
 			t.Errorf("WireStreams(self=%d) returned streams for an island outside [0, %d)", self, n)
 		}
 	}
+}
+
+// TestSoloWireMatchesSequential ties wire accounting to in-process
+// accounting: one island with no links, run through RunWire on the
+// streams WireStreams hands it, must report the trace, evaluation and
+// generation counts and best fitness of the one-deme sequential model
+// under the same seed. The problem hides its optimum so both runs use
+// their whole generation budget.
+func TestSoloWireMatchesSequential(t *testing.T) {
+	const seed, gens = 17, 40
+	newEngine := enginesFor(untargeted{problems.OneMax{N: 48}}, 20)
+	policy := migration.Policy{Interval: 4, Count: 2}
+
+	want := New(Config{
+		Topology: topology.Isolated(1), Policy: policy, NewEngine: newEngine, Seed: seed,
+	}).RunSequential(core.MaxGenerations(gens), true)
+
+	er, mr := WireStreams(seed, 1, 0)
+	got := RunWire(WireConfig{
+		Self:     0,
+		Topology: topology.Isolated(1),
+		Endpoint: transport.NewLoopback(1, 1)[0],
+		Policy:   policy,
+		Engine:   newEngine(0, er),
+		MigRNG:   mr,
+		MaxGens:  gens,
+		Trace:    true,
+	})
+	if !reflect.DeepEqual(got.Trace, want.Trace) {
+		t.Errorf("trace differs:\n wire %v\n seq  %v", got.Trace, want.Trace)
+	}
+	if got.Evaluations != want.Evaluations || got.Generations != want.Generations || got.BestFitness != want.BestFitness {
+		t.Errorf("wire evals=%d gens=%d best=%g, sequential evals=%d gens=%d best=%g",
+			got.Evaluations, got.Generations, got.BestFitness,
+			want.Evaluations, want.Generations, want.BestFitness)
+	}
+	if got.Generations != gens || len(got.Trace) != gens+1 {
+		t.Errorf("run did not use its budget: gens=%d trace=%d", got.Generations, len(got.Trace))
+	}
+}
+
+// TestRunWireValidation: every malformed WireConfig is refused with a
+// panic that names the offending field.
+func TestRunWireValidation(t *testing.T) {
+	valid := func() WireConfig {
+		er, mr := WireStreams(1, 2, 0)
+		return WireConfig{
+			Topology: topology.Ring(2),
+			Endpoint: transport.NewLoopback(2, 1)[0],
+			Engine:   onemaxEngines(8, 4)(0, er),
+			MigRNG:   mr,
+			MaxGens:  1,
+		}
+	}
+	cases := []struct {
+		field  string
+		mutate func(*WireConfig)
+	}{
+		{"Topology", func(c *WireConfig) { c.Topology = nil }},
+		{"Endpoint", func(c *WireConfig) { c.Endpoint = nil }},
+		{"Engine", func(c *WireConfig) { c.Engine = nil }},
+		{"MigRNG", func(c *WireConfig) { c.MigRNG = nil }},
+		{"Self", func(c *WireConfig) { c.Self = 5 }},
+		{"Self", func(c *WireConfig) { c.Self = -1 }},
+	}
+	for _, tc := range cases {
+		cfg := valid()
+		tc.mutate(&cfg)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "island: WireConfig."+tc.field+" ") {
+					t.Errorf("bad %s: panic %q does not name the field", tc.field, msg)
+				}
+			}()
+			RunWire(cfg)
+		}()
+	}
+	RunWire(valid()) // the unbroken config runs
 }

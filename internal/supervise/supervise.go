@@ -7,8 +7,8 @@
 // The survey's §4 quotes Gagné, Parizeau & Dubreuil's three properties a
 // distributed EC system must offer — transparency, robustness,
 // adaptivity. The repository's master–slave farm (internal/masterslave)
-// and virtual cluster (internal/cluster) model them; this package makes
-// the real goroutine-per-deme runtime deliver them: a panicking fitness
+// delivers them at the evaluation level; this package makes the real
+// goroutine-per-deme runtime deliver them: a panicking fitness
 // function costs one deme one checkpoint interval instead of the whole
 // process, a wedged evaluation is detected and the deme replaced, and a
 // deme that exhausts its restart budget is routed around rather than
@@ -22,11 +22,13 @@
 // forward progress. Work a deme performed after its last checkpoint is
 // lost and excluded from evaluation totals.
 //
-// Wiring. Supervision hangs off the shared run loop (internal/engine):
-// the island steppers call RunStep/Restart per generation, checkpoints
-// are taken from an engine.Observer's OnGeneration hook, a rewound
-// restart is reported to the loop through StepInfo.Rewound/ResumeAt, and
-// async dead-letter draining rides the OnDone hook.
+// Wiring. There is no supervised runner: the island package's two
+// steppers (barrierStepper, freeDeme) each take an optional *Supervisor
+// and, when it is non-nil, call RunStep/Restart per generation in place
+// of a direct engine step. Checkpoints are taken from an engine.Funcs
+// OnGeneration hook, a rewound restart is reported to the shared run loop
+// (internal/engine) through StepInfo.Rewound/ResumeAt, and async
+// dead-letter draining rides the OnDone hook.
 //
 // Everything is testable deterministically: FaultPlan scripts panics and
 // hangs at exact (deme, generation) coordinates, so the package's own

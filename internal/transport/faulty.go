@@ -11,10 +11,9 @@
 // determinism contract to injected *network* faults, the same way
 // supervise.FaultPlan extends it to deme crashes and hangs.
 //
-// The stochastic half of the model (loss + jitter) is LinkFaults — the
-// same model the virtual cluster's simulated links draw from
-// (cluster.Send), so the simulated and real paths share one fault
-// model and one draw discipline.
+// The stochastic half of the model (loss + jitter) is LinkFaults, the
+// repository's one link-fault model; cmd/pgaisland's -drop/-jitter flags
+// fill it in.
 
 package transport
 
@@ -26,15 +25,12 @@ import (
 	"pga/internal/rng"
 )
 
-// LinkFaults is the shared stochastic fault model of a lossy link: the
-// loss/jitter half of cluster.LinkSpec, extracted so the simulated
-// cluster and the real transport draw faults from one model.
+// LinkFaults is the stochastic fault model of a lossy link.
 type LinkFaults struct {
 	// LossProb is the probability a message is silently dropped.
 	LossProb float64
-	// Jitter is the maximum extra uniform random delay per message. For
-	// the virtual cluster it is seconds; Faulty maps it onto logical
-	// delay ticks (see FaultSpec.MaxDelay).
+	// Jitter is the maximum extra uniform random delay per message;
+	// Faulty maps it onto logical delay ticks (see FaultSpec.MaxDelay).
 	Jitter float64
 }
 
@@ -42,9 +38,7 @@ type LinkFaults struct {
 // dropped and, for survivors, the extra jitter delay in [0, Jitter).
 // The draw order — loss first, jitter only for survivors, no draw at
 // all when the knob is zero — is part of the determinism contract:
-// cluster.Send has always drawn in exactly this order, and Faulty
-// draws through the same method, so seeded fault streams are
-// bit-identical across the simulated and real paths.
+// seeded fault schedules replay bit-identically only while it holds.
 func (l LinkFaults) Roll(r *rng.Source) (drop bool, jitter float64) {
 	if l.LossProb > 0 && r.Chance(l.LossProb) {
 		return true, 0
@@ -95,8 +89,7 @@ func (c Crash) active(tick uint64) bool {
 
 // FaultSpec scripts a Faulty wrapper. The zero value injects nothing.
 type FaultSpec struct {
-	// Link is the stochastic loss/jitter model, shared with the
-	// simulated cluster links.
+	// Link is the stochastic loss/jitter model.
 	Link LinkFaults
 	// MaxDelay is the maximum hold, in logical ticks, for a
 	// jitter-delayed batch; default 3 when Link.Jitter > 0. The
@@ -120,12 +113,6 @@ func (s FaultSpec) withDefaults() FaultSpec {
 	}
 	return s
 }
-
-// FaultsFromLink folds a simulated link's loss/jitter preset (e.g. the
-// cluster package's Internet preset) into a FaultSpec, so a scenario
-// tuned against the virtual cluster runs with the same fault model on
-// the real wire.
-func FaultsFromLink(l LinkFaults) FaultSpec { return FaultSpec{Link: l} }
 
 // heldBatch is a delayed batch awaiting release. Insertion order is
 // positional in Faulty.held, which breaks due ties deterministically.

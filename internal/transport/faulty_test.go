@@ -3,6 +3,8 @@ package transport
 import (
 	"bytes"
 	"testing"
+
+	"pga/internal/rng"
 )
 
 // driveFaulty runs a fixed Send/Recv sequence against a fresh Faulty
@@ -263,5 +265,41 @@ func TestFaultyDelayHoldsUntilDue(t *testing.T) {
 	_ = f.Close()
 	if after := f.Stats().Dropped; after-before != int64(10-total) {
 		t.Fatalf("close accounted %d held batches as dropped, want %d", after-before, 10-total)
+	}
+}
+
+// TestLinkFaultsRoll pins the link model's draw contract directly: the
+// same seed replays the same (drop, jitter) fates, jitter stays inside
+// [0, Jitter), and a lossless, jitterless link draws nothing at all.
+func TestLinkFaultsRoll(t *testing.T) {
+	f := LinkFaults{LossProb: 0.01, Jitter: 10e-3}
+	a, b := rng.New(77), rng.New(77)
+	drops, delayed := 0, 0
+	for i := 0; i < 200; i++ {
+		dropA, jitA := f.Roll(a)
+		dropB, jitB := f.Roll(b)
+		if dropA != dropB || jitA != jitB {
+			t.Fatalf("roll %d diverged: (%v,%g) vs (%v,%g)", i, dropA, jitA, dropB, jitB)
+		}
+		if jitA < 0 || jitA >= f.Jitter {
+			t.Fatalf("roll %d jitter %g outside [0,%g)", i, jitA, f.Jitter)
+		}
+		if dropA {
+			drops++
+		} else if jitA > 0 {
+			delayed++
+		}
+	}
+	if drops == 0 || delayed == 0 {
+		t.Fatalf("200 rolls exercised drops=%d delayed=%d, want both", drops, delayed)
+	}
+
+	r := rng.New(5)
+	before := r.State()
+	if drop, jitter := (LinkFaults{}).Roll(r); drop || jitter != 0 {
+		t.Fatalf("zero link misbehaved: drop=%v jitter=%g", drop, jitter)
+	}
+	if r.State() != before {
+		t.Fatal("a lossless, jitterless link consumed a draw")
 	}
 }
