@@ -59,10 +59,12 @@ lint:
 
 # Short local fuzz passes for the property-tested surfaces: the persist
 # wire decoder, the packed BitString vs its []bool reference model, and
-# the run-spec parser (structured errors, never panics).
+# the run-spec parser (structured errors, never panics), and the
+# bit-sliced MaxSAT kernel vs the per-literal reference.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalPopulation -fuzztime=30s ./internal/persist/
 	$(GO) test -fuzz=FuzzBitStringOps -fuzztime=30s ./internal/genome/
+	$(GO) test -fuzz=FuzzMaxSATBatch -fuzztime=30s ./internal/problems/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/spec/
 
 # Sweep determinism smoke: validate every checked-in sweep config, then

@@ -16,6 +16,7 @@ import (
 
 	"pga/internal/core"
 	"pga/internal/exp"
+	"pga/internal/problems"
 )
 
 // benchExperiment runs the named experiment in quick mode b.N times.
@@ -223,4 +224,49 @@ func BenchmarkBatchEvaluate(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEvaluate measures the compiled fitness kernels on the pending
+// set of a 200-individual generation (199 genomes of 256 bits, the
+// evalheavy-gen and wire-ring2 shape): Evaluate genome by genome and,
+// where the problem has a batch form, one EvaluateBatch call. For maxsat
+// that is the flat scalar kernel against the bit-sliced one; nk has the
+// flat-table scalar kernel only.
+func BenchmarkEvaluate(b *testing.B) {
+	for _, key := range []string{"maxsat", "nk"} {
+		spec, err := problems.Lookup(key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prob := spec.Make(256, 1)
+		r := NewRNG(1)
+		genomes := make([]core.Genome, 199)
+		for i := range genomes {
+			genomes[i] = prob.NewGenome(r)
+		}
+		out := make([]float64, len(genomes))
+		perGenome := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(genomes)), "ns/genome")
+		}
+		b.Run(key+"/scalar", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j, g := range genomes {
+					out[j] = prob.Evaluate(g)
+				}
+			}
+			perGenome(b)
+		})
+		batch, ok := core.BatchOf(prob)
+		if !ok {
+			continue
+		}
+		b.Run(key+"/batch", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				batch.EvaluateBatch(genomes, out)
+			}
+			perGenome(b)
+		})
+	}
 }

@@ -54,8 +54,29 @@ func (p *batchTestProblem) EvaluateBatch(genomes []Genome, out []float64) {
 	}
 }
 
+// batcherTestProblem is not a BatchProblem itself (the embedded
+// Problem interface hides EvaluateBatch) but hands its inner one out.
+type batcherTestProblem struct {
+	Problem
+	inner *batchTestProblem
+}
+
+func (p batcherTestProblem) Batch() BatchProblem { return p.inner }
+
 func TestSerialEvaluatorUsesBatch(t *testing.T) {
-	p := &batchTestProblem{}
+	t.Run("BatchProblem", func(t *testing.T) {
+		p := &batchTestProblem{}
+		testSerialEvaluatorUsesBatch(t, p, p)
+	})
+	t.Run("Batcher", func(t *testing.T) {
+		p := &batchTestProblem{}
+		testSerialEvaluatorUsesBatch(t, batcherTestProblem{p, p}, p)
+	})
+}
+
+// testSerialEvaluatorUsesBatch evaluates through prob and checks that
+// the work arrived at p as one batch call.
+func testSerialEvaluatorUsesBatch(t *testing.T, prob Problem, p *batchTestProblem) {
 	pop := NewPopulation(10)
 	for i := 0; i < 10; i++ {
 		pop.Members = append(pop.Members, NewIndividual(&testGenome{v: i}))
@@ -65,7 +86,7 @@ func TestSerialEvaluatorUsesBatch(t *testing.T) {
 	pop.Members[7].Fitness, pop.Members[7].Evaluated = 7, true
 
 	var e SerialEvaluator
-	e.EvaluateAll(p, pop)
+	e.EvaluateAll(prob, pop)
 
 	if p.batchCalls != 1 || p.evalCalls != 0 {
 		t.Fatalf("batch=%d eval=%d, want one batch call and no scalar calls", p.batchCalls, p.evalCalls)
@@ -80,7 +101,7 @@ func TestSerialEvaluatorUsesBatch(t *testing.T) {
 	}
 
 	// All evaluated: no batch call at all.
-	e.EvaluateAll(p, pop)
+	e.EvaluateAll(prob, pop)
 	if p.batchCalls != 1 {
 		t.Fatal("batch call issued with nothing pending")
 	}

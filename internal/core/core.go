@@ -294,6 +294,30 @@ type BatchProblem interface {
 	EvaluateBatch(genomes []Genome, out []float64)
 }
 
+// Batcher is a Problem that is not itself a BatchProblem but hands out
+// a batch form of itself: the same instance and the same fitness, behind
+// a kernel that wants many genomes per call. The scalar path (CachedProblem,
+// a farm worker with fault injection, a steady-state birth) never asks.
+type Batcher interface {
+	Problem
+	// Batch returns the batch form. It must not allocate: evaluators
+	// ask once per pending set.
+	Batch() BatchProblem
+}
+
+// BatchOf returns the batch form of p: p itself when it is a
+// BatchProblem, what it hands out when it is a Batcher. It is the one
+// test the evaluators dispatch on.
+func BatchOf(p Problem) (BatchProblem, bool) {
+	switch q := p.(type) {
+	case BatchProblem:
+		return q, true
+	case Batcher:
+		return q.Batch(), true
+	}
+	return nil, false
+}
+
 // SerialEvaluator evaluates pending individuals in the caller's
 // goroutine, one batch at a time when the problem supports it.
 type SerialEvaluator struct {
@@ -308,7 +332,7 @@ type SerialEvaluator struct {
 
 // EvaluateAll implements Evaluator.
 func (e *SerialEvaluator) EvaluateAll(p Problem, pop *Population) {
-	if bp, ok := p.(BatchProblem); ok {
+	if bp, ok := BatchOf(p); ok {
 		e.evaluateBatch(bp, pop)
 		return
 	}

@@ -72,6 +72,20 @@ func allocGateCases() []allocGateCase {
 			RNG:       rng.New(1),
 		}
 	}
+	// The compiled fitness kernels: MaxSAT's bit-sliced batch form (its
+	// 8 KiB lane tile and counter planes must stay on the evaluator's
+	// stack) under the generational engine, its scalar kernel under
+	// steady-state births, and NK's flat tables. 199 pending genomes of
+	// 100 bits leave a 7-lane last block and a partial transpose block.
+	bits := func(p core.Problem) Config {
+		return Config{
+			Problem:   p,
+			PopSize:   200,
+			Crossover: operators.Uniform{},
+			Mutator:   operators.BitFlip{},
+			RNG:       rng.New(1),
+		}
+	}
 	gapCfg := oneMax()
 	gapCfg.GenGap = 0.5
 	gapCfg.Elitism = 4
@@ -91,6 +105,9 @@ func allocGateCases() []allocGateCase {
 		{"generational/rank-selection", NewGenerational(rankCfg), 0},
 		{"steady-state/onemax", NewSteadyState(oneMax(), true), 0},
 		{"steady-state/sphere", NewSteadyState(sphere(), false), 0},
+		{"generational/maxsat-batch", NewGenerational(bits(problems.NewMaxSAT(100, 400, 1))), 0},
+		{"steady-state/maxsat", NewSteadyState(bits(problems.NewMaxSAT(100, 400, 1)), true), 0},
+		{"generational/nk", NewGenerational(bits(problems.NewNKLandscape(100, 4, 1))), 0},
 		// The shared-memory engine pays a fixed per-step cost for its
 		// worker goroutines (spawn + waitgroup), never per birth.
 		{"parallel-generational/onemax", NewParallelGenerational(oneMax(), 4), 16},

@@ -300,6 +300,27 @@ func (b *BitString) SetUint(lo, hi int, v uint64) {
 	b.setField(lo, w, bits.Reverse64(v)>>(64-uint(w)))
 }
 
+// Transpose64 transposes a 64×64 bit matrix in place: afterwards bit j
+// of m[i] is what bit i of m[j] was (LSB-first, like BitString). It is
+// the gather step of bit-sliced evaluation — 64 genomes' word w go in
+// as rows, and row j comes out holding gene 64w+j of every genome, one
+// lane per genome — and its own inverse. Six rounds of block swaps
+// (Hacker's Delight §7-3): 32×32 off-diagonal blocks first, then 16×16
+// inside each, down to single bits.
+func Transpose64(m *[64]uint64) {
+	mask := uint64(1)<<32 - 1
+	for j := 32; j != 0; j >>= 1 {
+		for base := 0; base < 64; base += 2 * j {
+			for k := base; k < base+j; k++ {
+				t := (m[k]>>uint(j) ^ m[k+j]) & mask
+				m[k] ^= t << uint(j)
+				m[k+j] ^= t
+			}
+		}
+		mask ^= mask << uint(j>>1)
+	}
+}
+
 // GrayToBinary converts a Gray-coded value to plain binary.
 func GrayToBinary(g uint64) uint64 {
 	b := g

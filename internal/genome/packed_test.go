@@ -164,6 +164,52 @@ func TestHammingMatchesNaive(t *testing.T) {
 	}
 }
 
+func TestTranspose64MatchesNaive(t *testing.T) {
+	// Rows as one-word BitStrings, so the reference is the bounds-checked
+	// Get/Set pair: want[j] gene i = rows[i] gene j.
+	r := rng.New(17)
+	for round := 0; round < 20; round++ {
+		var m, orig [64]uint64
+		want := make([]*BitString, 64)
+		for j := range want {
+			want[j] = NewBitString(64)
+		}
+		for i := range m {
+			row := RandomBitString(64, r)
+			if round == 0 {
+				row = NewBitString(64) // all-zero, then a single bit per row
+				row.Set((i*7+3)&63, true)
+			}
+			m[i] = row.Words[0]
+			for j := 0; j < 64; j++ {
+				want[j].Set(i, row.Get(j))
+			}
+		}
+		orig = m
+		Transpose64(&m)
+		for j := range m {
+			if m[j] != want[j].Words[0] {
+				t.Fatalf("round %d row %d: got %#x, naive %#x", round, j, m[j], want[j].Words[0])
+			}
+		}
+		Transpose64(&m)
+		if m != orig {
+			t.Fatalf("round %d: transposing twice is not the identity", round)
+		}
+	}
+}
+
+func BenchmarkTranspose64(b *testing.B) {
+	var m [64]uint64
+	r := rng.New(18)
+	for i := range m {
+		m[i] = r.Uint64()
+	}
+	for i := 0; i < b.N; i++ {
+		Transpose64(&m)
+	}
+}
+
 func TestUintMatchesBitReference(t *testing.T) {
 	// The big-endian window decode must equal the bit-built value for
 	// windows that cross word boundaries.

@@ -252,7 +252,7 @@ func (f *Farm) worker(w int, p core.Problem, pop *core.Population, slice []int) 
 	// problem can evaluate the whole slice in one call without perturbing
 	// the reproducible fault scenarios of faulty configurations.
 	if spec.FailProb == 0 {
-		if bp, ok := p.(core.BatchProblem); ok {
+		if bp, ok := core.BatchOf(p); ok {
 			return f.workerBatch(w, bp, pop, slice)
 		}
 	}

@@ -327,18 +327,21 @@ func TestFarmBatchSkipsFaultyWorkers(t *testing.T) {
 
 func TestFarmBatchMatchesScalarFarm(t *testing.T) {
 	// The batched farm must produce the same fitness assignment as a farm
-	// whose problem has no batch seam.
-	batched := freshPop(problems.OneMax{N: 64}, 50, 5)
-	scalar := freshPop(problems.OneMax{N: 64}, 50, 5)
+	// whose problem has no batch seam — for a core.BatchProblem and for a
+	// core.Batcher, whose one instance the workers share concurrently.
+	for _, prob := range []core.Problem{problems.OneMax{N: 64}, problems.NewMaxSAT(100, 400, 1)} {
+		batched := freshPop(prob, 50, 5)
+		scalar := freshPop(prob, 50, 5)
 
-	NewFarm(1, Uniform(3)).EvaluateAll(problems.OneMax{N: 64}, batched)
-	p := &countingProblem{inner: problems.OneMax{N: 64}} // wrapper hides the seam
-	NewFarm(1, Uniform(3)).EvaluateAll(p, scalar)
+		NewFarm(1, Uniform(3)).EvaluateAll(prob, batched)
+		p := &countingProblem{inner: prob} // wrapper hides the seam
+		NewFarm(1, Uniform(3)).EvaluateAll(p, scalar)
 
-	for i := range batched.Members {
-		if batched.Members[i].Fitness != scalar.Members[i].Fitness {
-			t.Fatalf("member %d: batched %v != scalar %v", i,
-				batched.Members[i].Fitness, scalar.Members[i].Fitness)
+		for i := range batched.Members {
+			if batched.Members[i].Fitness != scalar.Members[i].Fitness {
+				t.Fatalf("%s member %d: batched %v != scalar %v", prob.Name(), i,
+					batched.Members[i].Fitness, scalar.Members[i].Fitness)
+			}
 		}
 	}
 }

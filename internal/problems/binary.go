@@ -43,6 +43,35 @@ func (p OneMax) Optimum() float64 { return float64(p.N) }
 // Solved implements core.TargetAware.
 func (p OneMax) Solved(f float64) bool { return f >= float64(p.N) }
 
+// blockScore is how a block's unitation (its count of one-bits) scores
+// in the three block-structured landscapes.
+type blockScore uint8
+
+const (
+	scoreRoyal blockScore = iota // k when the block is all ones, else nothing
+	scoreTrap                    // k when all ones, else k-1-ones
+	scoreMMDP                    // mmdpScore[ones], k = 6
+)
+
+// blockSum is the one walker behind RoyalRoad, DeceptiveTrap and MMDP:
+// the sum, in block order, of score over the first blocks consecutive
+// k-bit blocks of b.
+func blockSum(b *genome.BitString, blocks, k int, score blockScore) float64 {
+	total := 0.0
+	for blk := 0; blk < blocks; blk++ {
+		ones := b.OnesCountRange(blk*k, (blk+1)*k)
+		switch {
+		case score == scoreMMDP:
+			total += mmdpScore[ones]
+		case ones == k:
+			total += float64(k)
+		case score == scoreTrap:
+			total += float64(k - 1 - ones)
+		}
+	}
+	return total
+}
+
 // DeceptiveTrap is the "deceptive" landscape: the genome is split into
 // blocks of K bits; each block scores K for all-ones but rewards movement
 // toward all-zeros otherwise, so hill-climbing is pulled away from the
@@ -67,17 +96,7 @@ func (p DeceptiveTrap) NewGenome(r *rng.Source) core.Genome {
 
 // Evaluate implements core.Problem.
 func (p DeceptiveTrap) Evaluate(g core.Genome) float64 {
-	b := g.(*genome.BitString)
-	total := 0.0
-	for blk := 0; blk < p.Blocks; blk++ {
-		ones := b.OnesCountRange(blk*p.K, (blk+1)*p.K)
-		if ones == p.K {
-			total += float64(p.K)
-		} else {
-			total += float64(p.K - 1 - ones)
-		}
-	}
-	return total
+	return blockSum(g.(*genome.BitString), p.Blocks, p.K, scoreTrap)
 }
 
 // Optimum implements core.TargetAware.
@@ -110,12 +129,7 @@ func (p MMDP) NewGenome(r *rng.Source) core.Genome {
 
 // Evaluate implements core.Problem.
 func (p MMDP) Evaluate(g core.Genome) float64 {
-	b := g.(*genome.BitString)
-	total := 0.0
-	for blk := 0; blk < p.Blocks; blk++ {
-		total += mmdpScore[b.OnesCountRange(blk*6, (blk+1)*6)]
-	}
-	return total
+	return blockSum(g.(*genome.BitString), p.Blocks, 6, scoreMMDP)
 }
 
 // Optimum implements core.TargetAware.
@@ -194,14 +208,7 @@ func (p RoyalRoad) NewGenome(r *rng.Source) core.Genome {
 
 // Evaluate implements core.Problem.
 func (p RoyalRoad) Evaluate(g core.Genome) float64 {
-	b := g.(*genome.BitString)
-	total := 0.0
-	for blk := 0; blk < p.Blocks; blk++ {
-		if b.OnesCountRange(blk*p.K, (blk+1)*p.K) == p.K {
-			total += float64(p.K)
-		}
-	}
-	return total
+	return blockSum(g.(*genome.BitString), p.Blocks, p.K, scoreRoyal)
 }
 
 // Optimum implements core.TargetAware.
@@ -212,24 +219,31 @@ func (p RoyalRoad) Solved(f float64) bool { return f >= p.Optimum() }
 
 // NKLandscape is Kauffman's NK model — the "epistatic" landscape. Gene i's
 // contribution depends on itself and K random other genes through a random
-// contribution table.
+// contribution table. NK optima are NP-hard to find, so the problem is not
+// TargetAware.
+//
+// The instance is held compiled: both tables flat, so an evaluation is one
+// pass over loci with no slice-of-slices hop and no branch per bit.
 type NKLandscape struct {
-	n, k  int
-	links [][]int     // links[i] = the K+1 loci feeding gene i's table
-	table [][]float64 // table[i][pattern] = contribution
-	// maxSeen tracks no global optimum: NK optima are NP-hard to find, so
-	// the problem is not TargetAware.
+	n, k int
+	// loci holds k+1 gene indices per gene — gene i's at
+	// [i*(k+1), (i+1)*(k+1)): itself, then its k links.
+	loci []uint32
+	// table holds 2^(k+1) contributions per gene — gene i's at
+	// [i<<(k+1), (i+1)<<(k+1)), indexed by the pattern its loci spell,
+	// first locus most significant.
+	table []float64
 }
 
-// NewNKLandscape creates an NK instance with n genes, k epistatic links per
-// gene, drawn from seed.
-func NewNKLandscape(n, k int, seed uint64) *NKLandscape {
+// nkInstance draws an NK instance in source form: links[i] are the k+1
+// loci feeding gene i's table, table[i][pattern] its contribution.
+func nkInstance(n, k int, seed uint64) (links [][]int, table [][]float64) {
 	if k >= n {
 		panic("problems: NK requires k < n")
 	}
 	r := rng.New(seed)
-	links := make([][]int, n)
-	table := make([][]float64, n)
+	links = make([][]int, n)
+	table = make([][]float64, n)
 	for i := 0; i < n; i++ {
 		links[i] = make([]int, 0, k+1)
 		links[i] = append(links[i], i)
@@ -245,7 +259,24 @@ func NewNKLandscape(n, k int, seed uint64) *NKLandscape {
 			table[i][p] = r.Float64()
 		}
 	}
-	return &NKLandscape{n: n, k: k, links: links, table: table}
+	return links, table
+}
+
+// NewNKLandscape creates an NK instance with n genes, k epistatic links per
+// gene, drawn from seed.
+func NewNKLandscape(n, k int, seed uint64) *NKLandscape {
+	links, table := nkInstance(n, k, seed)
+	p := &NKLandscape{n: n, k: k,
+		loci:  make([]uint32, 0, n*(k+1)),
+		table: make([]float64, 0, n<<uint(k+1)),
+	}
+	for i := range links {
+		for _, j := range links[i] {
+			p.loci = append(p.loci, uint32(j))
+		}
+		p.table = append(p.table, table[i]...)
+	}
+	return p
 }
 
 // Name implements core.Problem.
@@ -257,19 +288,22 @@ func (*NKLandscape) Direction() core.Direction { return core.Maximize }
 // NewGenome implements core.Problem.
 func (p *NKLandscape) NewGenome(r *rng.Source) core.Genome { return genome.RandomBitString(p.n, r) }
 
-// Evaluate implements core.Problem.
+// Evaluate implements core.Problem. Contributions are summed in gene
+// order i = 0..n-1, which fixes the float64 result.
 func (p *NKLandscape) Evaluate(g core.Genome) float64 {
 	b := g.(*genome.BitString)
+	if b.N != p.n {
+		badLength(p, b.N, p.n)
+	}
+	w := b.Words
+	stride := p.k + 1
 	total := 0.0
 	for i := 0; i < p.n; i++ {
-		pattern := 0
-		for _, j := range p.links[i] {
-			pattern <<= 1
-			if b.Get(j) {
-				pattern |= 1
-			}
+		pattern := uint64(0)
+		for _, j := range p.loci[i*stride : (i+1)*stride] {
+			pattern = pattern<<1 | w[j>>6]>>(j&63)&1
 		}
-		total += p.table[i][pattern]
+		total += p.table[uint64(i)<<uint(stride)|pattern]
 	}
 	return total / float64(p.n)
 }
@@ -391,14 +425,27 @@ func (p *Knapsack) Capacity() float64 { return p.capacity }
 
 // MaxSAT is a random 3-SAT maximisation instance: fitness is the fraction
 // of satisfied clauses.
+//
+// The instance is held compiled (one flat satClause per clause) and has
+// two kernels over it: the scalar one below, and in batch.go a bit-sliced
+// one that evaluates 64 genomes per machine word.
 type MaxSAT struct {
 	nvars   int
-	clauses [][3]int // literal = var+1 or -(var+1)
+	clauses []satClause
 }
 
-// NewMaxSAT creates an instance with n variables and m random 3-literal
-// clauses drawn from seed.
-func NewMaxSAT(n, m int, seed uint64) *MaxSAT {
+// satLit is a compiled literal: true of a genome when gene v != neg.
+type satLit struct {
+	v   uint32 // the variable: gene v, Words[v>>6]>>(v&63)&1
+	neg uint32 // 1 when the literal is negated, else 0
+}
+
+// satClause is a compiled clause, the disjunction of its three literals.
+type satClause [3]satLit
+
+// maxSATClauses draws m random 3-literal clauses over n variables in
+// source form: a literal is var+1, or -(var+1) when negated.
+func maxSATClauses(n, m int, seed uint64) [][3]int {
 	r := rng.New(seed)
 	cl := make([][3]int, m)
 	for i := range cl {
@@ -411,7 +458,23 @@ func NewMaxSAT(n, m int, seed uint64) *MaxSAT {
 			cl[i][j] = lit
 		}
 	}
-	return &MaxSAT{nvars: n, clauses: cl}
+	return cl
+}
+
+// NewMaxSAT creates an instance with n variables and m random 3-literal
+// clauses drawn from seed.
+func NewMaxSAT(n, m int, seed uint64) *MaxSAT {
+	p := &MaxSAT{nvars: n, clauses: make([]satClause, m)}
+	for i, c := range maxSATClauses(n, m, seed) {
+		for j, lit := range c {
+			neg := uint32(0)
+			if lit < 0 {
+				lit, neg = -lit, 1
+			}
+			p.clauses[i][j] = satLit{v: uint32(lit - 1), neg: neg}
+		}
+	}
+	return p
 }
 
 // Name implements core.Problem.
@@ -425,24 +488,30 @@ func (p *MaxSAT) NewGenome(r *rng.Source) core.Genome {
 	return genome.RandomBitString(p.nvars, r)
 }
 
-// Evaluate implements core.Problem.
+// Evaluate implements core.Problem: the scalar kernel, one branchless
+// pass over the compiled clauses. The count is an integer, so the result
+// is the same float64 whichever kernel produced it.
 func (p *MaxSAT) Evaluate(g core.Genome) float64 {
 	b := g.(*genome.BitString)
-	sat := 0
-	for _, c := range p.clauses {
-		for _, lit := range c {
-			v := lit
-			neg := false
-			if v < 0 {
-				v, neg = -v, true
-			}
-			if b.Get(v-1) != neg {
-				sat++
-				break
-			}
-		}
+	if b.N != p.nvars {
+		badLength(p, b.N, p.nvars)
+	}
+	w := b.Words
+	sat := uint64(0)
+	for i := range p.clauses {
+		c := &p.clauses[i]
+		sat += ((w[c[0].v>>6]>>(c[0].v&63) ^ uint64(c[0].neg)) |
+			(w[c[1].v>>6]>>(c[1].v&63) ^ uint64(c[1].neg)) |
+			(w[c[2].v>>6]>>(c[2].v&63) ^ uint64(c[2].neg))) & 1
 	}
 	return float64(sat) / float64(len(p.clauses))
+}
+
+// badLength reports a genome whose length is not the instance's. The
+// compiled kernels index Words directly, so without the check a short
+// genome's zero tail would be read as genes.
+func badLength(p core.Problem, got, want int) {
+	panic(fmt.Sprintf("problems: %s: genome has %d bits, the instance %d", p.Name(), got, want))
 }
 
 // sphereWarning guards against NaN leaking out of any Evaluate.

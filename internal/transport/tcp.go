@@ -98,6 +98,15 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	return c
 }
 
+// drainGrace is how long Close keeps reading inbound connections. A
+// reader that shares its cores with a busy evolution loop runs some
+// milliseconds behind its peer's writes, and what it has not decoded
+// when the sockets close is neither delivered nor dropped in anyone's
+// Stats. The grace lets it catch up once the loop has stopped; a peer
+// that closes its end first ends the wait early. A variable only so
+// that a test on a loaded host can widen it.
+var drainGrace = 20 * time.Millisecond
+
 // tcpPeer is the sender-side state of one outbound link, owned by its
 // sender goroutine (except queue, which Send feeds).
 type tcpPeer struct {
@@ -252,14 +261,19 @@ func (t *TCP) Stats() core.NetStats { return t.snapshot() }
 // Close implements Endpoint: stops the accept loop and senders, closes
 // every connection and joins all transport goroutines. Batches still
 // queued for a peer are traffic that never made it — they are counted
-// dropped so Stats accounts for every batch Send accepted. Idempotent.
+// dropped so Stats accounts for every batch Send accepted. Inbound
+// connections are not cut under their readers: each gets a read
+// deadline drainGrace away, so frames a peer has already written are
+// read and counted dropped rather than discarded, uncounted, with the
+// socket buffer. Idempotent.
 func (t *TCP) Close() error {
 	t.closeOnce.Do(func() {
 		close(t.done)
 		_ = t.ln.Close()
 		t.mu.Lock()
+		deadline := time.Now().Add(drainGrace)
 		for c := range t.conns {
-			_ = c.Close()
+			_ = c.SetReadDeadline(deadline)
 		}
 		t.mu.Unlock()
 		t.wg.Wait()
@@ -328,20 +342,29 @@ func (t *TCP) acceptLoop() {
 }
 
 // serveConn decodes frames from one inbound connection into the inbox
-// until the stream errors (EOF, peer death mid-frame, corrupt frame) or
-// the endpoint closes. A poisoned stream costs only its own connection:
-// the peer's sender will reconnect and the next frame decodes cleanly.
+// until the stream errors: EOF, peer death mid-frame, a corrupt frame,
+// or the read deadline Close puts on the connection. A poisoned stream
+// costs only its own connection: the peer's sender will reconnect and
+// the next frame decodes cleanly. Once the endpoint is closing, frames
+// are still read off the connection but only counted.
 func (t *TCP) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(conn)
 	defer conn.Close()
 	for {
+		body, err := readFrameBody(conn)
+		if err != nil {
+			return
+		}
 		select {
 		case <-t.done:
-			return
+			// Closing: nobody will Recv what arrives now, so it is
+			// counted without being decoded.
+			t.dropped.Add(1)
+			continue
 		default:
 		}
-		_, migrants, err := readFrame(conn)
+		_, migrants, err := decodeFrame(body)
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"net"
 	"runtime"
 	"sync"
@@ -98,6 +99,46 @@ func TestTCPDeliversBatches(t *testing.T) {
 	}, "batch delivery over TCP")
 	if s := b.Stats(); s.Received != 1 || s.Delivered != 1 {
 		t.Fatalf("receiver stats = %+v", s)
+	}
+}
+
+// TestTCPCloseCountsArrivedFrames: frames a peer wrote before Close
+// are in the socket buffer, not yet decoded; Close must read and count
+// them instead of discarding them with the connection, or a finished
+// ring's batch accounting has a hole the size of the reader's backlog.
+func TestTCPCloseCountsArrivedFrames(t *testing.T) {
+	// The reader must not lose the race against the deadline because the
+	// test host is busy; closing the writing end below ends the drain as
+	// soon as everything is read.
+	defer func(d time.Duration) { drainGrace = d }(drainGrace)
+	drainGrace = 10 * time.Second
+
+	b := newTCPAt(t, 1, nil, nil)
+	conn, err := net.Dial("tcp", b.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame, err := encodeBatch(0, 1, testBatch(4, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One frame first, so the connection is accepted and has its reader.
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 3*time.Second, func() bool { return b.Stats().Delivered == 1 }, "first frame")
+
+	const frames = 200
+	if _, err := conn.Write(bytes.Repeat(frame, frames)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	if s := b.Stats(); s.Delivered+s.Dropped != 1+frames {
+		t.Fatalf("%d frames written before Close, %d delivered + %d dropped", 1+frames, s.Delivered, s.Dropped)
 	}
 }
 

@@ -86,18 +86,33 @@ func encodeBatch(from int, seq uint64, migrants []*core.Individual) ([]byte, err
 // is returned to the caller, which must treat the stream as poisoned
 // (close the connection and wait for a reconnect).
 func readFrame(r io.Reader) (from int, migrants []*core.Individual, err error) {
+	body, err := readFrameBody(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	return decodeFrame(body)
+}
+
+// readFrameBody reads one length-prefixed frame from r without
+// decoding it.
+func readFrameBody(r io.Reader) ([]byte, error) {
 	var prefix [4]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	n := binary.BigEndian.Uint32(prefix[:])
 	if n == 0 || n > maxFrameBytes {
-		return 0, nil, fmt.Errorf("transport: bad frame length %d", n)
+		return nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("transport: truncated frame: %w", err)
+		return nil, fmt.Errorf("transport: truncated frame: %w", err)
 	}
+	return body, nil
+}
+
+// decodeFrame decodes the gob bytes of one frame and its payload.
+func decodeFrame(body []byte) (from int, migrants []*core.Individual, err error) {
 	var f frame
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&f); err != nil {
 		return 0, nil, fmt.Errorf("transport: decode frame: %w", err)
