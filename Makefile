@@ -25,12 +25,12 @@ bench:
 
 # Perf gate: hard allocation budgets on the generation hot path (zero
 # steady-state allocs for the sequential engines, small fixed budgets
-# for parallel/island), then the JSON benchmark report vs the seed
+# for parallel/island, one buffer per encoded migrant batch), then the JSON benchmark report vs the seed
 # baselines (BENCH_8.json — uploaded as a CI artifact). -gate 1.0
 # fails the target when a gated word-path benchmark stops beating its
 # seed baseline.
 perf:
-	$(GO) test -run 'AllocBudget' -count=1 ./internal/ga/ ./internal/cellular/ ./internal/island/
+	$(GO) test -run 'AllocBudget' -count=1 ./internal/ga/ ./internal/cellular/ ./internal/island/ ./internal/transport/
 	$(GO) run ./cmd/pgabench -json -quick -gate 1.0 -out BENCH_8.json
 
 # Cross-commit comparison on this host, by the benchmark's own rules
@@ -57,12 +57,15 @@ lint:
 	$(GO) vet ./...
 	$(GO) vet -copylocks -unusedresult ./...
 
-# Short local fuzz passes for the property-tested surfaces: the persist
-# wire decoder, the packed BitString vs its []bool reference model, and
-# the run-spec parser (structured errors, never panics), and the
-# bit-sliced MaxSAT kernel vs the per-literal reference.
+# Short local fuzz passes for the property-tested surfaces: the binary
+# population decoder and the frame reader around it (no panic, bounded
+# allocation, accepted bytes re-encode identically), the packed
+# BitString vs its []bool reference model, the run-spec parser
+# (structured errors, never panics), and the bit-sliced MaxSAT kernel vs
+# the per-literal reference.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalPopulation -fuzztime=30s ./internal/persist/
+	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/transport/
 	$(GO) test -fuzz=FuzzBitStringOps -fuzztime=30s ./internal/genome/
 	$(GO) test -fuzz=FuzzMaxSATBatch -fuzztime=30s ./internal/problems/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/spec/

@@ -132,8 +132,8 @@ func FuzzBitStringOps(f *testing.F) {
 		if sum != ones {
 			t.Fatalf("final: raw word popcount %d disagrees with model %d (n=%d)", sum, ones, n)
 		}
-		if rt := BitStringFromBools(b.ToBools()); !rt.Equal(b) {
-			t.Fatalf("final: ToBools/FromBools round trip diverged (n=%d)", n)
+		if rt := BitStringFromBools(toBools(b)); !rt.Equal(b) {
+			t.Fatalf("final: toBools/FromBools round trip diverged (n=%d)", n)
 		}
 	})
 }

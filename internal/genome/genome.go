@@ -76,8 +76,8 @@ func RandomBitString(n int, r *rng.Source) *BitString {
 	return b
 }
 
-// BitStringFromBools packs a []bool (the pre-packed wire format kept by
-// internal/persist and internal/transport) into a BitString.
+// BitStringFromBools packs a []bool, one gene per element, into a
+// BitString.
 func BitStringFromBools(bools []bool) *BitString {
 	b := NewBitString(len(bools))
 	for i, v := range bools {
@@ -86,15 +86,6 @@ func BitStringFromBools(bools []bool) *BitString {
 		}
 	}
 	return b
-}
-
-// ToBools unpacks the genes into a fresh []bool (wire format).
-func (b *BitString) ToBools() []bool {
-	out := make([]bool, b.N)
-	for i := range out {
-		out[i] = b.Words[i>>6]>>(uint(i)&63)&1 == 1
-	}
-	return out
 }
 
 // Get returns gene i. It panics when i is out of range.

@@ -116,11 +116,21 @@ func TestBitStringCopyFromKeepsTail(t *testing.T) {
 	}
 }
 
+// toBools unpacks b one gene per element: the []bool reference form the
+// packed layout is tested against.
+func toBools(b *BitString) []bool {
+	out := make([]bool, b.N)
+	for i := range out {
+		out[i] = b.Get(i)
+	}
+	return out
+}
+
 func TestBoolsRoundTrip(t *testing.T) {
 	r := rng.New(9)
 	for _, n := range []int{0, 1, 64, 100} {
 		b := RandomBitString(n, r)
-		c := BitStringFromBools(b.ToBools())
+		c := BitStringFromBools(toBools(b))
 		if !b.Equal(c) || !tailClean(c) {
 			t.Fatalf("n=%d: []bool round trip not exact", n)
 		}

@@ -1,25 +1,48 @@
 package persist
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
 	"pga/internal/core"
+	"pga/internal/genome"
 	"pga/internal/problems"
 	"pga/internal/rng"
 )
 
-// FuzzUnmarshalPopulation asserts the population decoder never panics and
-// never returns a population containing invalid genomes, whatever bytes
-// arrive (a checkpoint file read back from disk is untrusted input).
+// FuzzUnmarshalPopulation asserts the population decoder never panics,
+// never returns a population containing invalid genomes, and accepts only
+// canonical encodings — whatever it accepts re-encodes to the identical
+// bytes — whatever bytes arrive (a checkpoint read back from disk and a
+// frame read off a socket are both untrusted input).
 func FuzzUnmarshalPopulation(f *testing.F) {
-	// Seed with a genuine checkpoint and a few near-misses.
+	// One genuine population per genome class, then near-misses.
 	r := rng.New(1)
-	pop := core.RandomPopulation(problems.OneMax{N: 8}, 3, r)
-	good, _ := MarshalPopulation(pop)
-	f.Add(good)
-	f.Add([]byte(`{"members":[]}`))
-	f.Add([]byte(`{"members":[{"genome":{"type":"perm","perm":[0,0]},"fitness":0,"evaluated":true}]}`))
-	f.Add([]byte(`{"members":[{"genome":{"type":"real","genes":[1],"lo":[],"hi":[]},"fitness":0,"evaluated":true}]}`))
+	for _, g := range []core.Genome{
+		genome.RandomBitString(70, r),
+		genome.RandomRealVector(3, -1, 1, r),
+		genome.RandomIntVector(5, 4, r),
+		genome.RandomPermutation(6, r),
+	} {
+		pop := &core.Population{Members: []*core.Individual{
+			{Genome: g, Fitness: r.Float64(), Evaluated: true},
+			{Genome: g.Clone()},
+		}}
+		good, err := MarshalPopulation(pop)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(good)
+		f.Add(good[:len(good)-3]) // truncated
+	}
+	f.Add([]byte(population(0)))
+	f.Add([]byte(population(math.MaxUint32).individual(tagBits, 1, 0, 0))) // oversized count
+	f.Add([]byte(population(1).individual(tagReal, 0, 1, math.MaxUint32))) // oversized length
+	f.Add([]byte(population(1).individual(tagBits, 1, 2, 3).u64s(0xf0)))   // dirty tail
+	f.Add([]byte(population(1).individual(tagPerm, 1, 0, 2).u32s(0, 0)))   // duplicate perm entry
+	f.Add([]byte(population(1).individual(tagInt, 1, 0, 1).u32s(2, 2)))    // int gene == card
+	f.Add([]byte(`{"members":[{"genome":{"type":"perm","perm":[0,1]}}]}`)) // format 1
 	f.Add([]byte(`garbage`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -36,6 +59,13 @@ func FuzzUnmarshalPopulation(f *testing.F) {
 			_ = ind.Genome.String()
 			_ = ind.Genome.Clone()
 		}
+		again, err := MarshalPopulation(got)
+		if err != nil {
+			t.Fatalf("accepted population does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted a non-canonical encoding:\n in  % x\n out % x", data, again)
+		}
 	})
 }
 
@@ -48,6 +78,8 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	f.Add(blob)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"rngState":[0,0,0,0,0]}`))
+	f.Add([]byte(`{"population":"AgAAAAA=","rngState":[1,2,3,4,5]}`))     // empty population
+	f.Add([]byte(`{"population":{"members":[]},"rngState":[1,2,3,4,5]}`)) // format 1
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := UnmarshalCheckpoint(data)

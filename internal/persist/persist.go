@@ -1,8 +1,12 @@
 // Package persist implements checkpoint/restore of evolutionary state:
-// populations (all four genome representations) and RNG streams serialise
-// to JSON, so long runs survive process restarts — the feature GALOPPS
-// (Table 1 of the survey) was known for among the classic parallel-GA
-// libraries.
+// populations (all four genome representations) and RNG streams, so long
+// runs survive process restarts — the feature GALOPPS (Table 1 of the
+// survey) was known for among the classic parallel-GA libraries.
+//
+// Populations are encoded by the fixed-layout binary codec in codec.go,
+// the same bytes a migration frame carries (internal/transport). A
+// Checkpoint wraps one such encoding, the engine's RNG state and the
+// caller's bookkeeping in a small JSON envelope.
 //
 // A checkpoint is exact: restoring a population plus its engine's RNG
 // state and continuing produces bit-identical results to the
@@ -16,123 +20,33 @@ package persist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"pga/internal/core"
-	"pga/internal/genome"
 	"pga/internal/rng"
 )
 
-// genomeRecord is the serialised form of any supported genome.
-type genomeRecord struct {
-	// Type discriminates the representation: "bits", "real", "int", "perm".
-	Type string `json:"type"`
-
-	Bits []bool `json:"bits,omitempty"`
-
-	Genes []float64 `json:"genes,omitempty"`
-	Lo    []float64 `json:"lo,omitempty"`
-	Hi    []float64 `json:"hi,omitempty"`
-
-	IntGenes []int `json:"intGenes,omitempty"`
-	Card     int   `json:"card,omitempty"`
-
-	Perm []int `json:"perm,omitempty"`
-}
-
-// individualRecord is the serialised form of one individual.
-type individualRecord struct {
-	Genome    genomeRecord `json:"genome"`
-	Fitness   float64      `json:"fitness"`
-	Evaluated bool         `json:"evaluated"`
-}
-
-// populationRecord is the serialised form of a population.
-type populationRecord struct {
-	Members []individualRecord `json:"members"`
-}
-
-// encodeGenome converts a genome to its record.
-func encodeGenome(g core.Genome) (genomeRecord, error) {
-	switch v := g.(type) {
-	case *genome.BitString:
-		// The wire format stays []bool: checkpoints written before the
-		// packed-word layout load unchanged, and packed internals never
-		// leak into persisted artifacts.
-		return genomeRecord{Type: "bits", Bits: v.ToBools()}, nil
-	case *genome.RealVector:
-		return genomeRecord{Type: "real", Genes: v.Genes, Lo: v.Lo, Hi: v.Hi}, nil
-	case *genome.IntVector:
-		return genomeRecord{Type: "int", IntGenes: v.Genes, Card: v.Card}, nil
-	case *genome.Permutation:
-		return genomeRecord{Type: "perm", Perm: v.Perm}, nil
-	default:
-		return genomeRecord{}, fmt.Errorf("persist: unsupported genome type %T", g)
-	}
-}
-
-// decodeGenome converts a record back to a genome.
-func decodeGenome(rec genomeRecord) (core.Genome, error) {
-	switch rec.Type {
-	case "bits":
-		return genome.BitStringFromBools(rec.Bits), nil
-	case "real":
-		if len(rec.Lo) != len(rec.Genes) || len(rec.Hi) != len(rec.Genes) {
-			return nil, fmt.Errorf("persist: real genome bounds length mismatch")
-		}
-		return &genome.RealVector{Genes: rec.Genes, Lo: rec.Lo, Hi: rec.Hi}, nil
-	case "int":
-		return &genome.IntVector{Genes: rec.IntGenes, Card: rec.Card}, nil
-	case "perm":
-		p := &genome.Permutation{Perm: rec.Perm}
-		if !p.Valid() {
-			return nil, fmt.Errorf("persist: corrupt permutation genome")
-		}
-		return p, nil
-	default:
-		return nil, fmt.Errorf("persist: unknown genome type %q", rec.Type)
-	}
-}
-
-// MarshalPopulation serialises a population to JSON.
+// MarshalPopulation encodes a population with the binary codec.
 func MarshalPopulation(pop *core.Population) ([]byte, error) {
-	rec := populationRecord{Members: make([]individualRecord, 0, pop.Len())}
-	for _, ind := range pop.Members {
-		g, err := encodeGenome(ind.Genome)
-		if err != nil {
-			return nil, err
-		}
-		rec.Members = append(rec.Members, individualRecord{
-			Genome: g, Fitness: ind.Fitness, Evaluated: ind.Evaluated,
-		})
-	}
-	return json.Marshal(rec)
+	return AppendPopulation(make([]byte, 0, EncodedLen(pop.Members)), pop.Members)
 }
 
-// UnmarshalPopulation restores a population from JSON.
+// UnmarshalPopulation decodes what MarshalPopulation wrote.
 func UnmarshalPopulation(data []byte) (*core.Population, error) {
-	var rec populationRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+	members, err := DecodePopulation(data)
+	if err != nil {
+		return nil, err
 	}
-	pop := core.NewPopulation(len(rec.Members))
-	for _, ir := range rec.Members {
-		g, err := decodeGenome(ir.Genome)
-		if err != nil {
-			return nil, err
-		}
-		pop.Members = append(pop.Members, &core.Individual{
-			Genome: g, Fitness: ir.Fitness, Evaluated: ir.Evaluated,
-		})
-	}
-	return pop, nil
+	return &core.Population{Members: members}, nil
 }
 
 // Checkpoint bundles a population with the RNG stream that drives its
 // engine, capturing everything needed for exact resumption.
 type Checkpoint struct {
-	// Population is the serialised population.
-	Population json.RawMessage `json:"population"`
+	// Population is the population in the binary codec (base64 in the
+	// JSON envelope).
+	Population []byte `json:"population"`
 	// RNGState is the engine stream's internal state.
 	RNGState [5]uint64 `json:"rngState"`
 	// Generation is the engine's step count at capture time (caller
@@ -156,13 +70,18 @@ func Capture(pop *core.Population, r *rng.Source, generation int, evaluations in
 	}, nil
 }
 
-// Marshal serialises the checkpoint to JSON.
+// Marshal serialises the checkpoint to its JSON envelope.
 func (c *Checkpoint) Marshal() ([]byte, error) { return json.Marshal(c) }
 
 // UnmarshalCheckpoint parses a serialised checkpoint.
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	var c Checkpoint
 	if err := json.Unmarshal(data, &c); err != nil {
+		// Format-1 checkpoints embedded the population as a JSON object.
+		var te *json.UnmarshalTypeError
+		if errors.As(err, &te) && te.Field == "population" && te.Value == "object" {
+			return nil, fmt.Errorf("persist: checkpoint holds a format 1 (JSON) population; this build reads format %d only", codecVersion)
+		}
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	return &c, nil

@@ -2,7 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -164,16 +167,11 @@ func TestTCPNoGoroutineLeak(t *testing.T) {
 // interrupt all of them promptly and leak nothing.
 func TestTCPConnectStormShutdown(t *testing.T) {
 	baseline := runtime.NumGoroutine()
+	// Port 1 is refused at once and cannot be taken by a concurrently
+	// running test binary (an ephemeral port, reserved and closed, can).
 	peers := make(map[int]string, 16)
 	for i := 1; i <= 16; i++ {
-		// Reserve a real ephemeral port, then close it: connection refused.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		peers[i] = addr
+		peers[i] = "127.0.0.1:1"
 	}
 	ep := newTCPAt(t, 0, peers, func(c *TCPConfig) {
 		c.DialTimeout = 50 * time.Millisecond
@@ -227,6 +225,68 @@ func TestTCPPeerDeathMidFrame(t *testing.T) {
 		_, ok := ep.Recv()
 		return ok
 	}, "delivery after poisoned stream")
+}
+
+// TestTCPBadFramesPoisonOnlyTheirConnection writes each kind of frame a
+// live endpoint must refuse — zero-length, over the 16 MiB guard,
+// truncated, wire version 1, trailing bytes — followed on the same
+// connection by a good frame. The endpoint must hang up without
+// delivering anything from that connection, deliver the next
+// connection's version-2 frame, and join every goroutine on Close.
+func TestTCPBadFramesPoisonOnlyTheirConnection(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	ep := newTCPAt(t, 0, nil, nil)
+	good := mustEncode(t, 1, testBatch(1, 8))
+	thenGood := func(bad []byte) []byte { return append(append([]byte(nil), bad...), good...) }
+
+	delivered := int64(0)
+	for _, c := range []struct {
+		name  string
+		bytes []byte
+	}{
+		{"zero-length frame", thenGood(reframe(nil))},
+		{"frame over 16 MiB", thenGood(binary.BigEndian.AppendUint32(nil, maxFrameBytes+1))},
+		{"truncated frame", good[:len(good)-3]},
+		{"version-1 frame", thenGood(v1Frame(t))},
+		{"trailing bytes in the frame", thenGood(reframe(append(append([]byte(nil), good[prefixLen:]...), 0)))},
+	} {
+		conn, err := net.Dial("tcp", ep.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(c.bytes); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		// Half-close so the truncated frame ends in EOF instead of a wait
+		// for its missing bytes. The others are refused before that, and
+		// the half-close fails if the endpoint has already hung up.
+		_ = conn.(*net.TCPConn).CloseWrite()
+		// The endpoint hanging up is what ends this read.
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: connection still open (%v)", c.name, err)
+		}
+		conn.Close()
+		if s := ep.Stats(); s.Delivered != delivered {
+			t.Fatalf("%s: delivered %d batches, want %d — a poisoned connection got a frame through", c.name, s.Delivered, delivered)
+		}
+
+		next, err := net.Dial("tcp", ep.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := next.Write(good); err != nil {
+			t.Fatal(err)
+		}
+		delivered++
+		waitUntil(t, 3*time.Second, func() bool { return ep.Stats().Delivered == delivered }, "delivery after "+c.name)
+		next.Close()
+		if batch, ok := ep.Recv(); !ok || len(batch) != 1 {
+			t.Fatalf("%s: next connection's batch = %v, %v", c.name, batch, ok)
+		}
+	}
+	ep.Close()
+	waitForGoroutines(t, baseline, 3*time.Second)
 }
 
 // TestTCPDoubleClose: Close is idempotent, including concurrently, and
