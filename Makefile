@@ -61,14 +61,17 @@ lint:
 # population decoder and the frame reader around it (no panic, bounded
 # allocation, accepted bytes re-encode identically), the packed
 # BitString vs its []bool reference model, the run-spec parser
-# (structured errors, never panics), and the bit-sliced MaxSAT kernel vs
-# the per-literal reference.
+# (structured errors, never panics) and its validate-vs-build
+# differential (accepted specs build and run, refused ones are refused
+# identically by Build), and the bit-sliced MaxSAT kernel vs the
+# per-literal reference.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalPopulation -fuzztime=30s ./internal/persist/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/transport/
 	$(GO) test -fuzz=FuzzBitStringOps -fuzztime=30s ./internal/genome/
 	$(GO) test -fuzz=FuzzMaxSATBatch -fuzztime=30s ./internal/problems/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/spec/
+	$(GO) test -fuzz=FuzzValidateBuild -fuzztime=30s ./internal/spec/
 
 # Sweep determinism smoke: validate every checked-in sweep config, then
 # run the smoke sweep twice and require byte-identical result files.

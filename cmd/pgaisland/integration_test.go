@@ -240,3 +240,95 @@ func TestMultiProcessIslandsSurviveKillAndRestart(t *testing.T) {
 		t.Error("restarted island produced no reconnect")
 	}
 }
+
+// runRing runs an n-island ring to completion over loopback TCP and
+// returns each island's raw result document.
+func runRing(t *testing.T, bin string, n int, args ...string) []map[string]any {
+	t.Helper()
+	exch := t.TempDir()
+	procs := make([]*exec.Cmd, n)
+	outs := make([]*bytes.Buffer, n)
+	for i := range procs {
+		outs[i] = &bytes.Buffer{}
+		procs[i] = exec.Command(bin, append([]string{
+			"-self", fmt.Sprint(i), "-listen", "127.0.0.1:0", "-quiet",
+			"-addrfile", filepath.Join(exch, fmt.Sprintf("addr.%d", i)),
+			"-peersfile", filepath.Join(exch, "peers"),
+		}, args...)...)
+		procs[i].Stdout = outs[i]
+		if err := procs[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publishPeers(t, exch, collectAddrs(t, exch, n))
+	docs := make([]map[string]any, n)
+	for i, p := range procs {
+		if err := p.Wait(); err != nil {
+			t.Fatalf("island %d: %v", i, err)
+		}
+		if err := json.Unmarshal(outs[i].Bytes(), &docs[i]); err != nil {
+			t.Fatalf("island %d result: %v (%q)", i, err, outs[i])
+		}
+	}
+	return docs
+}
+
+// TestTwoProcessRingResult pins what a two-process ring prints. With
+// migration off every field but the clock is a function of the seed; the
+// values were recorded before pgaisland's engine, operators and topology
+// came from internal/spec, so they hold the spec-built island to the
+// hand-wired one. With migration on, what arrives when is up to the
+// scheduler, so only the deterministic fields and the key set are held.
+func TestTwoProcessRingResult(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process integration test skipped in -short mode")
+	}
+	bin := buildIsland(t, t.TempDir())
+	keys := []string{"self", "best", "solved", "generations", "evaluations", "migrations",
+		"dead_lettered", "restarts", "net", "stop_reason", "elapsed_ms"}
+
+	solo := runRing(t, bin, 2, "-problem", "nk", "-size", "32", "-pop", "20", "-gens", "40", "-interval", "0", "-seed", "5")
+	for i, best := range []float64{0.7115270273656605, 0.7115551126597729} {
+		doc := solo[i]
+		if doc["best"] != best || doc["evaluations"] != 780.0 || doc["generations"] != 40.0 ||
+			doc["stop_reason"] != "max generations" || doc["solved"] != false {
+			t.Errorf("island %d: %v, want best %v after 40 generations and 780 evaluations", i, doc, best)
+		}
+	}
+
+	ring := runRing(t, bin, 2, "-problem", "onemax", "-size", "256", "-pop", "20", "-gens", "60",
+		"-interval", "3", "-migrants", "2", "-seed", "9", "-pace", "1ms", "-topology", "biring")
+	for i, doc := range ring {
+		for _, k := range keys {
+			if _, ok := doc[k]; !ok {
+				t.Errorf("island %d: result lacks %q", i, k)
+			}
+		}
+		if len(doc) != len(keys) {
+			t.Errorf("island %d: result has %d fields, want %d: %v", i, len(doc), len(keys), doc)
+		}
+		net, _ := doc["net"].(map[string]any)
+		if doc["generations"] != 60.0 || doc["evaluations"] != 1160.0 || net["Sent"] != 20.0 {
+			t.Errorf("island %d: %v, want 60 generations, 1160 evaluations, 20 batches sent", i, doc)
+		}
+	}
+}
+
+// TestUnknownTopologyIsRefused: -topology resolves through the spec
+// layer's topology table, so a misspelt kind stops the process with the
+// known kinds instead of silently running a ring.
+func TestUnknownTopologyIsRefused(t *testing.T) {
+	bin := buildIsland(t, t.TempDir())
+	cmd := exec.Command(bin, "-self", "0", "-peers", "127.0.0.1:1,127.0.0.1:2", "-topology", "hypercub")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want status 2; stderr: %s", err, &stderr)
+	}
+	for _, want := range []string{"islands.topology.kind", `"hypercub"`, "ring | biring | star | complete | hypercube"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q: %s", want, &stderr)
+		}
+	}
+}

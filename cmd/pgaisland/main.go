@@ -48,14 +48,8 @@ import (
 
 	"pga/internal/core"
 	"pga/internal/engine"
-	"pga/internal/ga"
-	"pga/internal/genome"
 	"pga/internal/island"
-	"pga/internal/migration"
-	"pga/internal/operators"
-	"pga/internal/problems"
-	"pga/internal/rng"
-	"pga/internal/topology"
+	"pga/internal/spec"
 	"pga/internal/transport"
 )
 
@@ -88,7 +82,7 @@ func main() {
 	gens := flag.Int("gens", 300, "maximum generations")
 	interval := flag.Int("interval", 5, "migration interval (generations)")
 	migrants := flag.Int("migrants", 2, "migrants per exchange")
-	topo := flag.String("topology", "ring", "ring | biring | star | complete")
+	topo := flag.String("topology", "ring", "ring | biring | star | complete | hypercube | isolated | random")
 	seed := flag.Uint64("seed", 1, "shared run seed (same on every island)")
 	pace := flag.Duration("pace", 0, "per-generation sleep (stretches the run for fault drills)")
 	quiet := flag.Bool("quiet", false, "suppress per-generation progress")
@@ -145,11 +139,27 @@ func main() {
 		log.Fatalf("-self %d out of range for %d peers", *self, n)
 	}
 
-	spec, err := problems.Lookup(*problem)
+	// The island is deme -self of the n-deme island spec every process
+	// of the ring shares: problem, operators, topology and migration
+	// policy resolve through internal/spec exactly as `pgarun -model
+	// islands` resolves them, and a name it does not know is reported
+	// with the known ones before anything is dialled.
+	plan, err := spec.Resolve(spec.RunSpec{
+		Model:   spec.ModelIslands,
+		Problem: spec.ProblemSpec{Name: *problem, Size: *size},
+		Engine:  spec.EngineSpec{Pop: *pop},
+		Islands: &spec.IslandSpec{
+			Demes:     n,
+			Topology:  spec.TopologySpec{Kind: *topo},
+			Migration: spec.MigrationSpec{Interval: *interval, Count: *migrants},
+		},
+		Seed: *seed,
+	})
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		os.Exit(2)
 	}
-	prob := spec.Make(*size, *seed)
+	cfg := plan.IslandConfig()
 	engineRNG, migRNG := island.WireStreams(*seed, n, *self)
 
 	peers := make(map[int]string, n-1)
@@ -196,10 +206,10 @@ func main() {
 	start := time.Now()
 	res := island.RunWire(island.WireConfig{
 		Self:      *self,
-		Topology:  makeTopology(*topo, n),
+		Topology:  cfg.Topology,
 		Endpoint:  ep,
-		Policy:    migration.Policy{Interval: *interval, Count: *migrants},
-		Engine:    ga.NewGenerational(gaConfig(prob, *pop, engineRNG)),
+		Policy:    cfg.Policy,
+		Engine:    cfg.NewEngine(*self, engineRNG),
 		MigRNG:    migRNG,
 		MaxGens:   *gens,
 		Observers: []engine.Observer{obs},
@@ -228,40 +238,6 @@ func main() {
 	enc := json.NewEncoder(os.Stdout)
 	if err := enc.Encode(out); err != nil {
 		log.Fatal(err)
-	}
-}
-
-// gaConfig builds this island's engine configuration with the same
-// canonical operator choice per genome type as pgarun.
-func gaConfig(prob core.Problem, pop int, r *rng.Source) ga.Config {
-	var xover operators.Crossover
-	var mut operators.Mutator
-	switch prob.NewGenome(rng.New(0)).(type) {
-	case *genome.RealVector:
-		xover, mut = operators.SBX{}, operators.Polynomial{}
-	case *genome.Permutation:
-		xover, mut = operators.OX{}, operators.Inversion{}
-	case *genome.IntVector:
-		xover, mut = operators.Uniform{}, operators.UniformReset{}
-	default:
-		xover, mut = operators.Uniform{}, operators.BitFlip{}
-	}
-	return ga.Config{
-		Problem: prob, PopSize: pop,
-		Crossover: xover, Mutator: mut, RNG: r,
-	}
-}
-
-func makeTopology(name string, n int) topology.Topology {
-	switch name {
-	case "biring":
-		return topology.BiRing(n)
-	case "star":
-		return topology.Star(n)
-	case "complete":
-		return topology.Complete(n)
-	default:
-		return topology.Ring(n)
 	}
 }
 

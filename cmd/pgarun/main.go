@@ -73,7 +73,7 @@ func main() {
 		return
 	}
 
-	s, err := specFromFlags(flagSpec{
+	s := specFromFlags(flagSpec{
 		problem: *problem, size: *size, model: *model,
 		demes: *demes, pop: *pop, gens: *gens,
 		interval: *interval, migrants: *migrants, topo: *topo,
@@ -82,9 +82,13 @@ func main() {
 		peers: *peers, churn: *churn,
 		cost: *cost, scenario: *scenario, seed: *seed,
 	})
+	plan, err := spec.Resolve(*s)
 	if err != nil {
 		fail(err)
 	}
+	// The flag path has always stopped at the known optimum where the
+	// model can and the problem has one.
+	s.Budget.TargetOptimum = plan.StopAtOptimum()
 	if *validate {
 		doc, jerr := s.JSON()
 		if jerr != nil {
@@ -93,7 +97,13 @@ func main() {
 		fmt.Printf("%s\n", doc)
 		return
 	}
-	runSingle(s, *quiet)
+	onStep := func(st core.Status) {
+		if !*quiet && st.Generation%25 == 0 {
+			fmt.Printf("gen %4d  best %.6g  evals %d\n", st.Generation, st.BestFitness, st.Evaluations)
+		}
+	}
+	b := plan.Build()
+	printReport(b.Run(spec.RunOpts{OnStep: onStep}), b)
 }
 
 // flagSpec carries the parsed flag values into the spec builder.
@@ -119,7 +129,7 @@ type flagSpec struct {
 // specFromFlags assembles the RunSpec a flag invocation means. It adds
 // nothing the config path cannot express: the flags are a shorthand for
 // a subset of the spec schema.
-func specFromFlags(f flagSpec) (*spec.RunSpec, error) {
+func specFromFlags(f flagSpec) *spec.RunSpec {
 	model := f.model
 	if model == "sequential" { // historical alias
 		model = spec.ModelGenerational
@@ -127,32 +137,19 @@ func specFromFlags(f flagSpec) (*spec.RunSpec, error) {
 	s := &spec.RunSpec{
 		Model:   model,
 		Problem: spec.ProblemSpec{Name: f.problem, Size: f.size},
+		Engine:  spec.EngineSpec{Pop: f.pop},
+		Budget:  spec.BudgetSpec{Generations: f.gens},
 		Seed:    f.seed,
 	}
-
-	switch model {
-	case spec.ModelHGA:
-		s.Budget.Cost = f.cost
-	default:
-		s.Budget.Generations = f.gens
-	}
-
-	switch model {
-	case spec.ModelCellular:
-		s.Engine.Grid = &spec.GridSpec{Rows: f.rows, Cols: f.cols, Update: "nrs"}
-	case spec.ModelSIM:
-		s.SIM = &spec.SIMSpec{Scenario: f.scenario}
-	default:
-		s.Engine.Pop = f.pop
-	}
-
+	// Which flags feed which model's fields; everything else about the
+	// models is the spec layer's knowledge.
 	switch model {
 	case spec.ModelParallel:
 		s.Engine.Workers = f.workers
 	case spec.ModelMasterSlave:
 		s.Farm = &spec.FarmSpec{Workers: f.workers}
-	case spec.ModelP2P:
-		s.P2P = &spec.P2PSpec{Peers: f.peers, Churn: f.churn}
+	case spec.ModelCellular:
+		s.Engine = spec.EngineSpec{Grid: &spec.GridSpec{Rows: f.rows, Cols: f.cols, Update: "nrs"}}
 	case spec.ModelIslands:
 		is := &spec.IslandSpec{
 			Demes:      f.demes,
@@ -165,53 +162,15 @@ func specFromFlags(f flagSpec) (*spec.RunSpec, error) {
 			is.Mode = "parallel"
 		}
 		s.Islands = is
+	case spec.ModelP2P:
+		s.P2P = &spec.P2PSpec{Peers: f.peers, Churn: f.churn}
+	case spec.ModelHGA:
+		s.Budget = spec.BudgetSpec{Cost: f.cost}
+	case spec.ModelSIM:
+		s.Engine = spec.EngineSpec{}
+		s.SIM = &spec.SIMSpec{Scenario: f.scenario}
 	}
-
-	// The flag path has always stopped at the known optimum where one
-	// exists; only the budget-restricted models skip the condition.
-	if stopAtOptimum(s) {
-		s.Budget.TargetOptimum = true
-	}
-
-	if verr := s.Validate(); verr != nil {
-		return nil, verr
-	}
-	return s, nil
-}
-
-// stopAtOptimum reports whether the model accepts a target-optimum stop
-// and the problem has a known optimum.
-func stopAtOptimum(s *spec.RunSpec) bool {
-	switch s.Model {
-	case spec.ModelHGA, spec.ModelP2P, spec.ModelSIM:
-		return false
-	case spec.ModelIslands:
-		if s.Islands != nil && s.Islands.Mode == "parallel" {
-			return false
-		}
-	}
-	ps, err := problems.Lookup(s.Problem.Name)
-	if err != nil {
-		return false // validation will report the unknown problem
-	}
-	_, ok := ps.Make(s.Problem.Size, s.Seed).(core.TargetAware)
-	return ok
-}
-
-// runSingle builds and runs one spec, printing progress and a
-// human-readable summary.
-func runSingle(s *spec.RunSpec, quiet bool) {
-	b, err := spec.Build(*s)
-	if err != nil {
-		fail(err)
-	}
-	onStep := func(st core.Status) {
-		if !quiet && st.Generation%25 == 0 {
-			fmt.Printf("gen %4d  best %.6g  evals %d\n", st.Generation, st.BestFitness, st.Evaluations)
-		}
-	}
-	rep := b.Run(spec.RunOpts{OnStep: onStep})
-	printReport(rep, b)
+	return s
 }
 
 // printReport renders the model-appropriate summary lines.
@@ -265,22 +224,17 @@ func runConfig(path, out string, validateOnly, quiet bool) {
 		return
 	}
 
-	cells, cerr := f.Sweep.Cells()
-	if cerr != nil {
-		fail(cerr)
-	}
 	if validateOnly {
+		cells, _ := f.Sweep.Cells() // the expansion ParseFile validated
 		fmt.Printf("%s: valid sweep (%d cells × %d axes)\n", path, len(cells), len(f.Sweep.Axes))
 		return
 	}
-	done := 0
-	reports, rerr := f.Sweep.Run(spec.RunOpts{OnStep: func(core.Status) {}})
+	reports, rerr := f.Sweep.Run(spec.RunOpts{})
 	if rerr != nil {
 		fail(rerr)
 	}
 	if !quiet {
-		done = len(reports)
-		fmt.Fprintf(os.Stderr, "pgarun: %d runs complete\n", done)
+		fmt.Fprintf(os.Stderr, "pgarun: %d runs complete\n", len(reports))
 	}
 	writeResults(out, reports)
 }

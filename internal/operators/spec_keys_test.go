@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -92,7 +93,19 @@ func TestSpecKeysAndAccepts(t *testing.T) {
 		t.Fatalf("SpecKeys(\"\") returned %d keys, registry has %d", len(all), len(SpecEntries()))
 	}
 	e, _ := LookupSpec("tournament")
-	if !e.Accepts("k") || e.Accepts("p") {
-		t.Fatal("Accepts wrong for tournament")
+	if k, ok := e.Param("k"); !ok || k.Min != 1 || k.Max != maxDraws {
+		t.Fatalf("tournament k = %+v, %v", k, ok)
+	}
+	if _, ok := e.Param("p"); ok {
+		t.Fatal("tournament documents no p")
+	}
+	// Every range is a usable closed interval: the spec layer rejects
+	// whatever lies outside it, NaN and the infinities included.
+	for _, e := range SpecEntries() {
+		for _, p := range e.Params {
+			if !(p.Min <= p.Max) || p.Min < 0 || math.IsInf(p.Max, 0) {
+				t.Errorf("%s.%s has range [%v, %v]", e.Key, p.Name, p.Min, p.Max)
+			}
+		}
 	}
 }

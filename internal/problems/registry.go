@@ -15,6 +15,11 @@ type Spec struct {
 	// Class is the landscape class in Alba & Troya's vocabulary:
 	// easy, deceptive, multimodal, np-complete or epistatic.
 	Class string
+	// MinSize is the smallest size Make accepts; 0 marks a fixed-size
+	// problem (foxholes), whose Make ignores size. Callers check it: Make
+	// itself may panic below it (nk needs K = 4 < N, maxsat three distinct
+	// variables per clause).
+	MinSize int
 	// Make builds an instance with the given size parameter and seed.
 	// The meaning of size is problem specific (bits, dimensions, items).
 	Make func(size int, seed uint64) core.Problem
@@ -22,41 +27,41 @@ type Spec struct {
 
 // registry holds the built-in problem catalogue.
 var registry = map[string]Spec{
-	"onemax": {Key: "onemax", Class: "easy",
+	"onemax": {Key: "onemax", Class: "easy", MinSize: 1,
 		Make: func(size int, _ uint64) core.Problem { return OneMax{N: size} }},
-	"trap": {Key: "trap", Class: "deceptive",
+	"trap": {Key: "trap", Class: "deceptive", MinSize: 1,
 		Make: func(size int, _ uint64) core.Problem { return DeceptiveTrap{Blocks: size / 4, K: 4} }},
-	"mmdp": {Key: "mmdp", Class: "deceptive",
+	"mmdp": {Key: "mmdp", Class: "deceptive", MinSize: 1,
 		Make: func(size int, _ uint64) core.Problem { return MMDP{Blocks: size / 6} }},
-	"ppeaks": {Key: "ppeaks", Class: "multimodal",
+	"ppeaks": {Key: "ppeaks", Class: "multimodal", MinSize: 1,
 		Make: func(size int, seed uint64) core.Problem { return NewPPeaks(20, size, seed) }},
-	"royalroad": {Key: "royalroad", Class: "easy",
+	"royalroad": {Key: "royalroad", Class: "easy", MinSize: 1,
 		Make: func(size int, _ uint64) core.Problem { return RoyalRoad{Blocks: size / 8, K: 8} }},
-	"nk": {Key: "nk", Class: "epistatic",
+	"nk": {Key: "nk", Class: "epistatic", MinSize: 5,
 		Make: func(size int, seed uint64) core.Problem { return NewNKLandscape(size, 4, seed) }},
-	"subsetsum": {Key: "subsetsum", Class: "np-complete",
+	"subsetsum": {Key: "subsetsum", Class: "np-complete", MinSize: 1,
 		Make: func(size int, seed uint64) core.Problem { return NewSubsetSum(size, seed) }},
-	"knapsack": {Key: "knapsack", Class: "np-complete",
+	"knapsack": {Key: "knapsack", Class: "np-complete", MinSize: 1,
 		Make: func(size int, seed uint64) core.Problem { return NewKnapsack(size, seed) }},
-	"maxsat": {Key: "maxsat", Class: "np-complete",
+	"maxsat": {Key: "maxsat", Class: "np-complete", MinSize: 3,
 		Make: func(size int, seed uint64) core.Problem { return NewMaxSAT(size, size*4, seed) }},
-	"sphere": {Key: "sphere", Class: "easy",
+	"sphere": {Key: "sphere", Class: "easy", MinSize: 1,
 		Make: func(size int, _ uint64) core.Problem { return Sphere(size) }},
-	"rastrigin": {Key: "rastrigin", Class: "multimodal",
+	"rastrigin": {Key: "rastrigin", Class: "multimodal", MinSize: 1,
 		Make: func(size int, _ uint64) core.Problem { return Rastrigin(size) }},
-	"rosenbrock": {Key: "rosenbrock", Class: "epistatic",
+	"rosenbrock": {Key: "rosenbrock", Class: "epistatic", MinSize: 1,
 		Make: func(size int, _ uint64) core.Problem { return Rosenbrock(size) }},
-	"ackley": {Key: "ackley", Class: "multimodal",
+	"ackley": {Key: "ackley", Class: "multimodal", MinSize: 1,
 		Make: func(size int, _ uint64) core.Problem { return Ackley(size) }},
-	"griewank": {Key: "griewank", Class: "multimodal",
+	"griewank": {Key: "griewank", Class: "multimodal", MinSize: 1,
 		Make: func(size int, _ uint64) core.Problem { return Griewank(size) }},
-	"schwefel": {Key: "schwefel", Class: "multimodal",
+	"schwefel": {Key: "schwefel", Class: "multimodal", MinSize: 1,
 		Make: func(size int, _ uint64) core.Problem { return Schwefel(size) }},
-	"step": {Key: "step", Class: "easy",
+	"step": {Key: "step", Class: "easy", MinSize: 1,
 		Make: func(size int, _ uint64) core.Problem { return Step(size) }},
 	"foxholes": {Key: "foxholes", Class: "multimodal",
 		Make: func(size int, _ uint64) core.Problem { return Foxholes() }},
-	"qap": {Key: "qap", Class: "np-complete",
+	"qap": {Key: "qap", Class: "np-complete", MinSize: 1,
 		Make: func(size int, seed uint64) core.Problem { return NewQAP(size, seed) }},
 }
 

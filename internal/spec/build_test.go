@@ -2,6 +2,7 @@ package spec
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"pga/internal/operators"
@@ -100,14 +101,7 @@ func TestBuiltHandles(t *testing.T) {
 // registered problem key: each combination either builds or is rejected
 // with a structured error — never a panic, never an opaque failure.
 func TestRegistryCompletenessProblems(t *testing.T) {
-	// Problems that only make sense at fixed or constrained sizes still
-	// must build at some size; use a size that fits all of them.
-	sizeFor := func(key string) int {
-		if fixedSizeProblems[key] {
-			return 0
-		}
-		return 12
-	}
+	// Size 12 is at or above every registered minimum.
 	keys := append([]string{}, problems.Keys()...)
 	simKeys := []string{"zdt1", "schaffer"}
 	for _, model := range Models() {
@@ -115,7 +109,7 @@ func TestRegistryCompletenessProblems(t *testing.T) {
 			t.Run(model+"/"+key, func(t *testing.T) {
 				s := RunSpec{
 					Model:   model,
-					Problem: ProblemSpec{Name: key, Size: sizeFor(key)},
+					Problem: ProblemSpec{Name: key, Size: 12}, // fixed-size problems ignore it
 					Seed:    1,
 				}
 				// Give each model its minimal section so a rejection is
@@ -156,14 +150,14 @@ func TestRegistryCompletenessProblems(t *testing.T) {
 				// real-valued benchmarks, everything else only registry keys.
 				switch model {
 				case ModelSIM:
-					if _, ok := simProblems[key]; !ok {
+					if _, ok := simProblems.find(key); !ok {
 						t.Errorf("sim accepted non-sim problem %q", key)
 					}
 				default:
 					if _, lerr := problems.Lookup(key); lerr != nil {
 						t.Errorf("%s accepted unregistered problem %q", model, key)
 					}
-					if model == ModelHGA && !isRealBenchmark(b.Problem) {
+					if _, real := b.Problem.(*problems.RealFunc); model == ModelHGA && !real {
 						t.Errorf("hga accepted non-real problem %q", key)
 					}
 				}
@@ -204,7 +198,7 @@ func TestRegistryCompletenessOperators(t *testing.T) {
 						Seed:    1,
 					}
 					_, err := Build(s)
-					compatible := len(entry.Genomes) == 0 || contains(entry.Genomes, class)
+					compatible := len(entry.Genomes) == 0 || slices.Contains(entry.Genomes, class)
 					if compatible && err != nil {
 						t.Errorf("compatible operator rejected: %v", err)
 					}

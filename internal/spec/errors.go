@@ -47,6 +47,20 @@ func (e *Error) add(path, format string, args ...any) {
 	e.Fields = append(e.Fields, FieldError{Path: path, Reason: fmt.Sprintf(format, args...)})
 }
 
+// nonNegative reports a negative count or amount at path.
+func nonNegative[T int | int64 | float64](e *Error, path string, v T) {
+	if v < 0 {
+		e.add(path, "must not be negative")
+	}
+}
+
+// inUnit reports a rate or probability outside [0,1] (NaN included).
+func inUnit(e *Error, path string, v float64) {
+	if !(v >= 0 && v <= 1) {
+		e.add(path, "must be in [0,1]")
+	}
+}
+
 // or returns e when it holds failures and nil otherwise — the standard
 // tail of a validation pass. Callers converting to the error interface
 // must go through asError to avoid a non-nil interface around a nil

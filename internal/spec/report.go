@@ -3,9 +3,45 @@ package spec
 import (
 	"pga/internal/core"
 	"pga/internal/ga"
+	"pga/internal/hga"
 	"pga/internal/island"
+	"pga/internal/masterslave"
+	"pga/internal/p2p"
 	"pga/internal/sim"
 )
+
+// Built is a validated spec materialised into a runtime. Exactly one of
+// the runtime handles is non-nil (Engine covers the five panmictic
+// models); Run drives whichever the model owns and renders a
+// deterministic Report. The handles stay exported so callers with
+// special needs (the equiv parity tests, experiments stepping engines by
+// hand) can drive the runtime directly.
+type Built struct {
+	// Spec is the spec that was built (after validation).
+	Spec RunSpec
+	// Problem is the materialised problem (nil for model "sim", whose
+	// problem is multi-objective).
+	Problem core.Problem
+	// Stop is the composed stop condition of the engine models; fresh
+	// per Build because stagnation conditions are stateful.
+	Stop core.StopCondition
+	// Engine is the panmictic runtime (generational, steadystate,
+	// parallel, masterslave, cellular).
+	Engine ga.Engine
+	// Farm is the evaluation farm behind a masterslave Engine.
+	Farm *masterslave.Farm
+	// Islands is the island runtime.
+	Islands *island.Model
+	// P2P is the gossip-overlay runtime.
+	P2P *p2p.Network
+	// HGA is the hierarchical runtime.
+	HGA *hga.Model
+	// SIMConfig is the sim runtime's config (sim.Run constructs and
+	// runs in one call).
+	SIMConfig *sim.Config
+
+	plan *Plan
+}
 
 // RunOpts tunes Built.Run.
 type RunOpts struct {
@@ -68,37 +104,7 @@ func (b *Built) Run(opts RunOpts) *Report {
 		Problem: b.Spec.Problem.Name,
 		Seed:    b.Spec.Seed,
 	}
-	switch {
-	case b.Engine != nil:
-		res := ga.Run(b.Engine, ga.RunOptions{Stop: b.Stop, Trace: opts.Trace, OnStep: opts.OnStep})
-		rep.fill(&res.RunStats, opts.Trace)
-		rep.CacheHits, rep.CacheMisses = res.CacheHits, res.CacheMisses
-	case b.Islands != nil:
-		var res *island.Result
-		if b.islandMode == "parallel" {
-			res = b.Islands.RunParallel(b.maxGens, opts.Trace)
-		} else {
-			res = b.Islands.RunSequential(b.Stop, opts.Trace)
-		}
-		rep.fill(&res.RunStats, opts.Trace)
-		rep.Migrations = res.Migrations
-		rep.Restarts = res.Restarts
-		rep.DeadDemes = res.DeadDemes
-	case b.P2P != nil:
-		res := b.P2P.Run(b.maxGens)
-		rep.fill(&res.RunStats, opts.Trace)
-		rep.Departures, rep.Joins, rep.AliveAtEnd = res.Departures, res.Joins, res.AliveAtEnd
-	case b.HGA != nil:
-		res := b.HGA.Run(b.costBudget)
-		rep.fill(&res.RunStats, opts.Trace)
-		rep.Cost, rep.CostAtSolve = res.Cost, res.CostAtSolve
-	case b.SIMConfig != nil:
-		res := sim.Run(*b.SIMConfig)
-		rep.fill(&res.RunStats, opts.Trace)
-		rep.Hypervolume = res.Hypervolume
-		rep.ParetoSize = res.Archive.Len()
-		rep.Islands = res.Islands
-	}
+	b.plan.model.run(b, opts, rep)
 	return rep
 }
 

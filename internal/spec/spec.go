@@ -3,16 +3,25 @@
 // — problem, operators, model and model parameters, resilience plan,
 // budget, seed — and Build constructs the runtime through the problem
 // and operator registries. Every construction site (cmd/pgarun,
-// cmd/pgabench, internal/exp, the examples) builds through this package
-// instead of hand-wiring its own switch statements, and the same JSON
-// document is the job contract a future pgad daemon will accept over
-// the wire.
+// cmd/pgaisland, cmd/pgabench, internal/exp, the examples) builds
+// through this package instead of hand-wiring its own switch
+// statements, and the same JSON document is the job contract a future
+// pgad daemon will accept over the wire.
+//
+// The package is data plus one pass over it. vocab.go declares each
+// closed vocabulary of the schema once, as an ordered name → value
+// table; model.go declares one entry per model; resolve.go walks them
+// once per spec, applying every default, constructing the problem and
+// collecting every field error, and leaves a Plan that Build assembles
+// the runtime from without looking anything up again. Validate is that
+// pass with the plan dropped — so what validates builds.
 //
 // Contracts:
 //
 //   - Strict parsing: unknown fields, malformed values and invalid
 //     combinations are rejected with structured *Error values (field
-//     path + reason), never a panic and never an opaque string.
+//     path + reason), never a panic and never an opaque string
+//     (FuzzParse, FuzzValidateBuild).
 //   - Draw-identity: a spec-built runtime consumes exactly the same RNG
 //     draws as the equivalent hand-wired construction. Engine-level
 //     zero values pass through to the runtime configs, whose own
@@ -33,36 +42,7 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
-
-	"pga/internal/core"
-	"pga/internal/genome"
-	"pga/internal/problems"
-	"pga/internal/rng"
-	"pga/internal/sim"
 )
-
-// Model strings: the nine spec names covering the eight runtimes (the
-// island runtime serves both plain and supervised islands; sequential
-// baselines count as one family with two names).
-const (
-	ModelGenerational = "generational"
-	ModelSteadyState  = "steadystate"
-	ModelParallel     = "parallel"
-	ModelMasterSlave  = "masterslave"
-	ModelCellular     = "cellular"
-	ModelIslands      = "islands"
-	ModelP2P          = "p2p"
-	ModelHGA          = "hga"
-	ModelSIM          = "sim"
-)
-
-// Models lists the valid RunSpec.Model strings in presentation order.
-func Models() []string {
-	return []string{
-		ModelGenerational, ModelSteadyState, ModelParallel, ModelMasterSlave,
-		ModelCellular, ModelIslands, ModelP2P, ModelHGA, ModelSIM,
-	}
-}
 
 // RunSpec is one complete run description. The zero value of every
 // optional field selects the documented default; only Model and Problem
@@ -340,7 +320,7 @@ func Parse(data []byte) (*RunSpec, error) {
 	if err := strictUnmarshal(data, &s); err != nil {
 		return nil, err
 	}
-	if verr := s.Validate(); verr != nil {
+	if _, verr := resolve(s); verr != nil {
 		return nil, verr
 	}
 	return &s, nil
@@ -376,71 +356,4 @@ func decodeError(err error) *Error {
 // JSON serialises the spec in its canonical indented form.
 func (s *RunSpec) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
-}
-
-// genomeClassOf probes the problem's genome representation. The probe
-// stream is throwaway: runtimes build their populations from their own
-// seeded streams.
-func genomeClassOf(p core.Problem) string {
-	switch p.NewGenome(rng.New(0)).(type) {
-	case *genome.BitString:
-		return "bits"
-	case *genome.RealVector:
-		return "real"
-	case *genome.IntVector:
-		return "int"
-	case *genome.Permutation:
-		return "perm"
-	}
-	return ""
-}
-
-// fixedSizeProblems ignore ProblemSpec.Size.
-var fixedSizeProblems = map[string]bool{"foxholes": true, "schaffer": true}
-
-// simProblems is the multi-objective vocabulary of model "sim".
-var simProblems = map[string]func(size int) sim.MultiObjective{
-	"zdt1":     func(size int) sim.MultiObjective { return sim.ZDT1{Dim: size} },
-	"schaffer": func(int) sim.MultiObjective { return sim.Schaffer{} },
-}
-
-// Instance materialises the problem the spec names, using defaultSeed
-// for seed-parameterised instances unless the spec pins its own seed.
-// Callers that only need to inspect the problem (its name, direction or
-// known optimum) can use it without building a whole runtime.
-func (p ProblemSpec) Instance(defaultSeed uint64) (core.Problem, *Error) {
-	ps, err := problems.Lookup(p.Name)
-	if err != nil {
-		return nil, errf("problem.name", "unknown problem %q (known: %v)", p.Name, problems.Keys())
-	}
-	if p.Size < 1 && !fixedSizeProblems[p.Name] {
-		return nil, errf("problem.size", "must be at least 1 for %q", p.Name)
-	}
-	if p.Size < 0 {
-		return nil, errf("problem.size", "must not be negative")
-	}
-	seed := defaultSeed
-	if p.Seed != nil {
-		seed = *p.Seed
-	}
-	return ps.Make(p.Size, seed), nil
-}
-
-// problemInstance materialises the problem (single-objective models).
-// The instance seed defaults to the run seed.
-func (s *RunSpec) problemInstance() (core.Problem, *Error) {
-	return s.Problem.Instance(s.Seed)
-}
-
-// simProblemInstance materialises the multi-objective problem of model
-// "sim".
-func (s *RunSpec) simProblemInstance() (sim.MultiObjective, *Error) {
-	mk, ok := simProblems[s.Problem.Name]
-	if !ok {
-		return nil, errf("problem.name", "model %q needs a multi-objective problem: zdt1 or schaffer", ModelSIM)
-	}
-	if s.Problem.Size < 1 && !fixedSizeProblems[s.Problem.Name] {
-		return nil, errf("problem.size", "must be at least 1 for %q", s.Problem.Name)
-	}
-	return mk(s.Problem.Size), nil
 }

@@ -2,8 +2,11 @@ package spec
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+
+	"pga/internal/problems"
 )
 
 // mustParse parses or fails the test.
@@ -108,6 +111,15 @@ func TestParseStructuredErrors(t *testing.T) {
 		{"hga level count", `{"model":"hga","problem":{"name":"sphere","size":4},"hga":{"layers":[1,2],"levels":[0]}}`, "hga.levels"},
 		{"sim scenario range", `{"model":"sim","problem":{"name":"zdt1","size":6},"sim":{"scenario":9}}`, "sim.scenario"},
 		{"sim hv_ref shape", `{"model":"sim","problem":{"name":"zdt1","size":6},"sim":{"hv_ref":[1.0]}}`, "sim.hv_ref"},
+		// Each of these validated at the parent commit and then panicked or
+		// hung: in Parse itself (the two sizes), in Build (the level), in
+		// Run (the deme size, the tournament).
+		{"nk size not above K", `{"model":"generational","problem":{"name":"nk","size":4}}`, "problem.size"},
+		{"maxsat below one clause's variables", `{"model":"generational","problem":{"name":"maxsat","size":2}}`, "problem.size"},
+		{"hga level beyond the wrapper's", `{"model":"hga","problem":{"name":"sphere","size":4},"hga":{"layers":[1,2],"levels":[9,9]}}`, "hga.levels[0]"},
+		{"sim deme of one", `{"model":"sim","problem":{"name":"zdt1","size":6},"sim":{"deme_size":1}}`, "sim.deme_size"},
+		{"operator param out of range", `{"model":"generational","problem":{"name":"onemax","size":8},"engine":{"selector":{"name":"tournament","params":{"k":1e18}}}}`, "engine.selector.params.k"},
+		{"operator param below range", `{"model":"generational","problem":{"name":"sphere","size":4},"engine":{"selector":{"name":"rank","params":{"sp":0.5}}}}`, "engine.selector.params.sp"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,6 +132,79 @@ func TestParseStructuredErrors(t *testing.T) {
 				t.Errorf("error paths %v do not mention %q", paths, tc.path)
 			}
 		})
+	}
+}
+
+// TestHGALevelsAgainstDefaultLayers: hga.levels is measured against the
+// layers the run will have — the default {1,2,4} when the document gives
+// none — so three levels alone are a valid section (the parent commit
+// compared them with the zero layers written down and refused).
+func TestHGALevelsAgainstDefaultLayers(t *testing.T) {
+	s := mustParse(t, `{"model":"hga","problem":{"name":"sphere","size":4},"engine":{"pop":6},"hga":{"levels":[0,1,2]},"budget":{"cost":40},"seed":3}`)
+	b, err := Build(*s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := b.Run(RunOpts{}); b.HGA.Demes() != 7 || rep.Evaluations == 0 {
+		t.Errorf("ran %d demes for %d evaluations, want the default 1+2+4", b.HGA.Demes(), rep.Evaluations)
+	}
+	if _, err := Parse([]byte(`{"model":"hga","problem":{"name":"sphere","size":4},"hga":{"levels":[0,1]}}`)); err == nil || !hasPath(fieldPaths(t, err), "hga.levels") {
+		t.Errorf("two levels for the three default layers: %v", err)
+	}
+}
+
+// TestNonFiniteOperatorParam: JSON cannot spell NaN or an infinity, a
+// hand-built RunSpec can.
+func TestNonFiniteOperatorParam(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := RunSpec{Model: ModelGenerational, Problem: ProblemSpec{Name: "sphere", Size: 4},
+			Engine: EngineSpec{Crossover: &OperatorSpec{Name: "sbx", Params: map[string]float64{"eta": v}}}}
+		if err := s.Validate(); err == nil || !hasPath(fieldPaths(t, err), "engine.crossover.params.eta") {
+			t.Errorf("eta = %v: %v", v, err)
+		}
+	}
+}
+
+// TestProblemSizeSweep runs every problem key of both vocabularies at
+// sizes 0 to 8: each either builds and runs a generation or is refused
+// at problem.size — never a panic.
+func TestProblemSizeSweep(t *testing.T) {
+	type run struct{ model, key string }
+	var runs []run
+	for _, key := range problems.Keys() {
+		runs = append(runs, run{ModelGenerational, key})
+	}
+	for _, ent := range simProblems {
+		runs = append(runs, run{ModelSIM, ent.name})
+	}
+	for _, r := range runs {
+		for size := 0; size <= 8; size++ {
+			s := RunSpec{Model: r.model, Problem: ProblemSpec{Name: r.key, Size: size}, Budget: BudgetSpec{Generations: 1}, Seed: 1}
+			if r.model == ModelGenerational {
+				s.Engine.Pop = 4
+			} else {
+				s.SIM = &SIMSpec{DemeSize: 4}
+			}
+			b, err := Build(s)
+			if err != nil {
+				if paths := fieldPaths(t, err); len(paths) != 1 || paths[0] != "problem.size" {
+					t.Errorf("%s size %d: refused at %v, want problem.size only", r.key, size, paths)
+				}
+				continue
+			}
+			if rep := b.Run(RunOpts{}); rep.Generations != 1 || rep.Evaluations == 0 {
+				t.Errorf("%s size %d: ran %d generations, %d evaluations", r.key, size, rep.Generations, rep.Evaluations)
+			}
+		}
+	}
+	// The minimum is the registry's: one below it is refused, it is not.
+	for _, key := range problems.Keys() {
+		entry, _ := problems.Lookup(key)
+		_, below := ProblemSpec{Name: key, Size: entry.MinSize - 1}.Instance(1)
+		_, at := ProblemSpec{Name: key, Size: entry.MinSize}.Instance(1)
+		if below == nil || at != nil {
+			t.Errorf("%s (min %d): one below → %v, at → %v", key, entry.MinSize, below, at)
+		}
 	}
 }
 

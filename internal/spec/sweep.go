@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -24,6 +25,11 @@ type Sweep struct {
 	Base       RunSpec
 	Axes       []Axis
 	Replicates int
+
+	// cells is the expansion ParseFile validated, kept so that running a
+	// parsed document does not expand it — and construct every cell's
+	// problem — a second time. Treat a parsed Sweep as read-only.
+	cells []Cell
 }
 
 // Cell is one expanded run of a sweep.
@@ -109,9 +115,11 @@ func ParseFile(data []byte) (*File, error) {
 		}
 		sw.Axes = append(sw.Axes, Axis{Path: p, Values: values})
 	}
-	if _, cerr := sw.Cells(); cerr != nil {
+	cells, cerr := sw.Cells()
+	if cerr != nil {
 		return nil, cerr
 	}
+	sw.cells = cells
 	return &File{Name: doc.Name, Sweep: sw}, nil
 }
 
@@ -212,6 +220,9 @@ func DeriveSeed(base uint64, cell, rep int) uint64 {
 
 // Cells expands the sweep into its validated run matrix.
 func (s *Sweep) Cells() ([]Cell, *Error) {
+	if s.cells != nil {
+		return s.cells, nil
+	}
 	reps := s.Replicates
 	if reps == 0 {
 		reps = 1
@@ -262,7 +273,7 @@ func (s *Sweep) Cells() ([]Cell, *Error) {
 		}
 		cellSpec, perr := Parse(cellJSON)
 		if perr != nil {
-			pe, _ := prefixPaths(perr, "sweep(cell "+itoa(cell)+").").(*Error)
+			pe, _ := prefixPaths(perr, "sweep(cell "+strconv.Itoa(cell)+").").(*Error)
 			return nil, pe
 		}
 		for rep := 0; rep < reps; rep++ {
@@ -315,6 +326,19 @@ func setPath(doc map[string]any, path string, v any) *Error {
 	return nil
 }
 
+// run builds and runs the cell and labels the report with the cell's
+// coordinates. It depends on nothing but the cell, so the cells of a
+// sweep may run in any order.
+func (c Cell) run(opts RunOpts) (*Report, error) {
+	b, err := Build(c.Spec)
+	if err != nil {
+		return nil, prefixPaths(err, "sweep(cell "+strconv.Itoa(c.Index)+").")
+	}
+	rep := b.Run(opts)
+	rep.Cell, rep.Replicate, rep.Overrides = c.Index, c.Replicate, c.Overrides
+	return rep, nil
+}
+
 // Run expands and runs every cell in order, returning one report per
 // cell×replicate. Deterministic for deterministic specs: the same
 // sweep document yields byte-identical marshalled reports on every
@@ -326,14 +350,10 @@ func (s *Sweep) Run(opts RunOpts) ([]*Report, error) {
 	}
 	reports := make([]*Report, 0, len(cells))
 	for _, c := range cells {
-		b, berr := Build(c.Spec)
-		if berr != nil {
-			return reports, prefixPaths(berr, "sweep(cell "+itoa(c.Index)+").")
+		rep, err := c.run(opts)
+		if err != nil {
+			return reports, err
 		}
-		rep := b.Run(opts)
-		rep.Cell = c.Index
-		rep.Replicate = c.Replicate
-		rep.Overrides = c.Overrides
 		reports = append(reports, rep)
 	}
 	return reports, nil

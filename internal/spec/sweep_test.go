@@ -2,7 +2,10 @@ package spec
 
 import (
 	"encoding/json"
+	"os"
 	"testing"
+
+	"pga/internal/rng"
 )
 
 const sweepDocJSON = `{
@@ -236,5 +239,48 @@ func TestSweepCellMetadata(t *testing.T) {
 		t.Errorf("report 1 overrides missing the axis: %v", reports[1].Overrides)
 	} else if n, ok := v.(json.Number); !ok || n.String() != "8" {
 		t.Errorf("override value = %#v, want json.Number 8", v)
+	}
+}
+
+// TestSweepOrderIndependent is the property a parallel sweep runner will
+// rest on: a cell's report depends on the cell alone. Each sweep — the
+// checked-in smoke document and one over every model's smoke spec, two
+// seeds by two replicates — is expanded once, its cells run in three
+// shuffled orders, and the reports, put back in (cell, replicate) order,
+// must marshal to the bytes Sweep.Run produces.
+func TestSweepOrderIndependent(t *testing.T) {
+	smoke, err := os.ReadFile("../../examples/sweeps/smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := map[string]string{"smoke.json": string(smoke)}
+	for model, base := range smokeSpecs {
+		docs[model] = `{"base":` + base + `,"sweep":{"seed":[3,4]},"replicates":2}`
+	}
+	r := rng.New(7)
+	for name, doc := range docs {
+		f, err := ParseFile([]byte(doc))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		serial, err := f.Sweep.Run(RunOpts{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, _ := json.Marshal(serial)
+		cells, _ := f.Sweep.Cells()
+		for round := 0; round < 3; round++ {
+			reports := make([]*Report, len(cells))
+			for _, i := range r.Perm(len(cells)) {
+				if reports[i], err = cells[i].run(RunOpts{}); err != nil {
+					t.Fatalf("%s cell %d: %v", name, i, err)
+				}
+			}
+			// Cells() lists cells in (cell, replicate) order, so slot i is
+			// where report i sorts to.
+			if got, _ := json.Marshal(reports); string(got) != string(want) {
+				t.Errorf("%s, shuffled order %d: reports differ from the serial run's\n%s\n%s", name, round, got, want)
+			}
+		}
 	}
 }
