@@ -18,7 +18,7 @@ race:
 	$(GO) test -race ./internal/island/... ./internal/supervise/... \
 		./internal/masterslave/... ./internal/cellular/... ./internal/p2p/... \
 		./internal/hga/... ./internal/ga/... \
-		./internal/transport/...
+		./internal/transport/... ./internal/spec/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -74,12 +74,13 @@ fuzz:
 	$(GO) test -fuzz=FuzzValidateBuild -fuzztime=30s ./internal/spec/
 
 # Sweep determinism smoke: validate every checked-in sweep config, then
-# run the smoke sweep twice and require byte-identical result files.
+# require the smoke sweep's result file to be byte-identical on the
+# default pool and on one worker, GOMAXPROCS=1 (parallel ≡ serial).
 sweep-smoke:
 	@for f in examples/sweeps/*.json; do \
 		$(GO) run ./cmd/pgarun -config $$f -validate || exit 1; \
 	done
 	$(GO) run ./cmd/pgarun -config examples/sweeps/smoke.json -quiet -out /tmp/sweep-a.json
-	$(GO) run ./cmd/pgarun -config examples/sweeps/smoke.json -quiet -out /tmp/sweep-b.json
+	GOMAXPROCS=1 $(GO) run ./cmd/pgarun -config examples/sweeps/smoke.json -quiet -out /tmp/sweep-b.json
 	cmp /tmp/sweep-a.json /tmp/sweep-b.json
 	@echo "sweep-smoke: determinism OK"

@@ -67,6 +67,7 @@ func main() {
 		}
 		return
 	}
+	checkFlags(*configPath != "")
 
 	if *configPath != "" {
 		runConfig(*configPath, *out, *validate, *quiet)
@@ -104,6 +105,24 @@ func main() {
 	}
 	b := plan.Build()
 	printReport(b.Run(spec.RunOpts{OnStep: onStep}), b)
+}
+
+// configFlags are the flags a -config run reads; -out means nothing
+// without -config.
+var configFlags = map[string]bool{"config": true, "validate": true, "out": true, "quiet": true}
+
+// checkFlags refuses, naming it, a flag that was set but would be
+// ignored: a model flag next to -config (the document is the whole
+// spec), or -out without -config.
+func checkFlags(config bool) {
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case config && !configFlags[f.Name]:
+			fail(fmt.Errorf("-%s has no effect with -config: the document is the whole spec", f.Name))
+		case !config && f.Name == "out":
+			fail(fmt.Errorf("-out needs -config"))
+		}
+	})
 }
 
 // flagSpec carries the parsed flag values into the spec builder.

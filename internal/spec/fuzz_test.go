@@ -44,6 +44,7 @@ func FuzzParse(f *testing.F) {
 		`{"model":"generational","problem":{"name":"onemax","size":8},"engine":{"crossover":{"name":"none"}}}`,
 		`{"base":{},"sweep":{"..":[1]}}`,
 		`{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"problem":[{"name":"trap","size":12}]}}`,
+		`{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop":[4,6]},"replicates":20000000}`,
 	}
 	for _, s := range append(seeds, defectDocs...) {
 		f.Add([]byte(s))

@@ -43,10 +43,12 @@ type Built struct {
 	plan *Plan
 }
 
-// RunOpts tunes Built.Run.
+// RunOpts tunes Built.Run and Sweep.Run.
 type RunOpts struct {
 	// OnStep fires after every generation of the engine models (live
-	// progress displays). Island/p2p/hga/sim runs ignore it.
+	// progress displays). Island/p2p/hga/sim runs ignore it. Sweep.Run
+	// calls it from its worker goroutines, for several cells at once, so
+	// a sweep's OnStep must be safe for concurrent use.
 	OnStep func(core.Status)
 	// Trace records the per-generation trace into the report.
 	Trace bool

@@ -3,9 +3,12 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Axis is one swept dimension: a dotted field path and the values it
@@ -218,6 +221,11 @@ func DeriveSeed(base uint64, cell, rep int) uint64 {
 	return h
 }
 
+// maxSweepRuns bounds what one sweep may expand to, cells × replicates:
+// the expansion is held in memory, so without a bound a one-line
+// document could exhaust it.
+const maxSweepRuns = 100000
+
 // Cells expands the sweep into its validated run matrix.
 func (s *Sweep) Cells() ([]Cell, *Error) {
 	if s.cells != nil {
@@ -238,9 +246,12 @@ func (s *Sweep) Cells() ([]Cell, *Error) {
 		}
 		dims[i] = len(ax.Values)
 		total *= dims[i]
-		if total > 100000 {
-			return nil, errf("sweep", "matrix expands to over 100000 cells")
+		if total > maxSweepRuns {
+			return nil, errf("sweep", "matrix expands to over %d cells", maxSweepRuns)
 		}
+	}
+	if reps > maxSweepRuns/total { // division: total*reps may overflow
+		return nil, errf("replicates", "%d cells × %d replicates expands to over %d runs", total, reps, maxSweepRuns)
 	}
 
 	baseDoc, err := s.Base.JSON()
@@ -328,7 +339,7 @@ func setPath(doc map[string]any, path string, v any) *Error {
 
 // run builds and runs the cell and labels the report with the cell's
 // coordinates. It depends on nothing but the cell, so the cells of a
-// sweep may run in any order.
+// sweep may run in any order and at the same time.
 func (c Cell) run(opts RunOpts) (*Report, error) {
 	b, err := Build(c.Spec)
 	if err != nil {
@@ -339,22 +350,60 @@ func (c Cell) run(opts RunOpts) (*Report, error) {
 	return rep, nil
 }
 
-// Run expands and runs every cell in order, returning one report per
-// cell×replicate. Deterministic for deterministic specs: the same
-// sweep document yields byte-identical marshalled reports on every
-// invocation.
+// Run expands the sweep, runs its cells on a pool of
+// runtime.GOMAXPROCS(0) workers — the GOMAXPROCS environment variable
+// is the cap on a shared host — and returns one report per
+// cell×replicate, in Cells order whatever order the cells finished in.
+// Deterministic for deterministic specs: the same sweep document yields
+// byte-identical marshalled reports on every invocation and for every
+// worker count, because a cell's report depends on the cell alone (run)
+// and each report is slotted by index.
+//
+// On failure Run returns the lowest failing cell's error and exactly
+// the reports of the cells before it, as a serial loop would: indices
+// are claimed in increasing order and a claimed cell always runs to
+// completion, so every cell below a failing one has finished by the
+// time the workers are joined. At most one runtime per worker is alive
+// at once, and no goroutine outlives the call.
 func (s *Sweep) Run(opts RunOpts) ([]*Report, error) {
+	return s.run(opts, runtime.GOMAXPROCS(0))
+}
+
+// run is Run on a given number of workers (at least one); the tests
+// compare worker counts through it.
+func (s *Sweep) run(opts RunOpts, workers int) ([]*Report, error) {
 	cells, cerr := s.Cells()
 	if cerr != nil {
 		return nil, cerr
 	}
-	reports := make([]*Report, 0, len(cells))
-	for _, c := range cells {
-		rep, err := c.run(opts)
+	if workers > len(cells) {
+		workers = len(cells)
+	}
+	reports := make([]*Report, len(cells))
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(cells) {
+					return
+				}
+				if reports[i], errs[i] = cells[i].run(opts); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			return reports, err
+			return reports[:i], err
 		}
-		reports = append(reports, rep)
 	}
 	return reports, nil
 }

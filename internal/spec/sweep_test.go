@@ -1,10 +1,16 @@
 package spec
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
+	"runtime"
+	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"pga/internal/core"
 	"pga/internal/rng"
 )
 
@@ -169,6 +175,7 @@ func TestSweepErrors(t *testing.T) {
 		{"empty axis", `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop":[]}}`, "sweep.engine.pop"},
 		{"bad range step", `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop":{"from":2,"to":8,"step":0}}}`, "sweep.engine.pop.step"},
 		{"negative replicates", `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"seed":[1]},"replicates":-1}`, "replicates"},
+		{"replicates past the run cap", `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop":[4,6]},"replicates":20000000}`, "replicates"},
 		{"unknown sweep key", `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"seed":[1]},"bogus":true}`, "(document)"},
 		{"path through scalar", `{"base":{"model":"generational","problem":{"name":"onemax","size":8},"seed":3},"sweep":{"seed.low":[1]}}`, "sweep.seed.low"},
 	}
@@ -242,33 +249,45 @@ func TestSweepCellMetadata(t *testing.T) {
 	}
 }
 
-// TestSweepOrderIndependent is the property a parallel sweep runner will
-// rest on: a cell's report depends on the cell alone. Each sweep — the
-// checked-in smoke document and one over every model's smoke spec, two
-// seeds by two replicates — is expanded once, its cells run in three
-// shuffled orders, and the reports, put back in (cell, replicate) order,
-// must marshal to the bytes Sweep.Run produces.
-func TestSweepOrderIndependent(t *testing.T) {
+// parseSweep parses a sweep document for a test.
+func parseSweep(t *testing.T, name, doc string) *Sweep {
+	t.Helper()
+	f, err := ParseFile([]byte(doc))
+	if err != nil || f.Sweep == nil {
+		t.Fatalf("%s: not a valid sweep: %v", name, err)
+	}
+	return f.Sweep
+}
+
+// testSweeps is the checked-in smoke document plus one sweep over every
+// model's smoke spec, two seeds by two replicates.
+func testSweeps(t *testing.T) map[string]*Sweep {
+	t.Helper()
 	smoke, err := os.ReadFile("../../examples/sweeps/smoke.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs := map[string]string{"smoke.json": string(smoke)}
+	sweeps := map[string]*Sweep{"smoke.json": parseSweep(t, "smoke.json", string(smoke))}
 	for model, base := range smokeSpecs {
-		docs[model] = `{"base":` + base + `,"sweep":{"seed":[3,4]},"replicates":2}`
+		sweeps[model] = parseSweep(t, model, `{"base":`+base+`,"sweep":{"seed":[3,4]},"replicates":2}`)
 	}
+	return sweeps
+}
+
+// TestSweepOrderIndependent is the property the parallel sweep runner
+// rests on: a cell's report depends on the cell alone. The cells of each
+// of testSweeps run in three shuffled orders, and the reports, put back
+// in (cell, replicate) order, must marshal to the bytes Sweep.Run
+// produces.
+func TestSweepOrderIndependent(t *testing.T) {
 	r := rng.New(7)
-	for name, doc := range docs {
-		f, err := ParseFile([]byte(doc))
+	for name, sw := range testSweeps(t) {
+		ran, err := sw.Run(RunOpts{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		serial, err := f.Sweep.Run(RunOpts{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want, _ := json.Marshal(serial)
-		cells, _ := f.Sweep.Cells()
+		want, _ := json.Marshal(ran)
+		cells, _ := sw.Cells()
 		for round := 0; round < 3; round++ {
 			reports := make([]*Report, len(cells))
 			for _, i := range r.Perm(len(cells)) {
@@ -279,8 +298,124 @@ func TestSweepOrderIndependent(t *testing.T) {
 			// Cells() lists cells in (cell, replicate) order, so slot i is
 			// where report i sorts to.
 			if got, _ := json.Marshal(reports); string(got) != string(want) {
-				t.Errorf("%s, shuffled order %d: reports differ from the serial run's\n%s\n%s", name, round, got, want)
+				t.Errorf("%s, shuffled order %d: reports differ from Sweep.Run's\n%s\n%s", name, round, got, want)
 			}
 		}
+	}
+}
+
+// TestSweepJobsIdentical: the marshalled reports of each of testSweeps
+// are the same bytes for one worker, two and more workers than the host
+// has cores.
+func TestSweepJobsIdentical(t *testing.T) {
+	for name, sw := range testSweeps(t) {
+		var want []byte
+		for _, workers := range []int{1, 2, 8} {
+			reports, err := sw.run(RunOpts{}, workers)
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", name, workers, err)
+			}
+			got, _ := json.Marshal(reports)
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%s: reports on %d workers differ from one worker's\n%s\n%s", name, workers, got, want)
+			}
+		}
+	}
+}
+
+// failingSweep is a 12-run sweep of the generational smoke spec (an
+// engine model, so OnStep fires) next to a copy whose run k validated
+// but cannot build: its problem name is swapped after expansion, which
+// no document can do.
+func failingSweep(t *testing.T, k int) (good, bad *Sweep) {
+	t.Helper()
+	doc := `{"base":` + smokeSpecs[ModelGenerational] + `,"sweep":{"seed":[3,4,5,6,7,8]},"replicates":2}`
+	good = parseSweep(t, "good", doc)
+	bad = parseSweep(t, "bad", doc)
+	bad.cells[k].Spec.Problem.Name = "no-such-problem"
+	return good, bad
+}
+
+// TestSweepErrorPrefix pins the serial error contract on the pool: a
+// sweep whose run k fails returns run k's located error and exactly the
+// k reports before it, equal to the all-good sweep's.
+func TestSweepErrorPrefix(t *testing.T) {
+	const k = 5
+	good, bad := failingSweep(t, k)
+	all, err := good.run(RunOpts{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(all[:k])
+	for _, workers := range []int{1, 4} {
+		reports, err := bad.run(RunOpts{}, workers)
+		if err == nil {
+			t.Fatalf("%d workers: the failing sweep ran", workers)
+		}
+		wantPath := "sweep(cell " + strconv.Itoa(bad.cells[k].Index) + ").problem.name"
+		if !hasPath(fieldPaths(t, err), wantPath) {
+			t.Errorf("%d workers: error paths %v do not mention %q", workers, fieldPaths(t, err), wantPath)
+		}
+		if len(reports) != k {
+			t.Fatalf("%d workers: %d reports, want the %d before the failing run", workers, len(reports), k)
+		}
+		if got, _ := json.Marshal(reports); !bytes.Equal(got, want) {
+			t.Errorf("%d workers: reports before the failure differ from the good sweep's\n%s\n%s", workers, got, want)
+		}
+	}
+}
+
+// poolWorkers counts the live goroutines running Sweep.run's worker
+// body. It reads the stack dump, not runtime.NumGoroutine, so goroutines
+// other tests of the package left winding down do not move it.
+func poolWorkers() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("spec.(*Sweep).run.func"))
+}
+
+// TestSweepRunJoinsWorkers: Run leaves no pool worker behind, whether it
+// succeeds or fails.
+func TestSweepRunJoinsWorkers(t *testing.T) {
+	good, bad := failingSweep(t, 3)
+	var seen atomic.Int64 // proves poolWorkers can see a worker at all
+	if _, err := good.run(RunOpts{OnStep: func(core.Status) { seen.Add(int64(poolWorkers())) }}, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bad.run(RunOpts{}, 4); err == nil {
+		t.Fatal("the failing sweep ran")
+	}
+	// A joined worker has called Done but may still be returning, so
+	// give it a moment to leave.
+	deadline := time.Now().Add(3 * time.Second)
+	for poolWorkers() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pool workers alive after Run returned", poolWorkers())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if seen.Load() == 0 {
+		t.Fatal("poolWorkers saw no worker during the run: the stack pattern is stale")
+	}
+}
+
+// TestSweepOnStepConcurrent: OnStep is called from the worker
+// goroutines, once per generation of every cell, so it must be — and
+// here is — safe for concurrent use.
+func TestSweepOnStepConcurrent(t *testing.T) {
+	doc := `{"base":` + smokeSpecs[ModelGenerational] + `,"sweep":{"seed":[3,4,5,6]},"replicates":2}`
+	sw := parseSweep(t, "onstep", doc)
+	var steps atomic.Int64
+	reports, err := sw.run(RunOpts{OnStep: func(core.Status) { steps.Add(1) }}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, rep := range reports {
+		want += int64(rep.Generations)
+	}
+	if steps.Load() != want || want == 0 {
+		t.Errorf("OnStep fired %d times for %d generations", steps.Load(), want)
 	}
 }
