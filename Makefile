@@ -13,24 +13,25 @@ build:
 test:
 	$(GO) test ./...
 
-# Race coverage for every concurrent runtime.
+# Race coverage for every concurrent runtime, and for the fitness
+# kernels whose one instance farm workers and islands share.
 race:
 	$(GO) test -race ./internal/island/... ./internal/supervise/... \
 		./internal/masterslave/... ./internal/cellular/... ./internal/p2p/... \
 		./internal/hga/... ./internal/ga/... \
-		./internal/transport/... ./internal/spec/...
+		./internal/transport/... ./internal/spec/... ./internal/problems/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Perf gate: hard allocation budgets on the generation hot path (zero
 # steady-state allocs for the sequential engines, small fixed budgets
-# for parallel/island, one buffer per encoded migrant batch), then the JSON benchmark report vs the seed
+# for parallel/island and the master–slave farm, one buffer per encoded migrant batch), then the JSON benchmark report vs the seed
 # baselines (BENCH_8.json — uploaded as a CI artifact). -gate 1.0
 # fails the target when a gated word-path benchmark stops beating its
 # seed baseline.
 perf:
-	$(GO) test -run 'AllocBudget' -count=1 ./internal/ga/ ./internal/cellular/ ./internal/island/ ./internal/transport/
+	$(GO) test -run 'AllocBudget' -count=1 ./internal/ga/ ./internal/cellular/ ./internal/island/ ./internal/masterslave/ ./internal/transport/
 	$(GO) run ./cmd/pgabench -json -quick -gate 1.0 -out BENCH_8.json
 
 # Cross-commit comparison on this host, by the benchmark's own rules
@@ -63,13 +64,14 @@ lint:
 # BitString vs its []bool reference model, the run-spec parser
 # (structured errors, never panics) and its validate-vs-build
 # differential (accepted specs build and run, refused ones are refused
-# identically by Build), and the bit-sliced MaxSAT kernel vs the
-# per-literal reference.
+# identically by Build), and the bit-sliced MaxSAT and NK kernels vs
+# their per-literal and per-gene references.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalPopulation -fuzztime=30s ./internal/persist/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/transport/
 	$(GO) test -fuzz=FuzzBitStringOps -fuzztime=30s ./internal/genome/
 	$(GO) test -fuzz=FuzzMaxSATBatch -fuzztime=30s ./internal/problems/
+	$(GO) test -fuzz=FuzzNKBatch -fuzztime=30s ./internal/problems/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/spec/
 	$(GO) test -fuzz=FuzzValidateBuild -fuzztime=30s ./internal/spec/
 

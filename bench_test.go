@@ -230,8 +230,9 @@ func BenchmarkBatchEvaluate(b *testing.B) {
 // set of a 200-individual generation (199 genomes of 256 bits, the
 // evalheavy-gen and wire-ring2 shape): Evaluate genome by genome and,
 // where the problem has a batch form, one EvaluateBatch call. For maxsat
-// that is the flat scalar kernel against the bit-sliced one; nk has the
-// flat-table scalar kernel only.
+// that is the flat scalar kernel against the bit-sliced one (64 genomes
+// per word), for nk the flat-table scalar kernel against the lane kernel
+// (eight genomes per locus load).
 func BenchmarkEvaluate(b *testing.B) {
 	for _, key := range []string{"maxsat", "nk"} {
 		spec, err := problems.Lookup(key)

@@ -151,6 +151,25 @@ func rankedInto(s *bestSorter, pop *core.Population, dir core.Direction) []int {
 	return s.idx
 }
 
+// topInto returns the indices of the count best members, best → worst:
+// rankedInto's first count entries, without the sort when that is at most
+// one. Best takes the first member no other is strictly Better than —
+// ties go to the lowest index — which is where the stable sort puts it.
+func topInto(s *bestSorter, pop *core.Population, dir core.Direction, count int) []int {
+	switch count {
+	case 0:
+		return nil
+	case 1:
+		if cap(s.idx) == 0 {
+			s.idx = make([]int, 1)
+		}
+		s.idx = s.idx[:1]
+		s.idx[0] = pop.Best(dir)
+		return s.idx
+	}
+	return rankedInto(s, pop, dir)[:count]
+}
+
 // Generational is the classic generational GA: each step builds a new
 // population from selected, recombined and mutated offspring, preserving
 // Elitism top individuals; with GenGap < 1 only that fraction of the
@@ -284,7 +303,9 @@ func (e *Generational) Step() {
 		made += 2
 	}
 
-	ranked := rankedInto(&e.ranker, e.pop, e.dir) // best → worst
+	// The members that live on, best → worst: the elite and, with GenGap
+	// < 1, the survivors of the slots no birth fills.
+	ranked := topInto(&e.ranker, e.pop, e.dir, n-births)
 	// Elites survive unchanged.
 	for i := 0; i < cfg.Elitism; i++ {
 		e.next.Members[i].CopyFrom(e.pop.Members[ranked[i]])

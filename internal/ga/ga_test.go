@@ -113,6 +113,40 @@ func TestGenerationalGenGap(t *testing.T) {
 	}
 }
 
+// TestTopIntoMatchesRanking: the elite the engines take without sorting
+// is the stable sort's — random populations whose fitness is drawn from a
+// handful of values, so ties are everywhere, in both directions; the best
+// may sit first, last or be the whole population.
+func TestTopIntoMatchesRanking(t *testing.T) {
+	r := rng.New(11)
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + r.Intn(40)
+		levels := 1 + r.Intn(5)
+		pop := core.NewPopulation(n)
+		for i := 0; i < n; i++ {
+			ind := core.NewIndividual(genome.NewBitString(1))
+			ind.Fitness, ind.Evaluated = float64(r.Intn(levels)), true
+			pop.Members = append(pop.Members, ind)
+		}
+		for _, dir := range []core.Direction{core.Maximize, core.Minimize} {
+			var full, top bestSorter
+			ranked := rankedInto(&full, pop, dir)
+			for _, count := range []int{0, 1, 2, n} {
+				got := topInto(&top, pop, dir, count)
+				if len(got) != count {
+					t.Fatalf("topInto(%d) returned %d indices", count, len(got))
+				}
+				for i := range got {
+					if got[i] != ranked[i] {
+						t.Fatalf("trial %d, direction %v, %d members: topInto(%d)[%d] = %d, ranking has %d",
+							trial, dir, n, count, i, got[i], ranked[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGenerationalPopulationSizeStable(t *testing.T) {
 	for _, gap := range []float64{0.1, 0.5, 0.9, 1.0} {
 		cfg := baseConfig(7)

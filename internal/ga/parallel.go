@@ -149,7 +149,7 @@ func (e *ParallelGenerational) Step() {
 		e.counts[w] = 0
 	}
 
-	ranked := rankedInto(&e.ranker, e.pop, e.dir)
+	ranked := topInto(&e.ranker, e.pop, e.dir, cfg.Elitism)
 	for i := 0; i < cfg.Elitism; i++ {
 		e.next.Members[i].CopyFrom(e.pop.Members[ranked[i]])
 	}

@@ -72,10 +72,10 @@ func allocGateCases() []allocGateCase {
 			RNG:       rng.New(1),
 		}
 	}
-	// The compiled fitness kernels: MaxSAT's bit-sliced batch form (its
-	// 8 KiB lane tile and counter planes must stay on the evaluator's
-	// stack) under the generational engine, its scalar kernel under
-	// steady-state births, and NK's flat tables. 199 pending genomes of
+	// The compiled fitness kernels: the bit-sliced batch forms of MaxSAT
+	// and NK (their 8 KiB lane tiles and counter planes must stay on the
+	// evaluator's stack) under the generational engine, and MaxSAT's
+	// scalar kernel under steady-state births. 199 pending genomes of
 	// 100 bits leave a 7-lane last block and a partial transpose block.
 	bits := func(p core.Problem) Config {
 		return Config{

@@ -1,8 +1,15 @@
-package genome
+package genome_test
+
+// An external test package: the word-kernel operators under test import
+// genome.
 
 import (
 	"math/bits"
 	"testing"
+
+	"pga/internal/genome"
+	"pga/internal/operators"
+	"pga/internal/rng"
 )
 
 // FuzzBitStringOps drives a packed BitString and a naive []bool
@@ -11,10 +18,14 @@ import (
 // decodes an operation plus operands from the fuzz input, applies it to
 // both representations, and checks the observable result and the
 // tail-mask invariant (bits at positions >= N in the final word stay
-// zero — the contract every whole-word fast path relies on). Lengths
-// are folded into [1, 200], which covers the empty-tail (n%64 == 0),
-// one-word, word-boundary (64/65) and multi-word shapes; the seed
-// corpus pins those boundaries plus word-straddling Uint windows.
+// zero — the contract every whole-word fast path relies on, and the
+// bit-sliced fitness kernels too: their gather reads Words whole). Two
+// ops go through the ChanceMask word kernels, BitFlip.Mutate and the
+// uniform crossover's swap against a mate string, modelled by one Chance
+// per gene on a twin stream. Lengths are folded into [1, 200], which
+// covers the empty-tail (n%64 == 0), one-word, word-boundary (64/65) and
+// multi-word shapes; the seed corpus pins those boundaries plus
+// word-straddling Uint windows.
 func FuzzBitStringOps(f *testing.F) {
 	straddle := []byte{
 		5, 60, 70, 0xAB, 0xCD, // SetUint across the word 0/1 boundary
@@ -27,11 +38,23 @@ func FuzzBitStringOps(f *testing.F) {
 	f.Add(uint16(128), straddle)
 	f.Add(uint16(130), straddle)
 	f.Add(uint16(1), []byte{0, 0, 1, 1, 0, 2, 0, 0})
+	// The ChanceMask kernels on lengths with a partial tail word: flips
+	// at the default rate, at 1 and at a half, swaps at 1 and at a half.
+	kernels := []byte{6, 0, 6, 255, 7, 255, 6, 128, 7, 128, 5, 60, 70, 0xAB, 0xCD, 7, 40, 6, 255}
+	f.Add(uint16(65), kernels)
+	f.Add(uint16(100), kernels)
+	f.Add(uint16(130), kernels)
 
 	f.Fuzz(func(t *testing.T, rawN uint16, prog []byte) {
 		n := int(rawN)%200 + 1
-		b := NewBitString(n)
+		b := genome.NewBitString(n)
 		model := make([]bool, n)
+		// The crossover's other parent, the two children it writes, and
+		// twin streams: r feeds the kernels, ref the per-gene model.
+		mate, c1, c2 := genome.NewBitString(n), genome.NewBitString(n), genome.NewBitString(n)
+		mateModel := make([]bool, n)
+		r, ref := rng.New(uint64(rawN)), rng.New(uint64(rawN))
+		var scratch operators.Scratch
 
 		// next decodes one operand byte, zero when the program runs dry.
 		pc := 0
@@ -67,7 +90,7 @@ func FuzzBitStringOps(f *testing.F) {
 		}
 
 		for step := 0; pc < len(prog); step++ {
-			switch op := next() % 6; op {
+			switch op := next() % 8; op {
 			case 0: // Set
 				i, v := index(), next()&1 == 1
 				b.Set(i, v)
@@ -105,9 +128,35 @@ func FuzzBitStringOps(f *testing.F) {
 					model[i] = v&1 == 1
 					v >>= 1
 				}
+			case 6: // BitFlip.Mutate: one XOR of a ChanceMask per word
+				m := operators.BitFlip{P: float64(next()) / 255}
+				m.Mutate(b, r)
+				p := m.P
+				if p <= 0 {
+					p = 1 / float64(n)
+				}
+				for i := range model {
+					if ref.Chance(p) {
+						model[i] = !model[i]
+					}
+				}
+			case 7: // Uniform.CrossInto: copy both parents, swap under a ChanceMask per word
+				p := float64(next()) / 255
+				operators.Uniform{P: p}.CrossInto(b, mate, c1, c2, r, &scratch)
+				b, mate, c1, c2 = c1, c2, b, mate
+				if p <= 0 {
+					p = 0.5 // Uniform's default
+				}
+				for i := range model {
+					if ref.Chance(p) {
+						model[i], mateModel[i] = mateModel[i], model[i]
+					}
+				}
 			}
-			if tail := b.Words[len(b.Words)-1] &^ TailMask(n); tail != 0 {
-				t.Fatalf("step %d: tail-mask invariant broken, stray bits %064b (n=%d)", step, tail, n)
+			for _, s := range []*genome.BitString{b, mate} {
+				if tail := s.Words[len(s.Words)-1] &^ genome.TailMask(n); tail != 0 {
+					t.Fatalf("step %d: tail-mask invariant broken, stray bits %064b (n=%d)", step, tail, n)
+				}
 			}
 		}
 
@@ -132,8 +181,8 @@ func FuzzBitStringOps(f *testing.F) {
 		if sum != ones {
 			t.Fatalf("final: raw word popcount %d disagrees with model %d (n=%d)", sum, ones, n)
 		}
-		if rt := BitStringFromBools(toBools(b)); !rt.Equal(b) {
-			t.Fatalf("final: toBools/FromBools round trip diverged (n=%d)", n)
+		if !genome.BitStringFromBools(model).Equal(b) || !genome.BitStringFromBools(mateModel).Equal(mate) {
+			t.Fatalf("final: FromBools of the model diverged from the packed words (n=%d)", n)
 		}
 	})
 }

@@ -329,7 +329,8 @@ func TestFarmBatchMatchesScalarFarm(t *testing.T) {
 	// The batched farm must produce the same fitness assignment as a farm
 	// whose problem has no batch seam — for a core.BatchProblem and for a
 	// core.Batcher, whose one instance the workers share concurrently.
-	for _, prob := range []core.Problem{problems.OneMax{N: 64}, problems.NewMaxSAT(100, 400, 1)} {
+	for _, prob := range []core.Problem{problems.OneMax{N: 64}, problems.NewMaxSAT(100, 400, 1),
+		problems.NewNKLandscape(100, 4, 1)} {
 		batched := freshPop(prob, 50, 5)
 		scalar := freshPop(prob, 50, 5)
 
@@ -341,6 +342,33 @@ func TestFarmBatchMatchesScalarFarm(t *testing.T) {
 			if batched.Members[i].Fitness != scalar.Members[i].Fitness {
 				t.Fatalf("%s member %d: batched %v != scalar %v", prob.Name(), i,
 					batched.Members[i].Fitness, scalar.Members[i].Fitness)
+			}
+		}
+	}
+}
+
+// TestAllocBudget: a fault-free farm's EvaluateAll allocates a fixed
+// amount per call — the pending list, and per worker its goroutine and
+// its genome and fitness slices — whatever the population size. The
+// bit-sliced batch forms must add nothing to it: their lane tiles live on
+// the worker goroutines' stacks, so NK and MaxSAT are held to what the
+// same farm spends on OneMax, whose batch form has no scratch at all.
+func TestAllocBudget(t *testing.T) {
+	perCall := func(prob core.Problem, size int) float64 {
+		f := NewFarm(1, Uniform(3))
+		pop := freshPop(prob, size, 5)
+		return testing.AllocsPerRun(20, func() {
+			for _, ind := range pop.Members {
+				ind.Evaluated = false
+			}
+			f.EvaluateAll(prob, pop)
+		})
+	}
+	budget := perCall(problems.OneMax{N: 100}, 200)
+	for _, prob := range []core.Problem{problems.NewNKLandscape(100, 4, 1), problems.NewMaxSAT(100, 400, 1)} {
+		for _, size := range []int{50, 200} {
+			if avg := perCall(prob, size); avg > budget {
+				t.Errorf("farm/%s, %d members: %.1f allocs per EvaluateAll, budget %.0f", prob.Name(), size, avg, budget)
 			}
 		}
 	}

@@ -223,7 +223,9 @@ func (p RoyalRoad) Solved(f float64) bool { return f >= p.Optimum() }
 // TargetAware.
 //
 // The instance is held compiled: both tables flat, so an evaluation is one
-// pass over loci with no slice-of-slices hop and no branch per bit.
+// pass over loci with no slice-of-slices hop and no branch per bit. It has
+// two kernels over them: the scalar one below, and in batch.go a lane
+// kernel that serves eight genomes per locus load.
 type NKLandscape struct {
 	n, k int
 	// loci holds k+1 gene indices per gene — gene i's at
@@ -235,11 +237,18 @@ type NKLandscape struct {
 	table []float64
 }
 
+// nkMaxPattern bounds k+1, the bits of a table index: 2^24 contributions
+// per gene is already 128 MiB.
+const nkMaxPattern = 24
+
 // nkInstance draws an NK instance in source form: links[i] are the k+1
 // loci feeding gene i's table, table[i][pattern] its contribution.
 func nkInstance(n, k int, seed uint64) (links [][]int, table [][]float64) {
-	if k >= n {
-		panic("problems: NK requires k < n")
+	if k < 0 || k >= n {
+		panic(fmt.Sprintf("problems: NK requires 0 <= k < n, got n=%d k=%d", n, k))
+	}
+	if k+1 > nkMaxPattern {
+		panic(fmt.Sprintf("problems: NK requires k+1 <= %d (2^(k+1) contributions per gene), got k=%d", nkMaxPattern, k))
 	}
 	r := rng.New(seed)
 	links = make([][]int, n)
@@ -263,7 +272,8 @@ func nkInstance(n, k int, seed uint64) (links [][]int, table [][]float64) {
 }
 
 // NewNKLandscape creates an NK instance with n genes, k epistatic links per
-// gene, drawn from seed.
+// gene, drawn from seed. It panics unless 0 <= k < n and k+1 <= 24: the
+// kernels index a 2^(k+1)-entry table per gene.
 func NewNKLandscape(n, k int, seed uint64) *NKLandscape {
 	links, table := nkInstance(n, k, seed)
 	p := &NKLandscape{n: n, k: k,

@@ -1,6 +1,7 @@
 package problems_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"pga/internal/core"
@@ -17,15 +18,15 @@ import (
 // cell to expand plus one per run — where the validate/build pair it
 // replaced constructed 4–6 times per flag run and ≈ 5 per sweep cell.
 func TestSpecConstructsProblemOnce(t *testing.T) {
-	made := 0
+	var made atomic.Int64 // a sweep's cells are built on Sweep.Run's worker goroutines
 	problems.Registry["counted"] = problems.Spec{Key: "counted", MinSize: 1,
-		Make: func(size int, _ uint64) core.Problem { made++; return problems.OneMax{N: size} }}
+		Make: func(size int, _ uint64) core.Problem { made.Add(1); return problems.OneMax{N: size} }}
 	defer delete(problems.Registry, "counted")
 	count := func(what string, want int, f func()) {
 		t.Helper()
-		made = 0
-		if f(); made != want {
-			t.Errorf("%s constructed the problem %d times, want %d", what, made, want)
+		made.Store(0)
+		if f(); made.Load() != int64(want) {
+			t.Errorf("%s constructed the problem %d times, want %d", what, made.Load(), want)
 		}
 	}
 

@@ -1,7 +1,9 @@
 package problems
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"pga/internal/core"
@@ -183,13 +185,22 @@ func TestNKEpistasis(t *testing.T) {
 	}
 }
 
+// TestNKPanicsOnBadK: every k the kernels cannot index — k >= n, k < 0
+// (which used to die inside rng.Sample) and a table too large to allocate
+// (which used to die in make) — is refused by name before anything is
+// drawn or allocated.
 func TestNKPanicsOnBadK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for k >= n")
-		}
-	}()
-	NewNKLandscape(4, 4, 1)
+	for _, nk := range [][2]int{{4, 4}, {10, -1}, {100, 24}, {100, 70}} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.HasPrefix(msg, "problems: NK requires") {
+					t.Fatalf("NewNKLandscape(%d, %d): recovered %q, want a problems: NK panic", nk[0], nk[1], msg)
+				}
+			}()
+			NewNKLandscape(nk[0], nk[1], 1)
+		}()
+	}
 }
 
 func TestSubsetSumPerfectSolutionExists(t *testing.T) {
