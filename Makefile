@@ -13,12 +13,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Race coverage for every concurrent runtime, and for the fitness
-# kernels whose one instance farm workers and islands share.
+# Race coverage for every concurrent runtime, for the run loop that
+# polls their shared context, and for the fitness kernels whose one
+# instance farm workers and islands share.
 race:
-	$(GO) test -race ./internal/island/... ./internal/supervise/... \
+	$(GO) test -race ./internal/engine/... ./internal/island/... ./internal/supervise/... \
 		./internal/masterslave/... ./internal/cellular/... ./internal/p2p/... \
-		./internal/hga/... ./internal/ga/... \
+		./internal/hga/... ./internal/sim/... ./internal/ga/... \
 		./internal/transport/... ./internal/spec/... ./internal/problems/...
 
 bench:
@@ -26,13 +27,14 @@ bench:
 
 # Perf gate: hard allocation budgets on the generation hot path (zero
 # steady-state allocs for the sequential engines, small fixed budgets
-# for parallel/island and the master–slave farm, one buffer per encoded migrant batch), then the JSON benchmark report vs the seed
-# baselines (BENCH_8.json — uploaded as a CI artifact). -gate 1.0
-# fails the target when a gated word-path benchmark stops beating its
-# seed baseline.
+# for parallel/island and the master–slave farm, one buffer per encoded
+# migrant batch), then one short pass of the repo's benchmark on its
+# default-path workload, which exits non-zero when the run fails its own
+# correctness gate. Timings are compared between commits on one host
+# (perf-compare below), never against recorded constants.
 perf:
 	$(GO) test -run 'AllocBudget' -count=1 ./internal/ga/ ./internal/cellular/ ./internal/island/ ./internal/masterslave/ ./internal/transport/
-	$(GO) run ./cmd/pgabench -json -quick -gate 1.0 -out BENCH_8.json
+	$(GO) run ./cmd/pgaperf -workload bitwise-gen -seconds 5 -trace 0
 
 # Cross-commit comparison on this host, by the benchmark's own rules
 # (cmd/pgaperf/README.md, "Comparing two commits by hand"): BASE is

@@ -128,7 +128,7 @@ func BenchmarkIslandGeneration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.RunSequential(MaxGenerations(1), false)
+		m.RunSequential(MaxGenerations(1), Control{})
 	}
 }
 

@@ -8,13 +8,8 @@
 //	pgabench -quick        # reduced sizes (seconds; smoke test)
 //	pgabench -list         # list experiment IDs
 //	pgabench -run E02,E06  # run selected experiments
-//	pgabench -json -quick  # hot-path micro-benchmarks + experiment
-//	                       # timings as JSON (-out, default BENCH_8.json)
-//	pgabench -json -quick -gate 1.0
-//	                       # same, failing (exit 1) when a gated
-//	                       # benchmark's time_ratio drops below 1.0
-//	                       # or its allocs/op stops beating the seed
-//	                       # baseline by the same factor
+//
+// Performance is measured by cmd/pgaperf (see its README), not here.
 package main
 
 import (
@@ -31,9 +26,6 @@ func main() {
 	quick := flag.Bool("quick", false, "run with reduced sizes")
 	list := flag.Bool("list", false, "list experiments and exit")
 	runIDs := flag.String("run", "", "comma-separated experiment IDs (default: all)")
-	jsonOut := flag.Bool("json", false, "emit micro-benchmarks + experiment timings as JSON")
-	outPath := flag.String("out", "BENCH_8.json", "output path for -json")
-	gateMin := flag.Float64("gate", 0, "with -json: fail when a gated benchmark's time_ratio is below this or its allocs/op misses the seed baseline by the same factor (0 disables)")
 	flag.Parse()
 
 	if *list {
@@ -56,14 +48,6 @@ func main() {
 			}
 			selected = append(selected, e)
 		}
-	}
-
-	if *jsonOut {
-		if err := runJSON(selected, *quick, *outPath, *gateMin); err != nil {
-			fmt.Fprintf(os.Stderr, "pgabench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	mode := "full"

@@ -332,3 +332,49 @@ func TestUnknownTopologyIsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestInterruptedIslandReportsAndExits: SIGINT cancels the island's run
+// instead of killing the process — it still closes its endpoint, prints
+// its "done:" line and its result JSON, stopped "cancelled" short of the
+// budget, and exits 130. Its peer loses it and runs on.
+func TestInterruptedIslandReportsAndExits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process integration test skipped in -short mode")
+	}
+	bin := buildIsland(t, t.TempDir())
+	logs := logDir(t)
+	exch := t.TempDir()
+	islands := make([]*proc, 2)
+	for i := range islands {
+		// Logged as island-10/11.log, apart from the other test's files in
+		// a shared log directory; the later -self is the one that counts.
+		islands[i] = startIsland(t, bin, logs, 10+i, "-self", fmt.Sprint(i),
+			"-listen", "127.0.0.1:0", "-addrfile", filepath.Join(exch, fmt.Sprintf("addr.%d", i)),
+			"-peersfile", filepath.Join(exch, "peers"))
+	}
+	publishPeers(t, exch, collectAddrs(t, exch, 2))
+
+	time.Sleep(300 * time.Millisecond) // 250 paced generations take over a second
+	if err := islands[0].cmd.Process.Signal(syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	err := islands[0].cmd.Wait()
+	islands[0].log.Close()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 130 {
+		t.Fatalf("interrupted island: exit = %v, want status 130", err)
+	}
+	var cut islandResult
+	if jerr := json.Unmarshal(islands[0].stdout.Bytes(), &cut); jerr != nil {
+		t.Fatalf("interrupted island printed no result JSON (%v): %q", jerr, islands[0].stdout)
+	}
+	if cut.StopReason != "cancelled" || cut.Generations <= 0 || cut.Generations >= 250 {
+		t.Errorf("interrupted island: %+v, want cancelled mid-run", cut)
+	}
+	logged, _ := os.ReadFile(filepath.Join(logs, "island-10.log"))
+	if !bytes.Contains(logged, []byte("done: best=")) {
+		t.Errorf("interrupted island logged no done: line:\n%s", logged)
+	}
+	if peer := islands[1].wait(t); peer.Generations != 250 || peer.StopReason != "max generations" {
+		t.Errorf("the surviving peer: %+v, want its full 250 generations", peer)
+	}
+}

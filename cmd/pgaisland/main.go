@@ -31,16 +31,21 @@
 // schedule is reproducible byte for byte.
 //
 // The final result is printed to stdout as a single JSON object;
-// progress and transport diagnostics go to stderr.
+// progress and transport diagnostics go to stderr. Ctrl-C (SIGINT)
+// cancels the island's context: it stops within one generation, still
+// closes its endpoint, prints its "done:" line and the JSON (stop_reason
+// "cancelled") and exits 130; a second Ctrl-C kills the process.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -203,6 +208,11 @@ func main() {
 		},
 	}
 
+	// SIGINT cancels the run; once cancelled the default disposition is
+	// back, so a second one kills.
+	ctx, restore := signal.NotifyContext(context.Background(), os.Interrupt)
+	context.AfterFunc(ctx, restore)
+
 	start := time.Now()
 	res := island.RunWire(island.WireConfig{
 		Self:      *self,
@@ -212,6 +222,7 @@ func main() {
 		Engine:    cfg.NewEngine(*self, engineRNG),
 		MigRNG:    migRNG,
 		MaxGens:   *gens,
+		Context:   ctx,
 		Observers: []engine.Observer{obs},
 	})
 	// Close before reading stats so in-flight queues drain or dead-letter.
@@ -238,6 +249,9 @@ func main() {
 	enc := json.NewEncoder(os.Stdout)
 	if err := enc.Encode(out); err != nil {
 		log.Fatal(err)
+	}
+	if ctx.Err() != nil {
+		os.Exit(130)
 	}
 }
 

@@ -20,13 +20,20 @@
 //	pgarun -config examples/sweeps/onemax-demes.json -out results.json
 //	pgarun -config examples/sweeps/onemax-demes.json -validate
 //	pgarun -list
+//
+// Ctrl-C (SIGINT) cancels the run's context: the run stops within one
+// generation, the partial report — or, for a sweep, the prefix of finished
+// runs — is still printed or written to -out, and pgarun exits 130. A
+// second Ctrl-C kills the process.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 
 	"pga/internal/core"
 	"pga/internal/problems"
@@ -69,8 +76,15 @@ func main() {
 	}
 	checkFlags(*configPath != "")
 
+	// The one context of the process: SIGINT cancels it, and once it is
+	// cancelled the default disposition is back, so a second one kills.
+	ctx, restore := signal.NotifyContext(context.Background(), os.Interrupt)
+	context.AfterFunc(ctx, restore)
+	opts := spec.RunOpts{}
+	opts.Context = ctx
+
 	if *configPath != "" {
-		runConfig(*configPath, *out, *validate, *quiet)
+		runConfig(*configPath, *out, *validate, *quiet, opts)
 		return
 	}
 
@@ -98,13 +112,23 @@ func main() {
 		fmt.Printf("%s\n", doc)
 		return
 	}
-	onStep := func(st core.Status) {
+	opts.OnStep = func(st core.Status) {
 		if !*quiet && st.Generation%25 == 0 {
 			fmt.Printf("gen %4d  best %.6g  evals %d\n", st.Generation, st.BestFitness, st.Evaluations)
 		}
 	}
 	b := plan.Build()
-	printReport(b.Run(spec.RunOpts{OnStep: onStep}), b)
+	printReport(b.Run(opts), b)
+	exitIfInterrupted(opts)
+}
+
+// exitIfInterrupted ends an interrupted process with status 130, after
+// its partial results are out.
+func exitIfInterrupted(opts spec.RunOpts) {
+	if opts.Context.Err() != nil {
+		fmt.Fprintln(os.Stderr, "pgarun: interrupted: the results are partial")
+		os.Exit(130)
+	}
 }
 
 // configFlags are the flags a -config run reads; -out means nothing
@@ -218,8 +242,8 @@ func printReport(rep *spec.Report, b *spec.Built) {
 	}
 }
 
-// runConfig runs (or just validates) a spec/sweep document.
-func runConfig(path, out string, validateOnly, quiet bool) {
+// runConfig runs (or just validates) a spec/sweep document under opts.
+func runConfig(path, out string, validateOnly, quiet bool, opts spec.RunOpts) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fail(err)
@@ -238,8 +262,9 @@ func runConfig(path, out string, validateOnly, quiet bool) {
 		if berr != nil {
 			fail(berr)
 		}
-		rep := b.Run(spec.RunOpts{})
+		rep := b.Run(opts)
 		writeResults(out, []*spec.Report{rep})
+		exitIfInterrupted(opts)
 		return
 	}
 
@@ -248,14 +273,16 @@ func runConfig(path, out string, validateOnly, quiet bool) {
 		fmt.Printf("%s: valid sweep (%d cells × %d axes)\n", path, len(cells), len(f.Sweep.Axes))
 		return
 	}
-	reports, rerr := f.Sweep.Run(spec.RunOpts{})
-	if rerr != nil {
+	reports, rerr := f.Sweep.Run(opts)
+	if rerr != nil && opts.Context.Err() == nil {
 		fail(rerr)
 	}
 	if !quiet {
 		fmt.Fprintf(os.Stderr, "pgarun: %d runs complete\n", len(reports))
 	}
+	// An interrupted sweep still writes the runs that finished.
 	writeResults(out, reports)
+	exitIfInterrupted(opts)
 }
 
 // writeResults marshals the run reports to -out (or stdout).

@@ -1,15 +1,29 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 const smoke = "../../examples/sweeps/smoke.json"
+
+// buildPgarun builds the binary under test into dir.
+func buildPgarun(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "pgarun")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build pgarun: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // TestIgnoredFlagsAreRefused: a flag that would be silently ignored — a
 // model flag next to -config, -out without it — exits 2 with the flag
@@ -17,10 +31,7 @@ const smoke = "../../examples/sweeps/smoke.json"
 // (under -validate too). -list still lists whatever else is set.
 func TestIgnoredFlagsAreRefused(t *testing.T) {
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "pgarun")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build pgarun: %v\n%s", err, out)
-	}
+	bin := buildPgarun(t, dir)
 	flood := filepath.Join(dir, "flood.json")
 	doc := `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop":[4,6]},"replicates":20000000}`
 	if err := os.WriteFile(flood, []byte(doc), 0o644); err != nil {
@@ -49,5 +60,85 @@ func TestIgnoredFlagsAreRefused(t *testing.T) {
 	}
 	if out, err := exec.Command(bin, "-config", smoke, "-list").Output(); err != nil || !strings.Contains(string(out), "onemax") {
 		t.Errorf("-config X -list: err %v, output %q; want the problem list", err, out)
+	}
+}
+
+// TestInterruptWritesPartialResults: SIGINT cancels the run instead of
+// killing the process. A single run still prints its report, stopped
+// "cancelled"; a sweep still writes the runs that finished to -out; both
+// exit 130.
+func TestInterruptWritesPartialResults(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildPgarun(t, dir)
+	exit130 := func(what string, err error, stderr *bytes.Buffer) {
+		t.Helper()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 130 {
+			t.Fatalf("%s: exit = %v, want status 130; stderr: %s", what, err, stderr)
+		}
+		if !strings.Contains(stderr.String(), "interrupted") {
+			t.Errorf("%s: stderr does not say the run was interrupted: %s", what, stderr)
+		}
+	}
+
+	// A run that cannot end by itself, interrupted at its first progress
+	// line — which the default islands model now prints.
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-problem", "nk", "-size", "128", "-gens", "100000000")
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	lines := bufio.NewScanner(stdout)
+	if !lines.Scan() || !strings.HasPrefix(lines.Text(), "gen ") {
+		t.Fatalf("no progress line from an islands run: %q", lines.Text())
+	}
+	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	var rest []string
+	for lines.Scan() {
+		rest = append(rest, lines.Text())
+	}
+	exit130("single run", cmd.Wait(), &stderr)
+	if out := strings.Join(rest, "\n"); !strings.Contains(out, `stop="cancelled"`) || !strings.Contains(out, "islands: migrations=") {
+		t.Errorf("the interrupted run did not print its partial report:\n%s", out)
+	}
+
+	// A sweep on one worker whose second cell cannot end by itself.
+	doc := filepath.Join(dir, "endless.json")
+	out := filepath.Join(dir, "out.json")
+	sweep := `{"base":{"model":"generational","problem":{"name":"nk","size":128},"engine":{"pop":10},"seed":1},"sweep":{"budget.generations":[5,100000000]}}`
+	if err := os.WriteFile(doc, []byte(sweep), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stderr.Reset()
+	cmd = exec.Command(bin, "-config", doc, "-out", out)
+	cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Second) // cell 0 is five generations; cell 1 is running
+	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	exit130("sweep", cmd.Wait(), &stderr)
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("the interrupted sweep wrote no result file: %v", err)
+	}
+	var reports []struct {
+		Generations int    `json:"generations"`
+		Stop        string `json:"stop"`
+	}
+	if err := json.Unmarshal(data, &reports); err != nil {
+		t.Fatalf("result file: %v\n%s", err, data)
+	}
+	if len(reports) != 1 || reports[0].Generations != 5 || reports[0].Stop != "max generations" {
+		t.Errorf("result file holds %+v, want exactly the finished first cell", reports)
 	}
 }

@@ -38,7 +38,7 @@ func ExampleNewIslands() {
 		Migration: pga.Migration{Interval: 5, Count: 1},
 		Seed:      1,
 	})
-	res := m.RunSequential(pga.AnyOf{pga.MaxGenerations(200), pga.Target(prob)}, false)
+	res := m.RunSequential(pga.AnyOf{pga.MaxGenerations(200), pga.Target(prob)}, pga.Control{})
 	fmt.Println(res.Solved, res.BestFitness)
 	// Output: true 32
 }

@@ -103,7 +103,7 @@ func runIslands(label string, res *pga.Resilience, plan *pga.FaultPlan) {
 		Resilience: res,
 		Faults:     plan,
 	})
-	r := m.RunParallel(400, false)
+	r := m.RunParallel(400, pga.Control{})
 	fmt.Printf("%-28s solved=%-5v gens=%-4d restarts=%d panics=%d timeouts=%d dead=%v\n",
 		label, r.Solved, r.Generations, r.Restarts, r.PanicsRecovered, r.HeartbeatTimeouts, r.DeadDemes)
 	for _, f := range r.Failures {

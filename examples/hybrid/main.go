@@ -31,7 +31,7 @@ func main() {
 				RNG:       r,
 			})
 		})
-	res := hybrid.RunSequential(stop, false)
+	res := hybrid.RunSequential(stop, pga.Control{})
 
 	fmt.Println("hybrid model: 4 islands (distributed) × 4-worker farms (centralized)")
 	fmt.Printf("rastrigin(10): best=%.6f gens=%d evals=%d migrations=%d\n",

@@ -26,7 +26,7 @@ func main() {
 			Generations: 60,
 			HVRef:       [2]float64{1.1, 1.1},
 			Seed:        3,
-		})
+		}, pga.Control{})
 		fmt.Printf("%-28s %-10d %-12.4f %-8d\n", s, res.Islands, res.Hypervolume, res.Archive.Len())
 		if res.Hypervolume > bestHV {
 			bestHV, bestRes = res.Hypervolume, res

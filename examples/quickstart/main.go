@@ -38,7 +38,7 @@ func main() {
 		Migration: pga.Migration{Interval: 10, Count: 2},
 		Seed:      42,
 	})
-	ires := isl.RunSequential(stop, false)
+	ires := isl.RunSequential(stop, pga.Control{})
 	fmt.Printf("islands    : best=%v gens=%d evals=%d solved=%v migrations=%d\n",
 		ires.BestFitness, ires.Generations, ires.Evaluations, ires.Solved, ires.Migrations)
 

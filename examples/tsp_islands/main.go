@@ -84,7 +84,7 @@ func main() {
 			Migration: pga.Migration{Interval: 10, Count: 2},
 			Seed:      7,
 		})
-		ires := m.RunSequential(budget, false)
+		ires := m.RunSequential(budget, pga.Control{})
 		fmt.Printf("islands (%d × %3d)   : tour %.4f  (%.2f%% above optimum, %d migrations)\n",
 			demes, 120/demes, ires.BestFitness,
 			100*(ires.BestFitness/prob.optimum()-1), ires.Migrations)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/island"
 	"pga/internal/migration"
@@ -183,7 +184,7 @@ func TestCellularInsideIslandModel(t *testing.T) {
 	res := m.RunSequential(core.AnyOf{
 		core.MaxGenerations(150),
 		core.TargetFitness{Target: 32, Dir: core.Maximize},
-	}, false)
+	}, engine.Control{})
 	if !res.Solved {
 		t.Fatalf("cellular islands failed: %v", res.BestFitness)
 	}

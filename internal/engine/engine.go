@@ -14,9 +14,16 @@
 // condition exactly once per generation (stateful conditions like
 // Stagnation count on), and performs no per-generation allocations (the
 // zero-allocation gates of the runtimes cover it).
+//
+// Run control — who may watch a run and who may end it early — is said
+// once, here: Control is the caller-owned value every runtime's run entry
+// takes and hands to Loop through Options.With, and Loop is the only
+// place a run's context is polled or its observers are called.
 package engine
 
 import (
+	"context"
+	"slices"
 	"time"
 
 	"pga/internal/core"
@@ -121,9 +128,38 @@ func (f Funcs) OnDone(stats *core.RunStats) {
 	}
 }
 
+// Control is the caller-owned half of a run: what the code that started
+// the run may say about it, whatever the model. Every run entry (ga.Run,
+// island RunSequential/RunParallel, p2p and hga Run, sim.Run, and
+// spec.Built.Run above them) takes one and passes it to Loop unchanged;
+// the zero value is an unwatched, untraced, uncancellable run.
+type Control struct {
+	// Context, when non-nil, cancels the run from outside: Loop polls it
+	// once per generation and a cancelled run ends within one generation
+	// with StopReason "cancelled" and the accounting of the generations
+	// it completed.
+	Context context.Context
+	// Trace records a TracePoint per completed generation.
+	Trace bool
+	// Observers receive the lifecycle hooks, in slice order, after the
+	// runtime's own. A slice shared by concurrent runs (one RunOpts
+	// behind a sweep's workers) is only ever read.
+	Observers []Observer
+}
+
+// Ctx returns the run's context, context.Background() when none was
+// given — for the callers that derive a child from it.
+func (c Control) Ctx() context.Context {
+	if c.Context == nil {
+		return context.Background()
+	}
+	return c.Context
+}
+
 // Options tunes Loop. The flags encode the (small) historical differences
 // between the model loops so that porting a model onto Loop is
-// behaviour-preserving; see DESIGN §3.
+// behaviour-preserving; see DESIGN §3. A runtime fills in what it owns
+// and takes the rest from its caller through With.
 type Options struct {
 	// Stop terminates the run (required). It is polled exactly once
 	// before every generation, so stateful conditions keep their
@@ -138,15 +174,31 @@ type Options struct {
 	// InitialSolve also checks Target against the initial population
 	// (generation 0), before any step.
 	InitialSolve bool
-	// Trace records a TracePoint per completed generation.
-	Trace bool
 	// InitialTracePoint also records generation 0 (requires Trace).
 	InitialTracePoint bool
 	// SkipBest disables best-individual and best-fitness tracking — for
 	// per-deme loops whose global best is computed after the demes join.
 	SkipBest bool
-	// Observers receive the lifecycle hooks, in slice order.
+
+	// Context, Trace and Observers are the run control (see Control, whose
+	// fields they mirror: cmd/pgaperf builds Options by keyed literal, and
+	// Go cannot key a promoted field). Runtimes set Observers only to
+	// their own hooks and take everything else from With.
+	Context   context.Context
+	Trace     bool
 	Observers []Observer
+}
+
+// With returns o under the caller's control: c's context and trace
+// switch, and c's observers after the runtime's own — so a supervised
+// run's generation-0 checkpoint precedes any user hook — in a fresh
+// slice, never appended to either side's.
+func (o Options) With(c Control) Options {
+	o.Context, o.Trace = c.Context, c.Trace
+	if len(c.Observers) > 0 {
+		o.Observers = slices.Concat(o.Observers, c.Observers)
+	}
+	return o
 }
 
 // Totals accumulates the StepInfo counters over a run; Loop returns it so
@@ -157,9 +209,11 @@ type Totals struct {
 }
 
 // Loop drives s until the stop condition fires (or a halt: see
-// Options.HaltOnSolve and StepInfo.Halt) and fills out with the run's
-// accounting. The loop itself draws no random numbers and allocates only
-// fixed run-level state (the pooled best tracker), never per generation.
+// Options.HaltOnSolve and StepInfo.Halt; or Options.Context is cancelled)
+// and fills out with the run's accounting — the same truthful tail
+// whichever way the run ended. The loop itself draws no random numbers and
+// allocates only fixed run-level state (the pooled best tracker), never
+// per generation.
 func Loop(s Stepper, opts Options, out *core.RunStats) Totals {
 	if opts.Stop == nil {
 		panic("engine: Options.Stop is required")
@@ -206,7 +260,20 @@ func Loop(s Stepper, opts Options, out *core.RunStats) Totals {
 	if opts.HaltOnSolve && out.Solved {
 		haltReason = "target reached"
 	}
-	for haltReason == "" && !opts.Stop.Done(status) {
+	var done <-chan struct{} // nil without a context, or under one that cannot be cancelled
+	if opts.Context != nil {
+		done = opts.Context.Done()
+	}
+	for haltReason == "" {
+		// The one cancellation poll of a run: before the stop condition,
+		// so a cancelled run asks it nothing more.
+		if closed(done) {
+			haltReason = "cancelled"
+			break
+		}
+		if opts.Stop.Done(status) {
+			break
+		}
 		info := s.Step(status.Generation + 1)
 		totals.Migrations += info.Migrations
 		totals.Restarts += info.Restarts
@@ -285,6 +352,20 @@ func Loop(s Stepper, opts Options, out *core.RunStats) Totals {
 		o.OnDone(out)
 	}
 	return totals
+}
+
+// closed reports whether done has been closed; a nil channel never is,
+// and costs only the nil check.
+func closed(done <-chan struct{}) bool {
+	if done == nil {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // meanOf returns the stepper's mean fitness when it reports one.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -346,5 +347,156 @@ func TestFuncsNilSafe(t *testing.T) {
 	f2.OnDone(&core.RunStats{})
 	if got := fmt.Sprint(called); got != "[g m r d]" {
 		t.Fatalf("Funcs dispatch = %v", got)
+	}
+}
+
+// countingStop is MaxGenerations that counts its polls.
+type countingStop struct {
+	max   int
+	polls *int
+}
+
+func (c countingStop) Done(s core.Status) bool { *c.polls++; return s.Generation >= c.max }
+func (c countingStop) Reason() string          { return "max generations" }
+
+// TestLoopCancelled: a Loop whose context is cancelled at generation g —
+// from an observer, so the instant is exact — completes no further
+// generation, asks the stop condition nothing more, reports "cancelled"
+// with the accounting of the g generations it did complete, and fires
+// OnDone once.
+func TestLoopCancelled(t *testing.T) {
+	const g = 3
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := &fakeStepper{steps: flat(1, 3, 2, 5, 4, 9), evalsPer: 10}
+	rec := &recorder{}
+	polls := 0
+	cancelAt := Funcs{Generation: func(st core.Status) {
+		if st.Generation == g {
+			cancel()
+		}
+	}}
+	var out core.RunStats
+	Loop(s, Options{Stop: countingStop{6, &polls}}.With(Control{
+		Context: ctx, Trace: true, Observers: []Observer{rec, cancelAt},
+	}), &out)
+
+	if out.Generations != g || out.StopReason != "cancelled" {
+		t.Fatalf("halted at (%d, %q), want (%d, cancelled)", out.Generations, out.StopReason, g)
+	}
+	if out.Evaluations != 10*g || out.BestFitness != 3 || out.Best == nil || len(out.Trace) != g {
+		t.Errorf("partial stats %+v are not those of generation %d", out, g)
+	}
+	if polls != g {
+		t.Errorf("stop condition polled %d times, want %d (none after the cancellation)", polls, g)
+	}
+	if len(s.calls) != g {
+		t.Errorf("stepped %v after a cancellation at generation %d", s.calls, g)
+	}
+	want := []string{"gen(0,0,true)", "gen(1,1,true)", "gen(2,3,true)", "gen(3,3,false)", "done(3)"}
+	if !reflect.DeepEqual(rec.events, want) {
+		t.Errorf("events = %v, want %v", rec.events, want)
+	}
+}
+
+// TestLoopContextNeverCancelled: no context, a background context and a
+// live cancellable one are the same run.
+func TestLoopContextNeverCancelled(t *testing.T) {
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var want core.RunStats
+	for i, ctx := range []context.Context{nil, context.Background(), live} {
+		var out core.RunStats
+		Loop(&fakeStepper{steps: flat(1, 3, 2, 5), evalsPer: 10},
+			Options{Stop: core.MaxGenerations(4), Context: ctx}, &out)
+		out.Elapsed = 0
+		if i == 0 {
+			want = out
+		} else if !reflect.DeepEqual(out, want) {
+			t.Errorf("context %d: stats %+v, want %+v", i, out, want)
+		}
+	}
+	if want.Generations != 4 || want.StopReason != "max generations" {
+		t.Fatalf("uncancelled run halted at (%d, %q)", want.Generations, want.StopReason)
+	}
+}
+
+// TestLoopAlreadyCancelled: a run started under a dead context reports
+// its initial population and stops before the first step.
+func TestLoopAlreadyCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := &fakeStepper{steps: flat(1), start: 7}
+	rec := &recorder{}
+	var out core.RunStats
+	Loop(s, Options{Stop: core.MaxGenerations(1), Context: ctx, Observers: []Observer{rec}}, &out)
+	if out.Generations != 0 || out.StopReason != "cancelled" || out.BestFitness != 7 || len(s.calls) != 0 {
+		t.Fatalf("stats %+v after %v steps, want generation 0, cancelled, best 7, no step", out, s.calls)
+	}
+	if want := []string{"gen(0,7,true)", "done(0)"}; !reflect.DeepEqual(rec.events, want) {
+		t.Errorf("events = %v, want %v", rec.events, want)
+	}
+}
+
+// TestOptionsWith: the caller's control lands after the runtime's own
+// observers, in a slice that is neither side's backing array.
+func TestOptionsWith(t *testing.T) {
+	own, a, b := &recorder{}, &recorder{}, &recorder{}
+	padded := make([]Observer, 1, 8) // spare capacity: an append would write here
+	padded[0] = a
+	ctx := context.Background()
+	ctl := Control{Context: ctx, Trace: true, Observers: padded}
+
+	o1 := Options{Stop: core.MaxGenerations(1), Observers: []Observer{own}, Trace: false}.With(ctl)
+	o2 := Options{Stop: core.MaxGenerations(1), Observers: []Observer{b}}.With(ctl)
+	if !o1.Trace || o1.Context != ctx || o1.Stop == nil {
+		t.Errorf("With dropped a field: %+v", o1)
+	}
+	if len(o1.Observers) != 2 || o1.Observers[0] != Observer(own) || o1.Observers[1] != Observer(a) {
+		t.Errorf("observers %v, want the runtime's own, then the caller's", o1.Observers)
+	}
+	if len(o2.Observers) != 2 || o2.Observers[0] != Observer(b) || o2.Observers[1] != Observer(a) {
+		t.Errorf("a second With on the same control saw %v", o2.Observers)
+	}
+	if full := padded[:cap(padded)]; full[1] != nil {
+		t.Errorf("With wrote into the caller's backing array: %v", full)
+	}
+	if got := (Options{}).With(Control{}); got.Observers != nil || got.Context != nil {
+		t.Errorf("zero control changed zero options: %+v", got)
+	}
+	if (Control{}).Ctx() != context.Background() || ctl.Ctx() != ctx {
+		t.Error("Ctx is not the given context, or Background for none")
+	}
+}
+
+// nullStepper does nothing: what is left is Loop's own cost.
+type nullStepper struct{}
+
+func (nullStepper) Step(int) StepInfo                 { return StepInfo{} }
+func (nullStepper) Best() (*core.Individual, float64) { return nil, 0 }
+func (nullStepper) Evaluations() int64                { return 0 }
+func (nullStepper) Direction() core.Direction         { return core.Maximize }
+
+// BenchmarkLoop is Loop's cost per generation over a free stepper, with
+// no context and under a live cancellable one (one non-blocking channel
+// poll per generation), with zero and four no-op observers.
+func BenchmarkLoop(b *testing.B) {
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		obs  int
+	}{{"nil/obs0", nil, 0}, {"nil/obs4", nil, 4}, {"live/obs0", live, 0}, {"live/obs4", live, 4}} {
+		b.Run(c.name, func(b *testing.B) {
+			obs := make([]Observer, c.obs)
+			for i := range obs {
+				obs[i] = Funcs{}
+			}
+			var out core.RunStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			Loop(nullStepper{}, Options{Stop: core.MaxGenerations(b.N), Context: c.ctx, Observers: obs}, &out)
+		})
 	}
 }

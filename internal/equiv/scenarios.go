@@ -12,6 +12,7 @@ package equiv
 import (
 	"pga/internal/cellular"
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/island"
 	"pga/internal/migration"
@@ -424,7 +425,7 @@ func Scenarios() []Scenario {
 					},
 					Seed: 41,
 				})
-				return islandTrace(m.RunSequential(core.MaxGenerations(gens), true))
+				return islandTrace(m.RunSequential(core.MaxGenerations(gens), engine.Control{Trace: true}))
 			},
 		},
 		{
@@ -444,7 +445,7 @@ func Scenarios() []Scenario {
 					},
 					Seed: 41,
 				})
-				return islandTrace(m.RunParallel(gens, true))
+				return islandTrace(m.RunParallel(gens, engine.Control{Trace: true}))
 			},
 		},
 		{
@@ -464,7 +465,7 @@ func Scenarios() []Scenario {
 					},
 					Seed: 42,
 				})
-				return islandTrace(m.RunSequential(core.MaxGenerations(gens), true))
+				return islandTrace(m.RunSequential(core.MaxGenerations(gens), engine.Control{Trace: true}))
 			},
 		},
 		{
@@ -484,7 +485,7 @@ func Scenarios() []Scenario {
 					},
 					Seed: 43,
 				})
-				return islandTrace(m.RunSequential(core.MaxGenerations(gens), true))
+				return islandTrace(m.RunSequential(core.MaxGenerations(gens), engine.Control{Trace: true}))
 			},
 		},
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/spec"
 )
 
@@ -182,7 +183,7 @@ func TestSpecBuildParity(t *testing.T) {
 			case b.Engine != nil:
 				got = engineTrace(b.Engine)
 			case b.Islands != nil:
-				got = islandTrace(b.Islands.RunSequential(core.MaxGenerations(gens), true))
+				got = islandTrace(b.Islands.RunSequential(core.MaxGenerations(gens), engine.Control{Trace: true}))
 			default:
 				t.Fatalf("spec built neither an engine nor an island model")
 			}

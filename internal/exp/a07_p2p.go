@@ -3,6 +3,7 @@ package exp
 import (
 	"io"
 
+	"pga/internal/engine"
 	"pga/internal/p2p"
 	"pga/internal/problems"
 	"pga/internal/stats"
@@ -43,7 +44,7 @@ func runA07(w io.Writer, quick bool) {
 				ChurnRate: churn,
 				Seed:      uint64(r)*271 + 5,
 			}
-			res := p2p.New(cfg).Run(maxGens)
+			res := p2p.New(cfg).Run(maxGens, engine.Control{})
 			hit.Record(res.Solved, res.Evaluations)
 			finals = append(finals, res.BestFitness)
 			deps = append(deps, float64(res.Departures))

@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/spec"
 	"pga/internal/stats"
 )
@@ -104,7 +105,7 @@ func runA06(w io.Writer, quick bool) {
 				all.Members = append(all.Members, e.Population().Members...)
 			}
 			ds = append(ds, stats.Diversity(all))
-			m.RunSequential(core.MaxGenerations(1), false)
+			m.RunSequential(core.MaxGenerations(1), engine.Control{})
 		}
 		return ds
 	}

@@ -3,6 +3,7 @@ package exp
 import (
 	"io"
 
+	"pga/internal/engine"
 	"pga/internal/spec"
 	"pga/internal/stats"
 )
@@ -52,7 +53,7 @@ func runE04(w io.Writer, quick bool) {
 			rs.Seed = uint64(r) * 31
 			// The report layer drops wall-clock for determinism; drive the
 			// built island model directly to time the barrier structure.
-			res := mustBuild(rs).Islands.RunParallel(maxGens, false)
+			res := mustBuild(rs).Islands.RunParallel(maxGens, engine.Control{})
 			hit.Record(res.Solved, res.SolvedAtEval)
 			finals = append(finals, res.BestFitness)
 			elapsed = append(elapsed, float64(res.Elapsed.Microseconds())/1000)

@@ -3,6 +3,7 @@ package exp
 import (
 	"io"
 
+	"pga/internal/engine"
 	"pga/internal/hga"
 	"pga/internal/operators"
 	"pga/internal/problems"
@@ -53,8 +54,8 @@ func runE08(w io.Writer, quick bool) {
 	for _, budget := range budgets {
 		var mixed, precise []float64
 		for r := 0; r < runs; r++ {
-			mixed = append(mixed, build(uint64(r)*13+1, false).Run(budget).BestFitness)
-			precise = append(precise, build(uint64(r)*13+1, true).Run(budget).BestFitness)
+			mixed = append(mixed, build(uint64(r)*13+1, false).Run(budget, engine.Control{}).BestFitness)
+			precise = append(precise, build(uint64(r)*13+1, true).Run(budget, engine.Control{}).BestFitness)
 		}
 		fprintf(w, "%-12.0f %-16.4f %-16.4f\n", budget,
 			stats.Summarize(mixed).Mean, stats.Summarize(precise).Mean)
@@ -69,7 +70,7 @@ func runE08(w io.Writer, quick bool) {
 		for _, budget := range []float64{250, 500, 1000, 2000, 4000, 8000, 16000} {
 			var q []float64
 			for r := 0; r < runs; r++ {
-				q = append(q, build(uint64(r)*13+1, preciseOnly).Run(budget).BestFitness)
+				q = append(q, build(uint64(r)*13+1, preciseOnly).Run(budget, engine.Control{}).BestFitness)
 			}
 			if stats.Summarize(q).Mean <= target {
 				return budget

@@ -3,6 +3,7 @@ package exp
 import (
 	"io"
 
+	"pga/internal/engine"
 	"pga/internal/sim"
 	"pga/internal/stats"
 )
@@ -41,7 +42,7 @@ func runE09(w io.Writer, quick bool) {
 				Generations: gens,
 				HVRef:       [2]float64{1.1, 1.1},
 				Seed:        uint64(r)*17 + 3,
-			})
+			}, engine.Control{})
 			hv = append(hv, res.Hypervolume)
 			arch = append(arch, float64(res.Archive.Len()))
 			evals = append(evals, float64(res.Evaluations))

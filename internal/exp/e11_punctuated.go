@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/spec"
 	"pga/internal/stats"
 )
@@ -47,7 +48,7 @@ func runE11(w io.Writer, quick bool) {
 		rs.Seed = uint64(r)*61 + 7
 		// Drive the island handle directly: the experiment needs the full
 		// per-generation trace with generation numbers, a pure cap stop.
-		res := mustBuild(rs).Islands.RunSequential(core.MaxGenerations(maxGens), true)
+		res := mustBuild(rs).Islands.RunSequential(core.MaxGenerations(maxGens), engine.Control{Trace: true})
 		var post, postImp, base, baseImp int
 		bests := make([]float64, 0, len(res.Trace))
 		for i := 1; i < len(res.Trace); i++ {

@@ -5,6 +5,7 @@ import (
 
 	"pga/internal/apps"
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/island"
 	"pga/internal/migration"
@@ -92,7 +93,7 @@ func runE13(w io.Writer, quick bool) {
 				},
 				Seed: seed,
 			})
-			ires := m.RunSequential(core.MaxEvaluations(budget), false)
+			ires := m.RunSequential(core.MaxEvaluations(budget), engine.Control{})
 			parBest = append(parBest, ires.BestFitness)
 		}
 		fprintf(w, "%-26s %-14.4f %-14.4f %-10s\n",

@@ -4,6 +4,7 @@ import (
 	"io"
 	"time"
 
+	"pga/internal/engine"
 	"pga/internal/island"
 	"pga/internal/migration"
 	"pga/internal/problems"
@@ -91,7 +92,7 @@ func runE15(w io.Writer, quick bool) {
 		var restarts, panics, timeouts, dead int64
 		var bestSum float64
 		for r := 0; r < runs; r++ {
-			res := sc.mk(uint64(r)*101+7).RunParallel(maxGens, false)
+			res := sc.mk(uint64(r)*101+7).RunParallel(maxGens, engine.Control{})
 			if res.Solved {
 				solvedRuns++
 				gens += res.SolvedAtGen

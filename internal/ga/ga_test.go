@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/genome"
 	"pga/internal/operators"
 	"pga/internal/problems"
@@ -226,8 +227,8 @@ func TestRunDeterministicWithSeed(t *testing.T) {
 }
 
 func TestRunDifferentSeedsDiffer(t *testing.T) {
-	res1 := Run(NewGenerational(baseConfig(1)), RunOptions{Stop: core.MaxGenerations(5), Trace: true})
-	res2 := Run(NewGenerational(baseConfig(99)), RunOptions{Stop: core.MaxGenerations(5), Trace: true})
+	res1 := Run(NewGenerational(baseConfig(1)), RunOptions{Stop: core.MaxGenerations(5), Control: engine.Control{Trace: true}})
+	res2 := Run(NewGenerational(baseConfig(99)), RunOptions{Stop: core.MaxGenerations(5), Control: engine.Control{Trace: true}})
 	same := true
 	for i := range res1.Trace {
 		if i < len(res2.Trace) && res1.Trace[i].Mean != res2.Trace[i].Mean {
@@ -241,7 +242,7 @@ func TestRunDifferentSeedsDiffer(t *testing.T) {
 
 func TestRunTrace(t *testing.T) {
 	e := NewGenerational(baseConfig(12))
-	res := Run(e, RunOptions{Stop: core.MaxGenerations(10), Trace: true})
+	res := Run(e, RunOptions{Stop: core.MaxGenerations(10), Control: engine.Control{Trace: true}})
 	if len(res.Trace) != 11 { // initial sample + 10 steps
 		t.Fatalf("trace has %d points, want 11", len(res.Trace))
 	}
@@ -255,17 +256,20 @@ func TestRunTrace(t *testing.T) {
 	}
 }
 
+// TestRunOnStepCallback: a per-step callback is a generation observer —
+// generation 0 for the initial population, then once per step, in order.
 func TestRunOnStepCallback(t *testing.T) {
 	e := NewGenerational(baseConfig(13))
 	calls := 0
-	Run(e, RunOptions{Stop: core.MaxGenerations(7), OnStep: func(s core.Status) {
-		calls++
+	onStep := engine.Funcs{Generation: func(s core.Status) {
 		if s.Generation != calls {
-			t.Fatalf("OnStep generation %d at call %d", s.Generation, calls)
+			t.Fatalf("OnGeneration %d at call %d", s.Generation, calls)
 		}
-	}})
-	if calls != 7 {
-		t.Fatalf("OnStep called %d times, want 7", calls)
+		calls++
+	}}
+	Run(e, RunOptions{Stop: core.MaxGenerations(7), Control: engine.Control{Observers: []engine.Observer{onStep}}})
+	if calls != 8 {
+		t.Fatalf("OnGeneration called %d times, want 8 (generation 0 and 7 steps)", calls)
 	}
 }
 

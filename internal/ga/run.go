@@ -9,15 +9,10 @@ import (
 type RunOptions struct {
 	// Stop terminates the run (required).
 	Stop core.StopCondition
-	// Trace enables per-step progress recording in the Result.
-	Trace bool
-	// OnStep, when non-nil, is called after every step with the current
-	// status (hook for live displays and experiment instrumentation).
-	OnStep func(core.Status)
-	// Observers receive the engine.Loop lifecycle hooks (OnGeneration /
-	// OnMigration / OnRestart / OnDone) — the seam for observability
-	// tooling. OnStep is a shorthand for a generation-only observer.
-	Observers []engine.Observer
+	// Control is the caller's run control: the cancelling Context, the
+	// Trace switch and the Observers of the engine.Loop lifecycle hooks
+	// (a per-step callback is engine.Funcs{Generation: f}).
+	engine.Control
 }
 
 // stepper adapts an Engine to the shared run-loop driver: the engine's
@@ -53,26 +48,6 @@ func (s stepper) Direction() core.Direction { return s.e.Problem().Direction() }
 // MeanFitness implements engine.MeanReporter.
 func (s stepper) MeanFitness() float64 { return s.e.Population().MeanFitness() }
 
-// stepCallback adapts RunOptions.OnStep to the observer seam; the
-// generation-0 hook is not forwarded (OnStep fires once per step).
-type stepCallback func(core.Status)
-
-// OnGeneration implements engine.Observer.
-func (f stepCallback) OnGeneration(s core.Status) {
-	if s.Generation > 0 {
-		f(s)
-	}
-}
-
-// OnMigration implements engine.Observer.
-func (f stepCallback) OnMigration(int, int64) {}
-
-// OnRestart implements engine.Observer.
-func (f stepCallback) OnRestart(int, int64) {}
-
-// OnDone implements engine.Observer.
-func (f stepCallback) OnDone(*core.RunStats) {}
-
 // Run drives engine step by step until the stop condition fires and
 // returns the run summary. It is the single sequential "run loop" used by
 // baselines and by each island goroutine; the actual loop is engine.Loop.
@@ -82,18 +57,12 @@ func Run(e Engine, opts RunOptions) *core.Result {
 	}
 	res := &core.Result{Problem: e.Problem().Name()}
 	ta, _ := e.Problem().(core.TargetAware)
-	observers := opts.Observers
-	if opts.OnStep != nil {
-		observers = append(observers, stepCallback(opts.OnStep))
-	}
 	engine.Loop(stepper{e: e}, engine.Options{
 		Stop:              opts.Stop,
 		Target:            ta,
 		InitialSolve:      true,
-		Trace:             opts.Trace,
 		InitialTracePoint: true,
-		Observers:         observers,
-	}, &res.RunStats)
+	}.With(opts.Control), &res.RunStats)
 	// Fitness memo-cache accounting rides the result, not the Observer
 	// seam: a CachedProblem's counters are copied once, after the loop.
 	if cr, ok := e.Problem().(core.CacheReporter); ok {

@@ -350,8 +350,9 @@ func (s *hierStepper) Evaluations() int64 { return s.m.evals }
 func (s *hierStepper) Direction() core.Direction { return s.m.dir }
 
 // Run advances the hierarchy until the cost budget is exhausted or the
-// precise optimum is found.
-func (m *Model) Run(costBudget float64) *Result {
+// precise optimum is found; ctl is the caller's run control. Observers see
+// the loop's stats: the precise re-scoring below happens after OnDone.
+func (m *Model) Run(costBudget float64, ctl engine.Control) *Result {
 	start := time.Now()
 	res := &Result{}
 	ta, _ := core.Problem(m.cfg.Problem).(core.TargetAware)
@@ -360,7 +361,7 @@ func (m *Model) Run(costBudget float64) *Result {
 		Stop:        costCap{m: m, budget: costBudget},
 		Target:      ta,
 		HaltOnSolve: true,
-	}, &res.RunStats)
+	}.With(ctl), &res.RunStats)
 	if res.Solved {
 		// The loop halted the moment the target was reached, so the
 		// accumulated cost still reads the solve instant.

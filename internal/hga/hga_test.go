@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/genome"
 	"pga/internal/operators"
 	"pga/internal/problems"
@@ -112,7 +113,7 @@ func TestHGAStructure(t *testing.T) {
 
 func TestHGAReducesCostPerEvaluation(t *testing.T) {
 	m := New(cfg(2))
-	res := m.Run(5000)
+	res := m.Run(5000, engine.Control{})
 	if res.Cost > 5000*1.2 {
 		t.Fatalf("cost budget overrun: %v", res.Cost)
 	}
@@ -128,23 +129,23 @@ func TestHGAPreciseOnlyBaselineCostsMore(t *testing.T) {
 	c := cfg(3)
 	c.LevelOf = []int{0, 0, 0}
 	m := New(c)
-	res := m.Run(3000)
+	res := m.Run(3000, engine.Control{})
 	if float64(res.Evaluations) != res.Cost {
 		t.Fatalf("precise-only: evals %d != cost %v", res.Evaluations, res.Cost)
 	}
 }
 
 func TestHGAImprovesWithBudget(t *testing.T) {
-	small := New(cfg(4)).Run(1000)
-	large := New(cfg(4)).Run(20000)
+	small := New(cfg(4)).Run(1000, engine.Control{})
+	large := New(cfg(4)).Run(20000, engine.Control{})
 	if large.BestFitness > small.BestFitness {
 		t.Fatalf("more budget worsened quality: %v vs %v", large.BestFitness, small.BestFitness)
 	}
 }
 
 func TestHGADeterministic(t *testing.T) {
-	a := New(cfg(5)).Run(2000)
-	b := New(cfg(5)).Run(2000)
+	a := New(cfg(5)).Run(2000, engine.Control{})
+	b := New(cfg(5)).Run(2000, engine.Control{})
 	if a.BestFitness != b.BestFitness || a.Evaluations != b.Evaluations {
 		t.Fatal("HGA not deterministic per seed")
 	}
@@ -158,10 +159,10 @@ func TestHGAMixedBeatsPreciseAtEqualCost(t *testing.T) {
 	const runs = 3
 	var mixed, precise float64
 	for s := uint64(0); s < runs; s++ {
-		mixed += New(cfg(100 + s)).Run(budget).BestFitness
+		mixed += New(cfg(100+s)).Run(budget, engine.Control{}).BestFitness
 		c := cfg(100 + s)
 		c.LevelOf = []int{0, 0, 0}
-		precise += New(c).Run(budget).BestFitness
+		precise += New(c).Run(budget, engine.Control{}).BestFitness
 	}
 	mixed /= runs
 	precise /= runs

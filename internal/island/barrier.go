@@ -143,9 +143,9 @@ func (a allDead) Reason() string { return "all demes dead" }
 
 // runBarrier drives one barrierStepper under engine.Loop: lockstep or a
 // goroutine per deme, supervised or not. A supervised run additionally
-// stops when no deme is left and checkpoints through the OnGeneration
-// hook.
-func (m *Model) runBarrier(parallel bool, sup *supervise.Supervisor, opts engine.Options) *Result {
+// stops when no deme is left and checkpoints through an OnGeneration hook
+// of its own, which With places ahead of the caller's observers.
+func (m *Model) runBarrier(parallel bool, sup *supervise.Supervisor, opts engine.Options, ctl engine.Control) *Result {
 	st := &barrierStepper{m: m, parallel: parallel, sup: sup, routes: m.cfg.Topology}
 	if sup != nil {
 		st.routes = sup.Router()
@@ -155,7 +155,7 @@ func (m *Model) runBarrier(parallel bool, sup *supervise.Supervisor, opts engine
 	}
 	opts.Target, _ = m.problem.(core.TargetAware)
 	res := &Result{}
-	totals := engine.Loop(st, opts, &res.RunStats)
+	totals := engine.Loop(st, opts.With(ctl), &res.RunStats)
 	res.Migrations = totals.Migrations
 	m.finish(res)
 	return res

@@ -1,8 +1,8 @@
 package island
 
 import (
+	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pga/internal/core"
@@ -15,26 +15,15 @@ import (
 	"pga/internal/transport"
 )
 
-// firstSolve is the flag the free-running demes of one process share: the
-// first deme to solve its own population sets it and every deme leaves its
-// loop on seeing it.
-type firstSolve struct {
-	flag atomic.Bool
-	gen  atomic.Int64
-}
+// solvedAt is the cause a free-running deme cancels the run's shared
+// context with when its own population meets the target, carrying the
+// generation it got there in. Every deme loop polls that context, so the
+// others leave within a generation; the first cause wins, which makes
+// context.Cause the record of who solved first.
+type solvedAt int
 
-// demeHalt is the per-deme stop condition of an in-process free run: the
-// generation cap, or any deme having solved.
-type demeHalt struct {
-	first *firstSolve
-	max   int
-}
-
-// Done implements core.StopCondition.
-func (h demeHalt) Done(s core.Status) bool { return s.Generation >= h.max || h.first.flag.Load() }
-
-// Reason implements core.StopCondition.
-func (h demeHalt) Reason() string { return "max generations" }
+// Error implements error.
+func (solvedAt) Error() string { return "target reached" }
 
 // pendingBatch is an undelivered migrant batch awaiting retry.
 type pendingBatch struct {
@@ -65,11 +54,12 @@ type freeDeme struct {
 	// healed Router, or a wire island's peer-liveness Router.
 	routes topology.Topology
 
-	// ta and first are the in-process solve check: a deme whose own
-	// population meets the target raises the shared flag and halts. Both
-	// are nil in wire mode, whose single loop checks the target itself.
-	ta    core.TargetAware
-	first *firstSolve
+	// ta and solved are the in-process solve check: a deme whose own
+	// population meets the target cancels the run's context (see solvedAt)
+	// and halts. Both are nil in wire mode, whose single loop checks the
+	// target itself.
+	ta     core.TargetAware
+	solved context.CancelCauseFunc
 
 	// sup is nil for an unsupervised deme: it steps directly and drops
 	// refused batches. m is the owning Model, written only when a
@@ -94,9 +84,7 @@ func (d *freeDeme) Step(g int) engine.StepInfo {
 	}
 	d.gen = g
 	if d.ta != nil && d.ta.Solved(d.e.Population().BestFitness(d.dir)) {
-		if d.first.flag.CompareAndSwap(false, true) {
-			d.first.gen.Store(int64(g))
-		}
+		d.solved(solvedAt(g))
 		info.Halt = true
 		return info
 	}
@@ -210,15 +198,23 @@ func (d *freeDeme) MeanFitness() float64 { return d.e.Population().MeanFitness()
 // Result once they have joined. A supervised run routes over the healed
 // topology and hangs checkpointing and dead-letter draining on each loop's
 // observer hooks.
-func (m *Model) runFree(maxGens int, sup *supervise.Supervisor) *Result {
+//
+// This discipline has no run-level generation — n loops, each at its own —
+// so of the caller's control the deme loops take the context only (a child
+// of it, which a solving deme also cancels): cancellation stops every deme
+// within one generation and the join below waits for them all. ctl's
+// observers hear OnDone, once, with the assembled stats; there is no
+// run-level OnGeneration to fire and no trace to record.
+func (m *Model) runFree(maxGens int, sup *supervise.Supervisor, ctl engine.Control) *Result {
 	start := time.Now()
+	ctx, solved := context.WithCancelCause(ctl.Ctx())
+	defer solved(nil)
 	ta, _ := m.problem.(core.TargetAware)
 	routes := m.cfg.Topology
 	if sup != nil {
 		routes = sup.Router()
 	}
 	eps := transport.NewLoopback(len(m.engines), m.cfg.Policy.Buffer)
-	first := &firstSolve{}
 	demes := make([]*freeDeme, len(m.engines))
 
 	var wg sync.WaitGroup
@@ -226,10 +222,10 @@ func (m *Model) runFree(maxGens int, sup *supervise.Supervisor) *Result {
 		d := &freeDeme{
 			self: i, e: m.engines[i], dir: m.dir, policy: m.cfg.Policy,
 			mr: m.migRNGs[i], ep: eps[i], routes: routes,
-			ta: ta, first: first, sup: sup, m: m,
+			ta: ta, solved: solved, sup: sup, m: m,
 		}
 		demes[i] = d
-		opts := engine.Options{Stop: demeHalt{first: first, max: maxGens}, SkipBest: true}
+		opts := engine.Options{Stop: core.MaxGenerations(maxGens), SkipBest: true, Context: ctx}
 		if sup != nil {
 			opts.Observers = []engine.Observer{engine.Funcs{Generation: d.checkpoint, Done: d.deadLetterPending}}
 		}
@@ -253,15 +249,19 @@ func (m *Model) runFree(maxGens int, sup *supervise.Supervisor) *Result {
 		res.Best = best.Clone()
 	}
 	res.Evaluations = m.totalEvaluations()
+	cause := context.Cause(ctx)
+	gen, solvedFirst := cause.(solvedAt)
 	switch {
-	case first.flag.Load():
+	case solvedFirst:
 		// Evaluation counters cannot be snapshotted at the instant of
 		// solving without racing the other demes; the post-stop total is
 		// a slight overcount and is documented as such.
 		res.Solved = true
 		res.SolvedAtEval = res.Evaluations
-		res.SolvedAtGen = int(first.gen.Load())
+		res.SolvedAtGen = int(gen)
 		res.StopReason = "target reached"
+	case cause != nil:
+		res.StopReason = "cancelled"
 	case sup != nil && sup.Router().AliveCount() == 0:
 		res.StopReason = "all demes dead"
 	default:
@@ -269,5 +269,8 @@ func (m *Model) runFree(maxGens int, sup *supervise.Supervisor) *Result {
 	}
 	m.finish(res)
 	res.Elapsed = time.Since(start)
+	for _, o := range ctl.Observers {
+		o.OnDone(&res.RunStats)
+	}
 	return res
 }

@@ -277,17 +277,16 @@ func (m *Model) exchangeOn(topo topology.Topology) int64 {
 
 // RunSequential advances all demes in lockstep until stop fires,
 // performing synchronous migration whenever the policy is due. It is fully
-// deterministic for a given Config.
-func (m *Model) RunSequential(stop core.StopCondition, trace bool) *Result {
+// deterministic for a given Config; ctl is the caller's run control.
+func (m *Model) RunSequential(stop core.StopCondition, ctl engine.Control) *Result {
 	if stop == nil {
 		panic("island: stop condition required")
 	}
 	return m.runBarrier(false, nil, engine.Options{
 		Stop:              stop,
 		InitialSolve:      true,
-		Trace:             trace,
 		InitialTracePoint: true,
-	})
+	}, ctl)
 }
 
 // meanFitness returns the mean fitness over all demes' members.
@@ -329,7 +328,10 @@ func (m *Model) finish(res *Result) {
 // optimum is found. Policy.Sync selects barriered generations (globally
 // deterministic); otherwise demes free-run and exchange migrants through
 // bounded non-blocking endpoints. Config.Resilience supervises either.
-func (m *Model) RunParallel(maxGens int, trace bool) *Result {
+// ctl is the caller's run control; the free-running discipline has no
+// run-level generation, so there it cancels every deme and its observers
+// hear OnDone only (see runFree).
+func (m *Model) RunParallel(maxGens int, ctl engine.Control) *Result {
 	var sup *supervise.Supervisor
 	if m.cfg.Resilience != nil {
 		sup = supervise.New(*m.cfg.Resilience, m.cfg.Faults, m.cfg.Topology,
@@ -341,13 +343,12 @@ func (m *Model) RunParallel(maxGens int, trace bool) *Result {
 		m.deadPops = make([]*core.Population, len(m.engines))
 	}
 	if !m.cfg.Policy.Sync {
-		return m.runFree(maxGens, sup)
+		return m.runFree(maxGens, sup, ctl)
 	}
 	return m.runBarrier(true, sup, engine.Options{
 		Stop:        core.MaxGenerations(maxGens),
 		HaltOnSolve: true,
-		Trace:       trace,
-	})
+	}, ctl)
 }
 
 // failureKind maps a failed supervised step to its failure class.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/migration"
 	"pga/internal/operators"
@@ -42,7 +43,7 @@ func TestSequentialSolvesOneMax(t *testing.T) {
 	res := m.RunSequential(core.AnyOf{
 		core.MaxGenerations(300),
 		core.TargetFitness{Target: 64, Dir: core.Maximize},
-	}, false)
+	}, engine.Control{})
 	if !res.Solved {
 		t.Fatalf("island model failed onemax: best=%v", res.BestFitness)
 	}
@@ -62,7 +63,7 @@ func TestSequentialDeterministic(t *testing.T) {
 			NewEngine: onemaxEngines(48, 20),
 			Seed:      7,
 		})
-		res := m.RunSequential(core.MaxGenerations(40), true)
+		res := m.RunSequential(core.MaxGenerations(40), engine.Control{Trace: true})
 		return res.BestFitness, res.Evaluations, len(res.Trace)
 	}
 	f1, e1, t1 := run()
@@ -94,7 +95,7 @@ func TestMigrationImprovesOverIsolated(t *testing.T) {
 				},
 				Seed: s,
 			})
-			res := m.RunSequential(core.MaxGenerations(60), false)
+			res := m.RunSequential(core.MaxGenerations(60), engine.Control{})
 			sum += res.BestFitness
 		}
 		return sum / runs
@@ -113,7 +114,7 @@ func TestParallelSyncSolves(t *testing.T) {
 		NewEngine: onemaxEngines(48, 25),
 		Seed:      3,
 	})
-	res := m.RunParallel(300, false)
+	res := m.RunParallel(300, engine.Control{})
 	if !res.Solved {
 		t.Fatalf("sync-parallel failed: best=%v", res.BestFitness)
 	}
@@ -129,7 +130,7 @@ func TestParallelAsyncSolves(t *testing.T) {
 		NewEngine: onemaxEngines(48, 25),
 		Seed:      4,
 	})
-	res := m.RunParallel(300, false)
+	res := m.RunParallel(300, engine.Control{})
 	if !res.Solved {
 		t.Fatalf("async-parallel failed: best=%v", res.BestFitness)
 	}
@@ -146,7 +147,7 @@ func TestParallelSyncDeterministic(t *testing.T) {
 			NewEngine: onemaxEngines(40, 20),
 			Seed:      11,
 		})
-		return m.RunParallel(30, false).BestFitness
+		return m.RunParallel(30, engine.Control{}).BestFitness
 	}
 	if run() != run() {
 		t.Fatal("sync-parallel not deterministic")
@@ -166,8 +167,8 @@ func TestSequentialMatchesSyncParallel(t *testing.T) {
 			Seed:      13,
 		})
 	}
-	seqRes := mkModel().RunSequential(core.MaxGenerations(25), false)
-	parRes := mkModel().RunParallel(25, false)
+	seqRes := mkModel().RunSequential(core.MaxGenerations(25), engine.Control{})
+	parRes := mkModel().RunParallel(25, engine.Control{})
 	if seqRes.BestFitness != parRes.BestFitness || seqRes.Evaluations != parRes.Evaluations {
 		t.Fatalf("sequential (%v, %d evals) != sync parallel (%v, %d evals)",
 			seqRes.BestFitness, seqRes.Evaluations, parRes.BestFitness, parRes.Evaluations)
@@ -181,7 +182,7 @@ func TestIsolatedTopologyNeverMigrates(t *testing.T) {
 		NewEngine: onemaxEngines(24, 10),
 		Seed:      5,
 	})
-	res := m.RunSequential(core.MaxGenerations(10), false)
+	res := m.RunSequential(core.MaxGenerations(10), engine.Control{})
 	if res.Migrations != 0 {
 		t.Fatalf("isolated topology migrated %d times", res.Migrations)
 	}
@@ -194,7 +195,7 @@ func TestZeroIntervalNeverMigrates(t *testing.T) {
 		NewEngine: onemaxEngines(24, 10),
 		Seed:      6,
 	})
-	res := m.RunSequential(core.MaxGenerations(10), false)
+	res := m.RunSequential(core.MaxGenerations(10), engine.Control{})
 	if res.Migrations != 0 {
 		t.Fatalf("interval 0 migrated %d times", res.Migrations)
 	}
@@ -208,7 +209,7 @@ func TestMigrationCountMatchesSchedule(t *testing.T) {
 		NewEngine: onemaxEngines(24, 10),
 		Seed:      8,
 	})
-	res := m.RunSequential(core.MaxGenerations(20), false)
+	res := m.RunSequential(core.MaxGenerations(20), engine.Control{})
 	if res.Migrations != 16 {
 		t.Fatalf("migrations = %d, want 16", res.Migrations)
 	}
@@ -221,7 +222,7 @@ func TestTracePunctuatedShape(t *testing.T) {
 		NewEngine: onemaxEngines(64, 20),
 		Seed:      9,
 	})
-	res := m.RunSequential(core.MaxGenerations(50), true)
+	res := m.RunSequential(core.MaxGenerations(50), engine.Control{Trace: true})
 	if len(res.Trace) != 51 {
 		t.Fatalf("trace length %d", len(res.Trace))
 	}
@@ -256,7 +257,7 @@ func TestRunSequentialPanicsWithoutStop(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	m.RunSequential(nil, false)
+	m.RunSequential(nil, engine.Control{})
 }
 
 func TestMixedEnginesPerDeme(t *testing.T) {
@@ -283,7 +284,7 @@ func TestMixedEnginesPerDeme(t *testing.T) {
 	res := m.RunSequential(core.AnyOf{
 		core.MaxGenerations(200),
 		core.TargetFitness{Target: 32, Dir: core.Maximize},
-	}, false)
+	}, engine.Control{})
 	if !res.Solved {
 		t.Fatalf("mixed-engine island failed: %v", res.BestFitness)
 	}
@@ -311,7 +312,7 @@ func TestDynamicTopologyRewires(t *testing.T) {
 		RewireEvery: 1,
 		Seed:        14,
 	})
-	m.RunSequential(core.MaxGenerations(10), false)
+	m.RunSequential(core.MaxGenerations(10), engine.Control{})
 	changed := false
 	for i := range before {
 		after := dyn.Neighbors(i)
@@ -334,7 +335,7 @@ func TestStaticTopologyUnaffectedByRewireEvery(t *testing.T) {
 		RewireEvery: 1,
 		Seed:        15,
 	})
-	res := m.RunSequential(core.MaxGenerations(8), false)
+	res := m.RunSequential(core.MaxGenerations(8), engine.Control{})
 	if res.Evaluations == 0 {
 		t.Fatal("run failed with RewireEvery on a static topology")
 	}

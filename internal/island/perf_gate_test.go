@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/migration"
 	"pga/internal/operators"
@@ -48,7 +49,7 @@ func TestAllocBudget(t *testing.T) {
 		e.Step() // build each deme's pooled buffers outside the measured region
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		m.RunSequential(core.MaxGenerations(10), false)
+		m.RunSequential(core.MaxGenerations(10), engine.Control{})
 	})
 	// Measured 125: ~25 fixed run-level allocations plus ~12 per delivered
 	// batch over 8 ring links — each emigrant pick and each migrant clone
@@ -66,7 +67,7 @@ func BenchmarkGenerationAllocs(b *testing.B) {
 		m := gateModel()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.RunSequential(core.MaxGenerations(1), false)
+			m.RunSequential(core.MaxGenerations(1), engine.Control{})
 		}
 	})
 }

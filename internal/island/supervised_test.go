@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/migration"
 	"pga/internal/operators"
@@ -38,7 +39,7 @@ func TestSupervisedAcceptance(t *testing.T) {
 		Heartbeat:       40 * time.Millisecond,
 		Backoff:         time.Millisecond,
 	}
-	clean := New(supervisedConfig(true, res, nil)).RunParallel(300, false)
+	clean := New(supervisedConfig(true, res, nil)).RunParallel(300, engine.Control{})
 	if !clean.Solved {
 		t.Fatalf("fault-free supervised run failed: best=%v", clean.BestFitness)
 	}
@@ -49,7 +50,7 @@ func TestSupervisedAcceptance(t *testing.T) {
 	plan := supervise.NewFaultPlan().
 		PanicAt(1, 6).
 		HangAt(2, 9, 250*time.Millisecond)
-	faulty := New(supervisedConfig(true, res, plan)).RunParallel(300, false)
+	faulty := New(supervisedConfig(true, res, plan)).RunParallel(300, engine.Control{})
 	if !faulty.Solved {
 		t.Fatalf("faulty run did not complete: best=%v", faulty.BestFitness)
 	}
@@ -86,8 +87,8 @@ func TestSupervisedSyncMatchesUnsupervisedWhenFaultFree(t *testing.T) {
 			Resilience: res,
 		})
 	}
-	plain := mk(nil).RunParallel(25, false)
-	sup := mk(&supervise.Config{}).RunParallel(25, false)
+	plain := mk(nil).RunParallel(25, engine.Control{})
+	sup := mk(&supervise.Config{}).RunParallel(25, engine.Control{})
 	if plain.BestFitness != sup.BestFitness || plain.Evaluations != sup.Evaluations {
 		t.Fatalf("supervised (%v, %d evals) != unsupervised (%v, %d evals)",
 			sup.BestFitness, sup.Evaluations, plain.BestFitness, plain.Evaluations)
@@ -105,7 +106,7 @@ func TestSupervisedAsyncSolvesUnderPanics(t *testing.T) {
 		PanicAt(0, 1).PanicAt(1, 1).PanicAt(2, 1).PanicAt(3, 1)
 	cfg := supervisedConfig(false, res, plan)
 	cfg.NewEngine = onemaxEngines(96, 25)
-	r := New(cfg).RunParallel(600, false)
+	r := New(cfg).RunParallel(600, engine.Control{})
 	if !r.Solved {
 		t.Fatalf("async supervised run failed: best=%v", r.BestFitness)
 	}
@@ -124,7 +125,7 @@ func TestSupervisedDeadDemeIsRoutedAround(t *testing.T) {
 		Backoff:         time.Millisecond,
 	}
 	plan := supervise.NewFaultPlan().PanicAt(1, 3)
-	r := New(supervisedConfig(true, res, plan)).RunParallel(300, false)
+	r := New(supervisedConfig(true, res, plan)).RunParallel(300, engine.Control{})
 	if !r.Solved {
 		t.Fatalf("run with a dead deme failed: best=%v", r.BestFitness)
 	}
@@ -176,7 +177,7 @@ func TestSupervisedAsyncDeadLetter(t *testing.T) {
 		Resilience: res,
 		Faults:     plan,
 	})
-	r := m.RunParallel(200, false)
+	r := m.RunParallel(200, engine.Control{})
 	if r.HeartbeatTimeouts < 1 {
 		t.Fatalf("HeartbeatTimeouts = %d, want >= 1", r.HeartbeatTimeouts)
 	}
@@ -216,9 +217,9 @@ func TestRunParallelNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	// Plain sync and async runs.
-	New(supervisedConfig(true, nil, nil)).RunParallel(60, false)
+	New(supervisedConfig(true, nil, nil)).RunParallel(60, engine.Control{})
 	waitForGoroutines(t, baseline, 3*time.Second)
-	New(supervisedConfig(false, nil, nil)).RunParallel(60, false)
+	New(supervisedConfig(false, nil, nil)).RunParallel(60, engine.Control{})
 	waitForGoroutines(t, baseline, 3*time.Second)
 
 	// Supervised run with a crash and a hang: the abandoned hung step
@@ -230,11 +231,11 @@ func TestRunParallelNoGoroutineLeak(t *testing.T) {
 		Backoff:         time.Millisecond,
 	}
 	plan := supervise.NewFaultPlan().PanicAt(0, 3).HangAt(3, 5, 150*time.Millisecond)
-	New(supervisedConfig(true, res, plan)).RunParallel(80, false)
+	New(supervisedConfig(true, res, plan)).RunParallel(80, engine.Control{})
 	waitForGoroutines(t, baseline, 3*time.Second)
 
 	plan = supervise.NewFaultPlan().PanicAt(2, 4).HangAt(1, 6, 150*time.Millisecond)
-	New(supervisedConfig(false, res, plan)).RunParallel(80, false)
+	New(supervisedConfig(false, res, plan)).RunParallel(80, engine.Control{})
 	waitForGoroutines(t, baseline, 3*time.Second)
 }
 
@@ -263,7 +264,7 @@ func TestSupervisedMixedEngines(t *testing.T) {
 		Resilience: res,
 		Faults:     plan,
 	})
-	r := m.RunParallel(200, false)
+	r := m.RunParallel(200, engine.Control{})
 	if !r.Solved {
 		t.Fatalf("mixed-engine supervised run failed: best=%v", r.BestFitness)
 	}
@@ -279,7 +280,7 @@ func TestSupervisedTraceMonotone(t *testing.T) {
 	res := &supervise.Config{CheckpointEvery: 4, MaxRestarts: 3, Backoff: time.Millisecond}
 	plan := supervise.NewFaultPlan().PanicAt(0, 5).PanicAt(3, 11)
 	m := New(supervisedConfig(true, res, plan))
-	r := m.RunParallel(40, true)
+	r := m.RunParallel(40, engine.Control{Trace: true})
 	if len(r.Trace) == 0 {
 		t.Fatal("no trace recorded")
 	}
@@ -306,7 +307,7 @@ func TestAsyncNetConservation(t *testing.T) {
 			NewEngine:  enginesFor(untargeted{problems.OneMax{N: 48}}, 12),
 			Seed:       9,
 			Resilience: res,
-		}).RunParallel(120, false)
+		}).RunParallel(120, engine.Control{})
 		n := r.Net
 		if n.Sent == 0 || n.Dropped == 0 {
 			t.Errorf("supervised=%v: no refusals exercised: %+v", res != nil, n)
@@ -332,7 +333,7 @@ func TestSupervisedAllDeadStopReason(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			plan.PanicAt(i, 2)
 		}
-		r := New(supervisedConfig(sync, &supervise.Config{MaxRestarts: -1}, plan)).RunParallel(300, false)
+		r := New(supervisedConfig(sync, &supervise.Config{MaxRestarts: -1}, plan)).RunParallel(300, engine.Control{})
 		if len(r.DeadDemes) != 4 {
 			t.Fatalf("sync=%v: DeadDemes = %v, want all four", sync, r.DeadDemes)
 		}

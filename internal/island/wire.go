@@ -23,6 +23,7 @@ package island
 //     job (cmd/pgaisland exits; the peers' sends to it dead-letter).
 
 import (
+	"context"
 	"fmt"
 
 	"pga/internal/core"
@@ -55,9 +56,14 @@ type WireConfig struct {
 	MigRNG *rng.Source
 	// MaxGens caps the run.
 	MaxGens int
-	// Trace records per-generation trace points.
-	Trace bool
-	// Observers receive the run-lifecycle hooks.
+
+	// Context, Trace and Observers are the caller's run control, handed
+	// to engine.Loop unchanged (see engine.Control; they stay fields of
+	// this config, which is RunWire's one argument, because cmd/pgaperf
+	// builds it by keyed literal). Cancelling Context ends the island
+	// within one generation; the endpoint stays the caller's to close.
+	Context   context.Context
+	Trace     bool
 	Observers []engine.Observer
 }
 
@@ -122,8 +128,9 @@ func RunWire(cfg WireConfig) *Result {
 		Target:            ta,
 		HaltOnSolve:       true,
 		InitialSolve:      true,
+		InitialTracePoint: true,
+		Context:           cfg.Context,
 		Trace:             cfg.Trace,
-		InitialTracePoint: cfg.Trace,
 		Observers:         cfg.Observers,
 	}, &res.RunStats)
 	res.Migrations = totals.Migrations

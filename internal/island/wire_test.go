@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/migration"
 	"pga/internal/problems"
@@ -148,7 +149,7 @@ func TestSoloWireMatchesSequential(t *testing.T) {
 
 	want := New(Config{
 		Topology: topology.Isolated(1), Policy: policy, NewEngine: newEngine, Seed: seed,
-	}).RunSequential(core.MaxGenerations(gens), true)
+	}).RunSequential(core.MaxGenerations(gens), engine.Control{Trace: true})
 
 	er, mr := WireStreams(seed, 1, 0)
 	got := RunWire(WireConfig{

@@ -216,8 +216,9 @@ func (s *netStepper) Evaluations() int64 { return s.n.totalEvaluations() }
 func (s *netStepper) Direction() core.Direction { return s.n.dir }
 
 // Run executes maxGens generations of the overlay and returns the result.
-// The simulation is fully deterministic for a given Config.
-func (n *Network) Run(maxGens int) *Result {
+// The simulation is fully deterministic for a given Config; ctl is the
+// caller's run control.
+func (n *Network) Run(maxGens int, ctl engine.Control) *Result {
 	res := &Result{}
 	ta, _ := n.cfg.Problem.(core.TargetAware)
 	engine.Loop(&netStepper{n: n, res: res}, engine.Options{
@@ -225,7 +226,7 @@ func (n *Network) Run(maxGens int) *Result {
 		Target:       ta,
 		HaltOnSolve:  true,
 		InitialSolve: true,
-	}, &res.RunStats)
+	}.With(ctl), &res.RunStats)
 	res.AliveAtEnd = n.aliveCount()
 	return res
 }

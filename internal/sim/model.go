@@ -222,8 +222,8 @@ func buildScenario(s Scenario, nObj int) []islandSpec {
 }
 
 // Run executes the scenario and returns its result. The run is fully
-// deterministic for a given Config.
-func Run(cfg Config) *Result {
+// deterministic for a given Config; ctl is the caller's run control.
+func Run(cfg Config, ctl engine.Control) *Result {
 	if cfg.Problem == nil {
 		panic("sim: Config.Problem is required")
 	}
@@ -275,7 +275,7 @@ func Run(cfg Config) *Result {
 	}
 	engine.Loop(st, engine.Options{
 		Stop: core.MaxGenerations(cfg.Generations),
-	}, &res.RunStats)
+	}.With(ctl), &res.RunStats)
 	if nObj == 2 {
 		pts := make([][]float64, 0, archive.Len())
 		for _, it := range archive.Items() {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pga/internal/engine"
 	"pga/internal/genome"
 )
 
@@ -207,7 +208,7 @@ func TestRunAllScenarios(t *testing.T) {
 			DemeSize:    20,
 			Generations: 20,
 			Seed:        1,
-		})
+		}, engine.Control{})
 		if res.Archive.Len() == 0 {
 			t.Fatalf("%s: empty archive", s)
 		}
@@ -222,7 +223,7 @@ func TestRunAllScenarios(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	run := func() float64 {
-		return Run(Config{Problem: ZDT1{Dim: 8}, Scenario: S5, DemeSize: 16, Generations: 15, Seed: 7}).Hypervolume
+		return Run(Config{Problem: ZDT1{Dim: 8}, Scenario: S5, DemeSize: 16, Generations: 15, Seed: 7}, engine.Control{}).Hypervolume
 	}
 	if run() != run() {
 		t.Fatal("SIM run not deterministic")
@@ -240,7 +241,7 @@ func TestCommunicatingSpecialistsBeatIsolated(t *testing.T) {
 			sum += Run(Config{
 				Problem: ZDT1{Dim: 10}, Scenario: s, DemeSize: 24,
 				Generations: 40, HVRef: [2]float64{1.1, 1.1}, Seed: seed,
-			}).Hypervolume
+			}, engine.Control{}).Hypervolume
 		}
 		return sum / 5
 	}
@@ -261,5 +262,5 @@ func TestRunValidation(t *testing.T) {
 			t.Fatal("no panic without problem")
 		}
 	}()
-	Run(Config{Scenario: S1})
+	Run(Config{Scenario: S1}, engine.Control{})
 }

@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 
+	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/hga"
 	"pga/internal/island"
@@ -60,9 +61,11 @@ type model struct {
 	// beyond the shared sections).
 	check func(*Plan, *Error)
 	// build constructs the runtime handle(s) from a plan that resolved
-	// without error; run drives them and adds the model's report fields.
+	// without error; run drives them under the caller's run control —
+	// handed to the runtime as it came — and adds the model's report
+	// fields.
 	build func(*Plan, *Built)
-	run   func(*Built, RunOpts, *Report)
+	run   func(*Built, engine.Control, *Report)
 }
 
 var models = []*model{
@@ -88,14 +91,14 @@ var models = []*model{
 		demes: true, problem: (*Plan).registryProblem,
 		check: (*Plan).islands,
 		build: func(p *Plan, b *Built) { b.Islands = island.New(p.IslandConfig()) },
-		run: func(b *Built, opts RunOpts, rep *Report) {
+		run: func(b *Built, ctl engine.Control, rep *Report) {
 			var res *island.Result
 			if b.plan.parallel {
-				res = b.Islands.RunParallel(b.plan.maxGens, opts.Trace)
+				res = b.Islands.RunParallel(b.plan.maxGens, ctl)
 			} else {
-				res = b.Islands.RunSequential(b.Stop, opts.Trace)
+				res = b.Islands.RunSequential(b.Stop, ctl)
 			}
-			rep.fill(&res.RunStats, opts.Trace)
+			rep.fill(&res.RunStats)
 			rep.Migrations, rep.Restarts, rep.DeadDemes = res.Migrations, res.Restarts, res.DeadDemes
 		}},
 	{name: ModelP2P, section: ModelP2P, has: func(s *RunSpec) bool { return s.P2P != nil },
@@ -106,9 +109,9 @@ var models = []*model{
 			cfg.Problem, cfg.NewEngine, cfg.Seed = p.prob, p.demeEngine, p.spec.Seed
 			b.P2P = p2p.New(cfg)
 		},
-		run: func(b *Built, opts RunOpts, rep *Report) {
-			res := b.P2P.Run(b.plan.maxGens)
-			rep.fill(&res.RunStats, opts.Trace)
+		run: func(b *Built, ctl engine.Control, rep *Report) {
+			res := b.P2P.Run(b.plan.maxGens, ctl)
+			rep.fill(&res.RunStats)
 			rep.Departures, rep.Joins, rep.AliveAtEnd = res.Departures, res.Joins, res.AliveAtEnd
 		}},
 	{name: ModelHGA, section: ModelHGA, has: func(s *RunSpec) bool { return s.HGA != nil },
@@ -120,9 +123,9 @@ var models = []*model{
 			cfg.Selector, cfg.Crossover, cfg.Mutator = p.sel, p.xover, p.mut
 			b.HGA = hga.New(cfg)
 		},
-		run: func(b *Built, opts RunOpts, rep *Report) {
-			res := b.HGA.Run(b.plan.cost)
-			rep.fill(&res.RunStats, opts.Trace)
+		run: func(b *Built, ctl engine.Control, rep *Report) {
+			res := b.HGA.Run(b.plan.cost, ctl)
+			rep.fill(&res.RunStats)
 			rep.Cost, rep.CostAtSolve = res.Cost, res.CostAtSolve
 		}},
 	{name: ModelSIM, section: ModelSIM, has: func(s *RunSpec) bool { return s.SIM != nil },
@@ -133,9 +136,9 @@ var models = []*model{
 			cfg.Generations, cfg.Seed = p.maxGens, p.spec.Seed
 			b.SIMConfig = &cfg
 		},
-		run: func(b *Built, opts RunOpts, rep *Report) {
-			res := sim.Run(*b.SIMConfig)
-			rep.fill(&res.RunStats, opts.Trace)
+		run: func(b *Built, ctl engine.Control, rep *Report) {
+			res := sim.Run(*b.SIMConfig, ctl)
+			rep.fill(&res.RunStats)
 			rep.Hypervolume, rep.ParetoSize, rep.Islands = res.Hypervolume, res.Archive.Len(), res.Islands
 		}},
 }
@@ -157,8 +160,8 @@ func buildEngine(p *Plan, b *Built) { b.Engine = p.family.engine(p, rng.New(p.sp
 
 // runEngine drives b.Engine — read here, at run time, so a caller may
 // wrap the engine between Build and Run.
-func runEngine(b *Built, opts RunOpts, rep *Report) {
-	res := ga.Run(b.Engine, ga.RunOptions{Stop: b.Stop, Trace: opts.Trace, OnStep: opts.OnStep})
-	rep.fill(&res.RunStats, opts.Trace)
+func runEngine(b *Built, ctl engine.Control, rep *Report) {
+	res := ga.Run(b.Engine, ga.RunOptions{Stop: b.Stop, Control: ctl})
+	rep.fill(&res.RunStats)
 	rep.CacheHits, rep.CacheMisses = res.CacheHits, res.CacheMisses
 }

@@ -1,7 +1,10 @@
 package spec
 
 import (
+	"slices"
+
 	"pga/internal/core"
+	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/hga"
 	"pga/internal/island"
@@ -43,15 +46,48 @@ type Built struct {
 	plan *Plan
 }
 
-// RunOpts tunes Built.Run and Sweep.Run.
+// RunOpts is the caller's control over Built.Run and Sweep.Run. All nine
+// model names honour all of it, through the one engine.Loop they share:
+//
+//   - Context cancels the run from outside: it ends within one generation
+//     with stop reason "cancelled" and a truthful partial Report. A
+//     cancelled sweep claims no further cell (see Sweep.Run).
+//   - Trace records the per-generation trace into the report (the mean is
+//     0 for p2p, hga and sim, whose runtimes report no run-level mean).
+//   - Observers receive the engine.Loop lifecycle hooks after the
+//     runtime's own: OnGeneration once for the initial population and once
+//     per completed generation, OnMigration/OnRestart when a step
+//     delivered or restarted, OnDone once with the final stats.
+//
+// One discipline delivers less: free-running islands (mode "parallel"
+// with async migration) are n per-deme loops with no run-level generation,
+// so there the observers hear OnDone only and Trace records nothing, until
+// ROADMAP item 1B's deme-tagged events; cancellation stops every deme.
+//
+// Sweep.Run shares one RunOpts between its workers: the observers and
+// OnStep of a sweep are called from several goroutines, for several cells
+// at once, and must be safe for that. The Observers slice is never written.
 type RunOpts struct {
-	// OnStep fires after every generation of the engine models (live
-	// progress displays). Island/p2p/hga/sim runs ignore it. Sweep.Run
-	// calls it from its worker goroutines, for several cells at once, so
-	// a sweep's OnStep must be safe for concurrent use.
+	engine.Control
+	// OnStep fires after every completed generation (live progress
+	// displays): shorthand for an observer
+	// engine.Funcs{Generation: OnStep} that skips generation 0.
 	OnStep func(core.Status)
-	// Trace records the per-generation trace into the report.
-	Trace bool
+}
+
+// control is the engine.Control opts means: its own, with OnStep folded
+// in as one more observer (in a fresh slice).
+func (opts RunOpts) control() engine.Control {
+	ctl := opts.Control
+	if onStep := opts.OnStep; onStep != nil {
+		step := engine.Funcs{Generation: func(s core.Status) {
+			if s.Generation > 0 {
+				onStep(s)
+			}
+		}}
+		ctl.Observers = slices.Concat(ctl.Observers, []engine.Observer{step})
+	}
+	return ctl
 }
 
 // Report is the deterministic run summary: everything a sweep result
@@ -106,12 +142,13 @@ func (b *Built) Run(opts RunOpts) *Report {
 		Problem: b.Spec.Problem.Name,
 		Seed:    b.Spec.Seed,
 	}
-	b.plan.model.run(b, opts, rep)
+	b.plan.model.run(b, opts.control(), rep)
 	return rep
 }
 
-// fill copies the shared accounting, excluding Elapsed.
-func (r *Report) fill(st *core.RunStats, trace bool) {
+// fill copies the shared accounting, excluding Elapsed (the trace is
+// there only when the run was asked to record one).
+func (r *Report) fill(st *core.RunStats) {
 	r.Best = st.BestFitness
 	r.Generations = st.Generations
 	r.Evaluations = st.Evaluations
@@ -119,7 +156,5 @@ func (r *Report) fill(st *core.RunStats, trace bool) {
 	r.SolvedAtEval = st.SolvedAtEval
 	r.SolvedAtGen = st.SolvedAtGen
 	r.StopReason = st.StopReason
-	if trace {
-		r.Trace = st.Trace
-	}
+	r.Trace = st.Trace
 }

@@ -2,7 +2,9 @@ package spec
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"sort"
 	"strconv"
@@ -365,6 +367,12 @@ func (c Cell) run(opts RunOpts) (*Report, error) {
 // completion, so every cell below a failing one has finished by the
 // time the workers are joined. At most one runtime per worker is alive
 // at once, and no goroutine outlives the call.
+//
+// Cancelling opts.Context is treated exactly as a failed cell, except
+// that the cells in flight stop too, within one generation each (they
+// run under the same context): no further cell is claimed, every worker
+// is joined, and Run returns the longest prefix of cells that finished
+// uncancelled with an error wrapping context.Cause.
 func (s *Sweep) Run(opts RunOpts) ([]*Report, error) {
 	return s.run(opts, runtime.GOMAXPROCS(0))
 }
@@ -381,29 +389,48 @@ func (s *Sweep) run(opts RunOpts, workers int) ([]*Report, error) {
 	}
 	reports := make([]*Report, len(cells))
 	errs := make([]error, len(cells))
+	// claiming is a child of the caller's context that a failed cell also
+	// cancels: it gates claims only. The cells run under the caller's own
+	// context, so a failure lets the cells in flight finish while a
+	// cancellation stops them.
+	caller := opts.Ctx()
+	claiming, stopClaiming := context.WithCancel(caller)
+	defer stopClaiming()
 	var next atomic.Int64
-	var failed atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for !failed.Load() {
+			for claiming.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= len(cells) {
 					return
 				}
-				if reports[i], errs[i] = cells[i].run(opts); errs[i] != nil {
-					failed.Store(true)
+				rep, err := cells[i].run(opts)
+				if err == nil && caller.Err() != nil {
+					err = cancelledAt(caller, cells[i])
+				}
+				if reports[i], errs[i] = rep, err; err != nil {
+					stopClaiming()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return reports[:i], err
+	for i, c := range cells {
+		if errs[i] != nil {
+			return reports[:i], errs[i]
+		}
+		if reports[i] == nil { // never claimed: the caller cancelled between cells
+			return reports[:i], cancelledAt(caller, c)
 		}
 	}
 	return reports, nil
+}
+
+// cancelledAt is the error of a sweep whose context ended with cell c
+// the first not to finish.
+func cancelledAt(ctx context.Context, c Cell) error {
+	return fmt.Errorf("sweep cancelled at cell %d (replicate %d): %w", c.Index, c.Replicate, context.Cause(ctx))
 }

@@ -46,7 +46,7 @@
 //	}).RunSequential(pga.AnyOf{
 //		pga.MaxGenerations(500),
 //		pga.Target(prob),
-//	}, false)
+//	}, pga.Control{})
 //
 // See the examples directory for complete programs and DESIGN.md for the
 // mapping between packages and the surveyed literature.
@@ -248,9 +248,16 @@ type (
 	GAConfig = ga.Config
 	// RunOptions tunes Run.
 	RunOptions = ga.RunOptions
+	// Control is the caller's control over a run of any model: the
+	// Context that cancels it (the run ends within one generation with
+	// stop reason "cancelled" and truthful partial stats), the Trace
+	// switch and the Observers. Every run entry takes one — inside
+	// RunOptions for Run, as the last argument elsewhere; Control{} is an
+	// unwatched, uncancellable run.
+	Control = engine.Control
 	// Observer receives ordered lifecycle hooks from the shared run loop
 	// (OnGeneration, OnMigration, OnRestart, OnDone); pass implementations
-	// through RunOptions.Observers.
+	// through Control.Observers.
 	Observer = engine.Observer
 	// ObserverFuncs adapts optional functions to Observer; nil fields are
 	// no-ops.
@@ -523,8 +530,8 @@ type (
 // ZDT1 returns the classic bi-objective benchmark.
 func ZDT1(dim int) MultiObjective { return sim.ZDT1{Dim: dim} }
 
-// RunSIM executes a SIM scenario.
-func RunSIM(cfg SIMConfig) *SIMResult { return sim.Run(cfg) }
+// RunSIM executes a SIM scenario under the caller's run control.
+func RunSIM(cfg SIMConfig, ctl Control) *SIMResult { return sim.Run(cfg, ctl) }
 
 // SIMScenarios lists the seven scenarios in order.
 func SIMScenarios() []SIMScenario { return sim.Scenarios() }

@@ -48,7 +48,7 @@ func TestFacadeIslands(t *testing.T) {
 		Migration: Migration{Interval: 5, Count: 2},
 		Seed:      3,
 	})
-	res := m.RunSequential(AnyOf{MaxGenerations(300), Target(prob)}, false)
+	res := m.RunSequential(AnyOf{MaxGenerations(300), Target(prob)}, Control{})
 	if !res.Solved {
 		t.Fatalf("facade islands failed: %v", res.BestFitness)
 	}
@@ -69,7 +69,7 @@ func TestFacadeAllTopologies(t *testing.T) {
 			Migration: Migration{Interval: 3, Count: 1},
 			Seed:      4,
 		})
-		res := m.RunSequential(MaxGenerations(10), false)
+		res := m.RunSequential(MaxGenerations(10), Control{})
 		if res.Evaluations == 0 {
 			t.Fatalf("topology %d ran no evaluations", top)
 		}
@@ -130,7 +130,7 @@ func TestFacadeHGA(t *testing.T) {
 		Mutator:   PolynomialMutation{},
 		Seed:      8,
 	})
-	res := m.Run(3000)
+	res := m.Run(3000, Control{})
 	if res.Evaluations == 0 {
 		t.Fatal("facade HGA ran nothing")
 	}
@@ -144,7 +144,7 @@ func TestFacadeSIM(t *testing.T) {
 			DemeSize:    16,
 			Generations: 10,
 			Seed:        9,
-		})
+		}, Control{})
 		if res.Archive.Len() == 0 {
 			t.Fatalf("scenario %v produced empty archive", s)
 		}
@@ -234,7 +234,7 @@ func TestFacadeP2P(t *testing.T) {
 		ChurnRate: 0.02,
 		Seed:      4,
 	})
-	res := n.Run(150)
+	res := n.Run(150, Control{})
 	if !res.Solved {
 		t.Fatalf("P2P overlay failed: %v", res.BestFitness)
 	}
@@ -285,7 +285,7 @@ func TestFacadeSupervisedIslands(t *testing.T) {
 		Resilience: &Resilience{CheckpointEvery: 5, MaxRestarts: 3},
 		Faults:     NewFaultPlan().PanicAt(1, 4),
 	}
-	res := NewIslands(cfg).RunParallel(300, false)
+	res := NewIslands(cfg).RunParallel(300, Control{})
 	if !res.Solved {
 		t.Fatalf("supervised facade run failed: %v", res.BestFitness)
 	}
@@ -313,7 +313,7 @@ func TestFacadeFaultPlanImpliesSupervision(t *testing.T) {
 		Migration: Migration{Interval: 5, Count: 1, Sync: true},
 		Seed:      15,
 		Faults:    NewFaultPlan().PanicAt(0, 2),
-	}).RunParallel(300, false)
+	}).RunParallel(300, Control{})
 	if res.PanicsRecovered != 1 {
 		t.Fatalf("PanicsRecovered = %d, want 1", res.PanicsRecovered)
 	}

@@ -66,7 +66,7 @@ func stopRuntimes(prob Problem, seed uint64) map[string]func(stop StopCondition)
 				Migration: Migration{Interval: 4, Count: 1},
 				Seed:      seed,
 			})
-			res := m.RunSequential(stop, false)
+			res := m.RunSequential(stop, Control{})
 			return &res.RunStats
 		},
 	}
@@ -103,7 +103,7 @@ func TestStopUniformityMaxGenerations(t *testing.T) {
 		Migration: Migration{Interval: 4, Count: 1, Sync: true},
 		Seed:      11,
 	})
-	if res := m.RunParallel(gens, false); res.Generations != gens || res.StopReason != "max generations" {
+	if res := m.RunParallel(gens, Control{}); res.Generations != gens || res.StopReason != "max generations" {
 		t.Errorf("island-sync-parallel: halted at (%d, %q), want (%d, max generations)",
 			res.Generations, res.StopReason, gens)
 	}
@@ -122,7 +122,7 @@ func TestStopUniformityMaxGenerations(t *testing.T) {
 		},
 		Seed: 11,
 	})
-	if res := p.Run(gens); res.Generations != gens || res.StopReason != "max generations" {
+	if res := p.Run(gens, Control{}); res.Generations != gens || res.StopReason != "max generations" {
 		t.Errorf("p2p: halted at (%d, %q), want (%d, max generations)",
 			res.Generations, res.StopReason, gens)
 	}
@@ -133,7 +133,7 @@ func TestStopUniformityMaxGenerations(t *testing.T) {
 		DemeSize:    12,
 		Generations: gens,
 		Seed:        11,
-	}); res.Generations != gens || res.StopReason != "max generations" {
+	}, Control{}); res.Generations != gens || res.StopReason != "max generations" {
 		t.Errorf("sim: halted at (%d, %q), want (%d, max generations)",
 			res.Generations, res.StopReason, gens)
 	}
