@@ -74,7 +74,7 @@ type Pass struct {
 	// tolerate missing entries.
 	Info *types.Info
 	// Facts is the interprocedural layer (call graph + summaries),
-	// computed once per RunAnalyzers call over every analyzed package and
+	// computed once per RunAnalyzers call over every loaded package and
 	// shared by all passes. Never nil under RunAnalyzers; may be nil when
 	// a rule is driven manually.
 	Facts *Facts
@@ -104,7 +104,6 @@ func Registry() []*Analyzer {
 		NoRawRand(),
 		NoWallClock(),
 		BlockingSend(),
-		SharedRNG(),
 		GoroLeak(),
 		HiddenAlloc(),
 		RngFlow(),
@@ -184,7 +183,7 @@ func (idx ignoreIndex) suppressed(pos token.Position, rule string) bool {
 // surviving (non-suppressed) diagnostics sorted by file, line, column and
 // rule. File paths are reported relative to root when possible.
 func RunAnalyzers(root string, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunAnalyzersTimed(root, pkgs, analyzers, nil)
+	diags, _ := RunAnalyzersTimed(root, pkgs, pkgs, analyzers, nil)
 	return diags
 }
 
@@ -197,11 +196,15 @@ type RuleTiming struct {
 	Nanos int64
 }
 
-// RunAnalyzersTimed is RunAnalyzers with per-rule timing. The clock is
+// RunAnalyzersTimed is RunAnalyzers with a selection and per-rule timing.
+// The call graph and summaries are built over all — normally the whole
+// module — and the rules report on pkgs only, a subset of all: linting
+// one package must find what linting the module finds there, and the
+// chains that make a finding usually leave the package. The clock is
 // injected (monotonic nanoseconds, e.g. time.Now().UnixNano from the
 // caller) because this package is itself subject to the nowallclock
 // contract; a nil now skips timing.
-func RunAnalyzersTimed(root string, pkgs []*Package, analyzers []*Analyzer, now func() int64) ([]Diagnostic, []RuleTiming) {
+func RunAnalyzersTimed(root string, all, pkgs []*Package, analyzers []*Analyzer, now func() int64) ([]Diagnostic, []RuleTiming) {
 	var diags []Diagnostic
 	var timings []RuleTiming
 	clock := func() int64 {
@@ -212,7 +215,7 @@ func RunAnalyzersTimed(root string, pkgs []*Package, analyzers []*Analyzer, now 
 	}
 
 	start := clock()
-	facts := ComputeFacts(pkgs)
+	facts := ComputeFacts(all)
 	ignores := make([]ignoreIndex, len(pkgs))
 	passes := make([]*Pass, len(pkgs))
 	for i, pkg := range pkgs {
@@ -353,6 +356,16 @@ func pathMatch(pattern, pkgPath string) bool {
 		return pkgPath == prefix || strings.HasPrefix(pkgPath, prefix+"/")
 	}
 	return pkgPath == pattern
+}
+
+// pathMatchAny reports whether pkgPath matches any of patterns.
+func pathMatchAny(patterns []string, pkgPath string) bool {
+	for _, pattern := range patterns {
+		if pathMatch(pattern, pkgPath) {
+			return true
+		}
+	}
+	return false
 }
 
 // enclosingFunc returns the FuncDecl of file that contains pos, or nil.

@@ -8,7 +8,9 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -76,9 +78,9 @@ var fixtureGroups = map[string][]string{
 	"drawshape_ok.go":    {"auxrng.go"},
 }
 
-// The fixture loader shares one file set, one stdlib source importer and
-// one parse cache across the test binary; stdlib packages are
-// type-checked from source once.
+// The test binary shares one file set, one stdlib source importer and
+// one parse cache between the fixtures and the repository's own module
+// (repoModule): stdlib packages are type-checked from source once.
 var (
 	fixtureFset  = token.NewFileSet()
 	fixtureStd   = importer.ForCompiler(fixtureFset, "source", nil)
@@ -88,6 +90,31 @@ var (
 	// import path, so later fixtures can import earlier ones.
 	fixtureTypes = map[string]*types.Package{}
 )
+
+var (
+	repoOnce sync.Once
+	repoMod  *Module
+	repoErr  error
+)
+
+// repoModule loads and type-checks this repository's module, once per
+// test binary (≈ 2 s, most of the package's test time).
+func repoModule(t *testing.T) *Module {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full-module type check in -short mode")
+	}
+	repoOnce.Do(func() {
+		var root string
+		if root, repoErr = FindModuleRoot("."); repoErr == nil {
+			repoMod, repoErr = loadModule(root, fixtureFset, fixtureStd)
+		}
+	})
+	if repoErr != nil {
+		t.Fatal(repoErr)
+	}
+	return repoMod
+}
 
 // fixtureImporter resolves fixture-internal import paths from the
 // already-checked fixtures and everything else from the stdlib source
@@ -302,17 +329,7 @@ func TestPathMatch(t *testing.T) {
 // ./cmd/pgalint ./...`: the module itself must satisfy its own
 // determinism and concurrency contracts (modulo justified ignores).
 func TestRepositoryIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module type check in -short mode")
-	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := repoModule(t)
 	for _, pkg := range mod.Pkgs {
 		for _, te := range pkg.TypeErrors {
 			t.Errorf("%s: type error: %v", pkg.Path, te)
@@ -325,17 +342,7 @@ func TestRepositoryIsClean(t *testing.T) {
 }
 
 func TestLoadModuleShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module type check in -short mode")
-	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := repoModule(t)
 	if mod.Path != "pga" {
 		t.Fatalf("module path = %q, want pga", mod.Path)
 	}
@@ -352,5 +359,49 @@ func TestLoadModuleShape(t *testing.T) {
 	if !(seen["pga/internal/rng"] < seen["pga/internal/island"] && seen["pga/internal/island"] < seen["pga"]) {
 		t.Errorf("packages not in dependency order: rng=%d island=%d pga=%d",
 			seen["pga/internal/rng"], seen["pga/internal/island"], seen["pga"])
+	}
+}
+
+// TestRuleListsResolve holds every rule's built-in list against the
+// loaded module: a package pattern must match a package, a function
+// entry a declaration. A rename that leaves a rule guarding nothing
+// fails here instead of passing silently.
+func TestRuleListsResolve(t *testing.T) {
+	mod := repoModule(t)
+	nodeNames := map[string]bool{} // "pkg/path.Recv.Method": receiver-sensitive lists
+	funcNames := map[string]bool{} // "pkg/path.Method": allowedFunc's receiver-insensitive form
+	for _, n := range BuildGraph(mod.Pkgs).Nodes {
+		if n.Decl != nil {
+			nodeNames[n.Name] = true
+			funcNames[n.Pkg.Path+"."+n.Decl.Name.Name] = true
+		}
+	}
+	lists := []struct {
+		name    string
+		entries []string
+		funcs   map[string]bool // how the rule matches the list's function entries
+	}{
+		{"commScope", commScope, nil},
+		{"boundedResScope", boundedResScope, nil},
+		{"boundedResCold", boundedResCold, nodeNames},
+		{"rawRandExempt", rawRandExempt, nil},
+		{"wallClockAllow", wallClockAllow, funcNames},
+		{"hiddenAllocHot", hiddenAllocHot, funcNames},
+		{"hiddenAllocCold", hiddenAllocCold, funcNames},
+		{"purityExempt", purityExempt, funcNames},
+		{"drawShapeExempt", drawShapeExempt, nodeNames},
+	}
+	for _, l := range lists {
+		for _, entry := range l.entries {
+			if hasFuncQualifier(entry) {
+				if !l.funcs[entry] {
+					t.Errorf("%s: %q names no declaration in the module", l.name, entry)
+				}
+				continue
+			}
+			if !slices.ContainsFunc(mod.Pkgs, func(pkg *Package) bool { return pathMatch(entry, pkg.Path) }) {
+				t.Errorf("%s: %q matches no package of the module", l.name, entry)
+			}
+		}
 	}
 }

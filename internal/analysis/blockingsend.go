@@ -19,47 +19,29 @@ import (
 	"strings"
 )
 
-// BlockingSendConfig configures the blockingsend analyzer.
-type BlockingSendConfig struct {
-	// ScopePaths are the package patterns the rule applies to: the
-	// communication runtimes. Pure-compute packages may use channels
-	// however they like.
-	ScopePaths []string
+// commScope lists the package patterns of the communication runtimes:
+// where blockingsend polices each send and whose functions and spawned
+// goroutines form chantopo's topology. Pure-compute packages may use
+// channels however they like.
+var commScope = []string{
+	"pga/internal/island",
+	"pga/internal/migration",
+	"pga/internal/p2p",
+	"pga/internal/masterslave",
+	"pga/internal/cellular",
+	"pga/internal/supervise",
+	"pga/internal/transport",
 }
 
-// DefaultBlockingSendConfig returns the repository's production policy.
-func DefaultBlockingSendConfig() BlockingSendConfig {
-	return BlockingSendConfig{ScopePaths: []string{
-		"pga/internal/island",
-		"pga/internal/migration",
-		"pga/internal/p2p",
-		"pga/internal/masterslave",
-		"pga/internal/cellular",
-		"pga/internal/supervise",
-		"pga/internal/transport",
-	}}
-}
-
-// BlockingSend builds the blockingsend analyzer with the default
-// configuration.
-func BlockingSend() *Analyzer { return BlockingSendWith(DefaultBlockingSendConfig()) }
-
-// BlockingSendWith builds the blockingsend analyzer with cfg (test hook).
-func BlockingSendWith(cfg BlockingSendConfig) *Analyzer {
+// BlockingSend builds the blockingsend analyzer.
+func BlockingSend() *Analyzer {
 	return &Analyzer{
 		Name: "blockingsend",
 		Doc: "requires every channel send in the communication runtimes to occur " +
 			"under a select with a default or timeout/done/ctx case; a bare send " +
 			"is the deadlock vector bounded asynchronous migration exists to avoid",
 		Run: func(pass *Pass) {
-			inScope := false
-			for _, pattern := range cfg.ScopePaths {
-				if pathMatch(pattern, pass.PkgPath) {
-					inScope = true
-					break
-				}
-			}
-			if !inScope {
+			if !pathMatchAny(commScope, pass.PkgPath) {
 				return
 			}
 			for _, file := range pass.Files {

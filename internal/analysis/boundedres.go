@@ -26,43 +26,31 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 )
 
-// BoundedResConfig scopes the rule and lists its cold-path exemptions.
-type BoundedResConfig struct {
-	// ScopePaths are the packages whose hot paths the bound applies to
-	// (exact path or prefix/...).
-	ScopePaths []string
-	// Cold lists package-qualified functions ("pkg/path.Func" or
-	// "pkg/path.Type.Method") whose growth is bounded by construction
-	// and exempt from the append check.
-	Cold []string
+// boundedResScope lists the packages whose hot paths the bound applies
+// to (exact path or prefix/...): the communication layers.
+var boundedResScope = []string{
+	"pga/internal/transport",
+	"pga/internal/supervise",
+	"pga/internal/island",
 }
 
-// DefaultBoundedResConfig scopes boundedres to the communication layers.
-func DefaultBoundedResConfig() BoundedResConfig {
-	return BoundedResConfig{
-		ScopePaths: []string{
-			"pga/internal/transport",
-			"pga/internal/supervise",
-			"pga/internal/island",
-		},
-		Cold: []string{
-			// Fault plans are scripted before the run starts stepping.
-			"pga/internal/supervise.FaultPlan.Add",
-			// Failure-path bookkeeping, bounded by the per-deme restart
-			// budget (MaxRestarts), not by the statement.
-			"pga/internal/supervise.Supervisor.Restart",
-		},
-	}
+// boundedResCold lists package-qualified functions ("pkg/path.Func" or
+// "pkg/path.Type.Method") whose growth is bounded by construction and
+// exempt from the append check.
+var boundedResCold = []string{
+	// Fault plans are scripted before the run starts stepping.
+	"pga/internal/supervise.FaultPlan.Add",
+	// Failure-path bookkeeping, bounded by the per-deme restart budget
+	// (MaxRestarts), not by the statement.
+	"pga/internal/supervise.Supervisor.Restart",
 }
 
-// BoundedRes builds the boundedres analyzer with default configuration.
-func BoundedRes() *Analyzer { return BoundedResWith(DefaultBoundedResConfig()) }
-
-// BoundedResWith builds the boundedres analyzer with cfg (test hook).
-func BoundedResWith(cfg BoundedResConfig) *Analyzer {
+// BoundedRes builds the boundedres analyzer.
+func BoundedRes() *Analyzer {
 	var cachedFacts *Facts
 	var pending []chanDiag
 	return &Analyzer{
@@ -78,7 +66,7 @@ func BoundedResWith(cfg BoundedResConfig) *Analyzer {
 			}
 			if pass.Facts != cachedFacts {
 				cachedFacts = pass.Facts
-				pending = computeBoundedRes(pass.Facts, cfg)
+				pending = computeBoundedRes(pass.Facts)
 			}
 			for _, d := range pending {
 				for _, f := range pass.Files {
@@ -88,36 +76,22 @@ func BoundedResWith(cfg BoundedResConfig) *Analyzer {
 					}
 				}
 			}
-			if inBoundedScope(cfg, pass.PkgPath) {
+			if pathMatchAny(boundedResScope, pass.PkgPath) {
 				checkUnbufferedChans(pass)
 			}
 		},
 	}
 }
 
-// inBoundedScope reports whether pkgPath falls under cfg.ScopePaths.
-func inBoundedScope(cfg BoundedResConfig, pkgPath string) bool {
-	for _, p := range cfg.ScopePaths {
-		if pathMatch(p, pkgPath) {
-			return true
-		}
-	}
-	return false
-}
-
 // computeBoundedRes collects the unbounded-growth findings from the
 // propagated summaries of every scoped function.
-func computeBoundedRes(facts *Facts, cfg BoundedResConfig) []chanDiag {
+func computeBoundedRes(facts *Facts) []chanDiag {
 	// Cold functions exempt every growth site lexically inside them, so
 	// facts propagated out of a cold body stay exempt wherever observed.
 	type posRange struct{ lo, hi token.Pos }
 	var cold []posRange
-	coldSet := map[string]bool{}
-	for _, name := range cfg.Cold {
-		coldSet[name] = true
-	}
 	for _, n := range facts.Graph.Nodes {
-		if coldSet[n.Name] { // Node.Name is already package-qualified
+		if slices.Contains(boundedResCold, n.Name) { // Node.Name is already package-qualified
 			cold = append(cold, posRange{lo: n.Pos(), hi: n.End()})
 		}
 	}
@@ -133,7 +107,7 @@ func computeBoundedRes(facts *Facts, cfg BoundedResConfig) []chanDiag {
 	seen := map[token.Pos]bool{}
 	var diags []chanDiag
 	for _, n := range facts.Graph.Nodes {
-		if n.Pkg == nil || !inBoundedScope(cfg, n.Pkg.Path) {
+		if n.Pkg == nil || !pathMatchAny(boundedResScope, n.Pkg.Path) {
 			continue
 		}
 		s := facts.Summary(n)
@@ -151,7 +125,7 @@ func computeBoundedRes(facts *Facts, cfg BoundedResConfig) []chanDiag {
 			// The grown state must itself belong to a scoped package:
 			// reaching an out-of-scope accumulator (engine traces, persist
 			// snapshots) through a call chain is that package's business.
-			if v.Pkg() == nil || !inBoundedScope(cfg, v.Pkg().Path()) {
+			if v.Pkg() == nil || !pathMatchAny(boundedResScope, v.Pkg().Path()) {
 				continue
 			}
 			if seen[g.Pos] || inCold(g.Pos) {

@@ -35,22 +35,6 @@ import (
 	"strings"
 )
 
-// ChanTopoConfig configures the chantopo analyzer.
-type ChanTopoConfig struct {
-	// ScopePaths are the package patterns whose functions and spawned
-	// goroutines form the modelled topology.
-	ScopePaths []string
-}
-
-// DefaultChanTopoConfig returns the repository's communication runtimes
-// (the blockingsend scope).
-func DefaultChanTopoConfig() ChanTopoConfig {
-	return ChanTopoConfig{ScopePaths: DefaultBlockingSendConfig().ScopePaths}
-}
-
-// ChanTopo builds the chantopo analyzer with the default configuration.
-func ChanTopo() *Analyzer { return ChanTopoWith(DefaultChanTopoConfig()) }
-
 // chanDiag is one pending report (emitted by whichever pass owns the
 // position, so findings land in helper packages too).
 type chanDiag struct {
@@ -58,8 +42,9 @@ type chanDiag struct {
 	msg string
 }
 
-// ChanTopoWith builds the chantopo analyzer with cfg (test hook).
-func ChanTopoWith(cfg ChanTopoConfig) *Analyzer {
+// ChanTopo builds the chantopo analyzer over commScope, the
+// communication runtimes blockingsend polices.
+func ChanTopo() *Analyzer {
 	// The topology is global; compute once per Facts and filter reports
 	// per pass.
 	var cachedFacts *Facts
@@ -76,7 +61,7 @@ func ChanTopoWith(cfg ChanTopoConfig) *Analyzer {
 			}
 			if pass.Facts != cachedFacts {
 				cachedFacts = pass.Facts
-				pending = computeChanTopo(pass.Facts, cfg)
+				pending = computeChanTopo(pass.Facts)
 			}
 			for _, d := range pending {
 				for _, f := range pass.Files {
@@ -99,17 +84,9 @@ type chanInstance struct {
 
 // computeChanTopo builds the channel graph and returns the deadlock
 // findings.
-func computeChanTopo(facts *Facts, cfg ChanTopoConfig) []chanDiag {
+func computeChanTopo(facts *Facts) []chanDiag {
 	inScope := func(pkg *Package) bool {
-		if pkg == nil {
-			return false
-		}
-		for _, pattern := range cfg.ScopePaths {
-			if pathMatch(pattern, pkg.Path) {
-				return true
-			}
-		}
-		return false
+		return pkg != nil && pathMatchAny(commScope, pkg.Path)
 	}
 
 	var instances []chanInstance

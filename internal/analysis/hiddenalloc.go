@@ -42,40 +42,46 @@ type HiddenAllocConfig struct {
 	Cold []string
 }
 
-// DefaultHiddenAllocConfig returns the repository's production hot list:
-// the per-generation step of every engine plus the in-place operator
-// entry points they call.
+// hiddenAllocHot is the repository's production hot list (drawshape
+// checks the same functions): the per-generation step of every engine
+// plus the in-place operator entry points they call.
+var hiddenAllocHot = []string{
+	// Sequential engines: one generation / PopSize births.
+	"pga/internal/ga.Step",
+	"pga/internal/ga.birth",
+	// Cellular engine: one sweep / one cell update.
+	"pga/internal/cellular.Step",
+	"pga/internal/cellular.updateInPlace",
+	"pga/internal/cellular.offspringInto",
+	// In-place operator layer: called once or twice per birth.
+	"pga/internal/operators.CrossInto",
+	"pga/internal/operators.SelectScratch",
+	"pga/internal/operators.SelectWith",
+	// Batched evaluation seam: runs once per generation on the
+	// engine goroutine, between births.
+	"pga/internal/core.EvaluateAll",
+	"pga/internal/core.evaluateBatch",
+	"pga/internal/problems.EvaluateBatch",
+}
+
+// hiddenAllocCold is the production cold list.
+var hiddenAllocCold = []string{
+	// One-time pooled-buffer construction, guarded by a nil check.
+	"pga/internal/ga.ensureBuffers",
+	"pga/internal/cellular.ensureBuffers",
+	// Batch-buffer construction: allocates only on first use or
+	// population growth (capacity-guarded).
+	"pga/internal/core.ensureBatchBuffers",
+	// Adaptive copy: clones only on genome-shape mismatch (first use);
+	// the steady state reuses existing storage (perf_gate_test.go
+	// proves zero allocations per generation).
+	"pga/internal/core.CopyGenome",
+	"pga/internal/core.CopyFrom",
+}
+
+// DefaultHiddenAllocConfig returns the production hot and cold lists.
 func DefaultHiddenAllocConfig() HiddenAllocConfig {
-	return HiddenAllocConfig{Hot: []string{
-		// Sequential engines: one generation / PopSize births.
-		"pga/internal/ga.Step",
-		"pga/internal/ga.birth",
-		// Cellular engine: one sweep / one cell update.
-		"pga/internal/cellular.Step",
-		"pga/internal/cellular.updateInPlace",
-		"pga/internal/cellular.offspringInto",
-		// In-place operator layer: called once or twice per birth.
-		"pga/internal/operators.CrossInto",
-		"pga/internal/operators.SelectScratch",
-		"pga/internal/operators.SelectWith",
-		// Batched evaluation seam: runs once per generation on the
-		// engine goroutine, between births.
-		"pga/internal/core.EvaluateAll",
-		"pga/internal/core.evaluateBatch",
-		"pga/internal/problems.EvaluateBatch",
-	}, Cold: []string{
-		// One-time pooled-buffer construction, guarded by a nil check.
-		"pga/internal/ga.ensureBuffers",
-		"pga/internal/cellular.ensureBuffers",
-		// Batch-buffer construction: allocates only on first use or
-		// population growth (capacity-guarded).
-		"pga/internal/core.ensureBatchBuffers",
-		// Adaptive copy: clones only on genome-shape mismatch (first use);
-		// the steady state reuses existing storage (perf_gate_test.go
-		// proves zero allocations per generation).
-		"pga/internal/core.CopyGenome",
-		"pga/internal/core.CopyFrom",
-	}}
+	return HiddenAllocConfig{Hot: hiddenAllocHot, Cold: hiddenAllocCold}
 }
 
 // HiddenAlloc builds the hiddenalloc analyzer with the default

@@ -102,6 +102,15 @@ func modulePath(gomod string) (string, error) {
 // hidden directories and _-prefixed directories are skipped, as are
 // _test.go files: pgalint lints production code only.
 func LoadModule(root string) (*Module, error) {
+	fset := token.NewFileSet()
+	return loadModule(root, fset, importer.ForCompiler(fset, "source", nil))
+}
+
+// loadModule is LoadModule into a caller-owned file set, resolving the
+// standard library through std (which must position into fset): the
+// test binary type-checks the standard library once for the module and
+// every fixture.
+func loadModule(root string, fset *token.FileSet, std types.Importer) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -110,7 +119,6 @@ func LoadModule(root string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 	mod := &Module{Root: root, Path: modPath, Fset: fset}
 
 	byPath := map[string]*Package{}
@@ -177,7 +185,6 @@ func LoadModule(root string) (*Module, error) {
 		return nil, err
 	}
 
-	std := importer.ForCompiler(fset, "source", nil)
 	imp := &moduleImporter{std: std, mod: byPath}
 	for _, pkg := range order {
 		checkPackage(pkg, imp)

@@ -24,46 +24,26 @@ var forbiddenRandImports = map[string]string{
 	"crypto/rand":  "nondeterministic by construction",
 }
 
-// NoRawRandConfig configures the norawrand analyzer.
-type NoRawRandConfig struct {
-	// ExemptPaths are import-path patterns (exact or "prefix/...") where
-	// the forbidden imports are allowed. internal/rng itself is the only
-	// default exemption: it is the one place allowed to own generator
-	// internals.
-	ExemptPaths []string
-}
+// rawRandExempt lists the import-path patterns (exact or "prefix/...")
+// where the forbidden imports are allowed: internal/rng itself, the one
+// place allowed to own generator internals.
+var rawRandExempt = []string{"pga/internal/rng"}
 
-// DefaultNoRawRandConfig returns the repository's production policy.
-func DefaultNoRawRandConfig() NoRawRandConfig {
-	return NoRawRandConfig{ExemptPaths: []string{"pga/internal/rng"}}
-}
-
-// NoRawRand builds the norawrand analyzer with the default configuration.
-func NoRawRand() *Analyzer { return NoRawRandWith(DefaultNoRawRandConfig()) }
-
-// NoRawRandWith builds the norawrand analyzer with cfg (test hook).
-func NoRawRandWith(cfg NoRawRandConfig) *Analyzer {
+// NoRawRand builds the norawrand analyzer.
+func NoRawRand() *Analyzer {
 	// Interprocedural part: raw-rand taint seeds at direct uses in
 	// non-exempt packages and flows up call chains. Exempt packages are
 	// sanctioned wrappers (internal/rng owns generator internals), so
 	// they neither seed nor carry taint.
 	var cachedFacts *Facts
 	var taint map[*Node]bool
-	exempt := func(pkgPath string) bool {
-		for _, pattern := range cfg.ExemptPaths {
-			if pathMatch(pattern, pkgPath) {
-				return true
-			}
-		}
-		return false
-	}
 	return &Analyzer{
 		Name: "norawrand",
 		Doc: "forbids math/rand, math/rand/v2 and crypto/rand outside internal/rng; " +
 			"all randomness must come from seeded, splittable *rng.Source streams " +
 			"so runs replay bit-for-bit per seed — helper chains included",
 		Run: func(pass *Pass) {
-			if exempt(pass.PkgPath) {
+			if pathMatchAny(rawRandExempt, pass.PkgPath) {
 				return
 			}
 			if pass.Facts != nil {
@@ -71,7 +51,7 @@ func NoRawRandWith(cfg NoRawRandConfig) *Analyzer {
 					cachedFacts = pass.Facts
 					taint = pass.Facts.Taint(
 						func(n *Node) bool { return pass.Facts.Direct(n).RawRand },
-						func(n *Node) bool { return n.Pkg == nil || exempt(n.Pkg.Path) },
+						func(n *Node) bool { return n.Pkg == nil || pathMatchAny(rawRandExempt, n.Pkg.Path) },
 						map[EdgeKind]bool{EdgeCall: true, EdgeSpawn: true, EdgeRef: true},
 					)
 				}

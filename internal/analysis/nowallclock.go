@@ -32,53 +32,41 @@ var forbiddenClockCalls = map[string]bool{
 	"Sleep":     true,
 }
 
-// NoWallClockConfig configures the nowallclock analyzer.
-type NoWallClockConfig struct {
-	// Allow lists where wall-clock access is permitted. Entries are
-	// either package patterns ("pga/internal/stats", "pga/cmd/...") or
-	// package-qualified function names ("pga/internal/ga.Run"), matching
-	// the enclosing function or method name regardless of receiver.
-	Allow []string
+// wallClockAllow lists where wall-clock access is permitted: timing is
+// orchestration-and-observation only. Entries are either package
+// patterns ("pga/internal/stats", "pga/cmd/...") or package-qualified
+// function names ("pga/internal/ga.Run"), matching the enclosing function
+// or method name regardless of receiver.
+var wallClockAllow = []string{
+	// Command-line drivers and runnable examples time whole runs.
+	"pga/cmd/...",
+	"pga/examples/...",
+	// Experiment harness and statistics report wall-clock results.
+	"pga/internal/exp",
+	"pga/internal/stats",
+	// The supervision layer exists to impose deadlines and backoff.
+	// RunStep and Restart are additionally allowlisted by name so the
+	// clock taint stops at them: they are the vetted supervision entry
+	// points the model steppers call per generation.
+	"pga/internal/supervise",
+	"pga/internal/supervise.RunStep",
+	"pga/internal/supervise.Restart",
+	// Run-orchestration entry points: they time Elapsed around the
+	// (deterministic) evolution loop, never inside a step. engine.Loop
+	// is the shared run-loop driver every runtime delegates to; the
+	// free-running island wrapper additionally times the goroutine join.
+	"pga/internal/engine.Loop",
+	"pga/internal/hga.Run",
+	"pga/internal/island.runFree",
+	// The wire transport is the one place the repository touches real
+	// I/O: dial/write deadlines, reconnect backoff and interruptible
+	// sleeps are its job. The determinism contract stops at the wire —
+	// everything the transport *carries* stays seeded-stream driven.
+	"pga/internal/transport",
 }
 
-// DefaultNoWallClockConfig returns the repository's production policy:
-// timing is orchestration-and-observation only.
-func DefaultNoWallClockConfig() NoWallClockConfig {
-	return NoWallClockConfig{Allow: []string{
-		// Command-line drivers and runnable examples time whole runs.
-		"pga/cmd/...",
-		"pga/examples/...",
-		// Experiment harness and statistics report wall-clock results.
-		"pga/internal/exp",
-		"pga/internal/stats",
-		// The supervision layer exists to impose deadlines and backoff.
-		// RunStep and Restart are additionally allowlisted by name so the
-		// clock taint stops at them: they are the vetted supervision entry
-		// points the model steppers call per generation.
-		"pga/internal/supervise",
-		"pga/internal/supervise.RunStep",
-		"pga/internal/supervise.Restart",
-		// Run-orchestration entry points: they time Elapsed around the
-		// (deterministic) evolution loop, never inside a step. engine.Loop
-		// is the shared run-loop driver every runtime delegates to; the
-		// free-running island wrapper additionally times the goroutine join.
-		"pga/internal/engine.Loop",
-		"pga/internal/hga.Run",
-		"pga/internal/island.runFree",
-		// The wire transport is the one place the repository touches real
-		// I/O: dial/write deadlines, reconnect backoff and interruptible
-		// sleeps are its job. The determinism contract stops at the wire —
-		// everything the transport *carries* stays seeded-stream driven.
-		"pga/internal/transport",
-	}}
-}
-
-// NoWallClock builds the nowallclock analyzer with the default
-// configuration.
-func NoWallClock() *Analyzer { return NoWallClockWith(DefaultNoWallClockConfig()) }
-
-// NoWallClockWith builds the nowallclock analyzer with cfg (test hook).
-func NoWallClockWith(cfg NoWallClockConfig) *Analyzer {
+// NoWallClock builds the nowallclock analyzer.
+func NoWallClock() *Analyzer {
 	// Interprocedural part: clock taint computed once per Facts. Taint
 	// flows through every module function — including package-allowlisted
 	// helpers, which is exactly the laundering gap the summaries close —
@@ -93,7 +81,7 @@ func NoWallClockWith(cfg NoWallClockConfig) *Analyzer {
 			"code leak scheduling nondeterminism into the evolution trajectory — " +
 			"including reads reached only through helper calls",
 		Run: func(pass *Pass) {
-			if allowedEverywhere(cfg.Allow, pass.PkgPath) {
+			if allowedEverywhere(wallClockAllow, pass.PkgPath) {
 				return
 			}
 			if pass.Facts != nil {
@@ -101,7 +89,7 @@ func NoWallClockWith(cfg NoWallClockConfig) *Analyzer {
 					cachedFacts = pass.Facts
 					sanctioned := func(n *Node) bool {
 						return n.Decl != nil && n.Pkg != nil &&
-							allowedFunc(cfg.Allow, n.Pkg.Path, n.Decl.Name.Name)
+							allowedFunc(wallClockAllow, n.Pkg.Path, n.Decl.Name.Name)
 					}
 					taint = pass.Facts.Taint(
 						func(n *Node) bool { return pass.Facts.Direct(n).ReadsClock },
@@ -109,7 +97,7 @@ func NoWallClockWith(cfg NoWallClockConfig) *Analyzer {
 						map[EdgeKind]bool{EdgeCall: true, EdgeSpawn: true, EdgeRef: true},
 					)
 				}
-				reportClockChains(pass, cfg, taint)
+				reportClockChains(pass, taint)
 			}
 			for _, file := range pass.Files {
 				ast.Inspect(file, func(n ast.Node) bool {
@@ -126,7 +114,7 @@ func NoWallClockWith(cfg NoWallClockConfig) *Analyzer {
 						return true
 					}
 					if fd := enclosingFunc(file, sel.Pos()); fd != nil &&
-						allowedFunc(cfg.Allow, pass.PkgPath, fd.Name.Name) {
+						allowedFunc(wallClockAllow, pass.PkgPath, fd.Name.Name) {
 						return true
 					}
 					pass.Reportf(sel.Pos(), "nowallclock",
@@ -144,13 +132,13 @@ func NoWallClockWith(cfg NoWallClockConfig) *Analyzer {
 // functions whose call chains reach the wall clock. Direct time.* uses
 // are handled by the local scan; this closes the helper-laundering gap
 // (ga.Step → stats helper → time.Now).
-func reportClockChains(pass *Pass, cfg NoWallClockConfig, taint map[*Node]bool) {
+func reportClockChains(pass *Pass, taint map[*Node]bool) {
 	for _, n := range pass.Facts.Graph.Nodes {
 		if n.Pkg == nil || pass.Pkg == nil || n.Pkg.Types != pass.Pkg {
 			continue
 		}
 		if fd := rootDecl(pass, n); fd != nil &&
-			allowedFunc(cfg.Allow, pass.PkgPath, fd.Name.Name) {
+			allowedFunc(wallClockAllow, pass.PkgPath, fd.Name.Name) {
 			continue
 		}
 		for _, e := range n.Out {

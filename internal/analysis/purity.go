@@ -64,34 +64,40 @@ type PurityConfig struct {
 	Exempt []string
 }
 
-// DefaultPurityConfig returns the repository's operator contracts:
-// Problem.Evaluate, Mutator.Mutate, Crossover.Cross, InPlaceCrossover.
-// CrossInto, Selector.Select, ScratchSelector.SelectScratch and
-// BatchProblem.EvaluateBatch.
+// purityRoles are the repository's operator contracts (drawshape checks
+// the same method shapes): Problem.Evaluate, Mutator.Mutate,
+// Crossover.Cross, InPlaceCrossover.CrossInto, Selector.Select,
+// ScratchSelector.SelectScratch and BatchProblem.EvaluateBatch.
+var purityRoles = []PurityRole{
+	{Method: "Evaluate", Params: []string{"Genome"}, Results: 1},
+	{Method: "Mutate", Params: []string{"Genome", "Source|Rand"},
+		Mutable: []int{1}, RNG: []int{2}},
+	{Method: "Cross", Params: []string{"Genome", "Genome", "Source|Rand"},
+		Results: 2, RNG: []int{3}},
+	{Method: "CrossInto", Params: []string{"Genome", "Genome", "Genome", "Genome", "Source|Rand", "Scratch"},
+		Mutable: []int{3, 4, 6}, RNG: []int{5}},
+	{Method: "Select", Params: []string{"Population", "Direction", "Source|Rand"},
+		Results: 1, RNG: []int{3}},
+	{Method: "SelectScratch", Params: []string{"Population", "Direction", "Source|Rand", "Scratch"},
+		Results: 1, Mutable: []int{4}, RNG: []int{3}},
+	// Batched fitness: reads the genome slice, fills the output slice.
+	// Slice parameters have no named element-type signature to match
+	// on, so the shape is name + arity + the mutable output slot.
+	{Method: "EvaluateBatch", Params: []string{"*", "*"},
+		Mutable: []int{2}},
+}
+
+// purityExempt is the production exemption list.
+var purityExempt = []string{
+	// CachedProblem.Evaluate memoises fitness behind a mutex: the
+	// receiver mutation is the documented point of the type, and the
+	// lock restores the concurrent-Evaluate safety the rule protects.
+	"pga/internal/core.Evaluate",
+}
+
+// DefaultPurityConfig returns the production roles and exemptions.
 func DefaultPurityConfig() PurityConfig {
-	return PurityConfig{Roles: []PurityRole{
-		{Method: "Evaluate", Params: []string{"Genome"}, Results: 1},
-		{Method: "Mutate", Params: []string{"Genome", "Source|Rand"},
-			Mutable: []int{1}, RNG: []int{2}},
-		{Method: "Cross", Params: []string{"Genome", "Genome", "Source|Rand"},
-			Results: 2, RNG: []int{3}},
-		{Method: "CrossInto", Params: []string{"Genome", "Genome", "Genome", "Genome", "Source|Rand", "Scratch"},
-			Mutable: []int{3, 4, 6}, RNG: []int{5}},
-		{Method: "Select", Params: []string{"Population", "Direction", "Source|Rand"},
-			Results: 1, RNG: []int{3}},
-		{Method: "SelectScratch", Params: []string{"Population", "Direction", "Source|Rand", "Scratch"},
-			Results: 1, Mutable: []int{4}, RNG: []int{3}},
-		// Batched fitness: reads the genome slice, fills the output slice.
-		// Slice parameters have no named element-type signature to match
-		// on, so the shape is name + arity + the mutable output slot.
-		{Method: "EvaluateBatch", Params: []string{"*", "*"},
-			Mutable: []int{2}},
-	}, Exempt: []string{
-		// CachedProblem.Evaluate memoises fitness behind a mutex: the
-		// receiver mutation is the documented point of the type, and the
-		// lock restores the concurrent-Evaluate safety the rule protects.
-		"pga/internal/core.Evaluate",
-	}}
+	return PurityConfig{Roles: purityRoles, Exempt: purityExempt}
 }
 
 // Purity builds the purity analyzer with the default configuration.

@@ -1,12 +1,17 @@
 package analysis
 
-// rngflow: the interprocedural generalization of sharedrng.
+// rngflow: one goroutine, one stream — through any call chain.
 //
-// sharedrng catches the syntactic form of cross-goroutine stream sharing
-// — a go-closure capturing an *rng.Source that is also used outside. But
-// the same determinism break survives any amount of indirection the
-// local rule cannot see:
+// internal/rng.Source is deliberately not synchronized: the whole point
+// of splittable streams is that deme i's stream is private to deme i's
+// goroutine, making parallel runs reproducible regardless of scheduling.
+// A stream drawn from two goroutines is a data race that `go test -race`
+// only catches when the schedules actually collide — and even when it
+// doesn't crash, interleaved draws destroy replayability silently. The
+// sharing may be as plain as a go-closure capturing a stream its parent
+// keeps using, or hide behind any amount of indirection:
 //
+//	go func() { r.Intn(n) }(); r.Intn(n)   // closure capture
 //	go worker(r)          // named function draws from r on its goroutine
 //	helper(r)             // helper spawns a drawer internally
 //	for i := ... {
@@ -25,8 +30,9 @@ package analysis
 //     goroutines are many. The sanctioned `ws := r.Split()` inside the
 //     loop body stays clean: its stream is declared per iteration.
 //
-// The fix is the same as for sharedrng: Split() a child stream per
-// goroutine, or restructure so each goroutine owns its stream.
+// Findings land on the spawn site. The fix is always the same: Split() a
+// child stream and move it into the goroutine, or pass the stream as a
+// call argument evaluated at spawn.
 
 import (
 	"go/ast"
@@ -41,8 +47,7 @@ func RngFlow() *Analyzer {
 		Name: "rngflow",
 		Doc: "flags an RNG stream drawn from two goroutines through any call chain: " +
 			"spawned-goroutine draws combined with same-goroutine draws, multiple " +
-			"spawn sites, or a spawn-draw in a loop that does not own the stream; " +
-			"the interprocedural form of sharedrng",
+			"spawn sites, or a spawn-draw in a loop that does not own the stream",
 		Run: runRngFlow,
 	}
 }

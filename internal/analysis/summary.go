@@ -29,6 +29,10 @@ package analysis
 //     (WGAdds, for waitgroup's spawned-Add check), and which slices it
 //     grows via append (Grows, for boundedres). These reuse the ChanFact
 //     identity abstraction: a parameter index, or the var/field object.
+//   - draw shape: does the function draw at all on its own goroutine
+//     (HasDraw), and which draw sites — its own or a synchronous callee's
+//     — run only under a condition that reads genome/population content
+//     (ContentDep, for drawshape; the body-local walk is in drawshape.go)?
 //
 // Direct facts cover the body excluding nested closures (each closure is
 // its own node); propagation folds callee facts in along call-graph
@@ -120,12 +124,20 @@ type Summary struct {
 	// boundedres flags field/global growth in hot packages.
 	Grows []ChanFact
 
+	// HasDraw reports a draw from some RNG stream by this function or a
+	// synchronous callee; ContentDep lists the draw sites (and calls of
+	// drawing callees) among them that run only under a content-tainted
+	// condition. Propagated over call edges only.
+	HasDraw    bool
+	ContentDep []token.Pos
+
 	// Direct-only facts (never propagated; shared across clone — the rules
 	// read them via Facts.Direct):
 	lockEvents []lockEvent                      // ordered acquire/release/return/panic trace
 	lockEdges  []lockEdge                       // same-body nested acquisitions
 	heldAtCall map[*ast.CallExpr][]types.Object // locks lexically held at each call site
 	wgWaits    []ChanFact                       // WaitGroup.Wait sites
+	syncCalls  map[*ast.CallExpr]bool           // non-draw calls made on this goroutine → under a content guard?
 }
 
 // lockEventKind enumerates the events of the lexical lock walk.
@@ -180,10 +192,6 @@ type Facts struct {
 
 	direct    map[*Node]*Summary
 	summaries map[*Node]*Summary
-
-	// drawShapes holds the symbolic RNG draw shapes (drawsym.go),
-	// computed lazily on the first Facts.DrawShape call.
-	drawShapes map[*Node]*DrawShape
 }
 
 // ComputeFacts builds the call graph and summaries for pkgs.
@@ -270,6 +278,7 @@ func (s *Summary) clone() *Summary {
 	c.Acquires = append([]ChanFact(nil), s.Acquires...)
 	c.WGAdds = append([]ChanFact(nil), s.WGAdds...)
 	c.Grows = append([]ChanFact(nil), s.Grows...)
+	c.ContentDep = append([]token.Pos(nil), s.ContentDep...)
 	return &c
 }
 
@@ -379,6 +388,30 @@ func setBit(mask *uint64, i int) bool {
 	}
 	*mask |= bit
 	return true
+}
+
+// isRNGStream reports whether t is a pointer to an unsynchronized random
+// stream: internal/rng's Source or math/rand's Rand (either version).
+func isRNGStream(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj == nil || obj.Pkg() == nil {
+		return false
+	}
+	switch {
+	case obj.Name() == "Source" && obj.Pkg().Name() == "rng":
+		return true
+	case obj.Name() == "Rand" && obj.Pkg().Name() == "rand":
+		return true
+	}
+	return false
 }
 
 // drawFlavor distinguishes same-goroutine draws from spawned-goroutine
@@ -569,6 +602,24 @@ func (f *Facts) mergeEdge(dst, src *Summary, e *Edge) bool {
 		}
 		for _, cf := range src.Grows {
 			if out, ok := f.substituteRef(dst, src, e, cf); ok && addChanFact(&dst.Grows, out) {
+				changed = true
+			}
+		}
+	}
+
+	// Draw shape: a callee that draws makes its call site a draw site of
+	// the caller — content-dependent when the caller guards it by content
+	// — and the callee's own content-dependent sites are reachable from
+	// here. Only calls the body walk saw count: spawned and stored
+	// functions draw on their own node, and a direct draw site is never
+	// folded into the rng package behind it.
+	if guarded, ok := dst.syncCalls[e.Site]; ok {
+		or(&dst.HasDraw, src.HasDraw)
+		if src.HasDraw && guarded && addContentDep(dst, e.Site.Pos()) {
+			changed = true
+		}
+		for _, p := range src.ContentDep {
+			if addContentDep(dst, p) {
 				changed = true
 			}
 		}
@@ -836,6 +887,7 @@ func computeDirect(n *Node) *Summary {
 		return true
 	})
 	computeLockFacts(s, info, body)
+	directDraws(s, info, body)
 	return s
 }
 

@@ -1,7 +1,7 @@
 package fixture
 
 // Seeded violation fixtures for rngflow: one stream reaching two
-// goroutines through indirection sharedrng cannot see — named-function
+// goroutines through indirection no per-body scan can see — named-function
 // spawns, helper chains, and loop spawns. Uses *math/rand.Rand, which
 // the rules treat like *rng.Source (checked as pga/internal/rng so the
 // deliberate math/rand import stays out of norawrand's way).

@@ -1,9 +1,9 @@
 package fixture
 
-// Seeded violation fixture for sharedrng: one unsynchronized stream
-// drawn from by two goroutines at once. Uses *math/rand.Rand, which the
-// rule treats like *rng.Source (checked as pga/internal/rng so the
-// deliberate math/rand import stays out of norawrand's way).
+// Seeded violation fixture for rngflow's closure-capture form (the
+// retired sharedrng rule's cases): one unsynchronized stream drawn from
+// by two goroutines at once. *math/rand.Rand counts as a stream (checked
+// as pga/internal/rng so the import stays out of norawrand's way).
 
 import (
 	"math/rand"
@@ -13,9 +13,9 @@ import (
 func raceOnParentStream(n int) int {
 	r := rand.New(rand.NewSource(1))
 	done := make(chan struct{})
-	go func() {
+	go func() { // want rngflow
 		defer close(done)
-		_ = r.Intn(n) // want sharedrng
+		_ = r.Intn(n)
 	}()
 	total := r.Intn(n) // the race: the parent draws concurrently
 	<-done
@@ -28,11 +28,11 @@ func twoGoroutinesOneStream(n int) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_ = r.Intn(n) // want sharedrng
+		_ = r.Intn(n)
 	}()
-	go func() {
+	go func() { // want rngflow
 		defer wg.Done()
-		_ = r.Intn(n) // want sharedrng
+		_ = r.Intn(n)
 	}()
 	wg.Wait()
 }

@@ -1,7 +1,8 @@
 package fixture
 
-// Corrected fixture for sharedrng: each goroutine owns its stream — the
-// split-and-move-in pattern and the pass-as-argument pattern.
+// Corrected fixture for rngflow's closure-capture form: each goroutine
+// owns its stream — the split-and-move-in pattern and the
+// pass-as-argument pattern.
 
 import "math/rand"
 

@@ -16,7 +16,7 @@ import (
 // each through spec.Build and requires the trajectory to be bit-for-bit
 // identical to the pinned golden trace — the draw-identity proof of the
 // spec layer: going through Parse/Validate/Build consumes exactly the
-// same RNG draws as the hand-wired construction in scenarios.go.
+// same RNG draws as the hand-wired construction in scenarios_test.go.
 var specScenarios = map[string]string{
 	"generational/onemax-1point-tournament": `{
 		"model": "generational",
