@@ -79,7 +79,11 @@ fuzz:
 
 # Sweep determinism smoke: validate every checked-in sweep config, then
 # require the smoke sweep's result file to be byte-identical on the
-# default pool and on one worker, GOMAXPROCS=1 (parallel ≡ serial).
+# default pool and on one worker, GOMAXPROCS=1 (parallel ≡ serial), and
+# the selectors sweep's (five selectors under the generational,
+# steady-state and shared-memory engines) to be byte-identical to the
+# file recorded before selection was planned per generation — determinism
+# across commits for the engines internal/equiv's goldens do not reach.
 sweep-smoke:
 	@for f in examples/sweeps/*.json; do \
 		$(GO) run ./cmd/pgarun -config $$f -validate || exit 1; \
@@ -87,4 +91,6 @@ sweep-smoke:
 	$(GO) run ./cmd/pgarun -config examples/sweeps/smoke.json -quiet -out /tmp/sweep-a.json
 	GOMAXPROCS=1 $(GO) run ./cmd/pgarun -config examples/sweeps/smoke.json -quiet -out /tmp/sweep-b.json
 	cmp /tmp/sweep-a.json /tmp/sweep-b.json
+	$(GO) run ./cmd/pgarun -config examples/sweeps/selectors.json -quiet -out /tmp/sweep-selectors.json
+	cmp /tmp/sweep-selectors.json examples/sweeps/golden/selectors.result.json
 	@echo "sweep-smoke: determinism OK"

@@ -345,12 +345,16 @@ func TestInterruptedIslandReportsAndExits(t *testing.T) {
 	logs := logDir(t)
 	exch := t.TempDir()
 	islands := make([]*proc, 2)
+	// The interrupted island profiles, its peer traces: both files must be
+	// complete, one written on the SIGINT path and one on the normal one.
+	profiles := []string{filepath.Join(exch, "cpu.pprof"), filepath.Join(exch, "exec.trace")}
 	for i := range islands {
 		// Logged as island-10/11.log, apart from the other test's files in
 		// a shared log directory; the later -self is the one that counts.
 		islands[i] = startIsland(t, bin, logs, 10+i, "-self", fmt.Sprint(i),
 			"-listen", "127.0.0.1:0", "-addrfile", filepath.Join(exch, fmt.Sprintf("addr.%d", i)),
-			"-peersfile", filepath.Join(exch, "peers"))
+			"-peersfile", filepath.Join(exch, "peers"),
+			[]string{"-cpuprofile", "-trace"}[i], profiles[i])
 	}
 	publishPeers(t, exch, collectAddrs(t, exch, 2))
 
@@ -376,5 +380,10 @@ func TestInterruptedIslandReportsAndExits(t *testing.T) {
 	}
 	if peer := islands[1].wait(t); peer.Generations != 250 || peer.StopReason != "max generations" {
 		t.Errorf("the surviving peer: %+v, want its full 250 generations", peer)
+	}
+	for _, file := range profiles {
+		if fi, err := os.Stat(file); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: no complete profile: %v", filepath.Base(file), err)
+		}
 	}
 }

@@ -35,6 +35,8 @@
 // cancels the island's context: it stops within one generation, still
 // closes its endpoint, prints its "done:" line and the JSON (stop_reason
 // "cancelled") and exits 130; a second Ctrl-C kills the process.
+// -cpuprofile FILE and -trace FILE write the Go runtime's CPU profile and
+// execution trace of the run, complete on both exits.
 package main
 
 import (
@@ -54,6 +56,7 @@ import (
 	"pga/internal/core"
 	"pga/internal/engine"
 	"pga/internal/island"
+	"pga/internal/prof"
 	"pga/internal/spec"
 	"pga/internal/transport"
 )
@@ -91,6 +94,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "shared run seed (same on every island)")
 	pace := flag.Duration("pace", 0, "per-generation sleep (stretches the run for fault drills)")
 	quiet := flag.Bool("quiet", false, "suppress per-generation progress")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	traceFile := flag.String("trace", "", "write a Go execution trace of the run to this file")
 
 	drop := flag.Float64("drop", 0, "fault: per-send loss probability on outbound links")
 	dup := flag.Float64("dup", 0, "fault: per-send duplication probability")
@@ -213,6 +218,12 @@ func main() {
 	ctx, restore := signal.NotifyContext(context.Background(), os.Interrupt)
 	context.AfterFunc(ctx, restore)
 
+	// The profiles cover the run and nothing else; a cancelled run comes
+	// back through here too, so they are complete on both exits.
+	stopProfiles, err := prof.Start(*cpuProfile, *traceFile)
+	if err != nil {
+		log.Fatal(err)
+	}
 	start := time.Now()
 	res := island.RunWire(island.WireConfig{
 		Self:      *self,
@@ -225,6 +236,9 @@ func main() {
 		Context:   ctx,
 		Observers: []engine.Observer{obs},
 	})
+	if err := stopProfiles(); err != nil {
+		log.Printf("profile: %v", err)
+	}
 	// Close before reading stats so in-flight queues drain or dead-letter.
 	if err := ep.Close(); err != nil {
 		log.Printf("close: %v", err)

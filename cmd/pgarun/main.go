@@ -19,12 +19,17 @@
 //	pgarun -problem onemax -size 64 -model islands -async -resilience default
 //	pgarun -config examples/sweeps/onemax-demes.json -out results.json
 //	pgarun -config examples/sweeps/onemax-demes.json -validate
+//	pgarun -config examples/sweeps/schemes.json -out r.json -cpuprofile cpu.pprof
 //	pgarun -list
+//
+// -cpuprofile FILE and -trace FILE write the Go runtime's CPU profile
+// (go tool pprof) and execution trace (go tool trace) of the run; they
+// change nothing the run computes.
 //
 // Ctrl-C (SIGINT) cancels the run's context: the run stops within one
 // generation, the partial report — or, for a sweep, the prefix of finished
 // runs — is still printed or written to -out, and pgarun exits 130. A
-// second Ctrl-C kills the process.
+// second Ctrl-C kills the process. Profiles are complete on both exits.
 package main
 
 import (
@@ -37,10 +42,15 @@ import (
 
 	"pga/internal/core"
 	"pga/internal/problems"
+	"pga/internal/prof"
 	"pga/internal/spec"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main returning its exit status, so that the profiles are
+// stopped and flushed on every path that ran anything.
+func run() (status int) {
 	problem := flag.String("problem", "onemax", "problem key (see -list; zdt1/schaffer for -model sim)")
 	size := flag.Int("size", 64, "problem size (bits / dimensions / items)")
 	model := flag.String("model", "islands", "sequential | steadystate | parallel | islands | cellular | masterslave | p2p | hga | sim")
@@ -65,6 +75,8 @@ func main() {
 	out := flag.String("out", "", "config runs: write the JSON results to this file (default stdout)")
 	list := flag.Bool("list", false, "list problem keys and exit")
 	quiet := flag.Bool("quiet", false, "suppress per-generation progress")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	traceFile := flag.String("trace", "", "write a Go execution trace of the run to this file")
 	flag.Parse()
 
 	if *list {
@@ -72,9 +84,19 @@ func main() {
 			ps, _ := problems.Lookup(k)
 			fmt.Printf("%-12s class=%s\n", k, ps.Class)
 		}
-		return
+		return 0
 	}
 	checkFlags(*configPath != "")
+	stopProfiles, err := prof.Start(*cpuProfile, *traceFile)
+	if err != nil {
+		fail(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "pgarun:", err)
+			status = 2
+		}
+	}()
 
 	// The one context of the process: SIGINT cancels it, and once it is
 	// cancelled the default disposition is back, so a second one kills.
@@ -84,8 +106,7 @@ func main() {
 	opts.Context = ctx
 
 	if *configPath != "" {
-		runConfig(*configPath, *out, *validate, *quiet, opts)
-		return
+		return runConfig(*configPath, *out, *validate, *quiet, opts)
 	}
 
 	s := specFromFlags(flagSpec{
@@ -110,7 +131,7 @@ func main() {
 			fail(jerr)
 		}
 		fmt.Printf("%s\n", doc)
-		return
+		return 0
 	}
 	opts.OnStep = func(st core.Status) {
 		if !*quiet && st.Generation%25 == 0 {
@@ -119,21 +140,25 @@ func main() {
 	}
 	b := plan.Build()
 	printReport(b.Run(opts), b)
-	exitIfInterrupted(opts)
+	return exitStatus(opts)
 }
 
-// exitIfInterrupted ends an interrupted process with status 130, after
-// its partial results are out.
-func exitIfInterrupted(opts spec.RunOpts) {
+// exitStatus is 130 for an interrupted process — said once its partial
+// results are out — and 0 otherwise.
+func exitStatus(opts spec.RunOpts) int {
 	if opts.Context.Err() != nil {
 		fmt.Fprintln(os.Stderr, "pgarun: interrupted: the results are partial")
-		os.Exit(130)
+		return 130
 	}
+	return 0
 }
 
 // configFlags are the flags a -config run reads; -out means nothing
 // without -config.
-var configFlags = map[string]bool{"config": true, "validate": true, "out": true, "quiet": true}
+var configFlags = map[string]bool{
+	"config": true, "validate": true, "out": true, "quiet": true,
+	"cpuprofile": true, "trace": true,
+}
 
 // checkFlags refuses, naming it, a flag that was set but would be
 // ignored: a model flag next to -config (the document is the whole
@@ -242,8 +267,9 @@ func printReport(rep *spec.Report, b *spec.Built) {
 	}
 }
 
-// runConfig runs (or just validates) a spec/sweep document under opts.
-func runConfig(path, out string, validateOnly, quiet bool, opts spec.RunOpts) {
+// runConfig runs (or just validates) a spec/sweep document under opts
+// and returns the exit status.
+func runConfig(path, out string, validateOnly, quiet bool, opts spec.RunOpts) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fail(err)
@@ -256,7 +282,7 @@ func runConfig(path, out string, validateOnly, quiet bool, opts spec.RunOpts) {
 	if f.Single != nil {
 		if validateOnly {
 			fmt.Printf("%s: valid single-run spec (model %s, problem %s)\n", path, f.Single.Model, f.Single.Problem.Name)
-			return
+			return 0
 		}
 		b, berr := spec.Build(*f.Single)
 		if berr != nil {
@@ -264,14 +290,13 @@ func runConfig(path, out string, validateOnly, quiet bool, opts spec.RunOpts) {
 		}
 		rep := b.Run(opts)
 		writeResults(out, []*spec.Report{rep})
-		exitIfInterrupted(opts)
-		return
+		return exitStatus(opts)
 	}
 
 	if validateOnly {
 		cells, _ := f.Sweep.Cells() // the expansion ParseFile validated
 		fmt.Printf("%s: valid sweep (%d cells × %d axes)\n", path, len(cells), len(f.Sweep.Axes))
-		return
+		return 0
 	}
 	reports, rerr := f.Sweep.Run(opts)
 	if rerr != nil && opts.Context.Err() == nil {
@@ -282,7 +307,7 @@ func runConfig(path, out string, validateOnly, quiet bool, opts spec.RunOpts) {
 	}
 	// An interrupted sweep still writes the runs that finished.
 	writeResults(out, reports)
-	exitIfInterrupted(opts)
+	return exitStatus(opts)
 }
 
 // writeResults marshals the run reports to -out (or stdout).

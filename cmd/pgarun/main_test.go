@@ -63,6 +63,49 @@ func TestIgnoredFlagsAreRefused(t *testing.T) {
 	}
 }
 
+// TestProfilingSwitchesChangeNothing: -cpuprofile and -trace write their
+// files, complete, and the result file is byte-identical with and without
+// them — for a flag run's stdout too.
+func TestProfilingSwitchesChangeNothing(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildPgarun(t, dir)
+	path := func(name string) string { return filepath.Join(dir, name) }
+	run := func(args ...string) []byte {
+		t.Helper()
+		out, err := exec.Command(bin, args...).Output()
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return out
+	}
+	const sweep = "../../examples/sweeps/schemes.json"
+	run("-config", sweep, "-quiet", "-out", path("plain.json"))
+	run("-config", sweep, "-quiet", "-out", path("profiled.json"), "-cpuprofile", path("cpu.pprof"), "-trace", path("exec.trace"))
+	plain, err := os.ReadFile(path("plain.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiled, err := os.ReadFile(path("profiled.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain, profiled) {
+		t.Error("-config: the result file differs under -cpuprofile -trace")
+	}
+	// A CPU profile is a gzip stream, written when the profile is stopped;
+	// an execution trace opens with its version line.
+	for file, magic := range map[string]string{"cpu.pprof": "\x1f\x8b", "exec.trace": "go 1."} {
+		data, err := os.ReadFile(path(file))
+		if err != nil || !bytes.HasPrefix(data, []byte(magic)) {
+			t.Errorf("%s: err %v, %d bytes, want a file starting %q", file, err, len(data), magic)
+		}
+	}
+	flags := []string{"-model", "steadystate", "-problem", "onemax", "-size", "32", "-gens", "40"}
+	if a, b := run(flags...), run(append(flags, "-cpuprofile", path("flags.pprof"))...); !bytes.Equal(a, b) {
+		t.Errorf("flag run: stdout differs under -cpuprofile:\n%s\n%s", a, b)
+	}
+}
+
 // TestInterruptWritesPartialResults: SIGINT cancels the run instead of
 // killing the process. A single run still prints its report, stopped
 // "cancelled"; a sweep still writes the runs that finished to -out; both
@@ -83,7 +126,8 @@ func TestInterruptWritesPartialResults(t *testing.T) {
 	// A run that cannot end by itself, interrupted at its first progress
 	// line — which the default islands model now prints.
 	var stderr bytes.Buffer
-	cmd := exec.Command(bin, "-problem", "nk", "-size", "128", "-gens", "100000000")
+	cpu := filepath.Join(dir, "interrupted.pprof")
+	cmd := exec.Command(bin, "-problem", "nk", "-size", "128", "-gens", "100000000", "-cpuprofile", cpu)
 	cmd.Stderr = &stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -106,6 +150,9 @@ func TestInterruptWritesPartialResults(t *testing.T) {
 	exit130("single run", cmd.Wait(), &stderr)
 	if out := strings.Join(rest, "\n"); !strings.Contains(out, `stop="cancelled"`) || !strings.Contains(out, "islands: migrations=") {
 		t.Errorf("the interrupted run did not print its partial report:\n%s", out)
+	}
+	if fi, err := os.Stat(cpu); err != nil || fi.Size() == 0 {
+		t.Errorf("the interrupted run left no complete CPU profile: %v", err)
 	}
 
 	// A sweep on one worker whose second cell cannot end by itself.

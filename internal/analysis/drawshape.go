@@ -57,8 +57,12 @@ import (
 var drawShapeExempt = []string{
 	// Roulette wheel selection with a degenerate fitness span falls back
 	// to a uniform Intn draw — a documented, fitness-dependent draw-kind
-	// switch pinned by the golden traces.
+	// switch pinned by the golden traces. The branch lives in pick, which
+	// reads the span's flatness from the selection plan; Select and
+	// SelectScratch reach it.
 	"pga/internal/operators.Roulette.Select",
+	"pga/internal/operators.Roulette.SelectScratch",
+	"pga/internal/operators.Roulette.pick",
 }
 
 // DrawShapeRule returns the drawshape analyzer: it checks the purity

@@ -57,6 +57,11 @@ var hiddenAllocHot = []string{
 	"pga/internal/operators.CrossInto",
 	"pga/internal/operators.SelectScratch",
 	"pga/internal/operators.SelectWith",
+	// Selection plan: opened and dropped once per generation (once per
+	// steady-state birth), its tables grown only under a capacity guard.
+	"pga/internal/operators.Plan",
+	"pga/internal/operators.plan",
+	"pga/internal/operators.Unplan",
 	// Batched evaluation seam: runs once per generation on the
 	// engine goroutine, between births.
 	"pga/internal/core.EvaluateAll",

@@ -277,7 +277,9 @@ func (e *Generational) Step() {
 
 	// Offspring fill next.Members[Elitism : Elitism+births]; the dangling
 	// second child of a final odd pair lands in the spare slot so its RNG
-	// draws still happen.
+	// draws still happen. e.pop is read-only until the swap below, so the
+	// selector plans once for all 2·births picks.
+	e.scratch.Plan(cfg.Selector, e.pop, e.dir)
 	made := 0
 	for made < births {
 		i := operators.SelectWith(cfg.Selector, e.pop, e.dir, cfg.RNG, &e.scratch)
@@ -302,6 +304,7 @@ func (e *Generational) Step() {
 		c2.Evaluated = false
 		made += 2
 	}
+	e.scratch.Unplan()
 
 	// The members that live on, best → worst: the elite and, with GenGap
 	// < 1, the survivors of the slots no birth fills.
@@ -342,6 +345,11 @@ type SteadyState struct {
 	child   *core.Individual
 	discard *core.Individual
 	scratch operators.Scratch
+
+	// best and worst are the indices pop.Best and pop.Worst would return,
+	// found at the top of each Step and kept current across its births
+	// (worst only under ReplaceWorst).
+	best, worst int
 }
 
 var _ Engine = (*SteadyState)(nil)
@@ -407,8 +415,14 @@ func (e *SteadyState) ensureBuffers() {
 	e.discard = e.pop.Members[0].Clone()
 }
 
-// Step implements Engine: PopSize sequential births.
+// Step implements Engine: PopSize sequential births. Migration and
+// SetPopulation write the population between steps, so the incumbents are
+// found afresh here and tracked only from birth to birth.
 func (e *SteadyState) Step() {
+	e.best = e.pop.Best(e.dir)
+	if e.cfg.ReplaceWorst {
+		e.worst = e.pop.Worst(e.dir)
+	}
 	for b := 0; b < e.cfg.PopSize; b++ {
 		e.birth()
 	}
@@ -421,8 +435,10 @@ func (e *SteadyState) Step() {
 func (e *SteadyState) birth() {
 	cfg := &e.cfg
 	e.ensureBuffers()
+	e.scratch.Plan(cfg.Selector, e.pop, e.dir)
 	i := operators.SelectWith(cfg.Selector, e.pop, e.dir, cfg.RNG, &e.scratch)
 	j := operators.SelectWith(cfg.Selector, e.pop, e.dir, cfg.RNG, &e.scratch)
+	e.scratch.Unplan()
 	pa, pb := e.pop.Members[i], e.pop.Members[j]
 	ind := e.child
 	if cfg.Crossover != nil && cfg.RNG.Chance(cfg.CrossoverRate) {
@@ -437,20 +453,30 @@ func (e *SteadyState) birth() {
 	ind.Evaluated = true
 	e.birthEvals++
 
-	var victim int
-	if cfg.ReplaceWorst {
-		victim = e.pop.Worst(e.dir)
-	} else {
+	victim := e.worst
+	if !cfg.ReplaceWorst {
 		victim = cfg.RNG.Intn(e.pop.Len())
 	}
 	// Never replace the incumbent best with something worse: this is the
 	// standard steady-state elitism guarantee. The rejected child stays in
 	// the pooled buffer and is overwritten by the next birth.
-	best := e.pop.Best(e.dir)
-	if victim == best && !e.dir.BetterOrEqual(ind.Fitness, e.pop.Members[best].Fitness) {
+	best, bestFit := e.best, e.pop.Members[e.best].Fitness
+	if victim == best && !e.dir.BetterOrEqual(ind.Fitness, bestFit) {
 		return
 	}
 	// Insert the child and recycle the evicted individual as the next
 	// birth's buffer.
 	e.child = e.pop.Replace(victim, ind)
+	// Keep the incumbents what a scan would find: the best is the lowest
+	// index holding the best fitness; the worst just left, so only a scan
+	// finds the next one. A NaN fitness compares with nothing — rescan.
+	switch {
+	case ind.Fitness != ind.Fitness:
+		e.best = e.pop.Best(e.dir)
+	case e.dir.Better(ind.Fitness, bestFit) || ind.Fitness == bestFit && victim < best:
+		e.best = victim
+	}
+	if cfg.ReplaceWorst {
+		e.worst = e.pop.Worst(e.dir)
+	}
 }

@@ -191,6 +191,29 @@ func TestSteadyStateReplaceRandomKeepsBestGuard(t *testing.T) {
 	}
 }
 
+// TestSteadyStateTracksIncumbents: after every birth the tracked best and
+// worst are what a scan of the population returns, ties included (a
+// 10-bit OneMax in a population of 24 is mostly ties), under both
+// replacement policies.
+func TestSteadyStateTracksIncumbents(t *testing.T) {
+	for _, replaceWorst := range []bool{true, false} {
+		cfg := baseConfig(11)
+		cfg.Problem = problems.OneMax{N: 10}
+		cfg.PopSize = 24
+		e := NewSteadyState(cfg, replaceWorst)
+		e.Step() // finds the incumbents; nothing writes the population after it
+		for b := 0; b < 2000; b++ {
+			e.birth()
+			if want := e.pop.Best(e.dir); e.best != want {
+				t.Fatalf("replaceWorst=%v birth %d: tracked best %d, scan %d", replaceWorst, b, e.best, want)
+			}
+			if want := e.pop.Worst(e.dir); replaceWorst && e.worst != want {
+				t.Fatalf("birth %d: tracked worst %d, scan %d", b, e.worst, want)
+			}
+		}
+	}
+}
+
 func TestSteadyStateEvaluationsCount(t *testing.T) {
 	cfg := baseConfig(10)
 	e := NewSteadyState(cfg, true)

@@ -124,6 +124,8 @@ func (e *ParallelGenerational) Step() {
 			r := e.streams[w]
 			scratch := &e.scratches[w]
 			discard := e.discards[w]
+			// e.pop is immutable during the step: one plan per worker.
+			scratch.Plan(cfg.Selector, e.pop, e.dir)
 			for i := lo; i < hi; i++ {
 				a := operators.SelectWith(cfg.Selector, e.pop, e.dir, r, scratch)
 				b := operators.SelectWith(cfg.Selector, e.pop, e.dir, r, scratch)
@@ -141,6 +143,7 @@ func (e *ParallelGenerational) Step() {
 				child.Evaluated = true
 				e.counts[w]++
 			}
+			scratch.Unplan()
 		}(w, lo, hi)
 	}
 	wg.Wait()

@@ -89,8 +89,14 @@ func allocGateCases() []allocGateCase {
 	gapCfg := oneMax()
 	gapCfg.GenGap = 0.5
 	gapCfg.Elitism = 4
-	rankCfg := sphere()
-	rankCfg.Selector = operators.LinearRank{}
+	// The planned selectors: their order and wheel tables live in the
+	// engine's (or each worker's) scratch, built once per generation — or
+	// once per steady-state birth — and never reallocated.
+	withSelector := func(sel operators.Selector) Config {
+		c := sphere()
+		c.Selector = sel
+		return c
+	}
 	return []allocGateCase{
 		{"generational/onemax", NewGenerational(oneMax()), 0},
 		{"generational/onemax-wordops", NewGenerational(wordOps()), 0},
@@ -102,7 +108,10 @@ func allocGateCases() []allocGateCase {
 		{"generational/sphere", NewGenerational(sphere()), 0},
 		{"generational/qap-erx", NewGenerational(qap()), 0},
 		{"generational/gap+elitism", NewGenerational(gapCfg), 0},
-		{"generational/rank-selection", NewGenerational(rankCfg), 0},
+		{"generational/rank-selection", NewGenerational(withSelector(operators.LinearRank{})), 0},
+		{"generational/roulette", NewGenerational(withSelector(operators.Roulette{})), 0},
+		{"generational/truncation", NewGenerational(withSelector(operators.Truncation{})), 0},
+		{"steady-state/rank-selection", NewSteadyState(withSelector(operators.LinearRank{}), true), 0},
 		{"steady-state/onemax", NewSteadyState(oneMax(), true), 0},
 		{"steady-state/sphere", NewSteadyState(sphere(), false), 0},
 		{"generational/maxsat-batch", NewGenerational(bits(problems.NewMaxSAT(100, 400, 1))), 0},
@@ -111,6 +120,7 @@ func allocGateCases() []allocGateCase {
 		// The shared-memory engine pays a fixed per-step cost for its
 		// worker goroutines (spawn + waitgroup), never per birth.
 		{"parallel-generational/onemax", NewParallelGenerational(oneMax(), 4), 16},
+		{"parallel-generational/rank-selection", NewParallelGenerational(withSelector(operators.LinearRank{}), 4), 16},
 	}
 }
 

@@ -8,13 +8,12 @@ package operators
 // used-flags, ERX adjacency) from a per-engine Scratch, so the generation
 // hot path allocates nothing. Crossover.Cross is crossClone — fresh
 // clones of the parents handed to the same CrossInto — so there is no
-// second body to keep draw-identical. The rank-based selectors follow the
-// same shape: SelectScratch is the implementation, Select calls it with a
-// throwaway Scratch.
+// second body to keep draw-identical. The planned selectors (plan.go)
+// follow the same shape: SelectScratch is the implementation, Select calls
+// it with a throwaway Scratch.
 
 import (
 	"math"
-	"sort"
 
 	"pga/internal/core"
 	"pga/internal/genome"
@@ -22,17 +21,24 @@ import (
 )
 
 // Scratch is reusable per-engine working memory for the operators: index
-// tables, flag vectors and the ranked-order buffer of
-// rank-based selection. It grows to the largest size requested and is then
-// allocation-free. A Scratch is NOT safe for concurrent use — give each
-// engine (and each worker of a shared-memory engine) its own, exactly like
-// an *rng.Source.
+// tables, flag vectors, ERX adjacency, and the selection plan of the
+// rank-based and roulette selectors (plan.go). It grows to the largest
+// size requested and is then allocation-free. The plan's buffers are
+// disjoint from the crossover buffers, so a plan stays valid across the
+// CrossInto calls of the generation it was opened for. A Scratch is NOT
+// safe for concurrent use — give each engine (and each worker of a
+// shared-memory engine) its own, exactly like an *rng.Source.
 type Scratch struct {
 	table  []int
 	table2 []int
 	flags  []bool
 	mask   []uint64
-	rank   rankSorter
+
+	plan selPlan
+	// rankCum memoises LinearRank's cumulative rank weights, a function
+	// of (n, SP) alone and so kept across plans.
+	rankCum []float64
+	rankSP  float64
 
 	// ERX working memory: the union adjacency of two closed tours is at
 	// most four neighbours per city, so the edge table is a flat n×4
@@ -82,91 +88,6 @@ func (s *Scratch) words(n int) []uint64 {
 		m[i] = 0
 	}
 	return m
-}
-
-// rankSorter sorts an index buffer worst → best under a direction without
-// allocating (sort.Stable over a pointer receiver, unlike
-// sort.SliceStable, performs no per-call allocation).
-type rankSorter struct {
-	idx []int
-	pop *core.Population
-	d   core.Direction
-}
-
-func (s *rankSorter) Len() int      { return len(s.idx) }
-func (s *rankSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *rankSorter) Less(a, b int) bool {
-	// worst first
-	return s.d.Better(s.pop.Members[s.idx[b]].Fitness, s.pop.Members[s.idx[a]].Fitness)
-}
-
-// rankIndicesInto returns population indices ordered worst → best under d
-// (stable: equal fitness keeps index order), reusing the scratch rank
-// buffer.
-func rankIndicesInto(s *Scratch, pop *core.Population, d core.Direction) []int {
-	n := pop.Len()
-	if cap(s.rank.idx) < n {
-		s.rank.idx = make([]int, n)
-	}
-	s.rank.idx = s.rank.idx[:n]
-	for i := range s.rank.idx {
-		s.rank.idx[i] = i
-	}
-	s.rank.pop, s.rank.d = pop, d
-	sort.Stable(&s.rank)
-	s.rank.pop = nil // do not pin the population between calls
-	return s.rank.idx
-}
-
-// ScratchSelector is implemented by selectors whose per-call working
-// memory (ranked index buffers) can live in an engine-owned Scratch.
-type ScratchSelector interface {
-	Selector
-	// SelectScratch is Select with caller-provided scratch.
-	SelectScratch(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int
-}
-
-// SelectWith invokes sel reusing scratch when both sides support it — the
-// engines' hot-path entry point for parent selection. With a nil scratch
-// or a plain Selector it degrades to sel.Select.
-func SelectWith(sel Selector, pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int {
-	if ss, ok := sel.(ScratchSelector); ok && s != nil {
-		return ss.SelectScratch(pop, d, r, s)
-	}
-	return sel.Select(pop, d, r)
-}
-
-// SelectScratch implements ScratchSelector.
-func (sel LinearRank) SelectScratch(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int {
-	n := pop.Len()
-	ranked := rankIndicesInto(s, pop, d)
-	// rank 0 = worst … n-1 = best; weight(rank) = 2-SP + 2(SP-1)rank/(n-1).
-	sp := sel.sp()
-	if n == 1 {
-		return 0
-	}
-	total := float64(n) // weights sum to n by construction
-	x := r.Float64() * total
-	acc := 0.0
-	for rank := 0; rank < n; rank++ {
-		w := 2 - sp + 2*(sp-1)*float64(rank)/float64(n-1)
-		acc += w
-		if x < acc {
-			return ranked[rank]
-		}
-	}
-	return ranked[n-1]
-}
-
-// SelectScratch implements ScratchSelector.
-func (sel Truncation) SelectScratch(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int {
-	n := pop.Len()
-	k := int(float64(n) * sel.frac())
-	if k < 1 {
-		k = 1
-	}
-	ranked := rankIndicesInto(s, pop, d) // worst → best
-	return ranked[n-k+r.Intn(k)]
 }
 
 // InPlaceCrossover is implemented by crossovers that can write their

@@ -59,43 +59,8 @@ type Roulette struct{}
 func (Roulette) Name() string { return "roulette" }
 
 // Select implements Selector.
-func (Roulette) Select(pop *core.Population, d core.Direction, r *rng.Source) int {
-	n := pop.Len()
-	// Find min and max fitness.
-	min, max := pop.Members[0].Fitness, pop.Members[0].Fitness
-	for _, ind := range pop.Members {
-		if ind.Fitness < min {
-			min = ind.Fitness
-		}
-		if ind.Fitness > max {
-			max = ind.Fitness
-		}
-	}
-	span := max - min
-	if span == 0 {
-		return r.Intn(n) // uniform when all equal
-	}
-	// Weight in [eps, 1+eps], oriented so better fitness → larger weight.
-	const eps = 0.01
-	total := 0.0
-	weight := func(f float64) float64 {
-		if d == core.Maximize {
-			return (f-min)/span + eps
-		}
-		return (max-f)/span + eps
-	}
-	for _, ind := range pop.Members {
-		total += weight(ind.Fitness)
-	}
-	x := r.Float64() * total
-	acc := 0.0
-	for i, ind := range pop.Members {
-		acc += weight(ind.Fitness)
-		if x < acc {
-			return i
-		}
-	}
-	return n - 1
+func (s Roulette) Select(pop *core.Population, d core.Direction, r *rng.Source) int {
+	return s.SelectScratch(pop, d, r, &Scratch{})
 }
 
 // LinearRank is linear ranking selection with selective pressure SP in

@@ -41,8 +41,10 @@ func TakeoverTime(sel Selector, popSize, runs, maxGens int, seed uint64) float64
 func takeoverStep(sel Selector, pop *core.Population, r *rng.Source) *core.Population {
 	n := pop.Len()
 	next := core.NewPopulation(n)
+	var s Scratch
+	s.Plan(sel, pop, core.Maximize)
 	for i := 0; i < n; i++ {
-		pick := sel.Select(pop, core.Maximize, r)
+		pick := SelectWith(sel, pop, core.Maximize, r, &s)
 		next.Members = append(next.Members, pop.Members[pick].Clone())
 	}
 	if countBest(next) == 0 {

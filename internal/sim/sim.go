@@ -23,7 +23,9 @@ type MultiObjective interface {
 	NObjectives() int
 	// NewGenome returns a fresh random genome.
 	NewGenome(r *rng.Source) core.Genome
-	// Objectives returns all objective values of g (all minimised).
+	// Objectives returns all objective values of g (all minimised). They
+	// should be finite: an Archive refuses a vector with a NaN or infinite
+	// component.
 	Objectives(g core.Genome) []float64
 }
 
@@ -69,28 +71,46 @@ func (a *Archive) Items() []ArchiveItem { return a.items }
 // Add inserts the solution if it is not dominated by any archived item,
 // evicting items it dominates. Returns true if inserted. When the archive
 // is full, the new item replaces its nearest neighbour in objective space
-// (a simple crowding rule).
+// (a simple crowding rule). A vector with a NaN or infinite component is
+// refused: it has no meaningful distance to anything, so the crowding
+// rule could not choose what it replaces.
 func (a *Archive) Add(g core.Genome, objs []float64) bool {
-	for _, it := range a.items {
-		if Dominates(it.Objectives, objs) || equalObjs(it.Objectives, objs) {
+	for _, v := range objs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}
 	}
-	// Evict dominated items.
-	kept := a.items[:0]
-	for _, it := range a.items {
-		if !Dominates(objs, it.Objectives) {
-			kept = append(kept, it)
+	// One pass: an item that dominates or equals the newcomer rejects it;
+	// the first item the newcomer dominates is remembered. Nothing is
+	// evicted until the pass has ended without a rejection.
+	firstDominated := -1
+	for i := range a.items {
+		switch compare(a.items[i].Objectives, objs) {
+		case coversNew:
+			return false
+		case coveredByNew:
+			if firstDominated < 0 {
+				firstDominated = i
+			}
 		}
 	}
-	a.items = kept
+	if firstDominated >= 0 {
+		// Compact in place, keeping the survivors' order.
+		kept := a.items[:firstDominated]
+		for i := firstDominated + 1; i < len(a.items); i++ {
+			if !Dominates(objs, a.items[i].Objectives) {
+				kept = append(kept, a.items[i])
+			}
+		}
+		a.items = kept
+	}
 	item := ArchiveItem{Genome: g.Clone(), Objectives: append([]float64(nil), objs...)}
 	if a.cap > 0 && len(a.items) >= a.cap {
-		// Replace the archived item closest to the newcomer (crowding).
-		nearest, bestD := -1, math.Inf(1)
-		for i, it := range a.items {
-			d := sqDist(it.Objectives, objs)
-			if d < bestD {
+		// Replace the archived item closest to the newcomer (crowding);
+		// the first of equally near ones.
+		nearest, bestD := 0, math.Inf(1)
+		for i := range a.items {
+			if d := sqDist(a.items[i].Objectives, objs); d < bestD {
 				nearest, bestD = i, d
 			}
 		}
@@ -99,6 +119,37 @@ func (a *Archive) Add(g core.Genome, objs []float64) bool {
 	}
 	a.items = append(a.items, item)
 	return true
+}
+
+// The outcomes of comparing an archived vector with a newcomer.
+const (
+	incomparable = iota
+	coversNew    // the archived vector dominates or equals the newcomer
+	coveredByNew // the newcomer dominates the archived vector
+)
+
+// compare classifies an archived objective vector against a newcomer in
+// one walk over the components (minimisation).
+func compare(it, objs []float64) int {
+	if len(it) != len(objs) {
+		panic("sim: objective vectors of different lengths")
+	}
+	itBetter, newBetter := false, false
+	for i := range it {
+		switch {
+		case it[i] < objs[i]:
+			itBetter = true
+		case it[i] > objs[i]:
+			newBetter = true
+		}
+		if itBetter && newBetter {
+			return incomparable
+		}
+	}
+	if newBetter {
+		return coveredByNew
+	}
+	return coversNew // dominates, or equal in every component
 }
 
 func equalObjs(a, b []float64) bool {
