@@ -80,10 +80,15 @@ fuzz:
 # Sweep determinism smoke: validate every checked-in sweep config, then
 # require the smoke sweep's result file to be byte-identical on the
 # default pool and on one worker, GOMAXPROCS=1 (parallel ≡ serial), and
-# the selectors sweep's (five selectors under the generational,
-# steady-state and shared-memory engines) to be byte-identical to the
-# file recorded before selection was planned per generation — determinism
-# across commits for the engines internal/equiv's goldens do not reach.
+# every sweep with a recorded result under examples/sweeps/golden/ to
+# reproduce it byte for byte — determinism across commits for what
+# internal/equiv's goldens do not reach: selectors.json (five selectors
+# under the generational, steady-state and shared-memory engines),
+# pareto.json (the sim scenarios' Pareto archive at caps 8 and 100),
+# realops.json (SBX and polynomial mutation at η on both sides of
+# powFrac's fast path, k-point cuts on real genes) and kpointbits.json
+# (k-point cuts on bit strings). Each was recorded by the parent of the
+# change it guards; never regenerate one to make a change pass.
 sweep-smoke:
 	@for f in examples/sweeps/*.json; do \
 		$(GO) run ./cmd/pgarun -config $$f -validate || exit 1; \
@@ -91,6 +96,10 @@ sweep-smoke:
 	$(GO) run ./cmd/pgarun -config examples/sweeps/smoke.json -quiet -out /tmp/sweep-a.json
 	GOMAXPROCS=1 $(GO) run ./cmd/pgarun -config examples/sweeps/smoke.json -quiet -out /tmp/sweep-b.json
 	cmp /tmp/sweep-a.json /tmp/sweep-b.json
-	$(GO) run ./cmd/pgarun -config examples/sweeps/selectors.json -quiet -out /tmp/sweep-selectors.json
-	cmp /tmp/sweep-selectors.json examples/sweeps/golden/selectors.result.json
+	@for g in examples/sweeps/golden/*.result.json; do \
+		n=$$(basename $$g .result.json); \
+		$(GO) run ./cmd/pgarun -config examples/sweeps/$$n.json -quiet -out /tmp/sweep-$$n.json || exit 1; \
+		cmp /tmp/sweep-$$n.json $$g || exit 1; \
+		echo "sweep-smoke: $$n matches its recorded result"; \
+	done
 	@echo "sweep-smoke: determinism OK"

@@ -11,6 +11,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -138,6 +139,11 @@ func loadModule(root string, fset *token.FileSet, std types.Importer) (*Module, 
 			return nil
 		}
 		dir := filepath.Dir(path)
+		// The files the host's build would compile: a _GOARCH suffix or a
+		// //go:build line may exclude one (operators/powfrac*.go).
+		if ok, err := build.Default.MatchFile(dir, d.Name()); err != nil || !ok {
+			return err
+		}
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
 			return err

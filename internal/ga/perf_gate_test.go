@@ -86,6 +86,13 @@ func allocGateCases() []allocGateCase {
 			RNG:       rng.New(1),
 		}
 	}
+	// The bit-wise k-point family: its cuts come from the scratch's
+	// identity table, which SampleInto hands back unchanged.
+	kpoint := func(c operators.Crossover) Config {
+		cfg := wordOps()
+		cfg.Crossover, cfg.Mutator = c, operators.BitFlip{}
+		return cfg
+	}
 	gapCfg := oneMax()
 	gapCfg.GenGap = 0.5
 	gapCfg.Elitism = 4
@@ -105,6 +112,8 @@ func allocGateCases() []allocGateCase {
 			c.Crossover = operators.UniformWord{}
 			return c
 		}(), true), 0},
+		{"generational/onemax-twopoint", NewGenerational(kpoint(operators.TwoPoint{})), 0},
+		{"steady-state/onemax-kpointword", NewSteadyState(kpoint(operators.KPointWord{K: 7}), true), 0},
 		{"generational/sphere", NewGenerational(sphere()), 0},
 		{"generational/qap-erx", NewGenerational(qap()), 0},
 		{"generational/gap+elitism", NewGenerational(gapCfg), 0},

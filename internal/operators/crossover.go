@@ -68,7 +68,8 @@ func (k KPoint) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome
 // kpointSwap exchanges the alternating segments of two equal-length
 // children between k cut points (capped to [1, Len-1]) — the one kernel
 // behind the whole k-point family. The cuts are Sample draws over
-// [1, n-1]; their parity prefix is the swap mask (gene i is exchanged
+// [1, n-1], taken with rng.SampleInto from the scratch's identity table
+// in O(k); their parity prefix is the swap mask (gene i is exchanged
 // when an odd number of cuts lie at or before it), built a word at a
 // time. Bit strings then swap 64 genes per XOR — the mask's bits past N
 // meet the zero tails of x^y, so the tail-mask invariant holds unmasked —
@@ -85,7 +86,7 @@ func kpointSwap(c1, c2 core.Genome, k int, r *rng.Source, s *Scratch) {
 		k = n - 1
 	}
 	mask := s.words((n + 63) >> 6)
-	for _, c := range r.SampleInto(s.ints(n-1), k) {
+	for _, c := range r.SampleInto(s.identity(n-1), s.ints(k)) {
 		mask[(c+1)>>6] ^= 1 << (uint(c+1) & 63)
 	}
 	var carry uint64 // all ones while the running parity is odd

@@ -13,8 +13,6 @@ package operators
 // it with a throwaway Scratch.
 
 import (
-	"math"
-
 	"pga/internal/core"
 	"pga/internal/genome"
 	"pga/internal/rng"
@@ -33,6 +31,10 @@ type Scratch struct {
 	table2 []int
 	flags  []bool
 	mask   []uint64
+	// ident is the identity table the k-point cuts are sampled from;
+	// rng.SampleInto leaves it the identity, so it is filled only when
+	// it grows.
+	ident []int
 
 	plan selPlan
 	// rankCum memoises LinearRank's cumulative rank weights, a function
@@ -64,6 +66,18 @@ func (s *Scratch) ints2(n int) []int {
 		s.table2 = make([]int, n)
 	}
 	return s.table2[:n]
+}
+
+// identity returns the length-n prefix of the identity table. Callers
+// must hand it back as the identity (rng.SampleInto does).
+func (s *Scratch) identity(n int) []int {
+	if cap(s.ident) < n {
+		s.ident = make([]int, n)
+		for i := range s.ident {
+			s.ident[i] = i
+		}
+	}
+	return s.ident[:n]
 }
 
 // bools returns a length-n flag buffer cleared to false.
@@ -236,14 +250,14 @@ func (c SBX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	ca, cb := mustReal(c1), mustReal(c2)
 	ca.Lo, ca.Hi = va.Lo, va.Hi
 	cb.Lo, cb.Hi = vb.Lo, vb.Hi
-	eta := c.eta()
+	e := 1 / (c.eta() + 1)
 	for i := range ca.Genes {
 		u := r.Float64()
 		var beta float64
 		if u <= 0.5 {
-			beta = math.Pow(2*u, 1/(eta+1))
+			beta = powFrac(2*u, e)
 		} else {
-			beta = math.Pow(1/(2*(1-u)), 1/(eta+1))
+			beta = powFrac(1/(2*(1-u)), e)
 		}
 		x, y := va.Genes[i], vb.Genes[i]
 		ca.Genes[i] = 0.5 * ((1+beta)*x + (1-beta)*y)

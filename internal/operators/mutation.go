@@ -2,7 +2,6 @@ package operators
 
 import (
 	"fmt"
-	"math"
 
 	"pga/internal/core"
 	"pga/internal/genome"
@@ -114,7 +113,7 @@ func (m Polynomial) Mutate(g core.Genome, r *rng.Source) {
 	if p <= 0 {
 		p = 1 / float64(len(v.Genes))
 	}
-	eta := m.eta()
+	e := 1 / (m.eta() + 1)
 	for i := range v.Genes {
 		if !r.Chance(p) {
 			continue
@@ -127,9 +126,9 @@ func (m Polynomial) Mutate(g core.Genome, r *rng.Source) {
 		u := r.Float64()
 		var delta float64
 		if u < 0.5 {
-			delta = math.Pow(2*u, 1/(eta+1)) - 1
+			delta = powFrac(2*u, e) - 1
 		} else {
-			delta = 1 - math.Pow(2*(1-u), 1/(eta+1))
+			delta = 1 - powFrac(2*(1-u), e)
 		}
 		v.Genes[i] += delta * span
 	}

@@ -237,27 +237,38 @@ func (r *Source) Sample(n, k int) []int {
 	if k < 0 || k > n {
 		panic("rng: Sample called with k out of range")
 	}
-	return r.SampleInto(make([]int, n), k)
+	id := make([]int, n)
+	for i := range id {
+		id[i] = i
+	}
+	return r.SampleInto(id, make([]int, k))
 }
 
-// SampleInto draws k distinct indices uniformly from [0, len(p)) using p as
-// the index table, returning p[:k] — the scratch-buffer form of Sample for
-// generation hot paths. p is overwritten. The RNG draw sequence is
-// identical to Sample(len(p), k). It panics if k > len(p) or k < 0.
-func (r *Source) SampleInto(p []int, k int) []int {
-	n := len(p)
-	if k < 0 || k > n {
+// SampleInto draws len(out) distinct indices uniformly from [0, len(id))
+// into out and returns it: the allocation-free form of Sample for
+// generation hot paths, with the same draws and the same result as
+// Sample(len(id), len(out)). id must hold the identity permutation, and
+// it holds it again on return. The partial Fisher–Yates below writes at
+// most len(out) entries and resets at most 2·len(out), so a call costs
+// O(len(out)) whatever len(id) is. It panics if len(out) > len(id).
+func (r *Source) SampleInto(id, out []int) []int {
+	n := len(id)
+	if len(out) > n {
 		panic("rng: SampleInto called with k out of range")
 	}
-	// Partial Fisher–Yates over an index table; O(n) space, O(k) swaps.
-	for i := range p {
-		p[i] = i
-	}
-	for i := 0; i < k; i++ {
+	// Step i swaps position i with a uniform j in [i, n) and never reads
+	// position i again, so only the value moving into it is kept, in out.
+	for i := range out {
 		j := i + r.Intn(n-i)
-		p[i], p[j] = p[j], p[i]
+		out[i], id[j] = id[j], id[i]
 	}
-	return p[:k]
+	// A position j ≥ len(out) written above still held j when first
+	// written, so that step drew j into out: resetting the positions
+	// below len(out) and those named in out restores the identity.
+	for i, v := range out {
+		id[i], id[v] = i, v
+	}
+	return out
 }
 
 // Exp returns an exponentially distributed float64 with rate lambda

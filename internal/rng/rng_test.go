@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -291,6 +292,68 @@ func TestSample(t *testing.T) {
 			}
 			seen[v] = true
 		}
+	}
+}
+
+// refSample is Sample as it was before SampleInto took a caller-held
+// identity table: the partial Fisher–Yates over a freshly filled n-entry
+// table, kept as the oracle.
+func refSample(r *Source, n, k int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(n-i)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p[:k]
+}
+
+// TestSampleIntoMatchesReference: for every n ≤ 300 and every k ≤ n,
+// SampleInto over one shared identity table and Sample return the
+// reference's indices and leave the stream where it does, and the table
+// is the identity again after every call.
+func TestSampleIntoMatchesReference(t *testing.T) {
+	const maxN = 300
+	id, out := make([]int, maxN), make([]int, maxN)
+	for i := range id {
+		id[i] = i
+	}
+	seed := uint64(0)
+	for n := 0; n <= maxN; n++ {
+		for k := 0; k <= n; k++ {
+			seed++
+			got, want, whole := New(seed), New(seed), New(seed)
+			ref := refSample(want, n, k)
+			if s := got.SampleInto(id[:n], out[:k]); !slices.Equal(s, ref) {
+				t.Fatalf("SampleInto(n=%d, k=%d) = %v, reference %v", n, k, s, ref)
+			}
+			if s := whole.Sample(n, k); !slices.Equal(s, ref) {
+				t.Fatalf("Sample(%d, %d) = %v, reference %v", n, k, s, ref)
+			}
+			if got.State() != want.State() || whole.State() != want.State() {
+				t.Fatalf("n=%d, k=%d: stream state differs from the reference's", n, k)
+			}
+			for i, v := range id {
+				if v != i {
+					t.Fatalf("n=%d, k=%d: table[%d] = %d after the call", n, k, i, v)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSampleInto is the k-point cut draw of model-matrix's parallel
+// document: 2 cuts among the 255 interior points of a 256-bit genome.
+func BenchmarkSampleInto(b *testing.B) {
+	r := New(1)
+	id, out := make([]int, 255), make([]int, 2)
+	for i := range id {
+		id[i] = i
+	}
+	for i := 0; i < b.N; i++ {
+		r.SampleInto(id, out)
 	}
 }
 

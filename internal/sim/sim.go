@@ -10,6 +10,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"pga/internal/core"
 	"pga/internal/rng"
@@ -54,9 +55,18 @@ type ArchiveItem struct {
 }
 
 // Archive maintains a bounded set of mutually non-dominated solutions.
+//
+// items is in slot order — the order Items returns and the crowding
+// tie-break reads. byF1 holds the same slots ordered by first objective,
+// so Add finds the newcomer's rank by binary search and compares it only
+// with the items that rank can relate it to.
 type Archive struct {
 	items []ArchiveItem
+	byF1  []int
 	cap   int
+	// next is eviction's slot renumbering, kept so eviction allocates
+	// nothing once it has run at the archive's size.
+	next []int
 }
 
 // NewArchive returns an archive holding at most cap items (0 = unbounded).
@@ -66,59 +76,160 @@ func NewArchive(cap int) *Archive { return &Archive{cap: cap} }
 func (a *Archive) Len() int { return len(a.items) }
 
 // Items returns the archived solutions (not a copy; treat as read-only).
+// The slice and the items' buffers are valid until the next Add, which
+// may overwrite a replaced item's genome and objectives in place.
 func (a *Archive) Items() []ArchiveItem { return a.items }
 
 // Add inserts the solution if it is not dominated by any archived item,
 // evicting items it dominates. Returns true if inserted. When the archive
 // is full, the new item replaces its nearest neighbour in objective space
-// (a simple crowding rule). A vector with a NaN or infinite component is
-// refused: it has no meaningful distance to anything, so the crowding
-// rule could not choose what it replaces.
+// (a simple crowding rule), the lowest slot of equally near ones. A
+// vector with a NaN or infinite component is refused: it has no
+// meaningful distance to anything, so the crowding rule could not choose
+// what it replaces. An empty vector is refused too: it relates to
+// nothing. The first insert fixes the archive's objective count; a
+// vector of any other non-zero length panics. Every g must be one
+// problem's genome (same concrete type and length): Add copies it into a
+// replaced item's storage with core.CopyGenome.
+//
+// An item with a larger first objective than the newcomer's cannot
+// dominate or equal it, and one with a smaller first objective cannot be
+// dominated by it, so each test runs over one side of the newcomer's
+// rank only. With at most two objectives the archive is a staircase — f2
+// strictly falls as f1 rises — so each of those scans also stops at its
+// first item that fails the test, and Add is O(log n) apart from moving
+// slots; with more objectives the scans run to their rank bound.
 func (a *Archive) Add(g core.Genome, objs []float64) bool {
+	if len(objs) == 0 {
+		return false
+	}
+	if len(a.items) > 0 && len(objs) != len(a.items[0].Objectives) {
+		panic("sim: objective vectors of different lengths")
+	}
 	for _, v := range objs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}
 	}
-	// One pass: an item that dominates or equals the newcomer rejects it;
-	// the first item the newcomer dominates is remembered. Nothing is
-	// evicted until the pass has ended without a rejection.
-	firstDominated := -1
-	for i := range a.items {
-		switch compare(a.items[i].Objectives, objs) {
-		case coversNew:
+	staircase := len(objs) <= 2
+	// lo is the first rank whose f1 is not below the newcomer's, hi the
+	// first whose f1 is above it.
+	lo := sort.Search(len(a.byF1), func(p int) bool { return a.f1(p) >= objs[0] })
+	hi := lo
+	for hi < len(a.byF1) && a.f1(hi) == objs[0] {
+		hi++
+	}
+	for p := hi - 1; p >= 0; p-- {
+		if compare(a.items[a.byF1[p]].Objectives, objs) == coversNew {
 			return false
-		case coveredByNew:
-			if firstDominated < 0 {
-				firstDominated = i
-			}
+		}
+		if staircase {
+			break
 		}
 	}
-	if firstDominated >= 0 {
-		// Compact in place, keeping the survivors' order.
-		kept := a.items[:firstDominated]
-		for i := firstDominated + 1; i < len(a.items); i++ {
-			if !Dominates(objs, a.items[i].Objectives) {
-				kept = append(kept, a.items[i])
+	// Mark the items the newcomer dominates by complementing their byF1
+	// entries; evict drops them.
+	dominated := false
+	for p := lo; p < len(a.byF1); p++ {
+		if compare(a.items[a.byF1[p]].Objectives, objs) != coveredByNew {
+			if staircase {
+				break
 			}
+			continue
 		}
-		a.items = kept
+		a.byF1[p] = ^a.byF1[p]
+		dominated = true
 	}
-	item := ArchiveItem{Genome: g.Clone(), Objectives: append([]float64(nil), objs...)}
-	if a.cap > 0 && len(a.items) >= a.cap {
-		// Replace the archived item closest to the newcomer (crowding);
-		// the first of equally near ones.
-		nearest, bestD := 0, math.Inf(1)
-		for i := range a.items {
-			if d := sqDist(a.items[i].Objectives, objs); d < bestD {
-				nearest, bestD = i, d
-			}
+	var spare ArchiveItem
+	if dominated {
+		// Every evicted rank is at or above lo, so lo is still the
+		// newcomer's rank.
+		spare = a.evict()
+	} else if a.cap > 0 && len(a.items) >= a.cap {
+		p := a.nearest(lo, objs)
+		s := a.byF1[p]
+		it := &a.items[s]
+		it.Genome = core.CopyGenome(it.Genome, g)
+		copy(it.Objectives, objs)
+		if p < lo {
+			lo--
+			copy(a.byF1[p:lo], a.byF1[p+1:lo+1])
+		} else {
+			copy(a.byF1[lo+1:p+1], a.byF1[lo:p])
 		}
-		a.items[nearest] = item
+		a.byF1[lo] = s
 		return true
 	}
+	item := ArchiveItem{Genome: core.CopyGenome(spare.Genome, g), Objectives: append(spare.Objectives[:0], objs...)}
 	a.items = append(a.items, item)
+	a.byF1 = append(a.byF1, 0)
+	copy(a.byF1[lo+1:], a.byF1[lo:])
+	a.byF1[lo] = len(a.items) - 1
 	return true
+}
+
+// f1 is the first objective of the item at rank p.
+func (a *Archive) f1(p int) float64 { return a.items[a.byF1[p]].Objectives[0] }
+
+// nearest returns the rank of the item closest to objs, the lowest slot of
+// equally near ones. It scans outward from rank lo while the first
+// objective alone is no farther than the best distance found: sqDist's
+// sum starts with the f1 term and never falls below it, and that term
+// only grows away from lo.
+func (a *Archive) nearest(lo int, objs []float64) int {
+	best, bestSlot, bestD := -1, len(a.items), math.Inf(1)
+	consider := func(p int) bool {
+		it := a.items[a.byF1[p]].Objectives
+		if d := it[0] - objs[0]; d*d > bestD {
+			return false
+		}
+		if d, s := sqDist(it, objs), a.byF1[p]; d < bestD || d == bestD && s < bestSlot {
+			best, bestSlot, bestD = p, s, d
+		}
+		return true
+	}
+	for p := lo; p < len(a.byF1) && consider(p); p++ {
+	}
+	for p := lo - 1; p >= 0 && consider(p); p-- {
+	}
+	return best
+}
+
+// evict removes the items whose byF1 entries Add complemented, keeping the
+// survivors' slot order, renumbers byF1 to match, and returns one evicted
+// item so the newcomer can take over its buffers.
+func (a *Archive) evict() (spare ArchiveItem) {
+	if cap(a.next) < len(a.items) {
+		a.next = make([]int, len(a.items))
+	}
+	next := a.next[:len(a.items)]
+	for _, e := range a.byF1 {
+		if e < 0 {
+			next[^e] = -1
+		} else {
+			next[e] = 0
+		}
+	}
+	kept := 0
+	for s, it := range a.items {
+		if next[s] < 0 {
+			spare = it
+			continue
+		}
+		next[s] = kept
+		a.items[kept] = it
+		kept++
+	}
+	clear(a.items[kept:])
+	a.items = a.items[:kept]
+	ranks := a.byF1[:0]
+	for _, e := range a.byF1 {
+		if e >= 0 {
+			ranks = append(ranks, next[e])
+		}
+	}
+	a.byF1 = ranks
+	return spare
 }
 
 // The outcomes of comparing an archived vector with a newcomer.
@@ -128,12 +239,9 @@ const (
 	coveredByNew // the newcomer dominates the archived vector
 )
 
-// compare classifies an archived objective vector against a newcomer in
-// one walk over the components (minimisation).
+// compare classifies an archived objective vector against a newcomer of
+// the same length in one walk over the components (minimisation).
 func compare(it, objs []float64) int {
-	if len(it) != len(objs) {
-		panic("sim: objective vectors of different lengths")
-	}
 	itBetter, newBetter := false, false
 	for i := range it {
 		switch {
@@ -150,15 +258,6 @@ func compare(it, objs []float64) int {
 		return coveredByNew
 	}
 	return coversNew // dominates, or equal in every component
-}
-
-func equalObjs(a, b []float64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func sqDist(a, b []float64) float64 {
