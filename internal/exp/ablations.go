@@ -18,60 +18,38 @@ import (
 // and the async migration buffer capacity.
 
 func init() {
-	register(Experiment{
+	registerSweep(Experiment{
 		ID:     "A01",
 		Title:  "ablation: elitism on/off in the generational engine",
 		Source: "design choice — steady-state elitism guarantee vs generational churn",
-		Run:    runA01,
-	})
+	}, spec.RunOpts{}, reduceA01, "A01.json")
 	register(Experiment{
 		ID:     "A02",
 		Title:  "ablation: Gray-coded vs plain binary encoding of real functions",
 		Source: "design choice — BinaryEncoded wrapper (classic representation debate)",
 		Run:    runA02,
 	})
-	register(Experiment{
+	registerSweep(Experiment{
 		ID:     "A03",
 		Title:  "ablation: migrant integration policy",
 		Source: "design choice — migration.Replacer variants",
-		Run:    runA03,
-	})
-	register(Experiment{
+	}, spec.RunOpts{}, reduceA03, "A03.json")
+	registerSweep(Experiment{
 		ID:     "A04",
 		Title:  "ablation: async migration buffer capacity",
 		Source: "design choice — bounded non-blocking channels drop on overflow",
-		Run:    runA04,
-	})
+	}, spec.RunOpts{}, reduceA04, "A04.json")
 }
 
-func runA01(w io.Writer, quick bool) {
-	runs := scale(quick, 20, 4)
-	bits := scale(quick, 64, 32)
-	prob := problems.OneMax{N: bits}
+func reduceA01(w io.Writer, gs []grid) {
 	fprintf(w, "%-12s %-9s %-14s\n", "elitism", "hit-rate", "med-evals")
-	for _, elit := range []int{-1, 1, 4} {
-		var hit stats.HitRate
-		for r := 0; r < runs; r++ {
-			e := ga.NewGenerational(ga.Config{
-				Problem: prob, PopSize: 50, Elitism: elit,
-				Crossover: operators.Uniform{}, Mutator: operators.BitFlip{},
-				RNG: rng.New(uint64(r)*19 + 3),
-			})
-			res := ga.Run(e, ga.RunOptions{Stop: core.AnyOf{
-				core.MaxGenerations(scale(quick, 400, 100)),
-				core.TargetFitness{Target: float64(bits), Dir: core.Maximize},
-			}})
-			hit.Record(res.Solved, res.SolvedAtEval)
-		}
+	for _, r := range gs[0] {
 		label := "none"
-		if elit > 0 {
+		if elit := r.spec.Engine.Elitism; elit > 0 {
 			label = strconv.Itoa(elit)
 		}
-		med := 0.0
-		if hit.Hits() > 0 {
-			med = hit.Effort().Median
-		}
-		fprintf(w, "%-12s %-9s %-14.0f\n", label, rate(&hit), med)
+		hit, _ := r.outcome()
+		fprintf(w, "%-12s %-9s %-14.0f\n", label, rate(hit), medianEffort(hit))
 	}
 	fprintf(w, "\nshape check: no elitism loses the best individual to churn and needs more\n")
 	fprintf(w, "effort; heavy elitism trades diversity for speed on this easy landscape.\n")
@@ -105,69 +83,28 @@ func runA02(w io.Writer, quick bool) {
 	fprintf(w, "(better) values on continuous landscapes under the same bit-flip mutation.\n")
 }
 
-func runA03(w io.Writer, quick bool) {
-	runs := scale(quick, 15, 3)
-	maxGens := scale(quick, 200, 60)
-	blocks := scale(quick, 10, 6)
-	prob := spec.ProblemSpec{Name: "trap", Size: blocks * 4}
-	policies := []struct {
-		name string
-		key  string
-	}{
-		{"replace-worst", "worst"},
-		{"worst-if-better", "worst-if-better"},
-		{"replace-random", "random"},
-	}
+// a03Labels names the migration.replace values of A03.json.
+var a03Labels = map[string]string{"worst": "replace-worst", "worst-if-better": "worst-if-better", "random": "replace-random"}
+
+func reduceA03(w io.Writer, gs []grid) {
 	fprintf(w, "%-16s %-9s %-14s %-12s\n", "integration", "hit-rate", "med-evals", "mean-best")
-	for _, p := range policies {
-		hit, final := runIslandSetup(islandSetup{
-			problem:   prob,
-			engine:    demeEngineSpec(scale(quick, 20, 10)),
-			demes:     8,
-			migration: spec.MigrationSpec{Interval: 10, Count: 2, Replace: p.key},
-			maxGens:   maxGens,
-			runs:      runs,
-		})
-		med := 0.0
-		if hit.Hits() > 0 {
-			med = hit.Effort().Median
-		}
-		fprintf(w, "%-16s %-9s %-14.0f %-12.2f\n", p.name, rate(hit), med, final.Mean)
+	for _, r := range gs[0] {
+		hit, final := r.outcome()
+		fprintf(w, "%-16s %-9s %-14.0f %-12.2f\n", a03Labels[r.spec.Islands.Migration.Replace], rate(hit), medianEffort(hit), final.Mean)
 	}
 	fprintf(w, "\nshape check: the three integration rules land close together here; replace-\n")
 	fprintf(w, "random diffuses migrants more gently and keeps marginally more diversity.\n")
 }
 
-func runA04(w io.Writer, quick bool) {
-	runs := scale(quick, 10, 3)
-	maxGens := scale(quick, 300, 80)
-	bits := scale(quick, 64, 32)
+func reduceA04(w io.Writer, gs []grid) {
 	fprintf(w, "%-8s %-9s %-14s %-12s\n", "buffer", "hit-rate", "med-evals", "migr-batches")
-	for _, buf := range []int{1, 4, 16} {
-		var hit stats.HitRate
-		var migs []float64
-		rs := spec.RunSpec{
-			Model:   spec.ModelIslands,
-			Problem: spec.ProblemSpec{Name: "onemax", Size: bits},
-			Engine:  demeEngineSpec(scale(quick, 20, 10)),
-			Islands: &spec.IslandSpec{
-				Demes:     8,
-				Mode:      "parallel",
-				Migration: spec.MigrationSpec{Interval: 5, Count: 2, Async: true, Buffer: buf},
-			},
-			Budget: spec.BudgetSpec{Generations: maxGens},
+	for _, r := range gs[0] {
+		hit, _ := r.outcome()
+		migs := make([]float64, len(r.reports))
+		for i, rep := range r.reports {
+			migs[i] = float64(rep.Migrations)
 		}
-		for r := 0; r < runs; r++ {
-			rs.Seed = uint64(r)*83 + 29
-			rep := mustBuild(rs).Run(spec.RunOpts{})
-			hit.Record(rep.Solved, rep.SolvedAtEval)
-			migs = append(migs, float64(rep.Migrations))
-		}
-		med := 0.0
-		if hit.Hits() > 0 {
-			med = hit.Effort().Median
-		}
-		fprintf(w, "%-8d %-9s %-14.0f %-12.1f\n", buf, rate(&hit), med, stats.Summarize(migs).Mean)
+		fprintf(w, "%-8d %-9s %-14.0f %-12.1f\n", r.spec.Islands.Migration.Buffer, rate(hit), medianEffort(hit), stats.Summarize(migs).Mean)
 	}
 	fprintf(w, "\nshape check: tiny buffers drop some batches under scheduling skew but efficacy\n")
 	fprintf(w, "is stable — bounded-staleness migration degrades gracefully.\n")

@@ -10,12 +10,11 @@ import (
 )
 
 func init() {
-	register(Experiment{
+	registerSweep(Experiment{
 		ID:     "A05",
 		Title:  "ablation: the population sizing problem (total size at fixed structure)",
 		Source: "Konfršt & Lažanský 2002 [35] (survey refs): population sizing in (P)GAs; Cantú-Paz sizing theory",
-		Run:    runA05,
-	})
+	}, spec.RunOpts{}, reduceA05, "A05.json")
 	register(Experiment{
 		ID:     "A06",
 		Title:  "ablation: diversity preservation — panmictic vs islands vs cellular",
@@ -24,33 +23,16 @@ func init() {
 	})
 }
 
-// runA05 sweeps the total population size of an 8-island ring on a
+// reduceA05 prints the total-population sweep of an 8-island ring on a
 // deceptive problem: undersized populations can't supply the building
 // blocks (low hit rate), oversized ones waste evaluations — the sizing
 // problem the survey's author studied in [35, 36].
-func runA05(w io.Writer, quick bool) {
-	runs := scale(quick, 20, 4)
-	maxGens := scale(quick, 500, 80)
-	blocks := scale(quick, 10, 6)
-	prob := spec.ProblemSpec{Name: "trap", Size: blocks * 4}
-	inst, _ := prob.Instance(0)
-
-	fprintf(w, "8-island ring on %s, %d runs/row; per-deme size sweep\n\n", inst.Name(), runs)
+func reduceA05(w io.Writer, gs []grid) {
+	fprintf(w, "8-island ring on %s, %d runs/row; per-deme size sweep\n\n", problemName(gs[0][0].spec), gs[0].runs())
 	fprintf(w, "%-12s %-9s %-14s %-14s\n", "total pop", "hit-rate", "med-evals", "mean-best")
-	for _, perDeme := range []int{4, 8, 16, 32, 64} {
-		hit, final := runIslandSetup(islandSetup{
-			problem:   prob,
-			engine:    demeEngineSpec(perDeme),
-			demes:     8,
-			migration: migrationEvery(10, 1),
-			maxGens:   maxGens,
-			runs:      runs,
-		})
-		med := 0.0
-		if hit.Hits() > 0 {
-			med = hit.Effort().Median
-		}
-		fprintf(w, "8 × %-8d %-9s %-14.0f %-14.2f\n", perDeme, rate(hit), med, final.Mean)
+	for _, r := range gs[0] {
+		hit, final := r.outcome()
+		fprintf(w, "8 × %-8d %-9s %-14.0f %-14.2f\n", r.spec.Engine.Pop, rate(hit), medianEffort(hit), final.Mean)
 	}
 	fprintf(w, "\nshape check: hit rate rises steeply with population size until the demes can\n")
 	fprintf(w, "hold the building blocks, then flattens while effort keeps growing — the\n")

@@ -20,73 +20,52 @@ import (
 //     virtual cluster (one deme per node, Gigabit-class LAN) — labelled
 //     "modelled" because the build host has one CPU core.
 func init() {
-	register(Experiment{
+	registerSweep(Experiment{
 		ID:     "E02",
 		Title:  "island speedup vs deme count (fixed total population)",
 		Source: "Alba & Troya 2001 (survey §2): linear and super-linear speedup",
-		Run:    runE02,
-	})
+	}, spec.RunOpts{}, reduceE02, "E02.json")
 }
 
-func runE02(w io.Writer, quick bool) {
-	totalPop := scale(quick, 160, 64)
-	runs := scale(quick, 20, 4)
-	maxGens := scale(quick, 800, 150)
-	blocks := scale(quick, 10, 8)
-	prob := spec.ProblemSpec{Name: "trap", Size: blocks * 4}
-	inst, _ := prob.Instance(0)
-	const evalCost = 1e-4 // seconds per evaluation at speed 1 (modelled)
-
+func reduceE02(w io.Writer, gs []grid) {
+	first := gs[0][0].spec
+	totalPop := first.Islands.Demes * first.Engine.Pop
 	fprintf(w, "problem=%s  total population=%d  runs/point=%d  (wall-clock columns are modelled: virtual GigE cluster)\n\n",
-		inst.Name(), totalPop, runs)
+		problemName(first), totalPop, gs[0].runs())
 	fprintf(w, "%-6s %-9s %-14s %-12s %-12s %-12s %-10s\n",
 		"demes", "hit-rate", "med-evals", "num-speedup", "mod-time(s)", "mod-speedup", "efficiency")
 
-	var baseEffort float64
-	var baseTime float64
-	for _, k := range []int{1, 2, 4, 8, 16} {
-		if totalPop/k < 4 {
-			continue
-		}
-		hit, _ := runIslandSetup(islandSetup{
-			problem:   prob,
-			engine:    demeEngineSpec(totalPop / k),
-			demes:     k,
-			migration: migrationEvery(10, 2),
-			maxGens:   maxGens,
-			runs:      runs,
-		})
-		med := hit.Effort().Median
+	var baseEffort, baseTime float64
+	for _, r := range gs[0] {
+		k := r.spec.Islands.Demes
+		hit, _ := r.outcome()
 		if hit.Hits() == 0 {
 			fprintf(w, "%-6d %-9s %-14s (no solved runs at this budget)\n", k, rate(hit), "-")
 			continue
 		}
 		// Modelled wall-clock: per-deme generations ≈ effort/(k·popsize).
-		gens := int(med / float64(totalPop))
-		if gens < 1 {
-			gens = 1
-		}
-		profile := cluster.IslandProfile{
-			Generations:       gens,
-			EvalsPerGen:       float64(totalPop / k),
-			EvalCost:          evalCost,
-			MigrationInterval: 10,
-			MessageBytes:      1024,
-			Sync:              true,
-		}
-		modTime := cluster.IslandMakespan(cluster.UniformNodes(k), cluster.GigabitEthernet, profile)
+		med := hit.Effort().Median
+		modTime := modelledTime(r.spec, max(int(med/float64(totalPop)), 1))
 		if k == 1 {
-			baseEffort = med
-			baseTime = modTime
+			baseEffort, baseTime = med, modTime
 		}
-		numSp := baseEffort / med
 		modSp := cluster.Speedup(baseTime, modTime)
 		fprintf(w, "%-6d %-9s %-14.0f %-12.2f %-12.4f %-12.2f %-10.2f\n",
-			k, rate(hit), med, numSp, modTime, modSp, cluster.Efficiency(modSp, k))
+			k, rate(hit), med, baseEffort/med, modTime, modSp, cluster.Efficiency(modSp, k))
 	}
 	fprintf(w, "\nshape check: modelled wall-clock speedup tracks k and turns SUPER-LINEAR exactly\n")
 	fprintf(w, "where the evaluations ratio (num-speedup) exceeds 1 — the distributed algorithm\n")
 	fprintf(w, "needs fewer total evaluations than the panmictic one at high deme counts, which\n")
 	fprintf(w, "is how Alba & Troya's super-linear speedup arises. At low k the split can cost\n")
 	fprintf(w, "evaluations (ratio < 1): parallelism pays off past the crossover.\n")
+}
+
+// modelledTime is the makespan of gens synchronous generations of an
+// island spec on the virtual GigE cluster, one deme per node, at 1e-4 s
+// per evaluation (speed 1).
+func modelledTime(s spec.RunSpec, gens int) float64 {
+	return cluster.IslandMakespan(cluster.UniformNodes(s.Islands.Demes), cluster.GigabitEthernet, cluster.IslandProfile{
+		Generations: gens, EvalsPerGen: float64(s.Engine.Pop), EvalCost: 1e-4,
+		MigrationInterval: s.Islands.Migration.Interval, MessageBytes: 1024, Sync: true,
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"pga/internal/core"
 	"pga/internal/spec"
 )
 
@@ -16,51 +15,40 @@ import (
 // (median evaluations of successful runs), or the final best fitness for
 // the problem without a known optimum (NK).
 func init() {
-	register(Experiment{
+	registerSweep(Experiment{
 		ID:     "E03",
 		Title:  "migration frequency × migrant selection across problem classes",
 		Source: "Alba & Troya 2000 (survey §4): influence of the migration policy",
-		Run:    runE03,
-	})
+	}, spec.RunOpts{}, reduceE03, "E03.json")
 }
 
-func runE03(w io.Writer, quick bool) {
-	runs := scale(quick, 20, 3)
-	maxGens := scale(quick, 400, 60)
-	demes := 8
-	popSize := scale(quick, 20, 10)
-	intervals := []int{0, 1, 5, 20, 50}
-
+// reduceE03 prints one table per problem; E03.json's axes run problem
+// (slowest), interval, then migrant selection, so each problem is a
+// block of consecutive rows and each interval a block within it.
+func reduceE03(w io.Writer, gs []grid) {
+	g := gs[0]
+	first := g[0].spec
 	fprintf(w, "ring of %d islands × %d individuals, %d runs/cell; cells: hit-rate (med-evals) or mean-best for NK\n\n",
-		demes, popSize, runs)
+		first.Islands.Demes, first.Engine.Pop, g.runs())
 
-	selectors := []string{"best", "random"}
-
-	for _, prob := range problemSpectrum(quick) {
-		inst, _ := prob.Instance(0)
-		fprintf(w, "--- %s ---\n", inst.Name())
+	perProblem := span(g, func(s spec.RunSpec) any { return s.Problem.Name })
+	selectors := span(g, func(s spec.RunSpec) any { return s.Islands.Migration.Interval })
+	for p := 0; p < len(g); p += perProblem {
+		fprintf(w, "--- %s ---\n", problemName(g[p].spec))
 		fprintf(w, "%-10s", "interval")
-		for _, s := range selectors {
-			fprintf(w, " %-22s", "migrants="+s)
+		for _, r := range g[p : p+selectors] {
+			fprintf(w, " %-22s", "migrants="+r.spec.Islands.Migration.Select)
 		}
 		fprintf(w, "\n")
-		_, hasTarget := inst.(core.TargetAware)
-		for _, interval := range intervals {
+		for i := p; i < p+perProblem; i += selectors {
 			label := "isolated"
-			if interval > 0 {
+			if interval := g[i].spec.Islands.Migration.Interval; interval > 0 {
 				label = fmt.Sprintf("%d", interval)
 			}
 			fprintf(w, "%-10s", label)
-			for _, s := range selectors {
-				hit, final := runIslandSetup(islandSetup{
-					problem:   prob,
-					engine:    demeEngineSpec(popSize),
-					demes:     demes,
-					migration: spec.MigrationSpec{Interval: interval, Count: 2, Select: s},
-					maxGens:   maxGens,
-					runs:      runs,
-				})
-				if hasTarget {
+			for _, r := range g[i : i+selectors] {
+				hit, final := r.outcome()
+				if r.spec.Budget.TargetOptimum {
 					cell := rate(hit)
 					if hit.Hits() > 0 {
 						cell += fmt.Sprintf(" (%.0f)", hit.Effort().Median)
@@ -77,4 +65,13 @@ func runE03(w io.Writer, quick bool) {
 	fprintf(w, "shape check: moderate intervals beat both extremes (every-generation migration\n")
 	fprintf(w, "≈ panmixia, isolation starves demes); best-selection converges faster on easy\n")
 	fprintf(w, "landscapes while random-selection preserves diversity on deceptive ones.\n")
+}
+
+// span is the number of leading rows of g whose specs agree on key.
+func span(g grid, key func(spec.RunSpec) any) int {
+	n := 1
+	for n < len(g) && key(g[n].spec) == key(g[0].spec) {
+		n++
+	}
+	return n
 }

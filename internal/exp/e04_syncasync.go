@@ -62,12 +62,8 @@ func runE04(w io.Writer, quick bool) {
 		if sync {
 			mode = "sync"
 		}
-		med := 0.0
-		if hit.Hits() > 0 {
-			med = hit.Effort().Median
-		}
 		fprintf(w, "%-8s %-9s %-14.0f %-14.2f %-12.2f\n",
-			mode, rate(&hit), med, stats.Summarize(finals).Mean, stats.Summarize(elapsed).Mean)
+			mode, rate(&hit), medianEffort(&hit), stats.Summarize(finals).Mean, stats.Summarize(elapsed).Mean)
 	}
 	fprintf(w, "\nshape check: async matches sync efficacy and quality — dropping the barrier\n")
 	fprintf(w, "costs nothing, Alba & Troya's conclusion. The async effort number is lower\n")

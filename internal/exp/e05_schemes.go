@@ -96,12 +96,8 @@ func runE05(w io.Writer, quick bool) {
 		}
 		growth /= schemaRuns
 
-		med := 0.0
-		if hit.Hits() > 0 {
-			med = hit.Effort().Median
-		}
 		fprintf(w, "%-14s %-9s %-14.0f %-14.2f %-14.3f\n",
-			sc.name, rate(&hit), med, stats.Summarize(finals).Mean, growth)
+			sc.name, rate(&hit), medianEffort(&hit), stats.Summarize(finals).Mean, growth)
 	}
 	fprintf(w, "\nshape check: steady-state shows the highest schema processing rate (selection\n")
 	fprintf(w, "pressure) but over-converges on this deceptive landscape; the cellular scheme's\n")

@@ -94,12 +94,8 @@ func runE07(w io.Writer, quick bool) {
 			dead = append(dead, float64(st.DeadWorkers))
 			makespan = append(makespan, farm.Makespan(1e-4))
 		}
-		med := 0.0
-		if hit.Hits() > 0 {
-			med = hit.Effort().Median
-		}
 		fprintf(w, "%-32s %-9s %-12.0f %-12.1f %-10.1f %-12.4f\n",
-			sc.name, rate(&hit), med, stats.Summarize(redisp).Mean,
+			sc.name, rate(&hit), medianEffort(&hit), stats.Summarize(redisp).Mean,
 			stats.Summarize(dead).Mean, stats.Summarize(makespan).Mean)
 	}
 

@@ -14,71 +14,31 @@ import (
 // connectivity and the deme-count/deme-size tradeoff on a deceptive
 // landscape.
 func init() {
-	register(Experiment{
+	registerSweep(Experiment{
 		ID:     "E10",
 		Title:  "Cantú-Paz design rules: connectivity and deme sizing at fixed total population",
 		Source: "Cantú-Paz 2000 (survey §2): rational design of fast and accurate PGAs",
-		Run:    runE10,
-	})
+	}, spec.RunOpts{}, reduceE10, "E10-connectivity.json", "E10-sizing.json")
 }
 
-func runE10(w io.Writer, quick bool) {
-	runs := scale(quick, 20, 4)
-	maxGens := scale(quick, 500, 60)
-	blocks := scale(quick, 10, 8)
-	prob := spec.ProblemSpec{Name: "trap", Size: blocks * 4}
-	inst, _ := prob.Instance(0)
-	totalPop := scale(quick, 160, 64)
-
-	fprintf(w, "part A — connectivity at 8 demes × %d (%s, %d runs/row)\n\n", totalPop/8, inst.Name(), runs)
+func reduceE10(w io.Writer, gs []grid) {
+	conn, sizing := gs[0], gs[1]
+	first := conn[0].spec
+	fprintf(w, "part A — connectivity at %d demes × %d (%s, %d runs/row)\n\n",
+		first.Islands.Demes, first.Engine.Pop, problemName(first), conn.runs())
 	fprintf(w, "%-12s %-9s %-14s %-12s\n", "topology", "hit-rate", "med-evals", "mean-best")
-	tops := []struct {
-		name string
-		kind string
-		pol  int
-	}{
-		{"isolated", "isolated", 0},
-		{"ring", "ring", 10},
-		{"bi-ring", "biring", 10},
-		{"complete", "complete", 10},
-	}
-	for _, tp := range tops {
-		hit, final := runIslandSetup(islandSetup{
-			problem:   prob,
-			engine:    demeEngineSpec(totalPop / 8),
-			demes:     8,
-			topology:  spec.TopologySpec{Kind: tp.kind},
-			migration: migrationEvery(tp.pol, 2),
-			maxGens:   maxGens,
-			runs:      runs,
-		})
-		med := 0.0
-		if hit.Hits() > 0 {
-			med = hit.Effort().Median
-		}
-		fprintf(w, "%-12s %-9s %-14.0f %-12.2f\n", tp.name, rate(hit), med, final.Mean)
+	for _, r := range conn {
+		hit, final := r.outcome()
+		fprintf(w, "%-12s %-9s %-14.0f %-12.2f\n", topologyLabel(r.spec.Islands.Topology), rate(hit), medianEffort(hit), final.Mean)
 	}
 
-	fprintf(w, "\npart B — deme-count/deme-size tradeoff at total population %d (bi-ring, interval 10)\n\n", totalPop)
+	first = sizing[0].spec
+	fprintf(w, "\npart B — deme-count/deme-size tradeoff at total population %d (%s, interval %d)\n\n",
+		first.Islands.Demes*first.Engine.Pop, topologyLabel(first.Islands.Topology), first.Islands.Migration.Interval)
 	fprintf(w, "%-14s %-9s %-14s %-12s\n", "demes×size", "hit-rate", "med-evals", "mean-best")
-	for _, k := range []int{1, 2, 4, 8, 16} {
-		if totalPop/k < 4 {
-			continue
-		}
-		hit, final := runIslandSetup(islandSetup{
-			problem:   prob,
-			engine:    demeEngineSpec(totalPop / k),
-			demes:     k,
-			topology:  spec.TopologySpec{Kind: "biring"},
-			migration: migrationEvery(10, 2),
-			maxGens:   maxGens,
-			runs:      runs,
-		})
-		med := 0.0
-		if hit.Hits() > 0 {
-			med = hit.Effort().Median
-		}
-		fprintf(w, "%2d × %-9d %-9s %-14.0f %-12.2f\n", k, totalPop/k, rate(hit), med, final.Mean)
+	for _, r := range sizing {
+		hit, final := r.outcome()
+		fprintf(w, "%2d × %-9d %-9s %-14.0f %-12.2f\n", r.spec.Islands.Demes, r.spec.Engine.Pop, rate(hit), medianEffort(hit), final.Mean)
 	}
 	fprintf(w, "\nshape check: isolated demes lose to any connected topology (impracticability of\n")
 	fprintf(w, "isolation), and denser connectivity cuts the evaluations successful runs need.\n")

@@ -3,7 +3,6 @@ package exp
 import (
 	"io"
 
-	"pga/internal/core"
 	"pga/internal/engine"
 	"pga/internal/spec"
 	"pga/internal/stats"
@@ -16,44 +15,31 @@ import (
 // and compares the improvement frequency in the generations just after a
 // migration against the background rate.
 func init() {
-	register(Experiment{
+	registerSweep(Experiment{
 		ID:     "E11",
 		Title:  "punctuated equilibria: improvement bursts after migration",
 		Source: "Cohoon et al. 1987 (survey §2): punctuated equilibria in parallel EAs",
-		Run:    runE11,
-	})
+	}, spec.RunOpts{Control: engine.Control{Trace: true}}, reduceE11, "E11.json")
 }
 
-func runE11(w io.Writer, quick bool) {
-	runs := scale(quick, 20, 5)
-	interval := 25
-	maxGens := scale(quick, 200, 100)
-	blocks := scale(quick, 16, 8)
-	prob := spec.ProblemSpec{Name: "trap", Size: blocks * 4}
-	inst, _ := prob.Instance(0)
+// reduceE11 reads the per-generation traces of E11.json's runs, whose
+// budget is a pure generation cap.
+func reduceE11(w io.Writer, gs []grid) {
+	r := gs[0][0]
+	interval := r.spec.Islands.Migration.Interval
+	runs := len(r.reports)
 
 	// windowGens counts the generations considered "post-migration".
 	const window = 3
 
 	var postRate, baseRate float64
 	var curves [][]float64
-	rs := spec.RunSpec{
-		Model:   spec.ModelIslands,
-		Problem: prob,
-		Engine:  demeEngineSpec(20),
-		Islands: &spec.IslandSpec{Demes: 4, Migration: migrationEvery(interval, 2)},
-		Budget:  spec.BudgetSpec{Generations: maxGens},
-	}
-	for r := 0; r < runs; r++ {
-		rs.Seed = uint64(r)*61 + 7
-		// Drive the island handle directly: the experiment needs the full
-		// per-generation trace with generation numbers, a pure cap stop.
-		res := mustBuild(rs).Islands.RunSequential(core.MaxGenerations(maxGens), engine.Control{Trace: true})
+	for run, rep := range r.reports {
 		var post, postImp, base, baseImp int
-		bests := make([]float64, 0, len(res.Trace))
-		for i := 1; i < len(res.Trace); i++ {
-			improved := res.Trace[i].Best > res.Trace[i-1].Best
-			g := res.Trace[i].Generation
+		bests := make([]float64, 0, len(rep.Trace))
+		for i := 1; i < len(rep.Trace); i++ {
+			improved := rep.Trace[i].Best > rep.Trace[i-1].Best
+			g := rep.Trace[i].Generation
 			sinceMig := g % interval
 			if g > interval && sinceMig >= 1 && sinceMig <= window {
 				post++
@@ -66,7 +52,7 @@ func runE11(w io.Writer, quick bool) {
 					baseImp++
 				}
 			}
-			bests = append(bests, res.Trace[i].Best)
+			bests = append(bests, rep.Trace[i].Best)
 		}
 		if post > 0 {
 			postRate += float64(postImp) / float64(post)
@@ -74,14 +60,15 @@ func runE11(w io.Writer, quick bool) {
 		if base > 0 {
 			baseRate += float64(baseImp) / float64(base)
 		}
-		if r < 3 {
+		if run < 3 {
 			curves = append(curves, bests)
 		}
 	}
 	postRate /= float64(runs)
 	baseRate /= float64(runs)
 
-	fprintf(w, "ring of 4 islands, migration every %d generations, %s, %d runs\n\n", interval, inst.Name(), runs)
+	fprintf(w, "ring of %d islands, migration every %d generations, %s, %d runs\n\n",
+		r.spec.Islands.Demes, interval, problemName(r.spec), runs)
 	for i, c := range curves {
 		fprintf(w, "run %d best-fitness trace: %s\n", i+1, stats.Sparkline(stats.Downsample(c, 60)))
 	}

@@ -14,37 +14,24 @@ import (
 // modelled time, speedup and efficiency up to 64 demes, driven by the
 // real engines' measured evaluation counts.
 func init() {
-	register(Experiment{
+	registerSweep(Experiment{
 		ID:     "E12",
 		Title:  "strong and weak scaling of the island model (modelled wall-clock)",
 		Source: "Rivera 2001 (survey §2): scalable parallel genetic algorithms",
-		Run:    runE12,
-	})
+	}, spec.RunOpts{}, reduceE12, "E12-strong.json", "E12-weak.json")
 }
 
-func runE12(w io.Writer, quick bool) {
-	const evalCost = 1e-4
-	runs := scale(quick, 10, 2)
-	maxGens := scale(quick, 150, 50)
-	bits := scale(quick, 48, 24)
-	totalPop := scale(quick, 256, 64)
-	prob := spec.ProblemSpec{Name: "onemax", Size: bits}
-	demeCounts := []int{1, 2, 4, 8, 16, 32, 64}
-
-	fprintf(w, "part A — strong scaling: total population %d split over k demes (ring, interval 10)\n", totalPop)
+func reduceE12(w io.Writer, gs []grid) {
+	strong, weak := gs[0], gs[1]
+	first := strong[0].spec
+	fprintf(w, "part A — strong scaling: total population %d split over k demes (ring, interval %d)\n",
+		first.Islands.Demes*first.Engine.Pop, first.Islands.Migration.Interval)
 	fprintf(w, "all times are modelled on a virtual GigE cluster, one deme per node\n\n")
 	fprintf(w, "%-6s %-12s %-12s %-12s %-10s\n", "k", "gens/deme", "mod-time(s)", "speedup", "efficiency")
 	var baseTime float64
-	for _, k := range demeCounts {
-		if totalPop/k < 4 {
-			continue
-		}
-		gens := measureGens(prob, k, totalPop/k, maxGens, runs)
-		profile := cluster.IslandProfile{
-			Generations: gens, EvalsPerGen: float64(totalPop / k), EvalCost: evalCost,
-			MigrationInterval: 10, MessageBytes: 1024, Sync: true,
-		}
-		t := cluster.IslandMakespan(cluster.UniformNodes(k), cluster.GigabitEthernet, profile)
+	for _, r := range strong {
+		k, gens := r.spec.Islands.Demes, meanGens(r)
+		t := modelledTime(r.spec, gens)
 		if k == 1 {
 			baseTime = t
 		}
@@ -52,16 +39,12 @@ func runE12(w io.Writer, quick bool) {
 		fprintf(w, "%-6d %-12d %-12.4f %-12.2f %-10.2f\n", k, gens, t, sp, cluster.Efficiency(sp, k))
 	}
 
-	fprintf(w, "\npart B — weak scaling: %d individuals per deme, k demes (total work grows with k)\n\n", 32)
+	fprintf(w, "\npart B — weak scaling: %d individuals per deme, k demes (total work grows with k)\n\n", weak[0].spec.Engine.Pop)
 	fprintf(w, "%-6s %-12s %-12s %-14s\n", "k", "gens/deme", "mod-time(s)", "scaled-eff.")
 	var weakBase float64
-	for _, k := range demeCounts {
-		gens := measureGens(prob, k, 32, maxGens, runs)
-		profile := cluster.IslandProfile{
-			Generations: gens, EvalsPerGen: 32, EvalCost: evalCost,
-			MigrationInterval: 10, MessageBytes: 1024, Sync: true,
-		}
-		t := cluster.IslandMakespan(cluster.UniformNodes(k), cluster.GigabitEthernet, profile)
+	for _, r := range weak {
+		k, gens := r.spec.Islands.Demes, meanGens(r)
+		t := modelledTime(r.spec, gens)
 		if k == 1 {
 			weakBase = t
 		}
@@ -74,29 +57,16 @@ func runE12(w io.Writer, quick bool) {
 	fprintf(w, "alone, the collaborative bonus behind Rivera's scalability review.\n")
 }
 
-// measureGens runs the real island model and returns the mean generations
-// needed to solve (or the cap when unsolved).
-func measureGens(prob spec.ProblemSpec, demes, popSize, maxGens, runs int) int {
+// meanGens is the mean generations a row's runs needed to solve, counting
+// an unsolved run at the generation cap.
+func meanGens(r row) int {
 	total := 0
-	for r := 0; r < runs; r++ {
-		hit, _ := runIslandSetup(islandSetup{
-			problem:   prob,
-			engine:    demeEngineSpec(popSize),
-			demes:     demes,
-			migration: migrationEvery(10, 1),
-			maxGens:   maxGens,
-			runs:      1,
-			baseSeed:  uint64(r)*89 + 11,
-		})
-		if hit.Hits() > 0 {
-			total += int(hit.Effort().Mean / float64(demes*popSize))
+	for _, rep := range r.reports {
+		if rep.Solved {
+			total += int(rep.SolvedAtEval / int64(r.spec.Islands.Demes*r.spec.Engine.Pop))
 		} else {
-			total += maxGens
+			total += r.spec.Budget.Generations
 		}
 	}
-	g := total / runs
-	if g < 1 {
-		g = 1
-	}
-	return g
+	return max(total/len(r.reports), 1)
 }

@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"fmt"
 	"io"
+	"math/bits"
 
 	"pga/internal/spec"
 	"pga/internal/topology"
@@ -14,68 +16,67 @@ import (
 // reporting graph diameter alongside search performance — the
 // communication-vs-convergence tradeoff of Cantú-Paz's topology study.
 func init() {
-	register(Experiment{
+	registerSweep(Experiment{
 		ID:     "E14",
 		Title:  "topology comparison at equal deme count",
 		Source: "survey §1.1/§3.2 topology inventory; Cantú-Paz 2000 topology effects",
-		Run:    runE14,
-	})
+	}, spec.RunOpts{}, reduceE14, "E14.json")
 }
 
-func runE14(w io.Writer, quick bool) {
-	runs := scale(quick, 20, 4)
-	maxGens := scale(quick, 500, 60)
-	blocks := scale(quick, 10, 8)
-	prob := spec.ProblemSpec{Name: "trap", Size: blocks * 4}
-	inst, _ := prob.Instance(0)
-	demes := 8
-	popSize := scale(quick, 20, 8)
-
-	// mk builds the graph for diameter/link inspection; ts is the same
-	// topology in spec vocabulary for the actual runs.
-	tops := []struct {
-		name string
-		mk   func(n int) topology.Topology
-		ts   spec.TopologySpec
-	}{
-		{"ring", topology.Ring, spec.TopologySpec{Kind: "ring"}},
-		{"bi-ring", topology.BiRing, spec.TopologySpec{Kind: "biring"}},
-		{"star", topology.Star, spec.TopologySpec{Kind: "star"}},
-		{"grid 2x4", func(n int) topology.Topology { return topology.Grid(2, 4) }, spec.TopologySpec{Kind: "grid", Rows: 2, Cols: 4}},
-		{"torus 2x4", func(n int) topology.Topology { return topology.Torus(2, 4) }, spec.TopologySpec{Kind: "torus", Rows: 2, Cols: 4}},
-		{"hypercube", func(n int) topology.Topology { return topology.Hypercube(3) }, spec.TopologySpec{Kind: "hypercube"}},
-		{"complete", topology.Complete, spec.TopologySpec{Kind: "complete"}},
-		{"random k=3", func(n int) topology.Topology { return topology.RandomRegular(n, 3, 7) }, spec.TopologySpec{Kind: "random", Degree: 3, Seed: 7}},
-	}
-
-	fprintf(w, "%d demes × %d on %s, migration every 10 gens, %d runs/topology\n\n",
-		demes, popSize, inst.Name(), runs)
+func reduceE14(w io.Writer, gs []grid) {
+	first := gs[0][0].spec
+	demes := first.Islands.Demes
+	fprintf(w, "%d demes × %d on %s, migration every %d gens, %d runs/topology\n\n",
+		demes, first.Engine.Pop, problemName(first), first.Islands.Migration.Interval, gs[0].runs())
 	fprintf(w, "%-12s %-9s %-9s %-14s %-12s %-10s\n",
 		"topology", "diameter", "hit-rate", "med-evals", "mean-best", "links")
 
-	for _, tp := range tops {
-		t := tp.mk(demes)
+	for _, r := range gs[0] {
+		t := graph(r.spec.Islands.Topology, demes)
 		links := 0
 		for i := 0; i < t.Size(); i++ {
 			links += len(t.Neighbors(i))
 		}
-		hit, final := runIslandSetup(islandSetup{
-			problem:   prob,
-			engine:    demeEngineSpec(popSize),
-			demes:     demes,
-			topology:  tp.ts,
-			migration: migrationEvery(10, 2),
-			maxGens:   maxGens,
-			runs:      runs,
-		})
-		med := 0.0
-		if hit.Hits() > 0 {
-			med = hit.Effort().Median
-		}
+		hit, final := r.outcome()
 		fprintf(w, "%-12s %-9d %-9s %-14.0f %-12.2f %-10d\n",
-			tp.name, topology.Diameter(t), rate(hit), med, final.Mean, links)
+			topologyLabel(r.spec.Islands.Topology), topology.Diameter(t), rate(hit), medianEffort(hit), final.Mean, links)
 	}
 	fprintf(w, "\nshape check: low-diameter graphs (complete, star, hypercube) spread good genes\n")
 	fprintf(w, "fastest (fewer evaluations when they solve) but pay more links (communication);\n")
 	fprintf(w, "sparse rings preserve diversity longest — the topology tradeoff the survey flags.\n")
+}
+
+// graph is the graph a topology spec wires on n demes, for the diameter
+// and link columns (a "random" graph as first wired, before any rewire).
+func graph(t spec.TopologySpec, n int) topology.Topology {
+	switch t.Kind {
+	case "biring":
+		return topology.BiRing(n)
+	case "star":
+		return topology.Star(n)
+	case "grid":
+		return topology.Grid(t.Rows, t.Cols)
+	case "torus":
+		return topology.Torus(t.Rows, t.Cols)
+	case "hypercube":
+		return topology.Hypercube(bits.Len(uint(n)) - 1)
+	case "complete":
+		return topology.Complete(n)
+	case "random":
+		return topology.RandomRegular(n, t.Degree, t.Seed)
+	}
+	return topology.Ring(n)
+}
+
+// topologyLabel is a topology spec's name in the tables.
+func topologyLabel(t spec.TopologySpec) string {
+	switch t.Kind {
+	case "biring":
+		return "bi-ring"
+	case "grid", "torus":
+		return fmt.Sprintf("%s %dx%d", t.Kind, t.Rows, t.Cols)
+	case "random":
+		return fmt.Sprintf("random k=%d", t.Degree)
+	}
+	return t.Kind
 }

@@ -1,8 +1,11 @@
 // Package exp implements the experiment harness: one runner per
 // experiment in DESIGN.md's index (E1–E14 plus the A-series ablations),
 // each regenerating the table/curve shape of a claim reviewed by the
-// survey. cmd/pgabench drives the whole suite; bench_test.go exposes one
-// testing.B benchmark per experiment.
+// survey. The island grids are sweep documents under
+// examples/experiments, run by Sweep.Run and printed by one reducer each
+// (sweeps.go); the rest wire their runtimes here. cmd/pgabench drives the
+// whole suite; bench_test.go exposes one testing.B benchmark per
+// experiment.
 package exp
 
 import (
@@ -84,48 +87,6 @@ func demeEngineSpec(popSize int) spec.EngineSpec {
 	}
 }
 
-// islandSetup bundles the knobs the island experiments sweep, expressed
-// in the run-spec vocabulary; runIslandSetup expands it into one RunSpec
-// per run.
-type islandSetup struct {
-	problem   spec.ProblemSpec
-	engine    spec.EngineSpec
-	demes     int
-	topology  spec.TopologySpec
-	migration spec.MigrationSpec
-	maxGens   int
-	runs      int
-	baseSeed  uint64
-}
-
-// runIslandSetup executes the setup runs times (sequential deterministic
-// mode) and accumulates efficacy/effort plus the mean final best fitness.
-// Each run is one spec.Build — the experiments construct their runtimes
-// through the same path as a pgarun config file.
-func runIslandSetup(s islandSetup) (*stats.HitRate, stats.Summary) {
-	rs := spec.RunSpec{
-		Model:   spec.ModelIslands,
-		Problem: s.problem,
-		Engine:  s.engine,
-		Islands: &spec.IslandSpec{Demes: s.demes, Topology: s.topology, Migration: s.migration},
-		Budget:  spec.BudgetSpec{Generations: s.maxGens},
-	}
-	if prob, perr := s.problem.Instance(0); perr == nil {
-		if _, ok := prob.(core.TargetAware); ok {
-			rs.Budget.TargetOptimum = true
-		}
-	}
-	var hit stats.HitRate
-	var finals []float64
-	for r := 0; r < s.runs; r++ {
-		rs.Seed = s.baseSeed + uint64(r)*7919
-		rep := mustBuild(rs).Run(spec.RunOpts{})
-		hit.Record(rep.Solved, rep.SolvedAtEval)
-		finals = append(finals, rep.Best)
-	}
-	return &hit, stats.Summarize(finals)
-}
-
 // mustBuild materialises a spec assembled by experiment code; the
 // setups are static tables, so a validation failure is a programming
 // error, not an input error.
@@ -168,19 +129,10 @@ func rate(h *stats.HitRate) string {
 	return fmt.Sprintf("%d/%d", h.Hits(), h.Runs())
 }
 
-// fixedSeed pins a problem-instance seed independent of the run seed.
-func fixedSeed(v uint64) *uint64 { return &v }
-
-// problemSpectrum returns the Alba & Troya problem classes at a size
-// suited to island experiments, as registry specs. The seeded instances
-// pin their seed so every run searches the same landscape.
-func problemSpectrum(quick bool) []spec.ProblemSpec {
-	bits := scale(quick, 48, 24)
-	return []spec.ProblemSpec{
-		{Name: "onemax", Size: bits},                            // easy
-		{Name: "trap", Size: bits},                              // deceptive (bits/4 blocks of k=4)
-		{Name: "ppeaks", Size: bits, Seed: fixedSeed(12345)},    // multimodal
-		{Name: "subsetsum", Size: bits, Seed: fixedSeed(12345)}, // NP-complete
-		{Name: "nk", Size: bits, Seed: fixedSeed(12345)},        // epistatic
+// medianEffort is the median evaluations of the solved runs, 0 if none.
+func medianEffort(h *stats.HitRate) float64 {
+	if h.Hits() == 0 {
+		return 0
 	}
+	return h.Effort().Median
 }

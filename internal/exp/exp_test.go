@@ -84,10 +84,3 @@ func TestScale(t *testing.T) {
 		t.Fatal("scale wrong")
 	}
 }
-
-func TestProblemSpectrumClasses(t *testing.T) {
-	ps := problemSpectrum(true)
-	if len(ps) != 5 {
-		t.Fatalf("spectrum has %d problems, want 5", len(ps))
-	}
-}

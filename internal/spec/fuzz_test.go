@@ -45,6 +45,8 @@ func FuzzParse(f *testing.F) {
 		`{"base":{},"sweep":{"..":[1]}}`,
 		`{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"problem":[{"name":"trap","size":12}]}}`,
 		`{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop":[4,6]},"replicates":20000000}`,
+		`{"base":{"model":"islands","problem":{"name":"onemax","size":8}},"sweep":{"islands.demes,engine.pop":[[1,8],[2,4]]}}`,
+		`{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop,seed":[[4,1],[6]],"seed":[2]}}`,
 	}
 	for _, s := range append(seeds, defectDocs...) {
 		f.Add([]byte(s))

@@ -15,7 +15,10 @@ import (
 
 // Axis is one swept dimension: a dotted field path and the values it
 // takes. Values may be any JSON value, including whole objects (an
-// entire engine section, a topology object).
+// entire engine section, a topology object). A zipped axis names
+// several comma-separated paths ("islands.demes,engine.pop") and each
+// of its values is an array with one element per path. A path may
+// appear in one axis only.
 type Axis struct {
 	Path   string `json:"path"`
 	Values []any  `json:"values"`
@@ -145,6 +148,9 @@ func parseAxisValues(path string, raw json.RawMessage) ([]any, error) {
 		}
 		return values, nil
 	}
+	if trimmed[0] == '{' && strings.Contains(path, ",") {
+		return nil, errf("sweep."+path, "a zipped axis takes a list of tuples, not a range")
+	}
 	if trimmed[0] == '{' {
 		var r rangeAxis
 		dec := json.NewDecoder(bytes.NewReader(trimmed))
@@ -238,13 +244,27 @@ func (s *Sweep) Cells() ([]Cell, *Error) {
 		reps = 1
 	}
 	dims := make([]int, len(s.Axes))
+	paths := make([][]string, len(s.Axes))
+	swept := map[string]bool{}
 	total := 1
 	for i, ax := range s.Axes {
 		if len(ax.Values) == 0 {
 			return nil, errf("sweep."+ax.Path, "axis has no values")
 		}
-		if strings.TrimSpace(ax.Path) == "" {
-			return nil, errf("sweep", "axis has an empty path")
+		paths[i] = strings.Split(ax.Path, ",")
+		for _, p := range paths[i] {
+			if strings.TrimSpace(p) == "" {
+				return nil, errf("sweep", "axis %q has an empty path", ax.Path)
+			}
+			if swept[p] {
+				return nil, errf("sweep."+ax.Path, "path %q is swept twice (a path may appear in one axis only)", p)
+			}
+			swept[p] = true
+		}
+		for j, v := range ax.Values {
+			if t, ok := v.([]any); len(paths[i]) > 1 && (!ok || len(t) != len(paths[i])) {
+				return nil, errf("sweep."+ax.Path, "value %d must be an array of %d values, one per path", j, len(paths[i]))
+			}
 		}
 		dims[i] = len(ax.Values)
 		total *= dims[i]
@@ -265,19 +285,20 @@ func (s *Sweep) Cells() ([]Cell, *Error) {
 	idx := make([]int, len(s.Axes))
 	for cell := 0; cell < total; cell++ {
 		overrides := map[string]any{}
-		seedSwept := false
 		var doc map[string]any
 		if uerr := unmarshalNumbers(baseDoc, &doc); uerr != nil {
 			return nil, errf("base", "cannot re-read base spec: %v", uerr)
 		}
 		for i, ax := range s.Axes {
-			v := ax.Values[idx[i]]
-			overrides[ax.Path] = v
-			if ax.Path == "seed" {
-				seedSwept = true
-			}
-			if serr := setPath(doc, ax.Path, v); serr != nil {
-				return nil, serr
+			for j, p := range paths[i] {
+				v := ax.Values[idx[i]]
+				if len(paths[i]) > 1 {
+					v = v.([]any)[j]
+				}
+				overrides[p] = v
+				if serr := setPath(doc, p, deepCopy(v)); serr != nil {
+					return nil, serr
+				}
 			}
 		}
 		cellJSON, merr := json.Marshal(doc)
@@ -291,7 +312,7 @@ func (s *Sweep) Cells() ([]Cell, *Error) {
 		}
 		for rep := 0; rep < reps; rep++ {
 			cs := *cellSpec
-			if seedSwept {
+			if swept["seed"] {
 				cs.Seed = DeriveSeed(cs.Seed, 0, rep)
 			} else {
 				cs.Seed = DeriveSeed(s.Base.Seed, cell, rep)
@@ -337,6 +358,27 @@ func setPath(doc map[string]any, path string, v any) *Error {
 	}
 	cur[parts[len(parts)-1]] = v
 	return nil
+}
+
+// deepCopy copies the maps and slices of a decoded JSON value, so that a
+// later axis writing beneath it changes this cell's document only — not
+// the axis value, and not the Overrides of the cells that share it.
+func deepCopy(v any) any {
+	switch t := v.(type) {
+	case map[string]any:
+		out := make(map[string]any, len(t))
+		for k, e := range t {
+			out[k] = deepCopy(e)
+		}
+		return out
+	case []any:
+		out := make([]any, len(t))
+		for i, e := range t {
+			out[i] = deepCopy(e)
+		}
+		return out
+	}
+	return v
 }
 
 // run builds and runs the cell and labels the report with the cell's

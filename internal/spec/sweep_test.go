@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -178,6 +180,11 @@ func TestSweepErrors(t *testing.T) {
 		{"replicates past the run cap", `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop":[4,6]},"replicates":20000000}`, "replicates"},
 		{"unknown sweep key", `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"seed":[1]},"bogus":true}`, "(document)"},
 		{"path through scalar", `{"base":{"model":"generational","problem":{"name":"onemax","size":8},"seed":3},"sweep":{"seed.low":[1]}}`, "sweep.seed.low"},
+		{"zipped tuple too short", `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop,seed":[[4,1],[6]]}}`, "sweep.engine.pop,seed"},
+		{"zipped value not a tuple", `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop,seed":[4,6]}}`, "sweep.engine.pop,seed"},
+		{"path in two axes", `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop,seed":[[4,1]],"seed":[2]}}`, "sweep.seed"},
+		{"range on a zipped key", `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop,seed":{"from":1,"to":3}}}`, "sweep.engine.pop,seed"},
+		{"empty path in a zip", `{"base":{"model":"generational","problem":{"name":"onemax","size":8}},"sweep":{"engine.pop,":[[4,1]]}}`, "sweep"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,6 +196,93 @@ func TestSweepErrors(t *testing.T) {
 				t.Errorf("error paths %v do not mention %q", fieldPaths(t, err), tc.path)
 			}
 		})
+	}
+}
+
+// TestZippedAxis: a zipped axis steps its paths together, one cell per
+// tuple, and records each path in Overrides on its own.
+func TestZippedAxis(t *testing.T) {
+	sw := parseSweep(t, "zip", `{
+	  "base": {"model":"islands","problem":{"name":"onemax","size":8},"budget":{"generations":2},"seed":1},
+	  "sweep": {"islands.demes,engine.pop": [[1,16],[2,8],[4,4]], "seed": [5,6]}
+	}`)
+	cells, _ := sw.Cells()
+	if len(cells) != 3*2 {
+		t.Fatalf("got %d cells, want 6", len(cells))
+	}
+	for i, want := range [][3]int{{1, 16, 5}, {1, 16, 6}, {2, 8, 5}, {2, 8, 6}, {4, 4, 5}, {4, 4, 6}} {
+		c := cells[i]
+		if c.Spec.Islands.Demes != want[0] || c.Spec.Engine.Pop != want[1] || c.Spec.Seed != uint64(want[2]) {
+			t.Errorf("cell %d: demes=%d pop=%d seed=%d, want %v", i, c.Spec.Islands.Demes, c.Spec.Engine.Pop, c.Spec.Seed, want)
+		}
+		if len(c.Overrides) != 3 || c.Overrides["islands.demes"] == nil || c.Overrides["engine.pop"] == nil {
+			t.Errorf("cell %d overrides %v, want one entry per path", i, c.Overrides)
+		}
+	}
+}
+
+// TestZippedOnePathIsPlainAxis: a zip whose second path only restates
+// the base expands exactly as the plain axis of its first path.
+func TestZippedOnePathIsPlainAxis(t *testing.T) {
+	const base = `{"model":"generational","problem":{"name":"onemax","size":8},"budget":{"generations":2},"seed":1}`
+	plain := parseSweep(t, "plain", `{"base":`+base+`,"sweep":{"engine.pop":[6,8,10]},"replicates":2}`)
+	zipped := parseSweep(t, "zipped", `{"base":`+base+`,"sweep":{"engine.pop,budget.generations":[[6,2],[8,2],[10,2]]},"replicates":2}`)
+	pc, _ := plain.Cells()
+	zc, _ := zipped.Cells()
+	if len(pc) != len(zc) {
+		t.Fatalf("%d plain cells, %d zipped", len(pc), len(zc))
+	}
+	for i := range pc {
+		if !reflect.DeepEqual(pc[i].Spec, zc[i].Spec) || pc[i].Index != zc[i].Index || pc[i].Replicate != zc[i].Replicate {
+			t.Errorf("cell %d: plain %+v, zipped %+v", i, pc[i], zc[i])
+		}
+	}
+}
+
+// TestOverridesNotAliased: an object-valued axis with a path beneath it
+// in a later axis. Each cell's Overrides must hold the axis values as
+// written and re-derive the cell's spec, and the axes must come out of
+// expansion unchanged.
+func TestOverridesNotAliased(t *testing.T) {
+	const base = `{"model":"generational","problem":{"name":"onemax","size":8},"budget":{"generations":2},"seed":1}`
+	const axes = `{"engine":[{"pop":10},{"pop":12}],"engine.crossover_rate":[0.6,0.8],"seed":[3]}`
+	var written map[string][]any
+	if err := unmarshalNumbers([]byte(axes), &written); err != nil {
+		t.Fatal(err)
+	}
+	sw := parseSweep(t, "alias", `{"base":`+base+`,"sweep":`+axes+`}`)
+	cells, _ := sw.Cells()
+	for _, c := range cells {
+		if want := written["engine"][c.Index/2]; !reflect.DeepEqual(c.Overrides["engine"], want) {
+			t.Errorf("cell %d: Overrides[engine] = %v, want %v as written", c.Index, c.Overrides["engine"], want)
+		}
+		var doc map[string]any
+		if err := unmarshalNumbers([]byte(base), &doc); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(c.Overrides))
+		for k := range c.Overrides {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys) // a prefix sorts before the paths beneath it
+		for _, k := range keys {
+			if err := setPath(doc, k, deepCopy(c.Overrides[k])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, _ := json.Marshal(doc)
+		got, err := Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*got, c.Spec) {
+			t.Errorf("cell %d: overrides %v re-derive %+v, want %+v", c.Index, c.Overrides, got.Engine, c.Spec.Engine)
+		}
+	}
+	for _, ax := range sw.Axes {
+		if !reflect.DeepEqual(ax.Values, written[ax.Path]) {
+			t.Errorf("axis %s = %v after expansion, want %v", ax.Path, ax.Values, written[ax.Path])
+		}
 	}
 }
 
