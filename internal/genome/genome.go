@@ -64,14 +64,14 @@ func NewBitString(n int) *BitString {
 }
 
 // RandomBitString returns a uniformly random bit string of length n.
-// It draws exactly one Bool per gene; the draw sequence predates the
-// packed layout and is pinned by the equiv golden traces.
+// It draws exactly one Bool per gene, gene i from the i-th draw; the draw
+// sequence predates the packed layout and is pinned by the equiv golden
+// traces. Each word is one BoolMask of the genes it holds, so the tail
+// bits are zero by construction.
 func RandomBitString(n int, r *rng.Source) *BitString {
 	b := NewBitString(n)
-	for i := 0; i < n; i++ {
-		if r.Bool() {
-			b.Words[i>>6] |= 1 << (uint(i) & 63)
-		}
+	for w := range b.Words {
+		b.Words[w] = r.BoolMask(min(64, n-w<<6))
 	}
 	return b
 }

@@ -7,6 +7,8 @@ package genome
 // big-endian Uint window against a bit-built reference.
 
 import (
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -316,6 +318,58 @@ func BenchmarkPositionOf(b *testing.B) {
 		}
 	})
 }
+
+// refRandomBitString is RandomBitString as it was before BoolMask: one
+// Bool call per gene, kept as the oracle.
+func refRandomBitString(n int, r *rng.Source) *BitString {
+	b := NewBitString(n)
+	for i := 0; i < n; i++ {
+		if r.Bool() {
+			b.Words[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+	return b
+}
+
+// TestRandomBitStringMatchesPerBit: the word-at-a-time draw gives the
+// per-bit loop's words, tail bits zero, and leaves the stream where it
+// does.
+func TestRandomBitStringMatchesPerBit(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130, 1024} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			got, want := rng.New(seed), rng.New(seed)
+			g, w := RandomBitString(n, got), refRandomBitString(n, want)
+			if g.N != n || !slices.Equal(g.Words, w.Words) {
+				t.Fatalf("n=%d seed=%d: words %x, per-bit loop %x", n, seed, g.Words, w.Words)
+			}
+			if !tailClean(g) {
+				t.Fatalf("n=%d seed=%d: tail bits set", n, seed)
+			}
+			if got.State() != want.State() {
+				t.Fatalf("n=%d seed=%d: stream state differs from the per-bit loop's", n, seed)
+			}
+		}
+	}
+}
+
+// BenchmarkRandomBitString draws n-bit strings word at a time; per-bit is
+// the historical one-Bool-per-gene loop on the same lengths.
+func BenchmarkRandomBitString(b *testing.B) {
+	lengths := func(b *testing.B, draw func(int, *rng.Source) *BitString) {
+		for _, n := range []int{64, 256, 1024} {
+			b.Run(strconv.Itoa(n), func(b *testing.B) {
+				r := rng.New(1)
+				for i := 0; i < b.N; i++ {
+					benchSink = draw(n, r)
+				}
+			})
+		}
+	}
+	lengths(b, RandomBitString)
+	b.Run("per-bit", func(b *testing.B) { lengths(b, refRandomBitString) })
+}
+
+var benchSink *BitString
 
 func BenchmarkBitStringString(b *testing.B) {
 	s := RandomBitString(64, rng.New(15))

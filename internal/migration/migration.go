@@ -11,6 +11,7 @@ package migration
 
 import (
 	"fmt"
+	"sync"
 
 	"pga/internal/core"
 	"pga/internal/rng"
@@ -65,17 +66,39 @@ type SelectRandom struct{}
 // Name implements Selector.
 func (SelectRandom) Name() string { return "random" }
 
-// Pick implements Selector.
+// Pick implements Selector. It draws what r.Sample(pop.Len(), count)
+// would, from a pooled identity table instead of a fresh one per pick.
 func (SelectRandom) Pick(pop *core.Population, d core.Direction, count int, r *rng.Source) []*core.Individual {
-	if count > pop.Len() {
-		count = pop.Len()
+	n := pop.Len()
+	if count > n {
+		count = n
+	}
+	s := pickScratch.Get().(*sampleScratch)
+	defer pickScratch.Put(s)
+	if len(s.id) < n {
+		s.id = make([]int, n)
+		for i := range s.id {
+			s.id[i] = i
+		}
+	}
+	if len(s.out) < count {
+		s.out = make([]int, count)
 	}
 	out := make([]*core.Individual, 0, count)
-	for _, i := range r.Sample(pop.Len(), count) {
+	for _, i := range r.SampleInto(s.id[:n], s.out[:count]) {
 		out = append(out, pop.Members[i].Clone())
 	}
 	return out
 }
+
+// sampleScratch is SelectRandom's working memory: id is an identity table,
+// which rng.SampleInto hands back as the identity, and out receives the
+// drawn indices.
+type sampleScratch struct{ id, out []int }
+
+// pickScratch pools sampleScratch values: a Selector value is shared by
+// every deme of a run, and the free-running demes pick concurrently.
+var pickScratch = sync.Pool{New: func() any { return new(sampleScratch) }}
 
 // SelectTournament emigrates tournament winners — pressure between best
 // and random.

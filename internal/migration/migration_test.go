@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"sync"
 	"testing"
 
 	"pga/internal/core"
@@ -65,6 +66,66 @@ func TestSelectRandomDistinct(t *testing.T) {
 			t.Fatal("SelectRandom picked same individual twice")
 		}
 		seen[ind.Fitness] = true
+	}
+}
+
+// TestSelectRandomMatchesSample: Pick emigrates the members r.Sample names,
+// in its order, and leaves the stream where Sample does — from several
+// goroutines at once over populations of different sizes, so the pooled
+// tables grow, shrink and are shared (run under -race).
+func TestSelectRandomMatchesSample(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for trial := 0; trial < 200; trial++ {
+				size := 1 + (trial*7+w*13)%40
+				fs := make([]float64, size)
+				for i := range fs {
+					fs[i] = float64(i)
+				}
+				p := pop(fs...)
+				count := trial % 6
+				seed := uint64(w*1000 + trial)
+				got, want := rng.New(seed), rng.New(seed)
+				m := (SelectRandom{}).Pick(p, core.Maximize, count, got)
+				ref := want.Sample(size, min(count, size))
+				if len(m) != len(ref) || got.State() != want.State() {
+					t.Errorf("size %d count %d: picked %d, Sample %d, or the stream moved differently", size, count, len(m), len(ref))
+					return
+				}
+				for i, ind := range m {
+					if ind.Fitness != float64(ref[i]) {
+						t.Errorf("size %d count %d: emigrant %d is member %v, Sample names %d", size, count, i, ind.Fitness, ref[i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestSelectRandomPickAllocs: a pick allocates its output slice and the
+// clones, and no identity table.
+func TestSelectRandomPickAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch on purpose under -race")
+	}
+	fs := make([]float64, 200)
+	p := pop(fs...)
+	r := rng.New(1)
+	const count = 4
+	var sink []*core.Individual
+	clones := testing.AllocsPerRun(100, func() {
+		for _, ind := range p.Members[:count] {
+			sink = append(sink[:0], ind.Clone())
+		}
+	})
+	picks := testing.AllocsPerRun(100, func() { sink = (SelectRandom{}).Pick(p, core.Maximize, count, r) })
+	if picks != 1+clones {
+		t.Fatalf("Pick of %d from %d allocates %v times, want 1 + %v for the clones", count, len(fs), picks, clones)
 	}
 }
 

@@ -253,11 +253,12 @@ func nkInstance(n, k int, seed uint64) (links [][]int, table [][]float64) {
 	r := rng.New(seed)
 	links = make([][]int, n)
 	table = make([][]float64, n)
+	id, others := identity(n-1), make([]int, k)
 	for i := 0; i < n; i++ {
 		links[i] = make([]int, 0, k+1)
 		links[i] = append(links[i], i)
 		// k distinct other loci.
-		for _, j := range r.Sample(n-1, k) {
+		for _, j := range r.SampleInto(id, others) {
 			if j >= i {
 				j++
 			}
@@ -269,6 +270,17 @@ func nkInstance(n, k int, seed uint64) (links [][]int, table [][]float64) {
 		}
 	}
 	return links, table
+}
+
+// identity returns the identity table of [0, n) that the instance
+// generators draw from with rng.SampleInto, which leaves it the identity:
+// one table per instance, not one per sample.
+func identity(n int) []int {
+	id := make([]int, n)
+	for i := range id {
+		id[i] = i
+	}
+	return id
 }
 
 // NewNKLandscape creates an NK instance with n genes, k epistatic links per
@@ -458,8 +470,9 @@ type satClause [3]satLit
 func maxSATClauses(n, m int, seed uint64) [][3]int {
 	r := rng.New(seed)
 	cl := make([][3]int, m)
+	id, vars := identity(n), make([]int, 3)
 	for i := range cl {
-		vars := r.Sample(n, 3)
+		r.SampleInto(id, vars)
 		for j := 0; j < 3; j++ {
 			lit := vars[j] + 1
 			if r.Bool() {

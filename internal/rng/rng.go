@@ -180,6 +180,32 @@ func (r *Source) ChanceMask(p float64, n int) uint64 {
 	return mask >> (64 - uint(n))
 }
 
+// BoolMask returns the outcomes of n consecutive Bool calls packed
+// LSB-first (bit i is the low bit of the i-th draw), leaving the stream
+// exactly where those calls would. It is ChanceMask's loop without the
+// threshold: the bulk form random bit strings are drawn in, a word at a
+// time. It panics unless 0 <= n <= 64.
+func (r *Source) BoolMask(n int) uint64 {
+	if uint(n) > 64 {
+		panic("rng: BoolMask called with n outside [0, 64]")
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var mask uint64
+	for i := 0; i < n; i++ {
+		v := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		mask = mask>>1 | v<<63
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return mask >> (64 - uint(n))
+}
+
 // NormFloat64 returns a normally distributed float64 with mean 0 and
 // standard deviation 1, using the Marsaglia polar method.
 func (r *Source) NormFloat64() float64 {
@@ -232,7 +258,10 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 }
 
 // Sample returns k distinct indices drawn uniformly from [0, n) in random
-// order. It panics if k > n or k < 0.
+// order. It panics if k > n or k < 0. It allocates and fills an n-entry
+// identity table per call, so a call costs O(n) by design: it is for
+// one-shot draws. A loop that samples holds one identity table and draws
+// with SampleInto, which gives the same draws and result in O(k).
 func (r *Source) Sample(n, k int) []int {
 	if k < 0 || k > n {
 		panic("rng: Sample called with k out of range")

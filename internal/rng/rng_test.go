@@ -241,6 +241,45 @@ func TestChanceMaskPanicsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestBoolMaskMatchesBool: for every n in 0..64, BoolMask(n) is bit for
+// bit the outcomes of n Bool calls on a copy of the stream, and both
+// leave the same State().
+func TestBoolMaskMatchesBool(t *testing.T) {
+	seed := uint64(0)
+	for rep := 0; rep < 50; rep++ {
+		for n := 0; n <= 64; n++ {
+			seed++
+			bulk, ref := New(seed), New(seed)
+			got := bulk.BoolMask(n)
+			var want uint64
+			for i := 0; i < n; i++ {
+				if ref.Bool() {
+					want |= 1 << uint(i)
+				}
+			}
+			if got != want {
+				t.Fatalf("seed %d: BoolMask(%d) = %#x, %d Bool calls give %#x", seed, n, got, n, want)
+			}
+			if bulk.State() != ref.State() {
+				t.Fatalf("seed %d: BoolMask(%d) left state %v, Bool calls left %v", seed, n, bulk.State(), ref.State())
+			}
+		}
+	}
+}
+
+func TestBoolMaskPanicsOutOfRange(t *testing.T) {
+	for _, n := range []int{-1, 65} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("BoolMask(%d) did not panic", n)
+				}
+			}()
+			New(1).BoolMask(n)
+		}()
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := New(29)
 	check := func(n uint8) bool {

@@ -276,19 +276,20 @@ func (s *Sweep) Cells() ([]Cell, *Error) {
 		return nil, errf("replicates", "%d cells × %d replicates expands to over %d runs", total, reps, maxSweepRuns)
 	}
 
-	baseDoc, err := s.Base.JSON()
+	baseJSON, err := s.Base.JSON()
 	if err != nil {
 		return nil, errf("base", "cannot serialise base spec: %v", err)
+	}
+	var baseDoc map[string]any
+	if uerr := unmarshalNumbers(baseJSON, &baseDoc); uerr != nil {
+		return nil, errf("base", "cannot re-read base spec: %v", uerr)
 	}
 
 	var cells []Cell
 	idx := make([]int, len(s.Axes))
 	for cell := 0; cell < total; cell++ {
 		overrides := map[string]any{}
-		var doc map[string]any
-		if uerr := unmarshalNumbers(baseDoc, &doc); uerr != nil {
-			return nil, errf("base", "cannot re-read base spec: %v", uerr)
-		}
+		doc := deepCopy(baseDoc).(map[string]any)
 		for i, ax := range s.Axes {
 			for j, p := range paths[i] {
 				v := ax.Values[idx[i]]
@@ -360,9 +361,10 @@ func setPath(doc map[string]any, path string, v any) *Error {
 	return nil
 }
 
-// deepCopy copies the maps and slices of a decoded JSON value, so that a
-// later axis writing beneath it changes this cell's document only — not
-// the axis value, and not the Overrides of the cells that share it.
+// deepCopy copies the maps and slices of a decoded JSON value, so that an
+// axis writing beneath the copy changes this cell's document only — not
+// the base document every cell starts from, not the axis value, and not
+// the Overrides of the cells that share it.
 func deepCopy(v any) any {
 	switch t := v.(type) {
 	case map[string]any:

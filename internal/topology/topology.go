@@ -152,8 +152,14 @@ func RandomRegular(n, k int, seed uint64) Topology {
 	}
 	r := rng.New(seed)
 	adj := make([][]int, n)
+	// One identity table for every deme's draw: SampleInto leaves it the
+	// identity, and draws what Sample(n-1, k) would.
+	id, out := make([]int, n-1), make([]int, k)
+	for i := range id {
+		id[i] = i
+	}
 	for i := range adj {
-		for _, j := range r.Sample(n-1, k) {
+		for _, j := range r.SampleInto(id, out) {
 			if j >= i {
 				j++
 			}
