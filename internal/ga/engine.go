@@ -191,6 +191,9 @@ type Generational struct {
 	spare   *core.Individual
 	ranker  bestSorter
 	scratch operators.Scratch
+	// two is the pooled state of the two-worker births (births.go), built
+	// by the first generation that takes them.
+	two *twoWorkers
 }
 
 var _ Engine = (*Generational)(nil)
@@ -262,47 +265,20 @@ func (e *Generational) ensureBuffers() {
 // Step implements Engine. The RNG draw sequence — selection, crossover
 // chance, crossover, mutation, in birth order — is identical to the
 // historical allocating implementation, so seeded runs are reproducible
-// across library versions.
+// across library versions; a generation bred on two workers (births.go)
+// leaves the same children and the same stream state.
 func (e *Generational) Step() {
 	cfg := &e.cfg
 	n := cfg.PopSize
-	births := int(cfg.GenGap * float64(n))
-	if births < 1 {
-		births = 1
-	}
-	if births > n-cfg.Elitism {
-		births = n - cfg.Elitism
-	}
+	births := e.births()
 	e.ensureBuffers()
 
-	// Offspring fill next.Members[Elitism : Elitism+births]; the dangling
-	// second child of a final odd pair lands in the spare slot so its RNG
-	// draws still happen. e.pop is read-only until the swap below, so the
-	// selector plans once for all 2·births picks.
+	// Offspring fill next.Members[Elitism : Elitism+births]. e.pop is
+	// read-only until the swap below, so the selector plans once for all
+	// 2·births picks.
 	e.scratch.Plan(cfg.Selector, e.pop, e.dir)
-	made := 0
-	for made < births {
-		i := operators.SelectWith(cfg.Selector, e.pop, e.dir, cfg.RNG, &e.scratch)
-		j := operators.SelectWith(cfg.Selector, e.pop, e.dir, cfg.RNG, &e.scratch)
-		pa, pb := e.pop.Members[i], e.pop.Members[j]
-		c1 := e.next.Members[cfg.Elitism+made]
-		c2 := e.spare
-		if made+1 < births {
-			c2 = e.next.Members[cfg.Elitism+made+1]
-		}
-		if cfg.Crossover != nil && cfg.RNG.Chance(cfg.CrossoverRate) {
-			operators.CrossInto(cfg.Crossover, pa.Genome, pb.Genome, c1, c2, cfg.RNG, &e.scratch)
-		} else {
-			c1.Genome = core.CopyGenome(c1.Genome, pa.Genome)
-			c2.Genome = core.CopyGenome(c2.Genome, pb.Genome)
-		}
-		if cfg.Mutator != nil {
-			cfg.Mutator.Mutate(c1.Genome, cfg.RNG)
-			cfg.Mutator.Mutate(c2.Genome, cfg.RNG)
-		}
-		c1.Evaluated = false
-		c2.Evaluated = false
-		made += 2
+	if !e.breedTwo(births) {
+		e.breedAll(births)
 	}
 	e.scratch.Unplan()
 
@@ -324,6 +300,61 @@ func (e *Generational) Step() {
 	// steps, e.g. the island model's migration.
 	e.pop.Members, e.next.Members = e.next.Members, e.pop.Members
 	cfg.Evaluator.EvaluateAll(cfg.Problem, e.pop)
+}
+
+// births is the number of offspring a generation makes: the GenGap share
+// of the population, at least one, never into the elite's slots.
+func (e *Generational) births() int {
+	cfg := &e.cfg
+	return min(max(int(cfg.GenGap*float64(cfg.PopSize)), 1), cfg.PopSize-cfg.Elitism)
+}
+
+// breedAll is the serial birth loop: pair by pair, pickPair and breed,
+// both on the engine stream.
+func (e *Generational) breedAll(births int) {
+	for made := 0; made < births; made += 2 {
+		i, j, crossed := e.pickPair(e.cfg.RNG)
+		e.breed(i, j, crossed, made, births, e.cfg.RNG, &e.scratch)
+	}
+}
+
+// pickPair makes a pair's two selections, under the generation's
+// selection plan, and its crossover chance, drawing on r. The serial
+// loop and the two-worker plan pass (births.go) both call it, so they
+// draw the same.
+func (e *Generational) pickPair(r *rng.Source) (i, j int, crossed bool) {
+	cfg := &e.cfg
+	i = operators.SelectWith(cfg.Selector, e.pop, e.dir, r, &e.scratch)
+	j = operators.SelectWith(cfg.Selector, e.pop, e.dir, r, &e.scratch)
+	crossed = cfg.Crossover != nil && r.Chance(cfg.CrossoverRate)
+	return i, j, crossed
+}
+
+// breed writes the pair of children whose first is birth made, from
+// parents i and j: crossed or copied, then both mutated, drawing on r.
+// The dangling second child of a final odd pair lands in the spare slot
+// so its RNG draws still happen. It writes nothing but the two children,
+// so pairs on streams of their own may be bred concurrently.
+func (e *Generational) breed(i, j int, crossed bool, made, births int, r *rng.Source, s *operators.Scratch) {
+	cfg := &e.cfg
+	pa, pb := e.pop.Members[i], e.pop.Members[j]
+	c1 := e.next.Members[cfg.Elitism+made]
+	c2 := e.spare
+	if made+1 < births {
+		c2 = e.next.Members[cfg.Elitism+made+1]
+	}
+	if crossed {
+		operators.CrossInto(cfg.Crossover, pa.Genome, pb.Genome, c1, c2, r, s)
+	} else {
+		c1.Genome = core.CopyGenome(c1.Genome, pa.Genome)
+		c2.Genome = core.CopyGenome(c2.Genome, pb.Genome)
+	}
+	if cfg.Mutator != nil {
+		cfg.Mutator.Mutate(c1.Genome, r)
+		cfg.Mutator.Mutate(c2.Genome, r)
+	}
+	c1.Evaluated = false
+	c2.Evaluated = false
 }
 
 // SteadyState is the steady-state GA: each birth selects two parents,

@@ -18,8 +18,11 @@ import (
 // Determinism: the generation's births are statically partitioned into
 // contiguous blocks, one per worker, and each worker owns a private
 // stream split from the engine seed at construction. Results are
-// therefore identical regardless of goroutine scheduling or worker count
-// changes between runs with the same (seed, workers) pair.
+// therefore identical regardless of goroutine scheduling for one (seed,
+// workers) pair; another worker count repartitions the blocks and the
+// streams and gives other bytes. Generational is the global PGA whose
+// bytes do not depend on the worker count: it breeds a large generation
+// on two workers (births.go) with exactly the serial loop's bytes.
 type ParallelGenerational struct {
 	cfg     Config
 	pop     *core.Population

@@ -12,6 +12,7 @@ package ga
 // is what lets the engines build their pooled buffers lazily.
 
 import (
+	"runtime"
 	"testing"
 
 	"pga/internal/core"
@@ -130,7 +131,27 @@ func allocGateCases() []allocGateCase {
 		// worker goroutines (spawn + waitgroup), never per birth.
 		{"parallel-generational/onemax", NewParallelGenerational(oneMax(), 4), 16},
 		{"parallel-generational/rank-selection", NewParallelGenerational(withSelector(operators.LinearRank{}), 4), 16},
+		// Births on two workers (births.go): a generation above the draw
+		// minimum spawns one helper goroutine, whose closure is the one
+		// allocation the step makes.
+		{"generational/onemax-1024-two-workers", onTwoPs{NewGenerational(Config{
+			Problem:   problems.OneMax{N: 1024},
+			PopSize:   200,
+			Crossover: operators.Uniform{},
+			Mutator:   operators.BitFlip{},
+			RNG:       rng.New(1),
+		})}, 1},
 	}
+}
+
+// onTwoPs steps a Generational on two Ps: testing.AllocsPerRun pins
+// GOMAXPROCS to 1, which keeps every generation on the serial loop.
+type onTwoPs struct{ *Generational }
+
+// Step implements Engine.
+func (e onTwoPs) Step() {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	e.Generational.Step()
 }
 
 // TestAllocBudget is the perf gate: each engine's Step must stay within
@@ -141,6 +162,9 @@ func TestAllocBudget(t *testing.T) {
 			avg := testing.AllocsPerRun(20, tc.engine.Step)
 			if avg > tc.budget {
 				t.Errorf("%s: %.1f allocs per Step, budget %.0f", tc.name, avg, tc.budget)
+			}
+			if e, ok := tc.engine.(onTwoPs); ok && !tookTwo(e.Generational) {
+				t.Errorf("%s: the steps were not bred on two workers", tc.name)
 			}
 		})
 	}

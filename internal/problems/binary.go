@@ -537,7 +537,7 @@ func badLength(p core.Problem, got, want int) {
 	panic(fmt.Sprintf("problems: %s: genome has %d bits, the instance %d", p.Name(), got, want))
 }
 
-// sphereWarning guards against NaN leaking out of any Evaluate.
+// finite guards against NaN leaking out of any Evaluate.
 func finite(f float64) float64 {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		panic("problems: non-finite fitness")

@@ -513,3 +513,57 @@ func BenchmarkNormFloat64(b *testing.B) {
 		_ = r.NormFloat64()
 	}
 }
+
+// TestLeapMatchesStepping: a leap over d draws leaves a stream exactly
+// where d Uint64 calls do — the xoshiro words and the split counter — and
+// the stream goes on identically from there.
+func TestLeapMatchesStepping(t *testing.T) {
+	for _, d := range []int{0, 1, 63, 64, 65, 2048, 3073} {
+		l := NewLeap(d)
+		if l.Draws() != d {
+			t.Fatalf("NewLeap(%d).Draws() = %d", d, l.Draws())
+		}
+		for seed := uint64(1); seed <= 8; seed++ {
+			leapt, stepped := New(seed), New(seed)
+			leapt.Split()
+			stepped.Split()
+			l.Apply(leapt)
+			for i := 0; i < d; i++ {
+				stepped.Uint64()
+			}
+			if leapt.State() != stepped.State() {
+				t.Fatalf("seed %d: a leap over %d draws left %v, stepping left %v", seed, d, leapt.State(), stepped.State())
+			}
+			if a, b := leapt.Uint64(), stepped.Uint64(); a != b {
+				t.Fatalf("seed %d, d %d: next draw %#x after the leap, %#x after stepping", seed, d, a, b)
+			}
+		}
+	}
+}
+
+func TestNewLeapPanicsOnNegative(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewLeap(-1) did not panic")
+		}
+	}()
+	NewLeap(-1)
+}
+
+// BenchmarkLeap: one Apply (what a leapt pair costs the plan pass of
+// two-worker births) and one NewLeap over a bitwise-gen pair's 3 072
+// draws (built once per run).
+func BenchmarkLeap(b *testing.B) {
+	l := NewLeap(3072)
+	b.Run("apply", func(b *testing.B) {
+		r := New(1)
+		for i := 0; i < b.N; i++ {
+			l.Apply(r)
+		}
+	})
+	b.Run("new/3072", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			NewLeap(3072)
+		}
+	})
+}

@@ -419,6 +419,40 @@ func TestSweepJobsIdentical(t *testing.T) {
 	}
 }
 
+// TestReportIndependentOfGOMAXPROCS: a generational document large
+// enough for two-worker births (internal/ga, births.go) reports the same
+// bytes, trace included, on one P and on two.
+func TestReportIndependentOfGOMAXPROCS(t *testing.T) {
+	const doc = `{"model":"generational","problem":{"name":"onemax","size":1024},` +
+		`"engine":{"pop":200,"crossover":{"name":"uniform"},"mutator":{"name":"bitflip"}},` +
+		`"budget":{"generations":20},"seed":7}`
+	var opts RunOpts
+	opts.Trace = true
+	var want []byte
+	for _, procs := range []int{1, 2} {
+		s, err := Parse([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Build(*s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := runtime.GOMAXPROCS(procs)
+		rep := b.Run(opts)
+		runtime.GOMAXPROCS(prev)
+		got, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("report on %d Ps differs from one P's:\n%s\n%s", procs, got, want)
+		}
+	}
+}
+
 // failingSweep is a 12-run sweep of the generational smoke spec (an
 // engine model, so OnStep fires) next to a copy whose run k validated
 // but cannot build: its problem name is swapped after expansion, which
