@@ -107,9 +107,10 @@ sweep-smoke:
 
 # Archive check: the deterministic experiments reproduce their sections
 # of experiments_full.txt byte for byte, "[… completed in …]" timing
-# lines aside. A04 and E04 are left out: their islands migrate
-# asynchronously, so their numbers differ from run to run.
-EXPERIMENTS_CHECKED = A01 A03 A05 E02 E03 E10 E11 E12 E14
+# lines aside. Three are left out: A04 and E04 migrate asynchronously,
+# so their numbers differ from run to run, and E15 has no archived
+# section — its hang-vs-heartbeat outcome depends on the wall clock.
+EXPERIMENTS_CHECKED = A01 A02 A03 A05 A06 A07 A08 A09 E01 E02 E03 E05 E06 E07 E08 E09 E10 E11 E12 E13 E14
 experiments-check:
 	$(GO) run ./cmd/pgabench -run $$(echo $(EXPERIMENTS_CHECKED) | tr ' ' ,) > /tmp/experiments-check.txt
 	@for id in $(EXPERIMENTS_CHECKED); do \
