@@ -1,4 +1,4 @@
-// Package experiments holds the sweep documents behind the island
+// Package experiments holds the sweep documents behind the document-run
 // experiments of internal/exp (DESIGN.md §4), embedded so cmd/pgabench
 // runs them from any directory. Each *.json file is an ordinary
 // `pgarun -config` sweep document; the table each experiment prints

@@ -4,13 +4,8 @@ import (
 	"io"
 	"strconv"
 
-	"pga/internal/core"
-	"pga/internal/ga"
-	"pga/internal/operators"
 	"pga/internal/problems"
-	"pga/internal/rng"
 	"pga/internal/spec"
-	"pga/internal/stats"
 )
 
 // The A-series ablations probe the design choices DESIGN.md calls out:
@@ -23,12 +18,11 @@ func init() {
 		Title:  "ablation: elitism on/off in the generational engine",
 		Source: "design choice — steady-state elitism guarantee vs generational churn",
 	}, spec.RunOpts{}, reduceA01, "A01.json")
-	register(Experiment{
+	registerSweep(Experiment{
 		ID:     "A02",
 		Title:  "ablation: Gray-coded vs plain binary encoding of real functions",
 		Source: "design choice — BinaryEncoded wrapper (classic representation debate)",
-		Run:    runA02,
-	})
+	}, spec.RunOpts{}, reduceA02, "A02.json")
 	registerSweep(Experiment{
 		ID:     "A03",
 		Title:  "ablation: migrant integration policy",
@@ -55,29 +49,18 @@ func reduceA01(w io.Writer, gs []grid) {
 	fprintf(w, "effort; heavy elitism trades diversity for speed on this easy landscape.\n")
 }
 
-func runA02(w io.Writer, quick bool) {
-	runs := scale(quick, 15, 3)
-	gens := scale(quick, 200, 60)
-	inner := problems.Rastrigin(6)
+// reduceA02 prints the mean best of the plain and the Gray decoded row.
+func reduceA02(w io.Writer, gs []grid) {
+	first := instance(gs[0][0].spec).(*problems.BinaryEncoded)
 	fprintf(w, "%-10s %-14s  (binary-GA on %s, %d bits/var, mean best of %d runs)\n",
-		"encoding", "mean-best", inner.Name(), 16, runs)
-	for _, gray := range []bool{false, true} {
-		enc := &problems.BinaryEncoded{Inner: inner, BitsPerVar: 16, Gray: gray}
-		var finals []float64
-		for r := 0; r < runs; r++ {
-			e := ga.NewGenerational(ga.Config{
-				Problem: enc, PopSize: 60,
-				Crossover: operators.TwoPoint{}, Mutator: operators.BitFlip{},
-				RNG: rng.New(uint64(r)*41 + 9),
-			})
-			res := ga.Run(e, ga.RunOptions{Stop: core.MaxGenerations(gens)})
-			finals = append(finals, res.BestFitness)
-		}
+		"encoding", "mean-best", first.Inner.Name(), first.BitsPerVar, gs[0].runs())
+	for _, r := range gs[0] {
 		name := "binary"
-		if gray {
+		if instance(r.spec).(*problems.BinaryEncoded).Gray {
 			name = "gray"
 		}
-		fprintf(w, "%-10s %-14.4f\n", name, stats.Summarize(finals).Mean)
+		_, final := r.outcome()
+		fprintf(w, "%-10s %-14.4f\n", name, final.Mean)
 	}
 	fprintf(w, "\nshape check: Gray decoding removes Hamming cliffs, typically reaching lower\n")
 	fprintf(w, "(better) values on continuous landscapes under the same bit-flip mutation.\n")
@@ -100,11 +83,8 @@ func reduceA04(w io.Writer, gs []grid) {
 	fprintf(w, "%-8s %-9s %-14s %-12s\n", "buffer", "hit-rate", "med-evals", "migr-batches")
 	for _, r := range gs[0] {
 		hit, _ := r.outcome()
-		migs := make([]float64, len(r.reports))
-		for i, rep := range r.reports {
-			migs[i] = float64(rep.Migrations)
-		}
-		fprintf(w, "%-8d %-9s %-14.0f %-12.1f\n", r.spec.Islands.Migration.Buffer, rate(hit), medianEffort(hit), stats.Summarize(migs).Mean)
+		migs := r.mean(func(rep *spec.Report) float64 { return float64(rep.Migrations) })
+		fprintf(w, "%-8d %-9s %-14.0f %-12.1f\n", r.spec.Islands.Migration.Buffer, rate(hit), medianEffort(hit), migs)
 	}
 	fprintf(w, "\nshape check: tiny buffers drop some batches under scheduling skew but efficacy\n")
 	fprintf(w, "is stable — bounded-staleness migration degrades gracefully.\n")

@@ -1,13 +1,11 @@
 package exp
 
 import (
+	"fmt"
 	"io"
+	"strings"
 
-	"pga/internal/engine"
-	"pga/internal/hga"
-	"pga/internal/operators"
-	"pga/internal/problems"
-	"pga/internal/stats"
+	"pga/internal/spec"
 )
 
 // E8 — Sefrioui & Périaux (2000): a hierarchical GA mixing cheap and
@@ -17,69 +15,56 @@ import (
 // cost budgets and reports the quality reached per budget, plus the cost
 // each needs to reach a common quality threshold.
 func init() {
-	register(Experiment{
+	registerSweep(Experiment{
 		ID:     "E08",
 		Title:  "hierarchical multi-fidelity GA vs precise-only at equal cost",
 		Source: "Sefrioui & Périaux 2000 (survey §2): HGA three times faster at equal quality",
-		Run:    runE08,
-	})
+	}, spec.RunOpts{}, reduceE08, "E08.json")
 }
 
-func runE08(w io.Writer, quick bool) {
-	runs := scale(quick, 10, 3)
-	budgets := []float64{1000, 2000, 4000, 8000}
-	if quick {
-		budgets = []float64{800, 1600}
-	}
-	mf := hga.NewQuantized(problems.Rastrigin(8))
+// e08Table is the span of E08.json's cost ladder the quality table
+// prints; the precise-only quality at its last budget is the common
+// threshold.
+var e08Table = [2]float64{1000, 8000}
 
-	build := func(seed uint64, preciseOnly bool) *hga.Model {
-		cfg := hga.Config{
-			Problem:   mf,
-			DemeSize:  scale(quick, 30, 16),
-			Crossover: operators.SBX{},
-			Mutator:   operators.Polynomial{},
-			Seed:      seed,
-		}
-		if preciseOnly {
-			cfg.LevelOf = []int{0, 0, 0}
-		}
-		return hga.New(cfg)
+// reduceE08 reads E08.json's rows in pairs per cost budget, ascending:
+// the mixed hierarchy (levels [0,1,2]) first, then precise-only
+// ([0,0,0]).
+func reduceE08(w io.Writer, gs []grid) {
+	g := gs[0]
+	first := g[0].spec
+	layers := make([]string, len(first.HGA.Layers))
+	for i, n := range first.HGA.Layers {
+		layers[i] = fmt.Sprint(n)
 	}
-
-	fprintf(w, "3-layer hierarchy (1+2+4 demes) on %s, %d runs/cell; cells: mean best (precise model)\n\n", mf.Name(), runs)
+	// hga runs the quantized multi-fidelity wrapper of the problem.
+	fprintf(w, "%d-layer hierarchy (%s demes) on %s-mf, %d runs/cell; cells: mean best (precise model)\n\n",
+		len(layers), strings.Join(layers, "+"), problemName(first), g.runs())
 	fprintf(w, "%-12s %-16s %-16s\n", "cost budget", "mixed levels", "precise-only")
 
-	var mixedAt, preciseAt []float64 // quality at the largest budget
-	for _, budget := range budgets {
-		var mixed, precise []float64
-		for r := 0; r < runs; r++ {
-			mixed = append(mixed, build(uint64(r)*13+1, false).Run(budget, engine.Control{}).BestFitness)
-			precise = append(precise, build(uint64(r)*13+1, true).Run(budget, engine.Control{}).BestFitness)
+	quality := func(r row) float64 {
+		_, final := r.outcome()
+		return final.Mean
+	}
+	var target float64
+	for i := 0; i < len(g); i += 2 {
+		if cost := g[i].spec.Budget.Cost; cost >= e08Table[0] && cost <= e08Table[1] {
+			fprintf(w, "%-12.0f %-16.4f %-16.4f\n", cost, quality(g[i]), quality(g[i+1]))
+			target = quality(g[i+1])
 		}
-		fprintf(w, "%-12.0f %-16.4f %-16.4f\n", budget,
-			stats.Summarize(mixed).Mean, stats.Summarize(precise).Mean)
-		mixedAt, preciseAt = mixed, precise
 	}
 
-	// Cost-to-common-quality: find the budget at which each variant first
-	// reaches the precise-only large-budget quality.
-	target := stats.Summarize(preciseAt).Mean
-	_ = mixedAt
-	costTo := func(preciseOnly bool) float64 {
-		for _, budget := range []float64{250, 500, 1000, 2000, 4000, 8000, 16000} {
-			var q []float64
-			for r := 0; r < runs; r++ {
-				q = append(q, build(uint64(r)*13+1, preciseOnly).Run(budget, engine.Control{}).BestFitness)
-			}
-			if stats.Summarize(q).Mean <= target {
-				return budget
+	// Cost-to-common-quality: the first budget of the ladder at which
+	// each variant reaches the precise-only quality of the table's last.
+	costTo := func(variant int) float64 {
+		for i := variant; i < len(g); i += 2 {
+			if quality(g[i]) <= target {
+				return g[i].spec.Budget.Cost
 			}
 		}
 		return -1
 	}
-	cm := costTo(false)
-	cp := costTo(true)
+	cm, cp := costTo(0), costTo(1)
 	fprintf(w, "\ncost to reach quality %.4f:  mixed=%.0f  precise-only=%.0f", target, cm, cp)
 	if cm > 0 && cp > 0 {
 		fprintf(w, "  (ratio %.1f×)", cp/cm)

@@ -3,9 +3,7 @@ package exp
 import (
 	"io"
 
-	"pga/internal/engine"
-	"pga/internal/sim"
-	"pga/internal/stats"
+	"pga/internal/spec"
 )
 
 // E9 — Xiao & Armstrong (2003) tested seven scenarios of their
@@ -14,42 +12,26 @@ import (
 // runs all seven on ZDT1 and reports the tight-reference hypervolume
 // (near-front coverage), archive size and evaluation count.
 func init() {
-	register(Experiment{
+	registerSweep(Experiment{
 		ID:     "E09",
 		Title:  "specialized island model: the seven scenarios on ZDT1",
 		Source: "Xiao & Armstrong 2003 (survey §2): a specialized island model",
-		Run:    runE09,
-	})
+	}, spec.RunOpts{}, reduceE09, "E09.json")
 }
 
-func runE09(w io.Writer, quick bool) {
-	runs := scale(quick, 10, 3)
-	gens := scale(quick, 60, 20)
-	demeSize := scale(quick, 30, 16)
-
-	fprintf(w, "ZDT1(10), %d gens, deme %d, %d runs/scenario; hypervolume ref (1.1, 1.1): near-front coverage\n\n",
-		gens, demeSize, runs)
+// reduceE09 prints one row per scenario, labelled by the scenario the
+// built config names.
+func reduceE09(w io.Writer, gs []grid) {
+	first := gs[0][0].spec
+	fprintf(w, "ZDT1(%d), %d gens, deme %d, %d runs/scenario; hypervolume ref (%g, %g): near-front coverage\n\n",
+		first.Problem.Size, first.Budget.Generations, first.SIM.DemeSize, gs[0].runs(), first.SIM.HVRef[0], first.SIM.HVRef[1])
 	fprintf(w, "%-28s %-10s %-12s %-10s %-10s\n", "scenario", "islands", "hypervolume", "archive", "evals")
-
-	for _, s := range sim.Scenarios() {
-		var hv, arch, evals []float64
-		islands := 0
-		for r := 0; r < runs; r++ {
-			res := sim.Run(sim.Config{
-				Problem:     sim.ZDT1{Dim: 10},
-				Scenario:    s,
-				DemeSize:    demeSize,
-				Generations: gens,
-				HVRef:       [2]float64{1.1, 1.1},
-				Seed:        uint64(r)*17 + 3,
-			}, engine.Control{})
-			hv = append(hv, res.Hypervolume)
-			arch = append(arch, float64(res.Archive.Len()))
-			evals = append(evals, float64(res.Evaluations))
-			islands = res.Islands
-		}
+	for _, r := range gs[0] {
 		fprintf(w, "%-28s %-10d %-12.4f %-10.1f %-10.0f\n",
-			s, islands, stats.Summarize(hv).Mean, stats.Summarize(arch).Mean, stats.Summarize(evals).Mean)
+			mustBuild(r.spec).SIMConfig.Scenario, r.reports[0].Islands,
+			r.mean(func(rep *spec.Report) float64 { return rep.Hypervolume }),
+			r.mean(func(rep *spec.Report) float64 { return float64(rep.ParetoSize) }),
+			r.mean(func(rep *spec.Report) float64 { return float64(rep.Evaluations) }))
 	}
 	fprintf(w, "\nshape check: communication beats isolation within each specialisation style\n")
 	fprintf(w, "(S3>S2, S5/S7>S4), and the generalist-hub scenario S6 recovers most of the\n")

@@ -1,9 +1,10 @@
 // Package exp implements the experiment harness: one runner per
 // experiment in DESIGN.md's index (E1–E14 plus the A-series ablations),
 // each regenerating the table/curve shape of a claim reviewed by the
-// survey. The island grids are sweep documents under
-// examples/experiments, run by Sweep.Run and printed by one reducer each
-// (sweeps.go); the rest wire their runtimes here. cmd/pgabench drives the
+// survey. Fifteen are sweep documents under examples/experiments, run by
+// Sweep.Run and printed by one reducer each (sweeps.go); the rest step
+// spec-built runtimes by hand, read the wall clock, script their own
+// faults, or run no GA at all (DESIGN.md §4). cmd/pgabench drives the
 // whole suite; bench_test.go exposes one testing.B benchmark per
 // experiment.
 package exp
@@ -60,8 +61,7 @@ func Lookup(id string) (Experiment, bool) {
 
 // demeEngine returns an engine factory for an already-materialised
 // problem instance — the same canonical deme engine as demeEngineSpec,
-// for experiments whose problem is not in the registry vocabulary (or
-// that wire island/p2p configs by hand for other reasons).
+// for E15, which wires its supervised island config by hand.
 func demeEngine(p core.Problem, popSize int) func(int, *rng.Source) ga.Engine {
 	return func(deme int, r *rng.Source) ga.Engine {
 		return ga.NewGenerational(ga.Config{

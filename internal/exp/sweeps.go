@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"pga/examples/experiments"
+	"pga/internal/core"
 	"pga/internal/spec"
 	"pga/internal/stats"
 )
@@ -31,9 +32,8 @@ func registerSweep(e Experiment, opts spec.RunOpts, reduce func(w io.Writer, gs 
 // grid is one document's run, as table rows.
 type grid []row
 
-// row is one point of a grid: its cells differ in seed alone, because
-// every document sweeps "seed" and that path sorts last, so it is the
-// fastest axis.
+// row is one point of a grid: the cells that differ in seed alone
+// (every document sweeps "seed"), in seed order.
 type row struct {
 	spec    spec.RunSpec // the row's first cell
 	reports []*spec.Report
@@ -58,9 +58,26 @@ func runDocument(name string, quick bool, opts spec.RunOpts) grid {
 	if err != nil {
 		panic(err)
 	}
+	return group(sw, cells, reports)
+}
+
+// group collects each cell's report into its row, rows in the order of
+// their first cell. The seed axis need not be the fastest ("sim.*"
+// paths sort after it), so a row's cells are spaced by the product of
+// the axes after it.
+func group(sw *spec.Sweep, cells []spec.Cell, reports []*spec.Report) grid {
+	k := slices.IndexFunc(sw.Axes, func(ax spec.Axis) bool { return ax.Path == "seed" })
+	seeds, inner := len(sw.Axes[k].Values), 1
+	for _, ax := range sw.Axes[k+1:] {
+		inner *= len(ax.Values)
+	}
 	var g grid
-	for runs, i := len(sw.Axes[len(sw.Axes)-1].Values), 0; i < len(reports); i += runs {
-		g = append(g, row{spec: cells[i].Spec, reports: reports[i : i+runs]})
+	for i, c := range cells {
+		r := c.Index/(inner*seeds)*inner + c.Index%inner
+		if r == len(g) {
+			g = append(g, row{spec: c.Spec})
+		}
+		g[r].reports = append(g[r].reports, reports[i])
 	}
 	return g
 }
@@ -103,11 +120,23 @@ func (r row) outcome() (*stats.HitRate, stats.Summary) {
 	return &hit, stats.Summarize(finals)
 }
 
+// mean is the mean of one report field over the row's runs.
+func (r row) mean(field func(*spec.Report) float64) float64 {
+	xs := make([]float64, len(r.reports))
+	for i, rep := range r.reports {
+		xs[i] = field(rep)
+	}
+	return stats.Summarize(xs).Mean
+}
+
 // problemName is the instance name of the spec's problem, e.g. "trap(10x4)".
-func problemName(s spec.RunSpec) string {
+func problemName(s spec.RunSpec) string { return instance(s).Name() }
+
+// instance is the spec's problem, on instance seed 0 unless it pins one.
+func instance(s spec.RunSpec) core.Problem {
 	inst, err := s.Problem.Instance(0)
 	if err != nil {
 		panic(err)
 	}
-	return inst.Name()
+	return inst
 }

@@ -3,14 +3,15 @@ package exp
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pga/internal/spec"
 )
 
 // TestDocumentsParse: every checked-in experiment document is a sweep
-// that spec.ParseFile accepts, with "seed" as its fastest axis so that
-// consecutive reports form one table row.
+// that spec.ParseFile accepts and that sweeps "seed", the axis a table
+// row's runs differ in.
 func TestDocumentsParse(t *testing.T) {
 	files, err := filepath.Glob("../../examples/experiments/*.json")
 	if err != nil || len(files) == 0 {
@@ -30,8 +31,41 @@ func TestDocumentsParse(t *testing.T) {
 			t.Errorf("%s is not a sweep document", f)
 			continue
 		}
-		if axes := doc.Sweep.Axes; axes[len(axes)-1].Path != "seed" {
-			t.Errorf("%s: fastest axis is %q, want seed", f, axes[len(axes)-1].Path)
+		if !slices.ContainsFunc(doc.Sweep.Axes, func(ax spec.Axis) bool { return ax.Path == "seed" }) {
+			t.Errorf("%s does not sweep seed", f)
+		}
+	}
+}
+
+// TestGroupSeedNotFastest: E09.json's "sim.scenario" axis sorts after
+// "seed", and its reports still group into one row per scenario, each
+// holding that scenario's runs in seed order.
+func TestGroupSeedNotFastest(t *testing.T) {
+	sw := mustParse("E09.json")
+	cells, err := sw.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := make([]*spec.Report, len(cells))
+	for i, c := range cells {
+		reports[i] = &spec.Report{Cell: c.Index, Seed: c.Spec.Seed}
+	}
+	g := group(sw, cells, reports)
+	if len(g) != 7 {
+		t.Fatalf("%d rows, want 7", len(g))
+	}
+	for i, r := range g {
+		if len(r.reports) != 10 {
+			t.Errorf("row %d has %d reports, want 10", i, len(r.reports))
+		}
+		for j, rep := range r.reports {
+			c := cells[rep.Cell].Spec
+			if c.SIM.Scenario != i+1 || c.SIM.Scenario != r.spec.SIM.Scenario {
+				t.Errorf("row %d (scenario %d) holds a scenario %d run", i, r.spec.SIM.Scenario, c.SIM.Scenario)
+			}
+			if want := 3 + 17*uint64(j); rep.Seed != want {
+				t.Errorf("row %d run %d has seed %d, want %d", i, j, rep.Seed, want)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"pga/internal/apps"
 	"pga/internal/core"
 )
 
@@ -16,9 +17,10 @@ type Spec struct {
 	// easy, deceptive, multimodal, np-complete or epistatic.
 	Class string
 	// MinSize is the smallest size Make accepts; 0 marks a fixed-size
-	// problem (foxholes), whose Make ignores size. Callers check it: Make
-	// itself may panic below it (nk needs K = 4 < N, maxsat three distinct
-	// variables per clause).
+	// problem (foxholes), whose Make ignores size. Callers check it: below
+	// it Make may panic (nk needs K = 4 < N, maxsat three distinct
+	// variables per clause) or build an instance whose fitness is not
+	// finite (stock, doppler-ar2).
 	MinSize int
 	// Make builds an instance with the given size parameter and seed.
 	// The meaning of size is problem specific (bits, dimensions, items).
@@ -63,6 +65,42 @@ var registry = map[string]Spec{
 		Make: func(size int, _ uint64) core.Problem { return Foxholes() }},
 	"qap": {Key: "qap", Class: "np-complete", MinSize: 1,
 		Make: func(size int, seed uint64) core.Problem { return NewQAP(size, seed) }},
+
+	// Rastrigin under the binary wrapper, 16 bits per variable (size is
+	// the dimension), plain and Gray decoded.
+	"rastrigin-bin16": {Key: "rastrigin-bin16", Class: "multimodal", MinSize: 1,
+		Make: func(size int, _ uint64) core.Problem { return &BinaryEncoded{Inner: Rastrigin(size), BitsPerVar: 16} }},
+	"rastrigin-gray16": {Key: "rastrigin-gray16", Class: "multimodal", MinSize: 1,
+		Make: func(size int, _ uint64) core.Problem {
+			return &BinaryEncoded{Inner: Rastrigin(size), BitsPerVar: 16, Gray: true}
+		}},
+
+	// The application workloads of internal/apps, with every constructor
+	// argument but the main size fixed.
+	"tsp-circle": {Key: "tsp-circle", Class: "np-complete", MinSize: 1,
+		Make: func(size int, _ uint64) core.Problem { return apps.NewCircleTSP(size) }},
+	"tsp-clustered": {Key: "tsp-clustered", Class: "np-complete", MinSize: 1,
+		Make: func(size int, seed uint64) core.Problem { return apps.NewClusteredTSP(size, 5, seed) }},
+	"sched": {Key: "sched", Class: "np-complete", MinSize: 1,
+		Make: func(size int, seed uint64) core.Problem { return apps.NewScheduling(size, 6, seed) }},
+	"featsel": {Key: "featsel", Class: "np-complete", MinSize: 5, // the 5 informative features
+		Make: func(size int, seed uint64) core.Problem { return apps.NewFeatureSelection(size, 5, 3, 15, seed) }},
+	"imgreg": {Key: "imgreg", Class: "multimodal", MinSize: 1,
+		Make: func(size int, seed uint64) core.Problem {
+			ir := apps.NewImageRegistration(size, seed)
+			ir.Downsample = 2
+			return ir
+		}},
+	"stock": {Key: "stock", Class: "epistatic", MinSize: 9, // one training window of 5 returns
+		Make: func(size int, seed uint64) core.Problem { return apps.NewStockPrediction(size, 5, 4, seed) }},
+	"doppler-ar2": {Key: "doppler-ar2", Class: "easy", MinSize: 3, // one residual after 2 lags
+		Make: func(size int, seed uint64) core.Problem { return apps.NewSpectralEstimation(size, seed) }},
+	"reactor": {Key: "reactor", Class: "np-complete", MinSize: 1,
+		Make: func(size int, seed uint64) core.Problem { return apps.NewReactorCore(size, 3, seed) }},
+	"graphpart": {Key: "graphpart", Class: "np-complete", MinSize: 2, // odd sizes round down to whole pairs
+		Make: func(size int, seed uint64) core.Problem { return apps.NewGraphPartition(size&^1, 0.4, 0.04, seed) }},
+	"cameras": {Key: "cameras", Class: "multimodal", MinSize: 1,
+		Make: func(size int, seed uint64) core.Problem { return apps.NewCameraPlacement(4, size, seed) }},
 }
 
 // Lookup returns the Spec registered under key.

@@ -5,8 +5,12 @@ import (
 	"slices"
 	"testing"
 
+	"pga/internal/engine"
+	"pga/internal/ga"
 	"pga/internal/operators"
+	"pga/internal/p2p"
 	"pga/internal/problems"
+	"pga/internal/rng"
 )
 
 // smokeSpecs is one small runnable spec per model string.
@@ -230,6 +234,30 @@ func TestStopReasonParity(t *testing.T) {
 	}
 	if rep.StopReason == "" {
 		t.Error("no stop reason recorded")
+	}
+}
+
+// TestP2PReportsMessages: a p2p report's messages is the migrant count
+// of the same overlay built by hand.
+func TestP2PReportsMessages(t *testing.T) {
+	s := mustParse(t, `{"model":"p2p","problem":{"name":"onemax","size":32},"engine":{"pop":8},`+
+		`"p2p":{"peers":6,"churn":0.05},"budget":{"generations":30},"seed":11}`)
+	b, err := Build(*s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := b.Run(RunOpts{})
+	prob := problems.OneMax{N: 32}
+	res := p2p.New(p2p.Config{
+		Problem: prob, Peers: 6, ChurnRate: 0.05, Seed: 11,
+		NewEngine: func(_ int, r *rng.Source) ga.Engine {
+			return ga.NewGenerational(ga.Config{Problem: prob, PopSize: 8,
+				Crossover: operators.Uniform{}, Mutator: operators.BitFlip{}, RNG: r})
+		},
+	}).Run(30, engine.Control{})
+	if res.Messages == 0 || rep.Messages != res.Messages || rep.Evaluations != res.Evaluations {
+		t.Errorf("spec run: %d messages, %d evaluations; hand-built: %d, %d",
+			rep.Messages, rep.Evaluations, res.Messages, res.Evaluations)
 	}
 }
 

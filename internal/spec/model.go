@@ -112,7 +112,7 @@ var models = []*model{
 		run: func(b *Built, ctl engine.Control, rep *Report) {
 			res := b.P2P.Run(b.plan.maxGens, ctl)
 			rep.fill(&res.RunStats)
-			rep.Departures, rep.Joins, rep.AliveAtEnd = res.Departures, res.Joins, res.AliveAtEnd
+			rep.Departures, rep.Joins, rep.AliveAtEnd, rep.Messages = res.Departures, res.Joins, res.AliveAtEnd, res.Messages
 		}},
 	{name: ModelHGA, section: ModelHGA, has: func(s *RunSpec) bool { return s.HGA != nil },
 		family: famHGA, problem: (*Plan).realProblem, budget: budgetCost,

@@ -17,8 +17,9 @@ import (
 // the runtime handles is non-nil (Engine covers the five panmictic
 // models); Run drives whichever the model owns and renders a
 // deterministic Report. The handles stay exported so callers with
-// special needs (the equiv parity tests, experiments stepping engines by
-// hand) can drive the runtime directly.
+// special needs (the equiv parity tests; experiments A06 and E05, which
+// step engines by hand and sample between generations; E04, which times
+// parallel islands) can drive the runtime directly.
 type Built struct {
 	// Spec is the spec that was built (after validation).
 	Spec RunSpec
@@ -125,6 +126,7 @@ type Report struct {
 	Departures  int     `json:"departures,omitempty"`   // p2p
 	Joins       int     `json:"joins,omitempty"`        // p2p
 	AliveAtEnd  int     `json:"alive_at_end,omitempty"` // p2p
+	Messages    int     `json:"messages,omitempty"`     // p2p
 	Cost        float64 `json:"cost,omitempty"`         // hga
 	CostAtSolve float64 `json:"cost_at_solve,omitempty"`
 	Hypervolume float64 `json:"hypervolume,omitempty"` // sim

@@ -208,6 +208,40 @@ func TestProblemSizeSweep(t *testing.T) {
 	}
 }
 
+// TestEncodedAndApplicationRowsMinSize: each encoded and application
+// row of the registry is refused one below its MinSize and builds and
+// runs a generation at MinSize, one above it and 64 — odd sizes too,
+// which graphpart rounds down to whole vertex pairs.
+func TestEncodedAndApplicationRowsMinSize(t *testing.T) {
+	for _, key := range []string{
+		"rastrigin-bin16", "rastrigin-gray16", "tsp-circle", "tsp-clustered", "sched", "featsel",
+		"imgreg", "stock", "doppler-ar2", "reactor", "graphpart", "cameras",
+	} {
+		entry, err := problems.Lookup(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runAt := func(size int) RunSpec {
+			return RunSpec{Model: ModelGenerational, Problem: ProblemSpec{Name: key, Size: size},
+				Engine: EngineSpec{Pop: 4}, Budget: BudgetSpec{Generations: 1}, Seed: 1}
+		}
+		below := runAt(entry.MinSize - 1)
+		if err := below.Validate(); err == nil || !hasPath(fieldPaths(t, err), "problem.size") {
+			t.Errorf("%s at %d: Validate = %v, want a problem.size refusal", key, entry.MinSize-1, err)
+		}
+		for _, size := range []int{entry.MinSize, entry.MinSize + 1, 64} {
+			b, err := Build(runAt(size))
+			if err != nil {
+				t.Errorf("%s at %d: %v", key, size, err)
+				continue
+			}
+			if rep := b.Run(RunOpts{}); rep.Generations != 1 || math.IsNaN(rep.Best) || math.IsInf(rep.Best, 0) {
+				t.Errorf("%s at %d: %d generations, best %v", key, size, rep.Generations, rep.Best)
+			}
+		}
+	}
+}
+
 // TestValidateCollectsAll checks that Validate reports every violation
 // in one pass rather than stopping at the first.
 func TestValidateCollectsAll(t *testing.T) {
