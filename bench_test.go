@@ -226,13 +226,15 @@ func BenchmarkBatchEvaluate(b *testing.B) {
 	})
 }
 
-// BenchmarkEvaluate measures the compiled fitness kernels on the pending
-// set of a 200-individual generation (199 genomes of 256 bits, the
-// evalheavy-gen and wire-ring2 shape): Evaluate genome by genome and,
-// where the problem has a batch form, one EvaluateBatch call. For maxsat
-// that is the flat scalar kernel against the bit-sliced one (64 genomes
-// per word), for nk the flat-table scalar kernel against the lane kernel
-// (eight genomes per locus load).
+// BenchmarkEvaluate measures the compiled fitness kernels on random
+// 256-bit genomes: Evaluate genome by genome on a 199-genome pending set
+// and, where the problem has a batch form, one EvaluateBatch call per
+// pending set — 199 genomes (batch: a 200-individual generation less its
+// elite, evalheavy-gen's MaxSAT shape) and 49 (batch-49: a 50-individual
+// island less its elite, wire-ring2's NK shape). For maxsat that is the
+// flat scalar kernel against the bit-sliced one (64 genomes per word),
+// for nk the flat-table scalar kernel against the lane kernel (eight
+// genomes per locus load).
 func BenchmarkEvaluate(b *testing.B) {
 	for _, key := range []string{"maxsat", "nk"} {
 		spec, err := problems.Lookup(key)
@@ -246,8 +248,8 @@ func BenchmarkEvaluate(b *testing.B) {
 			genomes[i] = prob.NewGenome(r)
 		}
 		out := make([]float64, len(genomes))
-		perGenome := func(b *testing.B) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(genomes)), "ns/genome")
+		perGenome := func(b *testing.B, n int) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/genome")
 		}
 		b.Run(key+"/scalar", func(b *testing.B) {
 			b.ReportAllocs()
@@ -256,18 +258,23 @@ func BenchmarkEvaluate(b *testing.B) {
 					out[j] = prob.Evaluate(g)
 				}
 			}
-			perGenome(b)
+			perGenome(b, len(genomes))
 		})
 		batch, ok := core.BatchOf(prob)
 		if !ok {
 			continue
 		}
-		b.Run(key+"/batch", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				batch.EvaluateBatch(genomes, out)
-			}
-			perGenome(b)
-		})
+		for _, c := range []struct {
+			name string
+			n    int
+		}{{"/batch", len(genomes)}, {"/batch-49", 49}} {
+			b.Run(key+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					batch.EvaluateBatch(genomes[:c.n], out[:c.n])
+				}
+				perGenome(b, c.n)
+			})
+		}
 	}
 }

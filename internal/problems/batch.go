@@ -58,9 +58,11 @@ const (
 	laneTile = 1024
 	// minLanes is the smallest block worth slicing. A block costs its
 	// gather and one pass over the instance however few lanes it fills:
-	// about four scalar MaxSAT evaluations whatever the instance size,
-	// about three NK ones (measured on nk(64,2), nk(256,4), nk(1000,7)).
-	minLanes = 4
+	// about 1.4–1.8 scalar MaxSAT evaluations and 2–2.7 NK ones. Measured
+	// by BenchmarkLaneBreakEven, two lanes win on both MaxSAT instances
+	// but not on nk(64,2), and three win on every instance; one threshold
+	// serves both kernels.
+	minLanes = 3
 )
 
 // laneKernel is a compiled instance with both kernels: the scalar
@@ -138,25 +140,62 @@ func (p maxSATBatch) EvaluateBatch(genomes []core.Genome, out []float64) {
 func (p *MaxSAT) evaluateLanes(genomes []core.Genome, out []float64) {
 	var vars [laneTile]uint64
 	gatherLanes(p, p.nvars, genomes, &vars)
-	// Count: ripple-carry one satisfied bit per lane into the planes. A
-	// count never exceeds len(clauses), so the carry dies by plane
-	// bits.Len(len(clauses)) and the loop needs no other bound.
+	// Count (Harley–Seal): eight clauses at a time are absorbed by
+	// carry-save adders into the lane words ones, twos and fours, of
+	// weight 1, 2 and 4, and only a group's eights carry is rippled into
+	// the planes, from plane 3; the m mod 8 tail clauses ripple from plane
+	// 0, and ones, twos and fours are flushed at the end. Every lane's sum
+	// of weights is its satisfied count, and a count never exceeds
+	// len(clauses), so no ripple passes plane bits.Len(len(clauses)).
 	var planes [64]uint64
-	for i := range p.clauses {
-		c := &p.clauses[i]
-		carry := (vars[c[0].v] ^ -uint64(c[0].neg)) |
-			(vars[c[1].v] ^ -uint64(c[1].neg)) |
-			(vars[c[2].v] ^ -uint64(c[2].neg))
-		for j := 0; carry != 0; j++ {
-			planes[j], carry = planes[j]^carry, planes[j]&carry
-		}
+	var ones, twos, fours, twosA, twosB, foursA, foursB, eights uint64
+	cl := p.clauses
+	full := len(cl) &^ 7
+	for i := 0; i < full; i += 8 {
+		g := (*[8]satClause)(cl[i : i+8])
+		twosA, ones = csa(ones, g[0].lanes(&vars), g[1].lanes(&vars))
+		twosB, ones = csa(ones, g[2].lanes(&vars), g[3].lanes(&vars))
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, g[4].lanes(&vars), g[5].lanes(&vars))
+		twosB, ones = csa(ones, g[6].lanes(&vars), g[7].lanes(&vars))
+		foursB, twos = csa(twos, twosA, twosB)
+		eights, fours = csa(fours, foursA, foursB)
+		ripple(&planes, 3, eights)
 	}
+	for i := full; i < len(cl); i++ {
+		ripple(&planes, 0, cl[i].lanes(&vars))
+	}
+	ripple(&planes, 0, ones)
+	ripple(&planes, 1, twos)
+	ripple(&planes, 2, fours)
 	// Un-slice: transposed, planes[l] is lane l's count as an integer —
 	// the same integer the scalar kernel counts, hence the same float64.
 	genome.Transpose64(&planes)
 	m := float64(len(p.clauses))
 	for l := range out {
 		out[l] = float64(planes[l]) / m
+	}
+}
+
+// lanes is c's truth value in every lane of gatherLanes' layout.
+func (c *satClause) lanes(vars *[laneTile]uint64) uint64 {
+	return (vars[c[0].v] ^ -uint64(c[0].neg)) |
+		(vars[c[1].v] ^ -uint64(c[1].neg)) |
+		(vars[c[2].v] ^ -uint64(c[2].neg))
+}
+
+// csa is a carry-save adder over 64 lanes: per lane, a+b+c is
+// 2*carry + sum.
+func csa(a, b, c uint64) (carry, sum uint64) {
+	u := a ^ b
+	return a&b | u&c, u ^ c
+}
+
+// ripple adds carry, one bit per lane of weight 2^j, into the bit-sliced
+// counters planes.
+func ripple(planes *[64]uint64, j int, carry uint64) {
+	for ; carry != 0; j++ {
+		planes[j], carry = planes[j]^carry, planes[j]&carry
 	}
 }
 

@@ -102,9 +102,14 @@ func diffCases() []diffCase {
 		}
 	}
 	cases = append(cases,
-		// Clause counts on both sides of a plane boundary, and tiny ones.
+		// Clause counts on both sides of a plane boundary, and tiny ones;
+		// on both sides of the carry-save count's eight-clause group
+		// (8, 15, 16, 17: a group with and without a tail), and up to a
+		// full top plane (1 023, 1 024).
 		maxSATCase(100, 1, 3), maxSATCase(100, 7, 3), maxSATCase(100, 255, 3),
 		maxSATCase(100, 256, 3), maxSATCase(64, 1031, 3),
+		maxSATCase(100, 8, 3), maxSATCase(100, 15, 3), maxSATCase(100, 16, 3),
+		maxSATCase(100, 17, 3), maxSATCase(256, 1023, 3), maxSATCase(256, 1024, 3),
 	)
 	// NK's lane kernel at the ends of its pattern range (k+1 = 1 and 8)
 	// on every length, and past it: k = 8 falls back to the scalar kernel,
@@ -142,7 +147,8 @@ func diffCases() []diffCase {
 
 // diffPool returns count n-bit genomes: all-zero, all-one, then random
 // ones of mixed density (dense ones satisfy almost every clause, which
-// drives the ripple counter's carries to the top plane).
+// carries the bit-sliced count into its top plane and fills the
+// carry-save words).
 func diffPool(n, count int, r *rng.Source) []core.Genome {
 	pool := make([]core.Genome, count)
 	for i := range pool {
@@ -162,7 +168,7 @@ func TestCompiledKernelsMatchReference(t *testing.T) {
 	const poolSize = 199
 	// Around the slicing threshold, the eight-lane group and the 64-lane
 	// block.
-	batches := []int{1, 3, 4, 7, 8, 9, 49, 63, 64, 65, poolSize}
+	batches := []int{1, 2, 3, 4, 7, 8, 9, 49, 63, 64, 65, poolSize}
 	r := rng.New(23)
 	out := make([]float64, poolSize)
 	for _, tc := range diffCases() {
@@ -290,14 +296,17 @@ func TestBatchFormsSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// fuzzSeeds are the shared corpus of the batch fuzzers: genome bytes and
-// a raw batch size.
-func fuzzSeeds(f *testing.F) {
-	f.Add([]byte{}, uint8(0))
-	f.Add([]byte{0xFF}, uint8(63))
-	f.Add([]byte{0xA5, 0x3C, 0x00, 0xFF, 0x81}, uint8(64))
-	f.Add([]byte("bit-sliced"), uint8(2))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, uint8(198))
+// fuzzCorpus is the shared seed corpus of the batch fuzzers: genome
+// bytes and a raw batch size.
+var fuzzCorpus = []struct {
+	data  []byte
+	batch uint8
+}{
+	{[]byte{}, 0},
+	{[]byte{0xFF}, 63},
+	{[]byte{0xA5, 0x3C, 0x00, 0xFF, 0x81}, 64},
+	{[]byte("bit-sliced"), 2},
+	{[]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, 198},
 }
 
 // fuzzBatch turns fuzz input into 1..199 n-bit genomes: genome l reads
@@ -330,14 +339,19 @@ func fuzzAgree(t *testing.T, p core.Problem, batch []core.Genome, ref func(*geno
 	}
 }
 
-// FuzzMaxSATBatch: any genome bytes, any batch size — EvaluateBatch and
-// Evaluate against the per-literal reference. The instance is fixed;
-// 100 variables put the tail word and the second transpose block on
-// the path.
+// FuzzMaxSATBatch: any genome bytes, any batch size, any clause count
+// from 1 to 1 100 — EvaluateBatch and Evaluate against the per-literal
+// reference. 100 variables put the tail word and the second transpose
+// block on the path; the clause count moves the carry-save count's
+// eight-clause groups and its tail.
 func FuzzMaxSATBatch(f *testing.F) {
-	tc := maxSATCase(100, 400, 17)
-	fuzzSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte, rawBatch uint8) {
+	for i, s := range fuzzCorpus {
+		// Raw clause counts for 400 clauses (whole groups only), a tail of
+		// 1 and of 7, a full top plane, and 1 100.
+		f.Add(s.data, s.batch, []uint16{399, 16, 6, 1023, 1099}[i])
+	}
+	f.Fuzz(func(t *testing.T, data []byte, rawBatch uint8, rawClauses uint16) {
+		tc := maxSATCase(100, int(rawClauses)%1100+1, 17)
 		fuzzAgree(t, tc.p, fuzzBatch(tc.n, data, rawBatch), tc.ref)
 	})
 }
@@ -346,10 +360,47 @@ func FuzzMaxSATBatch(f *testing.F) {
 // reference, at both ends of its pattern range.
 func FuzzNKBatch(f *testing.F) {
 	cases := []diffCase{nkCase(100, 4, 17), nkCase(100, 0, 17), nkCase(100, 7, 17)}
-	fuzzSeeds(f)
+	for _, s := range fuzzCorpus {
+		f.Add(s.data, s.batch)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, rawBatch uint8) {
 		for _, tc := range cases {
 			fuzzAgree(t, tc.p, fuzzBatch(tc.n, data, rawBatch), tc.ref)
 		}
 	})
+}
+
+// BenchmarkLaneBreakEven sizes minLanes: one bit-sliced block of 1–4
+// genomes (gather, kernel, un-slice) against as many scalar Evaluate
+// calls, on the two problems that have lane kernels. minLanes is the
+// smallest lane count at which the sliced block wins on every instance.
+func BenchmarkLaneBreakEven(b *testing.B) {
+	for _, p := range []laneKernel{
+		NewMaxSAT(256, 1024, 1), NewMaxSAT(64, 256, 1),
+		NewNKLandscape(256, 4, 1), NewNKLandscape(64, 2, 1),
+	} {
+		r := rng.New(1)
+		genomes := make([]core.Genome, 4)
+		for i := range genomes {
+			genomes[i] = p.NewGenome(r)
+		}
+		out := make([]float64, len(genomes))
+		for lanes := 1; lanes <= len(genomes); lanes++ {
+			gs, o := genomes[:lanes], out[:lanes]
+			b.Run(fmt.Sprintf("%s/lanes-%d/sliced", p.Name(), lanes), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p.evaluateLanes(gs, o)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/lanes-%d/scalar", p.Name(), lanes), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for j, g := range gs {
+						o[j] = p.Evaluate(g)
+					}
+				}
+			})
+		}
+	}
 }
