@@ -87,9 +87,11 @@ fuzz:
 # under the generational, steady-state and shared-memory engines),
 # pareto.json (the sim scenarios' Pareto archive at caps 8 and 100),
 # realops.json (SBX and polynomial mutation at η on both sides of
-# powFrac's fast path, k-point cuts on real genes) and kpointbits.json
-# (k-point cuts on bit strings). Each was recorded by the parent of the
-# change it guards; never regenerate one to make a change pass.
+# powFrac's fast path, k-point cuts on real genes), kpointbits.json
+# (k-point cuts on bit strings) and cellular.json (three cell-update
+# policies and a panmictic baseline on a deceptive trap). Each was
+# recorded by the parent of the change it guards; never regenerate one
+# to make a change pass. CI runs this target as it is.
 sweep-smoke:
 	@for f in examples/sweeps/*.json examples/experiments/*.json; do \
 		$(GO) run ./cmd/pgarun -config $$f -validate || exit 1; \

@@ -14,8 +14,11 @@ import (
 	"io"
 	"testing"
 
+	"pga/internal/cellular"
 	"pga/internal/core"
 	"pga/internal/exp"
+	"pga/internal/ga"
+	"pga/internal/operators"
 	"pga/internal/problems"
 )
 
@@ -79,13 +82,13 @@ func BenchmarkGenerationalStep(b *testing.B) {
 // BenchmarkSteadyStateStep measures PopSize births of the steady-state
 // engine.
 func BenchmarkSteadyStateStep(b *testing.B) {
-	e := NewSteadyState(GAConfig{
+	e := ga.NewSteadyState(GAConfig{
 		Problem:   OneMax(128),
 		PopSize:   100,
 		Crossover: UniformCrossover{},
 		Mutator:   BitFlip{},
 		RNG:       NewRNG(1),
-	})
+	}, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -95,7 +98,7 @@ func BenchmarkSteadyStateStep(b *testing.B) {
 
 // BenchmarkCellularSweep measures one sweep of a 10×10 cellular grid.
 func BenchmarkCellularSweep(b *testing.B) {
-	e := NewCellular(CellularConfig{
+	e := cellular.New(cellular.Config{
 		Problem:   OneMax(128),
 		Rows:      10,
 		Cols:      10,
@@ -152,21 +155,21 @@ func BenchmarkFarmEvaluateAll(b *testing.B) {
 func freshPopulation(p Problem, n int, r *RNG) *Population {
 	pop := &Population{}
 	for i := 0; i < n; i++ {
-		pop.Members = append(pop.Members, &Individual{Genome: p.NewGenome(r)})
+		pop.Members = append(pop.Members, &core.Individual{Genome: p.NewGenome(r)})
 	}
 	return pop
 }
 
 // BenchmarkGenerationalStepWordOps is BenchmarkGenerationalStep with the
-// word-granular operators (KPointWordCrossover + BlockFlipMutation): the
+// word-granular operators (operators.KPointWord + operators.BlockFlip): the
 // packed-layout fast path the BENCH_8 report compares against the
 // bit-wise operator step.
 func BenchmarkGenerationalStepWordOps(b *testing.B) {
 	e := NewGenerational(GAConfig{
 		Problem:   OneMax(128),
 		PopSize:   100,
-		Crossover: KPointWordCrossover{K: 2},
-		Mutator:   BlockFlipMutation{},
+		Crossover: operators.KPointWord{K: 2},
+		Mutator:   operators.BlockFlip{},
 		RNG:       NewRNG(1),
 	})
 	b.ReportAllocs()
@@ -177,15 +180,15 @@ func BenchmarkGenerationalStepWordOps(b *testing.B) {
 }
 
 // BenchmarkSteadyStateStepWordOps is the steady-state counterpart with
-// UniformWordCrossover.
+// operators.UniformWord.
 func BenchmarkSteadyStateStepWordOps(b *testing.B) {
-	e := NewSteadyState(GAConfig{
+	e := ga.NewSteadyState(GAConfig{
 		Problem:   OneMax(128),
 		PopSize:   100,
-		Crossover: UniformWordCrossover{},
-		Mutator:   BlockFlipMutation{},
+		Crossover: operators.UniformWord{},
+		Mutator:   operators.BlockFlip{},
 		RNG:       NewRNG(1),
-	})
+	}, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -38,9 +38,8 @@ var forbiddenClockCalls = map[string]bool{
 // function names ("pga/internal/ga.Run"), matching the enclosing function
 // or method name regardless of receiver.
 var wallClockAllow = []string{
-	// Command-line drivers and runnable examples time whole runs.
+	// Command-line drivers time whole runs.
 	"pga/cmd/...",
-	"pga/examples/...",
 	// Experiment harness and statistics report wall-clock results.
 	"pga/internal/exp",
 	"pga/internal/stats",

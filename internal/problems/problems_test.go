@@ -48,6 +48,9 @@ func TestDeceptiveTrapValues(t *testing.T) {
 			t.Fatalf("trap(%d ones) = %v, want %v", ones, got, want)
 		}
 	}
+	if p.Direction() != core.Maximize {
+		t.Fatal("trap direction")
+	}
 }
 
 func TestDeceptiveTrapIsDeceptive(t *testing.T) {
@@ -269,6 +272,9 @@ func TestRealFunctionsAtOptimum(t *testing.T) {
 		{Schwefel(4), []float64{420.9687, 420.9687, 420.9687, 420.9687}},
 	}
 	for _, c := range cases {
+		if c.p.Direction() != core.Minimize {
+			t.Fatalf("%s not minimised", c.p.Name())
+		}
 		v := genome.NewRealVector(c.p.Dim, c.p.Lo, c.p.Hi)
 		copy(v.Genes, c.opt)
 		f := c.p.Evaluate(v)

@@ -4,12 +4,16 @@ import (
 	"math"
 	"testing"
 
+	"pga/internal/core"
 	"pga/internal/genome"
 	"pga/internal/rng"
 )
 
 func TestStepFunction(t *testing.T) {
 	p := Step(4)
+	if p.Direction() != core.Minimize || p.Name() == "" {
+		t.Fatalf("%s metadata wrong", p.Name())
+	}
 	v := genome.NewRealVector(4, p.Lo, p.Hi)
 	// All coordinates at -5.1 floor to -6 each.
 	for i := range v.Genes {
@@ -34,6 +38,9 @@ func TestStepFunction(t *testing.T) {
 
 func TestFoxholes(t *testing.T) {
 	p := Foxholes()
+	if p.Direction() != core.Minimize || p.Name() == "" {
+		t.Fatalf("%s metadata wrong", p.Name())
+	}
 	v := genome.NewRealVector(2, p.Lo, p.Hi)
 	v.Genes[0], v.Genes[1] = -32, -32
 	best := p.Evaluate(v)

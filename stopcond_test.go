@@ -1,6 +1,14 @@
 package pga
 
-import "testing"
+import (
+	"testing"
+
+	"pga/internal/cellular"
+	"pga/internal/core"
+	"pga/internal/ga"
+	"pga/internal/p2p"
+	"pga/internal/sim"
+)
 
 // These tests pin the stop-condition uniformity the shared run loop
 // guarantees: every runtime that counts generations halts at exactly the
@@ -12,7 +20,7 @@ import "testing"
 // generations (see DESIGN §9).
 
 // stopRuntimes are the runtimes that accept an arbitrary StopCondition.
-func stopRuntimes(prob Problem, seed uint64) map[string]func(stop StopCondition) *RunStats {
+func stopRuntimes(prob Problem, seed uint64) map[string]func(stop StopCondition) *core.RunStats {
 	gaCfg := func(r *RNG) GAConfig {
 		return GAConfig{
 			Problem:   prob,
@@ -22,38 +30,38 @@ func stopRuntimes(prob Problem, seed uint64) map[string]func(stop StopCondition)
 			RNG:       r,
 		}
 	}
-	return map[string]func(stop StopCondition) *RunStats{
-		"generational": func(stop StopCondition) *RunStats {
+	return map[string]func(stop StopCondition) *core.RunStats{
+		"generational": func(stop StopCondition) *core.RunStats {
 			res := Run(NewGenerational(gaCfg(NewRNG(seed))), RunOptions{Stop: stop})
 			return &res.RunStats
 		},
-		"steady-state": func(stop StopCondition) *RunStats {
-			res := Run(NewSteadyState(gaCfg(NewRNG(seed))), RunOptions{Stop: stop})
+		"steady-state": func(stop StopCondition) *core.RunStats {
+			res := Run(ga.NewSteadyState(gaCfg(NewRNG(seed)), true), RunOptions{Stop: stop})
 			return &res.RunStats
 		},
-		"parallel-generational": func(stop StopCondition) *RunStats {
-			res := Run(NewParallelGenerational(gaCfg(NewRNG(seed)), 2), RunOptions{Stop: stop})
+		"parallel-generational": func(stop StopCondition) *core.RunStats {
+			res := Run(ga.NewParallelGenerational(gaCfg(NewRNG(seed)), 2), RunOptions{Stop: stop})
 			return &res.RunStats
 		},
-		"masterslave-farm": func(stop StopCondition) *RunStats {
+		"masterslave-farm": func(stop StopCondition) *core.RunStats {
 			cfg := gaCfg(NewRNG(seed))
 			cfg.Evaluator = NewFarm(seed, UniformWorkers(3))
 			res := Run(NewGenerational(cfg), RunOptions{Stop: stop})
 			return &res.RunStats
 		},
-		"cellular": func(stop StopCondition) *RunStats {
-			res := Run(NewCellular(CellularConfig{
+		"cellular": func(stop StopCondition) *core.RunStats {
+			res := Run(cellular.New(cellular.Config{
 				Problem:   prob,
 				Rows:      5,
 				Cols:      5,
-				Update:    LineSweepUpdate,
+				Update:    cellular.LineSweep,
 				Crossover: UniformCrossover{},
 				Mutator:   BitFlip{},
 				RNG:       NewRNG(seed),
 			}), RunOptions{Stop: stop})
 			return &res.RunStats
 		},
-		"island-sequential": func(stop StopCondition) *RunStats {
+		"island-sequential": func(stop StopCondition) *core.RunStats {
 			m := NewIslands(IslandConfig{
 				Demes:    3,
 				Topology: Ring,
@@ -108,7 +116,7 @@ func TestStopUniformityMaxGenerations(t *testing.T) {
 			res.Generations, res.StopReason, gens)
 	}
 
-	p := NewP2P(P2PConfig{
+	p := p2p.New(p2p.Config{
 		Problem: prob,
 		Peers:   4,
 		NewEngine: func(peer int, r *RNG) Engine {
@@ -127,9 +135,9 @@ func TestStopUniformityMaxGenerations(t *testing.T) {
 			res.Generations, res.StopReason, gens)
 	}
 
-	if res := RunSIM(SIMConfig{
-		Problem:     ZDT1(6),
-		Scenario:    SIMScenarios()[2],
+	if res := sim.Run(sim.Config{
+		Problem:     sim.ZDT1{Dim: 6},
+		Scenario:    sim.Scenarios()[2],
 		DemeSize:    12,
 		Generations: gens,
 		Seed:        11,
