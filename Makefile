@@ -48,8 +48,8 @@ perf-compare:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make perf-compare BASE=<rev> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
 	$(GO) run ./cmd/perfcompare -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
-# Static gate: pgalint (determinism + concurrency contracts) and vet,
-# including explicit copylocks/unusedresult passes. -time reports
+# Static gate: pgalint (determinism + concurrency contracts) and go vet,
+# whose default run includes copylocks and unusedresult. -time reports
 # per-rule wall time; the 60s deadline fails the gate if the
 # interprocedural engine's cost ever outgrows the module, and the
 # per-rule budget catches a single rule going quadratic long before
@@ -58,7 +58,6 @@ perf-compare:
 lint:
 	$(GO) run ./cmd/pgalint -time -deadline 60s -rulebudget 20s -baseline lint-baseline.txt ./...
 	$(GO) vet ./...
-	$(GO) vet -copylocks -unusedresult ./...
 
 # Short local fuzz passes for the property-tested surfaces: the binary
 # population decoder and the frame reader around it (no panic, bounded

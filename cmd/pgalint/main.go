@@ -45,7 +45,9 @@
 //
 //	//pgalint:ignore rule why this specific pattern is provably safe
 //
-// The justification is mandatory: a bare directive is itself reported.
+// The justification is mandatory, and every rule the directive names must
+// exist (see -rules; "all" names every rule): a bare directive, or one
+// naming an unknown rule, is itself reported.
 package main
 
 import (

@@ -1,11 +1,13 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -24,31 +26,22 @@ var fixturePkgPaths = map[string]string{
 	"nowallclock_ok.go":   "pga/internal/hga",
 	"blockingsend_bad.go": "pga/internal/p2p",
 	"blockingsend_ok.go":  "pga/internal/supervise",
-	"sharedrng_bad.go":    "pga/internal/rng",
-	"sharedrng_ok.go":     "pga/internal/rng",
-	"ctxleak_bad.go":      "pga/internal/cluster",
-	"ctxleak_ok.go":       "pga/internal/cluster",
 	"hiddenalloc_bad.go":  "pga/internal/ga",
 	"hiddenalloc_ok.go":   "pga/internal/ga",
 	"ignore.go":           "pga/internal/p2p",
-	"rngflow_bad.go":      "pga/internal/rng",
-	"rngflow_ok.go":       "pga/internal/rng",
+	"unknownignore.go":    "pga/internal/p2p",
 	"purity_bad.go":       "pga/internal/operators",
 	"purity_ok.go":        "pga/internal/operators",
 	"purity_exempt.go":    "pga/internal/memo",
 	"chantopo_bad.go":     "pga/internal/p2p",
 	"chantopo_ok.go":      "pga/internal/island",
 	"bareignore.go":       "pga/internal/ga",
-	"goroleak_x.go":       "pga/internal/cluster",
 	"lockorder_bad.go":    "pga/internal/lockfix",
 	"lockorder_ok.go":     "pga/internal/lockfix",
 	"lockorder_x.go":      "pga/internal/lockfix",
 	"boundedres_bad.go":   "pga/internal/transport",
 	"boundedres_ok.go":    "pga/internal/transport",
 	"boundedres_x.go":     "pga/internal/transport",
-	"waitgroup_bad.go":    "pga/internal/farm",
-	"waitgroup_ok.go":     "pga/internal/farm",
-	"waitgroup_x.go":      "pga/internal/farm",
 	"drawshape_bad.go":    "pga/internal/operators",
 	"drawshape_ok.go":     "pga/internal/operators",
 	"auxrng.go":           "pga/internal/fixrng",
@@ -57,8 +50,6 @@ var fixturePkgPaths = map[string]string{
 	"auxrand.go":          "pga/internal/jitter",
 	"auxlock.go":          "pga/internal/lockutil",
 	"auxgrow.go":          "pga/internal/growq",
-	"auxwg.go":            "pga/internal/wgutil",
-	"auxjoin.go":          "pga/internal/joinutil",
 }
 
 // fixtureGroups lists the aux fixtures a fixture imports; they are
@@ -70,10 +61,8 @@ var fixtureGroups = map[string][]string{
 	"purity_ok.go":       {"auxrng.go"},
 	"chantopo_bad.go":    {"auxchan.go"},
 	"norawrand_chain.go": {"auxrand.go"},
-	"goroleak_x.go":      {"auxjoin.go"},
 	"lockorder_x.go":     {"auxlock.go"},
 	"boundedres_x.go":    {"auxgrow.go"},
-	"waitgroup_x.go":     {"auxwg.go"},
 	"drawshape_bad.go":   {"auxrng.go", "auxtail.go"},
 	"drawshape_ok.go":    {"auxrng.go"},
 }
@@ -303,6 +292,25 @@ func TestIgnoreDirectives(t *testing.T) {
 	diags := runFixture(t, BlockingSend(), "ignore.go")
 	if len(diags) != 1 {
 		t.Fatalf("ignore.go: want exactly 1 surviving finding, got %d: %v", len(diags), diags)
+	}
+}
+
+// TestUnknownRuleIgnores: a directive naming a rule that does not exist
+// is an "ignore" finding, and the known names beside it still suppress.
+func TestUnknownRuleIgnores(t *testing.T) {
+	const fixture = "unknownignore.go"
+	got := map[string]bool{}
+	for _, d := range runFixture(t, BlockingSend(), fixture) {
+		got[fmt.Sprintf("%d %s", d.Line, d.Rule)] = true
+	}
+	want := map[string]bool{}
+	for _, rule := range []string{"ignore", "blockingsend"} {
+		for line := range wantLines(t, fixture, rule) {
+			want[fmt.Sprintf("%d %s", line, rule)] = true
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("%s: findings %v, want %v", fixture, got, want)
 	}
 }
 

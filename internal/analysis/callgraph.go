@@ -1,13 +1,13 @@
 package analysis
 
-// Module-wide call graph for the interprocedural rules (rngflow, purity,
+// Module-wide call graph for the interprocedural rules (purity,
 // chantopo) and the summary-aware retrofits of norawrand, nowallclock and
 // hiddenalloc.
 //
 // Nodes are function *bodies*: every FuncDecl and every FuncLit gets its
 // own node, because a closure spawned with `go` runs on a different
-// goroutine than its lexical parent — the distinction the RNG-flow and
-// channel-topology rules exist to track. Edges carry the relationship:
+// goroutine than its lexical parent — the distinction the purity and
+// channel-topology rules track. Edges carry the relationship:
 //
 //   - EdgeCall:  ordinary (or deferred) call, same goroutine.
 //   - EdgeSpawn: the call of a `go` statement — effects of the callee
@@ -127,9 +127,6 @@ type Graph struct {
 
 // NodeOf returns the node for a declared function, or nil.
 func (g *Graph) NodeOf(fd *ast.FuncDecl) *Node { return g.byDecl[fd] }
-
-// NodeOfLit returns the node for a closure literal, or nil.
-func (g *Graph) NodeOfLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 
 // BuildGraph constructs the call graph over pkgs (normally a full module
 // in topological order, or a handful of fixture packages in tests).

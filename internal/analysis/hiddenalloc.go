@@ -108,7 +108,7 @@ func HiddenAllocWith(cfg HiddenAllocConfig) *Analyzer {
 				cachedFacts = pass.Facts
 				// Spawn edges are excluded: the allocation budget measures
 				// the generation goroutine, and spawning in a hot path is
-				// its own (goroleak/perf-gate) problem.
+				// its own (perf-gate) problem.
 				taint = pass.Facts.Taint(
 					func(n *Node) bool { return pass.Facts.Direct(n).Allocates },
 					func(n *Node) bool {

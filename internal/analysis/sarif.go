@@ -83,7 +83,7 @@ func SARIF(diags []Diagnostic, analyzers []*Analyzer) ([]byte, error) {
 	driver.Rules = append(driver.Rules, sarifRule{
 		ID: "ignore",
 		ShortDescription: sarifText{Text: "every //pgalint:ignore directive must name " +
-			"its rules and carry a justification; a bare ignore is itself a finding"},
+			"existing rules and carry a justification; a bare or misnamed ignore is itself a finding"},
 	})
 
 	results := []sarifResult{}

@@ -13,22 +13,20 @@ package analysis
 //     may be mutated; which parameters are *rng.Source-like streams that
 //     are drawn from on the calling goroutine (DrawsParam) or handed to a
 //     spawned goroutine that draws (SpawnDrawsParam)?
-//   - draw evidence with positions for vars in the body's own scope
-//     (Draws / SpawnDraws) and flow-through facts for captured outer vars
-//     (CapturedDraws / CapturedSpawnDraws / CapturedMutates)?
+//   - flow-through facts for captured outer vars (CapturedDraws /
+//     CapturedSpawnDraws / CapturedMutates), which become the parameter
+//     facts of the function that declares them?
 //   - channel endpoints: which channels the function may block sending on
 //     (classified exactly like blockingsend: a send is non-blocking only
 //     under a select with a default or escape case) and which it may
 //     receive from. A channel is identified by the parameter carrying it,
 //     or by the variable/struct-field object — the field-level
 //     abstraction chantopo builds its topology on.
-//   - concurrency facts: is the function joinable (Joins: it reaches a
-//     channel receive, select, wg.Done or close — evidence a spawner can
-//     unblock it), which mutexes it may acquire (Acquires, for lockorder's
-//     interprocedural held-set product), which WaitGroups it Adds to
-//     (WGAdds, for waitgroup's spawned-Add check), and which slices it
-//     grows via append (Grows, for boundedres). These reuse the ChanFact
-//     identity abstraction: a parameter index, or the var/field object.
+//   - concurrency facts: which mutexes the function may acquire
+//     (Acquires, for lockorder's interprocedural held-set product) and
+//     which slices it grows via append (Grows, for boundedres). These
+//     reuse the ChanFact identity abstraction: a parameter index, or the
+//     var/field object.
 //   - draw shape: does the function draw at all on its own goroutine
 //     (HasDraw), and which draw sites — its own or a synchronous callee's
 //     — run only under a condition that reads genome/population content
@@ -57,9 +55,6 @@ const maxTrackedParams = 64
 
 // maxChanFacts bounds the channel-endpoint lists per summary.
 const maxChanFacts = 64
-
-// maxDrawSites bounds the recorded draw positions per variable.
-const maxDrawSites = 16
 
 // maxLockEdges bounds the same-body lock-order edges recorded per node.
 const maxLockEdges = 64
@@ -92,10 +87,6 @@ type Summary struct {
 	DrawsParam      uint64
 	SpawnDrawsParam uint64
 
-	// Draw evidence for vars in this body's scope (params and locals).
-	Draws      map[*types.Var][]token.Pos
-	SpawnDraws map[*types.Var][]token.Pos
-
 	// Flow-through facts about vars declared outside this body.
 	CapturedDraws      map[*types.Var]bool
 	CapturedSpawnDraws map[*types.Var]bool
@@ -105,20 +96,9 @@ type Summary struct {
 	Sends []ChanFact
 	Recvs []ChanFact
 
-	// Joins reports that the function reaches a blocking operation a
-	// spawner can unblock from outside: a channel receive or range, a
-	// select, a WaitGroup.Done, or a close. Propagated over call and ref
-	// edges only — a goroutine's joinability cannot come from something
-	// it merely spawns.
-	Joins bool
-
 	// Acquires lists the mutexes this function (or anything it calls) may
 	// lock; lockorder crosses these with the caller's held set.
 	Acquires []ChanFact
-
-	// WGAdds lists WaitGroup counters this function (or its callees) may
-	// Add to; waitgroup flags these when reached through a spawn edge.
-	WGAdds []ChanFact
 
 	// Grows lists slices grown by append without a reserving make;
 	// boundedres flags field/global growth in hot packages.
@@ -136,7 +116,6 @@ type Summary struct {
 	lockEvents []lockEvent                      // ordered acquire/release/return/panic trace
 	lockEdges  []lockEdge                       // same-body nested acquisitions
 	heldAtCall map[*ast.CallExpr][]types.Object // locks lexically held at each call site
-	wgWaits    []ChanFact                       // WaitGroup.Wait sites
 	syncCalls  map[*ast.CallExpr]bool           // non-draw calls made on this goroutine → under a content guard?
 }
 
@@ -268,26 +247,15 @@ func (f *Facts) Taint(seed, stop func(*Node) bool, kinds map[EdgeKind]bool) map[
 // clone deep-copies a summary for use as the propagation seed.
 func (s *Summary) clone() *Summary {
 	c := *s
-	c.Draws = clonePosMap(s.Draws)
-	c.SpawnDraws = clonePosMap(s.SpawnDraws)
 	c.CapturedDraws = cloneVarSet(s.CapturedDraws)
 	c.CapturedSpawnDraws = cloneVarSet(s.CapturedSpawnDraws)
 	c.CapturedMutates = cloneVarSet(s.CapturedMutates)
 	c.Sends = append([]ChanFact(nil), s.Sends...)
 	c.Recvs = append([]ChanFact(nil), s.Recvs...)
 	c.Acquires = append([]ChanFact(nil), s.Acquires...)
-	c.WGAdds = append([]ChanFact(nil), s.WGAdds...)
 	c.Grows = append([]ChanFact(nil), s.Grows...)
 	c.ContentDep = append([]token.Pos(nil), s.ContentDep...)
 	return &c
-}
-
-func clonePosMap(m map[*types.Var][]token.Pos) map[*types.Var][]token.Pos {
-	out := make(map[*types.Var][]token.Pos, len(m))
-	for k, v := range m {
-		out[k] = append([]token.Pos(nil), v...)
-	}
-	return out
 }
 
 func cloneVarSet(m map[*types.Var]bool) map[*types.Var]bool {
@@ -327,24 +295,6 @@ func (s *Summary) classOf(v *types.Var) (int, varClass) {
 // isGlobalVar reports whether v is declared at package scope.
 func isGlobalVar(v *types.Var) bool {
 	return !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// addDrawPos records a draw site, deduplicated and bounded.
-func addDrawPos(m *map[*types.Var][]token.Pos, v *types.Var, pos token.Pos) bool {
-	if *m == nil {
-		*m = map[*types.Var][]token.Pos{}
-	}
-	sites := (*m)[v]
-	if len(sites) >= maxDrawSites {
-		return false
-	}
-	for _, p := range sites {
-		if p == pos {
-			return false
-		}
-	}
-	(*m)[v] = append(sites, pos)
-	return true
 }
 
 // addVar records a var in a captured-fact set.
@@ -428,7 +378,7 @@ const (
 // non-stream variable (a struct whose *field* holds the stream), the
 // draw is recorded as a mutation of that variable instead — drawing a
 // struct-held stream mutates the struct, but does not make the struct a
-// stream shared across goroutines.
+// stream.
 func recordDraw(dst *Summary, v *types.Var, pos token.Pos, flavor drawFlavor) bool {
 	if !isRNGStream(v.Type()) {
 		return recordMutation(dst, v, pos, flavor)
@@ -436,24 +386,12 @@ func recordDraw(dst *Summary, v *types.Var, pos token.Pos, flavor drawFlavor) bo
 	idx, class := dst.classOf(v)
 	switch class {
 	case classParam:
-		changed := false
 		if flavor == drawSpawn {
-			changed = setBit(&dst.SpawnDrawsParam, idx)
-			if addDrawPos(&dst.SpawnDraws, v, pos) {
-				changed = true
-			}
-		} else {
-			changed = setBit(&dst.DrawsParam, idx)
-			if addDrawPos(&dst.Draws, v, pos) {
-				changed = true
-			}
+			return setBit(&dst.SpawnDrawsParam, idx)
 		}
-		return changed
+		return setBit(&dst.DrawsParam, idx)
 	case classLocal:
-		if flavor == drawSpawn {
-			return addDrawPos(&dst.SpawnDraws, v, pos)
-		}
-		return addDrawPos(&dst.Draws, v, pos)
+		return false // no rule reads the draws of a body-local stream
 	case classOuter:
 		if flavor == drawSpawn {
 			return addVar(&dst.CapturedSpawnDraws, v)
@@ -575,11 +513,9 @@ func (f *Facts) mergeEdge(dst, src *Summary, e *Edge) bool {
 	// Channel facts do not cross spawn edges: a spawned goroutine's
 	// blocking send cannot block its spawner. chantopo instantiates
 	// spawned bodies at the go statement itself. The same holds for the
-	// concurrency facts: a spawned goroutine's locks, Adds and appends
-	// happen on its own stack, and joinability is never inherited from a
-	// child goroutine.
+	// concurrency facts: a spawned goroutine's locks and appends happen
+	// on its own stack.
 	if !spawn {
-		or(&dst.Joins, src.Joins)
 		for _, cf := range src.Sends {
 			if out, ok := f.substituteChan(dst, src, e, cf); ok && addChanFact(&dst.Sends, out) {
 				changed = true
@@ -592,11 +528,6 @@ func (f *Facts) mergeEdge(dst, src *Summary, e *Edge) bool {
 		}
 		for _, cf := range src.Acquires {
 			if out, ok := f.substituteRef(dst, src, e, cf); ok && addChanFact(&dst.Acquires, out) {
-				changed = true
-			}
-		}
-		for _, cf := range src.WGAdds {
-			if out, ok := f.substituteRef(dst, src, e, cf); ok && addChanFact(&dst.WGAdds, out) {
 				changed = true
 			}
 		}
@@ -651,7 +582,7 @@ func (f *Facts) substituteChan(dst, src *Summary, e *Edge, cf ChanFact) (ChanFac
 	return ChanFact{Param: -1, Obj: obj, Pos: cf.Pos}, true
 }
 
-// substituteRef rebinds a lock/WaitGroup/slice fact into the caller's
+// substituteRef rebinds a lock/slice fact into the caller's
 // frame. Unlike channels these are usually passed by address (&s.mu,
 // &b.items), so the argument is unwrapped through &, * and parens before
 // resolving its identity.
@@ -848,7 +779,6 @@ func computeDirect(n *Node) *Summary {
 			directSelector(s, info, x)
 		case *ast.CallExpr:
 			directCall(s, info, x, presized)
-			directConcurrency(s, info, x)
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
 				directWrite(s, info, lhs, x.Tok != token.ASSIGN && x.Tok != token.DEFINE)
@@ -861,13 +791,8 @@ func computeDirect(n *Node) *Summary {
 					addChanFact(&s.Sends, cf)
 				}
 			}
-		case *ast.SelectStmt:
-			// A select is joinability evidence even when it only sends:
-			// an escape case (or default) is the whole point of selecting.
-			s.Joins = true
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				s.Joins = true
 				if cf, ok := chanFactOf(s, info, x.X, x.Pos()); ok {
 					addChanFact(&s.Recvs, cf)
 				}
@@ -876,7 +801,6 @@ func computeDirect(n *Node) *Summary {
 			if info != nil {
 				if t, ok := info.Types[x.X]; ok {
 					if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
-						s.Joins = true
 						if cf, ok := chanFactOf(s, info, x.X, x.Pos()); ok {
 							addChanFact(&s.Recvs, cf)
 						}
@@ -1120,40 +1044,6 @@ func presizedVars(info *types.Info, body *ast.BlockStmt) map[*types.Var]bool {
 	return out
 }
 
-// directConcurrency records joinability evidence and WaitGroup facts for
-// one call expression: close(ch) and wg.Done join, wg.Add/wg.Wait feed
-// the waitgroup rule.
-func directConcurrency(s *Summary, info *types.Info, call *ast.CallExpr) {
-	if isBuiltinCloseCall(info, call) {
-		s.Joins = true
-		return
-	}
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	switch sel.Sel.Name {
-	case "Done", "Add", "Wait":
-	default:
-		return
-	}
-	if !isWaitGroupRecv(info, sel) {
-		return
-	}
-	switch sel.Sel.Name {
-	case "Done":
-		s.Joins = true
-	case "Add":
-		if cf, ok := refFactOf(s, info, sel.X, call.Pos()); ok {
-			addChanFact(&s.WGAdds, cf)
-		}
-	case "Wait":
-		if cf, ok := refFactOf(s, info, sel.X, call.Pos()); ok {
-			addChanFact(&s.wgWaits, cf)
-		}
-	}
-}
-
 // recordGrow files an unreserved append as a growth fact when its target
 // is visible beyond the body: a parameter, struct field, package-level
 // var, or captured outer var. Purely local growth is not a fact.
@@ -1177,21 +1067,6 @@ func recordGrow(s *Summary, info *types.Info, expr ast.Expr, pos token.Pos) {
 	addChanFact(&s.Grows, ChanFact{Param: -1, Obj: obj, Pos: pos})
 }
 
-// refFactOf resolves a by-reference expression into a fact relative to s
-// (the &/* unwrapping counterpart of chanFactOf).
-func refFactOf(s *Summary, info *types.Info, expr ast.Expr, pos token.Pos) (ChanFact, bool) {
-	obj := refIdentOf(info, expr)
-	if obj == nil {
-		return ChanFact{}, false
-	}
-	if v, ok := obj.(*types.Var); ok {
-		if i := s.ParamIndex(v); i >= 0 {
-			return ChanFact{Param: i, Pos: pos}, true
-		}
-	}
-	return ChanFact{Param: -1, Obj: obj, Pos: pos}, true
-}
-
 // isSyncType reports whether t (possibly behind a pointer) is the named
 // sync.<name> type.
 func isSyncType(t types.Type, name string) bool {
@@ -1204,33 +1079,6 @@ func isSyncType(t types.Type, name string) bool {
 	}
 	obj := named.Obj()
 	return obj != nil && obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-}
-
-// isWaitGroupRecv reports whether sel's receiver is a sync.WaitGroup.
-// Without type info it falls back to the wg/group naming convention.
-func isWaitGroupRecv(info *types.Info, sel *ast.SelectorExpr) bool {
-	if info != nil {
-		if selection, ok := info.Selections[sel]; ok {
-			return isSyncType(selection.Recv(), "WaitGroup")
-		}
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && (id.Name == "wg" || id.Name == "group")
-}
-
-// isBuiltinCloseCall reports whether call is the builtin close.
-func isBuiltinCloseCall(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "close" {
-		return false
-	}
-	if info != nil {
-		if obj, ok := info.Uses[id]; ok {
-			_, builtin := obj.(*types.Builtin)
-			return builtin
-		}
-	}
-	return true
 }
 
 // lockMethod classifies call as a sync.Mutex/RWMutex acquisition or

@@ -335,7 +335,7 @@ func (t *TCP) acceptLoop() {
 			_ = conn.Close()
 			return
 		}
-		//pgalint:ignore waitgroup Add runs inside acceptLoop, which is itself wg-registered before spawn, so the counter is >=1 whenever this executes and Wait cannot have returned
+		// This Add runs inside acceptLoop, which is itself wg-registered before spawn, so the counter is >=1 whenever this executes and Wait cannot have returned
 		t.wg.Add(1)
 		go t.serveConn(conn)
 	}
