@@ -65,14 +65,16 @@ lint:
 # BitString vs its []bool reference model, the run-spec parser
 # (structured errors, never panics) and its validate-vs-build
 # differential (accepted specs build and run, refused ones are refused
-# identically by Build), and the bit-sliced MaxSAT and NK kernels vs
-# their per-literal and per-gene references.
+# identically by Build), the bit-sliced MaxSAT and NK kernels vs
+# their per-literal and per-gene references, and the ChanceMask lane
+# kernels vs per-lane ChanceMask.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalPopulation -fuzztime=30s ./internal/persist/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/transport/
 	$(GO) test -fuzz=FuzzBitStringOps -fuzztime=30s ./internal/genome/
 	$(GO) test -fuzz=FuzzMaxSATBatch -fuzztime=30s ./internal/problems/
 	$(GO) test -fuzz=FuzzNKBatch -fuzztime=30s ./internal/problems/
+	$(GO) test -fuzz=FuzzChanceLanes -fuzztime=30s ./internal/rng/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/spec/
 	$(GO) test -fuzz=FuzzValidateBuild -fuzztime=30s ./internal/spec/
 

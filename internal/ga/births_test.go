@@ -3,7 +3,6 @@ package ga
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -14,22 +13,20 @@ import (
 	"pga/internal/rng"
 )
 
-// stepAt runs one Step with the two-worker draw minimum at min: 0 sends
-// every generation of two or more pairs to the two workers; math.MaxInt
-// keeps every generation on the serial loop, the oracle.
+// stepAt runs one Step with the lane gate at min: 0 sends every
+// generation to the lanes; math.MaxInt keeps every generation on the
+// serial loop, the oracle.
 func stepAt(e *Generational, min int) {
-	defer func(old int) { minParallelDraws = old }(minParallelDraws)
-	minParallelDraws = min
+	defer func(old int) { minLaneDraws = old }(minLaneDraws)
+	minLaneDraws = min
 	e.Step()
 }
 
-// tookTwo reports whether e's latest two-worker attempt passed its check.
-func tookTwo(e *Generational) bool {
-	return e.two != nil && e.two.own.ok && e.two.helper.ok
-}
+// tookLanes reports whether e's latest generation was bred in lanes.
+func tookLanes(e *Generational) bool { return e.lanes != nil && e.lanes.ok }
 
 // sameGeneration fails unless got holds the serial loop's members, their
-// fitness, its evaluation count and its stream state.
+// fitness bit for bit, its evaluation count and its stream state.
 func sameGeneration(t *testing.T, what string, got, serial *Generational) {
 	t.Helper()
 	if g, w := got.cfg.RNG.State(), serial.cfg.RNG.State(); g != w {
@@ -41,24 +38,40 @@ func sameGeneration(t *testing.T, what string, got, serial *Generational) {
 	for i, m := range got.pop.Members {
 		o := serial.pop.Members[i]
 		x, y := m.Genome.(*genome.BitString), o.Genome.(*genome.BitString)
-		if m.Fitness != o.Fitness || m.Evaluated != o.Evaluated || x.N != y.N || !slices.Equal(x.Words, y.Words) {
+		if math.Float64bits(m.Fitness) != math.Float64bits(o.Fitness) || m.Evaluated != o.Evaluated ||
+			x.N != y.N || !slices.Equal(x.Words, y.Words) {
 			t.Fatalf("%s: member %d differs from the serial loop's", what, i)
 		}
 	}
 }
 
-// TestParallelBirthsMatchSerial holds two-worker births to the serial
-// loop, the engine's algorithm before them: after every step of every
-// configuration the members, their fitness and the engine stream's
-// State() are identical. The draw minimum is lowered so that every
-// generation of two or more pairs takes the two workers, on two Ps, so
-// that `go test -race` runs the workers concurrently too.
+// TestParallelBirthsMatchSerial holds lane births to the serial loop,
+// the engine's algorithm before them: after every step of every
+// configuration the members, their fitness bit for bit and the engine
+// stream's State() are identical. The gate is lowered so that every
+// generation takes the lanes: one pair or many, runs of eight and
+// shorter ones, genomes of one word, whole words and tails, each
+// probability branch of both operators, and the dangling child of an
+// odd generation. MaxSAT and NK are evalheavy-gen's and wire-ring2's
+// problems.
 func TestParallelBirthsMatchSerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	crossovers := []operators.Crossover{nil, operators.Uniform{}, operators.Uniform{P: 1}, operators.Uniform{P: 0.1}}
-	mutators := []operators.Mutator{operators.BitFlip{}, operators.BitFlip{P: 1}, operators.BitFlip{P: 0.3}, operators.BitFlip{P: math.NaN()}}
-	seed, configs, two := uint64(0), 0, 0
+	mutators := []operators.Mutator{nil, operators.BitFlip{}, operators.BitFlip{P: 1}, operators.BitFlip{P: 0.3}, operators.BitFlip{P: math.NaN()}}
+	type shape struct {
+		name string
+		p    core.Problem
+	}
+	var shapes []shape
 	for _, n := range []int{1, 5, 63, 64, 65, 130, 256} {
+		shapes = append(shapes, shape{fmt.Sprintf("onemax-%d", n), problems.OneMax{N: n}})
+	}
+	for _, n := range []int{65, 130} {
+		shapes = append(shapes,
+			shape{fmt.Sprintf("maxsat-%d", n), problems.NewMaxSAT(n, 4*n, uint64(n))},
+			shape{fmt.Sprintf("nk-%d", n), problems.NewNKLandscape(n, 4, uint64(n))})
+	}
+	seed, configs := uint64(0), 0
+	for _, sh := range shapes {
 		for _, pop := range []int{2, 3, 7, 20, 21} {
 			for _, gap := range []float64{1, 0.5} {
 				for _, rate := range []float64{0.3, 0.9, 1} {
@@ -66,121 +79,99 @@ func TestParallelBirthsMatchSerial(t *testing.T) {
 						for mi, m := range mutators {
 							seed++
 							build := func() *Generational {
-								return NewGenerational(Config{Problem: problems.OneMax{N: n}, PopSize: pop, GenGap: gap,
+								return NewGenerational(Config{Problem: sh.p, PopSize: pop, GenGap: gap,
 									CrossoverRate: rate, Crossover: c, Mutator: m, RNG: rng.New(seed)})
 							}
-							serial, par := build(), build()
-							pairs := (par.births() + 1) / 2
+							serial, lanes := build(), build()
 							for step := 1; step <= 3; step++ {
 								stepAt(serial, math.MaxInt)
-								stepAt(par, 0)
-								what := fmt.Sprintf("n=%d pop=%d gap=%v rate=%v crossover %d mutator %d, step %d",
-									n, pop, gap, rate, ci, mi, step)
-								sameGeneration(t, what, par, serial)
-								if pairs >= 2 && !tookTwo(par) {
-									t.Fatalf("%s: %d pairs, not bred on two workers", what, pairs)
+								stepAt(lanes, 0)
+								what := fmt.Sprintf("%s pop=%d gap=%v rate=%v crossover %d mutator %d, step %d",
+									sh.name, pop, gap, rate, ci, mi, step)
+								sameGeneration(t, what, lanes, serial)
+								if !tookLanes(lanes) {
+									t.Fatalf("%s: not bred in lanes", what)
 								}
 							}
 							configs++
-							if pairs >= 2 {
-								two++
-							}
 						}
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d configurations, %d of them bred on two workers", configs, two)
+	t.Logf("%d configurations, every one bred in lanes", configs)
 }
 
-// skewed returns a declaration that miscounts every mutator by skew.
-func skewed(skew int) func(any, core.Genome) (int, bool) {
-	return func(op any, g core.Genome) (int, bool) {
-		d, ok := operators.FixedDraws(op, g)
-		if _, isMutator := op.(operators.Mutator); isMutator {
-			d += skew
-		}
-		return d, ok
-	}
-}
-
-// TestParallelBirthsFallBack: a wrong declaration fails the workers'
-// check, and the serial re-breed keeps the bytes.
+// TestParallelBirthsFallBack: a wrong leap puts every pair's planned end
+// off by a draw, the lanes' end-state check catches it, and the serial
+// re-breed keeps the bytes.
 func TestParallelBirthsFallBack(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	defer func(f func(any, core.Genome) (int, bool)) { fixedDraws = f }(fixedDraws)
+	defer func(f func(int) *rng.Leap) { newLeap = f }(newLeap)
 	for _, skew := range []int{-1, 1} {
-		fixedDraws = skewed(skew)
-		serial, par := NewGenerational(baseConfig(40)), NewGenerational(baseConfig(40))
+		newLeap = func(d int) *rng.Leap { return rng.NewLeap(max(d+skew, 0)) }
+		serial, lanes := NewGenerational(baseConfig(40)), NewGenerational(baseConfig(40))
 		for step := 1; step <= 5; step++ {
 			stepAt(serial, math.MaxInt)
-			stepAt(par, 0)
-			sameGeneration(t, fmt.Sprintf("skew %+d, step %d", skew, step), par, serial)
-			if par.two == nil || tookTwo(par) {
-				t.Fatalf("skew %+d, step %d: the wrong declaration was not caught by the workers", skew, step)
+			stepAt(lanes, 0)
+			sameGeneration(t, fmt.Sprintf("skew %+d, step %d", skew, step), lanes, serial)
+			if lanes.lanes == nil || tookLanes(lanes) {
+				t.Fatalf("skew %+d, step %d: the wrong leap was not caught by the lanes", skew, step)
 			}
 		}
 	}
 }
 
-// panicMutator panics whenever it mutates.
-type panicMutator struct{}
-
-func (panicMutator) Name() string                    { return "panic" }
-func (panicMutator) Mutate(core.Genome, *rng.Source) { panic("mutate") }
-
-// TestParallelBirthsPanicOnCaller: a panic on either worker is raised
-// again by the serial re-breed, on the goroutine that called Step.
-func TestParallelBirthsPanicOnCaller(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	defer func(f func(any, core.Genome) (int, bool)) { fixedDraws = f }(fixedDraws)
-	fixedDraws = func(op any, g core.Genome) (int, bool) {
-		if _, ok := op.(panicMutator); ok {
-			return 0, true
-		}
-		return operators.FixedDraws(op, g)
-	}
-	cfg := baseConfig(41)
-	cfg.Mutator = panicMutator{}
-	e := NewGenerational(cfg)
-	defer func() {
-		if r := recover(); r != "mutate" || e.two == nil {
-			t.Fatalf("Step raised %v (two workers tried: %v), want the mutator's panic after a two-worker attempt", r, e.two != nil)
-		}
-	}()
-	stepAt(e, 0)
-}
-
-// BenchmarkBirths times one generation at pop 200 on the serial loop and
-// on two workers, over shapes whose declared draws per generation (100
-// pairs × 3n) straddle minParallelDraws: the sweep that sized it. onemax
-// is bitwise-gen's problem, maxsat (clauses = 4n) evalheavy-gen's.
+// BenchmarkBirths times the serial loop against the lanes, over shapes
+// whose declared draws per generation straddle minLaneDraws: the sweep
+// that sized it. onemax-1024 at pop 200 is bitwise-gen's shape, maxsat-256
+// evalheavy-gen's, nk-256 at pop 50 wire-ring2's island; the small
+// shapes at pop 12–50 are those of the island, p2p and sweep models'
+// engines. "gen" times one generation; "run20" builds an engine and
+// runs it 20 generations, so that the first lane generation's leap
+// build is counted.
 func BenchmarkBirths(b *testing.B) {
 	for _, sh := range []struct {
 		name string
 		p    core.Problem
+		pop  int
 	}{
-		{"onemax-128", problems.OneMax{N: 128}},
-		{"onemax-256", problems.OneMax{N: 256}},
-		{"onemax-512", problems.OneMax{N: 512}},
-		{"onemax-1024", problems.OneMax{N: 1024}},
-		{"maxsat-256", problems.NewMaxSAT(256, 1024, 1)},
-		{"maxsat-512", problems.NewMaxSAT(512, 2048, 1)},
+		{"onemax-64/pop30", problems.OneMax{N: 64}, 30},
+		{"onemax-64/pop50", problems.OneMax{N: 64}, 50},
+		{"knapsack-64/pop30", problems.NewKnapsack(64, 1), 30},
+		{"knapsack-64/pop50", problems.NewKnapsack(64, 1), 50},
+		{"nk-64/pop12", problems.NewNKLandscape(64, 4, 1), 12},
+		{"onemax-128/pop200", problems.OneMax{N: 128}, 200},
+		{"nk-256/pop50", problems.NewNKLandscape(256, 4, 1), 50},
+		{"maxsat-256/pop200", problems.NewMaxSAT(256, 1024, 1), 200},
+		{"onemax-1024/pop200", problems.OneMax{N: 1024}, 200},
 	} {
+		cfg := func() Config {
+			return Config{Problem: sh.p, PopSize: sh.pop, Crossover: operators.Uniform{},
+				Mutator: operators.BitFlip{}, RNG: rng.New(1)}
+		}
 		for _, m := range []struct {
 			name string
 			min  int
-		}{{"serial", math.MaxInt}, {"two", 0}} {
-			b.Run(sh.name+"/"+m.name, func(b *testing.B) {
-				defer func(old int) { minParallelDraws = old }(minParallelDraws)
-				minParallelDraws = m.min
-				e := NewGenerational(Config{Problem: sh.p, PopSize: 200, Crossover: operators.Uniform{},
-					Mutator: operators.BitFlip{}, RNG: rng.New(1)})
+		}{{"serial", math.MaxInt}, {"lanes", 0}} {
+			b.Run(sh.name+"/gen/"+m.name, func(b *testing.B) {
+				defer func(old int) { minLaneDraws = old }(minLaneDraws)
+				minLaneDraws = m.min
+				e := NewGenerational(cfg())
 				e.Step()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					e.Step()
+				}
+			})
+			b.Run(sh.name+"/run20/"+m.name, func(b *testing.B) {
+				defer func(old int) { minLaneDraws = old }(minLaneDraws)
+				minLaneDraws = m.min
+				for i := 0; i < b.N; i++ {
+					e := NewGenerational(cfg())
+					for g := 0; g < 20; g++ {
+						e.Step()
+					}
 				}
 			})
 		}

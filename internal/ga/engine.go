@@ -191,9 +191,9 @@ type Generational struct {
 	spare   *core.Individual
 	ranker  bestSorter
 	scratch operators.Scratch
-	// two is the pooled state of the two-worker births (births.go), built
-	// by the first generation that takes them.
-	two *twoWorkers
+	// lanes is the pooled state of the lane births (births.go), built by
+	// the first generation that takes them.
+	lanes *laneBirths
 }
 
 var _ Engine = (*Generational)(nil)
@@ -265,8 +265,8 @@ func (e *Generational) ensureBuffers() {
 // Step implements Engine. The RNG draw sequence — selection, crossover
 // chance, crossover, mutation, in birth order — is identical to the
 // historical allocating implementation, so seeded runs are reproducible
-// across library versions; a generation bred on two workers (births.go)
-// leaves the same children and the same stream state.
+// across library versions; a generation bred in lanes (births.go) leaves
+// the same children and the same stream state.
 func (e *Generational) Step() {
 	cfg := &e.cfg
 	n := cfg.PopSize
@@ -277,7 +277,7 @@ func (e *Generational) Step() {
 	// read-only until the swap below, so the selector plans once for all
 	// 2·births picks.
 	e.scratch.Plan(cfg.Selector, e.pop, e.dir)
-	if !e.breedTwo(births) {
+	if !e.breedLanes(births) {
 		e.breedAll(births)
 	}
 	e.scratch.Unplan()
@@ -309,19 +309,35 @@ func (e *Generational) births() int {
 	return min(max(int(cfg.GenGap*float64(cfg.PopSize)), 1), cfg.PopSize-cfg.Elitism)
 }
 
-// breedAll is the serial birth loop: pair by pair, pickPair and breed,
-// both on the engine stream.
+// breedAll is the serial birth loop: pair by pair, both selections and
+// the crossover chance (pickPair), then the crossover when crossed and
+// both mutations, all on the engine stream.
 func (e *Generational) breedAll(births int) {
+	cfg := &e.cfg
+	r := cfg.RNG
 	for made := 0; made < births; made += 2 {
-		i, j, crossed := e.pickPair(e.cfg.RNG)
-		e.breed(i, j, crossed, made, births, e.cfg.RNG, &e.scratch)
+		i, j, crossed := e.pickPair(r)
+		pa, pb := e.pop.Members[i], e.pop.Members[j]
+		c1, c2 := e.children(made, births)
+		if crossed {
+			operators.CrossInto(cfg.Crossover, pa.Genome, pb.Genome, c1, c2, r, &e.scratch)
+		} else {
+			c1.Genome = core.CopyGenome(c1.Genome, pa.Genome)
+			c2.Genome = core.CopyGenome(c2.Genome, pb.Genome)
+		}
+		if cfg.Mutator != nil {
+			cfg.Mutator.Mutate(c1.Genome, r)
+			cfg.Mutator.Mutate(c2.Genome, r)
+		}
+		c1.Evaluated = false
+		c2.Evaluated = false
 	}
 }
 
 // pickPair makes a pair's two selections, under the generation's
 // selection plan, and its crossover chance, drawing on r. The serial
-// loop and the two-worker plan pass (births.go) both call it, so they
-// draw the same.
+// loop and the lanes' plan pass (births.go) both call it, so they draw
+// the same.
 func (e *Generational) pickPair(r *rng.Source) (i, j int, crossed bool) {
 	cfg := &e.cfg
 	i = operators.SelectWith(cfg.Selector, e.pop, e.dir, r, &e.scratch)
@@ -330,31 +346,15 @@ func (e *Generational) pickPair(r *rng.Source) (i, j int, crossed bool) {
 	return i, j, crossed
 }
 
-// breed writes the pair of children whose first is birth made, from
-// parents i and j: crossed or copied, then both mutated, drawing on r.
-// The dangling second child of a final odd pair lands in the spare slot
-// so its RNG draws still happen. It writes nothing but the two children,
-// so pairs on streams of their own may be bred concurrently.
-func (e *Generational) breed(i, j int, crossed bool, made, births int, r *rng.Source, s *operators.Scratch) {
-	cfg := &e.cfg
-	pa, pb := e.pop.Members[i], e.pop.Members[j]
-	c1 := e.next.Members[cfg.Elitism+made]
-	c2 := e.spare
+// children returns the slots of the pair whose first child is birth
+// made. The dangling second child of a final odd pair lands in the
+// spare slot, so its draws still happen.
+func (e *Generational) children(made, births int) (c1, c2 *core.Individual) {
+	c1, c2 = e.next.Members[e.cfg.Elitism+made], e.spare
 	if made+1 < births {
-		c2 = e.next.Members[cfg.Elitism+made+1]
+		c2 = e.next.Members[e.cfg.Elitism+made+1]
 	}
-	if crossed {
-		operators.CrossInto(cfg.Crossover, pa.Genome, pb.Genome, c1, c2, r, s)
-	} else {
-		c1.Genome = core.CopyGenome(c1.Genome, pa.Genome)
-		c2.Genome = core.CopyGenome(c2.Genome, pb.Genome)
-	}
-	if cfg.Mutator != nil {
-		cfg.Mutator.Mutate(c1.Genome, r)
-		cfg.Mutator.Mutate(c2.Genome, r)
-	}
-	c1.Evaluated = false
-	c2.Evaluated = false
+	return c1, c2
 }
 
 // SteadyState is the steady-state GA: each birth selects two parents,

@@ -21,8 +21,9 @@ import (
 // therefore identical regardless of goroutine scheduling for one (seed,
 // workers) pair; another worker count repartitions the blocks and the
 // streams and gives other bytes. Generational is the global PGA whose
-// bytes do not depend on the worker count: it breeds a large generation
-// on two workers (births.go) with exactly the serial loop's bytes.
+// bytes do not depend on any degree of parallelism: it breeds a large
+// generation eight pairs per instruction in SIMD lanes (births.go), with
+// exactly the serial loop's bytes.
 type ParallelGenerational struct {
 	cfg     Config
 	pop     *core.Population

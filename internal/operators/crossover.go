@@ -139,20 +139,17 @@ func (u Uniform) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genom
 	return crossClone(u, a, b, r)
 }
 
+// maskDraws is Uniform's declaration on n genes (draws.go).
+func (u Uniform) maskDraws(n int) MaskDraws { return MaskDraws{P: u.p(), N: n} }
+
 // uniformSwap exchanges each gene of two equal-length children with
 // probability p — the kernel behind Uniform.CrossInto. The draws are one
 // Chance(p) per gene in gene order for every genome class; bit strings
-// take them 64 at a time as a ChanceMask and swap a word per XOR (x^y has
-// a zero tail, so the tail-mask invariant needs no masking).
+// take them 64 at a time as declared (MaskDraws.swap).
 func uniformSwap(c1, c2 core.Genome, p float64, r *rng.Source) {
 	n := c1.Len()
 	if x, ok := c1.(*genome.BitString); ok {
-		y := c2.(*genome.BitString)
-		for w := range x.Words {
-			d := (x.Words[w] ^ y.Words[w]) & r.ChanceMask(p, min(64, n-w<<6))
-			x.Words[w] ^= d
-			y.Words[w] ^= d
-		}
+		MaskDraws{P: p, N: n}.swap(x, c2.(*genome.BitString), r)
 		return
 	}
 	for i := 0; i < n; i++ {

@@ -11,7 +11,7 @@ import (
 
 // TestFixedDrawsMatchStream holds every declaration to the stream's real
 // advance: applying the operator moves a stream exactly as far as the
-// declared number of Uint64 calls, on lengths around the word size and
+// declared number of Uint64 calls, its words cover its genes, on lengths around the word size and
 // on every probability branch (≤ 0 and the default, (0, 1), ≥ 1, NaN).
 // What FixedDraws does not declare must say so.
 func TestFixedDrawsMatchStream(t *testing.T) {
@@ -22,9 +22,13 @@ func TestFixedDrawsMatchStream(t *testing.T) {
 			for _, op := range []any{nil, Uniform{P: p}, BitFlip{P: p}} {
 				seed++
 				a, b := genome.RandomBitString(n, rng.New(seed)), genome.RandomBitString(n, rng.New(^seed))
-				d, ok := FixedDraws(op, a)
+				decl, ok := FixedDraws(op, a)
 				if !ok {
 					t.Fatalf("%#v on %d bits: not declared", op, n)
+				}
+				d := decl.Draws()
+				if op != nil && (decl.N != n || len(a.Words) != decl.Words()) {
+					t.Fatalf("%#v on %d bits: declared %d genes in %d words", op, n, decl.N, decl.Words())
 				}
 				got, want := rng.New(seed), rng.New(seed)
 				switch op := op.(type) {
@@ -53,7 +57,7 @@ func TestFixedDrawsMatchStream(t *testing.T) {
 		{Uniform{}, reals}, {SBX{}, reals}, {Gaussian{}, reals},
 	} {
 		if d, ok := FixedDraws(c.op, c.g); ok {
-			t.Errorf("%#v on %T: declared %d draws, want undeclared", c.op, c.g, d)
+			t.Errorf("%#v on %T: declared %+v, want undeclared", c.op, c.g, d)
 		}
 	}
 }

@@ -34,17 +34,20 @@ func (m BitFlip) Mutate(g core.Genome, r *rng.Source) {
 	if !ok {
 		panic(fmt.Sprintf("operators: BitFlip applied to %T", g))
 	}
-	p := m.P
-	if p <= 0 {
-		p = 1 / float64(b.N)
-	}
 	// One Chance(p) draw per gene in gene order — the sequence the equiv
 	// golden traces pin — taken 64 at a time and applied as one XOR per
-	// word. ChanceMask sets no bit at or past its count, so the tail-mask
-	// invariant holds without masking.
-	for w := range b.Words {
-		b.Words[w] ^= r.ChanceMask(p, min(64, b.N-w<<6))
+	// word.
+	m.maskDraws(b.N).flip(b, r)
+}
+
+// maskDraws is BitFlip's declaration on n genes (draws.go): P, or the
+// canonical 1/n when P <= 0.
+func (m BitFlip) maskDraws(n int) MaskDraws {
+	p := m.P
+	if p <= 0 {
+		p = 1 / float64(n)
 	}
+	return MaskDraws{P: p, N: n}
 }
 
 // Gaussian perturbs each real gene with probability P by N(0, Sigma),

@@ -10,7 +10,9 @@ import "math/bits"
 // [g][v] is the image of the state whose only set bits are the value v in
 // nibble g (bits 4g..4g+3, word g/16 first), and the image of any state
 // is the xor of its 64 nibbles' entries. That is 32 KiB per d, and one
-// Apply costs about as much as 70 draws whatever d is.
+// Apply costs ≈ 170 ns whatever d is: about 60 ChanceMask draws, or
+// about 450 drawn eight at a time in AVX-512 Lanes (BenchmarkLeap,
+// BenchmarkChanceLanes).
 //
 // Leaping is not drawing: a stream leapt over d draws is where d Uint64
 // calls would have left it, but nothing those draws would have returned

@@ -151,19 +151,36 @@ func (r *Source) ChanceMask(p float64, n int) uint64 {
 	if uint(n) > 64 {
 		panic("rng: ChanceMask called with n outside [0, 64]")
 	}
-	if p <= 0 {
-		return 0
+	thr, fixed, draws := chanceThreshold(p)
+	if !draws {
+		return fixed >> (64 - uint(n)) // Go defines x>>64 as 0
 	}
-	if p >= 1 {
-		return ^uint64(0) >> (64 - uint(n)) // Go defines x>>64 as 0
+	return chanceBits(&r.s, thr, n)
+}
+
+// chanceThreshold is ChanceMask's form of p. For 0 < p < 1, a draw whose
+// k = Uint64()>>11 is below thr sets its bit; a NaN p draws with thr 0,
+// which no k is below. For p <= 0 and p >= 1 no draw is made (draws is
+// false) and fixed is every bit: clear and set.
+func chanceThreshold(p float64) (thr, fixed uint64, draws bool) {
+	switch {
+	case p <= 0:
+		return 0, 0, false
+	case p >= 1:
+		return 0, ^uint64(0), false
+	case math.IsNaN(p):
+		return 0, 0, true
 	}
-	var thr uint64 // NaN keeps 0: every compare fails
-	if !math.IsNaN(p) {
-		thr = uint64(math.Ceil(p * (1 << 53)))
-	}
-	// The xoshiro state lives in locals for the whole batch; k and thr are
-	// both <= 2^53, so the sign bit of k-thr is exactly k < thr.
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	return uint64(math.Ceil(p * (1 << 53))), 0, true
+}
+
+// chanceBits makes n draws on the xoshiro state s and returns whether
+// each k = draw>>11 was below thr, packed LSB-first: ChanceMask's loop,
+// which the lane kernels (lanes.go) run eight streams at a time.
+func chanceBits(s *[4]uint64, thr uint64, n int) uint64 {
+	// The state lives in locals for the whole batch; k and thr are both
+	// <= 2^53, so the sign bit of k-thr is exactly k < thr.
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
 	var mask uint64
 	for i := 0; i < n; i++ {
 		k := (rotl(s1*5, 7) * 9) >> 11
@@ -176,7 +193,7 @@ func (r *Source) ChanceMask(p float64, n int) uint64 {
 		s3 = rotl(s3, 45)
 		mask = mask>>1 | (k-thr)&(1<<63)
 	}
-	r.s = [4]uint64{s0, s1, s2, s3}
+	*s = [4]uint64{s0, s1, s2, s3}
 	return mask >> (64 - uint(n))
 }
 

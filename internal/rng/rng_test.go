@@ -551,8 +551,8 @@ func TestNewLeapPanicsOnNegative(t *testing.T) {
 }
 
 // BenchmarkLeap: one Apply (what a leapt pair costs the plan pass of
-// two-worker births) and one NewLeap over a bitwise-gen pair's 3 072
-// draws (built once per run).
+// lane births) and one NewLeap over a bitwise-gen pair's 3 072 draws
+// (built once per engine).
 func BenchmarkLeap(b *testing.B) {
 	l := NewLeap(3072)
 	b.Run("apply", func(b *testing.B) {

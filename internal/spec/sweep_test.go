@@ -420,8 +420,9 @@ func TestSweepJobsIdentical(t *testing.T) {
 }
 
 // TestReportIndependentOfGOMAXPROCS: a generational document large
-// enough for two-worker births (internal/ga, births.go) reports the same
-// bytes, trace included, on one P and on two.
+// enough for lane births (internal/ga, births.go) reports the same
+// bytes, trace included, on one P and on two: the lanes run on the
+// goroutine that called Step whatever GOMAXPROCS is.
 func TestReportIndependentOfGOMAXPROCS(t *testing.T) {
 	const doc = `{"model":"generational","problem":{"name":"onemax","size":1024},` +
 		`"engine":{"pop":200,"crossover":{"name":"uniform"},"mutator":{"name":"bitflip"}},` +
