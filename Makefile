@@ -81,18 +81,26 @@ fuzz:
 # Sweep determinism smoke: validate every checked-in sweep config (the
 # experiment documents under examples/experiments/ included), then
 # require the smoke sweep's result file to be byte-identical on the
-# default pool and on one worker, GOMAXPROCS=1 (parallel ≡ serial), and
-# every sweep with a recorded result under examples/sweeps/golden/ to
-# reproduce it byte for byte — determinism across commits for what
-# internal/equiv's goldens do not reach: selectors.json (five selectors
-# under the generational, steady-state and shared-memory engines),
-# pareto.json (the sim scenarios' Pareto archive at caps 8 and 100),
-# realops.json (SBX and polynomial mutation at η on both sides of
-# powFrac's fast path, k-point cuts on real genes), kpointbits.json
-# (k-point cuts on bit strings) and cellular.json (three cell-update
-# policies and a panmictic baseline on a deceptive trap). Each was
-# recorded by the parent of the change it guards; never regenerate one
-# to make a change pass. CI runs this target as it is.
+# default pool and on one worker, GOMAXPROCS=1 (parallel ≡ serial).
+#
+# Determinism across commits is tier-1's job: internal/spec's
+# TestRecordedResults replays every sweep with a result under
+# examples/sweeps/golden/ and requires the recorded bytes, run by
+# `go test ./...` and `make race`. The recorded sweeps and what each
+# guards: trace-generational, trace-steadystate, trace-parallel,
+# trace-cellular and trace-islands (the per-generation trace of every
+# engine family — generational, steady-state, shared-memory parallel at
+# 1 and 4 workers, cellular under every update policy and
+# neighbourhood, islands in sequential and sync-parallel mode — across
+# every operator), selectors.json (five selectors under the
+# generational, steady-state and shared-memory engines), pareto.json
+# (the sim scenarios' Pareto archive at caps 8 and 100), realops.json
+# (SBX and polynomial mutation at η on both sides of powFrac's fast
+# path, k-point cuts on real genes), kpointbits.json (k-point cuts on
+# bit strings) and cellular.json (three cell-update policies and a
+# panmictic baseline on a deceptive trap). Each was recorded by the
+# parent of the change that added it; never regenerate one to make a
+# change pass. CI runs this target as it is.
 sweep-smoke:
 	@for f in examples/sweeps/*.json examples/experiments/*.json; do \
 		$(GO) run ./cmd/pgarun -config $$f -validate || exit 1; \
@@ -100,12 +108,6 @@ sweep-smoke:
 	$(GO) run ./cmd/pgarun -config examples/sweeps/smoke.json -quiet -out /tmp/sweep-a.json
 	GOMAXPROCS=1 $(GO) run ./cmd/pgarun -config examples/sweeps/smoke.json -quiet -out /tmp/sweep-b.json
 	cmp /tmp/sweep-a.json /tmp/sweep-b.json
-	@for g in examples/sweeps/golden/*.result.json; do \
-		n=$$(basename $$g .result.json); \
-		$(GO) run ./cmd/pgarun -config examples/sweeps/$$n.json -quiet -out /tmp/sweep-$$n.json || exit 1; \
-		cmp /tmp/sweep-$$n.json $$g || exit 1; \
-		echo "sweep-smoke: $$n matches its recorded result"; \
-	done
 	@echo "sweep-smoke: determinism OK"
 
 # Archive check: the deterministic experiments reproduce their sections

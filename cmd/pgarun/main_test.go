@@ -65,7 +65,9 @@ func TestIgnoredFlagsAreRefused(t *testing.T) {
 
 // TestProfilingSwitchesChangeNothing: -cpuprofile and -trace write their
 // files, complete, and the result file is byte-identical with and without
-// them — for a flag run's stdout too.
+// them — for a flag run's stdout too. Without them it is byte-identical
+// to the document's recorded result, which ties -out's encoding to the
+// files internal/spec's TestRecordedResults replays.
 func TestProfilingSwitchesChangeNothing(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildPgarun(t, dir)
@@ -78,7 +80,7 @@ func TestProfilingSwitchesChangeNothing(t *testing.T) {
 		}
 		return out
 	}
-	const sweep = "../../examples/sweeps/schemes.json"
+	const sweep = "../../examples/sweeps/kpointbits.json"
 	run("-config", sweep, "-quiet", "-out", path("plain.json"))
 	run("-config", sweep, "-quiet", "-out", path("profiled.json"), "-cpuprofile", path("cpu.pprof"), "-trace", path("exec.trace"))
 	plain, err := os.ReadFile(path("plain.json"))
@@ -91,6 +93,9 @@ func TestProfilingSwitchesChangeNothing(t *testing.T) {
 	}
 	if !bytes.Equal(plain, profiled) {
 		t.Error("-config: the result file differs under -cpuprofile -trace")
+	}
+	if recorded, err := os.ReadFile("../../examples/sweeps/golden/kpointbits.result.json"); err != nil || !bytes.Equal(plain, recorded) {
+		t.Errorf("-config: the result file differs from the recorded result (err %v)", err)
 	}
 	// A CPU profile is a gzip stream, written when the profile is stopped;
 	// an execution trace opens with its version line.

@@ -6,8 +6,8 @@ package analysis
 // *content-independent* RNG draw shape — no draw may execute under a
 // branch whose condition reads genome or population content. A
 // content-dependent draw count makes seeded runs diverge between
-// otherwise-equivalent configurations (the property the golden traces
-// pin dynamically, here proven over the whole call chain for every
+// otherwise-equivalent configurations (the property the recorded sweep
+// results pin dynamically, here proven over the whole call chain for every
 // operator at once).
 //
 // The rule reads two summary facts (summary.go propagates them along
@@ -36,8 +36,8 @@ package analysis
 // as documented approximations: draws inside closures invoked through
 // variables, draws via method values, guards that merely *continue* past
 // a draw, and content-dependent loop *trip counts* (ERX's adjacency
-// walk); the golden traces in internal/equiv still pin those operators
-// dynamically.
+// walk); the recorded sweep results (internal/spec TestRecordedResults)
+// still pin those operators dynamically.
 //
 // Findings are reported at the offending draw site, which may live in a
 // helper in another package. Genuine, documented content-dependence
@@ -57,9 +57,9 @@ import (
 var drawShapeExempt = []string{
 	// Roulette wheel selection with a degenerate fitness span falls back
 	// to a uniform Intn draw — a documented, fitness-dependent draw-kind
-	// switch pinned by the golden traces. The branch lives in pick, which
-	// reads the span's flatness from the selection plan; Select and
-	// SelectScratch reach it.
+	// switch pinned by the recorded sweep results. The branch lives in
+	// pick, which reads the span's flatness from the selection plan;
+	// Select and SelectScratch reach it.
 	"pga/internal/operators.Roulette.Select",
 	"pga/internal/operators.Roulette.SelectScratch",
 	"pga/internal/operators.Roulette.pick",

@@ -65,9 +65,9 @@ func NewBitString(n int) *BitString {
 
 // RandomBitString returns a uniformly random bit string of length n.
 // It draws exactly one Bool per gene, gene i from the i-th draw; the draw
-// sequence predates the packed layout and is pinned by the equiv golden
-// traces. Each word is one BoolMask of the genes it holds, so the tail
-// bits are zero by construction.
+// sequence predates the packed layout and is pinned by the recorded
+// sweep results. Each word is one BoolMask of the genes it holds, so the
+// tail bits are zero by construction.
 func RandomBitString(n int, r *rng.Source) *BitString {
 	b := NewBitString(n)
 	for w := range b.Words {

@@ -13,14 +13,14 @@ import (
 
 // Operator-level draw pins. Every library crossover and both rank-based
 // selectors have one implementation (CrossInto / SelectScratch) behind
-// two entry points; the golden traces in internal/equiv pin only the best
-// fitness per generation, so this table pins the operators themselves:
+// two entry points; the recorded sweep results pin only whole runs, so
+// this table pins the operators themselves:
 // for fixed seeds and parents, a digest of the children (or the chosen
 // indices) and of r.State() after every call. The values were recorded
 // from the allocating Cross/Select bodies this package used to carry, at
 // the commit that deleted them, where they equalled the in-place forms.
 // A row changes only when an operator's draw sequence or arithmetic
-// changes on purpose — and then the golden traces change with it.
+// changes on purpose — and then the recorded results change with it.
 
 // pinDigest folds children and stream states into two FNV-1a sums.
 type pinDigest struct{ out, state uint64 }

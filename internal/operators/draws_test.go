@@ -53,7 +53,7 @@ func TestFixedDrawsMatchStream(t *testing.T) {
 		g  core.Genome
 	}{
 		{OnePoint{}, bits}, {KPoint{K: 3}, bits}, {UniformWord{}, bits}, {BlockFlip{}, bits},
-		{Swap{}, bits}, {WithProbability{P: 0.5, M: BitFlip{}}, bits}, {Chain{BitFlip{}}, bits},
+		{Swap{}, bits},
 		{Uniform{}, reals}, {SBX{}, reals}, {Gaussian{}, reals},
 	} {
 		if d, ok := FixedDraws(c.op, c.g); ok {

@@ -34,9 +34,9 @@ func (m BitFlip) Mutate(g core.Genome, r *rng.Source) {
 	if !ok {
 		panic(fmt.Sprintf("operators: BitFlip applied to %T", g))
 	}
-	// One Chance(p) draw per gene in gene order — the sequence the equiv
-	// golden traces pin — taken 64 at a time and applied as one XOR per
-	// word.
+	// One Chance(p) draw per gene in gene order — the sequence the
+	// recorded sweep results pin — taken 64 at a time and applied as one
+	// XOR per word.
 	m.maskDraws(b.N).flip(b, r)
 }
 
@@ -282,43 +282,4 @@ func (Insertion) Mutate(g core.Genome, r *rng.Source) {
 		copy(p.Perm[to+1:from+1], p.Perm[to:from])
 	}
 	p.Perm[to] = v
-}
-
-// Chain applies several mutators in sequence (e.g. swap then inversion).
-type Chain []Mutator
-
-// Name implements Mutator.
-func (c Chain) Name() string {
-	s := "chain("
-	for i, m := range c {
-		if i > 0 {
-			s += ","
-		}
-		s += m.Name()
-	}
-	return s + ")"
-}
-
-// Mutate implements Mutator.
-func (c Chain) Mutate(g core.Genome, r *rng.Source) {
-	for _, m := range c {
-		m.Mutate(g, r)
-	}
-}
-
-// WithProbability wraps a mutator so that it fires with probability P per
-// call (individual-level mutation rate, as opposed to gene-level).
-type WithProbability struct {
-	P float64
-	M Mutator
-}
-
-// Name implements Mutator.
-func (w WithProbability) Name() string { return fmt.Sprintf("p=%.2g·%s", w.P, w.M.Name()) }
-
-// Mutate implements Mutator.
-func (w WithProbability) Mutate(g core.Genome, r *rng.Source) {
-	if r.Chance(w.P) {
-		w.M.Mutate(g, r)
-	}
 }

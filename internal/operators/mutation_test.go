@@ -289,41 +289,9 @@ func TestPermMutatorsPanicOnWrongType(t *testing.T) {
 	}
 }
 
-func TestChain(t *testing.T) {
-	r := rng.New(17)
-	p := genome.RandomPermutation(10, r)
-	c := Chain{Swap{}, Inversion{}}
-	c.Mutate(p, r)
-	if !p.Valid() {
-		t.Fatal("chain broke permutation")
-	}
-	if c.Name() != "chain(swap,inversion)" {
-		t.Fatalf("chain name = %q", c.Name())
-	}
-}
-
-func TestWithProbability(t *testing.T) {
-	r := rng.New(18)
-	fired := 0
-	const trials = 10000
-	for i := 0; i < trials; i++ {
-		p := genome.IdentityPermutation(6)
-		(WithProbability{P: 0.2, M: Swap{}}).Mutate(p, r)
-		for j, v := range p.Perm {
-			if v != j {
-				fired++
-				break
-			}
-		}
-	}
-	if fired < 1700 || fired > 2300 {
-		t.Fatalf("WithProbability(0.2) fired %d/10000", fired)
-	}
-}
-
 func TestMutatorNames(t *testing.T) {
 	for _, m := range []Mutator{BitFlip{}, Gaussian{}, Polynomial{}, UniformReset{},
-		Swap{}, Inversion{}, Scramble{}, Insertion{}, Chain{}, WithProbability{M: Swap{}}} {
+		Swap{}, Inversion{}, Scramble{}, Insertion{}} {
 		if m.Name() == "" {
 			t.Fatalf("%T has empty name", m)
 		}

@@ -6,11 +6,9 @@ import (
 )
 
 // RegisteredOperators returns one canonical zero value of every concrete
-// library operator. internal/equiv derives type names from these to
-// check that its golden traces exercise every operator; experiments and
-// examples may also range over it. The combinators
-// (Chain, WithProbability) are excluded: their draw behaviour is their
-// wrapped mutators' plus their own gate, so no trace pins them directly.
+// library operator. internal/spec derives type names from these to
+// check that the sweeps with recorded results under examples/sweeps/
+// run every operator; experiments and examples may also range over it.
 func RegisteredOperators() []any {
 	return []any{
 		// Selection.
@@ -25,8 +23,8 @@ func RegisteredOperators() []any {
 }
 
 // OperatorTypeName renders an operator's bare type name ("KPoint" for
-// operators.KPoint or *operators.KPoint) — the identity golden scenarios
-// and that check agree on.
+// operators.KPoint or *operators.KPoint) — the identity that check
+// compares by.
 func OperatorTypeName(op any) string {
 	name := strings.TrimPrefix(fmt.Sprintf("%T", op), "*")
 	if i := strings.LastIndexByte(name, '.'); i >= 0 {

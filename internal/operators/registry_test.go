@@ -5,8 +5,8 @@ import "testing"
 // TestRegisteredOperatorsComplete guards the operator registry: every
 // Selector/Crossover/Mutator type in this package (compile-time checked
 // elsewhere via the interface assertion blocks) must appear exactly once,
-// and names must be unique — internal/equiv keys its golden scenarios by
-// these names.
+// and names must be unique — internal/spec's operator coverage check
+// keys by these names.
 func TestRegisteredOperatorsComplete(t *testing.T) {
 	seen := map[string]bool{}
 	for _, op := range RegisteredOperators() {

@@ -4,11 +4,12 @@ package operators
 //
 // The bit-wise operators (Uniform, KPoint, BitFlip) keep their historical
 // one-draw-per-gene RNG sequences on the packed []uint64 layout — applied
-// a word at a time, but drawn gene by gene — so the pre-existing golden
-// traces stay byte-identical. UniformWord and BlockFlip are the other half
-// of that bargain: they spend one RNG word per 64 genes and therefore
-// consume deliberately different draw sequences, pinned by their own
-// golden traces (internal/equiv), never by the bit-wise ones.
+// a word at a time, but drawn gene by gene — so the pre-existing recorded
+// results stay byte-identical. UniformWord and BlockFlip are the other
+// half of that bargain: they spend one RNG word per 64 genes and
+// therefore consume deliberately different draw sequences, pinned by
+// their own cells of the trace sweeps under examples/sweeps/, never by
+// the bit-wise ones.
 //
 // Every whole-word write ANDs its mask with genome.TailMask so the
 // tail-mask invariant (bits at positions >= N stay zero) survives; the
@@ -79,7 +80,7 @@ func uniformWords(ca, cb *genome.BitString, r *rng.Source) {
 // the word-granular execution of KPoint's cuts; KPoint now applies its
 // cuts a word at a time itself, so the two share draws, kernel
 // (kpointSwap) and children, and KPointWord survives for its spec key
-// and golden traces.
+// and recorded results.
 type KPointWord struct {
 	// K is the number of cut points; it is capped at Len-1.
 	K int

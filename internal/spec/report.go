@@ -17,9 +17,9 @@ import (
 // the runtime handles is non-nil (Engine covers the five panmictic
 // models); Run drives whichever the model owns and renders a
 // deterministic Report. The handles stay exported so callers with
-// special needs (the equiv parity tests; experiments A06 and E05, which
-// step engines by hand and sample between generations; E04, which times
-// parallel islands) can drive the runtime directly.
+// special needs (experiments A06 and E05, which step engines by hand
+// and sample between generations; E04, which times parallel islands)
+// can drive the runtime directly.
 type Built struct {
 	// Spec is the spec that was built (after validation).
 	Spec RunSpec

@@ -28,8 +28,9 @@
 //     defaulting (ga.Config.withDefaults etc.) stays the single source
 //     of truth; the spec layer adds defaults only where the runtimes
 //     have none (canonical per-genome-class operators, model selection,
-//     budget). internal/equiv proves this by replaying golden-trace
-//     scenarios through Build.
+//     budget). The trace sweeps under examples/sweeps/ were shown equal
+//     to hand-wired constructions when they replaced them, and
+//     TestRecordedResults replays their recorded results through Build.
 //   - Determinism: the package reads no wall clock and draws no random
 //     numbers beyond a throwaway genome probe; reports serialise
 //     without timing fields, so a sweep run twice yields byte-identical
