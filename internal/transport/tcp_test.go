@@ -62,13 +62,21 @@ func newTCPAt(t *testing.T, self int, peers map[int]string, cfg func(*TCPConfig)
 // waitUntil polls cond until it holds or the deadline expires.
 func waitUntil(t *testing.T, within time.Duration, cond func() bool, msg string) {
 	t.Helper()
+	if !eventually(within, cond) {
+		t.Fatal("timed out waiting for " + msg)
+	}
+}
+
+// eventually polls cond until it holds (true) or within elapses (false).
+func eventually(within time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(within)
 	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatal("timed out waiting for " + msg)
+			return false
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	return true
 }
 
 // waitForGoroutines polls until the goroutine count returns to the
@@ -190,6 +198,80 @@ func TestTCPConnectStormShutdown(t *testing.T) {
 	if s.Dropped != s.Sent {
 		t.Fatalf("stats = %+v: %d batches unaccounted", s, s.Sent-s.Dropped)
 	}
+}
+
+// TestTCPFullQueuesDropNeverBlock fills both bounded queues of a TCP
+// endpoint with nothing draining them and requires the exact drop
+// accounting: a full send queue evicts its oldest batch and Send still
+// returns at once, and a full inbox drops arrivals while the reader
+// keeps reading its connection.
+func TestTCPFullQueuesDropNeverBlock(t *testing.T) {
+	t.Run("send-queue", func(t *testing.T) {
+		const queueLen = 4
+		// Port 1 refuses at once, so the first batch marks the peer
+		// down; the sender goroutine then holds that batch through an
+		// hour's backoff and never reads the queue again.
+		ep := newTCPAt(t, 0, map[int]string{1: "127.0.0.1:1"}, func(c *TCPConfig) {
+			c.QueueLen = queueLen
+			c.DownAfter = 1
+			c.BackoffMin = time.Hour
+			c.BackoffMax = time.Hour
+		})
+		ep.Send(1, testBatch(1, 8))
+		waitUntil(t, 5*time.Second, func() bool { return ep.Stats().PeerDowns == 1 }, "peer reported down")
+		refused := make(chan int, 1)
+		go func() {
+			n := 0
+			for i := 0; i < queueLen+3; i++ {
+				if !ep.Send(1, testBatch(1, 8)) {
+					n++
+				}
+			}
+			refused <- n
+		}()
+		select {
+		case n := <-refused:
+			if n != 0 {
+				t.Fatalf("%d sends into a full queue refused; drop-oldest must accept each", n)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Send blocked on a full queue (stats %+v)", ep.Stats())
+		}
+		if s := ep.Stats(); s.Sent != queueLen+4 || s.Dropped != 3 {
+			t.Fatalf("stats = %+v, want Sent %d, Dropped 3", s, queueLen+4)
+		}
+	})
+	t.Run("inbox", func(t *testing.T) {
+		const inboxLen, frames = 2, 7
+		ep := newTCPAt(t, 0, nil, func(c *TCPConfig) { c.InboxLen = inboxLen })
+		frame, err := encodeBatch(1, 1, testBatch(1, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", ep.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(bytes.Repeat(frame, frames)); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		read := func() int64 { s := ep.Stats(); return s.Delivered + s.Dropped }
+		if !eventually(5*time.Second, func() bool { return read() == frames }) {
+			// A reader stuck on the full inbox stops short. Drain it so
+			// the reader reaches EOF and the cleanup Close returns.
+			s := ep.Stats()
+			eventually(5*time.Second, func() bool {
+				for _, ok := ep.Recv(); ok; _, ok = ep.Recv() {
+				}
+				return read() >= frames
+			})
+			t.Fatalf("stats = %+v after 5s, want Delivered+Dropped = %d frames written", s, frames)
+		}
+		if s := ep.Stats(); s.Delivered != inboxLen || s.Dropped != frames-inboxLen {
+			t.Fatalf("stats = %+v, want Delivered %d, Dropped %d", s, inboxLen, frames-inboxLen)
+		}
+	})
 }
 
 // TestTCPPeerDeathMidFrame: a connection that dies after a partial
