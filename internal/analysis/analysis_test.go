@@ -19,37 +19,29 @@ import (
 // fixturePkgPaths assigns each fixture the import path it is checked
 // under — the rules are path-sensitive (scopes, allowlists, exemptions).
 var fixturePkgPaths = map[string]string{
-	"norawrand_bad.go":    "pga/internal/operators",
-	"norawrand_ok.go":     "pga/internal/operators",
-	"norawrand_chain.go":  "pga/internal/operators",
-	"nowallclock_bad.go":  "pga/internal/operators",
-	"nowallclock_ok.go":   "pga/internal/hga",
-	"blockingsend_bad.go": "pga/internal/p2p",
-	"blockingsend_ok.go":  "pga/internal/supervise",
-	"hiddenalloc_bad.go":  "pga/internal/ga",
-	"hiddenalloc_ok.go":   "pga/internal/ga",
-	"ignore.go":           "pga/internal/p2p",
-	"unknownignore.go":    "pga/internal/p2p",
-	"purity_bad.go":       "pga/internal/operators",
-	"purity_ok.go":        "pga/internal/operators",
-	"purity_exempt.go":    "pga/internal/memo",
-	"chantopo_bad.go":     "pga/internal/p2p",
-	"chantopo_ok.go":      "pga/internal/island",
-	"bareignore.go":       "pga/internal/ga",
-	"lockorder_bad.go":    "pga/internal/lockfix",
-	"lockorder_ok.go":     "pga/internal/lockfix",
-	"lockorder_x.go":      "pga/internal/lockfix",
-	"boundedres_bad.go":   "pga/internal/transport",
-	"boundedres_ok.go":    "pga/internal/transport",
-	"boundedres_x.go":     "pga/internal/transport",
-	"drawshape_bad.go":    "pga/internal/operators",
-	"drawshape_ok.go":     "pga/internal/operators",
-	"auxrng.go":           "pga/internal/fixrng",
-	"auxtail.go":          "pga/internal/fixgen",
-	"auxchan.go":          "pga/internal/chanutil",
-	"auxrand.go":          "pga/internal/jitter",
-	"auxlock.go":          "pga/internal/lockutil",
-	"auxgrow.go":          "pga/internal/growq",
+	"norawrand_bad.go":   "pga/internal/operators",
+	"norawrand_ok.go":    "pga/internal/operators",
+	"norawrand_chain.go": "pga/internal/operators",
+	"nowallclock_bad.go": "pga/internal/operators",
+	"nowallclock_ok.go":  "pga/internal/hga",
+	"hiddenalloc_bad.go": "pga/internal/ga",
+	"hiddenalloc_ok.go":  "pga/internal/ga",
+	"ignore.go":          "pga/internal/p2p",
+	"unknownignore.go":   "pga/internal/p2p",
+	"purity_bad.go":      "pga/internal/operators",
+	"purity_ok.go":       "pga/internal/operators",
+	"purity_exempt.go":   "pga/internal/memo",
+	"bareignore.go":      "pga/internal/ga",
+	"lockorder_bad.go":   "pga/internal/lockfix",
+	"lockorder_ok.go":    "pga/internal/lockfix",
+	"lockorder_x.go":     "pga/internal/lockfix",
+	"boundedres_bad.go":  "pga/internal/transport",
+	"boundedres_ok.go":   "pga/internal/transport",
+	"boundedres_x.go":    "pga/internal/transport",
+	"auxrng.go":          "pga/internal/fixrng",
+	"auxrand.go":         "pga/internal/jitter",
+	"auxlock.go":         "pga/internal/lockutil",
+	"auxgrow.go":         "pga/internal/growq",
 }
 
 // fixtureGroups lists the aux fixtures a fixture imports; they are
@@ -59,12 +51,9 @@ var fixturePkgPaths = map[string]string{
 var fixtureGroups = map[string][]string{
 	"purity_bad.go":      {"auxrng.go"},
 	"purity_ok.go":       {"auxrng.go"},
-	"chantopo_bad.go":    {"auxchan.go"},
 	"norawrand_chain.go": {"auxrand.go"},
 	"lockorder_x.go":     {"auxlock.go"},
 	"boundedres_x.go":    {"auxgrow.go"},
-	"drawshape_bad.go":   {"auxrng.go", "auxtail.go"},
-	"drawshape_ok.go":    {"auxrng.go"},
 }
 
 // The test binary shares one file set, one stdlib source importer and
@@ -286,10 +275,11 @@ func TestBareIgnores(t *testing.T) {
 }
 
 func TestIgnoreDirectives(t *testing.T) {
-	// ignore.go holds four bare sends: three suppressed (above-line,
-	// same-line, "all"), one covered only by a misdirected ignore.
-	checkRule(t, BlockingSend(), "ignore.go")
-	diags := runFixture(t, BlockingSend(), "ignore.go")
+	// ignore.go holds four wall-clock reads: three suppressed
+	// (above-line, same-line, "all"), one covered only by a misdirected
+	// ignore.
+	checkRule(t, NoWallClock(), "ignore.go")
+	diags := runFixture(t, NoWallClock(), "ignore.go")
 	if len(diags) != 1 {
 		t.Fatalf("ignore.go: want exactly 1 surviving finding, got %d: %v", len(diags), diags)
 	}
@@ -300,11 +290,11 @@ func TestIgnoreDirectives(t *testing.T) {
 func TestUnknownRuleIgnores(t *testing.T) {
 	const fixture = "unknownignore.go"
 	got := map[string]bool{}
-	for _, d := range runFixture(t, BlockingSend(), fixture) {
+	for _, d := range runFixture(t, NoWallClock(), fixture) {
 		got[fmt.Sprintf("%d %s", d.Line, d.Rule)] = true
 	}
 	want := map[string]bool{}
-	for _, rule := range []string{"ignore", "blockingsend"} {
+	for _, rule := range []string{"ignore", "nowallclock"} {
 		for line := range wantLines(t, fixture, rule) {
 			want[fmt.Sprintf("%d %s", line, rule)] = true
 		}
@@ -389,7 +379,6 @@ func TestRuleListsResolve(t *testing.T) {
 		entries []string
 		funcs   map[string]bool // how the rule matches the list's function entries
 	}{
-		{"commScope", commScope, nil},
 		{"boundedResScope", boundedResScope, nil},
 		{"boundedResCold", boundedResCold, nodeNames},
 		{"rawRandExempt", rawRandExempt, nil},
@@ -397,7 +386,6 @@ func TestRuleListsResolve(t *testing.T) {
 		{"hiddenAllocHot", hiddenAllocHot, funcNames},
 		{"hiddenAllocCold", hiddenAllocCold, funcNames},
 		{"purityExempt", purityExempt, funcNames},
-		{"drawShapeExempt", drawShapeExempt, nodeNames},
 	}
 	for _, l := range lists {
 		for _, entry := range l.entries {

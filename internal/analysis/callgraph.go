@@ -1,13 +1,13 @@
 package analysis
 
 // Module-wide call graph for the interprocedural rules (purity,
-// chantopo) and the summary-aware retrofits of norawrand, nowallclock and
-// hiddenalloc.
+// lockorder, boundedres) and the summary-aware retrofits of norawrand,
+// nowallclock and hiddenalloc.
 //
 // Nodes are function *bodies*: every FuncDecl and every FuncLit gets its
 // own node, because a closure spawned with `go` runs on a different
 // goroutine than its lexical parent — the distinction the purity and
-// channel-topology rules track. Edges carry the relationship:
+// concurrency rules track. Edges carry the relationship:
 //
 //   - EdgeCall:  ordinary (or deferred) call, same goroutine.
 //   - EdgeSpawn: the call of a `go` statement — effects of the callee

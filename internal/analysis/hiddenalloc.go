@@ -42,9 +42,9 @@ type HiddenAllocConfig struct {
 	Cold []string
 }
 
-// hiddenAllocHot is the repository's production hot list (drawshape
-// checks the same functions): the per-generation step of every engine
-// plus the in-place operator entry points they call.
+// hiddenAllocHot is the repository's production hot list: the
+// per-generation step of every engine plus the in-place operator entry
+// points they call.
 var hiddenAllocHot = []string{
 	// Sequential engines: one generation / PopSize births.
 	"pga/internal/ga.Step",

@@ -21,9 +21,8 @@ package analysis
 //     matching release can leave the critical section locked on an
 //     early exit.
 //
-// The lock identity abstraction is shared with chantopo's channels: a
-// named variable or a struct field, so all instances of a type share a
-// field's lock in the order graph — exactly the granularity a
+// A lock's identity is ChanFact's: a named variable or a struct field,
+// so all instances of a type share a field's lock in the order graph — exactly the granularity a
 // per-instance mutex protects. The lexical walk under-approximates
 // branches (linter optimism: no invented held locks), and unresolved
 // callees contribute nothing.
@@ -233,4 +232,70 @@ func lockPathDiags(events []lockEvent) []chanDiag {
 		}
 	}
 	return out
+}
+
+// chanDiag is one pending report of a module-wide rule (lockorder,
+// boundedres), emitted by whichever pass owns the position so findings
+// land in helper packages too.
+type chanDiag struct {
+	pos token.Pos
+	msg string
+}
+
+// chanEdgeKey is one from→to edge of the acquisition-order graph.
+type chanEdgeKey struct{ from, to int }
+
+// chanSCC computes strongly connected components (Tarjan) over a graph
+// of n nodes, returning each node's component id.
+func chanSCC(n int, keys []chanEdgeKey) []int {
+	adj := make([][]int, n)
+	for _, k := range keys {
+		adj[k.from] = append(adj[k.from], k.to)
+	}
+	comp := make([]int, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	var stack []int
+	next := 1
+	comps := 0
+	var visit func(v int)
+	visit = func(v int) {
+		index[v] = next
+		low[v] = next
+		next++
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, w := range adj[v] {
+			if index[w] == 0 {
+				visit(w)
+				if low[w] < low[v] {
+					low[v] = low[w]
+				}
+			} else if onStack[w] && index[w] < low[v] {
+				low[v] = index[w]
+			}
+		}
+		if low[v] == index[v] {
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				onStack[w] = false
+				comp[w] = comps
+				if w == v {
+					break
+				}
+			}
+			comps++
+		}
+	}
+	for v := 0; v < n; v++ {
+		if index[v] == 0 {
+			visit(v)
+		}
+	}
+	return comp
 }

@@ -64,10 +64,10 @@ type PurityConfig struct {
 	Exempt []string
 }
 
-// purityRoles are the repository's operator contracts (drawshape checks
-// the same method shapes): Problem.Evaluate, Mutator.Mutate,
-// Crossover.Cross, InPlaceCrossover.CrossInto, Selector.Select,
-// ScratchSelector.SelectScratch and BatchProblem.EvaluateBatch.
+// purityRoles are the repository's operator contracts: Problem.Evaluate,
+// Mutator.Mutate, Crossover.Cross, InPlaceCrossover.CrossInto,
+// Selector.Select, ScratchSelector.SelectScratch and
+// BatchProblem.EvaluateBatch.
 var purityRoles = []PurityRole{
 	{Method: "Evaluate", Params: []string{"Genome"}, Results: 1},
 	{Method: "Mutate", Params: []string{"Genome", "Source|Rand"},

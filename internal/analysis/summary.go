@@ -16,28 +16,17 @@ package analysis
 //   - flow-through facts for captured outer vars (CapturedDraws /
 //     CapturedSpawnDraws / CapturedMutates), which become the parameter
 //     facts of the function that declares them?
-//   - channel endpoints: which channels the function may block sending on
-//     (classified exactly like blockingsend: a send is non-blocking only
-//     under a select with a default or escape case) and which it may
-//     receive from. A channel is identified by the parameter carrying it,
-//     or by the variable/struct-field object — the field-level
-//     abstraction chantopo builds its topology on.
 //   - concurrency facts: which mutexes the function may acquire
 //     (Acquires, for lockorder's interprocedural held-set product) and
-//     which slices it grows via append (Grows, for boundedres). These
-//     reuse the ChanFact identity abstraction: a parameter index, or the
+//     which slices it grows via append (Grows, for boundedres). Both use
+//     the ChanFact identity abstraction: a parameter index, or the
 //     var/field object.
-//   - draw shape: does the function draw at all on its own goroutine
-//     (HasDraw), and which draw sites — its own or a synchronous callee's
-//     — run only under a condition that reads genome/population content
-//     (ContentDep, for drawshape; the body-local walk is in drawshape.go)?
 //
 // Direct facts cover the body excluding nested closures (each closure is
 // its own node); propagation folds callee facts in along call-graph
 // edges, substituting arguments for parameters at call sites. Spawn edges
-// move draw facts into the Spawn* buckets and do not carry channel facts
-// upward (a spawned goroutine's blocking send does not block its
-// spawner); chantopo instantiates spawned bodies itself.
+// move draw facts into the Spawn* buckets and do not carry concurrency
+// facts upward (a spawned goroutine locks and appends on its own stack).
 //
 // Everything here is monotone boolean/bitset state over a finite graph,
 // so iterating each SCC to fixpoint terminates.
@@ -53,21 +42,23 @@ import (
 // maxTrackedParams bounds the parameter bitsets.
 const maxTrackedParams = 64
 
-// maxChanFacts bounds the channel-endpoint lists per summary.
+// maxChanFacts bounds the Acquires and Grows lists per summary.
 const maxChanFacts = 64
 
 // maxLockEdges bounds the same-body lock-order edges recorded per node.
 const maxLockEdges = 64
 
-// ChanFact is one channel endpoint a function may use.
+// ChanFact is one lock a function may acquire or one slice it may grow.
 type ChanFact struct {
-	// Param is the unified parameter index carrying the channel, or -1.
+	// Param is the unified parameter index carrying the lock or slice,
+	// or -1.
 	Param int
-	// Obj identifies the channel when Param < 0: a local, package-level
-	// or struct-field variable. Struct fields abstract over instances.
+	// Obj identifies the lock or slice when Param < 0: a local,
+	// package-level or struct-field variable. Struct fields abstract
+	// over instances.
 	Obj types.Object
-	// Pos is the send (or receive) site, surviving propagation so
-	// chantopo reports at the real statement.
+	// Pos is the acquisition or append site, surviving propagation so
+	// the rules report at the real statement.
 	Pos token.Pos
 }
 
@@ -92,10 +83,6 @@ type Summary struct {
 	CapturedSpawnDraws map[*types.Var]bool
 	CapturedMutates    map[*types.Var]bool
 
-	// Channel endpoints. Sends holds only may-block sends.
-	Sends []ChanFact
-	Recvs []ChanFact
-
 	// Acquires lists the mutexes this function (or anything it calls) may
 	// lock; lockorder crosses these with the caller's held set.
 	Acquires []ChanFact
@@ -104,19 +91,11 @@ type Summary struct {
 	// boundedres flags field/global growth in hot packages.
 	Grows []ChanFact
 
-	// HasDraw reports a draw from some RNG stream by this function or a
-	// synchronous callee; ContentDep lists the draw sites (and calls of
-	// drawing callees) among them that run only under a content-tainted
-	// condition. Propagated over call edges only.
-	HasDraw    bool
-	ContentDep []token.Pos
-
 	// Direct-only facts (never propagated; shared across clone — the rules
 	// read them via Facts.Direct):
 	lockEvents []lockEvent                      // ordered acquire/release/return/panic trace
 	lockEdges  []lockEdge                       // same-body nested acquisitions
 	heldAtCall map[*ast.CallExpr][]types.Object // locks lexically held at each call site
-	syncCalls  map[*ast.CallExpr]bool           // non-draw calls made on this goroutine → under a content guard?
 }
 
 // lockEventKind enumerates the events of the lexical lock walk.
@@ -250,11 +229,8 @@ func (s *Summary) clone() *Summary {
 	c.CapturedDraws = cloneVarSet(s.CapturedDraws)
 	c.CapturedSpawnDraws = cloneVarSet(s.CapturedSpawnDraws)
 	c.CapturedMutates = cloneVarSet(s.CapturedMutates)
-	c.Sends = append([]ChanFact(nil), s.Sends...)
-	c.Recvs = append([]ChanFact(nil), s.Recvs...)
 	c.Acquires = append([]ChanFact(nil), s.Acquires...)
 	c.Grows = append([]ChanFact(nil), s.Grows...)
-	c.ContentDep = append([]token.Pos(nil), s.ContentDep...)
 	return &c
 }
 
@@ -309,8 +285,8 @@ func addVar(m *map[*types.Var]bool, v *types.Var) bool {
 	return true
 }
 
-// addChanFact appends a channel fact, deduplicated by endpoint identity
-// and bounded.
+// addChanFact appends a lock or slice fact, deduplicated by identity
+// and site, and bounded.
 func addChanFact(list *[]ChanFact, cf ChanFact) bool {
 	if cf.Param < 0 && cf.Obj == nil {
 		return false
@@ -510,22 +486,9 @@ func (f *Facts) mergeEdge(dst, src *Summary, e *Edge) bool {
 		}
 	}
 
-	// Channel facts do not cross spawn edges: a spawned goroutine's
-	// blocking send cannot block its spawner. chantopo instantiates
-	// spawned bodies at the go statement itself. The same holds for the
-	// concurrency facts: a spawned goroutine's locks and appends happen
-	// on its own stack.
+	// Concurrency facts do not cross spawn edges: a spawned goroutine's
+	// locks and appends happen on its own stack.
 	if !spawn {
-		for _, cf := range src.Sends {
-			if out, ok := f.substituteChan(dst, src, e, cf); ok && addChanFact(&dst.Sends, out) {
-				changed = true
-			}
-		}
-		for _, cf := range src.Recvs {
-			if out, ok := f.substituteChan(dst, src, e, cf); ok && addChanFact(&dst.Recvs, out) {
-				changed = true
-			}
-		}
 		for _, cf := range src.Acquires {
 			if out, ok := f.substituteRef(dst, src, e, cf); ok && addChanFact(&dst.Acquires, out) {
 				changed = true
@@ -537,55 +500,13 @@ func (f *Facts) mergeEdge(dst, src *Summary, e *Edge) bool {
 			}
 		}
 	}
-
-	// Draw shape: a callee that draws makes its call site a draw site of
-	// the caller — content-dependent when the caller guards it by content
-	// — and the callee's own content-dependent sites are reachable from
-	// here. Only calls the body walk saw count: spawned and stored
-	// functions draw on their own node, and a direct draw site is never
-	// folded into the rng package behind it.
-	if guarded, ok := dst.syncCalls[e.Site]; ok {
-		or(&dst.HasDraw, src.HasDraw)
-		if src.HasDraw && guarded && addContentDep(dst, e.Site.Pos()) {
-			changed = true
-		}
-		for _, p := range src.ContentDep {
-			if addContentDep(dst, p) {
-				changed = true
-			}
-		}
-	}
 	return changed
 }
 
-// substituteChan rebinds a callee channel fact into the caller's frame.
-func (f *Facts) substituteChan(dst, src *Summary, e *Edge, cf ChanFact) (ChanFact, bool) {
-	if cf.Param < 0 {
-		return cf, true // concrete identity survives as-is
-	}
-	if e.Site == nil {
-		return ChanFact{}, false // unbound parameter through a ref edge
-	}
-	arg := calleeArg(e, src, cf.Param)
-	if arg == nil {
-		return ChanFact{}, false
-	}
-	obj := chanIdentOf(e.Caller.Pkg.Info, arg)
-	if obj == nil {
-		return ChanFact{}, false
-	}
-	if v, ok := obj.(*types.Var); ok {
-		if i := dst.ParamIndex(v); i >= 0 {
-			return ChanFact{Param: i, Pos: cf.Pos}, true
-		}
-	}
-	return ChanFact{Param: -1, Obj: obj, Pos: cf.Pos}, true
-}
-
-// substituteRef rebinds a lock/slice fact into the caller's
-// frame. Unlike channels these are usually passed by address (&s.mu,
-// &b.items), so the argument is unwrapped through &, * and parens before
-// resolving its identity.
+// substituteRef rebinds a lock/slice fact into the caller's frame. Locks
+// and slices are usually passed by address (&s.mu, &b.items), so the
+// argument is unwrapped through &, * and parens before resolving its
+// identity.
 func (f *Facts) substituteRef(dst, src *Summary, e *Edge, cf ChanFact) (ChanFact, bool) {
 	if cf.Param < 0 {
 		return cf, true // concrete identity survives as-is
@@ -716,10 +637,10 @@ func rootVarOf(info *types.Info, expr ast.Expr) *types.Var {
 	}
 }
 
-// chanIdentOf resolves a channel expression to its identity object: the
-// named variable or the struct field (field-level abstraction — all
-// instances of a type share the field's endpoints; elements of a
-// channel slice/array share the collection's identity).
+// chanIdentOf resolves an expression to its identity object: the named
+// variable or the struct field (field-level abstraction — all instances
+// of a type share the field's identity; elements of a slice/array share
+// the collection's identity).
 func chanIdentOf(info *types.Info, expr ast.Expr) types.Object {
 	for {
 		switch x := expr.(type) {
@@ -762,18 +683,12 @@ func computeDirect(n *Node) *Summary {
 	info := infoOf(n)
 	presized := presizedVars(info, body)
 
-	var stack []ast.Node
 	ast.Inspect(body, func(node ast.Node) bool {
-		if node == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
 		if _, ok := node.(*ast.FuncLit); ok {
 			// Nested closures are separate nodes; their facts arrive
 			// through call-graph edges.
 			return false
 		}
-		stack = append(stack, node)
 		switch x := node.(type) {
 		case *ast.SelectorExpr:
 			directSelector(s, info, x)
@@ -785,40 +700,13 @@ func computeDirect(n *Node) *Summary {
 			}
 		case *ast.IncDecStmt:
 			directWrite(s, info, x.X, true)
-		case *ast.SendStmt:
-			if classifySend(x, stack) != sendSafe {
-				if cf, ok := chanFactOf(s, info, x.Chan, x.Arrow); ok {
-					addChanFact(&s.Sends, cf)
-				}
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				if cf, ok := chanFactOf(s, info, x.X, x.Pos()); ok {
-					addChanFact(&s.Recvs, cf)
-				}
-			}
-		case *ast.RangeStmt:
-			if info != nil {
-				if t, ok := info.Types[x.X]; ok {
-					if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
-						if cf, ok := chanFactOf(s, info, x.X, x.Pos()); ok {
-							addChanFact(&s.Recvs, cf)
-						}
-					}
-				}
-			}
 		}
 		return true
 	})
 	computeLockFacts(s, info, body)
-	directDraws(s, info, body)
 	return s
 }
 
-// pop removes stack bookkeeping when Inspect prunes a subtree. (Inspect
-// calls the callback with nil exactly once per true return, so returning
-// false on FuncLit needs no pop: the nil call never comes.)
-//
 // directSelector records wall-clock and raw-rand references.
 func directSelector(s *Summary, info *types.Info, sel *ast.SelectorExpr) {
 	id, ok := sel.X.(*ast.Ident)
@@ -959,20 +847,6 @@ func refType(info *types.Info, expr ast.Expr) bool {
 		return true
 	}
 	return false
-}
-
-// chanFactOf resolves a channel expression into a fact relative to s.
-func chanFactOf(s *Summary, info *types.Info, expr ast.Expr, pos token.Pos) (ChanFact, bool) {
-	obj := chanIdentOf(info, expr)
-	if obj == nil {
-		return ChanFact{}, false
-	}
-	if v, ok := obj.(*types.Var); ok {
-		if i := s.ParamIndex(v); i >= 0 {
-			return ChanFact{Param: i, Pos: pos}, true
-		}
-	}
-	return ChanFact{Param: -1, Obj: obj, Pos: pos}, true
 }
 
 // unifiedParams lists receiver (when present) then parameters; unnamed

@@ -7,30 +7,32 @@ package fixture
 // would read as its justification — so TestBareIgnores pins the
 // expected lines explicitly.
 
-func justified(out chan<- int) {
-	//pgalint:ignore blockingsend fixture: receiver drained by construction
-	out <- 1
+type log struct{ entries []int }
+
+func (l *log) justified(v int) {
+	//pgalint:ignore boundedres fixture: the log is reset every epoch
+	l.entries = append(l.entries, v)
 }
 
-func bare(out chan<- int) {
-	//pgalint:ignore blockingsend
-	out <- 2
+func (l *log) bare(v int) {
+	//pgalint:ignore boundedres
+	l.entries = append(l.entries, v)
 }
 
-func ruleless(out chan<- int) {
+func (l *log) ruleless(v int) {
 	//pgalint:ignore
-	out <- 3
+	l.entries = append(l.entries, v)
 }
 
-func bareSameLine(out chan<- int) {
-	out <- 4 //pgalint:ignore blockingsend
+func (l *log) bareSameLine(v int) {
+	l.entries = append(l.entries, v) //pgalint:ignore boundedres
 }
 
-func doubledDown(out chan<- int) {
+func (l *log) doubledDown(v int) {
 	// A justified ignore naming the "ignore" rule must NOT silence the
 	// check on the bare directive below it: the justification finding is
 	// unsuppressible by design.
 	//pgalint:ignore ignore fixture: attempting to suppress the ignore check itself
-	//pgalint:ignore blockingsend
-	out <- 5
+	//pgalint:ignore boundedres
+	l.entries = append(l.entries, v)
 }

@@ -1,23 +1,25 @@
 package fixture
 
 // Suppression fixture: //pgalint:ignore semantics. Checked as
-// pga/internal/p2p so blockingsend is in scope.
+// pga/internal/p2p, where nowallclock forbids clock reads.
 
-func suppressedAbove(out chan<- int) {
-	//pgalint:ignore blockingsend fixture: receiver guaranteed ready in this test
-	out <- 1
+import "time"
+
+func suppressedAbove() time.Time {
+	//pgalint:ignore nowallclock fixture: the stamp is logged, never read by evolution
+	return time.Now()
 }
 
-func suppressedSameLine(out chan<- int) {
-	out <- 2 //pgalint:ignore blockingsend fixture: provably safe
+func suppressedSameLine() time.Time {
+	return time.Now() //pgalint:ignore nowallclock fixture: provably unobserved
 }
 
-func suppressedAll(out chan<- int) {
+func suppressedAll() time.Time {
 	//pgalint:ignore all fixture: everything suppressed on the next line
-	out <- 3
+	return time.Now()
 }
 
-func wrongRule(out chan<- int) {
-	//pgalint:ignore nowallclock a misdirected suppression does not apply
-	out <- 4 // want blockingsend
+func wrongRule() time.Time {
+	//pgalint:ignore norawrand a misdirected suppression does not apply
+	return time.Now() // want nowallclock
 }

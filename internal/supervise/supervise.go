@@ -272,7 +272,6 @@ func (s *Supervisor) RunStep(i, gen int, e ga.Engine) StepOutcome {
 	// supervisor abandons it on heartbeat timeout and the restart budget
 	// bounds how many can accumulate. The send is provably non-blocking:
 	// capacity-1 buffer, exactly one send per goroutine.
-	//pgalint:ignore blockingsend heartbeat-abandoned step; single send into cap-1 buffer
 	go func() { ch <- step() }()
 	timer := time.NewTimer(s.cfg.Heartbeat)
 	defer timer.Stop()
