@@ -22,10 +22,10 @@ package analysis
 //     early exit.
 //
 // A lock's identity is ChanFact's: a named variable or a struct field,
-// so all instances of a type share a field's lock in the order graph — exactly the granularity a
-// per-instance mutex protects. The lexical walk under-approximates
-// branches (linter optimism: no invented held locks), and unresolved
-// callees contribute nothing.
+// so all instances of a type share a field's lock in the order graph —
+// exactly the granularity a per-instance mutex protects. The lexical
+// walk under-approximates branches (linter optimism: no invented held
+// locks), and unresolved callees contribute nothing.
 
 import (
 	"fmt"
