@@ -14,13 +14,15 @@ test:
 	$(GO) test ./...
 
 # Race coverage for every concurrent runtime, for the run loop that
-# polls their shared context, and for the fitness kernels whose one
-# instance farm workers and islands share.
+# polls their shared context, for the fitness kernels whose one
+# instance farm workers and islands share, and for the operators every
+# runtime's goroutines call.
 race:
 	$(GO) test -race ./internal/engine/... ./internal/island/... ./internal/supervise/... \
 		./internal/masterslave/... ./internal/cellular/... ./internal/p2p/... \
 		./internal/hga/... ./internal/sim/... ./internal/ga/... \
-		./internal/transport/... ./internal/spec/... ./internal/problems/...
+		./internal/transport/... ./internal/spec/... ./internal/problems/... \
+		./internal/operators/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

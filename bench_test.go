@@ -161,14 +161,14 @@ func freshPopulation(p Problem, n int, r *RNG) *Population {
 }
 
 // BenchmarkGenerationalStepWordOps is BenchmarkGenerationalStep with the
-// word-granular operators (operators.KPointWord + operators.BlockFlip): the
+// word-granular operators (operators.KPoint + operators.BlockFlip): the
 // packed-layout fast path the BENCH_8 report compares against the
 // bit-wise operator step.
 func BenchmarkGenerationalStepWordOps(b *testing.B) {
 	e := NewGenerational(GAConfig{
 		Problem:   OneMax(128),
 		PopSize:   100,
-		Crossover: operators.KPointWord{K: 2},
+		Crossover: operators.KPoint{K: 2},
 		Mutator:   operators.BlockFlip{},
 		RNG:       NewRNG(1),
 	})

@@ -123,7 +123,7 @@ func computeBoundedRes(facts *Facts) []chanDiag {
 				continue
 			}
 			// The grown state must itself belong to a scoped package:
-			// reaching an out-of-scope accumulator (engine traces, persist
+			// reaching an out-of-scope accumulator (spec's trace record, persist
 			// snapshots) through a call chain is that package's business.
 			if v.Pkg() == nil || !pathMatchAny(boundedResScope, v.Pkg().Path()) {
 				continue

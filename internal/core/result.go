@@ -5,14 +5,6 @@ import (
 	"time"
 )
 
-// TracePoint is one sample of a run's progress, recorded once per step.
-type TracePoint struct {
-	Generation  int
-	Evaluations int64
-	Best        float64
-	Mean        float64
-}
-
 // RunStats is the uniform accounting block shared by every runtime's
 // result type: all eight PGA models (sequential, master–slave, island,
 // cellular, hierarchical, p2p, SIM, and the supervised variants) embed it,
@@ -53,8 +45,6 @@ type RunStats struct {
 	CacheMisses int64
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// Trace holds per-step progress samples when tracing was enabled.
-	Trace []TracePoint
 }
 
 // NetStats is the delivery accounting of a migration transport endpoint

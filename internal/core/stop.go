@@ -11,6 +11,9 @@ type Status struct {
 	Evaluations int64
 	// BestFitness is the best fitness seen so far in the whole run.
 	BestFitness float64
+	// Mean is the population's mean fitness after the last step, from a
+	// runtime that reports one (engine.MeanReporter); 0 otherwise.
+	Mean float64
 	// Improved reports whether BestFitness improved during the last step.
 	Improved bool
 }

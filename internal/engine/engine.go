@@ -5,8 +5,8 @@
 // and communication. This package is that observation as code: Loop owns
 // everything the models used to duplicate — stop-condition polling,
 // generation and evaluation accounting, monotone best tracking, solve
-// detection, trace sampling, elapsed timing and the ordered Observer
-// hooks — while each model contributes only a Stepper with its
+// detection, the population mean of every status, elapsed timing and the
+// ordered Observer hooks — while each model contributes only a Stepper with its
 // model-specific generation step and communication.
 //
 // Loop is behaviour-preserving with respect to the model-local loops it
@@ -68,8 +68,9 @@ type Stepper interface {
 	Direction() core.Direction
 }
 
-// MeanReporter is an optional Stepper extension: models that support
-// tracing report the population mean fitness for trace points.
+// MeanReporter is an optional Stepper extension: a model that implements
+// it reports its population mean fitness, which Loop puts in every
+// core.Status it builds (Status.Mean is 0 for the others).
 type MeanReporter interface {
 	MeanFitness() float64
 }
@@ -132,15 +133,13 @@ func (f Funcs) OnDone(stats *core.RunStats) {
 // the run may say about it, whatever the model. Every run entry (ga.Run,
 // island RunSequential/RunParallel, p2p and hga Run, sim.Run, and
 // spec.Built.Run above them) takes one and passes it to Loop unchanged;
-// the zero value is an unwatched, untraced, uncancellable run.
+// the zero value is an unwatched, uncancellable run.
 type Control struct {
 	// Context, when non-nil, cancels the run from outside: Loop polls it
 	// once per generation and a cancelled run ends within one generation
 	// with StopReason "cancelled" and the accounting of the generations
 	// it completed.
 	Context context.Context
-	// Trace records a TracePoint per completed generation.
-	Trace bool
 	// Observers receive the lifecycle hooks, in slice order, after the
 	// runtime's own. A slice shared by concurrent runs (one RunOpts
 	// behind a sweep's workers) is only ever read.
@@ -174,27 +173,23 @@ type Options struct {
 	// InitialSolve also checks Target against the initial population
 	// (generation 0), before any step.
 	InitialSolve bool
-	// InitialTracePoint also records generation 0 (requires Trace).
-	InitialTracePoint bool
 	// SkipBest disables best-individual and best-fitness tracking — for
 	// per-deme loops whose global best is computed after the demes join.
 	SkipBest bool
 
-	// Context, Trace and Observers are the run control (see Control, whose
+	// Context and Observers are the run control (see Control, whose
 	// fields they mirror: cmd/pgaperf builds Options by keyed literal, and
 	// Go cannot key a promoted field). Runtimes set Observers only to
 	// their own hooks and take everything else from With.
 	Context   context.Context
-	Trace     bool
 	Observers []Observer
 }
 
-// With returns o under the caller's control: c's context and trace
-// switch, and c's observers after the runtime's own — so a supervised
+// With returns o under the caller's control: c's context, and c's observers after the runtime's own — so a supervised
 // run's generation-0 checkpoint precedes any user hook — in a fresh
 // slice, never appended to either side's.
 func (o Options) With(c Control) Options {
-	o.Context, o.Trace = c.Context, c.Trace
+	o.Context = c.Context
 	if len(c.Observers) > 0 {
 		o.Observers = slices.Concat(o.Observers, c.Observers)
 	}
@@ -220,6 +215,7 @@ func Loop(s Stepper, opts Options, out *core.RunStats) Totals {
 	}
 	start := time.Now()
 	dir := s.Direction()
+	mean, _ := s.(MeanReporter)
 	var totals Totals
 
 	// best tracking: a single pooled tracker individual, cloned once and
@@ -246,11 +242,8 @@ func Loop(s Stepper, opts Options, out *core.RunStats) Totals {
 		BestFitness: bestFit,
 		Improved:    true,
 	}
-	if opts.Trace && opts.InitialTracePoint {
-		out.Trace = append(out.Trace, core.TracePoint{
-			Generation: 0, Evaluations: status.Evaluations,
-			Best: bestFit, Mean: meanOf(s),
-		})
+	if mean != nil {
+		status.Mean = mean.MeanFitness()
 	}
 	for _, o := range opts.Observers {
 		o.OnGeneration(status)
@@ -310,6 +303,9 @@ func Loop(s Stepper, opts Options, out *core.RunStats) Totals {
 			}
 		}
 		status.BestFitness = bestFit
+		if mean != nil {
+			status.Mean = mean.MeanFitness()
+		}
 		if opts.Target != nil && !out.Solved && opts.Target.Solved(bestFit) {
 			out.Solved = true
 			out.SolvedAtEval = status.Evaluations
@@ -319,12 +315,6 @@ func Loop(s Stepper, opts Options, out *core.RunStats) Totals {
 			for _, o := range opts.Observers {
 				o.OnMigration(status.Generation, info.Migrations)
 			}
-		}
-		if opts.Trace {
-			out.Trace = append(out.Trace, core.TracePoint{
-				Generation: status.Generation, Evaluations: status.Evaluations,
-				Best: bestFit, Mean: meanOf(s),
-			})
 		}
 		for _, o := range opts.Observers {
 			o.OnGeneration(status)
@@ -366,12 +356,4 @@ func closed(done <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// meanOf returns the stepper's mean fitness when it reports one.
-func meanOf(s Stepper) float64 {
-	if m, ok := s.(MeanReporter); ok {
-		return m.MeanFitness()
-	}
-	return 0
 }

@@ -34,7 +34,6 @@ type fakeStepper struct {
 	evals  int64
 	best   *core.Individual
 	noBest bool
-	mean   float64
 }
 
 func (f *fakeStepper) Step(gen int) StepInfo {
@@ -63,7 +62,6 @@ func (f *fakeStepper) Best() (*core.Individual, float64) {
 
 func (f *fakeStepper) Evaluations() int64        { return f.evals }
 func (f *fakeStepper) Direction() core.Direction { return core.Maximize }
-func (f *fakeStepper) MeanFitness() float64      { return f.mean }
 
 // target solves at fitness >= at.
 type target struct{ at float64 }
@@ -266,30 +264,6 @@ func TestLoopObserverSliceOrder(t *testing.T) {
 	}
 }
 
-func TestLoopTrace(t *testing.T) {
-	s := &fakeStepper{steps: flat(1, 2), start: 0.5, evalsPer: 4, mean: 0.25}
-	var out core.RunStats
-	Loop(s, Options{Stop: core.MaxGenerations(2), Trace: true, InitialTracePoint: true}, &out)
-	if len(out.Trace) != 3 {
-		t.Fatalf("trace length = %d, want 3 (gen 0..2)", len(out.Trace))
-	}
-	tp := out.Trace[0]
-	if tp.Generation != 0 || tp.Best != 0.5 || tp.Mean != 0.25 {
-		t.Fatalf("gen-0 trace point = %+v", tp)
-	}
-	if out.Trace[2].Generation != 2 || out.Trace[2].Evaluations != 8 {
-		t.Fatalf("gen-2 trace point = %+v", out.Trace[2])
-	}
-
-	// Without InitialTracePoint the gen-0 sample is omitted.
-	s2 := &fakeStepper{steps: flat(1, 2), evalsPer: 4}
-	var out2 core.RunStats
-	Loop(s2, Options{Stop: core.MaxGenerations(2), Trace: true}, &out2)
-	if len(out2.Trace) != 2 || out2.Trace[0].Generation != 1 {
-		t.Fatalf("trace without initial point = %+v", out2.Trace)
-	}
-}
-
 func TestLoopSkipBest(t *testing.T) {
 	s := &fakeStepper{steps: flat(5, 6)}
 	var out core.RunStats
@@ -378,13 +352,13 @@ func TestLoopCancelled(t *testing.T) {
 	}}
 	var out core.RunStats
 	Loop(s, Options{Stop: countingStop{6, &polls}}.With(Control{
-		Context: ctx, Trace: true, Observers: []Observer{rec, cancelAt},
+		Context: ctx, Observers: []Observer{rec, cancelAt},
 	}), &out)
 
 	if out.Generations != g || out.StopReason != "cancelled" {
 		t.Fatalf("halted at (%d, %q), want (%d, cancelled)", out.Generations, out.StopReason, g)
 	}
-	if out.Evaluations != 10*g || out.BestFitness != 3 || out.Best == nil || len(out.Trace) != g {
+	if out.Evaluations != 10*g || out.BestFitness != 3 || out.Best == nil {
 		t.Errorf("partial stats %+v are not those of generation %d", out, g)
 	}
 	if polls != g {
@@ -445,11 +419,11 @@ func TestOptionsWith(t *testing.T) {
 	padded := make([]Observer, 1, 8) // spare capacity: an append would write here
 	padded[0] = a
 	ctx := context.Background()
-	ctl := Control{Context: ctx, Trace: true, Observers: padded}
+	ctl := Control{Context: ctx, Observers: padded}
 
-	o1 := Options{Stop: core.MaxGenerations(1), Observers: []Observer{own}, Trace: false}.With(ctl)
+	o1 := Options{Stop: core.MaxGenerations(1), Observers: []Observer{own}}.With(ctl)
 	o2 := Options{Stop: core.MaxGenerations(1), Observers: []Observer{b}}.With(ctl)
-	if !o1.Trace || o1.Context != ctx || o1.Stop == nil {
+	if o1.Context != ctx || o1.Stop == nil {
 		t.Errorf("With dropped a field: %+v", o1)
 	}
 	if len(o1.Observers) != 2 || o1.Observers[0] != Observer(own) || o1.Observers[1] != Observer(a) {

@@ -3,7 +3,6 @@ package exp
 import (
 	"io"
 
-	"pga/internal/engine"
 	"pga/internal/spec"
 	"pga/internal/stats"
 )
@@ -19,7 +18,7 @@ func init() {
 		ID:     "E11",
 		Title:  "punctuated equilibria: improvement bursts after migration",
 		Source: "Cohoon et al. 1987 (survey §2): punctuated equilibria in parallel EAs",
-	}, spec.RunOpts{Control: engine.Control{Trace: true}}, reduceE11, "E11.json")
+	}, spec.RunOpts{Trace: true}, reduceE11, "E11.json")
 }
 
 // reduceE11 reads the per-generation traces of E11.json's runs, whose

@@ -249,12 +249,21 @@ func TestRunDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// recordStatuses is a run control whose one observer appends every status
+// the run reports to *into.
+func recordStatuses(into *[]core.Status) engine.Control {
+	return engine.Control{Observers: []engine.Observer{engine.Funcs{Generation: func(s core.Status) {
+		*into = append(*into, s)
+	}}}}
+}
+
 func TestRunDifferentSeedsDiffer(t *testing.T) {
-	res1 := Run(NewGenerational(baseConfig(1)), RunOptions{Stop: core.MaxGenerations(5), Control: engine.Control{Trace: true}})
-	res2 := Run(NewGenerational(baseConfig(99)), RunOptions{Stop: core.MaxGenerations(5), Control: engine.Control{Trace: true}})
+	var trace1, trace2 []core.Status
+	Run(NewGenerational(baseConfig(1)), RunOptions{Stop: core.MaxGenerations(5), Control: recordStatuses(&trace1)})
+	Run(NewGenerational(baseConfig(99)), RunOptions{Stop: core.MaxGenerations(5), Control: recordStatuses(&trace2)})
 	same := true
-	for i := range res1.Trace {
-		if i < len(res2.Trace) && res1.Trace[i].Mean != res2.Trace[i].Mean {
+	for i := range trace1 {
+		if i < len(trace2) && trace1[i].Mean != trace2[i].Mean {
 			same = false
 		}
 	}
@@ -265,15 +274,16 @@ func TestRunDifferentSeedsDiffer(t *testing.T) {
 
 func TestRunTrace(t *testing.T) {
 	e := NewGenerational(baseConfig(12))
-	res := Run(e, RunOptions{Stop: core.MaxGenerations(10), Control: engine.Control{Trace: true}})
-	if len(res.Trace) != 11 { // initial sample + 10 steps
-		t.Fatalf("trace has %d points, want 11", len(res.Trace))
+	var trace []core.Status
+	Run(e, RunOptions{Stop: core.MaxGenerations(10), Control: recordStatuses(&trace)})
+	if len(trace) != 11 { // initial sample + 10 steps
+		t.Fatalf("trace has %d points, want 11", len(trace))
 	}
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i].Best < res.Trace[i-1].Best {
+	for i := 1; i < len(trace); i++ {
+		if trace[i].BestFitness < trace[i-1].BestFitness {
 			t.Fatal("trace best regressed despite elitism")
 		}
-		if res.Trace[i].Evaluations <= res.Trace[i-1].Evaluations {
+		if trace[i].Evaluations <= trace[i-1].Evaluations {
 			t.Fatal("trace evaluations not increasing")
 		}
 	}

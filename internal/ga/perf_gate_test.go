@@ -68,7 +68,7 @@ func allocGateCases() []allocGateCase {
 		return Config{
 			Problem:   problems.OneMax{N: 150},
 			PopSize:   100,
-			Crossover: operators.KPointWord{K: 2},
+			Crossover: operators.KPoint{K: 2},
 			Mutator:   operators.BlockFlip{},
 			RNG:       rng.New(1),
 		}
@@ -114,7 +114,7 @@ func allocGateCases() []allocGateCase {
 			return c
 		}(), true), 0},
 		{"generational/onemax-twopoint", NewGenerational(kpoint(operators.TwoPoint{})), 0},
-		{"steady-state/onemax-kpointword", NewSteadyState(kpoint(operators.KPointWord{K: 7}), true), 0},
+		{"steady-state/onemax-kpointword", NewSteadyState(kpoint(operators.KPoint{K: 7}), true), 0},
 		{"generational/sphere", NewGenerational(sphere()), 0},
 		{"generational/qap-erx", NewGenerational(qap()), 0},
 		{"generational/gap+elitism", NewGenerational(gapCfg), 0},

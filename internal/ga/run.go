@@ -9,9 +9,9 @@ import (
 type RunOptions struct {
 	// Stop terminates the run (required).
 	Stop core.StopCondition
-	// Control is the caller's run control: the cancelling Context, the
-	// Trace switch and the Observers of the engine.Loop lifecycle hooks
-	// (a per-step callback is engine.Funcs{Generation: f}).
+	// Control is the caller's run control: the cancelling Context and the
+	// Observers of the engine.Loop lifecycle hooks (a per-step callback is
+	// engine.Funcs{Generation: f}).
 	engine.Control
 }
 
@@ -58,10 +58,9 @@ func Run(e Engine, opts RunOptions) *core.Result {
 	res := &core.Result{Problem: e.Problem().Name()}
 	ta, _ := e.Problem().(core.TargetAware)
 	engine.Loop(stepper{e: e}, engine.Options{
-		Stop:              opts.Stop,
-		Target:            ta,
-		InitialSolve:      true,
-		InitialTracePoint: true,
+		Stop:         opts.Stop,
+		Target:       ta,
+		InitialSolve: true,
 	}.With(opts.Control), &res.RunStats)
 	// Fitness memo-cache accounting rides the result, not the Observer
 	// seam: a CachedProblem's counters are copied once, after the loop.

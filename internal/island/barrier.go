@@ -13,7 +13,7 @@ import (
 // live deme completes generation g, then — when the policy is due — one
 // central, lossless migration epoch runs over routes (exchangeOn), which
 // also serves self-links (Ring(1) is 0→0) that an endpoint would refuse.
-// The global best, evaluation totals and trace mean are read off the Model
+// The global best, evaluation totals and status mean are read off the Model
 // between generations.
 //
 // With a supervisor every step goes through RunStep and a failed deme

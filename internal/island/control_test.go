@@ -89,20 +89,22 @@ func TestRunWireCancelled(t *testing.T) {
 	er, mr := WireStreams(3, 2, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	var trace []core.Status
 	res := RunWire(WireConfig{
 		Self: 0, Topology: topology.Ring(2), Endpoint: eps[0],
 		Policy: migration.Policy{Interval: 3, Count: 1},
 		Engine: onemaxEngines(256, 10)(0, er), MigRNG: mr, MaxGens: 600,
-		Context: ctx, Trace: true,
+		Context: ctx,
 		Observers: []engine.Observer{engine.Funcs{Generation: func(s core.Status) {
+			trace = append(trace, s)
 			if s.Generation == g {
 				cancel()
 			}
 		}}},
 	})
-	if res.Generations != g || res.StopReason != "cancelled" || len(res.Trace) != g+1 {
+	if res.Generations != g || res.StopReason != "cancelled" || len(trace) != g+1 {
 		t.Fatalf("halted at (%d, %q) with %d trace points, want (%d, cancelled, %d)",
-			res.Generations, res.StopReason, len(res.Trace), g, g+1)
+			res.Generations, res.StopReason, len(trace), g, g+1)
 	}
 	if res.Migrations != 2 || res.Net.Sent != 2 {
 		t.Errorf("%d generations at interval 3 sent %d batches (net %+v), want 2", g, res.Migrations, res.Net)

@@ -74,7 +74,7 @@ type rewirable interface{ Rewire() }
 
 // Result summarises an island-model run. The embedded core.RunStats holds
 // the accounting common to every runtime (best, generations, evaluations,
-// solve point, elapsed, trace); in asynchronous modes SolvedAtEval is the
+// solve point, elapsed); in asynchronous modes SolvedAtEval is the
 // post-stop total and slightly overcounts the instant of solving, because
 // other demes' counters cannot be snapshotted without racing them.
 type Result struct {
@@ -283,9 +283,8 @@ func (m *Model) RunSequential(stop core.StopCondition, ctl engine.Control) *Resu
 		panic("island: stop condition required")
 	}
 	return m.runBarrier(false, nil, engine.Options{
-		Stop:              stop,
-		InitialSolve:      true,
-		InitialTracePoint: true,
+		Stop:         stop,
+		InitialSolve: true,
 	}, ctl)
 }
 

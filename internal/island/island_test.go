@@ -55,6 +55,14 @@ func TestSequentialSolvesOneMax(t *testing.T) {
 	}
 }
 
+// recordStatuses is a run control whose one observer appends every status
+// the run reports to *into.
+func recordStatuses(into *[]core.Status) engine.Control {
+	return engine.Control{Observers: []engine.Observer{engine.Funcs{Generation: func(s core.Status) {
+		*into = append(*into, s)
+	}}}}
+}
+
 func TestSequentialDeterministic(t *testing.T) {
 	run := func() (float64, int64, int) {
 		m := New(Config{
@@ -63,8 +71,9 @@ func TestSequentialDeterministic(t *testing.T) {
 			NewEngine: onemaxEngines(48, 20),
 			Seed:      7,
 		})
-		res := m.RunSequential(core.MaxGenerations(40), engine.Control{Trace: true})
-		return res.BestFitness, res.Evaluations, len(res.Trace)
+		var trace []core.Status
+		res := m.RunSequential(core.MaxGenerations(40), recordStatuses(&trace))
+		return res.BestFitness, res.Evaluations, len(trace)
 	}
 	f1, e1, t1 := run()
 	f2, e2, t2 := run()
@@ -222,12 +231,13 @@ func TestTracePunctuatedShape(t *testing.T) {
 		NewEngine: onemaxEngines(64, 20),
 		Seed:      9,
 	})
-	res := m.RunSequential(core.MaxGenerations(50), engine.Control{Trace: true})
-	if len(res.Trace) != 51 {
-		t.Fatalf("trace length %d", len(res.Trace))
+	var trace []core.Status
+	m.RunSequential(core.MaxGenerations(50), recordStatuses(&trace))
+	if len(trace) != 51 {
+		t.Fatalf("trace length %d", len(trace))
 	}
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i].Best < res.Trace[i-1].Best {
+	for i := 1; i < len(trace); i++ {
+		if trace[i].BestFitness < trace[i-1].BestFitness {
 			t.Fatal("global best regressed (elitist demes)")
 		}
 	}

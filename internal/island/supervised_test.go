@@ -280,13 +280,14 @@ func TestSupervisedTraceMonotone(t *testing.T) {
 	res := &supervise.Config{CheckpointEvery: 4, MaxRestarts: 3, Backoff: time.Millisecond}
 	plan := supervise.NewFaultPlan().PanicAt(0, 5).PanicAt(3, 11)
 	m := New(supervisedConfig(true, res, plan))
-	r := m.RunParallel(40, engine.Control{Trace: true})
-	if len(r.Trace) == 0 {
+	var trace []core.Status
+	r := m.RunParallel(40, recordStatuses(&trace))
+	if len(trace) == 0 {
 		t.Fatal("no trace recorded")
 	}
-	for i := 1; i < len(r.Trace); i++ {
-		if r.Trace[i].Best < r.Trace[i-1].Best {
-			t.Fatalf("global best regressed at %d: %v -> %v", i, r.Trace[i-1].Best, r.Trace[i].Best)
+	for i := 1; i < len(trace); i++ {
+		if trace[i].BestFitness < trace[i-1].BestFitness {
+			t.Fatalf("global best regressed at %d: %v -> %v", i, trace[i-1].BestFitness, trace[i].BestFitness)
 		}
 	}
 	if r.PanicsRecovered < 1 {

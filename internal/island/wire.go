@@ -57,13 +57,12 @@ type WireConfig struct {
 	// MaxGens caps the run.
 	MaxGens int
 
-	// Context, Trace and Observers are the caller's run control, handed
+	// Context and Observers are the caller's run control, handed
 	// to engine.Loop unchanged (see engine.Control; they stay fields of
 	// this config, which is RunWire's one argument, because cmd/pgaperf
 	// builds it by keyed literal). Cancelling Context ends the island
 	// within one generation; the endpoint stays the caller's to close.
 	Context   context.Context
-	Trace     bool
 	Observers []engine.Observer
 }
 
@@ -116,7 +115,7 @@ func RunWire(cfg WireConfig) *Result {
 
 	// The island is the freeDeme the in-process async mode runs per
 	// goroutine, unsupervised and with no shared solve flag: its one loop
-	// checks the target itself and so also tracks best and trace.
+	// checks the target itself and so also tracks best.
 	d := &freeDeme{
 		self: cfg.Self, e: cfg.Engine, dir: cfg.Engine.Problem().Direction(),
 		policy: cfg.Policy, mr: cfg.MigRNG, ep: cfg.Endpoint, routes: router,
@@ -124,14 +123,12 @@ func RunWire(cfg WireConfig) *Result {
 	res := &Result{}
 	ta, _ := cfg.Engine.Problem().(core.TargetAware)
 	totals := engine.Loop(d, engine.Options{
-		Stop:              core.MaxGenerations(cfg.MaxGens),
-		Target:            ta,
-		HaltOnSolve:       true,
-		InitialSolve:      true,
-		InitialTracePoint: true,
-		Context:           cfg.Context,
-		Trace:             cfg.Trace,
-		Observers:         cfg.Observers,
+		Stop:         core.MaxGenerations(cfg.MaxGens),
+		Target:       ta,
+		HaltOnSolve:  true,
+		InitialSolve: true,
+		Context:      cfg.Context,
+		Observers:    cfg.Observers,
 	}, &res.RunStats)
 	res.Migrations = totals.Migrations
 	res.PerDemeBest = []float64{d.e.Population().BestFitness(d.dir)}

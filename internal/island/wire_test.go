@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pga/internal/core"
-	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/migration"
 	"pga/internal/problems"
@@ -147,31 +146,32 @@ func TestSoloWireMatchesSequential(t *testing.T) {
 	newEngine := enginesFor(untargeted{problems.OneMax{N: 48}}, 20)
 	policy := migration.Policy{Interval: 4, Count: 2}
 
+	var wantTrace, gotTrace []core.Status
 	want := New(Config{
 		Topology: topology.Isolated(1), Policy: policy, NewEngine: newEngine, Seed: seed,
-	}).RunSequential(core.MaxGenerations(gens), engine.Control{Trace: true})
+	}).RunSequential(core.MaxGenerations(gens), recordStatuses(&wantTrace))
 
 	er, mr := WireStreams(seed, 1, 0)
 	got := RunWire(WireConfig{
-		Self:     0,
-		Topology: topology.Isolated(1),
-		Endpoint: transport.NewLoopback(1, 1)[0],
-		Policy:   policy,
-		Engine:   newEngine(0, er),
-		MigRNG:   mr,
-		MaxGens:  gens,
-		Trace:    true,
+		Self:      0,
+		Topology:  topology.Isolated(1),
+		Endpoint:  transport.NewLoopback(1, 1)[0],
+		Policy:    policy,
+		Engine:    newEngine(0, er),
+		MigRNG:    mr,
+		MaxGens:   gens,
+		Observers: recordStatuses(&gotTrace).Observers,
 	})
-	if !reflect.DeepEqual(got.Trace, want.Trace) {
-		t.Errorf("trace differs:\n wire %v\n seq  %v", got.Trace, want.Trace)
+	if !reflect.DeepEqual(gotTrace, wantTrace) {
+		t.Errorf("trace differs:\n wire %v\n seq  %v", gotTrace, wantTrace)
 	}
 	if got.Evaluations != want.Evaluations || got.Generations != want.Generations || got.BestFitness != want.BestFitness {
 		t.Errorf("wire evals=%d gens=%d best=%g, sequential evals=%d gens=%d best=%g",
 			got.Evaluations, got.Generations, got.BestFitness,
 			want.Evaluations, want.Generations, want.BestFitness)
 	}
-	if got.Generations != gens || len(got.Trace) != gens+1 {
-		t.Errorf("run did not use its budget: gens=%d trace=%d", got.Generations, len(got.Trace))
+	if got.Generations != gens || len(gotTrace) != gens+1 {
+		t.Errorf("run did not use its budget: gens=%d trace=%d", got.Generations, len(gotTrace))
 	}
 }
 

@@ -154,7 +154,7 @@ func TestKPointMatchesPerGeneReference(t *testing.T) {
 			src := rng.New(seed)
 			a, b := genome.RandomBitString(n, src), genome.RandomBitString(n, src)
 
-			family := []InPlaceCrossover{KPoint{K: k}, KPointWord{K: k}}
+			family := []InPlaceCrossover{KPoint{K: k}}
 			switch k {
 			case 1:
 				family = append(family, OnePoint{})

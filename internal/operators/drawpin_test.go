@@ -120,7 +120,6 @@ func TestCrossoverDrawPins(t *testing.T) {
 		{Uniform{}, "ints", pinDigest{0x5432d65e8457ced6, 0x317eef556813a144}},
 		{Uniform{}, "real", pinDigest{0xb3f7773c927650ec, 0xb79c98aeee1795c5}},
 		{UniformWord{}, "bits", pinDigest{0xc05d5ee37c5e83b8, 0x7cceaaeb74b73625}},
-		{KPointWord{K: 5}, "bits", pinDigest{0xc7225ad04b54913e, 0x9fff18b3a16d5187}},
 		{Arithmetic{}, "real", pinDigest{0xab4eed89e2d0c034, 0xd0f8b5c178e6b2b9}},
 		{BLX{}, "real", pinDigest{0xbd79fcf81414a21f, 0x53dd633bd90f62e}},
 		{SBX{}, "real", pinDigest{0xe51f1651089124c3, 0xb79c98aeee1795c5}},

@@ -15,7 +15,7 @@ func RegisteredOperators() []any {
 		Tournament{}, Roulette{}, LinearRank{}, Truncation{}, Random{}, Best{},
 		// Crossover (bit/real/permutation, then word-granular).
 		OnePoint{}, TwoPoint{}, KPoint{}, Uniform{}, Arithmetic{}, BLX{},
-		SBX{}, OX{}, PMX{}, CX{}, ERX{}, UniformWord{}, KPointWord{},
+		SBX{}, OX{}, PMX{}, CX{}, ERX{}, UniformWord{},
 		// Mutation.
 		BitFlip{}, Gaussian{}, Polynomial{}, UniformReset{}, Swap{},
 		Inversion{}, Scramble{}, Insertion{}, BlockFlip{},

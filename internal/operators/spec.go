@@ -14,7 +14,9 @@ import (
 // declarative layer (internal/spec) resolves OperatorSpec values through
 // this registry, and the completeness test in spec_keys_test.go pins the
 // invariant that no operator is constructible-but-unspeccable: each
-// entry of RegisteredOperators has exactly one key here and vice versa.
+// entry of RegisteredOperators has exactly one key here and vice versa,
+// but for the one alias, kpointword (KPoint on bit strings, kept for the
+// documents and recorded results that name it).
 
 // Operator kinds of the spec vocabulary.
 const (
@@ -142,9 +144,10 @@ var specRegistry = []SpecEntry{
 		Build: func(map[string]float64) any { return ERX{} }},
 	{Key: "uniformword", Genomes: []string{"bits"}, Kind: KindCrossover,
 		Build: func(map[string]float64) any { return UniformWord{} }},
+	// kpointword is an alias of kpoint restricted to bit strings.
 	{Key: "kpointword", Genomes: []string{"bits"}, Kind: KindCrossover,
 		Params: []SpecParam{draws("number of cut points (default 1)")},
-		Build:  func(p map[string]float64) any { return KPointWord{K: int(p["k"])} }},
+		Build:  func(p map[string]float64) any { return KPoint{K: int(p["k"])} }},
 
 	// Mutators.
 	{Key: "bitflip", Genomes: []string{"bits"}, Kind: KindMutator,

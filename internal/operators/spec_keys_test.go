@@ -11,8 +11,10 @@ import (
 // ground truth) and the spec vocabulary (SpecEntries, what config files
 // can name): every registered operator type has exactly one key, and
 // every key builds a registered operator type. A new operator cannot be
-// merged constructible-but-unspeccable.
+// merged constructible-but-unspeccable. The one alias key, kpointword,
+// builds KPoint, which kpoint also names.
 func TestSpecVocabularyComplete(t *testing.T) {
+	aliases := map[string]bool{"kpointword": true}
 	registered := map[string]bool{}
 	for _, op := range RegisteredOperators() {
 		registered[OperatorTypeName(op)] = true
@@ -27,6 +29,9 @@ func TestSpecVocabularyComplete(t *testing.T) {
 		name := OperatorTypeName(op)
 		if !registered[name] {
 			t.Errorf("%s builds %s, which is not in RegisteredOperators", e.Key, name)
+		}
+		if aliases[e.Key] {
+			continue
 		}
 		if prev, dup := built[name]; dup {
 			t.Errorf("operator %s reachable from two keys: %s and %s", name, prev, e.Key)
@@ -53,7 +58,7 @@ func TestSpecBuildAppliesParams(t *testing.T) {
 		{"rank", map[string]float64{"sp": 1.8}, LinearRank{SP: 1.8}},
 		{"truncation", map[string]float64{"frac": 0.25}, Truncation{Frac: 0.25}},
 		{"kpoint", map[string]float64{"k": 4}, KPoint{K: 4}},
-		{"kpointword", map[string]float64{"k": 2}, KPointWord{K: 2}},
+		{"kpointword", map[string]float64{"k": 2}, KPoint{K: 2}},
 		{"uniform", map[string]float64{"p": 0.3}, Uniform{P: 0.3}},
 		{"blx", map[string]float64{"alpha": 0.7}, BLX{Alpha: 0.7}},
 		{"sbx", map[string]float64{"eta": 10}, SBX{Eta: 10}},

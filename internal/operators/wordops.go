@@ -27,7 +27,6 @@ import (
 // every other library crossover.
 var (
 	_ InPlaceCrossover = UniformWord{}
-	_ InPlaceCrossover = KPointWord{}
 	_ Mutator          = BlockFlip{}
 )
 
@@ -74,36 +73,6 @@ func uniformWords(ca, cb *genome.BitString, r *rng.Source) {
 		ca.Words[w] ^= x
 		cb.Words[w] ^= x
 	}
-}
-
-// KPointWord is KPoint restricted to bit strings. It was introduced as
-// the word-granular execution of KPoint's cuts; KPoint now applies its
-// cuts a word at a time itself, so the two share draws, kernel
-// (kpointSwap) and children, and KPointWord survives for its spec key
-// and recorded results.
-type KPointWord struct {
-	// K is the number of cut points; it is capped at Len-1.
-	K int
-}
-
-// Name implements Crossover.
-func (k KPointWord) Name() string { return fmt.Sprintf("%d-point-word", k.K) }
-
-// Cross implements Crossover.
-func (k KPointWord) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return crossClone(k, a, b, r)
-}
-
-// CrossInto implements InPlaceCrossover.
-func (k KPointWord) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
-	ba, bb := mustBits(a), mustBits(b)
-	if ba.N != bb.N {
-		panic("operators: KPointWord parents of different lengths")
-	}
-	ca, cb := mustBits(c1), mustBits(c2)
-	ca.CopyFrom(ba)
-	cb.CopyFrom(bb)
-	kpointSwap(ca, cb, k.K, r, s)
 }
 
 // BlockFlip is a word-granular bit-flip mutator: for each 64-gene word

@@ -62,7 +62,7 @@ func TestWordCrossoversPreserveParents(t *testing.T) {
 	b := genome.RandomBitString(100, r)
 	ac, bc := a.Clone().(*genome.BitString), b.Clone().(*genome.BitString)
 	UniformWord{}.Cross(a, b, r)
-	KPointWord{K: 2}.Cross(a, b, r)
+	KPoint{K: 2}.Cross(a, b, r)
 	if !a.Equal(ac) || !b.Equal(bc) {
 		t.Fatal("word crossover mutated a parent")
 	}
@@ -109,27 +109,6 @@ func TestBlockFlipDrawCountIndependentOfContent(t *testing.T) {
 	BlockFlip{}.Mutate(ones, r2)
 	if r1.Uint64() != r2.Uint64() {
 		t.Fatal("draw count depends on genome content")
-	}
-}
-
-// TestKPointWordLengthMismatchPanics: the operator shares KPoint's kernel
-// but reports a mismatch under its own name, from Cross and CrossInto.
-func TestKPointWordLengthMismatchPanics(t *testing.T) {
-	a, b := genome.NewBitString(4), genome.NewBitString(5)
-	for name, call := range map[string]func(){
-		"Cross": func() { KPointWord{K: 2}.Cross(a, b, rng.New(1)) },
-		"CrossInto": func() {
-			KPointWord{K: 2}.CrossInto(a, b, genome.NewBitString(4), genome.NewBitString(5), rng.New(1), &Scratch{})
-		},
-	} {
-		func() {
-			defer func() {
-				if got, want := recover(), "operators: KPointWord parents of different lengths"; got != want {
-					t.Fatalf("%s: panic %v, want %q", name, got, want)
-				}
-			}()
-			call()
-		}()
 	}
 }
 

@@ -143,8 +143,8 @@ func TestObserversSeeEveryModel(t *testing.T) {
 // run cancelled at generation g — from an observer, so the instant is
 // exact — reports exactly the state an uncancelled run of the same spec
 // was in at g: g generations, stop "cancelled", the best and evaluation
-// count of the recorded status, and a trace equal to the first g+1
-// points.
+// count of the recorded status, and a status record equal to the first
+// g+1 statuses.
 func TestCancelIsTruncate(t *testing.T) {
 	for _, c := range controlCases {
 		if c.free {
@@ -152,7 +152,7 @@ func TestCancelIsTruncate(t *testing.T) {
 		}
 		t.Run(c.name, func(t *testing.T) {
 			full := &witness{}
-			whole := runCase(t, c, engine.Control{Trace: true, Observers: []engine.Observer{full}})
+			whole := runCase(t, c, engine.Control{Observers: []engine.Observer{full}})
 			if whole.Generations <= cancelGen {
 				t.Fatalf("the uncancelled run ended by itself at generation %d (%q)", whole.Generations, whole.StopReason)
 			}
@@ -164,7 +164,7 @@ func TestCancelIsTruncate(t *testing.T) {
 					cancel()
 				}
 			}}
-			rep := runCase(t, c, engine.Control{Context: ctx, Trace: true, Observers: []engine.Observer{cut}})
+			rep := runCase(t, c, engine.Control{Context: ctx, Observers: []engine.Observer{cut}})
 
 			at := full.statuses[cancelGen]
 			if rep.Generations != cancelGen || rep.StopReason != "cancelled" {
@@ -176,10 +176,10 @@ func TestCancelIsTruncate(t *testing.T) {
 			if !c.rescored && rep.Best != at.BestFitness {
 				t.Errorf("best %v, the uncancelled run had %v at generation %d", rep.Best, at.BestFitness, cancelGen)
 			}
-			got, _ := json.Marshal(rep.Trace)
-			want, _ := json.Marshal(whole.Trace[:len(rep.Trace)])
-			if len(rep.Trace) == 0 || rep.Trace[len(rep.Trace)-1].Generation != cancelGen || !bytes.Equal(got, want) {
-				t.Errorf("trace is not the uncancelled run's up to generation %d:\n%s\n%s", cancelGen, got, want)
+			got, _ := json.Marshal(cut.statuses)
+			want, _ := json.Marshal(full.statuses[:len(cut.statuses)])
+			if len(cut.statuses) == 0 || cut.statuses[len(cut.statuses)-1].Generation != cancelGen || !bytes.Equal(got, want) {
+				t.Errorf("statuses are not the uncancelled run's up to generation %d:\n%s\n%s", cancelGen, got, want)
 			}
 			if len(cut.statuses) != cancelGen+1 || len(cut.done) != 1 {
 				t.Errorf("the cancelled run fired OnGeneration %d times and OnDone %d times", len(cut.statuses), len(cut.done))

@@ -66,7 +66,18 @@ type model struct {
 	// fields.
 	build func(*Plan, *Built)
 	run   func(*Built, engine.Control, *Report)
+	// traceFrom is the first generation RunOpts.Trace records (nil: 0).
+	// Each runtime keeps the start its trace always had:
+	//   - generation 0: generational, steadystate, parallel, masterslave,
+	//     cellular and sequential islands;
+	//   - generation 1: sync-parallel islands, p2p, hga and sim;
+	//   - empty: async islands, whose observers hear only OnDone.
+	traceFrom func(*Plan) int
 }
+
+// fromGen1 is the traceFrom of the runtimes whose trace skips the initial
+// population.
+func fromGen1(*Plan) int { return 1 }
 
 var models = []*model{
 	{name: ModelGenerational, family: famGenerational, problem: (*Plan).registryProblem,
@@ -91,6 +102,12 @@ var models = []*model{
 		demes: true, problem: (*Plan).registryProblem,
 		check: (*Plan).islands,
 		build: func(p *Plan, b *Built) { b.Islands = island.New(p.IslandConfig()) },
+		traceFrom: func(p *Plan) int {
+			if p.parallel {
+				return 1
+			}
+			return 0
+		},
 		run: func(b *Built, ctl engine.Control, rep *Report) {
 			var res *island.Result
 			if b.plan.parallel {
@@ -113,7 +130,8 @@ var models = []*model{
 			res := b.P2P.Run(b.plan.maxGens, ctl)
 			rep.fill(&res.RunStats)
 			rep.Departures, rep.Joins, rep.AliveAtEnd, rep.Messages = res.Departures, res.Joins, res.AliveAtEnd, res.Messages
-		}},
+		},
+		traceFrom: fromGen1},
 	{name: ModelHGA, section: ModelHGA, has: func(s *RunSpec) bool { return s.HGA != nil },
 		family: famHGA, problem: (*Plan).realProblem, budget: budgetCost,
 		check: (*Plan).hga,
@@ -127,7 +145,8 @@ var models = []*model{
 			res := b.HGA.Run(b.plan.cost, ctl)
 			rep.fill(&res.RunStats)
 			rep.Cost, rep.CostAtSolve = res.Cost, res.CostAtSolve
-		}},
+		},
+		traceFrom: fromGen1},
 	{name: ModelSIM, section: ModelSIM, has: func(s *RunSpec) bool { return s.SIM != nil },
 		problem: (*Plan).simProblem, budget: budgetGenerations, gens: defaultSIMGenerations,
 		check: (*Plan).sim,
@@ -140,7 +159,8 @@ var models = []*model{
 			res := sim.Run(*b.SIMConfig, ctl)
 			rep.fill(&res.RunStats)
 			rep.Hypervolume, rep.ParetoSize, rep.Islands = res.Hypervolume, res.Archive.Len(), res.Islands
-		}},
+		},
+		traceFrom: fromGen1},
 }
 
 // Models lists the valid RunSpec.Model strings in presentation order.

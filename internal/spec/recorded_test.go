@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"pga/internal/engine"
 	"pga/internal/operators"
 )
 
@@ -43,12 +42,14 @@ func readSweep(t *testing.T, path string) *Sweep {
 }
 
 // TestRecordedResults replays every sweep document with a recorded
-// result and requires the exact bytes pgarun -out would write for it:
-// the reports marshalled with two-space indent plus a newline. The trace
-// is recorded exactly when the recorded reports carry one. Each result
-// was recorded by the parent of the change that added it; a failure
-// means the change altered what a seeded run draws or reports. Never
-// re-record a file to make a change pass.
+// result and requires its exact bytes: Sweep.Run's reports marshalled
+// with two-space indent plus a newline. The trace is recorded
+// (RunOpts.Trace) exactly when the recorded reports carry one: the five
+// trace-* files are Sweep.Run with RunOpts.Trace, which pgarun has no
+// switch for; every other file is also what pgarun -out writes. Each
+// result was recorded by the parent of the change that added it; a
+// failure means the change altered what a seeded run draws or reports.
+// Never re-record a file to make a change pass.
 func TestRecordedResults(t *testing.T) {
 	results, docs := recordedFiles(t)
 	for i, result := range results {
@@ -63,7 +64,7 @@ func TestRecordedResults(t *testing.T) {
 			if err := json.Unmarshal(want, &recorded); err != nil || len(recorded) == 0 {
 				t.Fatalf("%s: not a list of reports (err %v)", result, err)
 			}
-			reports, err := readSweep(t, docs[i]).Run(RunOpts{Control: engine.Control{Trace: recorded[0].Trace != nil}})
+			reports, err := readSweep(t, docs[i]).Run(RunOpts{Trace: recorded[0].Trace != nil})
 			if err != nil {
 				t.Fatal(err)
 			}

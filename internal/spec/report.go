@@ -53,40 +53,65 @@ type Built struct {
 //   - Context cancels the run from outside: it ends within one generation
 //     with stop reason "cancelled" and a truthful partial Report. A
 //     cancelled sweep claims no further cell (see Sweep.Run).
-//   - Trace records the per-generation trace into the report (the mean is
-//     0 for p2p, hga and sim, whose runtimes report no run-level mean).
 //   - Observers receive the engine.Loop lifecycle hooks after the
 //     runtime's own: OnGeneration once for the initial population and once
 //     per completed generation, OnMigration/OnRestart when a step
 //     delivered or restarted, OnDone once with the final stats.
+//   - Trace records the per-generation trace into the report: one more
+//     observer, made afresh for every run, starting where the model table
+//     says (the mean is 0 for p2p, hga and sim, whose runtimes report no
+//     run-level mean).
 //
 // One discipline delivers less: free-running islands (mode "parallel"
 // with async migration) are n per-deme loops with no run-level generation,
 // so there the observers hear OnDone only and Trace records nothing, until
-// ROADMAP item 1B's deme-tagged events; cancellation stops every deme.
+// ROADMAP item 1-iii's deme-tagged events; cancellation stops every deme.
 //
 // Sweep.Run shares one RunOpts between its workers: the observers and
 // OnStep of a sweep are called from several goroutines, for several cells
 // at once, and must be safe for that. The Observers slice is never written.
 type RunOpts struct {
 	engine.Control
+	// Trace records the run's TracePoints into Report.Trace.
+	Trace bool
 	// OnStep fires after every completed generation (live progress
 	// displays): shorthand for an observer
 	// engine.Funcs{Generation: OnStep} that skips generation 0.
 	OnStep func(core.Status)
 }
 
-// control is the engine.Control opts means: its own, with OnStep folded
-// in as one more observer (in a fresh slice).
-func (opts RunOpts) control() engine.Control {
+// TracePoint is one generation of a run's progress, as Report.Trace
+// records it from the generation's core.Status.
+type TracePoint struct {
+	Generation  int
+	Evaluations int64
+	Best        float64
+	Mean        float64
+}
+
+// control is the engine.Control opts means for one run reporting into
+// rep: its own, with OnStep and, when asked for, a trace recorder
+// starting at generation from folded in as more observers (in a fresh
+// slice).
+func (opts RunOpts) control(rep *Report, from int) engine.Control {
 	ctl := opts.Control
+	var more []engine.Observer
 	if onStep := opts.OnStep; onStep != nil {
-		step := engine.Funcs{Generation: func(s core.Status) {
+		more = append(more, engine.Funcs{Generation: func(s core.Status) {
 			if s.Generation > 0 {
 				onStep(s)
 			}
-		}}
-		ctl.Observers = slices.Concat(ctl.Observers, []engine.Observer{step})
+		}})
+	}
+	if opts.Trace {
+		more = append(more, engine.Funcs{Generation: func(s core.Status) {
+			if s.Generation >= from {
+				rep.Trace = append(rep.Trace, TracePoint{s.Generation, s.Evaluations, s.BestFitness, s.Mean})
+			}
+		}})
+	}
+	if len(more) > 0 {
+		ctl.Observers = slices.Concat(ctl.Observers, more)
 	}
 	return ctl
 }
@@ -108,16 +133,16 @@ type Report struct {
 	Overrides map[string]any `json:"overrides,omitempty"`
 
 	// Core accounting (core.RunStats minus Elapsed).
-	Best         float64           `json:"best"`
-	Generations  int               `json:"generations"`
-	Evaluations  int64             `json:"evaluations"`
-	Solved       bool              `json:"solved,omitempty"`
-	SolvedAtEval int64             `json:"solved_at_eval,omitempty"`
-	SolvedAtGen  int               `json:"solved_at_gen,omitempty"`
-	StopReason   string            `json:"stop,omitempty"`
-	CacheHits    int64             `json:"cache_hits,omitempty"`
-	CacheMisses  int64             `json:"cache_misses,omitempty"`
-	Trace        []core.TracePoint `json:"trace,omitempty"`
+	Best         float64      `json:"best"`
+	Generations  int          `json:"generations"`
+	Evaluations  int64        `json:"evaluations"`
+	Solved       bool         `json:"solved,omitempty"`
+	SolvedAtEval int64        `json:"solved_at_eval,omitempty"`
+	SolvedAtGen  int          `json:"solved_at_gen,omitempty"`
+	StopReason   string       `json:"stop,omitempty"`
+	CacheHits    int64        `json:"cache_hits,omitempty"`
+	CacheMisses  int64        `json:"cache_misses,omitempty"`
+	Trace        []TracePoint `json:"trace,omitempty"`
 
 	// Model extensions.
 	Migrations  int64   `json:"migrations,omitempty"`   // islands
@@ -144,12 +169,15 @@ func (b *Built) Run(opts RunOpts) *Report {
 		Problem: b.Spec.Problem.Name,
 		Seed:    b.Spec.Seed,
 	}
-	b.plan.model.run(b, opts.control(), rep)
+	from := 0
+	if f := b.plan.model.traceFrom; f != nil {
+		from = f(b.plan)
+	}
+	b.plan.model.run(b, opts.control(rep, from), rep)
 	return rep
 }
 
-// fill copies the shared accounting, excluding Elapsed (the trace is
-// there only when the run was asked to record one).
+// fill copies the shared accounting, excluding Elapsed.
 func (r *Report) fill(st *core.RunStats) {
 	r.Best = st.BestFitness
 	r.Generations = st.Generations
@@ -158,5 +186,4 @@ func (r *Report) fill(st *core.RunStats) {
 	r.SolvedAtEval = st.SolvedAtEval
 	r.SolvedAtGen = st.SolvedAtGen
 	r.StopReason = st.StopReason
-	r.Trace = st.Trace
 }

@@ -134,10 +134,11 @@ type (
 	RunOptions = ga.RunOptions
 	// Control is the caller's control over a run: the Context that
 	// cancels it (the run ends within one generation with stop reason
-	// "cancelled" and truthful partial stats), the Trace switch and the
-	// Observers. Every run entry takes one — inside RunOptions for Run,
-	// as the last argument elsewhere; Control{} is an unwatched,
-	// uncancellable run.
+	// "cancelled" and truthful partial stats) and the Observers, whose
+	// OnGeneration hears every generation's Status. Every run entry takes
+	// one — inside RunOptions for Run, as the last argument elsewhere;
+	// Control{} is an unwatched, uncancellable run. A per-generation trace
+	// is SpecRunOpts.Trace, an observer the spec layer attaches.
 	Control = engine.Control
 )
 
@@ -298,7 +299,7 @@ type (
 	// (no timing fields, so run-twice output is byte-identical).
 	SpecReport = spec.Report
 	// SpecRunOpts tunes BuiltSpec.Run (run control, per-generation
-	// callback).
+	// trace and callback).
 	SpecRunOpts = spec.RunOpts
 )
 
