@@ -6,8 +6,8 @@
 // everything the models used to duplicate — stop-condition polling,
 // generation and evaluation accounting, monotone best tracking, solve
 // detection, the population mean of every status, elapsed timing and the
-// ordered Observer hooks — while each model contributes only a Stepper with its
-// model-specific generation step and communication.
+// ordered Observer hooks — while each model contributes only a Stepper
+// with its model-specific generation step and communication.
 //
 // Loop is behaviour-preserving with respect to the model-local loops it
 // replaced: it draws no random numbers of its own, polls the stop
@@ -185,9 +185,10 @@ type Options struct {
 	Observers []Observer
 }
 
-// With returns o under the caller's control: c's context, and c's observers after the runtime's own — so a supervised
-// run's generation-0 checkpoint precedes any user hook — in a fresh
-// slice, never appended to either side's.
+// With returns o under the caller's control: c's context, and c's
+// observers after the runtime's own — so a supervised run's generation-0
+// checkpoint precedes any user hook — in a fresh slice, never appended to
+// either side's.
 func (o Options) With(c Control) Options {
 	o.Context = c.Context
 	if len(c.Observers) > 0 {
