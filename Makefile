@@ -50,15 +50,11 @@ perf-compare:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make perf-compare BASE=<rev> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
 	$(GO) run ./cmd/perfcompare -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
-# Static gate: pgalint (determinism + concurrency contracts) and go vet,
-# whose default run includes copylocks and unusedresult. -time reports
-# per-rule wall time; the 60s deadline fails the gate if the
-# interprocedural engine's cost ever outgrows the module, and the
-# per-rule budget catches a single rule going quadratic long before
-# that. -baseline is the suppression ratchet: the //pgalint:ignore
-# count may not grow past lint-baseline.txt without a reviewed bump.
+# Static gate: go vet, whose default run includes copylocks and
+# unusedresult. The replay contract's source rules (no math/rand, no wall
+# clock in evolution code, buffered channels on the communication paths)
+# are tests: TestSourceScan in the root package, run by `make test`.
 lint:
-	$(GO) run ./cmd/pgalint -time -deadline 60s -rulebudget 20s -baseline lint-baseline.txt ./...
 	$(GO) vet ./...
 
 # Short local fuzz passes for the property-tested surfaces: the binary

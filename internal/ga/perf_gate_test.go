@@ -9,13 +9,17 @@ package ga
 // silently eating the speedup.
 //
 // testing.AllocsPerRun performs one warm-up call before measuring, which
-// is what lets the engines build their pooled buffers lazily.
+// is what lets the engines build their pooled buffers lazily. Its
+// integer average over 20 steps rounds away an append that grows an
+// engine field (a few reallocations, amortized), so every zero-budget
+// row also counts the mallocs over warmBirths more births.
 
 import (
 	"strings"
 	"testing"
 
 	"pga/internal/core"
+	"pga/internal/mallocs"
 	"pga/internal/operators"
 	"pga/internal/problems"
 	"pga/internal/rng"
@@ -144,6 +148,22 @@ func allocGateCases() []allocGateCase {
 	}
 }
 
+// warmBirths is how many births the zero-budget rows count mallocs
+// over: an append that grows a field reallocates several times in 4 096
+// births.
+const warmBirths = 4096
+
+// mallocsOver steps the engine until it has evaluated at least
+// warmBirths more genomes, and returns the heap allocations made
+// meanwhile.
+func mallocsOver(e Engine) uint64 {
+	return mallocs.Count(func() {
+		for start := e.Evaluations(); e.Evaluations()-start < warmBirths; {
+			e.Step()
+		}
+	})
+}
+
 // TestAllocBudget is the perf gate: each engine's Step must stay within
 // its allocation budget (zero for the sequential engines).
 func TestAllocBudget(t *testing.T) {
@@ -152,6 +172,11 @@ func TestAllocBudget(t *testing.T) {
 			avg := testing.AllocsPerRun(20, tc.engine.Step)
 			if avg > tc.budget {
 				t.Errorf("%s: %.1f allocs per Step, budget %.0f", tc.name, avg, tc.budget)
+			}
+			if tc.budget == 0 {
+				if n := mallocsOver(tc.engine); n != 0 {
+					t.Errorf("%s: %d mallocs over %d warm births, want 0", tc.name, n, warmBirths)
+				}
 			}
 			if e, ok := tc.engine.(*Generational); ok && strings.HasSuffix(tc.name, "-lanes") && !tookLanes(e) {
 				t.Errorf("%s: the steps were not bred in lanes", tc.name)

@@ -148,7 +148,9 @@ func (p *layerProblem) NewGenome(r *rng.Source) core.Genome {
 	return p.mf.NewGenome(r)
 }
 
-//pgalint:ignore purity cost/evals accounting adapter: each deme owns its layerProblem, and the pointees are aggregated only after Run joins every deme
+// Evaluate is a cost/evals accounting adapter, stateful on purpose: each
+// deme owns its layerProblem, and the pointees are aggregated only after
+// Run joins every deme.
 func (p *layerProblem) Evaluate(g core.Genome) float64 {
 	*p.cost += p.mf.CostAt(p.level)
 	*p.evals++

@@ -138,7 +138,8 @@ func (d *freeDeme) deliver(pb pendingBatch) {
 		return
 	}
 	pb.attempts++
-	//pgalint:ignore boundedres bounded by MaxSendRetries: each batch re-queues at most that many times before dead-lettering, and Step drains pending every epoch
+	// Bounded by MaxSendRetries: each batch re-queues at most that many
+	// times before dead-lettering, and Step drains pending every epoch.
 	d.pending = append(d.pending, pb)
 }
 

@@ -81,7 +81,9 @@ func (p *scalarProblem) Name() string                        { return p.mo.Name(
 func (p *scalarProblem) Direction() core.Direction           { return core.Minimize }
 func (p *scalarProblem) NewGenome(r *rng.Source) core.Genome { return p.mo.NewGenome(r) }
 
-//pgalint:ignore purity archive-feeding adapter: the SIM scenarios run demes sequentially, and Archive.Add is the documented side channel for Pareto collection
+// Evaluate is an archive-feeding adapter, stateful on purpose: the SIM
+// scenarios run demes sequentially, and Archive.Add is the documented
+// side channel for Pareto collection.
 func (p *scalarProblem) Evaluate(g core.Genome) float64 {
 	objs := p.mo.Objectives(g)
 	*p.evals++

@@ -95,16 +95,6 @@ func (p *FaultPlan) HangAt(deme, gen int, d time.Duration) *FaultPlan {
 	return p.Add(Fault{Deme: deme, Gen: gen, Kind: FaultHang, HangFor: d})
 }
 
-// Len returns the number of scripted faults.
-func (p *FaultPlan) Len() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.faults)
-}
-
 // take consumes and returns the first armed fault matching (deme, gen),
 // or nil. A fault is armed while gen >= Gen and its Times budget is
 // unspent.

@@ -1,15 +1,20 @@
 package supervise
 
 import (
+	"net"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
+	"pga/internal/core"
 	"pga/internal/ga"
+	"pga/internal/masterslave"
 	"pga/internal/operators"
 	"pga/internal/problems"
 	"pga/internal/rng"
 	"pga/internal/topology"
+	"pga/internal/transport"
 )
 
 // testFactory returns a small OneMax engine factory.
@@ -75,7 +80,7 @@ func TestFaultPlanTakeConsumesBudget(t *testing.T) {
 
 func TestFaultPlanNilSafe(t *testing.T) {
 	var p *FaultPlan
-	if p.Len() != 0 {
+	if p.take(0, 1) != nil {
 		t.Fatal("nil plan has faults")
 	}
 	p.apply(0, 1) // must not panic
@@ -239,6 +244,16 @@ func TestRestartBudgetExhaustionKillsDeme(t *testing.T) {
 	if got := s.Router().Neighbors(1); len(got) != 0 {
 		t.Fatalf("lone survivor should have no neighbours, got %v", got)
 	}
+	// A failure reported for a deme already dead changes nothing and
+	// leaves the supervisor usable.
+	withinDeadline(t, 5*time.Second, func() {
+		if eng, frozen, ok := s.Restart(0, 3, FailurePanic, "late"); ok || eng != nil || frozen != nil {
+			t.Errorf("restart of a dead deme = (%v, %v, %v), want (nil, nil, false)", eng, frozen, ok)
+		}
+		if n := len(s.Failures()); n != 2 {
+			t.Errorf("a late failure of a dead deme was logged: %d failures", n)
+		}
+	})
 }
 
 func TestRetiredEvaluationsAccumulate(t *testing.T) {
@@ -275,4 +290,209 @@ func TestKindStrings(t *testing.T) {
 	if FailurePanic.String() != "panic" || FailureTimeout.String() != "timeout" {
 		t.Fatal("FailureKind strings wrong")
 	}
+}
+
+func TestRouterMarkAliveRestoresBaseRing(t *testing.T) {
+	base := topology.Ring(5)
+	r := NewRouter(base)
+	r.MarkDead(2)
+	r.MarkAlive(2)
+	same := func() {
+		t.Helper()
+		for i := 0; i < base.Size(); i++ {
+			if got, want := r.Neighbors(i), base.Neighbors(i); !slices.Equal(got, want) {
+				t.Fatalf("deme %d: neighbours %v after revival, base ring has %v", i, got, want)
+			}
+		}
+		if r.AliveCount() != base.Size() || len(r.Dead()) != 0 {
+			t.Fatalf("liveness after revival: %d alive, dead %v", r.AliveCount(), r.Dead())
+		}
+	}
+	same()
+	r.MarkAlive(2) // already alive: a no-op
+	same()
+}
+
+func TestRouterRefreshFollowsRewiredBase(t *testing.T) {
+	dyn := topology.NewDynamic(func(seed uint64) topology.Topology { return topology.RandomRegular(8, 3, seed) }, 5)
+	r := NewRouter(dyn)
+	dead := []int{1, 6}
+	for _, d := range dead {
+		r.MarkDead(d)
+	}
+	before := r.Neighbors(0)
+	dyn.Rewire()
+	r.Refresh()
+	fresh := NewRouter(dyn)
+	for _, d := range dead {
+		fresh.MarkDead(d)
+	}
+	for i := 0; i < dyn.Size(); i++ {
+		if got, want := r.Neighbors(i), fresh.Neighbors(i); !slices.Equal(got, want) {
+			t.Fatalf("deme %d: refreshed neighbours %v, a fresh router over the rewired graph has %v", i, got, want)
+		}
+	}
+	if slices.Equal(r.Neighbors(0), before) {
+		t.Fatal("the rewire left deme 0's neighbours unchanged; pick a seed that moves them")
+	}
+}
+
+// withinDeadline runs f on its own goroutine and fails the test if f has
+// not returned within d: a mutex left locked on some exit path blocks
+// the next call forever. f reports with t.Error, never t.Fatal.
+func withinDeadline(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("still blocked after %v: a lock is held past an early return", d)
+	}
+}
+
+// badGenome is a genome the checkpoint codec refuses.
+type badGenome struct{}
+
+func (badGenome) Clone() core.Genome { return badGenome{} }
+func (badGenome) Len() int           { return 1 }
+func (badGenome) String() string     { return "bad" }
+
+// TestLocksReleasedOnEveryExit takes every exit of each method that locks
+// one of the module's six mutexes (FaultPlan, Supervisor, Router, Farm,
+// TCP, CachedProblem) — error returns, early returns and panics the
+// method recovers from included — and then calls the type's locking
+// methods again, under a deadline. A path that returns with the mutex
+// still held turns the next call into a hang, and the deadline into a
+// failure.
+func TestLocksReleasedOnEveryExit(t *testing.T) {
+	const deadline = 5 * time.Second
+	t.Run("FaultPlan", func(t *testing.T) {
+		p := NewFaultPlan().PanicAt(0, 2)
+		withinDeadline(t, deadline, func() {
+			for _, c := range []struct {
+				deme, gen int
+				hit       bool
+			}{{1, 5, false}, {0, 1, false}, {0, 2, true}, {0, 2, false}} {
+				if got := p.take(c.deme, c.gen) != nil; got != c.hit {
+					t.Errorf("take(%d, %d) hit = %v, want %v", c.deme, c.gen, got, c.hit)
+				}
+			}
+			p.HangAt(1, 1, 0)
+			if p.take(1, 1) == nil {
+				t.Error("a fault added after the early returns was not taken")
+			}
+		})
+	})
+	t.Run("Supervisor", func(t *testing.T) {
+		plan := NewFaultPlan().PanicAt(2, 1)
+		s, engines := newTestSupervisor(t, Config{MaxRestarts: 1, Backoff: time.Microsecond}, plan, 3)
+		withinDeadline(t, deadline, func() {
+			if g := s.ResumeGen(0); g != 0 { // no checkpoint yet: early return
+				t.Errorf("ResumeGen before any checkpoint = %d", g)
+			}
+			bad := &core.Population{Members: []*core.Individual{{Genome: badGenome{}}}}
+			if err := s.Checkpoint(0, bad, 1, 0); err == nil {
+				t.Error("Checkpoint of an unencodable population succeeded")
+			}
+			if _, _, ok := s.Restart(0, 1, FailurePanic, "no checkpoint"); ok { // dies
+				t.Error("a deme with no checkpoint was restarted")
+			}
+			if _, _, ok := s.Restart(0, 2, FailurePanic, "already dead"); ok {
+				t.Error("a dead deme was restarted")
+			}
+			e := engines[1]
+			if err := s.Checkpoint(1, e.Population(), 4, e.Evaluations()); err != nil {
+				t.Error(err)
+			}
+			if _, _, ok := s.Restart(1, 5, FailureTimeout, nil); !ok {
+				t.Error("a checkpointed deme was not restarted")
+			}
+			s.Attach(2, rng.New(1))
+			if g := s.ResumeGen(1); g != 4 {
+				t.Errorf("ResumeGen after a checkpoint at 4 = %d", g)
+			}
+			if n := len(s.Failures()); n != 2 {
+				t.Errorf("%d failures logged, want 2", n)
+			}
+			// A step that panics is recovered inside RunStep, which takes
+			// the fault plan's lock on the way in.
+			if out := s.RunStep(2, 1, engines[2]); out.Status != StepPanicked {
+				t.Errorf("RunStep under a scripted panic = %v", out.Status)
+			}
+			if plan.take(2, 1) != nil {
+				t.Error("the scripted panic was not consumed")
+			}
+		})
+	})
+	t.Run("Router", func(t *testing.T) {
+		r := NewRouter(topology.Ring(4))
+		withinDeadline(t, deadline, func() {
+			r.MarkDead(1)
+			r.MarkDead(1)  // already dead: early return
+			r.MarkAlive(2) // already alive: early return
+			r.MarkAlive(1)
+			r.Refresh()
+			if !r.Alive(1) || r.AliveCount() != 4 || len(r.Dead()) != 0 || len(r.Neighbors(0)) != 1 {
+				t.Error("router state wrong after the early returns")
+			}
+		})
+	})
+	t.Run("Farm", func(t *testing.T) {
+		// Worker 0 never fails; worker 1 fails every task and dies after
+		// two, so its remaining slice is reported failed unattempted.
+		f := masterslave.NewFarm(1, []masterslave.WorkerSpec{{Speed: 1}, {Speed: 1, FailProb: 1, MaxFailures: 2}})
+		dead := masterslave.NewFarm(2, []masterslave.WorkerSpec{{Speed: 1, FailProb: 1, MaxFailures: 1}})
+		p := problems.OneMax{N: 16}
+		withinDeadline(t, deadline, func() {
+			for _, farm := range []*masterslave.Farm{f, dead} {
+				for round := 0; round < 2; round++ {
+					pop := core.RandomPopulation(p, 12, rng.New(uint64(round)))
+					for _, ind := range pop.Members {
+						ind.Evaluated = false
+					}
+					farm.EvaluateAll(p, pop)
+					farm.Stats()
+					farm.Makespan(1)
+				}
+			}
+			if st := dead.Stats(); st.DeadWorkers != 1 {
+				t.Errorf("dead farm stats %+v", st)
+			}
+		})
+	})
+	t.Run("TCP", func(t *testing.T) {
+		ep, err := transport.NewTCP(transport.TCPConfig{Listen: "127.0.0.1:0", Peers: map[int]string{1: "127.0.0.1:1"}, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		withinDeadline(t, deadline, func() {
+			// An inbound connection is tracked, then untracked when its
+			// reader sees EOF.
+			if conn, err := net.Dial("tcp", ep.Addr().String()); err == nil {
+				conn.Close()
+			}
+			ep.Close()
+			ep.Close() // already closed
+			if ep.Send(1, nil) {
+				t.Error("a closed endpoint accepted a send")
+			}
+		})
+	})
+	t.Run("CachedProblem", func(t *testing.T) {
+		c := core.NewCachedProblem(problems.OneMax{N: 16}, 2)
+		r := rng.New(1)
+		withinDeadline(t, deadline, func() {
+			gs := []core.Genome{c.NewGenome(r), c.NewGenome(r), c.NewGenome(r)}
+			for _, g := range append(gs, gs[0], gs[2]) { // misses, a clear at capacity, hits
+				c.Evaluate(g)
+			}
+			if hits, misses := c.CacheStats(); hits+misses != 5 || c.Len() == 0 {
+				t.Errorf("cache stats %d hits, %d misses, %d entries", hits, misses, c.Len())
+			}
+		})
+	})
 }

@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"pga/internal/core"
 	"pga/internal/genome"
+	"pga/internal/mallocs"
 	"pga/internal/persist"
 	"pga/internal/rng"
 )
@@ -371,6 +374,73 @@ func TestWireAllocBudget(t *testing.T) {
 	}); avg > float64(1+3*len(batch)) {
 		t.Errorf("decodeFrame: %.1f allocs, budget %d", avg, 1+3*len(batch))
 	}
+}
+
+// steadySends is how many warm sends TestSendAllocBudget counts mallocs
+// over: a field that grows per send reallocates several times in 4 096
+// sends, which a per-call average rounds away.
+const steadySends = 4096
+
+// TestSendAllocBudget gates what a warm endpoint allocates per send:
+// nothing for Loopback, nothing beyond its schedule line for Faulty, and
+// for TCP the one encoded buffer TestWireAllocBudget allows encodeBatch.
+func TestSendAllocBudget(t *testing.T) {
+	batch := testBatch(2, 8)
+	sends := func(send func()) uint64 {
+		for i := 0; i < steadySends; i++ {
+			send()
+		}
+		return mallocs.Count(func() {
+			for i := 0; i < steadySends; i++ {
+				send()
+			}
+		})
+	}
+	t.Run("loopback", func(t *testing.T) {
+		eps := NewLoopback(2, 1)
+		// The second send finds the inbox full and is refused.
+		if n := sends(func() { eps[0].Send(1, batch); eps[0].Send(1, batch); eps[1].Recv() }); n != 0 {
+			t.Errorf("Loopback: %d mallocs over %d send pairs, want 0", n, steadySends)
+		}
+	})
+	t.Run("faulty", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("sync.Pool drops at random under -race; the schedule lines' count is not fixed")
+		}
+		eps := NewLoopback(2, 1)
+		f := NewFaulty(eps[0], FaultSpec{}, 1)
+		f.events.Grow(1 << 20)
+		got := sends(func() { f.Send(1, batch); eps[1].Recv() })
+		// Every send writes one schedule line; formatting it is the
+		// allowance. The counters are past 255 already, as Faulty's are.
+		var line strings.Builder
+		line.Grow(1 << 20)
+		tick := uint64(1 << 20)
+		want := sends(func() {
+			tick++
+			fmt.Fprintf(&line, "%06d deliver dst=%d seq=%d dup=%v", tick, 1, tick, false)
+			line.WriteByte('\n')
+		})
+		if got > want {
+			t.Errorf("Faulty: %d mallocs over %d sends, want at most the %d its schedule lines take", got, steadySends, want)
+		}
+	})
+	t.Run("tcp", func(t *testing.T) {
+		// As in TestTCPFullQueuesDropNeverBlock: the peer is down and its
+		// sender asleep, so every send encodes, evicts the oldest queued
+		// batch and enqueues.
+		ep := newTCPAt(t, 0, map[int]string{1: "127.0.0.1:1"}, func(c *TCPConfig) {
+			c.QueueLen = 4
+			c.DownAfter = 1
+			c.BackoffMin = time.Hour
+			c.BackoffMax = time.Hour
+		})
+		ep.Send(1, batch)
+		waitUntil(t, 5*time.Second, func() bool { return ep.Stats().PeerDowns == 1 }, "peer reported down")
+		if n := sends(func() { ep.Send(1, batch) }); n > steadySends {
+			t.Errorf("TCP: %d mallocs over %d sends, budget one buffer per send", n, steadySends)
+		}
+	})
 }
 
 var benchSink int
