@@ -9,9 +9,11 @@ import (
 // SerialEvaluator and the master–slave farm hand over a whole pending
 // set, which amortises the per-call interface dispatch for the popcount
 // problems, lets one pass over MaxSAT's clauses serve 64 genomes, and lets
-// one walk over NK's loci serve eight. Every EvaluateBatch returns bit-identical fitness to its
-// scalar Evaluate (the seam's contract; differential_test.go holds both
-// to the pre-compilation per-gene bodies). Problems are shared by farm
+// one walk over NK's loci serve 64 too: eight at a time, with each gene's
+// table row held in vector registers on AVX-512 hosts (nk_amd64.s). Every
+// EvaluateBatch returns bit-identical fitness to its scalar Evaluate (the
+// seam's contract; differential_test.go holds both, on every body the
+// host runs, to the pre-compilation per-gene bodies). Problems are shared by farm
 // workers and islands, so scratch lives on the caller's stack: nothing
 // is written to a receiver and nothing is allocated.
 var (
@@ -58,10 +60,12 @@ const (
 	laneTile = 1024
 	// minLanes is the smallest block worth slicing. A block costs its
 	// gather and one pass over the instance however few lanes it fills:
-	// about 1.4–1.8 scalar MaxSAT evaluations and 2–2.7 NK ones. Measured
-	// by BenchmarkLaneBreakEven, two lanes win on both MaxSAT instances
-	// but not on nk(64,2), and three win on every instance; one threshold
-	// serves both kernels.
+	// about 1.4–1.8 scalar MaxSAT evaluations, 2–2.7 NK ones on the Go
+	// body and 1–1.6 on the AVX-512 one. Measured by
+	// BenchmarkLaneBreakEven (ten runs), two lanes win on both MaxSAT
+	// instances and on NK's AVX-512 body, but not on the Go body, which
+	// every other host runs (nk(64,2) 3 of 10, nk(256,4) 5 of 10); three
+	// win on every instance and body. One threshold serves both kernels.
 	minLanes = 3
 )
 
@@ -212,6 +216,12 @@ func (p nkBatch) EvaluateBatch(genomes []core.Genome, out []float64) {
 	evaluateBlocks(p.NKLandscape, p.n <= laneTile && p.k+1 <= 8, genomes, out)
 }
 
+// nkVectorPattern bounds k+1 for the AVX-512 body of NK's lane kernel
+// (nk_amd64.s): a row of up to 32 contributions is four ZMM registers.
+// Wider patterns, and hosts without AVX512F and AVX512DQ, take the Go
+// body.
+const nkVectorPattern = 5
+
 const (
 	// spread8 and spreadTop put the eight bits of a byte b one per byte:
 	// b*spread8 is eight copies of b at a stride of nine bits — they do
@@ -223,22 +233,39 @@ const (
 )
 
 // evaluateLanes evaluates up to 64 genomes over gatherLanes' layout,
-// eight lanes at a time. For a group, each gene's eight lane bits are
-// spread one per byte (once per gene, not once per locus that names it);
-// then per gene each of its k+1 loci is one load for the whole group,
-// the loads shift-or — first locus most significant, as in Evaluate —
-// into eight patterns side by side in one word, and eight lookups feed
-// eight accumulators. Every genome's contributions are thus still added
-// in gene order i = 0..n-1: the same float64 additions as Evaluate's,
-// hence the same bits, while the add chains of different genomes overlap.
-// The lanes an unfilled last group does not have are computed as
-// all-zero genomes and dropped.
+// eight lanes at a time, on one of two bodies: the AVX-512 one when
+// p.vector says this host runs it for p's k, the Go one otherwise. Both
+// give lane l an accumulator that receives gene i's contribution for
+// i = 0..n-1 in that order, from +0: the same float64 additions as
+// Evaluate's, hence the same bits, while the add chains of different
+// genomes overlap. The lanes an unfilled last group does not have are
+// computed as all-zero genomes and dropped.
 func (p *NKLandscape) evaluateLanes(genomes []core.Genome, out []float64) {
-	var vars, spread [laneTile]uint64
+	var vars [laneTile]uint64
 	gatherLanes(p, p.n, genomes, &vars)
-	stride := p.k + 1
+	var acc [64]float64
+	groups := (len(genomes) + 7) / 8
+	if p.vector {
+		nkLanesAVX512(&p.table[0], &p.loci[0], &vars, p.n, p.k, groups, &acc)
+	} else {
+		p.lanesGo(&vars, groups, &acc)
+	}
 	n := float64(p.n)
-	for base := 0; base < len(genomes); base += 8 {
+	for l := range out {
+		out[l] = acc[l] / n
+	}
+}
+
+// lanesGo is the Go body of NK's lane kernel, which runs on every host.
+// For a group, each gene's eight lane bits are spread one per byte
+// (once per gene, not once per locus that names it); then per gene each
+// of its k+1 loci is one load for the whole group, the loads shift-or —
+// first locus most significant, as in Evaluate — into eight patterns
+// side by side in one word, and eight lookups feed eight accumulators.
+func (p *NKLandscape) lanesGo(vars *[laneTile]uint64, groups int, acc *[64]float64) {
+	var spread [laneTile]uint64
+	stride := p.k + 1
+	for base := 0; base < groups*8; base += 8 {
 		for v := range spread[:p.n] {
 			spread[v] = (vars[v] >> uint(base) & 0xFF * spread8 & spreadTop) >> 7
 		}
@@ -259,9 +286,6 @@ func (p *NKLandscape) evaluateLanes(genomes []core.Genome, out []float64) {
 			a6 += p.table[row|pat>>8&0xFF]
 			a7 += p.table[row|pat&0xFF]
 		}
-		acc := [8]float64{a0, a1, a2, a3, a4, a5, a6, a7}
-		for l, a := range acc[:min(8, len(genomes)-base)] {
-			out[base+l] = a / n
-		}
+		*(*[8]float64)(acc[base : base+8]) = [8]float64{a0, a1, a2, a3, a4, a5, a6, a7}
 	}
 }

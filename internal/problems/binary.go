@@ -225,7 +225,8 @@ func (p RoyalRoad) Solved(f float64) bool { return f >= p.Optimum() }
 // The instance is held compiled: both tables flat, so an evaluation is one
 // pass over loci with no slice-of-slices hop and no branch per bit. It has
 // two kernels over them: the scalar one below, and in batch.go a lane
-// kernel that serves eight genomes per locus load.
+// kernel that serves eight genomes per locus load (Go) or per permute
+// (AVX-512).
 type NKLandscape struct {
 	n, k int
 	// loci holds k+1 gene indices per gene — gene i's at
@@ -235,6 +236,9 @@ type NKLandscape struct {
 	// [i<<(k+1), (i+1)<<(k+1)), indexed by the pattern its loci spell,
 	// first locus most significant.
 	table []float64
+	// vector is whether the lane kernel runs its AVX-512 body: the host
+	// has it and k+1 ≤ nkVectorPattern.
+	vector bool
 }
 
 // nkMaxPattern bounds k+1, the bits of a table index: 2^24 contributions
@@ -289,8 +293,9 @@ func identity(n int) []int {
 func NewNKLandscape(n, k int, seed uint64) *NKLandscape {
 	links, table := nkInstance(n, k, seed)
 	p := &NKLandscape{n: n, k: k,
-		loci:  make([]uint32, 0, n*(k+1)),
-		table: make([]float64, 0, n<<uint(k+1)),
+		loci:   make([]uint32, 0, n*(k+1)),
+		table:  make([]float64, 0, n<<uint(k+1)),
+		vector: nkVector && k+1 <= nkVectorPattern,
 	}
 	for i := range links {
 		for _, j := range links[i] {

@@ -113,11 +113,15 @@ func diffCases() []diffCase {
 	)
 	// NK's lane kernel at the ends of its pattern range (k+1 = 1 and 8)
 	// on every length, and past it: k = 8 falls back to the scalar kernel,
-	// as n > laneTile does above.
+	// as n > laneTile does above. The AVX-512 body takes k ≤ 4 (k = 4 is
+	// above), each k through its own loads: every k up to 4, and k = 5,
+	// the first on the Go body alone.
 	for _, n := range []int{63, 64, 65, 100, 250} {
-		cases = append(cases, nkCase(n, 0, 5), nkCase(n, 7, 5), nkCase(n, 8, 5))
+		for _, k := range []int{0, 1, 2, 3, 5, 7, 8} {
+			cases = append(cases, nkCase(n, k, 5))
+		}
 	}
-	cases = append(cases, nkCase(5, 0, 5), nkCase(9, 7, 5), nkCase(9, 8, 5))
+	cases = append(cases, nkCase(5, 0, 5), nkCase(5, 4, 5), nkCase(6, 5, 5), nkCase(9, 7, 5), nkCase(9, 8, 5))
 	for _, s := range [][2]int{{16, 4}, {13, 5}, {1, 4}, {10, 7}} {
 		blocks, k := s[0], s[1]
 		cases = append(cases,
@@ -164,7 +168,35 @@ func diffPool(n, count int, r *rng.Source) []core.Genome {
 	return pool
 }
 
+// lanesBodies returns p on each lane kernel body this host runs for it:
+// an NK instance on the AVX-512 body, then a copy on the Go body; any
+// other problem as itself.
+func lanesBodies(p core.Problem) []core.Problem {
+	nk, ok := p.(*NKLandscape)
+	if !ok || !nk.vector {
+		return []core.Problem{p}
+	}
+	onGo := *nk
+	onGo.vector = false
+	return []core.Problem{p, &onGo}
+}
+
+// bodyName names the lane kernel body p runs.
+func bodyName(p core.Problem) string {
+	if nk, ok := p.(*NKLandscape); ok && nk.vector {
+		return "avx512"
+	}
+	return "go"
+}
+
+// TestCompiledKernelsMatchReference holds Evaluate and EvaluateBatch to
+// the references on every lane kernel body the host can run.
 func TestCompiledKernelsMatchReference(t *testing.T) {
+	var names []string
+	for _, p := range lanesBodies(NewNKLandscape(5, nkVectorPattern-1, 1)) {
+		names = append(names, bodyName(p))
+	}
+	t.Logf("NK lane kernel bodies on this host at k = %d: %v", nkVectorPattern-1, names)
 	const poolSize = 199
 	// Around the slicing threshold, the eight-lane group and the 64-lane
 	// block.
@@ -180,26 +212,43 @@ func TestCompiledKernelsMatchReference(t *testing.T) {
 				t.Fatalf("%s: Evaluate(genome %d) = %v, reference %v", tc.p.Name(), i, got, want[i])
 			}
 		}
-		batch, ok := core.BatchOf(tc.p)
-		if !ok {
-			t.Fatalf("%s: no batch form", tc.p.Name())
-		}
-		for _, bs := range batches {
-			// From both ends of the pool: the first includes the
-			// all-zero and all-one genomes, the second does not.
-			for _, off := range []int{0, poolSize - bs} {
-				got := out[:bs]
-				for i := range got {
-					got[i] = -1
-				}
-				batch.EvaluateBatch(pool[off:off+bs], got)
-				for i := range got {
-					if got[i] != want[off+i] {
-						t.Fatalf("%s: EvaluateBatch(%d genomes)[%d] = %v, reference %v",
-							tc.p.Name(), bs, i, got[i], want[off+i])
+		for _, p := range lanesBodies(tc.p) {
+			batch, ok := core.BatchOf(p)
+			if !ok {
+				t.Fatalf("%s: no batch form", p.Name())
+			}
+			for _, bs := range batches {
+				// From both ends of the pool: the first includes the
+				// all-zero and all-one genomes, the second does not.
+				for _, off := range []int{0, poolSize - bs} {
+					got := out[:bs]
+					for i := range got {
+						got[i] = -1
+					}
+					batch.EvaluateBatch(pool[off:off+bs], got)
+					for i := range got {
+						if got[i] != want[off+i] {
+							t.Fatalf("%s, %s body: EvaluateBatch(%d genomes)[%d] = %v, reference %v",
+								p.Name(), bodyName(p), bs, i, got[i], want[off+i])
+						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestNKLanesAllocateNothing: each body's scratch — the lane tile, the
+// Go body's spread tile and the accumulators — stays on the stack. A
+// body reached through a func value would let the tile escape.
+func TestNKLanesAllocateNothing(t *testing.T) {
+	p := NewNKLandscape(256, 4, 1)
+	genomes := diffPool(256, 49, rng.New(3))
+	out := make([]float64, len(genomes))
+	for _, b := range lanesBodies(p) {
+		nk := b.(*NKLandscape)
+		if a := testing.AllocsPerRun(20, func() { nk.evaluateLanes(genomes, out) }); a != 0 {
+			t.Errorf("%s body: %v allocations per block", bodyName(b), a)
 		}
 	}
 }
@@ -333,8 +382,8 @@ func fuzzAgree(t *testing.T, p core.Problem, batch []core.Genome, ref func(*geno
 	for l, g := range batch {
 		want := ref(g.(*genome.BitString))
 		if out[l] != want || p.Evaluate(g) != want {
-			t.Fatalf("%s, lane %d of %d: batch %v, scalar %v, reference %v",
-				p.Name(), l, len(batch), out[l], p.Evaluate(g), want)
+			t.Fatalf("%s, %s body, lane %d of %d: batch %v, scalar %v, reference %v",
+				p.Name(), bodyName(p), l, len(batch), out[l], p.Evaluate(g), want)
 		}
 	}
 }
@@ -357,28 +406,40 @@ func FuzzMaxSATBatch(f *testing.F) {
 }
 
 // FuzzNKBatch: the same for the NK lane kernel against the per-gene
-// reference, at both ends of its pattern range.
+// reference, on every body the host can run, at both ends of its pattern
+// range and of the AVX-512 body's (k = 0 and 4), and at k = 5, the first
+// past the latter.
 func FuzzNKBatch(f *testing.F) {
-	cases := []diffCase{nkCase(100, 4, 17), nkCase(100, 0, 17), nkCase(100, 7, 17)}
+	cases := []diffCase{nkCase(100, 4, 17), nkCase(100, 0, 17), nkCase(100, 5, 17), nkCase(100, 7, 17)}
 	for _, s := range fuzzCorpus {
 		f.Add(s.data, s.batch)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, rawBatch uint8) {
 		for _, tc := range cases {
-			fuzzAgree(t, tc.p, fuzzBatch(tc.n, data, rawBatch), tc.ref)
+			batch := fuzzBatch(tc.n, data, rawBatch)
+			for _, p := range lanesBodies(tc.p) {
+				fuzzAgree(t, p, batch, tc.ref)
+			}
 		}
 	})
 }
 
 // BenchmarkLaneBreakEven sizes minLanes: one bit-sliced block of 1–4
 // genomes (gather, kernel, un-slice) against as many scalar Evaluate
-// calls, on the two problems that have lane kernels. minLanes is the
-// smallest lane count at which the sliced block wins on every instance.
+// calls, on the two problems that have lane kernels and on every body
+// the host runs. minLanes is the smallest lane count at which the sliced
+// block wins on every instance and body.
 func BenchmarkLaneBreakEven(b *testing.B) {
-	for _, p := range []laneKernel{
+	var instances []core.Problem
+	for _, p := range []core.Problem{
 		NewMaxSAT(256, 1024, 1), NewMaxSAT(64, 256, 1),
 		NewNKLandscape(256, 4, 1), NewNKLandscape(64, 2, 1),
 	} {
+		instances = append(instances, lanesBodies(p)...)
+	}
+	for _, inst := range instances {
+		p := inst.(laneKernel)
+		name := p.Name() + "/" + bodyName(p)
 		r := rng.New(1)
 		genomes := make([]core.Genome, 4)
 		for i := range genomes {
@@ -387,13 +448,13 @@ func BenchmarkLaneBreakEven(b *testing.B) {
 		out := make([]float64, len(genomes))
 		for lanes := 1; lanes <= len(genomes); lanes++ {
 			gs, o := genomes[:lanes], out[:lanes]
-			b.Run(fmt.Sprintf("%s/lanes-%d/sliced", p.Name(), lanes), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/lanes-%d/sliced", name, lanes), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					p.evaluateLanes(gs, o)
 				}
 			})
-			b.Run(fmt.Sprintf("%s/lanes-%d/scalar", p.Name(), lanes), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/lanes-%d/scalar", name, lanes), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for j, g := range gs {

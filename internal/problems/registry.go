@@ -19,8 +19,9 @@ type Spec struct {
 	// MinSize is the smallest size Make accepts; 0 marks a fixed-size
 	// problem (foxholes), whose Make ignores size. Callers check it: below
 	// it Make may panic (nk needs K = 4 < N, maxsat three distinct
-	// variables per clause) or build an instance whose fitness is not
-	// finite (stock, doppler-ar2).
+	// variables per clause), build an instance whose fitness is not
+	// finite (stock, doppler-ar2), or build no block at all (trap, mmdp
+	// and royalroad take blocks of 4, 6 and 8 bits).
 	MinSize int
 	// Make builds an instance with the given size parameter and seed.
 	// The meaning of size is problem specific (bits, dimensions, items).
@@ -31,13 +32,13 @@ type Spec struct {
 var registry = map[string]Spec{
 	"onemax": {Key: "onemax", Class: "easy", MinSize: 1,
 		Make: func(size int, _ uint64) core.Problem { return OneMax{N: size} }},
-	"trap": {Key: "trap", Class: "deceptive", MinSize: 1,
+	"trap": {Key: "trap", Class: "deceptive", MinSize: 4,
 		Make: func(size int, _ uint64) core.Problem { return DeceptiveTrap{Blocks: size / 4, K: 4} }},
-	"mmdp": {Key: "mmdp", Class: "deceptive", MinSize: 1,
+	"mmdp": {Key: "mmdp", Class: "deceptive", MinSize: 6,
 		Make: func(size int, _ uint64) core.Problem { return MMDP{Blocks: size / 6} }},
 	"ppeaks": {Key: "ppeaks", Class: "multimodal", MinSize: 1,
 		Make: func(size int, seed uint64) core.Problem { return NewPPeaks(20, size, seed) }},
-	"royalroad": {Key: "royalroad", Class: "easy", MinSize: 1,
+	"royalroad": {Key: "royalroad", Class: "easy", MinSize: 8,
 		Make: func(size int, _ uint64) core.Problem { return RoyalRoad{Blocks: size / 8, K: 8} }},
 	"nk": {Key: "nk", Class: "epistatic", MinSize: 5,
 		Make: func(size int, seed uint64) core.Problem { return NewNKLandscape(size, 4, seed) }},

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"pga/internal/genome"
 	"pga/internal/problems"
+	"pga/internal/rng"
 )
 
 // mustParse parses or fails the test.
@@ -197,13 +199,18 @@ func TestProblemSizeSweep(t *testing.T) {
 			}
 		}
 	}
-	// The minimum is the registry's: one below it is refused, it is not.
+	// The minimum is the registry's: one below it is refused, it is not,
+	// and a bit-string problem built at it has genes to evolve.
 	for _, key := range problems.Keys() {
 		entry, _ := problems.Lookup(key)
 		_, below := ProblemSpec{Name: key, Size: entry.MinSize - 1}.Instance(1)
-		_, at := ProblemSpec{Name: key, Size: entry.MinSize}.Instance(1)
+		p, at := ProblemSpec{Name: key, Size: entry.MinSize}.Instance(1)
 		if below == nil || at != nil {
 			t.Errorf("%s (min %d): one below → %v, at → %v", key, entry.MinSize, below, at)
+			continue
+		}
+		if b, ok := p.NewGenome(rng.New(1)).(*genome.BitString); ok && b.N == 0 {
+			t.Errorf("%s (min %d): builds a zero-length genome", key, entry.MinSize)
 		}
 	}
 }
