@@ -128,3 +128,63 @@ func TestRegisteredOperatorsHaveGoldenScenario(t *testing.T) {
 		}
 	}
 }
+
+// runMode names the runtime a resolved cell drives: its model, and for
+// islands the discipline too.
+func runMode(p *Plan) string {
+	if p.model.name != ModelIslands {
+		return p.model.name
+	}
+	switch {
+	case !p.parallel:
+		return ModelIslands + "/sequential"
+	case !p.deme.Policy.Sync:
+		return ModelIslands + "/async"
+	case p.resilience != nil:
+		return ModelIslands + "/supervised"
+	}
+	return ModelIslands + "/sync-parallel"
+}
+
+// TestEveryModelHasGoldenScenario: every spec model, and every island
+// discipline whose bytes are reproducible, runs in at least one cell
+// with a recorded result. Async islands are exempt: goroutine
+// interleaving decides which batch a deme drains, so they have no bytes
+// to pin until they run on a modelled clock (ROADMAP item 10); the same
+// holds for wire islands (pgaisland), which no spec document runs.
+func TestEveryModelHasGoldenScenario(t *testing.T) {
+	exempt := map[string]bool{ModelIslands + "/async": true}
+	var want []string
+	for _, m := range Models() {
+		if m != ModelIslands {
+			want = append(want, m)
+		}
+	}
+	for _, m := range []string{"sequential", "sync-parallel", "supervised"} {
+		want = append(want, ModelIslands+"/"+m)
+	}
+	pinned := map[string]bool{}
+	_, docs := recordedFiles(t)
+	for _, doc := range docs {
+		cells, cerr := readSweep(t, doc).Cells()
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		for _, c := range cells {
+			p, err := Resolve(c.Spec)
+			if err != nil {
+				t.Fatalf("%s cell %d: %v", doc, c.Index, err)
+			}
+			mode := runMode(p)
+			if exempt[mode] {
+				t.Errorf("%s cell %d runs %s, which has no reproducible bytes to record", doc, c.Index, mode)
+			}
+			pinned[mode] = true
+		}
+	}
+	for _, m := range want {
+		if !pinned[m] {
+			t.Errorf("%s runs in no recorded sweep cell", m)
+		}
+	}
+}
