@@ -1,6 +1,7 @@
-// Package mallocs counts the heap allocations a piece of code makes. The
-// zero-allocation gates of the engine and transport tests use it; no
-// command links it.
+// Package mallocs counts the heap allocations a piece of code makes, and
+// their bytes. The zero-allocation gates of the engine and transport
+// tests and the persist decoder's allocation bound use it; no command
+// links it.
 package mallocs
 
 import (
@@ -29,21 +30,38 @@ import (
 // does not see. A slice that grows past 8 bytes, or an allocation the
 // loop repeats, is always seen.
 func Count(f func()) uint64 {
+	objects, _ := measure(f)
+	return objects
+}
+
+// Bytes is Count in bytes: the heap bytes allocated by f's call tree,
+// under the same rules. Unlike a MemStats.TotalAlloc delta it does not
+// see what other goroutines allocate meanwhile.
+func Bytes(f func()) uint64 {
+	_, bytes := measure(f)
+	return bytes
+}
+
+// measure runs f and returns the allocations and bytes Count and Bytes
+// report.
+func measure(f func()) (objects, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	name := runtime.FuncForPC(reflect.ValueOf(f).Pointer()).Name()
-	before := allocsUnder(name)
+	objects0, bytes0 := allocsUnder(name)
 	f()
-	return allocsUnder(name) - before
+	objects1, bytes1 := allocsUnder(name)
+	return objects1 - objects0, bytes1 - bytes0
 }
 
 // allocsUnder returns how many allocations so far had fn on their stack
-// and no type-cache fill. At least two collections run first: they
-// publish every allocation so far, and they empty every sync.Pool,
-// victim cache included, so each measured call starts from the same pool
-// state (fmt, for one, refills its printer pool after a collection).
-func allocsUnder(fn string) uint64 {
+// and no type-cache fill, and their bytes. At least two collections run
+// first: they publish every allocation so far, and they empty every
+// sync.Pool, victim cache included, so each measured call starts from
+// the same pool state (fmt, for one, refills its printer pool after a
+// collection).
+func allocsUnder(fn string) (objects, bytes uint64) {
 	runtime.GC()
 	var p []runtime.MemProfileRecord
 	for n, ok := 0, false; !ok; {
@@ -52,7 +70,6 @@ func allocsUnder(fn string) uint64 {
 		n, ok = runtime.MemProfile(p, true)
 		p = p[:min(n, len(p))]
 	}
-	var total uint64
 	for i := range p {
 		under := false
 		frames := runtime.CallersFrames(p[i].Stack())
@@ -67,8 +84,9 @@ func allocsUnder(fn string) uint64 {
 			}
 		}
 		if under {
-			total += uint64(p[i].AllocObjects)
+			objects += uint64(p[i].AllocObjects)
+			bytes += uint64(p[i].AllocBytes)
 		}
 	}
-	return total
+	return objects, bytes
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"pga/internal/core"
 	"pga/internal/ga"
 	"pga/internal/genome"
+	"pga/internal/mallocs"
 	"pga/internal/operators"
 	"pga/internal/problems"
 	"pga/internal/rng"
@@ -172,18 +172,16 @@ func TestUnmarshalRejectsOversizedLengths(t *testing.T) {
 		"header":    {codecVersion, 1, 0},
 	}
 	for name, data := range cases {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		_, err := UnmarshalPopulation(data)
-		runtime.ReadMemStats(&m1)
+		var err error
+		allocated := mallocs.Bytes(func() { _, err = UnmarshalPopulation(data) })
 		if err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 		if name != "truncated" && name != "header" && !strings.Contains(err.Error(), "exceeds") {
 			t.Fatalf("%s: error %q is not a length error", name, err)
 		}
-		if got := m1.TotalAlloc - m0.TotalAlloc; got > 4096 {
-			t.Fatalf("%s: rejecting %d bytes allocated %d", name, len(data), got)
+		if allocated > 4096 {
+			t.Fatalf("%s: rejecting %d bytes allocated %d", name, len(data), allocated)
 		}
 	}
 }
