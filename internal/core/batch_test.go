@@ -11,6 +11,7 @@ import (
 type hashGenome struct{ v uint64 }
 
 func (g *hashGenome) Clone() Genome             { c := *g; return &c }
+func (g *hashGenome) CopyFrom(src Genome)       { *g = *src.(*hashGenome) }
 func (g *hashGenome) Len() int                  { return 1 }
 func (g *hashGenome) String() string            { return "hg" }
 func (g *hashGenome) Hash128() (uint64, uint64) { return g.v, ^g.v }

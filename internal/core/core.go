@@ -24,31 +24,26 @@ import (
 type Genome interface {
 	// Clone returns a deep copy of the genome.
 	Clone() Genome
+	// CopyFrom overwrites the receiver's genes with src's, reusing its
+	// storage — the allocation-free form of Clone that the engines' pooled
+	// generation buffers rewrite offspring with. The receiver and src
+	// must share concrete type and length (same problem).
+	CopyFrom(src Genome)
 	// Len returns the number of genes.
 	Len() int
 	// String renders the genome for logs and debugging.
 	String() string
 }
 
-// InPlace is an optional Genome extension for allocation-free copying.
-// All representations in internal/genome implement it; the engines' pooled
-// generation buffers depend on it to rewrite offspring without allocating.
-type InPlace interface {
-	Genome
-	// CopyFrom overwrites the receiver's genes with src's. The receiver
-	// and src must share concrete type and length (same problem).
-	CopyFrom(src Genome)
-}
-
-// CopyGenome copies src into dst, reusing dst's storage when dst
-// implements InPlace; otherwise (or when dst is nil) it returns a fresh
-// clone. The returned genome never aliases src's gene storage.
+// CopyGenome copies src into dst's storage, or returns a fresh clone of
+// src when dst is nil. The returned genome never aliases src's gene
+// storage.
 func CopyGenome(dst, src Genome) Genome {
-	if ip, ok := dst.(InPlace); ok {
-		ip.CopyFrom(src)
-		return dst
+	if dst == nil {
+		return src.Clone()
 	}
-	return src.Clone()
+	dst.CopyFrom(src)
+	return dst
 }
 
 // Direction states whether larger or smaller fitness is better.

@@ -11,9 +11,10 @@ import (
 // testGenome is a one-gene integer genome for exercising core types.
 type testGenome struct{ v int }
 
-func (g *testGenome) Clone() Genome  { c := *g; return &c }
-func (g *testGenome) Len() int       { return 1 }
-func (g *testGenome) String() string { return fmt.Sprintf("tg(%d)", g.v) }
+func (g *testGenome) Clone() Genome       { c := *g; return &c }
+func (g *testGenome) CopyFrom(src Genome) { *g = *src.(*testGenome) }
+func (g *testGenome) Len() int            { return 1 }
+func (g *testGenome) String() string      { return fmt.Sprintf("tg(%d)", g.v) }
 
 // testProblem maximises the gene value; optimum is 100.
 type testProblem struct{}

@@ -12,9 +12,10 @@ import (
 // fakeGenome is a one-gene genome for exercising the loop.
 type fakeGenome struct{ v int }
 
-func (g *fakeGenome) Clone() core.Genome { c := *g; return &c }
-func (g *fakeGenome) Len() int           { return 1 }
-func (g *fakeGenome) String() string     { return fmt.Sprintf("fg(%d)", g.v) }
+func (g *fakeGenome) Clone() core.Genome       { c := *g; return &c }
+func (g *fakeGenome) CopyFrom(src core.Genome) { *g = *src.(*fakeGenome) }
+func (g *fakeGenome) Len() int                 { return 1 }
+func (g *fakeGenome) String() string           { return fmt.Sprintf("fg(%d)", g.v) }
 
 // script describes what one Step call reports.
 type script struct {

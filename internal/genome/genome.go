@@ -18,16 +18,6 @@ import (
 	"pga/internal/rng"
 )
 
-// Compile-time interface checks: every representation supports both the
-// allocating Clone and the in-place CopyFrom used by the engines' pooled
-// generation buffers.
-var (
-	_ core.InPlace = (*BitString)(nil)
-	_ core.InPlace = (*RealVector)(nil)
-	_ core.InPlace = (*IntVector)(nil)
-	_ core.InPlace = (*Permutation)(nil)
-)
-
 // BitString is a fixed-length binary chromosome stored as a packed
 // bitset: gene i lives in Words[i/64] at bit position i%64 (LSB-first
 // within a word). The unused high bits of the final word are always
@@ -123,7 +113,7 @@ func (b *BitString) Clone() core.Genome {
 	return c
 }
 
-// CopyFrom implements core.InPlace. It panics on type or length mismatch.
+// CopyFrom implements core.Genome. It panics on type or length mismatch.
 func (b *BitString) CopyFrom(src core.Genome) {
 	o := src.(*BitString)
 	if b.N != o.N {
@@ -404,7 +394,7 @@ func (v *RealVector) Clone() core.Genome {
 	return &RealVector{Genes: g, Lo: v.Lo, Hi: v.Hi}
 }
 
-// CopyFrom implements core.InPlace. Bounds are shared (immutable by
+// CopyFrom implements core.Genome. Bounds are shared (immutable by
 // convention), exactly as in Clone. It panics on type or length mismatch.
 func (v *RealVector) CopyFrom(src core.Genome) {
 	o := src.(*RealVector)
@@ -486,7 +476,7 @@ func (v *IntVector) Clone() core.Genome {
 	return &IntVector{Genes: g, Card: v.Card}
 }
 
-// CopyFrom implements core.InPlace. It panics on type or length mismatch.
+// CopyFrom implements core.Genome. It panics on type or length mismatch.
 func (v *IntVector) CopyFrom(src core.Genome) {
 	o := src.(*IntVector)
 	if len(v.Genes) != len(o.Genes) {
@@ -554,7 +544,7 @@ func (p *Permutation) Clone() core.Genome {
 	return &Permutation{Perm: q}
 }
 
-// CopyFrom implements core.InPlace. It panics on type or length mismatch.
+// CopyFrom implements core.Genome. It panics on type or length mismatch.
 func (p *Permutation) CopyFrom(src core.Genome) {
 	o := src.(*Permutation)
 	if len(p.Perm) != len(o.Perm) {

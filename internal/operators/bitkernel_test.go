@@ -90,23 +90,19 @@ func sameBits(t *testing.T, what string, got core.Genome, want *genome.BitString
 	}
 }
 
-// crossBothWays runs c.Cross and c.CrossInto from the same stream state
-// as the reference run and hands each result to check together with the
-// stream it left behind.
-func crossBothWays(c InPlaceCrossover, a, b core.Genome, seed uint64,
-	check func(how string, c1, c2 core.Genome, r *rng.Source)) {
-	r := rng.New(seed)
-	c1, c2 := c.Cross(a, b, r)
-	check("Cross", c1, c2, r)
-
+// crossDirty runs c.CrossInto from the reference run's stream state on
+// the caller's warm scratch and returns the children with the stream it
+// left behind. The destinations start dirty (the parents swapped):
+// CrossInto must overwrite, not merge.
+func crossDirty(c Crossover, a, b core.Genome, seed uint64, s *Scratch) (c1, c2 core.Genome, r *rng.Source) {
 	r = rng.New(seed)
-	// Dirty destinations: CrossInto must overwrite, not merge.
-	d1, d2 := b.Clone(), a.Clone()
-	c.CrossInto(a, b, d1, d2, r, &Scratch{})
-	check("CrossInto", d1, d2, r)
+	c1, c2 = b.Clone(), a.Clone()
+	c.CrossInto(a, b, c1, c2, r, s)
+	return c1, c2, r
 }
 
 func TestUniformMatchesPerGeneReference(t *testing.T) {
+	var s Scratch
 	for _, n := range kernelLengths {
 		for _, p := range []float64{0, 0.1, 1} {
 			seed := uint64(1000*n) + uint64(p*10)
@@ -116,14 +112,13 @@ func TestUniformMatchesPerGeneReference(t *testing.T) {
 
 			ref := rng.New(seed + 1)
 			wa, wb := refUniform(a, b, u.p(), ref)
-			crossBothWays(u, a, b, seed+1, func(how string, c1, c2 core.Genome, r *rng.Source) {
-				what := fmt.Sprintf("Uniform{P:%v}.%s n=%d", p, how, n)
-				sameBits(t, what, c1, wa)
-				sameBits(t, what, c2, wb)
-				if r.State() != ref.State() {
-					t.Fatalf("%s: RNG state differs from the per-gene reference", what)
-				}
-			})
+			c1, c2, r := crossDirty(u, a, b, seed+1, &s)
+			what := fmt.Sprintf("Uniform{P:%v} n=%d", p, n)
+			sameBits(t, what, c1, wa)
+			sameBits(t, what, c2, wb)
+			if r.State() != ref.State() {
+				t.Fatalf("%s: RNG state differs from the per-gene reference", what)
+			}
 		}
 	}
 }
@@ -148,13 +143,14 @@ func TestBitFlipMatchesPerGeneReference(t *testing.T) {
 }
 
 func TestKPointMatchesPerGeneReference(t *testing.T) {
+	var s Scratch
 	for _, n := range kernelLengths {
 		for _, k := range []int{1, 2, 7, n - 1} {
 			seed := uint64(3000*n + k)
 			src := rng.New(seed)
 			a, b := genome.RandomBitString(n, src), genome.RandomBitString(n, src)
 
-			family := []InPlaceCrossover{KPoint{K: k}}
+			family := []Crossover{KPoint{K: k}}
 			switch k {
 			case 1:
 				family = append(family, OnePoint{})
@@ -164,14 +160,13 @@ func TestKPointMatchesPerGeneReference(t *testing.T) {
 			for _, c := range family {
 				ref := rng.New(seed + 1)
 				wa, wb := refKPoint(a, b, k, ref)
-				crossBothWays(c, a, b, seed+1, func(how string, c1, c2 core.Genome, r *rng.Source) {
-					what := fmt.Sprintf("%T{%d}.%s n=%d", c, k, how, n)
-					sameBits(t, what, c1, wa.(*genome.BitString))
-					sameBits(t, what, c2, wb.(*genome.BitString))
-					if r.State() != ref.State() {
-						t.Fatalf("%s: RNG state differs from the per-gene reference", what)
-					}
-				})
+				c1, c2, r := crossDirty(c, a, b, seed+1, &s)
+				what := fmt.Sprintf("%T{%d} n=%d", c, k, n)
+				sameBits(t, what, c1, wa.(*genome.BitString))
+				sameBits(t, what, c2, wb.(*genome.BitString))
+				if r.State() != ref.State() {
+					t.Fatalf("%s: RNG state differs from the per-gene reference", what)
+				}
 			}
 		}
 	}
@@ -180,6 +175,7 @@ func TestKPointMatchesPerGeneReference(t *testing.T) {
 // TestKPointNonBitClassesMatchReference covers the gene-by-gene walk of
 // the same parity mask that integer and real vectors take.
 func TestKPointNonBitClassesMatchReference(t *testing.T) {
+	var s Scratch
 	for _, n := range []int{2, 65, 130} {
 		for _, k := range []int{1, 2, 7, n - 1} {
 			seed := uint64(4000*n + k)
@@ -191,14 +187,13 @@ func TestKPointNonBitClassesMatchReference(t *testing.T) {
 			for _, pr := range pairs {
 				ref := rng.New(seed + 1)
 				wa, wb := refKPoint(pr[0], pr[1], k, ref)
-				crossBothWays(KPoint{K: k}, pr[0], pr[1], seed+1, func(how string, c1, c2 core.Genome, r *rng.Source) {
-					if !reflect.DeepEqual(c1, wa) || !reflect.DeepEqual(c2, wb) {
-						t.Fatalf("KPoint{%d}.%s on %T n=%d differs from the per-gene reference", k, how, pr[0], n)
-					}
-					if r.State() != ref.State() {
-						t.Fatalf("KPoint{%d}.%s on %T n=%d: RNG state differs", k, how, pr[0], n)
-					}
-				})
+				c1, c2, r := crossDirty(KPoint{K: k}, pr[0], pr[1], seed+1, &s)
+				if !reflect.DeepEqual(c1, wa) || !reflect.DeepEqual(c2, wb) {
+					t.Fatalf("KPoint{%d} on %T n=%d differs from the per-gene reference", k, pr[0], n)
+				}
+				if r.State() != ref.State() {
+					t.Fatalf("KPoint{%d} on %T n=%d: RNG state differs", k, pr[0], n)
+				}
 			}
 		}
 	}

@@ -8,23 +8,17 @@ import (
 	"pga/internal/rng"
 )
 
-// Crossover recombines two parent genomes into two children. Parents are
-// never modified; children are fresh genomes.
+// Crossover recombines two parent genomes into two existing child
+// genomes. Parents are never modified.
 type Crossover interface {
 	// Name identifies the crossover in tables and logs.
 	Name() string
-	// Cross returns two offspring of a and b. It panics if the genome type
-	// is unsupported (a programming error, not a runtime condition).
-	Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome)
-}
-
-// crossClone is Cross for every library crossover: fresh copies of the
-// parents, overwritten by the operator's one implementation (CrossInto,
-// in inplace.go) with throwaway scratch.
-func crossClone(op InPlaceCrossover, a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	c1, c2 := a.Clone(), b.Clone()
-	op.CrossInto(a, b, c1, c2, r, &Scratch{})
-	return c1, c2
+	// CrossInto recombines a and b into c1 and c2, overwriting whatever
+	// they held; s supplies working memory. c1 and c2 must share concrete
+	// type and length with a and b and must not alias them (or each
+	// other). It panics if the genome type is unsupported (a programming
+	// error, not a runtime condition).
+	CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch)
 }
 
 // OnePoint is classic single-point crossover for bit strings, integer
@@ -34,21 +28,11 @@ type OnePoint struct{}
 // Name implements Crossover.
 func (OnePoint) Name() string { return "1-point" }
 
-// Cross implements Crossover.
-func (OnePoint) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return KPoint{K: 1}.Cross(a, b, r)
-}
-
 // TwoPoint is two-point crossover.
 type TwoPoint struct{}
 
 // Name implements Crossover.
 func (TwoPoint) Name() string { return "2-point" }
-
-// Cross implements Crossover.
-func (TwoPoint) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return KPoint{K: 2}.Cross(a, b, r)
-}
 
 // KPoint is k-point crossover: the genomes are cut at K distinct interior
 // points and alternating segments are exchanged.
@@ -59,11 +43,6 @@ type KPoint struct {
 
 // Name implements Crossover.
 func (k KPoint) Name() string { return fmt.Sprintf("%d-point", k.K) }
-
-// Cross implements Crossover.
-func (k KPoint) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return crossClone(k, a, b, r)
-}
 
 // kpointSwap exchanges the alternating segments of two equal-length
 // children between k cut points (capped to [1, Len-1]) — the one kernel
@@ -134,11 +113,6 @@ func (u Uniform) p() float64 {
 	return u.P
 }
 
-// Cross implements Crossover.
-func (u Uniform) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return crossClone(u, a, b, r)
-}
-
 // maskDraws is Uniform's declaration on n genes (draws.go).
 func (u Uniform) maskDraws(n int) MaskDraws { return MaskDraws{P: u.p(), N: n} }
 
@@ -185,11 +159,6 @@ type Arithmetic struct{}
 // Name implements Crossover.
 func (Arithmetic) Name() string { return "arithmetic" }
 
-// Cross implements Crossover.
-func (c Arithmetic) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return crossClone(c, a, b, r)
-}
-
 // BLX is blend crossover BLX-α for real vectors: each child gene is drawn
 // uniformly from the parents' interval extended by α on both sides, then
 // clamped to bounds.
@@ -208,11 +177,6 @@ func (c BLX) alpha() float64 {
 	return c.Alpha
 }
 
-// Cross implements Crossover.
-func (c BLX) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return crossClone(c, a, b, r)
-}
-
 // SBX is simulated binary crossover (Deb & Agrawal) for real vectors,
 // the standard recombination of real-coded GAs.
 type SBX struct {
@@ -229,11 +193,6 @@ func (c SBX) eta() float64 {
 		return 15
 	}
 	return c.Eta
-}
-
-// Cross implements Crossover.
-func (c SBX) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return crossClone(c, a, b, r)
 }
 
 func mustReal(g core.Genome) *genome.RealVector {
@@ -260,21 +219,11 @@ type OX struct{}
 // Name implements Crossover.
 func (OX) Name() string { return "ox" }
 
-// Cross implements Crossover.
-func (c OX) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return crossClone(c, a, b, r)
-}
-
 // PMX is partially mapped crossover for permutations.
 type PMX struct{}
 
 // Name implements Crossover.
 func (PMX) Name() string { return "pmx" }
-
-// Cross implements Crossover.
-func (c PMX) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return crossClone(c, a, b, r)
-}
 
 // ERX is edge recombination crossover for permutations: the child is
 // built greedily from the union of both parents' adjacency (edge) lists,
@@ -288,11 +237,6 @@ type ERX struct{}
 // Name implements Crossover.
 func (ERX) Name() string { return "erx" }
 
-// Cross implements Crossover.
-func (c ERX) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return crossClone(c, a, b, r)
-}
-
 // CX is cycle crossover for permutations: children are composed of
 // alternating cycles of the two parents, so every gene comes from one
 // parent at the same position.
@@ -300,8 +244,3 @@ type CX struct{}
 
 // Name implements Crossover.
 func (CX) Name() string { return "cx" }
-
-// Cross implements Crossover.
-func (c CX) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return crossClone(c, a, b, r)
-}

@@ -9,6 +9,14 @@ import (
 	"pga/internal/rng"
 )
 
+// cross is c.CrossInto on fresh clones of the parents with throwaway
+// scratch, for tests that want new children.
+func cross(c Crossover, a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
+	c1, c2 := a.Clone(), b.Clone()
+	c.CrossInto(a, b, c1, c2, r, &Scratch{})
+	return c1, c2
+}
+
 func TestKPointPreservesMultiset(t *testing.T) {
 	// Every child position holds a gene from one of the parents at the
 	// same position.
@@ -16,7 +24,7 @@ func TestKPointPreservesMultiset(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 7} {
 		a := genome.RandomBitString(32, r)
 		b := genome.RandomBitString(32, r)
-		ca, cb := (KPoint{K: k}).Cross(a, b, r)
+		ca, cb := cross(KPoint{K: k}, a, b, r)
 		ga, gb := ca.(*genome.BitString), cb.(*genome.BitString)
 		for i := 0; i < 32; i++ {
 			okA := ga.Get(i) == a.Get(i) || ga.Get(i) == b.Get(i)
@@ -40,7 +48,7 @@ func TestOnePointSingleBoundary(t *testing.T) {
 		b.Set(i, true) // all one
 	}
 	for trial := 0; trial < 100; trial++ {
-		ca, _ := (OnePoint{}).Cross(a, b, r)
+		ca, _ := cross(OnePoint{}, a, b, r)
 		g := ca.(*genome.BitString)
 		// Child must be 0^i 1^j or have exactly one transition.
 		transitions := 0
@@ -63,7 +71,7 @@ func TestTwoPointTransitions(t *testing.T) {
 		b.Set(i, true)
 	}
 	for trial := 0; trial < 100; trial++ {
-		ca, _ := (TwoPoint{}).Cross(a, b, r)
+		ca, _ := cross(TwoPoint{}, a, b, r)
 		g := ca.(*genome.BitString)
 		transitions := 0
 		for i := 1; i < 16; i++ {
@@ -83,7 +91,7 @@ func TestKPointDoesNotModifyParents(t *testing.T) {
 	b := genome.RandomBitString(20, r)
 	ac := a.Clone().(*genome.BitString)
 	bc := b.Clone().(*genome.BitString)
-	(KPoint{K: 3}).Cross(a, b, r)
+	cross(KPoint{K: 3}, a, b, r)
 	if !a.Equal(ac) || !b.Equal(bc) {
 		t.Fatal("crossover modified a parent")
 	}
@@ -94,7 +102,7 @@ func TestKPointTinyGenomes(t *testing.T) {
 	a := genome.NewBitString(1)
 	b := genome.NewBitString(1)
 	b.Set(0, true)
-	ca, cb := (KPoint{K: 3}).Cross(a, b, r)
+	ca, cb := cross(KPoint{K: 3}, a, b, r)
 	if ca.Len() != 1 || cb.Len() != 1 {
 		t.Fatal("length changed on 1-gene crossover")
 	}
@@ -107,20 +115,20 @@ func TestKPointLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	r := rng.New(6)
-	(OnePoint{}).Cross(genome.NewBitString(4), genome.NewBitString(5), r)
+	cross(OnePoint{}, genome.NewBitString(4), genome.NewBitString(5), r)
 }
 
 func TestKPointWorksOnIntAndRealVectors(t *testing.T) {
 	r := rng.New(7)
 	ia := genome.RandomIntVector(10, 5, r)
 	ib := genome.RandomIntVector(10, 5, r)
-	ca, cb := (TwoPoint{}).Cross(ia, ib, r)
+	ca, cb := cross(TwoPoint{}, ia, ib, r)
 	if !ca.(*genome.IntVector).Valid() || !cb.(*genome.IntVector).Valid() {
 		t.Fatal("int-vector children invalid")
 	}
 	ra := genome.RandomRealVector(10, -1, 1, r)
 	rb := genome.RandomRealVector(10, -1, 1, r)
-	cra, crb := (OnePoint{}).Cross(ra, rb, r)
+	cra, crb := cross(OnePoint{}, ra, rb, r)
 	if !cra.(*genome.RealVector).InBounds() || !crb.(*genome.RealVector).InBounds() {
 		t.Fatal("real-vector children out of bounds")
 	}
@@ -134,7 +142,7 @@ func TestUniformExchangesRoughlyP(t *testing.T) {
 	for i := 0; i < b.Len(); i++ {
 		b.Set(i, true)
 	}
-	ca, _ := (Uniform{P: 0.3}).Cross(a, b, r)
+	ca, _ := cross(Uniform{P: 0.3}, a, b, r)
 	ones := ca.(*genome.BitString).OnesCount()
 	if ones < 230 || ones > 370 {
 		t.Fatalf("uniform(0.3) exchanged %d/1000 genes", ones)
@@ -145,7 +153,7 @@ func TestUniformComplementary(t *testing.T) {
 	r := rng.New(9)
 	a := genome.RandomBitString(64, r)
 	b := genome.RandomBitString(64, r)
-	ca, cb := (Uniform{}).Cross(a, b, r)
+	ca, cb := cross(Uniform{}, a, b, r)
 	ga, gb := ca.(*genome.BitString), cb.(*genome.BitString)
 	for i := 0; i < 64; i++ {
 		if a.Get(i) == b.Get(i) {
@@ -161,7 +169,7 @@ func TestArithmeticChildrenWithinSegment(t *testing.T) {
 	r := rng.New(10)
 	a := genome.RandomRealVector(8, -5, 5, r)
 	b := genome.RandomRealVector(8, -5, 5, r)
-	ca, cb := (Arithmetic{}).Cross(a, b, r)
+	ca, cb := cross(Arithmetic{}, a, b, r)
 	ga, gb := ca.(*genome.RealVector), cb.(*genome.RealVector)
 	for i := 0; i < 8; i++ {
 		lo, hi := a.Genes[i], b.Genes[i]
@@ -182,7 +190,7 @@ func TestBLXWithinExpandedIntervalAndBounds(t *testing.T) {
 	r := rng.New(11)
 	a := genome.RandomRealVector(10, 0, 1, r)
 	b := genome.RandomRealVector(10, 0, 1, r)
-	ca, cb := (BLX{Alpha: 0.5}).Cross(a, b, r)
+	ca, cb := cross(BLX{Alpha: 0.5}, a, b, r)
 	for _, c := range []*genome.RealVector{ca.(*genome.RealVector), cb.(*genome.RealVector)} {
 		if !c.InBounds() {
 			t.Fatal("BLX child out of bounds")
@@ -204,7 +212,7 @@ func TestSBXChildrenMeanEqualsParentsMean(t *testing.T) {
 	r := rng.New(12)
 	a := genome.RandomRealVector(6, -100, 100, r)
 	b := genome.RandomRealVector(6, -100, 100, r)
-	ca, cb := (SBX{Eta: 15}).Cross(a, b, r)
+	ca, cb := cross(SBX{Eta: 15}, a, b, r)
 	ga, gb := ca.(*genome.RealVector), cb.(*genome.RealVector)
 	for i := 0; i < 6; i++ {
 		pm := (a.Genes[i] + b.Genes[i]) / 2
@@ -226,7 +234,7 @@ func TestRealCrossoverPanicsOnWrongType(t *testing.T) {
 					t.Fatalf("%s did not panic on bitstring", c.Name())
 				}
 			}()
-			c.Cross(genome.NewBitString(4), genome.NewBitString(4), rng.New(1))
+			cross(c, genome.NewBitString(4), genome.NewBitString(4), rng.New(1))
 		}()
 	}
 }
@@ -239,7 +247,7 @@ func permClosureCheck(t *testing.T, c Crossover) {
 		n := int(seed%29) + 2
 		a := genome.RandomPermutation(n, rr)
 		b := genome.RandomPermutation(n, rr)
-		ca, cb := c.Cross(a, b, r)
+		ca, cb := cross(c, a, b, r)
 		return ca.(*genome.Permutation).Valid() && cb.(*genome.Permutation).Valid() &&
 			a.Valid() && b.Valid()
 	}
@@ -256,7 +264,7 @@ func TestCXGenesComeFromParentsAtSamePosition(t *testing.T) {
 	r := rng.New(13)
 	a := genome.RandomPermutation(12, r)
 	b := genome.RandomPermutation(12, r)
-	ca, cb := (CX{}).Cross(a, b, r)
+	ca, cb := cross(CX{}, a, b, r)
 	ga, gb := ca.(*genome.Permutation), cb.(*genome.Permutation)
 	for i := 0; i < 12; i++ {
 		if ga.Perm[i] != a.Perm[i] && ga.Perm[i] != b.Perm[i] {
@@ -271,7 +279,7 @@ func TestCXGenesComeFromParentsAtSamePosition(t *testing.T) {
 func TestCXIdenticalParents(t *testing.T) {
 	r := rng.New(14)
 	a := genome.RandomPermutation(8, r)
-	ca, cb := (CX{}).Cross(a, a.Clone(), r)
+	ca, cb := cross(CX{}, a, a.Clone(), r)
 	for i, v := range a.Perm {
 		if ca.(*genome.Permutation).Perm[i] != v || cb.(*genome.Permutation).Perm[i] != v {
 			t.Fatal("CX of identical parents changed genes")
@@ -284,7 +292,7 @@ func TestPermCrossoverTinyGenomes(t *testing.T) {
 	a := genome.IdentityPermutation(1)
 	b := genome.IdentityPermutation(1)
 	for _, c := range []Crossover{OX{}, PMX{}} {
-		ca, cb := c.Cross(a, b, r)
+		ca, cb := cross(c, a, b, r)
 		if ca.Len() != 1 || cb.Len() != 1 {
 			t.Fatalf("%s broke length-1 permutation", c.Name())
 		}
@@ -299,7 +307,7 @@ func TestPermCrossoverPanicsOnWrongType(t *testing.T) {
 					t.Fatalf("%s did not panic on bitstring", c.Name())
 				}
 			}()
-			c.Cross(genome.NewBitString(4), genome.NewBitString(4), rng.New(1))
+			cross(c, genome.NewBitString(4), genome.NewBitString(4), rng.New(1))
 		}()
 	}
 }
@@ -318,7 +326,7 @@ func TestCrossoverDeterministicWithSameSeed(t *testing.T) {
 		r := rng.New(77)
 		a := genome.RandomPermutation(20, r)
 		b := genome.RandomPermutation(20, r)
-		ca, _ := (PMX{}).Cross(a, b, r)
+		ca, _ := cross(PMX{}, a, b, r)
 		return ca
 	}
 	x := mk().(*genome.Permutation)

@@ -11,14 +11,13 @@ import (
 	"pga/internal/rng"
 )
 
-// Operator-level draw pins. Every library crossover and both rank-based
-// selectors have one implementation (CrossInto / SelectScratch) behind
-// two entry points; the recorded sweep results pin only whole runs, so
-// this table pins the operators themselves:
-// for fixed seeds and parents, a digest of the children (or the chosen
-// indices) and of r.State() after every call. The values were recorded
-// from the allocating Cross/Select bodies this package used to carry, at
-// the commit that deleted them, where they equalled the in-place forms.
+// Operator-level draw pins. The recorded sweep results pin only whole
+// runs, so this table pins the operators themselves (CrossInto, and the
+// rank-based selectors' Select): for fixed seeds and parents, a digest
+// of the children (or the chosen indices) and of r.State() after every
+// call. The values were recorded from the allocating Cross/Select bodies
+// this package used to carry, at the commit that deleted them, where
+// they equalled the in-place forms.
 // A row changes only when an operator's draw sequence or arithmetic
 // changes on purpose — and then the recorded results change with it.
 
@@ -102,7 +101,7 @@ func pinParents(class string) [][2]core.Genome {
 
 func TestCrossoverDrawPins(t *testing.T) {
 	pins := []struct {
-		op    InPlaceCrossover
+		op    Crossover
 		class string
 		want  pinDigest
 	}{
@@ -131,9 +130,8 @@ func TestCrossoverDrawPins(t *testing.T) {
 	}
 	for _, pin := range pins {
 		parents := pinParents(pin.class)
-		// Both entry points must land on the pin: the Cross wrapper, and
-		// CrossInto writing over dirty children with one warm Scratch.
-		var viaCross, viaInto pinDigest
+		// CrossInto writes over dirty children with one warm Scratch.
+		var got pinDigest
 		s := &Scratch{}
 		for i, p := range parents {
 			a, b := p[0], p[1]
@@ -142,17 +140,11 @@ func TestCrossoverDrawPins(t *testing.T) {
 			before.genome(b)
 
 			r := rng.New(77 + uint64(i))
-			c1, c2 := pin.op.Cross(a, b, r)
-			viaCross.genome(c1)
-			viaCross.genome(c2)
-			viaCross.stream(r)
-
-			r = rng.New(77 + uint64(i))
-			d1, d2 := b.Clone(), a.Clone()
-			pin.op.CrossInto(a, b, d1, d2, r, s)
-			viaInto.genome(d1)
-			viaInto.genome(d2)
-			viaInto.stream(r)
+			c1, c2 := b.Clone(), a.Clone()
+			pin.op.CrossInto(a, b, c1, c2, r, s)
+			got.genome(c1)
+			got.genome(c2)
+			got.stream(r)
 
 			after.genome(a)
 			after.genome(b)
@@ -160,20 +152,16 @@ func TestCrossoverDrawPins(t *testing.T) {
 				t.Fatalf("%s/%s: parents modified", pin.op.Name(), pin.class)
 			}
 		}
-		if viaCross != pin.want {
-			t.Errorf("%s/%s: Cross digest {%#x, %#x}, pinned {%#x, %#x}",
-				pin.op.Name(), pin.class, viaCross.out, viaCross.state, pin.want.out, pin.want.state)
-		}
-		if viaInto != pin.want {
+		if got != pin.want {
 			t.Errorf("%s/%s: CrossInto digest {%#x, %#x}, pinned {%#x, %#x}",
-				pin.op.Name(), pin.class, viaInto.out, viaInto.state, pin.want.out, pin.want.state)
+				pin.op.Name(), pin.class, got.out, got.state, pin.want.out, pin.want.state)
 		}
 	}
 }
 
 func TestRankSelectorDrawPins(t *testing.T) {
 	pins := []struct {
-		sel  ScratchSelector
+		sel  Selector
 		want pinDigest
 	}{
 		{LinearRank{}, pinDigest{0xc29efb612037a6e1, 0x9c326b91e20565f4}},
@@ -187,26 +175,21 @@ func TestRankSelectorDrawPins(t *testing.T) {
 		popWithFitness(7),
 	}
 	for _, pin := range pins {
-		var viaSelect, viaScratch pinDigest
+		// Unplanned picks on one warm Scratch.
+		var got pinDigest
 		s := &Scratch{}
 		for i, pop := range pops {
 			for _, d := range []core.Direction{core.Maximize, core.Minimize} {
-				r1, r2 := rng.New(55+uint64(i)), rng.New(55+uint64(i))
+				r := rng.New(55 + uint64(i))
 				for k := 0; k < 16; k++ {
-					pinFold(&viaSelect.out, uint64(pin.sel.Select(pop, d, r1)))
-					pinFold(&viaScratch.out, uint64(pin.sel.SelectScratch(pop, d, r2, s)))
+					pinFold(&got.out, uint64(pin.sel.Select(pop, d, r, s)))
 				}
-				viaSelect.stream(r1)
-				viaScratch.stream(r2)
+				got.stream(r)
 			}
 		}
-		if viaSelect != pin.want {
+		if got != pin.want {
 			t.Errorf("%s: Select digest {%#x, %#x}, pinned {%#x, %#x}",
-				pin.sel.Name(), viaSelect.out, viaSelect.state, pin.want.out, pin.want.state)
-		}
-		if viaScratch != pin.want {
-			t.Errorf("%s: SelectScratch digest {%#x, %#x}, pinned {%#x, %#x}",
-				pin.sel.Name(), viaScratch.out, viaScratch.state, pin.want.out, pin.want.state)
+				pin.sel.Name(), got.out, got.state, pin.want.out, pin.want.state)
 		}
 	}
 }

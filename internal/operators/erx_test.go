@@ -14,7 +14,7 @@ func TestERXPreservesSharedAdjacency(t *testing.T) {
 	// (up to rotation/reversal) because every edge has degree ≤ 2.
 	r := rng.New(7)
 	p := genome.RandomPermutation(12, r)
-	c1, _ := (ERX{}).Cross(p, p.Clone(), r)
+	c1, _ := cross(ERX{}, p, p.Clone(), r)
 	child := c1.(*genome.Permutation)
 	// Check adjacency preservation: every consecutive child pair must be
 	// adjacent in the parent tour.
@@ -57,7 +57,7 @@ func TestERXInheritsMostEdgesFromParents(t *testing.T) {
 		}
 		add(a)
 		add(b)
-		c, _ := (ERX{}).Cross(a, b, r)
+		c, _ := cross(ERX{}, a, b, r)
 		child := c.(*genome.Permutation)
 		for i, v := range child.Perm {
 			u := child.Perm[(i+1)%16]
@@ -80,7 +80,7 @@ func TestERXInheritsMostEdgesFromParents(t *testing.T) {
 func TestERXTiny(t *testing.T) {
 	r := rng.New(9)
 	a := genome.IdentityPermutation(1)
-	c1, c2 := (ERX{}).Cross(a, a.Clone(), r)
+	c1, c2 := cross(ERX{}, a, a.Clone(), r)
 	if c1.Len() != 1 || c2.Len() != 1 {
 		t.Fatal("1-city ERX broken")
 	}
@@ -91,7 +91,7 @@ func TestERXDeterministicPerSeed(t *testing.T) {
 		r := rng.New(10)
 		a := genome.RandomPermutation(14, r)
 		b := genome.RandomPermutation(14, r)
-		c, _ := (ERX{}).Cross(a, b, r)
+		c, _ := cross(ERX{}, a, b, r)
 		return c.(*genome.Permutation).Perm
 	}
 	x, y := run(), run()

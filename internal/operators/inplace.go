@@ -1,16 +1,14 @@
 package operators
 
-// The operator implementations, in in-place form.
+// The crossover bodies and the operators' working memory.
 //
-// Every library crossover is implemented once, as CrossInto: it writes
-// its offspring into caller-provided genomes (the engine's double-buffered
-// next generation) and takes its working memory (cut-point tables,
-// used-flags, ERX adjacency) from a per-engine Scratch, so the generation
-// hot path allocates nothing. Crossover.Cross is crossClone — fresh
-// clones of the parents handed to the same CrossInto — so there is no
-// second body to keep draw-identical. The planned selectors (plan.go)
-// follow the same shape: SelectScratch is the implementation, Select calls
-// it with a throwaway Scratch.
+// A crossover has one form: CrossInto writes its offspring into
+// caller-provided genomes (the engine's double-buffered next generation)
+// and takes its working memory (cut-point tables, used-flags, ERX
+// adjacency) from a per-engine Scratch, so the generation hot path
+// allocates nothing. A caller that wants fresh children clones the
+// parents and crosses into the clones. Selectors take the same Scratch
+// (plan.go holds the selection plan it carries).
 
 import (
 	"pga/internal/core"
@@ -104,112 +102,45 @@ func (s *Scratch) words(n int) []uint64 {
 	return m
 }
 
-// InPlaceCrossover is implemented by crossovers that can write their
-// offspring into caller-provided genomes without allocating. c1 and c2
-// must share concrete type and length with a and b and must not alias
-// them (or each other); Scratch supplies working memory.
-type InPlaceCrossover interface {
-	Crossover
-	// CrossInto recombines a and b into c1 and c2, overwriting whatever
-	// they held.
-	CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch)
-}
-
-// Compile-time checks: every library crossover is in-place capable.
-var (
-	_ InPlaceCrossover = OnePoint{}
-	_ InPlaceCrossover = TwoPoint{}
-	_ InPlaceCrossover = KPoint{}
-	_ InPlaceCrossover = Uniform{}
-	_ InPlaceCrossover = Arithmetic{}
-	_ InPlaceCrossover = BLX{}
-	_ InPlaceCrossover = SBX{}
-	_ InPlaceCrossover = OX{}
-	_ InPlaceCrossover = PMX{}
-	_ InPlaceCrossover = CX{}
-	_ InPlaceCrossover = ERX{}
-)
-
 // CrossInto recombines parents a and b into the two child individuals'
-// existing genomes, in place when the crossover and the child genomes
-// support it; a foreign Crossover, or children that cannot be reused,
-// get fresh genomes from c.Cross instead. Either way the children never
-// alias the parents and their fitness is left untouched (callers
-// invalidate). This is the engines' hot-path entry point for
-// recombination.
+// existing genomes — the engines' hot-path entry point for
+// recombination. The children's fitness is left untouched (callers
+// invalidate).
 func CrossInto(c Crossover, a, b core.Genome, ch1, ch2 *core.Individual, r *rng.Source, s *Scratch) {
-	if ip, ok := c.(InPlaceCrossover); ok && s != nil &&
-		reusable(ch1.Genome, a) && reusable(ch2.Genome, b) {
-		ip.CrossInto(a, b, ch1.Genome, ch2.Genome, r, s)
-		return
-	}
-	ch1.Genome, ch2.Genome = c.Cross(a, b, r)
+	c.CrossInto(a, b, ch1.Genome, ch2.Genome, r, s)
 }
 
-// reusable reports whether dst can be overwritten in place with src's
-// genes: an InPlace genome of the same concrete type and length.
-func reusable(dst, src core.Genome) bool {
-	if dst == nil {
-		return false
-	}
-	if _, ok := dst.(core.InPlace); !ok {
-		return false
-	}
-	return sameConcrete(dst, src) && dst.Len() == src.Len()
-}
-
-// sameConcrete reports whether two genomes share a concrete type, without
-// reflection (the four library representations are enumerated; unknown
-// types conservatively report false and take the allocating path).
-func sameConcrete(x, y core.Genome) bool {
-	switch x.(type) {
-	case *genome.BitString:
-		_, ok := y.(*genome.BitString)
-		return ok
-	case *genome.RealVector:
-		_, ok := y.(*genome.RealVector)
-		return ok
-	case *genome.IntVector:
-		_, ok := y.(*genome.IntVector)
-		return ok
-	case *genome.Permutation:
-		_, ok := y.(*genome.Permutation)
-		return ok
-	}
-	return false
-}
-
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements Crossover.
 func (OnePoint) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	KPoint{K: 1}.CrossInto(a, b, c1, c2, r, s)
 }
 
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements Crossover.
 func (TwoPoint) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	KPoint{K: 2}.CrossInto(a, b, c1, c2, r, s)
 }
 
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements Crossover.
 func (k KPoint) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	if b.Len() != a.Len() {
 		panic("operators: KPoint parents of different lengths")
 	}
-	c1.(core.InPlace).CopyFrom(a)
-	c2.(core.InPlace).CopyFrom(b)
+	c1.CopyFrom(a)
+	c2.CopyFrom(b)
 	kpointSwap(c1, c2, k.K, r, s)
 }
 
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements Crossover.
 func (u Uniform) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	if b.Len() != a.Len() {
 		panic("operators: Uniform parents of different lengths")
 	}
-	c1.(core.InPlace).CopyFrom(a)
-	c2.(core.InPlace).CopyFrom(b)
+	c1.CopyFrom(a)
+	c2.CopyFrom(b)
 	uniformSwap(c1, c2, u.p(), r)
 }
 
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements Crossover.
 func (Arithmetic) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	va, vb := mustReal(a), mustReal(b)
 	ca, cb := mustReal(c1), mustReal(c2)
@@ -223,7 +154,7 @@ func (Arithmetic) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch)
 	}
 }
 
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements Crossover.
 func (c BLX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	va, vb := mustReal(a), mustReal(b)
 	ca, cb := mustReal(c1), mustReal(c2)
@@ -244,7 +175,7 @@ func (c BLX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	cb.Clamp()
 }
 
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements Crossover.
 func (c SBX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	va, vb := mustReal(a), mustReal(b)
 	ca, cb := mustReal(c1), mustReal(c2)
@@ -267,7 +198,7 @@ func (c SBX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	cb.Clamp()
 }
 
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements Crossover.
 func (OX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	pa, pb := mustPerm(a), mustPerm(b)
 	ca, cb := mustPerm(c1), mustPerm(c2)
@@ -307,7 +238,7 @@ func oxChildInto(child, keep, other *genome.Permutation, i, j int, s *Scratch) {
 	}
 }
 
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements Crossover.
 func (PMX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	pa, pb := mustPerm(a), mustPerm(b)
 	ca, cb := mustPerm(c1), mustPerm(c2)
@@ -353,7 +284,7 @@ func pmxChildInto(child, donor, filler *genome.Permutation, i, j int, s *Scratch
 	}
 }
 
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements Crossover.
 func (CX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	pa, pb := mustPerm(a), mustPerm(b)
 	ca, cb := mustPerm(c1), mustPerm(c2)
@@ -383,7 +314,7 @@ func (CX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	}
 }
 
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements Crossover.
 func (ERX) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	pa, pb := mustPerm(a), mustPerm(b)
 	ca, cb := mustPerm(c1), mustPerm(c2)

@@ -10,8 +10,8 @@ package operators
 // pick. Scratch.Plan builds it once, every SelectWith on that scratch
 // reads it, Scratch.Unplan drops it. The engine owns the lifetime: a plan
 // is opened explicitly, must be dropped before anything writes the
-// population, and is never kept implicitly — a SelectScratch call with no
-// live plan is plan · pick · unplan through the same two bodies.
+// population, and is never kept implicitly — a Select call with no live
+// plan is plan · pick · unplan through the same two bodies.
 //
 // A pick under a plan draws exactly what the historical per-pick scan
 // drew (one Float64 or one Intn) and then binary-searches the cumulative
@@ -85,23 +85,10 @@ func (s *Scratch) planned(k planKind, pop *core.Population, d core.Direction) bo
 	return true
 }
 
-// ScratchSelector is implemented by selectors whose working memory (and
-// selection plan) can live in an engine-owned Scratch.
-type ScratchSelector interface {
-	Selector
-	// SelectScratch is Select with caller-provided scratch: a pick under
-	// the scratch's live plan, or plan · pick · unplan when there is none.
-	SelectScratch(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int
-}
-
-// SelectWith invokes sel reusing scratch when both sides support it — the
-// engines' hot-path entry point for parent selection. With a nil scratch
-// or a plain Selector it degrades to sel.Select.
+// SelectWith is sel.Select — the engines' hot-path entry point for
+// parent selection.
 func SelectWith(sel Selector, pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int {
-	if ss, ok := sel.(ScratchSelector); ok && s != nil {
-		return ss.SelectScratch(pop, d, r, s)
-	}
-	return sel.Select(pop, d, r)
+	return sel.Select(pop, d, r, s)
 }
 
 // firstAbove returns the first i with x < cum[i], or len(cum) when there
@@ -164,8 +151,8 @@ func orderPlan(s *Scratch, pop *core.Population, d core.Direction) {
 func (LinearRank) plan(s *Scratch, pop *core.Population, d core.Direction) { orderPlan(s, pop, d) }
 func (Truncation) plan(s *Scratch, pop *core.Population, d core.Direction) { orderPlan(s, pop, d) }
 
-// SelectScratch implements ScratchSelector.
-func (sel LinearRank) SelectScratch(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int {
+// Select implements Selector.
+func (sel LinearRank) Select(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int {
 	if s.planned(planOrder, pop, d) {
 		return sel.pick(s, r)
 	}
@@ -208,8 +195,8 @@ func (s *Scratch) rankWeights(n int, sp float64) []float64 {
 	return s.rankCum
 }
 
-// SelectScratch implements ScratchSelector.
-func (sel Truncation) SelectScratch(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int {
+// Select implements Selector.
+func (sel Truncation) Select(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int {
 	if s.planned(planOrder, pop, d) {
 		return sel.pick(s, r)
 	}
@@ -263,8 +250,8 @@ func (Roulette) plan(s *Scratch, pop *core.Population, d core.Direction) {
 	p.total = acc
 }
 
-// SelectScratch implements ScratchSelector.
-func (sel Roulette) SelectScratch(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int {
+// Select implements Selector.
+func (sel Roulette) Select(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int {
 	if s.planned(planWheel, pop, d) {
 		return sel.pick(s, r)
 	}

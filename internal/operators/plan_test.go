@@ -88,8 +88,8 @@ func refSelect(sel Selector, pop *core.Population, d core.Direction, r *rng.Sour
 	panic("refSelect: no reference for " + sel.Name())
 }
 
-func plannedSelectors() []ScratchSelector {
-	return []ScratchSelector{
+func plannedSelectors() []Selector {
+	return []Selector{
 		LinearRank{}, LinearRank{SP: 2}, // SP 2: rank 0 has weight 0
 		Truncation{}, Truncation{Frac: 0.2},
 		Roulette{},
@@ -128,7 +128,7 @@ func TestPlannedEqualsUnplanned(t *testing.T) {
 					s.Plan(sel, pop, d)
 					for i := 0; i < k; i++ {
 						planned := SelectWith(sel, pop, d, rPlan, &s)
-						unplanned := sel.Select(pop, d, rSel)
+						unplanned := sel.Select(pop, d, rSel, &Scratch{})
 						ref := refSelect(sel, pop, d, rRef)
 						if planned != ref || unplanned != ref {
 							t.Fatalf("%s n=%d %v pick %d: planned %d, unplanned %d, reference %d",
@@ -202,7 +202,7 @@ var benchPick int
 func BenchmarkSelect(b *testing.B) {
 	sels := []struct {
 		name string
-		sel  ScratchSelector
+		sel  Selector
 	}{{"rank", LinearRank{}}, {"truncation", Truncation{}}, {"roulette", Roulette{}}}
 	for _, tc := range sels {
 		for _, planned := range []bool{true, false} {

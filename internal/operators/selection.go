@@ -19,8 +19,10 @@ type Selector interface {
 	// Name identifies the selector in tables and logs.
 	Name() string
 	// Select returns the index of the chosen individual. The population
-	// must be non-empty and fully evaluated.
-	Select(pop *core.Population, d core.Direction, r *rng.Source) int
+	// must be non-empty and fully evaluated. s supplies working memory: a
+	// planning selector (plan.go) picks under the scratch's live plan, or
+	// plans, picks and unplans when there is none.
+	Select(pop *core.Population, d core.Direction, r *rng.Source, s *Scratch) int
 }
 
 // Tournament is k-tournament selection: draw K individuals uniformly with
@@ -34,7 +36,7 @@ type Tournament struct {
 func (t Tournament) Name() string { return fmt.Sprintf("tournament(%d)", t.K) }
 
 // Select implements Selector.
-func (t Tournament) Select(pop *core.Population, d core.Direction, r *rng.Source) int {
+func (t Tournament) Select(pop *core.Population, d core.Direction, r *rng.Source, _ *Scratch) int {
 	k := t.K
 	if k < 1 {
 		k = 2
@@ -58,11 +60,6 @@ type Roulette struct{}
 // Name implements Selector.
 func (Roulette) Name() string { return "roulette" }
 
-// Select implements Selector.
-func (s Roulette) Select(pop *core.Population, d core.Direction, r *rng.Source) int {
-	return s.SelectScratch(pop, d, r, &Scratch{})
-}
-
 // LinearRank is linear ranking selection with selective pressure SP in
 // [1, 2]: the best individual is sampled SP times as often as average.
 type LinearRank struct {
@@ -78,11 +75,6 @@ func (s LinearRank) sp() float64 {
 		return 1.5
 	}
 	return s.SP
-}
-
-// Select implements Selector.
-func (s LinearRank) Select(pop *core.Population, d core.Direction, r *rng.Source) int {
-	return s.SelectScratch(pop, d, r, &Scratch{})
 }
 
 // Truncation selects uniformly among the best Frac fraction of the
@@ -102,11 +94,6 @@ func (s Truncation) frac() float64 {
 	return s.Frac
 }
 
-// Select implements Selector.
-func (s Truncation) Select(pop *core.Population, d core.Direction, r *rng.Source) int {
-	return s.SelectScratch(pop, d, r, &Scratch{})
-}
-
 // Random selects uniformly, ignoring fitness (no selection pressure; the
 // control arm of selection-pressure experiments).
 type Random struct{}
@@ -115,7 +102,7 @@ type Random struct{}
 func (Random) Name() string { return "random" }
 
 // Select implements Selector.
-func (Random) Select(pop *core.Population, d core.Direction, r *rng.Source) int {
+func (Random) Select(pop *core.Population, d core.Direction, r *rng.Source, _ *Scratch) int {
 	return r.Intn(pop.Len())
 }
 
@@ -127,56 +114,6 @@ type Best struct{}
 func (Best) Name() string { return "best" }
 
 // Select implements Selector.
-func (Best) Select(pop *core.Population, d core.Direction, r *rng.Source) int {
+func (Best) Select(pop *core.Population, d core.Direction, r *rng.Source, _ *Scratch) int {
 	return pop.Best(d)
-}
-
-// SUS performs stochastic universal sampling: it draws count parents in a
-// single spin with evenly spaced pointers, guaranteeing each individual's
-// sample count is within 1 of its expectation. It is exposed as a function
-// because it selects a whole batch at once.
-func SUS(pop *core.Population, d core.Direction, count int, r *rng.Source) []int {
-	n := pop.Len()
-	min, max := pop.Members[0].Fitness, pop.Members[0].Fitness
-	for _, ind := range pop.Members {
-		if ind.Fitness < min {
-			min = ind.Fitness
-		}
-		if ind.Fitness > max {
-			max = ind.Fitness
-		}
-	}
-	const eps = 0.01
-	span := max - min
-	weight := func(f float64) float64 {
-		if span == 0 {
-			return 1
-		}
-		if d == core.Maximize {
-			return (f-min)/span + eps
-		}
-		return (max-f)/span + eps
-	}
-	total := 0.0
-	for _, ind := range pop.Members {
-		total += weight(ind.Fitness)
-	}
-	step := total / float64(count)
-	x := r.Float64() * step
-	out := make([]int, 0, count)
-	acc := 0.0
-	i := 0
-	for len(out) < count {
-		for acc+weight(pop.Members[i].Fitness) < x {
-			acc += weight(pop.Members[i].Fitness)
-			i++
-			if i >= n { // numeric safety net
-				i = n - 1
-				break
-			}
-		}
-		out = append(out, i)
-		x += step
-	}
-	return out
 }

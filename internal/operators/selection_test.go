@@ -26,7 +26,7 @@ func selectionRates(t *testing.T, s Selector, pop *core.Population, d core.Direc
 	r := rng.New(12345)
 	counts := make([]int, pop.Len())
 	for i := 0; i < draws; i++ {
-		idx := s.Select(pop, d, r)
+		idx := s.Select(pop, d, r, &Scratch{})
 		if idx < 0 || idx >= pop.Len() {
 			t.Fatalf("%s returned out-of-range index %d", s.Name(), idx)
 		}
@@ -126,7 +126,7 @@ func TestLinearRankDistribution(t *testing.T) {
 
 func TestLinearRankSingleton(t *testing.T) {
 	pop := popWithFitness(7)
-	if idx := (LinearRank{}).Select(pop, core.Maximize, rng.New(1)); idx != 0 {
+	if idx := (LinearRank{}).Select(pop, core.Maximize, rng.New(1), &Scratch{}); idx != 0 {
 		t.Fatalf("singleton rank select = %d", idx)
 	}
 }
@@ -145,14 +145,14 @@ func TestTruncationOnlySelectsTopFraction(t *testing.T) {
 	r := rng.New(7)
 	s := Truncation{Frac: 0.3}
 	for i := 0; i < 5000; i++ {
-		idx := s.Select(pop, core.Maximize, r)
+		idx := s.Select(pop, core.Maximize, r, &Scratch{})
 		if pop.Members[idx].Fitness < 8 {
 			t.Fatalf("truncation(0.3) selected fitness %v", pop.Members[idx].Fitness)
 		}
 	}
 	// Minimize: only fitness <= 3 should appear.
 	for i := 0; i < 5000; i++ {
-		idx := s.Select(pop, core.Minimize, r)
+		idx := s.Select(pop, core.Minimize, r, &Scratch{})
 		if pop.Members[idx].Fitness > 3 {
 			t.Fatalf("truncation(0.3,min) selected fitness %v", pop.Members[idx].Fitness)
 		}
@@ -177,64 +177,11 @@ func TestRandomSelectorUniform(t *testing.T) {
 
 func TestBestSelector(t *testing.T) {
 	pop := popWithFitness(3, 9, 1)
-	if idx := (Best{}).Select(pop, core.Maximize, rng.New(1)); idx != 1 {
+	if idx := (Best{}).Select(pop, core.Maximize, rng.New(1), &Scratch{}); idx != 1 {
 		t.Fatalf("Best(max)=%d", idx)
 	}
-	if idx := (Best{}).Select(pop, core.Minimize, rng.New(1)); idx != 2 {
+	if idx := (Best{}).Select(pop, core.Minimize, rng.New(1), &Scratch{}); idx != 2 {
 		t.Fatalf("Best(min)=%d", idx)
-	}
-}
-
-func TestSUSCountAndSpread(t *testing.T) {
-	pop := popWithFitness(1, 1, 1, 1, 100)
-	r := rng.New(9)
-	picks := SUS(pop, core.Maximize, 10, r)
-	if len(picks) != 10 {
-		t.Fatalf("SUS returned %d picks, want 10", len(picks))
-	}
-	bestCount := 0
-	for _, p := range picks {
-		if p < 0 || p >= pop.Len() {
-			t.Fatalf("SUS pick out of range: %d", p)
-		}
-		if p == 4 {
-			bestCount++
-		}
-	}
-	if bestCount < 5 {
-		t.Fatalf("SUS gave best individual only %d/10 slots", bestCount)
-	}
-}
-
-func TestSUSEqualFitnessIsFair(t *testing.T) {
-	pop := popWithFitness(2, 2, 2, 2)
-	r := rng.New(10)
-	counts := make([]int, 4)
-	for trial := 0; trial < 1000; trial++ {
-		for _, p := range SUS(pop, core.Maximize, 4, r) {
-			counts[p]++
-		}
-	}
-	for i, c := range counts {
-		if c != 1000 {
-			t.Fatalf("SUS unfair on equal fitness: member %d got %d/1000", i, c)
-		}
-	}
-}
-
-func TestSUSMinimize(t *testing.T) {
-	pop := popWithFitness(1, 50, 50, 50)
-	r := rng.New(11)
-	count0 := 0
-	for trial := 0; trial < 200; trial++ {
-		for _, p := range SUS(pop, core.Minimize, 4, r) {
-			if p == 0 {
-				count0++
-			}
-		}
-	}
-	if count0 < 300 { // member 0 should take far more than 1/4 of 800 slots
-		t.Fatalf("SUS(minimize) under-selected best: %d/800", count0)
 	}
 }
 

@@ -23,13 +23,6 @@ import (
 	"pga/internal/rng"
 )
 
-// Compile-time checks: the word-wise crossovers are in-place capable like
-// every other library crossover.
-var (
-	_ InPlaceCrossover = UniformWord{}
-	_ Mutator          = BlockFlip{}
-)
-
 // mustBits asserts a packed BitString operand.
 func mustBits(g core.Genome) *genome.BitString {
 	b, ok := g.(*genome.BitString)
@@ -47,12 +40,7 @@ type UniformWord struct{}
 // Name implements Crossover.
 func (UniformWord) Name() string { return "uniform-word" }
 
-// Cross implements Crossover.
-func (c UniformWord) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	return crossClone(c, a, b, r)
-}
-
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements Crossover.
 func (UniformWord) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	ba, bb := mustBits(a), mustBits(b)
 	if ba.N != bb.N {

@@ -23,7 +23,7 @@ func TestUniformWordExchangesPositions(t *testing.T) {
 	r := rng.New(1)
 	a := genome.RandomBitString(130, r)
 	b := genome.RandomBitString(130, r)
-	ga, gb := UniformWord{}.Cross(a, b, r)
+	ga, gb := cross(UniformWord{}, a, b, r)
 	ca, cb := ga.(*genome.BitString), gb.(*genome.BitString)
 	for i := 0; i < 130; i++ {
 		okA := ca.Get(i) == a.Get(i) || ca.Get(i) == b.Get(i)
@@ -45,7 +45,7 @@ func TestUniformWordExchangeRate(t *testing.T) {
 		a.Set(i, true)
 	}
 	b := genome.NewBitString(n)
-	ga, gb := UniformWord{}.Cross(a, b, rng.New(2))
+	ga, gb := cross(UniformWord{}, a, b, rng.New(2))
 	ca, cb := ga.(*genome.BitString), gb.(*genome.BitString)
 	swapped := n - ca.OnesCount()
 	if swapped < n*4/10 || swapped > n*6/10 {
@@ -61,8 +61,8 @@ func TestWordCrossoversPreserveParents(t *testing.T) {
 	a := genome.RandomBitString(100, r)
 	b := genome.RandomBitString(100, r)
 	ac, bc := a.Clone().(*genome.BitString), b.Clone().(*genome.BitString)
-	UniformWord{}.Cross(a, b, r)
-	KPoint{K: 2}.Cross(a, b, r)
+	cross(UniformWord{}, a, b, r)
+	cross(KPoint{K: 2}, a, b, r)
 	if !a.Equal(ac) || !b.Equal(bc) {
 		t.Fatal("word crossover mutated a parent")
 	}

@@ -367,7 +367,9 @@ func migrate(engines []ga.Engine, scalars []*scalarProblem, specs []islandSpec, 
 		if b < 0 {
 			continue
 		}
-		c1, c2 := sbx.Cross(m.g, pop.Members[b].Genome, r)
+		best := pop.Members[b].Genome
+		c1, c2 := m.g.Clone(), best.Clone()
+		sbx.CrossInto(m.g, best, c1, c2, r, &operators.Scratch{})
 		for _, g := range []core.Genome{m.g, c1, c2} {
 			ind := core.NewIndividual(g)
 			ind.Fitness = scalars[m.to].Evaluate(ind.Genome)

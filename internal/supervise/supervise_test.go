@@ -357,9 +357,10 @@ func withinDeadline(t *testing.T, d time.Duration, f func()) {
 // badGenome is a genome the checkpoint codec refuses.
 type badGenome struct{}
 
-func (badGenome) Clone() core.Genome { return badGenome{} }
-func (badGenome) Len() int           { return 1 }
-func (badGenome) String() string     { return "bad" }
+func (badGenome) Clone() core.Genome   { return badGenome{} }
+func (badGenome) CopyFrom(core.Genome) {}
+func (badGenome) Len() int             { return 1 }
+func (badGenome) String() string       { return "bad" }
 
 // TestLocksReleasedOnEveryExit takes every exit of each method that locks
 // one of the module's six mutexes (FaultPlan, Supervisor, Router, Farm,
