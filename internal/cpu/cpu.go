@@ -18,6 +18,9 @@ type Features struct {
 	AVX512F bool
 	// AVX512DQ: byte-wide opmask moves (KMOVB), besides AVX512F.
 	AVX512DQ bool
+	// AVX512BW: byte-element vectors and 64-bit opmasks (VPMOVB2M,
+	// VMOVDQU8, KMOVQ), besides AVX512F.
+	AVX512BW bool
 }
 
 // X86 is this host's; every field is false off amd64.

@@ -20,10 +20,11 @@ func probe() Features {
 	xcr0 := xgetbv()
 	_, b7, _, _ := cpuid(7, 0)
 	const ymmState, zmmState = 0x6, 0xe6
-	const avx2, avx512f, avx512dq = 1 << 5, 1 << 16, 1 << 17
+	const avx2, avx512f, avx512dq, avx512bw = 1 << 5, 1 << 16, 1 << 17, 1 << 30
 	var f Features
 	f.AVX2 = xcr0&ymmState == ymmState && b7&avx2 != 0
 	f.AVX512F = f.AVX2 && xcr0&zmmState == zmmState && b7&avx512f != 0
 	f.AVX512DQ = f.AVX512F && b7&avx512dq != 0
+	f.AVX512BW = f.AVX512F && b7&avx512bw != 0
 	return f
 }

@@ -49,30 +49,38 @@ func sameGeneration(t *testing.T, what string, got, serial *Generational) {
 // the engine's algorithm before them: after every step of every
 // configuration the members, their fitness bit for bit and the engine
 // stream's State() are identical. The gate is lowered so that every
-// generation takes the lanes: one pair or many, runs of eight and
-// shorter ones, genomes of one word, whole words and tails, each
-// probability branch of both operators, and the dangling child of an
-// odd generation. MaxSAT and NK are evalheavy-gen's and wire-ring2's
-// problems.
+// generation takes the lanes: one pair or many, fewer live lanes than
+// sixteen and more pairs than lanes, genomes of one word, whole words
+// and tails, each probability branch of both operators, and the
+// dangling child of an odd generation. Population 67 (34 pairs) on
+// onemax-65, onemax-130 and nk-130 refills lanes mid-generation with
+// crossed and copied pairs mixed, at different words of tails. MaxSAT
+// and NK are evalheavy-gen's and wire-ring2's problems.
 func TestParallelBirthsMatchSerial(t *testing.T) {
 	crossovers := []operators.Crossover{nil, operators.Uniform{}, operators.Uniform{P: 1}, operators.Uniform{P: 0.1}}
 	mutators := []operators.Mutator{nil, operators.BitFlip{}, operators.BitFlip{P: 1}, operators.BitFlip{P: 0.3}, operators.BitFlip{P: math.NaN()}}
 	type shape struct {
 		name string
 		p    core.Problem
+		// refill adds population 67 to the common sizes.
+		refill bool
 	}
 	var shapes []shape
 	for _, n := range []int{1, 5, 63, 64, 65, 130, 256} {
-		shapes = append(shapes, shape{fmt.Sprintf("onemax-%d", n), problems.OneMax{N: n}})
+		shapes = append(shapes, shape{fmt.Sprintf("onemax-%d", n), problems.OneMax{N: n}, n == 65 || n == 130})
 	}
 	for _, n := range []int{65, 130} {
 		shapes = append(shapes,
-			shape{fmt.Sprintf("maxsat-%d", n), problems.NewMaxSAT(n, 4*n, uint64(n))},
-			shape{fmt.Sprintf("nk-%d", n), problems.NewNKLandscape(n, 4, uint64(n))})
+			shape{fmt.Sprintf("maxsat-%d", n), problems.NewMaxSAT(n, 4*n, uint64(n)), false},
+			shape{fmt.Sprintf("nk-%d", n), problems.NewNKLandscape(n, 4, uint64(n)), n == 130})
 	}
 	seed, configs := uint64(0), 0
 	for _, sh := range shapes {
-		for _, pop := range []int{2, 3, 7, 20, 21} {
+		pops := []int{2, 3, 7, 20, 21}
+		if sh.refill {
+			pops = append(pops, 67)
+		}
+		for _, pop := range pops {
 			for _, gap := range []float64{1, 0.5} {
 				for _, rate := range []float64{0.3, 0.9, 1} {
 					for ci, c := range crossovers {

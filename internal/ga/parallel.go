@@ -22,8 +22,8 @@ import (
 // workers) pair; another worker count repartitions the blocks and the
 // streams and gives other bytes. Generational is the global PGA whose
 // bytes do not depend on any degree of parallelism: it breeds a large
-// generation eight pairs per instruction in SIMD lanes (births.go), with
-// exactly the serial loop's bytes.
+// generation up to sixteen pairs at a time in SIMD lanes (births.go),
+// with exactly the serial loop's bytes.
 type ParallelGenerational struct {
 	cfg     Config
 	pop     *core.Population

@@ -383,7 +383,10 @@ func (m *Model) Run(costBudget float64, ctl engine.Control) *Result {
 		}
 	}
 	if ta != nil && !res.Solved && ta.Solved(res.BestFitness) {
+		// The solve becomes known here, after the run's last generation.
 		res.Solved = true
+		res.SolvedAtGen = res.Generations
+		res.SolvedAtEval = res.Evaluations
 		res.CostAtSolve = m.cost
 	}
 	res.Cost = m.cost

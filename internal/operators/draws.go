@@ -12,8 +12,8 @@ import (
 // shorter tail. Uniform crossover applies each word to its two
 // children with SwapWord, bit-flip mutation to its child with FlipWord.
 // The operators' own bodies draw and apply through it, and so does
-// ga.Generational when it breeds eight pairs at a time in rng.Lanes, so
-// the two cannot draw apart.
+// ga.Generational when it breeds up to sixteen pairs side by side in
+// rng.Lanes, so the two cannot draw apart.
 type MaskDraws struct {
 	// P is the per-gene probability, as ChanceMask takes it.
 	P float64

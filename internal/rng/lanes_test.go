@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -17,33 +18,66 @@ func runnable() []laneBody {
 	return out
 }
 
-// checkLanes draws one mask of n at p on live lanes started at states
-// through body b, and fails unless every lane's mask and state equal
-// ChanceMask's on a Source at that lane's state.
-func checkLanes(t *testing.T, b laneBody, states [][5]uint64, p float64, n int) {
+// laneModel is a Lanes beside its oracle: one Source per lane, at the
+// lane's state, and the lane's chance.
+type laneModel struct {
+	l   Lanes
+	src []Source
+	ps  []float64
+}
+
+func (m *laneModel) add(st [5]uint64, p float64) {
+	m.l.Add(st, p)
+	var r Source
+	r.SetState(st)
+	m.src, m.ps = append(m.src, r), append(m.ps, p)
+}
+
+// set replaces lane i's stream and chance.
+func (m *laneModel) set(i int, st [5]uint64, p float64) {
+	m.l.Set(i, st, p)
+	m.src[i].SetState(st)
+	m.ps[i] = p
+}
+
+// remove removes lane i; the last lane takes its number.
+func (m *laneModel) remove(i int) {
+	m.l.Remove(i)
+	last := len(m.src) - 1
+	m.src[i], m.ps[i] = m.src[last], m.ps[last]
+	m.src, m.ps = m.src[:last], m.ps[:last]
+}
+
+// check draws one mask of n on every lane through body b, and fails
+// unless every lane's mask and state equal ChanceMask's at the lane's
+// chance on its oracle.
+func (m *laneModel) check(t testing.TB, b laneBody, what string, n int) {
 	t.Helper()
-	var l Lanes
-	for _, st := range states {
-		l.Add(st)
+	if m.l.Len() != len(m.src) {
+		t.Fatalf("%s, %s: %d lanes, the oracle has %d", b.name, what, m.l.Len(), len(m.src))
 	}
-	out := l.chanceMask(b.fn, p, n)
-	for i, st := range states {
-		var r Source
-		r.SetState(st)
-		want := r.ChanceMask(p, n)
-		if out[i] != want || l.State(i) != r.State() {
-			t.Fatalf("%s, %d lanes, p %v, n %d: lane %d drew %#x to state %v, ChanceMask %#x to %v",
-				b.name, len(states), p, n, i, out[i], l.State(i), want, r.State())
+	out := m.l.chanceMasks(b.fn, n)
+	for i := range m.src {
+		want := m.src[i].ChanceMask(m.ps[i], n)
+		if out[i] != want || m.l.State(i) != m.src[i].State() {
+			t.Fatalf("%s, %s, %d lanes, n %d: lane %d at p %v drew %#x to state %v, ChanceMask %#x to %v",
+				b.name, what, len(m.src), n, i, m.ps[i], out[i], m.l.State(i), want, m.src[i].State())
 		}
 	}
 }
 
+// chances are the probability branches a lane draws at: the smallest
+// positive threshold, 1/(n+1), one half and NaN, which draws and sets
+// nothing.
+func chances(n int) [4]float64 { return [4]float64{0x1p-53, 1 / float64(n+1), 0.5, math.NaN()} }
+
 // TestChanceLanesMatchChanceMask holds every kernel body this host can
 // run, the generic one included, to ChanceMask lane by lane: masks and
-// end states, on random states, 1–8 live lanes, every count from 1 to
-// 64 and each probability branch (the smallest positive threshold, 1/n,
-// one half, NaN, and the draw-free 0 and 1). A second mask on the same
-// lanes checks that the kernel stored the states it stepped.
+// end states, on random states, 1–16 live lanes (one group and two),
+// every count from 1 to 64, and a different probability branch per lane.
+// A second mask on the same lanes checks that the kernel stored the
+// states it stepped; before a third, one lane takes a new stream and a
+// new chance and another is removed.
 func TestChanceLanesMatchChanceMask(t *testing.T) {
 	bodies := runnable()
 	names := make([]string, len(bodies))
@@ -55,66 +89,73 @@ func TestChanceLanesMatchChanceMask(t *testing.T) {
 	for _, b := range bodies {
 		for live := 1; live <= MaxLanes; live++ {
 			for n := 1; n <= 64; n++ {
-				for _, p := range []float64{0x1p-53, 1 / float64(n), 0.5, math.NaN(), 0, 1} {
-					states := make([][5]uint64, live)
-					for i := range states {
-						states[i] = New(seeds.Uint64()).State()
+				for rot := 0; rot < 4; rot++ {
+					what := fmt.Sprintf("rotation %d", rot)
+					ps := chances(n)
+					var m laneModel
+					for i := 0; i < live; i++ {
+						m.add(New(seeds.Uint64()).State(), ps[(i+rot)%4])
 					}
-					checkLanes(t, b, states, p, n)
-					var l Lanes
-					for _, st := range states {
-						l.Add(st)
-					}
-					l.chanceMask(b.fn, p, n)
-					for i := range states {
-						states[i] = l.State(i)
-					}
-					checkLanes(t, b, states, 0.3, 64-n+1)
+					m.check(t, b, what, n)
+					m.check(t, b, what+", second call", 64-n+1)
+					m.set(live/2, New(seeds.Uint64()).State(), 0.3)
+					m.remove(live - 1 - live/3)
+					m.check(t, b, what+", lanes replaced", n)
 				}
 			}
 		}
 	}
 }
 
-// FuzzChanceLanes: any states, live count, count and probability bits
-// give every runnable body ChanceMask's masks and end states.
+// FuzzChanceLanes: any states, live count, count, probability bits and
+// per-lane choice of probability branch give every runnable body
+// ChanceMask's masks and end states, over two calls with a lane
+// replaced between them.
 func FuzzChanceLanes(f *testing.F) {
-	f.Add(uint64(1), uint8(8), uint8(64), math.Float64bits(0.5))
-	f.Add(uint64(2), uint8(3), uint8(17), math.Float64bits(math.NaN()))
-	f.Add(uint64(3), uint8(1), uint8(1), math.Float64bits(0x1p-53))
-	f.Add(uint64(4), uint8(5), uint8(63), math.Float64bits(1-0x1p-53))
-	f.Fuzz(func(t *testing.T, seed uint64, live, n uint8, pbits uint64) {
+	f.Add(uint64(1), uint8(16), uint8(64), math.Float64bits(0.5), uint32(0))
+	f.Add(uint64(2), uint8(3), uint8(17), math.Float64bits(math.NaN()), uint32(0x1b))
+	f.Add(uint64(3), uint8(1), uint8(1), math.Float64bits(0x1p-53), uint32(7))
+	f.Add(uint64(4), uint8(9), uint8(63), math.Float64bits(1-0x1p-53), uint32(0xe4e4e4e4))
+	f.Fuzz(func(t *testing.T, seed uint64, live, n uint8, pbits uint64, pick uint32) {
 		lanes := 1 + int(live)%MaxLanes
 		count := int(n) % 65
-		p := math.Float64frombits(pbits)
+		ps := chances(count)
+		if p := math.Float64frombits(pbits); p > 0 && p < 1 || math.IsNaN(p) {
+			ps[2] = p
+		}
 		src := New(seed)
-		states := make([][5]uint64, lanes)
+		states := make([][5]uint64, lanes+1)
 		for i := range states {
 			states[i] = src.Split().State()
 		}
 		for _, b := range runnable() {
-			checkLanes(t, b, states, p, count)
+			var m laneModel
+			for i := 0; i < lanes; i++ {
+				m.add(states[i], ps[pick>>(2*(i%16))&3])
+			}
+			m.check(t, b, "first call", count)
+			m.set(int(pick%uint32(lanes)), states[lanes], ps[0])
+			m.check(t, b, "lane replaced", 64-count)
 		}
 	})
 }
 
 func TestLanesPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"ninth lane": func() {
+		"lane past MaxLanes": func() {
 			var l Lanes
 			for i := 0; i <= MaxLanes; i++ {
-				l.Add(New(uint64(i)).State())
+				l.Add(New(uint64(i)).State(), 0.5)
 			}
 		},
-		"zero state": func() { new(Lanes).Add([5]uint64{}) },
-		"missing lane": func() {
-			var l Lanes
-			l.Add(New(1).State())
-			l.State(1)
-		},
-		"n 65": func() {
-			new(Lanes).ChanceMask(0.5, 65)
-		},
+		"zero state":        func() { new(Lanes).Add([5]uint64{}, 0.5) },
+		"chance 0":          func() { new(Lanes).Add(New(1).State(), 0) },
+		"chance 1":          func() { new(Lanes).Add(New(1).State(), 1) },
+		"missing lane":      func() { lanesOf(1).State(1) },
+		"set missing lane":  func() { lanesOf(1).Set(1, New(2).State(), 0.5) },
+		"chance of missing": func() { lanesOf(1).SetChance(1, 0.5) },
+		"remove missing":    func() { lanesOf(1).Remove(1) },
+		"n 65":              func() { lanesOf(1).ChanceMasks(65) },
 	} {
 		func() {
 			defer func() {
@@ -127,9 +168,21 @@ func TestLanesPanics(t *testing.T) {
 	}
 }
 
-// BenchmarkChanceLanes times one 64-draw word on eight lanes per body,
-// against ChanceMask on eight streams in turn: ns/op over 512 is the
-// cost of one draw.
+// lanesOf returns live lanes at chance one half.
+func lanesOf(live int) *Lanes {
+	l := new(Lanes)
+	for i := 0; i < live; i++ {
+		l.Add(New(uint64(i+1)).State(), 0.5)
+	}
+	return l
+}
+
+// laneSink keeps BenchmarkChanceLanes' masks alive.
+var laneSink *[MaxLanes]uint64
+
+// BenchmarkChanceLanes times one 64-draw word on sixteen lanes (two
+// groups) and on eight (one) per body, against ChanceMask on sixteen
+// streams in turn: ns/op over 64 × lanes is the cost of one draw.
 func BenchmarkChanceLanes(b *testing.B) {
 	var out [MaxLanes]uint64
 	b.Run("serial", func(b *testing.B) {
@@ -144,14 +197,13 @@ func BenchmarkChanceLanes(b *testing.B) {
 		}
 	})
 	for _, body := range runnable() {
-		b.Run(body.name, func(b *testing.B) {
-			var l Lanes
-			for i := 0; i < MaxLanes; i++ {
-				l.Add(New(uint64(i + 1)).State())
-			}
-			for i := 0; i < b.N; i++ {
-				out = l.chanceMask(body.fn, 0.5, 64)
-			}
-		})
+		for _, live := range []int{MaxLanes, 8} {
+			b.Run(fmt.Sprintf("%s/lanes-%d", body.name, live), func(b *testing.B) {
+				l := lanesOf(live)
+				for i := 0; i < b.N; i++ {
+					laneSink = l.chanceMasks(body.fn, 64)
+				}
+			})
+		}
 	}
 }

@@ -10,9 +10,9 @@ import "math/bits"
 // [g][v] is the image of the state whose only set bits are the value v in
 // nibble g (bits 4g..4g+3, word g/16 first), and the image of any state
 // is the xor of its 64 nibbles' entries. That is 32 KiB per d, and one
-// Apply costs ≈ 170 ns whatever d is: about 60 ChanceMask draws, or
-// about 450 drawn eight at a time in AVX-512 Lanes (BenchmarkLeap,
-// BenchmarkChanceLanes).
+// Apply costs ≈ 80 ns whatever d is on the AVX2 body (≈ 190 ns on the
+// generic one): about 30 ChanceMask draws, or about 200 drawn sixteen at
+// a time in AVX-512 Lanes (BenchmarkLeap, BenchmarkChanceLanes).
 //
 // Leaping is not drawing: a stream leapt over d draws is where d Uint64
 // calls would have left it, but nothing those draws would have returned
@@ -81,10 +81,33 @@ func (l *Leap) fill(cols *[256][4]uint64) {
 }
 
 // image returns the map applied to state s.
-func (l *Leap) image(s [4]uint64) [4]uint64 {
+func (l *Leap) image(s [4]uint64) [4]uint64 { return leapImage(&l.tab, s) }
+
+// leapBody is one body of Leap.image and whether this host can run it.
+type leapBody struct {
+	name string
+	fn   func(tab *[64][16][4]uint64, s [4]uint64) [4]uint64
+	ok   bool
+}
+
+// leapImage is the fastest body this host can run: leapBodies is
+// ordered fastest first and ends with the generic body, which runs
+// everywhere. Every body is integer code, so every one leaps the same.
+var leapImage = func() func(*[64][16][4]uint64, [4]uint64) [4]uint64 {
+	for _, b := range leapBodies {
+		if b.ok {
+			return b.fn
+		}
+	}
+	return imageGeneric
+}()
+
+// imageGeneric is the portable body of Leap.image: the xor of the 64
+// nibbles' table entries, a word at a time.
+func imageGeneric(tab *[64][16][4]uint64, s [4]uint64) [4]uint64 {
 	var o0, o1, o2, o3 uint64
 	for w, x := range s {
-		t := l.tab[16*w : 16*w+16]
+		t := tab[16*w : 16*w+16]
 		for j := range t {
 			e := &t[j][x&15]
 			o0 ^= e[0]

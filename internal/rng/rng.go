@@ -176,7 +176,7 @@ func chanceThreshold(p float64) (thr, fixed uint64, draws bool) {
 
 // chanceBits makes n draws on the xoshiro state s and returns whether
 // each k = draw>>11 was below thr, packed LSB-first: ChanceMask's loop,
-// which the lane kernels (lanes.go) run eight streams at a time.
+// which the lane kernels (lanes.go) run sixteen streams at a time.
 func chanceBits(s *[4]uint64, thr uint64, n int) uint64 {
 	// The state lives in locals for the whole batch; k and thr are both
 	// <= 2^53, so the sign bit of k-thr is exactly k < thr.

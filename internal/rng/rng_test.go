@@ -550,6 +550,40 @@ func TestNewLeapPanicsOnNegative(t *testing.T) {
 	NewLeap(-1)
 }
 
+// FuzzLeapBodies: every Leap.image body this host runs maps any state
+// through any leap's tables as the generic body does, and a leap made
+// with the host's body leaves a stream where stepping does.
+func FuzzLeapBodies(f *testing.F) {
+	f.Add(uint16(3072), uint64(1), uint64(2), uint64(3), uint64(4))
+	f.Add(uint16(0), uint64(0), uint64(0), uint64(0), uint64(1<<63))
+	f.Add(uint16(1), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
+	f.Add(uint16(65535), uint64(0x0123456789abcdef), uint64(0xfedcba9876543210), uint64(1), uint64(0))
+	f.Fuzz(func(t *testing.T, d uint16, s0, s1, s2, s3 uint64) {
+		l := NewLeap(int(d))
+		st := [4]uint64{s0, s1, s2, s3}
+		want := imageGeneric(&l.tab, st)
+		for _, b := range leapBodies {
+			if !b.ok {
+				continue
+			}
+			if got := b.fn(&l.tab, st); got != want {
+				t.Fatalf("%s: leap over %d draws maps %#x to %#x, the generic body to %#x", b.name, d, st, got, want)
+			}
+		}
+		if st == ([4]uint64{}) {
+			return // xoshiro's fixed point: no stream to step
+		}
+		leapt, stepped := Source{s: st}, Source{s: st}
+		l.Apply(&leapt)
+		for i := 0; i < int(d); i++ {
+			stepped.Uint64()
+		}
+		if leapt.State() != stepped.State() {
+			t.Fatalf("a leap over %d draws left %v, stepping left %v", d, leapt.State(), stepped.State())
+		}
+	})
+}
+
 // BenchmarkLeap: one Apply (what a leapt pair costs the plan pass of
 // lane births) and one NewLeap over a bitwise-gen pair's 3 072 draws
 // (built once per engine).

@@ -155,6 +155,26 @@ func TestHGALevelsAgainstDefaultLayers(t *testing.T) {
 	}
 }
 
+// TestHGAFinalRescoreSolvePoint: a run that only the final precise
+// re-scoring finds solved reports where it became known, the run's last
+// generation and evaluation count, not a solve without a solve point.
+func TestHGAFinalRescoreSolvePoint(t *testing.T) {
+	s := mustParse(t, `{"model":"hga","problem":{"name":"sphere","size":2},"engine":{"pop":12},"hga":{"layers":[1,2],"levels":[0,1]},"budget":{"cost":300},"seed":74}`)
+	b, err := Build(*s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := b.Run(RunOpts{})
+	if !rep.Solved || rep.SolvedAtGen <= 0 || rep.SolvedAtEval <= 0 {
+		t.Errorf("solved %v at generation %d, evaluation %d: want solved with a positive solve point",
+			rep.Solved, rep.SolvedAtGen, rep.SolvedAtEval)
+	}
+	if rep.SolvedAtGen != rep.Generations || rep.SolvedAtEval != rep.Evaluations {
+		t.Errorf("solve point (%d, %d), want the run's end (%d, %d): the final re-scoring found it",
+			rep.SolvedAtGen, rep.SolvedAtEval, rep.Generations, rep.Evaluations)
+	}
+}
+
 // TestNonFiniteOperatorParam: JSON cannot spell NaN or an infinity, a
 // hand-built RunSpec can.
 func TestNonFiniteOperatorParam(t *testing.T) {
