@@ -104,12 +104,12 @@ func (c TCPConfig) withDefaults() TCPConfig {
 // when the sockets close is neither delivered nor dropped in anyone's
 // Stats. The grace lets it catch up once the loop has stopped, and lets
 // a peer that finishes later, still writing, be read to its close: on a
-// loaded two-core host the two islands of a ring finish tens of
-// milliseconds apart, and a 20 ms grace once left 146 of 7 473 batches
-// uncounted. A peer that closes its end first ends the wait early, so
-// the grace is waited out only for a peer that outlives it. A variable
-// only so that a test on a loaded host can widen it.
-var drainGrace = 250 * time.Millisecond
+// loaded two-core host the two islands of a ring finish a median 25–40
+// ms and up to 570 ms apart, and a 20 ms grace once left 146 of 7 473
+// batches uncounted. A peer that closes its end first ends the wait
+// early, so the grace is waited out only for a peer that outlives it. A
+// variable only so that a test on a loaded host can widen it.
+var drainGrace = time.Second
 
 // tcpPeer is the sender-side state of one outbound link, owned by its
 // sender goroutine (except queue, which Send feeds).
