@@ -66,10 +66,12 @@ func (m *laneModel) check(t testing.TB, b laneBody, what string, n int) {
 	}
 }
 
-// chances are the probability branches a lane draws at: the smallest
-// positive threshold, 1/(n+1), one half and NaN, which draws and sets
-// nothing.
-func chances(n int) [4]float64 { return [4]float64{0x1p-53, 1 / float64(n+1), 0.5, math.NaN()} }
+// chances are the probability branches a lane draws at for a count of
+// n: the smallest positive threshold, 1/n (one half below n = 2, where
+// 1/n draws nothing), one half and NaN, which draws and sets nothing.
+func chances(n int) [4]float64 {
+	return [4]float64{0x1p-53, 1 / float64(max(n, 2)), 0.5, math.NaN()}
+}
 
 // TestChanceLanesMatchChanceMask holds every kernel body this host can
 // run, the generic one included, to ChanceMask lane by lane: masks and
@@ -116,6 +118,7 @@ func FuzzChanceLanes(f *testing.F) {
 	f.Add(uint64(2), uint8(3), uint8(17), math.Float64bits(math.NaN()), uint32(0x1b))
 	f.Add(uint64(3), uint8(1), uint8(1), math.Float64bits(0x1p-53), uint32(7))
 	f.Add(uint64(4), uint8(9), uint8(63), math.Float64bits(1-0x1p-53), uint32(0xe4e4e4e4))
+	f.Add(uint64(5), uint8(7), uint8(0), math.Float64bits(1), uint32(0x5555))
 	f.Fuzz(func(t *testing.T, seed uint64, live, n uint8, pbits uint64, pick uint32) {
 		lanes := 1 + int(live)%MaxLanes
 		count := int(n) % 65
