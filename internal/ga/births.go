@@ -48,11 +48,11 @@ import (
 
 // minLaneDraws is the fewest breed draws a generation must declare for
 // Generational to breed it in lanes. The first such generation builds
-// the engine's two leaps (≈ 0.4 ms each), which the short-lived engines
-// of the island, p2p and sweep models never earn back; above it they are
-// repaid within a few generations (EXPERIMENTS.md, "Eight pairs per
-// instruction", re-sized in "Sixteen lanes at the ports' floor"). A
-// variable so that tests can move it.
+// the engine's two leaps (≈ 0.3–0.4 ms each), which the short-lived
+// engines of the island, p2p and sweep models never earn back; above it
+// they are repaid within a few generations (EXPERIMENTS.md, "Eight pairs
+// per instruction"; measured again in "Sixteen lanes at the ports'
+// floor"). A variable so that tests can move it.
 var minLaneDraws = 1 << 14
 
 // newLeap builds the plan pass's leaps; a test swaps in a wrong one.

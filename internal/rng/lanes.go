@@ -44,24 +44,28 @@ type Lanes struct {
 // lane i's mask. A kernel may step, and write, lanes at or past live.
 type laneKernel func(s *[4][MaxLanes]uint64, thr *[MaxLanes]uint64, n, live int, out *[MaxLanes]uint64)
 
-// laneBody is one kernel body and whether this host can run it.
-type laneBody struct {
+// body is one body of a kernel with several (the lane kernel's, or
+// Leap.image's) and whether this host can run it.
+type body[F any] struct {
 	name string
-	fn   laneKernel
+	fn   F
 	ok   bool
 }
 
-// chanceLanes is the fastest body this host can run: laneBodies is
-// ordered fastest first and ends with the generic body, which runs
+// fastest returns the first body this host can run. Body lists are
+// ordered fastest first and end with a generic body, which runs
 // everywhere.
-var chanceLanes = func() laneKernel {
-	for _, b := range laneBodies {
+func fastest[F any](bodies []body[F]) F {
+	for _, b := range bodies {
 		if b.ok {
 			return b.fn
 		}
 	}
-	return chanceLanesGeneric
-}()
+	return bodies[len(bodies)-1].fn
+}
+
+// chanceLanes is the fastest lane kernel body this host can run.
+var chanceLanes = fastest(laneBodies)
 
 // chanceLanesGeneric is the portable body: chanceBits, lane by lane.
 func chanceLanesGeneric(s *[4][MaxLanes]uint64, thr *[MaxLanes]uint64, n, live int, out *[MaxLanes]uint64) {

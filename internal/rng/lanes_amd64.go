@@ -6,7 +6,7 @@ import "pga/internal/cpu"
 // each group of eight lanes in one register per state word, both groups
 // in one loop; AVX2 steps a group in two registers, one group after the
 // other.
-var laneBodies = []laneBody{
+var laneBodies = []body[laneKernel]{
 	{"avx512", chanceLanesAVX512, cpu.X86.AVX512DQ && cpu.X86.AVX512BW},
 	{"avx2", chanceLanesAVX2, cpu.X86.AVX2},
 	{"generic", chanceLanesGeneric, true},

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// runnable returns the lane kernel bodies this host can execute; the
-// generic body is always among them.
-func runnable() []laneBody {
-	var out []laneBody
-	for _, b := range laneBodies {
+// runnable returns the bodies this host can execute; the generic body is
+// always among them.
+func runnable[F any](bodies []body[F]) []body[F] {
+	var out []body[F]
+	for _, b := range bodies {
 		if b.ok {
 			out = append(out, b)
 		}
@@ -51,7 +51,7 @@ func (m *laneModel) remove(i int) {
 // check draws one mask of n on every lane through body b, and fails
 // unless every lane's mask and state equal ChanceMask's at the lane's
 // chance on its oracle.
-func (m *laneModel) check(t testing.TB, b laneBody, what string, n int) {
+func (m *laneModel) check(t testing.TB, b body[laneKernel], what string, n int) {
 	t.Helper()
 	if m.l.Len() != len(m.src) {
 		t.Fatalf("%s, %s: %d lanes, the oracle has %d", b.name, what, m.l.Len(), len(m.src))
@@ -81,7 +81,7 @@ func chances(n int) [4]float64 {
 // states it stepped; before a third, one lane takes a new stream and a
 // new chance and another is removed.
 func TestChanceLanesMatchChanceMask(t *testing.T) {
-	bodies := runnable()
+	bodies := runnable(laneBodies)
 	names := make([]string, len(bodies))
 	for i, b := range bodies {
 		names[i] = b.name
@@ -131,7 +131,7 @@ func FuzzChanceLanes(f *testing.F) {
 		for i := range states {
 			states[i] = src.Split().State()
 		}
-		for _, b := range runnable() {
+		for _, b := range runnable(laneBodies) {
 			var m laneModel
 			for i := 0; i < lanes; i++ {
 				m.add(states[i], ps[pick>>(2*(i%16))&3])
@@ -199,7 +199,7 @@ func BenchmarkChanceLanes(b *testing.B) {
 			}
 		}
 	})
-	for _, body := range runnable() {
+	for _, body := range runnable(laneBodies) {
 		for _, live := range []int{MaxLanes, 8} {
 			b.Run(fmt.Sprintf("%s/lanes-%d", body.name, live), func(b *testing.B) {
 				l := lanesOf(live)

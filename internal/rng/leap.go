@@ -83,24 +83,13 @@ func (l *Leap) fill(cols *[256][4]uint64) {
 // image returns the map applied to state s.
 func (l *Leap) image(s [4]uint64) [4]uint64 { return leapImage(&l.tab, s) }
 
-// leapBody is one body of Leap.image and whether this host can run it.
-type leapBody struct {
-	name string
-	fn   func(tab *[64][16][4]uint64, s [4]uint64) [4]uint64
-	ok   bool
-}
+// imageBody is the signature of Leap.image's bodies: the image of s
+// under the map whose nibble tables are tab.
+type imageBody func(tab *[64][16][4]uint64, s [4]uint64) [4]uint64
 
-// leapImage is the fastest body this host can run: leapBodies is
-// ordered fastest first and ends with the generic body, which runs
-// everywhere. Every body is integer code, so every one leaps the same.
-var leapImage = func() func(*[64][16][4]uint64, [4]uint64) [4]uint64 {
-	for _, b := range leapBodies {
-		if b.ok {
-			return b.fn
-		}
-	}
-	return imageGeneric
-}()
+// leapImage is the fastest body of Leap.image this host can run. Every
+// body is integer code, so every one leaps the same.
+var leapImage = fastest(leapBodies)
 
 // imageGeneric is the portable body of Leap.image: the xor of the 64
 // nibbles' table entries, a word at a time.

@@ -4,7 +4,7 @@ import "pga/internal/cpu"
 
 // leapBodies lists Leap.image's bodies, fastest first: AVX2 xors each
 // nibble's 32-byte entry in one YMM load.
-var leapBodies = []leapBody{
+var leapBodies = []body[imageBody]{
 	{"avx2", imageAVX2, cpu.X86.AVX2},
 	{"generic", imageGeneric, true},
 }

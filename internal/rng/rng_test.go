@@ -562,10 +562,7 @@ func FuzzLeapBodies(f *testing.F) {
 		l := NewLeap(int(d))
 		st := [4]uint64{s0, s1, s2, s3}
 		want := imageGeneric(&l.tab, st)
-		for _, b := range leapBodies {
-			if !b.ok {
-				continue
-			}
+		for _, b := range runnable(leapBodies) {
 			if got := b.fn(&l.tab, st); got != want {
 				t.Fatalf("%s: leap over %d draws maps %#x to %#x, the generic body to %#x", b.name, d, st, got, want)
 			}
