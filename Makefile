@@ -92,7 +92,14 @@ fuzz:
 # engine family — generational, steady-state, shared-memory parallel at
 # 1 and 4 workers, cellular under every update policy and
 # neighbourhood, islands in sequential and sync-parallel mode — across
-# every operator), selectors.json (five selectors under the
+# every operator), trace-farm (the master–slave farm at 1, 4 and 8
+# workers: the farm's bytes do not depend on its worker count),
+# trace-p2p (the gossip overlay with and without churn, solving before
+# its generation cap), trace-hga (the hierarchy at mixed and precise-only
+# fidelity levels, and a two-layer run that solves before its cost
+# budget), trace-supervised (supervised sync-parallel islands recovering
+# from scripted deme panics under both resilience presets),
+# selectors.json (five selectors under the
 # generational, steady-state and shared-memory engines), pareto.json
 # (the sim scenarios' Pareto archive at caps 8 and 100), realops.json
 # (SBX and polynomial mutation at η on both sides of powFrac's fast

@@ -7,17 +7,18 @@
 // first. Each tree builds its own harness and binaries, so the base is
 // measured by the base's benchmark.
 //
-// It prints every pair as it completes, then for every end-to-end metric
-// in BENCHMARK.json the pairs each side won, both medians, the base's
-// interquartile range and a verdict: "gain" when the change wins at least
-// nine tenths of the pairs and the medians differ by more than the base's
-// IQR, "REGRESSION" when the change's median is worse than the base's by
-// more than the metric's bound, "unresolved" when the base's own spread
-// exceeds that bound or its median is zero (no relative change to judge),
-// and "within bound" otherwise. It exits non-zero on a regression, on a
-// run whose correctness gate failed or whose driver line lacks one of
-// those metrics, or when the change fails a larger share of operations
-// than the base.
+// It prints every pair as it completes (and, before it, each operation a
+// run's report says FAILED, with the run's side and seed), then for every
+// end-to-end metric in BENCHMARK.json the pairs each side won, both
+// medians, the base's interquartile range and a verdict: "gain" when the
+// change wins at least nine tenths of the pairs and the medians differ by
+// more than the base's IQR, "REGRESSION" when the change's median is worse
+// than the base's by more than the metric's bound, "unresolved" when the
+// base's own spread exceeds that bound or its median is zero (no relative
+// change to judge), and "within bound" otherwise. It exits non-zero on a
+// regression, on a run whose correctness gate failed or whose driver line
+// lacks one of those metrics, or when the change fails a larger share of
+// operations than the base.
 //
 // Usage (from the repository root, or `make perf-compare BASE=<rev>
 // WORKLOAD=<name> [PAIRS=10]`):
@@ -222,17 +223,19 @@ func export(rev, dir string) error {
 	return nil
 }
 
-// measure runs the benchmark once in s.dir and records the named metrics
-// of its driver line.
+// measure runs the benchmark once in s.dir, prints the operations it
+// says failed, and records the named metrics of its driver line.
 func (s *side) measure(workload string, seed, seconds int, metrics []string) error {
 	cmd := exec.Command("go", "run", "./cmd/pgaperf", "-workload", workload,
 		"-seed", strconv.Itoa(seed), "-seconds", strconv.Itoa(seconds), "-trace", "0")
 	cmd.Dir = s.dir
 	cmd.Stderr = os.Stderr
 	out, runErr := cmd.Output() // a failed gate exits non-zero but still prints its line
-	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-	var line driverLine
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &line); err != nil {
+	line, failures, err := parseOutput(out)
+	for _, f := range failures {
+		fmt.Printf("%s, seed %d: FAILED: %s\n", s.name, seed, f)
+	}
+	if err != nil {
 		return fmt.Errorf("%s: no driver line from pgaperf (%v): %w", s.dir, runErr, err)
 	}
 	s.attempted += line.Attempted
@@ -248,6 +251,20 @@ func (s *side) measure(workload string, seed, seconds int, metrics []string) err
 		s.values[name] = append(s.values[name], m.Value)
 	}
 	return nil
+}
+
+// parseOutput splits pgaperf's stdout into its driver line, the last
+// line, and the operations its report says failed: the text after
+// "FAILED: " on each report line that starts with it.
+func parseOutput(out []byte) (line driverLine, failures []string, err error) {
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	for _, l := range lines {
+		if f, ok := strings.CutPrefix(strings.TrimSpace(l), "FAILED: "); ok {
+			failures = append(failures, f)
+		}
+	}
+	err = json.Unmarshal([]byte(lines[len(lines)-1]), &line)
+	return line, failures, err
 }
 
 // quartiles returns the lower quartile, median and upper quartile of v

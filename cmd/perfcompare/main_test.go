@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestQuartiles(t *testing.T) {
 	q1, med, q3 := quartiles([]float64{5, 1, 3, 2, 4})
@@ -60,6 +63,44 @@ func TestJudge(t *testing.T) {
 		if j.verdict != c.want || j.changeWins != c.cw || j.baseWins != c.bw {
 			t.Errorf("%s: verdict %q wins %d/%d, want %q %d/%d",
 				c.name, j.verdict, j.changeWins, j.baseWins, c.want, c.cw, c.bw)
+		}
+	}
+}
+
+// TestParseOutput: the driver line is pgaperf's last stdout line, and
+// every "FAILED:" line of the report before it is kept; an output that
+// ends without a driver line is an error, and its failures still come
+// back.
+func TestParseOutput(t *testing.T) {
+	failing := "seed 5  go1.24.0  nproc 2\n\n" +
+		"== wire-ring2  ops_attempted 80  ops_failed 1\n" +
+		"   FAILED: wire-ring2: 146 of 7473 sent batches are neither delivered nor counted dropped\n" +
+		"   end-to-end         unit           median\n" +
+		"total 21.3 s\n" +
+		`{"workload":"wire-ring2","correct":false,"attempted":80,"failed":1,"metrics":{"evals_per_s":{"value":412000}}}` + "\n"
+	for _, c := range []struct {
+		name     string
+		out      string
+		failures []string
+		wantErr  bool
+	}{
+		{"failing run", failing,
+			[]string{"wire-ring2: 146 of 7473 sent batches are neither delivered nor counted dropped"}, false},
+		{"no driver line", "== wire-ring2  ops_attempted 1  ops_failed 1\n   FAILED: wire-ring2: setup: bind refused\ntotal 0.1 s\n",
+			[]string{"wire-ring2: setup: bind refused"}, true},
+	} {
+		line, failures, err := parseOutput([]byte(c.out))
+		if (err != nil) != c.wantErr {
+			t.Errorf("%s: err = %v, want error %v", c.name, err, c.wantErr)
+		}
+		if !reflect.DeepEqual(failures, c.failures) {
+			t.Errorf("%s: failures = %q, want %q", c.name, failures, c.failures)
+		}
+		if c.wantErr {
+			continue
+		}
+		if line.Correct || line.Attempted != 80 || line.Failed != 1 || line.Metrics["evals_per_s"].Value != 412000 {
+			t.Errorf("%s: driver line = %+v", c.name, line)
 		}
 	}
 }

@@ -122,8 +122,8 @@ func run() (status int) {
 	if err != nil {
 		fail(err)
 	}
-	// The flag path has always stopped at the known optimum where the
-	// model can and the problem has one.
+	// The flag path stops at the known optimum wherever the problem has
+	// one.
 	s.Budget.TargetOptimum = plan.StopAtOptimum()
 	if *validate {
 		doc, jerr := s.JSON()

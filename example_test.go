@@ -287,7 +287,7 @@ func supervisedIslands(label string, res *pga.Resilience, plan *pga.FaultPlan) {
 		Seed:       11,
 		Resilience: res,
 		Faults:     plan,
-	}).RunParallel(400, pga.Control{})
+	}).RunParallel(pga.AnyOf{pga.MaxGenerations(400), pga.Target(prob)}, pga.Control{})
 	fmt.Printf("%-24s solved=%v gens=%d restarts=%d panics=%d timeouts=%d dead=%v\n",
 		label, r.Solved, r.Generations, r.Restarts, r.PanicsRecovered, r.HeartbeatTimeouts, r.DeadDemes)
 	for _, f := range r.Failures {

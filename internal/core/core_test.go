@@ -288,6 +288,11 @@ func TestAnyOfPollsStatefulChildren(t *testing.T) {
 	if a.FiredReason(s) != "stagnation" {
 		t.Fatalf("FiredReason=%q want stagnation", a.FiredReason(s))
 	}
+	// Nested in an outer AnyOf, as a supervised island run nests the
+	// caller's stop beside its own, the child that fired still names it.
+	if got := (AnyOf{a, MaxEvaluations(1 << 40)}).FiredReason(s); got != "stagnation" {
+		t.Fatalf("nested FiredReason=%q want stagnation", got)
+	}
 }
 
 func TestResultString(t *testing.T) {

@@ -44,6 +44,11 @@ func (m MaxEvaluations) Done(s Status) bool { return s.Evaluations >= int64(m) }
 // Reason implements StopCondition.
 func (m MaxEvaluations) Reason() string { return "max evaluations" }
 
+// ReasonTarget is the stop reason of every run that ends because it
+// reached its target: a fitness threshold, the problem's optimum, or a
+// free-running deme's solve.
+const ReasonTarget = "target fitness reached"
+
 // TargetFitness stops once the best fitness reaches the target under the
 // given direction.
 type TargetFitness struct {
@@ -55,7 +60,19 @@ type TargetFitness struct {
 func (t TargetFitness) Done(s Status) bool { return t.Dir.BetterOrEqual(s.BestFitness, t.Target) }
 
 // Reason implements StopCondition.
-func (t TargetFitness) Reason() string { return "target fitness reached" }
+func (t TargetFitness) Reason() string { return ReasonTarget }
+
+// AtOptimum stops once the best fitness counts as the problem's known
+// optimum: TargetAware.Solved, with the problem's own tolerance, which is
+// the test a run's solve point is recorded by — so a run that stops here
+// stops at the generation it reports solved at.
+type AtOptimum struct{ Target TargetAware }
+
+// Done implements StopCondition.
+func (a AtOptimum) Done(s Status) bool { return a.Target.Solved(s.BestFitness) }
+
+// Reason implements StopCondition.
+func (AtOptimum) Reason() string { return ReasonTarget }
 
 // Stagnation stops after N consecutive steps with no improvement of the
 // best fitness. The zero value is invalid; use NewStagnation.
@@ -105,17 +122,23 @@ func (a AnyOf) Reason() string {
 }
 
 // FiredReason returns the Reason of the first child that is satisfied by s,
-// for run reports. It does not advance stateful children.
+// for run reports, looking inside nested AnyOfs. It does not advance
+// stateful children.
 func (a AnyOf) FiredReason(s Status) string {
 	for _, c := range a {
-		if st, ok := c.(*Stagnation); ok {
-			if st.count >= st.limit {
-				return st.Reason()
+		switch c := c.(type) {
+		case *Stagnation:
+			if c.count >= c.limit {
+				return c.Reason()
 			}
-			continue
-		}
-		if c.Done(s) {
-			return c.Reason()
+		case AnyOf:
+			if r := c.FiredReason(s); r != "unknown" {
+				return r
+			}
+		default:
+			if c.Done(s) {
+				return c.Reason()
+			}
 		}
 	}
 	return "unknown"

@@ -9,11 +9,11 @@
 // ordered Observer hooks — while each model contributes only a Stepper
 // with its model-specific generation step and communication.
 //
-// Loop is behaviour-preserving with respect to the model-local loops it
-// replaced: it draws no random numbers of its own, polls the stop
-// condition exactly once per generation (stateful conditions like
-// Stagnation count on), and performs no per-generation allocations (the
-// zero-allocation gates of the runtimes cover it).
+// Loop draws no random numbers of its own, polls the stop condition
+// exactly once per generation (stateful conditions like Stagnation count
+// on), and performs no per-generation allocations (the zero-allocation
+// gates of the runtimes cover it). The stop condition is always the
+// caller's: every runtime ends a run the same way.
 //
 // Run control — who may watch a run and who may end it early — is said
 // once, here: Control is the caller-owned value every runtime's run entry
@@ -155,24 +155,19 @@ func (c Control) Ctx() context.Context {
 	return c.Context
 }
 
-// Options tunes Loop. The flags encode the (small) historical differences
-// between the model loops so that porting a model onto Loop is
-// behaviour-preserving; see DESIGN §3. A runtime fills in what it owns
-// and takes the rest from its caller through With.
+// Options tunes Loop. A runtime fills in what it owns and takes the rest
+// from its caller through With; the stop condition is always the
+// caller's, so every runtime stops the same way (DESIGN §3.1).
 type Options struct {
 	// Stop terminates the run (required). It is polled exactly once
-	// before every generation, so stateful conditions keep their
-	// counters current.
+	// before every generation, generation 0 included, so stateful
+	// conditions keep their counters current.
 	Stop core.StopCondition
 	// Target, when non-nil, enables solve detection against the problem's
-	// known optimum (Solved/SolvedAtEval/SolvedAtGen).
+	// known optimum (Solved/SolvedAtEval/SolvedAtGen), from the initial
+	// population on. It records the solve point only: a run ends at the
+	// optimum when Stop says so (core.AtOptimum).
 	Target core.TargetAware
-	// HaltOnSolve ends the run as soon as Target reports solved instead
-	// of waiting for Stop to fire.
-	HaltOnSolve bool
-	// InitialSolve also checks Target against the initial population
-	// (generation 0), before any step.
-	InitialSolve bool
 	// SkipBest disables best-individual and best-fitness tracking — for
 	// per-deme loops whose global best is computed after the demes join.
 	SkipBest bool
@@ -204,8 +199,8 @@ type Totals struct {
 	Restarts   int64
 }
 
-// Loop drives s until the stop condition fires (or a halt: see
-// Options.HaltOnSolve and StepInfo.Halt; or Options.Context is cancelled)
+// Loop drives s until the stop condition fires (or a model halt, see
+// StepInfo.Halt, or Options.Context is cancelled)
 // and fills out with the run's accounting — the same truthful tail
 // whichever way the run ended. The loop itself draws no random numbers and
 // allocates only fixed run-level state (the pooled best tracker), never
@@ -231,7 +226,7 @@ func Loop(s Stepper, opts Options, out *core.RunStats) Totals {
 			}
 		}
 	}
-	if opts.Target != nil && opts.InitialSolve && !out.Solved && opts.Target.Solved(bestFit) {
+	if opts.Target != nil && !out.Solved && opts.Target.Solved(bestFit) {
 		out.Solved = true
 		out.SolvedAtEval = s.Evaluations()
 		out.SolvedAtGen = 0
@@ -251,9 +246,6 @@ func Loop(s Stepper, opts Options, out *core.RunStats) Totals {
 	}
 
 	haltReason := ""
-	if opts.HaltOnSolve && out.Solved {
-		haltReason = "target reached"
-	}
 	var done <-chan struct{} // nil without a context, or under one that cannot be cancelled
 	if opts.Context != nil {
 		done = opts.Context.Done()
@@ -322,8 +314,6 @@ func Loop(s Stepper, opts Options, out *core.RunStats) Totals {
 		}
 		if info.Halt {
 			haltReason = "model halt"
-		} else if opts.HaltOnSolve && out.Solved {
-			haltReason = "target reached"
 		}
 	}
 

@@ -144,32 +144,45 @@ func TestLoopBestIsMonotoneAndDetached(t *testing.T) {
 	}
 }
 
+// TestLoopHaltOnSolve: a run halts at the solve when its stop condition
+// says so (core.AtOptimum), with the stop condition's reason; Target alone
+// records the solve point and the run goes on to its budget.
 func TestLoopHaltOnSolve(t *testing.T) {
-	s := &fakeStepper{steps: flat(1, 7, 8, 9), evalsPer: 5}
-	var out core.RunStats
-	Loop(s, Options{
-		Stop: core.MaxGenerations(4), Target: target{at: 7}, HaltOnSolve: true,
-	}, &out)
-	if !out.Solved || out.SolvedAtGen != 2 || out.SolvedAtEval != 10 {
-		t.Fatalf("solve record = {%v %d %d}, want {true 2 10}", out.Solved, out.SolvedAtGen, out.SolvedAtEval)
-	}
-	if out.Generations != 2 || out.StopReason != "target reached" {
-		t.Fatalf("halt = (%d, %q), want (2, target reached)", out.Generations, out.StopReason)
+	for _, c := range []struct {
+		name   string
+		stop   core.StopCondition
+		gens   int
+		reason string
+	}{
+		{"at-optimum", core.AnyOf{core.MaxGenerations(4), core.AtOptimum{Target: target{at: 7}}}, 2, core.ReasonTarget},
+		{"budget", core.MaxGenerations(4), 4, "max generations"},
+	} {
+		s := &fakeStepper{steps: flat(1, 7, 8, 9), evalsPer: 5}
+		var out core.RunStats
+		Loop(s, Options{Stop: c.stop, Target: target{at: 7}}, &out)
+		if !out.Solved || out.SolvedAtGen != 2 || out.SolvedAtEval != 10 {
+			t.Fatalf("%s: solve record = {%v %d %d}, want {true 2 10}", c.name, out.Solved, out.SolvedAtGen, out.SolvedAtEval)
+		}
+		if out.Generations != c.gens || out.StopReason != c.reason {
+			t.Fatalf("%s: stop = (%d, %q), want (%d, %q)", c.name, out.Generations, out.StopReason, c.gens, c.reason)
+		}
 	}
 }
 
+// TestLoopInitialSolve: the solve check covers the initial population,
+// and a stop at the optimum then takes no step at all.
 func TestLoopInitialSolve(t *testing.T) {
 	s := &fakeStepper{steps: flat(1), start: 10}
 	var out core.RunStats
 	Loop(s, Options{
-		Stop: core.MaxGenerations(5), Target: target{at: 10},
-		InitialSolve: true, HaltOnSolve: true,
+		Stop:   core.AnyOf{core.MaxGenerations(5), core.AtOptimum{Target: target{at: 10}}},
+		Target: target{at: 10},
 	}, &out)
 	if !out.Solved || out.SolvedAtGen != 0 {
 		t.Fatalf("initial population not detected as solved: %+v", out)
 	}
-	if out.Generations != 0 || len(s.calls) != 0 {
-		t.Fatalf("loop stepped a solved initial population: gens=%d steps=%v", out.Generations, s.calls)
+	if out.Generations != 0 || len(s.calls) != 0 || out.StopReason != core.ReasonTarget {
+		t.Fatalf("loop stepped a solved initial population: gens=%d steps=%v stop=%q", out.Generations, s.calls, out.StopReason)
 	}
 }
 
@@ -299,6 +312,30 @@ func TestLoopStagnationStatePreserved(t *testing.T) {
 	}
 	if out.Generations != 4 {
 		t.Fatalf("Generations = %d, want 4", out.Generations)
+	}
+}
+
+// TestLoopRewindIsNotImprovement: the stop poll after a rewound step sees
+// Improved false, even when the generation before it improved. Polls under
+// Stagnation(2): gen 0 and gen 1 improve (count 0), the rewind counts 1,
+// the re-run generation 2 is flat and counts 2 — the condition fires at
+// generation 2. Were the rewind to keep gen 1's Improved, it would fire
+// a generation later.
+func TestLoopRewindIsNotImprovement(t *testing.T) {
+	s := &fakeStepper{steps: []script{
+		{fitness: 1},
+		{info: StepInfo{Rewound: true, ResumeAt: 1}},
+		{fitness: 1},
+		{fitness: 1},
+		{fitness: 1},
+	}}
+	var out core.RunStats
+	Loop(s, Options{Stop: core.AnyOf{core.MaxGenerations(100), core.NewStagnation(2)}}, &out)
+	if out.StopReason != "stagnation" || out.Generations != 2 {
+		t.Fatalf("stop = (%d, %q), want (2, stagnation)", out.Generations, out.StopReason)
+	}
+	if want := []int{1, 2, 2}; !reflect.DeepEqual(s.calls, want) {
+		t.Fatalf("Step gens = %v, want %v", s.calls, want)
 	}
 }
 

@@ -47,13 +47,17 @@ func runE04(w io.Writer, quick bool) {
 				Mode:      "parallel",
 				Migration: spec.MigrationSpec{Interval: 5, Count: 2, Async: !sync, Buffer: 4},
 			},
-			Budget: spec.BudgetSpec{Generations: maxGens},
+			// Barriered demes stop at the optimum when asked to; free-running
+			// ones stop there anyway (the first deme to solve ends the run)
+			// and take nothing but a generation cap.
+			Budget: spec.BudgetSpec{Generations: maxGens, TargetOptimum: sync},
 		}
 		for r := 0; r < runs; r++ {
 			rs.Seed = uint64(r) * 31
 			// The report layer drops wall-clock for determinism; drive the
 			// built island model directly to time the barrier structure.
-			res := mustBuild(rs).Islands.RunParallel(maxGens, engine.Control{})
+			b := mustBuild(rs)
+			res := b.Islands.RunParallel(b.Stop, engine.Control{})
 			hit.Record(res.Solved, res.SolvedAtEval)
 			finals = append(finals, res.BestFitness)
 			elapsed = append(elapsed, float64(res.Elapsed.Microseconds())/1000)

@@ -300,19 +300,20 @@ func (m *Model) promote() {
 	}
 }
 
-// costCap stops the hierarchy when the accumulated evaluation cost
-// reaches the budget (the status snapshot has no cost notion, so the
-// condition reads the model directly).
-type costCap struct {
-	m      *Model
-	budget float64
+// CostCap stops the hierarchy once its accumulated evaluation cost
+// reaches Budget (the status snapshot has no cost notion, so the condition
+// reads the model directly). It is the one budget only this runtime can
+// meter; compose it with the others in a core.AnyOf.
+type CostCap struct {
+	Model  *Model
+	Budget float64
 }
 
 // Done implements core.StopCondition.
-func (c costCap) Done(core.Status) bool { return c.m.cost >= c.budget }
+func (c CostCap) Done(core.Status) bool { return c.Model.cost >= c.Budget }
 
 // Reason implements core.StopCondition.
-func (c costCap) Reason() string { return "cost budget exhausted" }
+func (c CostCap) Reason() string { return "cost budget exhausted" }
 
 // hierStepper is the hierarchy's engine.Stepper: one generation steps
 // every deme, then promotes on schedule. Best() reports the top layer's
@@ -351,24 +352,26 @@ func (s *hierStepper) Evaluations() int64 { return s.m.evals }
 // Direction implements engine.Stepper.
 func (s *hierStepper) Direction() core.Direction { return s.m.dir }
 
-// Run advances the hierarchy until the cost budget is exhausted or the
-// precise optimum is found; ctl is the caller's run control. Observers see
-// the loop's stats: the precise re-scoring below happens after OnDone.
-func (m *Model) Run(costBudget float64, ctl engine.Control) *Result {
+// Run advances the hierarchy until stop fires (a CostCap on m, usually,
+// among others); ctl is the caller's run control. Observers see the loop's
+// stats: the precise re-scoring below happens after OnDone.
+func (m *Model) Run(stop core.StopCondition, ctl engine.Control) *Result {
 	start := time.Now()
 	res := &Result{}
 	ta, _ := core.Problem(m.cfg.Problem).(core.TargetAware)
 
+	// The loop records the solve point before it fires OnGeneration, so
+	// this hook reads the accumulated cost of the solving generation.
+	atSolve := engine.Funcs{Generation: func(s core.Status) {
+		if res.Solved && s.Generation == res.SolvedAtGen {
+			res.CostAtSolve = m.cost
+		}
+	}}
 	engine.Loop(&hierStepper{m: m}, engine.Options{
-		Stop:        costCap{m: m, budget: costBudget},
-		Target:      ta,
-		HaltOnSolve: true,
+		Stop:      stop,
+		Target:    ta,
+		Observers: []engine.Observer{atSolve},
 	}.With(ctl), &res.RunStats)
-	if res.Solved {
-		// The loop halted the moment the target was reached, so the
-		// accumulated cost still reads the solve instant.
-		res.CostAtSolve = m.cost
-	}
 
 	// Final precise re-scoring of every deme's best.
 	for _, e := range m.demes {

@@ -111,9 +111,14 @@ func TestHGAStructure(t *testing.T) {
 	}
 }
 
+// runCost runs a fresh hierarchy of c until its cost reaches budget.
+func runCost(c Config, budget float64) *Result {
+	m := New(c)
+	return m.Run(CostCap{Model: m, Budget: budget}, engine.Control{})
+}
+
 func TestHGAReducesCostPerEvaluation(t *testing.T) {
-	m := New(cfg(2))
-	res := m.Run(5000, engine.Control{})
+	res := runCost(cfg(2), 5000)
 	if res.Cost > 5000*1.2 {
 		t.Fatalf("cost budget overrun: %v", res.Cost)
 	}
@@ -128,24 +133,23 @@ func TestHGAPreciseOnlyBaselineCostsMore(t *testing.T) {
 	// Same structure, all layers precise: every evaluation costs 1.
 	c := cfg(3)
 	c.LevelOf = []int{0, 0, 0}
-	m := New(c)
-	res := m.Run(3000, engine.Control{})
+	res := runCost(c, 3000)
 	if float64(res.Evaluations) != res.Cost {
 		t.Fatalf("precise-only: evals %d != cost %v", res.Evaluations, res.Cost)
 	}
 }
 
 func TestHGAImprovesWithBudget(t *testing.T) {
-	small := New(cfg(4)).Run(1000, engine.Control{})
-	large := New(cfg(4)).Run(20000, engine.Control{})
+	small := runCost(cfg(4), 1000)
+	large := runCost(cfg(4), 20000)
 	if large.BestFitness > small.BestFitness {
 		t.Fatalf("more budget worsened quality: %v vs %v", large.BestFitness, small.BestFitness)
 	}
 }
 
 func TestHGADeterministic(t *testing.T) {
-	a := New(cfg(5)).Run(2000, engine.Control{})
-	b := New(cfg(5)).Run(2000, engine.Control{})
+	a := runCost(cfg(5), 2000)
+	b := runCost(cfg(5), 2000)
 	if a.BestFitness != b.BestFitness || a.Evaluations != b.Evaluations {
 		t.Fatal("HGA not deterministic per seed")
 	}
@@ -159,16 +163,35 @@ func TestHGAMixedBeatsPreciseAtEqualCost(t *testing.T) {
 	const runs = 3
 	var mixed, precise float64
 	for s := uint64(0); s < runs; s++ {
-		mixed += New(cfg(100+s)).Run(budget, engine.Control{}).BestFitness
+		mixed += runCost(cfg(100+s), budget).BestFitness
 		c := cfg(100 + s)
 		c.LevelOf = []int{0, 0, 0}
-		precise += New(c).Run(budget, engine.Control{}).BestFitness
+		precise += runCost(c, budget).BestFitness
 	}
 	mixed /= runs
 	precise /= runs
 	// Minimisation: mixed must not be dramatically worse.
 	if mixed > precise*1.5+1 {
 		t.Fatalf("mixed hierarchy much worse at equal cost: mixed=%v precise=%v", mixed, precise)
+	}
+}
+
+// TestHGACostAtSolve: a run that solves well before its cost budget runs
+// on to the budget, and CostAtSolve is the cost accumulated by the end of
+// the solving generation, not the cost at the end of the run.
+func TestHGACostAtSolve(t *testing.T) {
+	c := cfg(5)
+	c.Problem = NewQuantized(problems.Sphere(3))
+	m := New(c)
+	costAfter := map[int]float64{}
+	watch := engine.Funcs{Generation: func(s core.Status) { costAfter[s.Generation] = m.Cost() }}
+	res := m.Run(CostCap{Model: m, Budget: 9000}, engine.Control{Observers: []engine.Observer{watch}})
+	if !res.Solved || res.StopReason != "cost budget exhausted" || res.SolvedAtGen >= res.Generations/2 {
+		t.Fatalf("want a solve well before the budget: %+v", res.RunStats)
+	}
+	if res.CostAtSolve >= res.Cost || res.CostAtSolve != costAfter[res.SolvedAtGen] {
+		t.Fatalf("cost at solve %v, want %v (the cost after generation %d) and below the run's %v",
+			res.CostAtSolve, costAfter[res.SolvedAtGen], res.SolvedAtGen, res.Cost)
 	}
 }
 

@@ -141,12 +141,17 @@ func (a allDead) Done(core.Status) bool { return a.router.AliveCount() == 0 }
 // Reason implements core.StopCondition.
 func (a allDead) Reason() string { return "all demes dead" }
 
-// runBarrier drives one barrierStepper under engine.Loop: lockstep or a
-// goroutine per deme, supervised or not. A supervised run additionally
-// stops when no deme is left and checkpoints through an OnGeneration hook
-// of its own, which With places ahead of the caller's observers.
-func (m *Model) runBarrier(parallel bool, sup *supervise.Supervisor, opts engine.Options, ctl engine.Control) *Result {
+// runBarrier drives one barrierStepper under engine.Loop until stop fires:
+// lockstep or a goroutine per deme, supervised or not. A supervised run
+// additionally stops when no deme is left and checkpoints through an
+// OnGeneration hook of its own, which With places ahead of the caller's
+// observers.
+func (m *Model) runBarrier(parallel bool, sup *supervise.Supervisor, stop core.StopCondition, ctl engine.Control) *Result {
+	if stop == nil {
+		panic("island: stop condition required")
+	}
 	st := &barrierStepper{m: m, parallel: parallel, sup: sup, routes: m.cfg.Topology}
+	opts := engine.Options{Stop: stop}
 	if sup != nil {
 		st.routes = sup.Router()
 		st.outcomes = make([]supervise.StepOutcome, len(m.engines))

@@ -35,7 +35,7 @@ func TestSupervisedRunKeepsCallerObservers(t *testing.T) {
 		Restart: func(_ int, n int64) { restarts += int(n) },
 		Done:    func(*core.RunStats) { done++ },
 	}
-	r := m.RunParallel(10, engine.Control{Observers: []engine.Observer{obs}})
+	r := m.RunParallel(core.MaxGenerations(10), engine.Control{Observers: []engine.Observer{obs}})
 	if r.Generations != 10 || gens != 11 || done != 1 {
 		t.Errorf("%d generations: OnGeneration fired %d times, OnDone %d", r.Generations, gens, done)
 	}
@@ -47,7 +47,7 @@ func TestSupervisedRunKeepsCallerObservers(t *testing.T) {
 // TestFreeRunningControl: the free-running discipline takes the caller's
 // context and gives its observers OnDone only, once, with the assembled
 // stats; a cancelled run has joined its demes and says "cancelled", a
-// solved one still says "target reached".
+// solved one says core.ReasonTarget, as every solve stop does.
 func TestFreeRunningControl(t *testing.T) {
 	cfg := Config{
 		Topology:  topology.Ring(4),
@@ -62,19 +62,19 @@ func TestFreeRunningControl(t *testing.T) {
 	}
 	ctl := engine.Control{Context: context.Background(), Observers: []engine.Observer{obs}}
 
-	solved := New(cfg).RunParallel(300, ctl)
-	if !solved.Solved || solved.StopReason != "target reached" || solved.SolvedAtGen <= 0 {
+	solved := New(cfg).RunParallel(core.MaxGenerations(300), ctl)
+	if !solved.Solved || solved.StopReason != core.ReasonTarget || solved.SolvedAtGen <= 0 {
 		t.Fatalf("uncancelled run: %+v", solved.RunStats)
 	}
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	ctl.Context = dead
-	cut := New(cfg).RunParallel(300, ctl)
+	cut := New(cfg).RunParallel(core.MaxGenerations(300), ctl)
 	if cut.StopReason != "cancelled" || cut.Generations != 0 || cut.Solved {
 		t.Fatalf("run under a dead context: %+v", cut.RunStats)
 	}
-	if len(heard) != 2 || heard[0].StopReason != "target reached" || heard[1].StopReason != "cancelled" ||
+	if len(heard) != 2 || heard[0].StopReason != core.ReasonTarget || heard[1].StopReason != "cancelled" ||
 		heard[0].Evaluations != solved.Evaluations {
 		t.Errorf("OnDone heard %+v", heard)
 	}

@@ -19,11 +19,13 @@ import (
 // context with when its own population meets the target, carrying the
 // generation it got there in. Every deme loop polls that context, so the
 // others leave within a generation; the first cause wins, which makes
-// context.Cause the record of who solved first.
+// context.Cause the record of who solved first. This cancel is the
+// free-running discipline's stop at the optimum, the one a barriered run
+// asks for with core.AtOptimum; it reads the same reason.
 type solvedAt int
 
 // Error implements error.
-func (solvedAt) Error() string { return "target reached" }
+func (solvedAt) Error() string { return core.ReasonTarget }
 
 // pendingBatch is an undelivered migrant batch awaiting retry.
 type pendingBatch struct {
@@ -56,8 +58,8 @@ type freeDeme struct {
 
 	// ta and solved are the in-process solve check: a deme whose own
 	// population meets the target cancels the run's context (see solvedAt)
-	// and halts. Both are nil in wire mode, whose single loop checks the
-	// target itself.
+	// and halts. Both are nil in wire mode, whose single loop records the
+	// solve point itself and runs on to its generation cap.
 	ta     core.TargetAware
 	solved context.CancelCauseFunc
 
@@ -203,10 +205,11 @@ func (d *freeDeme) MeanFitness() float64 { return d.e.Population().MeanFitness()
 // This discipline has no run-level generation — n loops, each at its own —
 // so of the caller's control the deme loops take the context only (a child
 // of it, which a solving deme also cancels): cancellation stops every deme
-// within one generation and the join below waits for them all. ctl's
+// within one generation and the join below waits for them all. Every deme
+// loop polls the one stop, which is why it must be stateless. ctl's
 // observers hear OnDone, once, with the assembled stats; there is no
 // run-level OnGeneration to fire and no trace to record.
-func (m *Model) runFree(maxGens int, sup *supervise.Supervisor, ctl engine.Control) *Result {
+func (m *Model) runFree(stop core.StopCondition, sup *supervise.Supervisor, ctl engine.Control) *Result {
 	start := time.Now()
 	ctx, solved := context.WithCancelCause(ctl.Ctx())
 	defer solved(nil)
@@ -226,7 +229,7 @@ func (m *Model) runFree(maxGens int, sup *supervise.Supervisor, ctl engine.Contr
 			ta: ta, solved: solved, sup: sup, m: m,
 		}
 		demes[i] = d
-		opts := engine.Options{Stop: core.MaxGenerations(maxGens), SkipBest: true, Context: ctx}
+		opts := engine.Options{Stop: stop, SkipBest: true, Context: ctx}
 		if sup != nil {
 			opts.Observers = []engine.Observer{engine.Funcs{Generation: d.checkpoint, Done: d.deadLetterPending}}
 		}
@@ -260,13 +263,13 @@ func (m *Model) runFree(maxGens int, sup *supervise.Supervisor, ctl engine.Contr
 		res.Solved = true
 		res.SolvedAtEval = res.Evaluations
 		res.SolvedAtGen = int(gen)
-		res.StopReason = "target reached"
+		res.StopReason = core.ReasonTarget
 	case cause != nil:
 		res.StopReason = "cancelled"
 	case sup != nil && sup.Router().AliveCount() == 0:
 		res.StopReason = "all demes dead"
 	default:
-		res.StopReason = "max generations"
+		res.StopReason = stop.Reason()
 	}
 	m.finish(res)
 	res.Elapsed = time.Since(start)

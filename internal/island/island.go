@@ -279,13 +279,7 @@ func (m *Model) exchangeOn(topo topology.Topology) int64 {
 // performing synchronous migration whenever the policy is due. It is fully
 // deterministic for a given Config; ctl is the caller's run control.
 func (m *Model) RunSequential(stop core.StopCondition, ctl engine.Control) *Result {
-	if stop == nil {
-		panic("island: stop condition required")
-	}
-	return m.runBarrier(false, nil, engine.Options{
-		Stop:         stop,
-		InitialSolve: true,
-	}, ctl)
+	return m.runBarrier(false, nil, stop, ctl)
 }
 
 // meanFitness returns the mean fitness over all demes' members.
@@ -322,15 +316,20 @@ func (m *Model) finish(res *Result) {
 	}
 }
 
-// RunParallel executes the island model with one goroutine per deme for at
-// most maxGens island generations, stopping early when the problem's known
-// optimum is found. Policy.Sync selects barriered generations (globally
-// deterministic); otherwise demes free-run and exchange migrants through
-// bounded non-blocking endpoints. Config.Resilience supervises either.
-// ctl is the caller's run control; the free-running discipline has no
-// run-level generation, so there it cancels every deme and its observers
-// hear OnDone only (see runFree).
-func (m *Model) RunParallel(maxGens int, ctl engine.Control) *Result {
+// RunParallel executes the island model with one goroutine per deme until
+// stop fires. Policy.Sync selects barriered generations (globally
+// deterministic, and bit-identical to RunSequential under the same stop);
+// otherwise demes free-run and exchange migrants through bounded
+// non-blocking endpoints. Config.Resilience supervises either. ctl is the
+// caller's run control.
+//
+// The free-running discipline is the one exception to the shared stop
+// contract: it has no run-level generation — n loops, each at its own —
+// so each deme polls stop against its own status, concurrently with the
+// others (stop must be stateless: a generation cap), and the first deme
+// whose population meets the problem's known optimum ends every deme's
+// run. Its observers hear OnDone only (see runFree).
+func (m *Model) RunParallel(stop core.StopCondition, ctl engine.Control) *Result {
 	var sup *supervise.Supervisor
 	if m.cfg.Resilience != nil {
 		sup = supervise.New(*m.cfg.Resilience, m.cfg.Faults, m.cfg.Topology,
@@ -342,12 +341,9 @@ func (m *Model) RunParallel(maxGens int, ctl engine.Control) *Result {
 		m.deadPops = make([]*core.Population, len(m.engines))
 	}
 	if !m.cfg.Policy.Sync {
-		return m.runFree(maxGens, sup, ctl)
+		return m.runFree(stop, sup, ctl)
 	}
-	return m.runBarrier(true, sup, engine.Options{
-		Stop:        core.MaxGenerations(maxGens),
-		HaltOnSolve: true,
-	}, ctl)
+	return m.runBarrier(true, sup, stop, ctl)
 }
 
 // failureKind maps a failed supervised step to its failure class.

@@ -123,7 +123,7 @@ func TestParallelSyncSolves(t *testing.T) {
 		NewEngine: onemaxEngines(48, 25),
 		Seed:      3,
 	})
-	res := m.RunParallel(300, engine.Control{})
+	res := m.RunParallel(core.MaxGenerations(300), engine.Control{})
 	if !res.Solved {
 		t.Fatalf("sync-parallel failed: best=%v", res.BestFitness)
 	}
@@ -139,7 +139,7 @@ func TestParallelAsyncSolves(t *testing.T) {
 		NewEngine: onemaxEngines(48, 25),
 		Seed:      4,
 	})
-	res := m.RunParallel(300, engine.Control{})
+	res := m.RunParallel(core.MaxGenerations(300), engine.Control{})
 	if !res.Solved {
 		t.Fatalf("async-parallel failed: best=%v", res.BestFitness)
 	}
@@ -156,7 +156,7 @@ func TestParallelSyncDeterministic(t *testing.T) {
 			NewEngine: onemaxEngines(40, 20),
 			Seed:      11,
 		})
-		return m.RunParallel(30, engine.Control{}).BestFitness
+		return m.RunParallel(core.MaxGenerations(30), engine.Control{}).BestFitness
 	}
 	if run() != run() {
 		t.Fatal("sync-parallel not deterministic")
@@ -164,23 +164,26 @@ func TestParallelSyncDeterministic(t *testing.T) {
 }
 
 func TestSequentialMatchesSyncParallel(t *testing.T) {
-	// With the same seed, lockstep-sequential and barrier-parallel modes
-	// perform identical computations.
-	// OneMax(256) cannot be solved in 25 generations, so neither mode
-	// stops early and the computations must match exactly.
+	// With the same seed and the same stop, lockstep-sequential and
+	// barrier-parallel modes perform identical computations — here up to
+	// the optimum, where both stop.
 	mkModel := func() *Model {
 		return New(Config{
 			Topology:  topology.Ring(3),
 			Policy:    migration.Policy{Interval: 4, Count: 1, Sync: true},
-			NewEngine: onemaxEngines(256, 16),
+			NewEngine: onemaxEngines(48, 16),
 			Seed:      13,
 		})
 	}
-	seqRes := mkModel().RunSequential(core.MaxGenerations(25), engine.Control{})
-	parRes := mkModel().RunParallel(25, engine.Control{})
-	if seqRes.BestFitness != parRes.BestFitness || seqRes.Evaluations != parRes.Evaluations {
-		t.Fatalf("sequential (%v, %d evals) != sync parallel (%v, %d evals)",
-			seqRes.BestFitness, seqRes.Evaluations, parRes.BestFitness, parRes.Evaluations)
+	stop := core.AnyOf{core.MaxGenerations(300), core.AtOptimum{Target: problems.OneMax{N: 48}}}
+	seqRes := mkModel().RunSequential(stop, engine.Control{})
+	parRes := mkModel().RunParallel(stop, engine.Control{})
+	if !seqRes.Solved || seqRes.StopReason != core.ReasonTarget || seqRes.Generations != seqRes.SolvedAtGen {
+		t.Fatalf("sequential run did not stop at the optimum: %+v", seqRes.RunStats)
+	}
+	if seqRes.BestFitness != parRes.BestFitness || seqRes.Evaluations != parRes.Evaluations ||
+		seqRes.Generations != parRes.Generations || seqRes.StopReason != parRes.StopReason {
+		t.Fatalf("sequential %+v != sync parallel %+v", seqRes.RunStats, parRes.RunStats)
 	}
 }
 

@@ -18,9 +18,10 @@ package island
 //     crashed peer exactly the way the in-process supervisor routes
 //     around a dead deme — and, unlike demes, a wire peer that
 //     reconnects is revived (Router.MarkAlive) and rejoins the flow.
-//   - No global solve broadcast: a wire island stops on its own solve
-//     or its generation cap. Cross-process termination is the driver's
-//     job (cmd/pgaisland exits; the peers' sends to it dead-letter).
+//   - No global solve broadcast: a wire island stops at its generation
+//     cap, recording its own solve point on the way. Cross-process
+//     termination is the driver's job (cmd/pgaisland exits; the peers'
+//     sends to it dead-letter).
 
 import (
 	"context"
@@ -54,7 +55,7 @@ type WireConfig struct {
 	// MigRNG is this island's private migration stream (required; see
 	// WireStreams for the split that matches the in-process model).
 	MigRNG *rng.Source
-	// MaxGens caps the run.
+	// MaxGens caps the run: it is the island's stop condition.
 	MaxGens int
 
 	// Context and Observers are the caller's run control, handed
@@ -79,8 +80,8 @@ func WireStreams(seed uint64, n, self int) (engineRNG, migRNG *rng.Source) {
 	return engineRNGs[self], migRNGs[self]
 }
 
-// RunWire runs one island over its transport endpoint until it solves
-// or reaches MaxGens. The returned Result maps transport accounting
+// RunWire runs one island over its transport endpoint until it reaches
+// MaxGens (or Context is cancelled). The returned Result maps transport accounting
 // onto the supervision fields: DeadLettered counts transport-level
 // batch losses (every batch that never reached a peer) and Restarts
 // counts peer-link reconnects — the wire analogue of a deme restart.
@@ -115,7 +116,7 @@ func RunWire(cfg WireConfig) *Result {
 
 	// The island is the freeDeme the in-process async mode runs per
 	// goroutine, unsupervised and with no shared solve flag: its one loop
-	// checks the target itself and so also tracks best.
+	// records the solve point itself and so also tracks best.
 	d := &freeDeme{
 		self: cfg.Self, e: cfg.Engine, dir: cfg.Engine.Problem().Direction(),
 		policy: cfg.Policy, mr: cfg.MigRNG, ep: cfg.Endpoint, routes: router,
@@ -123,12 +124,10 @@ func RunWire(cfg WireConfig) *Result {
 	res := &Result{}
 	ta, _ := cfg.Engine.Problem().(core.TargetAware)
 	totals := engine.Loop(d, engine.Options{
-		Stop:         core.MaxGenerations(cfg.MaxGens),
-		Target:       ta,
-		HaltOnSolve:  true,
-		InitialSolve: true,
-		Context:      cfg.Context,
-		Observers:    cfg.Observers,
+		Stop:      core.MaxGenerations(cfg.MaxGens),
+		Target:    ta,
+		Context:   cfg.Context,
+		Observers: cfg.Observers,
 	}, &res.RunStats)
 	res.Migrations = totals.Migrations
 	res.PerDemeBest = []float64{d.e.Population().BestFitness(d.dir)}

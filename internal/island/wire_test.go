@@ -139,11 +139,11 @@ func TestWireStreamsMatchInProcessSplit(t *testing.T) {
 // accounting: one island with no links, run through RunWire on the
 // streams WireStreams hands it, must report the trace, evaluation and
 // generation counts and best fitness of the one-deme sequential model
-// under the same seed. The problem hides its optimum so both runs use
-// their whole generation budget.
+// under the same seed, solve point included: both run to their
+// generation budget, whether or not they solve on the way.
 func TestSoloWireMatchesSequential(t *testing.T) {
 	const seed, gens = 17, 40
-	newEngine := enginesFor(untargeted{problems.OneMax{N: 48}}, 20)
+	newEngine := enginesFor(problems.OneMax{N: 48}, 20)
 	policy := migration.Policy{Interval: 4, Count: 2}
 
 	var wantTrace, gotTrace []core.Status
@@ -165,10 +165,9 @@ func TestSoloWireMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(gotTrace, wantTrace) {
 		t.Errorf("trace differs:\n wire %v\n seq  %v", gotTrace, wantTrace)
 	}
-	if got.Evaluations != want.Evaluations || got.Generations != want.Generations || got.BestFitness != want.BestFitness {
-		t.Errorf("wire evals=%d gens=%d best=%g, sequential evals=%d gens=%d best=%g",
-			got.Evaluations, got.Generations, got.BestFitness,
-			want.Evaluations, want.Generations, want.BestFitness)
+	if got.Evaluations != want.Evaluations || got.Generations != want.Generations || got.BestFitness != want.BestFitness ||
+		got.Solved != want.Solved || got.SolvedAtGen != want.SolvedAtGen || got.SolvedAtEval != want.SolvedAtEval {
+		t.Errorf("wire %+v, sequential %+v", got.RunStats, want.RunStats)
 	}
 	if got.Generations != gens || len(gotTrace) != gens+1 {
 		t.Errorf("run did not use its budget: gens=%d trace=%d", got.Generations, len(gotTrace))

@@ -215,18 +215,13 @@ func (s *netStepper) Evaluations() int64 { return s.n.totalEvaluations() }
 // Direction implements engine.Stepper.
 func (s *netStepper) Direction() core.Direction { return s.n.dir }
 
-// Run executes maxGens generations of the overlay and returns the result.
-// The simulation is fully deterministic for a given Config; ctl is the
-// caller's run control.
-func (n *Network) Run(maxGens int, ctl engine.Control) *Result {
+// Run executes generations of the overlay until stop fires and returns
+// the result. The simulation is fully deterministic for a given Config;
+// ctl is the caller's run control.
+func (n *Network) Run(stop core.StopCondition, ctl engine.Control) *Result {
 	res := &Result{}
 	ta, _ := n.cfg.Problem.(core.TargetAware)
-	engine.Loop(&netStepper{n: n, res: res}, engine.Options{
-		Stop:         core.MaxGenerations(maxGens),
-		Target:       ta,
-		HaltOnSolve:  true,
-		InitialSolve: true,
-	}.With(ctl), &res.RunStats)
+	engine.Loop(&netStepper{n: n, res: res}, engine.Options{Stop: stop, Target: ta}.With(ctl), &res.RunStats)
 	res.AliveAtEnd = n.aliveCount()
 	return res
 }

@@ -3,6 +3,7 @@ package p2p
 import (
 	"testing"
 
+	"pga/internal/core"
 	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/operators"
@@ -33,7 +34,7 @@ func baseConfig(seed uint64) Config {
 
 func TestOverlaySolvesWithoutChurn(t *testing.T) {
 	n := New(baseConfig(1))
-	res := n.Run(200, engine.Control{})
+	res := n.Run(core.MaxGenerations(200), engine.Control{})
 	if !res.Solved {
 		t.Fatalf("overlay failed onemax: best=%v", res.BestFitness)
 	}
@@ -53,7 +54,7 @@ func TestOverlaySolvesUnderChurn(t *testing.T) {
 	cfg.ChurnRate = 0.02
 	cfg.RejoinRate = 0.5
 	n := New(cfg)
-	res := n.Run(300, engine.Control{})
+	res := n.Run(core.MaxGenerations(300), engine.Control{})
 	if !res.Solved {
 		t.Fatalf("overlay failed under churn: best=%v", res.BestFitness)
 	}
@@ -68,7 +69,7 @@ func TestOverlayRespectsMinPeers(t *testing.T) {
 	cfg.RejoinRate = 0.05
 	cfg.MinPeers = 3
 	n := New(cfg)
-	res := n.Run(50, engine.Control{})
+	res := n.Run(core.MaxGenerations(50), engine.Control{})
 	if res.AliveAtEnd < 3 {
 		t.Fatalf("alive peers %d below floor", res.AliveAtEnd)
 	}
@@ -81,7 +82,7 @@ func TestOverlayDeterministic(t *testing.T) {
 	run := func() (float64, int, int) {
 		cfg := baseConfig(4)
 		cfg.ChurnRate = 0.05
-		res := New(cfg).Run(60, engine.Control{})
+		res := New(cfg).Run(core.MaxGenerations(60), engine.Control{})
 		return res.BestFitness, res.Departures, res.Messages
 	}
 	f1, d1, m1 := run()
@@ -93,7 +94,7 @@ func TestOverlayDeterministic(t *testing.T) {
 
 func TestViewsValid(t *testing.T) {
 	n := New(baseConfig(5))
-	n.Run(40, engine.Control{})
+	n.Run(core.MaxGenerations(40), engine.Control{})
 	for i, p := range n.peers {
 		if len(p.view) > n.cfg.ViewSize {
 			t.Fatalf("peer %d view too large: %d", i, len(p.view))
@@ -124,7 +125,7 @@ func TestChurnDegradesGracefully(t *testing.T) {
 			cfg.Problem = problems.OneMax{N: 64}
 			cfg.NewEngine = engineFactory(64, 12)
 			cfg.ChurnRate = churn
-			res := New(cfg).Run(60, engine.Control{})
+			res := New(cfg).Run(core.MaxGenerations(60), engine.Control{})
 			sum += res.BestFitness
 		}
 		return sum / 5
@@ -141,7 +142,7 @@ func TestEvaluationsIncludeRetiredPeers(t *testing.T) {
 	cfg.ChurnRate = 0.2
 	cfg.RejoinRate = 0.9
 	n := New(cfg)
-	res := n.Run(40, engine.Control{})
+	res := n.Run(core.MaxGenerations(40), engine.Control{})
 	// Evaluations must be at least the initial populations of all peers.
 	if res.Evaluations < int64(12*12) {
 		t.Fatalf("evaluations %d implausibly low", res.Evaluations)

@@ -103,8 +103,6 @@ type Config struct {
 	Scenario Scenario
 	// DemeSize is the population per island; default 40.
 	DemeSize int
-	// Generations per island; default 60.
-	Generations int
 	// MigrationInterval between exchanges; default 5.
 	MigrationInterval int
 	// ArchiveCap bounds the Pareto archive; default 100.
@@ -223,17 +221,15 @@ func buildScenario(s Scenario, nObj int) []islandSpec {
 	panic(fmt.Sprintf("sim: unknown scenario %d", int(s)))
 }
 
-// Run executes the scenario and returns its result. The run is fully
-// deterministic for a given Config; ctl is the caller's run control.
-func Run(cfg Config, ctl engine.Control) *Result {
+// Run executes the scenario until stop fires and returns its result. The
+// run is fully deterministic for a given Config and stop; ctl is the
+// caller's run control.
+func Run(cfg Config, stop core.StopCondition, ctl engine.Control) *Result {
 	if cfg.Problem == nil {
 		panic("sim: Config.Problem is required")
 	}
 	if cfg.DemeSize == 0 {
 		cfg.DemeSize = 40
-	}
-	if cfg.Generations == 0 {
-		cfg.Generations = 60
 	}
 	if cfg.MigrationInterval == 0 {
 		cfg.MigrationInterval = 5
@@ -275,9 +271,7 @@ func Run(cfg Config, ctl engine.Control) *Result {
 		engines: engines, scalars: scalars, specs: specs,
 		migRNG: migRNG, evals: &evals, interval: cfg.MigrationInterval,
 	}
-	engine.Loop(st, engine.Options{
-		Stop: core.MaxGenerations(cfg.Generations),
-	}.With(ctl), &res.RunStats)
+	engine.Loop(st, engine.Options{Stop: stop}.With(ctl), &res.RunStats)
 	if nObj == 2 {
 		pts := make([][]float64, 0, archive.Len())
 		for _, it := range archive.Items() {

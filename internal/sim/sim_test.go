@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pga/internal/core"
 	"pga/internal/engine"
 	"pga/internal/genome"
 )
@@ -203,12 +204,11 @@ func TestScenarioSpecialistsAreOneHot(t *testing.T) {
 func TestRunAllScenarios(t *testing.T) {
 	for _, s := range Scenarios() {
 		res := Run(Config{
-			Problem:     ZDT1{Dim: 10},
-			Scenario:    s,
-			DemeSize:    20,
-			Generations: 20,
-			Seed:        1,
-		}, engine.Control{})
+			Problem:  ZDT1{Dim: 10},
+			Scenario: s,
+			DemeSize: 20,
+			Seed:     1,
+		}, core.MaxGenerations(20), engine.Control{})
 		if res.Archive.Len() == 0 {
 			t.Fatalf("%s: empty archive", s)
 		}
@@ -223,7 +223,7 @@ func TestRunAllScenarios(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	run := func() float64 {
-		return Run(Config{Problem: ZDT1{Dim: 8}, Scenario: S5, DemeSize: 16, Generations: 15, Seed: 7}, engine.Control{}).Hypervolume
+		return Run(Config{Problem: ZDT1{Dim: 8}, Scenario: S5, DemeSize: 16, Seed: 7}, core.MaxGenerations(15), engine.Control{}).Hypervolume
 	}
 	if run() != run() {
 		t.Fatal("SIM run not deterministic")
@@ -240,8 +240,8 @@ func TestCommunicatingSpecialistsBeatIsolated(t *testing.T) {
 		for seed := uint64(0); seed < 5; seed++ {
 			sum += Run(Config{
 				Problem: ZDT1{Dim: 10}, Scenario: s, DemeSize: 24,
-				Generations: 40, HVRef: [2]float64{1.1, 1.1}, Seed: seed,
-			}, engine.Control{}).Hypervolume
+				HVRef: [2]float64{1.1, 1.1}, Seed: seed,
+			}, core.MaxGenerations(40), engine.Control{}).Hypervolume
 		}
 		return sum / 5
 	}
@@ -262,5 +262,5 @@ func TestRunValidation(t *testing.T) {
 			t.Fatal("no panic without problem")
 		}
 	}()
-	Run(Config{Scenario: S1}, engine.Control{})
+	Run(Config{Scenario: S1}, core.MaxGenerations(1), engine.Control{})
 }

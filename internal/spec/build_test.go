@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"pga/internal/core"
 	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/operators"
@@ -237,6 +238,32 @@ func TestStopReasonParity(t *testing.T) {
 	}
 }
 
+// TestEveryModelTakesTheWholeBudget: a stop condition beside the
+// generation cap — stagnation here — is honoured by every runtime, which
+// stops on it before its cap; free-running islands, whose demes each poll
+// the stop on their own, refuse every budget field but generations.
+func TestEveryModelTakesTheWholeBudget(t *testing.T) {
+	for _, c := range controlCases {
+		t.Run(c.name, func(t *testing.T) {
+			s := mustParse(t, c.doc)
+			s.Budget.Stagnation = 1
+			if c.free {
+				if err := s.Validate(); err == nil || !hasPath(fieldPaths(t, err), "budget") {
+					t.Fatalf("free-running islands took a stagnation budget (err %v)", err)
+				}
+				return
+			}
+			b, err := Build(*s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep := b.Run(RunOpts{}); rep.StopReason != "stagnation" {
+				t.Fatalf("stopped at generation %d for %q, want stagnation", rep.Generations, rep.StopReason)
+			}
+		})
+	}
+}
+
 // TestP2PReportsMessages: a p2p report's messages is the migrant count
 // of the same overlay built by hand.
 func TestP2PReportsMessages(t *testing.T) {
@@ -254,7 +281,7 @@ func TestP2PReportsMessages(t *testing.T) {
 			return ga.NewGenerational(ga.Config{Problem: prob, PopSize: 8,
 				Crossover: operators.Uniform{}, Mutator: operators.BitFlip{}, RNG: r})
 		},
-	}).Run(30, engine.Control{})
+	}).Run(core.MaxGenerations(30), engine.Control{})
 	if res.Messages == 0 || rep.Messages != res.Messages || rep.Evaluations != res.Evaluations {
 		t.Errorf("spec run: %d messages, %d evaluations; hand-built: %d, %d",
 			rep.Messages, rep.Evaluations, res.Messages, res.Evaluations)

@@ -47,9 +47,10 @@ func (e *Error) add(path, format string, args ...any) {
 	e.Fields = append(e.Fields, FieldError{Path: path, Reason: fmt.Sprintf(format, args...)})
 }
 
-// nonNegative reports a negative count or amount at path.
+// nonNegative reports a negative count or amount at path, and a NaN one:
+// a NaN budget never fires, so a run under it would never end.
 func nonNegative[T int | int64 | float64](e *Error, path string, v T) {
-	if v < 0 {
+	if !(v >= 0) {
 		e.add(path, "must not be negative")
 	}
 }

@@ -282,9 +282,11 @@ func fuzzBound(s *RunSpec) {
 		if m.name != s.Model {
 			continue
 		}
-		if m.budget == budgetCost && s.Budget.Cost == 0 {
-			s.Budget.Cost = 20
-		} else if m.budget != budgetCost && s.Budget.Generations == 0 {
+		if m.costCap != nil {
+			if s.Budget.Cost == 0 {
+				s.Budget.Cost = 20
+			}
+		} else if s.Budget.Generations == 0 {
 			s.Budget.Generations = 2
 		}
 		if m.family != nil || m.demes {

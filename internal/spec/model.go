@@ -2,7 +2,9 @@ package spec
 
 import (
 	"fmt"
+	"math"
 
+	"pga/internal/core"
 	"pga/internal/engine"
 	"pga/internal/ga"
 	"pga/internal/hga"
@@ -28,15 +30,6 @@ const (
 	ModelSIM          = "sim"
 )
 
-// budgetKind is which stop conditions a model's runtime honours.
-type budgetKind int
-
-const (
-	budgetFull        budgetKind = iota // every BudgetSpec field but cost
-	budgetGenerations                   // budget.generations only
-	budgetCost                          // budget.cost only
-)
-
 // model is everything the package knows about one RunSpec.Model value;
 // resolve, Build and Run are walks over this table and never compare a
 // model name themselves.
@@ -54,9 +47,11 @@ type model struct {
 	demes  bool
 	// problem resolves problem.* into the plan.
 	problem func(*Plan, *Error)
-	budget  budgetKind
 	// gens overrides the generation cap of an empty budget.
 	gens int
+	// costCap is the stop condition budget.cost means for the built
+	// runtime; nil for every model but the one that meters a cost.
+	costCap func(b *Built, budget float64) core.StopCondition
 	// check validates the model's section into the plan (nil: nothing
 	// beyond the shared sections).
 	check func(*Plan, *Error)
@@ -66,18 +61,7 @@ type model struct {
 	// fields.
 	build func(*Plan, *Built)
 	run   func(*Built, engine.Control, *Report)
-	// traceFrom is the first generation RunOpts.Trace records (nil: 0).
-	// Each runtime keeps the start its trace always had:
-	//   - generation 0: generational, steadystate, parallel, masterslave,
-	//     cellular and sequential islands;
-	//   - generation 1: sync-parallel islands, p2p, hga and sim;
-	//   - empty: async islands, whose observers hear only OnDone.
-	traceFrom func(*Plan) int
 }
-
-// fromGen1 is the traceFrom of the runtimes whose trace skips the initial
-// population.
-func fromGen1(*Plan) int { return 1 }
 
 var models = []*model{
 	{name: ModelGenerational, family: famGenerational, problem: (*Plan).registryProblem,
@@ -102,16 +86,10 @@ var models = []*model{
 		demes: true, problem: (*Plan).registryProblem,
 		check: (*Plan).islands,
 		build: func(p *Plan, b *Built) { b.Islands = island.New(p.IslandConfig()) },
-		traceFrom: func(p *Plan) int {
-			if p.parallel {
-				return 1
-			}
-			return 0
-		},
 		run: func(b *Built, ctl engine.Control, rep *Report) {
 			var res *island.Result
 			if b.plan.parallel {
-				res = b.Islands.RunParallel(b.plan.maxGens, ctl)
+				res = b.Islands.RunParallel(b.Stop, ctl)
 			} else {
 				res = b.Islands.RunSequential(b.Stop, ctl)
 			}
@@ -119,7 +97,7 @@ var models = []*model{
 			rep.Migrations, rep.Restarts, rep.DeadDemes = res.Migrations, res.Restarts, res.DeadDemes
 		}},
 	{name: ModelP2P, section: ModelP2P, has: func(s *RunSpec) bool { return s.P2P != nil },
-		demes: true, problem: (*Plan).registryProblem, budget: budgetGenerations,
+		demes: true, problem: (*Plan).registryProblem,
 		check: (*Plan).p2p,
 		build: func(p *Plan, b *Built) {
 			cfg := p.overlay
@@ -127,13 +105,18 @@ var models = []*model{
 			b.P2P = p2p.New(cfg)
 		},
 		run: func(b *Built, ctl engine.Control, rep *Report) {
-			res := b.P2P.Run(b.plan.maxGens, ctl)
+			res := b.P2P.Run(b.Stop, ctl)
 			rep.fill(&res.RunStats)
 			rep.Departures, rep.Joins, rep.AliveAtEnd, rep.Messages = res.Departures, res.Joins, res.AliveAtEnd, res.Messages
-		},
-		traceFrom: fromGen1},
+		}},
 	{name: ModelHGA, section: ModelHGA, has: func(s *RunSpec) bool { return s.HGA != nil },
-		family: famHGA, problem: (*Plan).realProblem, budget: budgetCost,
+		family: famHGA, problem: (*Plan).realProblem,
+		// The cost budget ends an hga run; it has no generation cap
+		// unless the document sets one.
+		gens: math.MaxInt,
+		costCap: func(b *Built, budget float64) core.StopCondition {
+			return hga.CostCap{Model: b.HGA, Budget: budget}
+		},
 		check: (*Plan).hga,
 		build: func(p *Plan, b *Built) {
 			cfg := p.hierarchy
@@ -142,25 +125,23 @@ var models = []*model{
 			b.HGA = hga.New(cfg)
 		},
 		run: func(b *Built, ctl engine.Control, rep *Report) {
-			res := b.HGA.Run(b.plan.cost, ctl)
+			res := b.HGA.Run(b.Stop, ctl)
 			rep.fill(&res.RunStats)
 			rep.Cost, rep.CostAtSolve = res.Cost, res.CostAtSolve
-		},
-		traceFrom: fromGen1},
+		}},
 	{name: ModelSIM, section: ModelSIM, has: func(s *RunSpec) bool { return s.SIM != nil },
-		problem: (*Plan).simProblem, budget: budgetGenerations, gens: defaultSIMGenerations,
+		problem: (*Plan).simProblem, gens: defaultSIMGenerations,
 		check: (*Plan).sim,
 		build: func(p *Plan, b *Built) {
 			cfg := p.scenario
-			cfg.Generations, cfg.Seed = p.maxGens, p.spec.Seed
+			cfg.Seed = p.spec.Seed
 			b.SIMConfig = &cfg
 		},
 		run: func(b *Built, ctl engine.Control, rep *Report) {
-			res := sim.Run(*b.SIMConfig, ctl)
+			res := sim.Run(*b.SIMConfig, b.Stop, ctl)
 			rep.fill(&res.RunStats)
 			rep.Hypervolume, rep.ParetoSize, rep.Islands = res.Hypervolume, res.Archive.Len(), res.Islands
-		},
-		traceFrom: fromGen1},
+		}},
 }
 
 // Models lists the valid RunSpec.Model strings in presentation order.

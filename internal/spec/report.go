@@ -26,8 +26,8 @@ type Built struct {
 	// Problem is the materialised problem (nil for model "sim", whose
 	// problem is multi-objective).
 	Problem core.Problem
-	// Stop is the composed stop condition of the engine models; fresh
-	// per Build because stagnation conditions are stateful.
+	// Stop is the composed stop condition every model's runtime runs to;
+	// fresh per Build because stagnation conditions are stateful.
 	Stop core.StopCondition
 	// Engine is the panmictic runtime (generational, steadystate,
 	// parallel, masterslave, cellular).
@@ -58,9 +58,8 @@ type Built struct {
 //     per completed generation, OnMigration/OnRestart when a step
 //     delivered or restarted, OnDone once with the final stats.
 //   - Trace records the per-generation trace into the report: one more
-//     observer, made afresh for every run, starting where the model table
-//     says (the mean is 0 for p2p, hga and sim, whose runtimes report no
-//     run-level mean).
+//     observer, made afresh for every run, from generation 0 (the mean is
+//     0 for p2p, hga and sim, whose runtimes report no run-level mean).
 //
 // One discipline delivers less: free-running islands (mode "parallel"
 // with async migration) are n per-deme loops with no run-level generation,
@@ -90,10 +89,9 @@ type TracePoint struct {
 }
 
 // control is the engine.Control opts means for one run reporting into
-// rep: its own, with OnStep and, when asked for, a trace recorder
-// starting at generation from folded in as more observers (in a fresh
-// slice).
-func (opts RunOpts) control(rep *Report, from int) engine.Control {
+// rep: its own, with OnStep and, when asked for, a trace recorder folded
+// in as more observers (in a fresh slice).
+func (opts RunOpts) control(rep *Report) engine.Control {
 	ctl := opts.Control
 	var more []engine.Observer
 	if onStep := opts.OnStep; onStep != nil {
@@ -105,9 +103,7 @@ func (opts RunOpts) control(rep *Report, from int) engine.Control {
 	}
 	if opts.Trace {
 		more = append(more, engine.Funcs{Generation: func(s core.Status) {
-			if s.Generation >= from {
-				rep.Trace = append(rep.Trace, TracePoint{s.Generation, s.Evaluations, s.BestFitness, s.Mean})
-			}
+			rep.Trace = append(rep.Trace, TracePoint{s.Generation, s.Evaluations, s.BestFitness, s.Mean})
 		}})
 	}
 	if len(more) > 0 {
@@ -169,11 +165,7 @@ func (b *Built) Run(opts RunOpts) *Report {
 		Problem: b.Spec.Problem.Name,
 		Seed:    b.Spec.Seed,
 	}
-	from := 0
-	if f := b.plan.model.traceFrom; f != nil {
-		from = f(b.plan)
-	}
-	b.plan.model.run(b, opts.control(rep, from), rep)
+	b.plan.model.run(b, opts.control(rep), rep)
 	return rep
 }
 

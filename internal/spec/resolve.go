@@ -43,9 +43,8 @@ type Plan struct {
 	update       cellular.UpdatePolicy
 	hood         cellular.Neighborhood
 
-	budgetKind budgetKind // the model's, narrowed by the run mode
-	maxGens    int
-	cost       float64 // hga
+	maxGens int
+	cost    float64 // hga
 
 	// islands: Topology, NewEngine, Resilience and Faults of the config
 	// are stateful, so IslandConfig makes them afresh from the rest.
@@ -105,7 +104,6 @@ func resolve(s RunSpec) (*Plan, *Error) {
 		return nil, errf("model", "unknown model %q (known: %v)", s.Model, Models()) // all else depends on it
 	}
 
-	p.budgetKind = m.budget
 	m.problem(p, e)
 	p.engine(e)
 	if m.check != nil {
@@ -318,42 +316,42 @@ func operator(e *Error, path string, op *OperatorSpec, kind, class string, noneO
 	return entry.Build(params), true
 }
 
-// budget checks the stop conditions against the plan's budget kind and
-// resolves the generation cap and the cost budget.
+// budget checks the stop conditions and resolves the generation cap and
+// the cost budget. Every model takes the whole budget, with two limits:
+// only a model that meters cost takes budget.cost, and free-running
+// islands, whose demes each poll the stop on their own, take only a
+// generation cap.
 func (p *Plan) budget(e *Error) {
 	b, m := p.spec.Budget, p.model
 	nonNegative(e, "budget.generations", b.Generations)
 	nonNegative(e, "budget.evaluations", b.Evaluations)
 	nonNegative(e, "budget.stagnation", b.Stagnation)
 	nonNegative(e, "budget.cost", b.Cost)
-	switch p.budgetKind {
-	case budgetCost:
-		if b != (BudgetSpec{Cost: b.Cost}) {
-			e.add("budget", "%v runs on a cost budget; set budget.cost only", m)
-		}
-	case budgetGenerations:
-		if b != (BudgetSpec{Generations: b.Generations, Cost: b.Cost}) {
-			e.add("budget", "%v runs to a plain generation cap here; set budget.generations only", m)
-		}
-	case budgetFull:
-		if _, known := p.prob.(core.TargetAware); b.TargetOptimum && p.prob != nil && !known {
-			e.add("budget.target_optimum", "problem %q has no known optimum", p.spec.Problem.Name)
-		}
+	if p.async() && b != (BudgetSpec{Generations: b.Generations}) {
+		e.add("budget", "free-running islands (async migration) stop at a generation cap; set budget.generations only")
 	}
-	if b.Cost != 0 && p.budgetKind != budgetCost {
+	if _, known := p.prob.(core.TargetAware); b.TargetOptimum && !known && (p.prob != nil || p.scenario.Problem != nil) {
+		e.add("budget.target_optimum", "problem %q has no known optimum", p.spec.Problem.Name)
+	}
+	if b.Cost != 0 && m.costCap == nil {
 		e.add("budget.cost", "%v does not run on a cost budget", m)
 	}
 	p.cost = cmp.Or(b.Cost, defaultHGACost)
 	p.maxGens = cmp.Or(b.Generations, m.gens, defaultGenerations)
 }
 
-// StopAtOptimum adds the target-optimum stop to a plan that can take it
-// — the model honours the condition and the problem's optimum is known —
-// and reports whether the plan now stops there. It asks exactly what
-// validating budget.target_optimum asks, of the problem already built.
+// async reports whether the plan runs free-running islands: goroutine
+// demes with asynchronous migration.
+func (p *Plan) async() bool { return p.parallel && !p.deme.Policy.Sync }
+
+// StopAtOptimum adds the target-optimum stop to a plan whose problem has
+// a known optimum and reports whether the plan now stops there. It asks
+// exactly what validating budget.target_optimum asks, of the problem
+// already built. Free-running islands are left as they are: they take no
+// budget field but generations, and the first deme to solve ends their
+// run anyway.
 func (p *Plan) StopAtOptimum() bool {
-	_, known := p.prob.(core.TargetAware)
-	if known && p.budgetKind == budgetFull {
+	if _, known := p.prob.(core.TargetAware); known && !p.async() {
 		p.spec.Budget.TargetOptimum = true
 	}
 	return p.spec.Budget.TargetOptimum
@@ -409,9 +407,6 @@ func (p *Plan) islands(e *Error) {
 	}
 
 	p.parallel = islandModes.pick(e, "islands.mode", "mode", is.Mode)
-	if p.parallel { // goroutine demes poll nothing but the generation cap
-		p.budgetKind = budgetGenerations
-	}
 	p.resilience = resiliences.pick(e, "islands.resilience", "preset", is.Resilience)
 	if p.resilience != nil && !p.parallel {
 		e.add("islands.resilience", "supervision needs goroutine demes; set islands.mode (%s)", islandModes.names())
@@ -565,21 +560,23 @@ func (p *Plan) IslandConfig() island.Config {
 	return cfg
 }
 
-// Build constructs the plan's runtime.
+// Build constructs the plan's runtime and its stop condition.
 func (p *Plan) Build() *Built {
 	b := &Built{Spec: p.spec, Problem: p.prob, plan: p}
-	if p.prob != nil {
-		b.Stop = p.stop()
-	}
 	p.model.build(p, b)
+	b.Stop = p.stop(b)
 	return b
 }
 
-// stop composes the stop condition from the budget; made per Build
-// because stagnation conditions are stateful. A single condition is
-// returned unwrapped so its StopReason matches a hand-wired run exactly.
-func (p *Plan) stop() core.StopCondition {
-	b, dir := p.spec.Budget, p.prob.Direction()
+// stop composes the stop condition of built runtime rb from the budget;
+// made per Build because stagnation conditions are stateful, and after
+// the runtime because a cost cap reads it. A single condition is returned
+// unwrapped so its StopReason matches a hand-wired run exactly.
+func (p *Plan) stop(rb *Built) core.StopCondition {
+	b, dir := p.spec.Budget, core.Minimize // sim minimises its scalarised fitness
+	if p.prob != nil {
+		dir = p.prob.Direction()
+	}
 	conds := core.AnyOf{core.MaxGenerations(p.maxGens)}
 	if b.Evaluations > 0 {
 		conds = append(conds, core.MaxEvaluations(b.Evaluations))
@@ -588,10 +585,13 @@ func (p *Plan) stop() core.StopCondition {
 		conds = append(conds, core.TargetFitness{Target: *b.Target, Dir: dir})
 	}
 	if ta, ok := p.prob.(core.TargetAware); ok && b.TargetOptimum {
-		conds = append(conds, core.TargetFitness{Target: ta.Optimum(), Dir: dir})
+		conds = append(conds, core.AtOptimum{Target: ta})
 	}
 	if b.Stagnation > 0 {
 		conds = append(conds, core.NewStagnation(b.Stagnation))
+	}
+	if p.model.costCap != nil {
+		conds = append(conds, p.model.costCap(rb, p.cost))
 	}
 	if len(conds) == 1 {
 		return conds[0]

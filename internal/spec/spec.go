@@ -294,9 +294,11 @@ type SIMSpec struct {
 	HVRef []float64 `json:"hv_ref,omitempty"`
 }
 
-// BudgetSpec sets the stop conditions. With everything zero the run
-// stops after the model's default generation budget (300; 60 for sim).
-// Multiple set conditions compose as any-of.
+// BudgetSpec sets the stop conditions, which every model honours (but
+// free-running islands, which take generations only). With everything
+// zero the run stops after the model's default generation budget (300; 60
+// for sim; hga has none and stops on its cost budget). Multiple set
+// conditions compose as any-of.
 type BudgetSpec struct {
 	// Generations caps the generation count.
 	Generations int `json:"generations,omitempty"`
@@ -304,12 +306,14 @@ type BudgetSpec struct {
 	Evaluations int64 `json:"evaluations,omitempty"`
 	// Target stops at a fitness threshold (direction-aware).
 	Target *float64 `json:"target,omitempty"`
-	// TargetOptimum stops at the problem's known optimum.
+	// TargetOptimum stops at the problem's known optimum, under the
+	// problem's own tolerance (core.AtOptimum): the generation the run
+	// reports solved at.
 	TargetOptimum bool `json:"target_optimum,omitempty"`
 	// Stagnation stops after N non-improving generations.
 	Stagnation int `json:"stagnation,omitempty"`
 	// Cost is the evaluation-cost budget of model "hga" (precise-
-	// evaluation units); default 2000.
+	// evaluation units), the one runtime that meters a cost; default 2000.
 	Cost float64 `json:"cost,omitempty"`
 }
 

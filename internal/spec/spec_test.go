@@ -58,6 +58,16 @@ func TestParseMinimal(t *testing.T) {
 	}
 }
 
+// TestNaNBudgetRefused: a NaN amount, which only a spec built in Go can
+// carry, is refused like a negative one — a NaN cost cap never fires, so
+// the run would never end.
+func TestNaNBudgetRefused(t *testing.T) {
+	s := RunSpec{Model: ModelHGA, Problem: ProblemSpec{Name: "sphere", Size: 4}, Budget: BudgetSpec{Cost: math.NaN()}}
+	if err := s.Validate(); err == nil || !hasPath(fieldPaths(t, err), "budget.cost") {
+		t.Fatalf("NaN budget.cost validated (err %v)", err)
+	}
+}
+
 func TestParseStructuredErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -93,10 +103,10 @@ func TestParseStructuredErrors(t *testing.T) {
 		{"sim engine section", `{"model":"sim","problem":{"name":"zdt1","size":6},"engine":{"pop":20}}`, "engine"},
 		{"sim problem vocabulary", `{"model":"sim","problem":{"name":"onemax","size":8}}`, "problem.name"},
 		{"hga needs real benchmark", `{"model":"hga","problem":{"name":"onemax","size":8}}`, "problem.name"},
-		{"hga generation budget", `{"model":"hga","problem":{"name":"sphere","size":4},"budget":{"generations":50}}`, "budget"},
 		{"cost outside hga", `{"model":"generational","problem":{"name":"onemax","size":8},"budget":{"cost":100}}`, "budget.cost"},
-		{"p2p budget", `{"model":"p2p","problem":{"name":"onemax","size":8},"budget":{"stagnation":5}}`, "budget"},
+		{"async islands budget", `{"model":"islands","problem":{"name":"onemax","size":8},"islands":{"mode":"parallel","migration":{"async":true}},"budget":{"stagnation":5}}`, "budget"},
 		{"target optimum unknown", `{"model":"generational","problem":{"name":"nk","size":10},"budget":{"target_optimum":true}}`, "budget.target_optimum"},
+		{"sim target optimum", `{"model":"sim","problem":{"name":"zdt1","size":6},"budget":{"target_optimum":true}}`, "budget.target_optimum"},
 		{"bad topology kind", `{"model":"islands","problem":{"name":"onemax","size":8},"islands":{"topology":"moebius"}}`, "islands.topology.kind"},
 		{"shape on ring", `{"model":"islands","problem":{"name":"onemax","size":8},"islands":{"topology":{"kind":"ring","rows":2}}}`, "islands.topology"},
 		{"torus shape mismatch", `{"model":"islands","problem":{"name":"onemax","size":8},"islands":{"demes":6,"topology":{"kind":"torus","rows":2,"cols":4}}}`, "islands.topology"},

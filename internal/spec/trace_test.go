@@ -3,11 +3,10 @@ package spec
 import "testing"
 
 // TestTraceStart pins where each way of running a model starts its
-// trace: generation 0, generation 1, or no trace at all (-1, the
-// free-running islands, which have no run-level generation). It also pins
-// which runtimes report a population mean: p2p, hga and sim report 0.
-// masterslave, p2p, hga and sim have no recorded result, so nothing else
-// pins their traces.
+// trace: generation 0, the initial population, or no trace at all (-1,
+// the free-running islands, which have no run-level generation). It also
+// pins which runtimes report a population mean: p2p, hga and sim report
+// 0. sim has no recorded trace, so nothing else pins its.
 func TestTraceStart(t *testing.T) {
 	first := map[string]int{
 		ModelGenerational:               0,
@@ -16,12 +15,12 @@ func TestTraceStart(t *testing.T) {
 		ModelMasterSlave:                0,
 		ModelCellular:                   0,
 		ModelIslands:                    0,
-		ModelIslands + "/sync-parallel": 1,
-		ModelIslands + "/supervised":    1,
+		ModelIslands + "/sync-parallel": 0,
+		ModelIslands + "/supervised":    0,
 		ModelIslands + "/async":         -1,
-		ModelP2P:                        1,
-		ModelHGA:                        1,
-		ModelSIM:                        1,
+		ModelP2P:                        0,
+		ModelHGA:                        0,
+		ModelSIM:                        0,
 	}
 	noMean := map[string]bool{ModelP2P: true, ModelHGA: true, ModelSIM: true}
 	for _, c := range controlCases {

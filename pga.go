@@ -83,13 +83,14 @@ type (
 )
 
 // Target returns a stop condition that fires when p's known optimum is
-// reached; it panics if p has no known optimum.
+// reached, under p's own tolerance (core.AtOptimum): the run stops at the
+// generation it records as solved. It panics if p has no known optimum.
 func Target(p Problem) StopCondition {
 	ta, ok := p.(core.TargetAware)
 	if !ok {
 		panic("pga: Target requires a problem with a known optimum")
 	}
-	return core.TargetFitness{Target: ta.Optimum(), Dir: p.Direction()}
+	return core.AtOptimum{Target: ta}
 }
 
 // Genome representations a Problem's NewGenome may return.

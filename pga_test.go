@@ -62,7 +62,7 @@ func TestFacadeFaultPlanImpliesSupervision(t *testing.T) {
 		Migration: Migration{Interval: 5, Count: 1, Sync: true},
 		Seed:      15,
 		Faults:    NewFaultPlan().PanicAt(0, 2),
-	}).RunParallel(300, Control{})
+	}).RunParallel(AnyOf{MaxGenerations(300), Target(prob)}, Control{})
 	if res.PanicsRecovered != 1 {
 		t.Fatalf("PanicsRecovered = %d, want 1", res.PanicsRecovered)
 	}

@@ -11,15 +11,17 @@ import (
 )
 
 // These tests pin the stop-condition uniformity the shared run loop
-// guarantees: every runtime that counts generations halts at exactly the
+// guarantees: every runtime takes one StopCondition, halts at exactly the
 // same generation for the same budget, reports the firing condition's
 // reason, and records Generations == SolvedAtGen when a target halt ends
 // the run. Before internal/engine each model hand-rolled its loop and the
-// boundary semantics could drift per model; now they cannot. The HGA is
-// the one deliberate exception — its budget is evaluation cost, not
-// generations (see DESIGN §9).
+// boundary semantics could drift per model; now they cannot. sim and the
+// HGA run other problem classes (multi-objective, multi-fidelity real) and
+// are checked on their own; free-running islands, which poll a generation
+// cap per deme, are the one exception (DESIGN §3.1).
 
-// stopRuntimes are the runtimes that accept an arbitrary StopCondition.
+// stopRuntimes are the runtimes that run a bit-string problem to an
+// arbitrary StopCondition.
 func stopRuntimes(prob Problem, seed uint64) map[string]func(stop StopCondition) *core.RunStats {
 	gaCfg := func(r *RNG) GAConfig {
 		return GAConfig{
@@ -77,12 +79,39 @@ func stopRuntimes(prob Problem, seed uint64) map[string]func(stop StopCondition)
 			res := m.RunSequential(stop, Control{})
 			return &res.RunStats
 		},
+		"island-sync-parallel": func(stop StopCondition) *core.RunStats {
+			m := NewIslands(IslandConfig{
+				Demes:    3,
+				Topology: Ring,
+				GA: GAConfig{
+					Problem:   prob,
+					PopSize:   12,
+					Crossover: UniformCrossover{},
+					Mutator:   BitFlip{},
+				},
+				Migration: Migration{Interval: 4, Count: 1, Sync: true},
+				Seed:      seed,
+			})
+			res := m.RunParallel(stop, Control{})
+			return &res.RunStats
+		},
+		"p2p": func(stop StopCondition) *core.RunStats {
+			res := p2p.New(p2p.Config{
+				Problem: prob,
+				Peers:   4,
+				NewEngine: func(peer int, r *RNG) Engine {
+					return NewGenerational(gaCfg(r))
+				},
+				Seed: seed,
+			}).Run(stop, Control{})
+			return &res.RunStats
+		},
 	}
 }
 
 // TestStopUniformityMaxGenerations: with a budget no runtime can solve
 // within, every runtime halts at exactly the budget generation with the
-// budget's reason — including the maxGens-parameterised parallel modes.
+// budget's reason.
 func TestStopUniformityMaxGenerations(t *testing.T) {
 	const gens = 12
 	prob := OneMax(400) // unsolvable in 12 generations at these sizes
@@ -99,49 +128,12 @@ func TestStopUniformityMaxGenerations(t *testing.T) {
 		}
 	}
 
-	m := NewIslands(IslandConfig{
-		Demes:    3,
-		Topology: Ring,
-		GA: GAConfig{
-			Problem:   prob,
-			PopSize:   12,
-			Crossover: UniformCrossover{},
-			Mutator:   BitFlip{},
-		},
-		Migration: Migration{Interval: 4, Count: 1, Sync: true},
-		Seed:      11,
-	})
-	if res := m.RunParallel(gens, Control{}); res.Generations != gens || res.StopReason != "max generations" {
-		t.Errorf("island-sync-parallel: halted at (%d, %q), want (%d, max generations)",
-			res.Generations, res.StopReason, gens)
-	}
-
-	p := p2p.New(p2p.Config{
-		Problem: prob,
-		Peers:   4,
-		NewEngine: func(peer int, r *RNG) Engine {
-			return NewGenerational(GAConfig{
-				Problem:   prob,
-				PopSize:   10,
-				Crossover: UniformCrossover{},
-				Mutator:   BitFlip{},
-				RNG:       r,
-			})
-		},
-		Seed: 11,
-	})
-	if res := p.Run(gens, Control{}); res.Generations != gens || res.StopReason != "max generations" {
-		t.Errorf("p2p: halted at (%d, %q), want (%d, max generations)",
-			res.Generations, res.StopReason, gens)
-	}
-
 	if res := sim.Run(sim.Config{
-		Problem:     sim.ZDT1{Dim: 6},
-		Scenario:    sim.Scenarios()[2],
-		DemeSize:    12,
-		Generations: gens,
-		Seed:        11,
-	}, Control{}); res.Generations != gens || res.StopReason != "max generations" {
+		Problem:  sim.ZDT1{Dim: 6},
+		Scenario: sim.Scenarios()[2],
+		DemeSize: 12,
+		Seed:     11,
+	}, MaxGenerations(gens), Control{}); res.Generations != gens || res.StopReason != "max generations" {
 		t.Errorf("sim: halted at (%d, %q), want (%d, max generations)",
 			res.Generations, res.StopReason, gens)
 	}
