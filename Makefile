@@ -64,15 +64,16 @@ lint:
 # (structured errors, never panics) and its validate-vs-build
 # differential (accepted specs build and run, refused ones are refused
 # identically by Build), the bit-sliced MaxSAT and NK kernels vs
-# their per-literal and per-gene references, the ChanceMask lane
-# kernels vs per-lane ChanceMask, and Leap.image's bodies vs its
-# generic one.
+# their per-literal and per-gene references, the lane transpose's
+# bodies vs its Go body, the ChanceMask lane kernels vs per-lane
+# ChanceMask, and Leap.image's bodies vs its generic one.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalPopulation -fuzztime=30s ./internal/persist/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/transport/
 	$(GO) test -fuzz=FuzzBitStringOps -fuzztime=30s ./internal/genome/
 	$(GO) test -fuzz=FuzzMaxSATBatch -fuzztime=30s ./internal/problems/
 	$(GO) test -fuzz=FuzzNKBatch -fuzztime=30s ./internal/problems/
+	$(GO) test -fuzz=FuzzTransposeBodies -fuzztime=30s ./internal/problems/
 	$(GO) test -fuzz=FuzzChanceLanes -fuzztime=30s ./internal/rng/
 	$(GO) test -fuzz=FuzzLeapBodies -fuzztime=30s ./internal/rng/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/spec/

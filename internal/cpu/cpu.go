@@ -1,9 +1,10 @@
 // Package cpu is the module's one CPU feature probe: which x86 vector
 // extensions this host's processor reports and its OS saves the
 // registers of. The packages with amd64 assembly (internal/rng's
-// ChanceMask lanes, internal/problems' NK lane kernel) pick their
-// kernel bodies from it once, at start-up; there is no switch to
-// override it.
+// ChanceMask lanes and Leap.image, internal/problems' NK lane kernel,
+// MaxSAT's bit-sliced kernel and the lane transpose) pick their kernel
+// bodies from it once, at start-up or per instance at construction;
+// there is no switch to override it.
 package cpu
 
 // Features are the extensions the module's assembly uses. A field is

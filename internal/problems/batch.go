@@ -58,50 +58,51 @@ const (
 	// lane word per gene, 8 KiB of stack. Wider instances use the scalar
 	// kernels.
 	laneTile = 1024
+	// satBlocks is how many 64-genome blocks the vector body of MaxSAT's
+	// kernel counts in one pass over the clauses: a variable's lane
+	// words in all of them are one YMM word.
+	satBlocks = 4
 	// minLanes is the smallest block worth slicing. A block costs its
 	// gather and one pass over the instance however few lanes it fills:
 	// about 1.4–1.8 scalar MaxSAT evaluations, 2–2.7 NK ones on the Go
 	// body and 1–1.6 on the AVX-512 one. Measured by
 	// BenchmarkLaneBreakEven (ten runs), two lanes win on both MaxSAT
-	// instances and on NK's AVX-512 body, but not on the Go body, which
-	// every other host runs (nk(64,2) 3 of 10, nk(256,4) 5 of 10); three
-	// win on every instance and body. One threshold serves both kernels.
+	// instances on either body and on NK's AVX-512 body, but not on NK's
+	// Go body, which every other host runs (nk(64,2) 3 of 10); three win
+	// on every instance and body. One threshold serves both kernels.
 	minLanes = 3
 )
 
 // laneKernel is a compiled instance with both kernels: the scalar
-// Evaluate and a bit-sliced one over up to 64 genomes.
+// Evaluate and a bit-sliced one over up to laneWidth genomes.
 type laneKernel interface {
 	core.Problem
+	// laneWidth is how many genomes one evaluateLanes call takes: 0 when
+	// the instance does not fit the bit-sliced kernel.
+	laneWidth() int
 	evaluateLanes(genomes []core.Genome, out []float64)
 }
 
 // evaluateBlocks is the one walker behind both bit-sliced batch forms:
-// genomes are taken 64 at a time, one lane each. Which kernel runs
-// depends only on the input: sliced says the instance fits the lane
-// kernel, and a block must be worth its gather.
-func evaluateBlocks(p laneKernel, sliced bool, genomes []core.Genome, out []float64) {
-	for base := 0; base < len(genomes); base += 64 {
-		end := min(base+64, len(genomes))
-		if sliced && end-base >= minLanes {
+// genomes are taken laneWidth at a time, and the last fewer than
+// minLanes, which are not worth a block's gather, one at a time. Which
+// kernel runs depends only on the input.
+func evaluateBlocks(p laneKernel, genomes []core.Genome, out []float64) {
+	base := 0
+	if width := p.laneWidth(); width > 0 {
+		for ; len(genomes)-base >= minLanes; base += width {
+			end := min(base+width, len(genomes))
 			p.evaluateLanes(genomes[base:end], out[base:end])
-			continue
 		}
-		for i := base; i < end; i++ {
-			out[i] = p.Evaluate(genomes[i])
-		}
+	}
+	for i := base; i < len(genomes); i++ {
+		out[i] = p.Evaluate(genomes[i])
 	}
 }
 
-// gatherLanes transposes up to 64 genomes of p's n ≤ laneTile bits into
-// lane words, the layout both bit-sliced kernels read: bit l of vars[v]
-// is gene v of genomes[l], and lanes past len(genomes) read as all-zero
-// genomes. Word w of every genome goes in as 64 rows and comes out of
-// the transpose as the lane words of genes 64w..64w+63; Words is read
-// whole, tail bits included, which BitString keeps zero. A genome of the
-// wrong length is refused before any word is read.
-func gatherLanes(p core.Problem, n int, genomes []core.Genome, vars *[laneTile]uint64) {
-	var rows [64][]uint64
+// laneRows sets rows[l] to the words of genomes[l], refusing a genome
+// of the wrong length before any word is read.
+func laneRows(p core.Problem, n int, genomes []core.Genome, rows [][]uint64) {
 	for l, g := range genomes {
 		b := g.(*genome.BitString)
 		if b.N != n {
@@ -109,13 +110,54 @@ func gatherLanes(p core.Problem, n int, genomes []core.Genome, vars *[laneTile]u
 		}
 		rows[l] = b.Words
 	}
+}
+
+// gatherLanes transposes up to 64 genomes of p's n ≤ laneTile bits into
+// lane words, the layout the Go bodies of both bit-sliced kernels and
+// NK's AVX-512 body read: bit l of vars[v] is gene v of genomes[l], and
+// lanes past len(genomes) read as all-zero genomes. Word w of every
+// genome goes in as 64 rows and comes out of the transpose as the lane
+// words of genes 64w..64w+63; Words is read whole, tail bits included,
+// which BitString keeps zero.
+func gatherLanes(p core.Problem, n int, genomes []core.Genome, vars *[laneTile]uint64) {
+	var rows [64][]uint64
+	laneRows(p, n, genomes, rows[:])
 	for w := 0; w<<6 < n; w++ {
 		blk := (*[64]uint64)(vars[w<<6 : w<<6+64])
 		for l := range genomes {
 			blk[l] = rows[l][w]
 		}
 		clear(blk[len(genomes):])
-		genome.Transpose64(blk)
+		transpose64(blk)
+	}
+}
+
+// satRow is a row of the polarity table MaxSAT's vector body reads:
+// row 2v holds gene v's lane words, one per block, and row 2v+1 their
+// complements, so a literal's row in MaxSAT.rows, 2v+neg, holds its
+// truth values.
+type satRow [satBlocks]uint64
+
+// gatherTable transposes up to satBlocks blocks of 64 genomes into tab,
+// block b into column b: word w of every genome goes in as one 64-row
+// matrix per block, as in gatherLanes, and the transposed blocks are
+// interleaved into the table's rows for genes 64w..64w+63, each lane
+// word with its complement (maxSATRowsAVX2). Lanes past len(genomes)
+// read as all-zero genomes, and so does row 2*nvars, the padding
+// clauses' row: it is never written, or written with gene nvars, a
+// tail bit.
+func gatherTable(p *MaxSAT, genomes []core.Genome, tab []satRow) {
+	var rows [satBlocks * 64][]uint64
+	laneRows(p, p.nvars, genomes, rows[:])
+	for w := 0; w<<6 < p.nvars; w++ {
+		var blk [satBlocks][64]uint64
+		for b := 0; b<<6 < len(genomes); b++ {
+			for l, r := range rows[b<<6 : min(b<<6+64, len(genomes))] {
+				blk[b][l] = r[w]
+			}
+			transpose64(&blk[b])
+		}
+		maxSATRowsAVX2(&blk, (*[128]satRow)(tab[w<<7:]))
 	}
 }
 
@@ -134,14 +176,93 @@ func (p *MaxSAT) Batch() core.BatchProblem { return maxSATBatch{p} }
 // EvaluateBatch implements core.BatchProblem: the bit-sliced kernel for
 // every instance that fits the lane tile.
 func (p maxSATBatch) EvaluateBatch(genomes []core.Genome, out []float64) {
-	evaluateBlocks(p.MaxSAT, p.nvars <= laneTile, genomes, out)
+	evaluateBlocks(p.MaxSAT, genomes, out)
 }
 
-// evaluateLanes evaluates up to 64 genomes at once over gatherLanes'
-// layout. A clause is then three XORs and two ORs for all lanes
+// laneWidth implements laneKernel: one block on the Go body, satBlocks
+// on the vector one.
+func (p *MaxSAT) laneWidth() int {
+	switch {
+	case p.nvars > laneTile:
+		return 0
+	case p.vector:
+		return satBlocks * 64
+	}
+	return 64
+}
+
+// evaluateLanes evaluates up to laneWidth genomes at once, on the AVX2
+// body when p.vector says this host runs it, on the Go body otherwise.
+// Both count each lane's satisfied clauses as the same integer as
+// Evaluate, hence the same float64.
+func (p *MaxSAT) evaluateLanes(genomes []core.Genome, out []float64) {
+	if p.vector {
+		p.lanesVector(genomes, out)
+		return
+	}
+	p.lanesGo(genomes, out)
+}
+
+// satSmall is the widest instance the smaller of the vector body's two
+// polarity tables takes. Go zeroes a table on every call, and the full
+// one, for laneTile variables, is 64 KiB, more than an L1 cache: that
+// zeroing cost a 64-variable instance more than its whole pass.
+const satSmall = 256
+
+// lanesVector is the vector body: up to satBlocks blocks of 64 genomes
+// are gathered into a polarity table of 2*nvars+1 rows or more, on the
+// stack, and counted in one pass over the clauses.
+func (p *MaxSAT) lanesVector(genomes []core.Genome, out []float64) {
+	if p.nvars <= satSmall {
+		p.lanesSmallTable(genomes, out)
+		return
+	}
+	p.lanesLargeTable(genomes, out)
+}
+
+// lanesSmallTable and lanesLargeTable each own one table size. They are
+// not inlined, so that each table has a frame of its own and a small
+// instance's goroutine does not carry the large table's stack too.
+//
+//go:noinline
+func (p *MaxSAT) lanesSmallTable(genomes []core.Genome, out []float64) {
+	var tab [2*satSmall + 1]satRow
+	p.countVector(tab[:], genomes, out)
+}
+
+//go:noinline
+func (p *MaxSAT) lanesLargeTable(genomes []core.Genome, out []float64) {
+	var tab [2*laneTile + 1]satRow
+	p.countVector(tab[:], genomes, out)
+}
+
+// countVector gathers genomes into tab and counts them with the Go
+// body's carry-save tree on YMM words (maxsat_amd64.s), which leaves
+// block b's bit-sliced counts in column b of planes.
+func (p *MaxSAT) countVector(tab []satRow, genomes []core.Genome, out []float64) {
+	gatherTable(p, genomes, tab)
+	var planes [64]satRow
+	groups := len(p.rows) / (3 * 8) // three rows per clause, eight clauses per group
+	maxSATCountAVX2(&tab[0], &p.rows[0], groups, &planes)
+	m := float64(len(p.clauses))
+	for b := 0; b<<6 < len(out); b++ {
+		var counts [64]uint64
+		for j := range counts {
+			counts[j] = planes[j][b]
+		}
+		transpose64(&counts)
+		o := out[b<<6 : min(b<<6+64, len(out))]
+		for l := range o {
+			o[l] = float64(counts[l]) / m
+		}
+	}
+}
+
+// lanesGo is the Go body, over gatherLanes' layout for up to 64
+// genomes. A clause is then three XORs and two ORs for all lanes
 // together, and the per-lane satisfied counts are kept bit-sliced too:
 // bit l of planes[j] is bit j of lane l's count.
-func (p *MaxSAT) evaluateLanes(genomes []core.Genome, out []float64) {
+func (p *MaxSAT) lanesGo(genomes []core.Genome, out []float64) {
 	var vars [laneTile]uint64
 	gatherLanes(p, p.nvars, genomes, &vars)
 	// Count (Harley–Seal): eight clauses at a time are absorbed by
@@ -174,7 +295,7 @@ func (p *MaxSAT) evaluateLanes(genomes []core.Genome, out []float64) {
 	ripple(&planes, 2, fours)
 	// Un-slice: transposed, planes[l] is lane l's count as an integer —
 	// the same integer the scalar kernel counts, hence the same float64.
-	genome.Transpose64(&planes)
+	transpose64(&planes)
 	m := float64(len(p.clauses))
 	for l := range out {
 		out[l] = float64(planes[l]) / m
@@ -213,7 +334,16 @@ func (p *NKLandscape) Batch() core.BatchProblem { return nkBatch{p} }
 // EvaluateBatch implements core.BatchProblem: the lane kernel for every
 // instance that fits the lane tile and whose patterns fit a byte.
 func (p nkBatch) EvaluateBatch(genomes []core.Genome, out []float64) {
-	evaluateBlocks(p.NKLandscape, p.n <= laneTile && p.k+1 <= 8, genomes, out)
+	evaluateBlocks(p.NKLandscape, genomes, out)
+}
+
+// laneWidth implements laneKernel: one block, when the instance fits
+// the lane tile and its patterns fit a byte.
+func (p *NKLandscape) laneWidth() int {
+	if p.n <= laneTile && p.k+1 <= 8 {
+		return 64
+	}
+	return 0
 }
 
 // nkVectorPattern bounds k+1 for the AVX-512 body of NK's lane kernel

@@ -455,10 +455,21 @@ func (p *Knapsack) Capacity() float64 { return p.capacity }
 //
 // The instance is held compiled (one flat satClause per clause) and has
 // two kernels over it: the scalar one below, and in batch.go a bit-sliced
-// one that evaluates 64 genomes per machine word.
+// one that evaluates 64 genomes per machine word, and up to 256 in one
+// pass over the clauses on its AVX2 body.
 type MaxSAT struct {
 	nvars   int
 	clauses []satClause
+	// rows is the clauses in the AVX2 body's form: each literal is one
+	// row of its polarity table, 2v+neg, three per clause. They are
+	// padded to a whole eight-clause group with clauses of the one row
+	// 2*nvars — gene nvars, past the genome, so no genome satisfies
+	// them — and the pass counts eight at a time with no tail. The
+	// scalar kernel keeps satClause's form: on rows it measured about a
+	// quarter slower, each literal costing one more shift.
+	rows []uint32
+	// vector is whether the bit-sliced kernel runs its AVX2 body.
+	vector bool
 }
 
 // satLit is a compiled literal: true of a genome when gene v != neg.
@@ -490,9 +501,14 @@ func maxSATClauses(n, m int, seed uint64) [][3]int {
 }
 
 // NewMaxSAT creates an instance with n variables and m random 3-literal
-// clauses drawn from seed.
+// clauses drawn from seed. It panics unless n >= 3 (a clause has three
+// distinct variables) and m >= 1 (fitness is a fraction of the clauses).
 func NewMaxSAT(n, m int, seed uint64) *MaxSAT {
-	p := &MaxSAT{nvars: n, clauses: make([]satClause, m)}
+	if n < 3 || m < 1 {
+		panic(fmt.Sprintf("problems: MaxSAT requires n >= 3 and m >= 1, got n=%d m=%d", n, m))
+	}
+	p := &MaxSAT{nvars: n, clauses: make([]satClause, m), rows: make([]uint32, 3*((m+7)&^7)),
+		vector: maxSATVector}
 	for i, c := range maxSATClauses(n, m, seed) {
 		for j, lit := range c {
 			neg := uint32(0)
@@ -500,7 +516,11 @@ func NewMaxSAT(n, m int, seed uint64) *MaxSAT {
 				lit, neg = -lit, 1
 			}
 			p.clauses[i][j] = satLit{v: uint32(lit - 1), neg: neg}
+			p.rows[3*i+j] = 2*uint32(lit-1) + neg
 		}
+	}
+	for i := 3 * m; i < len(p.rows); i++ {
+		p.rows[i] = uint32(2 * n)
 	}
 	return p
 }

@@ -168,39 +168,56 @@ func diffPool(n, count int, r *rng.Source) []core.Genome {
 	return pool
 }
 
-// lanesBodies returns p on each lane kernel body this host runs for it:
-// an NK instance on the AVX-512 body, then a copy on the Go body; any
-// other problem as itself.
+// lanesBodies returns p on each bit-sliced kernel body this host runs
+// for it: an NK instance on the AVX-512 body, or a MaxSAT one on the
+// AVX2 body, then a copy on the Go body; any other problem as itself.
 func lanesBodies(p core.Problem) []core.Problem {
-	nk, ok := p.(*NKLandscape)
-	if !ok || !nk.vector {
-		return []core.Problem{p}
+	switch q := p.(type) {
+	case *NKLandscape:
+		if q.vector {
+			onGo := *q
+			onGo.vector = false
+			return []core.Problem{p, &onGo}
+		}
+	case *MaxSAT:
+		if q.vector {
+			onGo := *q
+			onGo.vector = false
+			return []core.Problem{p, &onGo}
+		}
 	}
-	onGo := *nk
-	onGo.vector = false
-	return []core.Problem{p, &onGo}
+	return []core.Problem{p}
 }
 
-// bodyName names the lane kernel body p runs.
+// bodyName names the bit-sliced kernel body p runs.
 func bodyName(p core.Problem) string {
-	if nk, ok := p.(*NKLandscape); ok && nk.vector {
-		return "avx512"
+	switch q := p.(type) {
+	case *NKLandscape:
+		if q.vector {
+			return "avx512"
+		}
+	case *MaxSAT:
+		if q.vector {
+			return "avx2"
+		}
 	}
 	return "go"
 }
 
 // TestCompiledKernelsMatchReference holds Evaluate and EvaluateBatch to
-// the references on every lane kernel body the host can run.
+// the references on every bit-sliced kernel body the host can run.
 func TestCompiledKernelsMatchReference(t *testing.T) {
-	var names []string
-	for _, p := range lanesBodies(NewNKLandscape(5, nkVectorPattern-1, 1)) {
-		names = append(names, bodyName(p))
+	for _, p := range []core.Problem{NewNKLandscape(5, nkVectorPattern-1, 1), NewMaxSAT(5, 20, 1)} {
+		var names []string
+		for _, b := range lanesBodies(p) {
+			names = append(names, bodyName(b))
+		}
+		t.Logf("%s bodies on this host: %v", p.Name(), names)
 	}
-	t.Logf("NK lane kernel bodies on this host at k = %d: %v", nkVectorPattern-1, names)
-	const poolSize = 199
-	// Around the slicing threshold, the eight-lane group and the 64-lane
-	// block.
-	batches := []int{1, 2, 3, 4, 7, 8, 9, 49, 63, 64, 65, poolSize}
+	const poolSize = 300
+	// Around the slicing threshold, NK's eight-lane group, and both
+	// sides of every 64-lane block and of MaxSAT's four-block pass.
+	batches := []int{1, 2, 3, 4, 7, 8, 9, 49, 63, 64, 65, 127, 128, 129, 199, 255, 256, 257, poolSize}
 	r := rng.New(23)
 	out := make([]float64, poolSize)
 	for _, tc := range diffCases() {
@@ -238,17 +255,21 @@ func TestCompiledKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// TestNKLanesAllocateNothing: each body's scratch — the lane tile, the
-// Go body's spread tile and the accumulators — stays on the stack. A
-// body reached through a func value would let the tile escape.
-func TestNKLanesAllocateNothing(t *testing.T) {
-	p := NewNKLandscape(256, 4, 1)
-	genomes := diffPool(256, 49, rng.New(3))
+// TestLanesAllocateNothing: each body's scratch — the lane tile, NK's
+// Go body's spread tile and accumulators, MaxSAT's polarity table and
+// planes — stays on the stack. A body reached through a func value
+// would let the tile escape.
+func TestLanesAllocateNothing(t *testing.T) {
+	genomes := diffPool(256, satBlocks*64, rng.New(3))
 	out := make([]float64, len(genomes))
-	for _, b := range lanesBodies(p) {
-		nk := b.(*NKLandscape)
-		if a := testing.AllocsPerRun(20, func() { nk.evaluateLanes(genomes, out) }); a != 0 {
-			t.Errorf("%s body: %v allocations per block", bodyName(b), a)
+	for _, p := range []laneKernel{NewNKLandscape(256, 4, 1), NewMaxSAT(256, 1024, 1)} {
+		for _, b := range lanesBodies(p) {
+			k := b.(laneKernel)
+			gs := genomes[:k.laneWidth()]
+			o := out[:len(gs)]
+			if a := testing.AllocsPerRun(20, func() { k.evaluateLanes(gs, o) }); a != 0 {
+				t.Errorf("%s, %s body: %v allocations per block", k.Name(), bodyName(b), a)
+			}
 		}
 	}
 }
@@ -260,7 +281,7 @@ func TestNKLanesAllocateNothing(t *testing.T) {
 // genes.
 func TestCompiledKernelsCheckLength(t *testing.T) {
 	const n = 250
-	problems := []core.Problem{NewMaxSAT(n, 4*n, 1), NewNKLandscape(n, 4, 1)}
+	problems := append(lanesBodies(NewMaxSAT(n, 4*n, 1)), lanesBodies(NewNKLandscape(n, 4, 1))...)
 	mustPanic := func(t *testing.T, what string, f func()) {
 		t.Helper()
 		defer func() {
@@ -358,11 +379,11 @@ var fuzzCorpus = []struct {
 	{[]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, 198},
 }
 
-// fuzzBatch turns fuzz input into 1..199 n-bit genomes: genome l reads
+// fuzzBatch turns fuzz input into size n-bit genomes: genome l reads
 // data as a bit stream from a lane-specific offset; with no data it is
 // all-zero.
-func fuzzBatch(n int, data []byte, rawBatch uint8) []core.Genome {
-	batch := make([]core.Genome, int(rawBatch)%199+1)
+func fuzzBatch(n int, data []byte, size int) []core.Genome {
+	batch := make([]core.Genome, size)
 	for l := range batch {
 		b := genome.NewBitString(n)
 		for v := 0; v < n && len(data) > 0; v++ {
@@ -388,20 +409,26 @@ func fuzzAgree(t *testing.T, p core.Problem, batch []core.Genome, ref func(*geno
 	}
 }
 
-// FuzzMaxSATBatch: any genome bytes, any batch size, any clause count
-// from 1 to 1 100 — EvaluateBatch and Evaluate against the per-literal
-// reference. 100 variables put the tail word and the second transpose
-// block on the path; the clause count moves the carry-save count's
+// FuzzMaxSATBatch: any genome bytes, any batch size from 1 to 300,
+// any clause count from 1 to 1 100 — EvaluateBatch and Evaluate against
+// the per-literal reference, on every body the host can run. 100
+// variables put the tail word and the second transpose block on the
+// path; the batch size moves the 64-lane blocks and the vector body's
+// four-block pass; the clause count moves the carry-save count's
 // eight-clause groups and its tail.
 func FuzzMaxSATBatch(f *testing.F) {
 	for i, s := range fuzzCorpus {
 		// Raw clause counts for 400 clauses (whole groups only), a tail of
 		// 1 and of 7, a full top plane, and 1 100.
-		f.Add(s.data, s.batch, []uint16{399, 16, 6, 1023, 1099}[i])
+		f.Add(s.data, uint16(s.batch), []uint16{399, 16, 6, 1023, 1099}[i])
 	}
-	f.Fuzz(func(t *testing.T, data []byte, rawBatch uint8, rawClauses uint16) {
+	f.Add([]byte{0x5A, 0xC3}, uint16(256), uint16(200)) // a pass and one genome past it
+	f.Fuzz(func(t *testing.T, data []byte, rawBatch, rawClauses uint16) {
 		tc := maxSATCase(100, int(rawClauses)%1100+1, 17)
-		fuzzAgree(t, tc.p, fuzzBatch(tc.n, data, rawBatch), tc.ref)
+		batch := fuzzBatch(tc.n, data, int(rawBatch)%300+1)
+		for _, p := range lanesBodies(tc.p) {
+			fuzzAgree(t, p, batch, tc.ref)
+		}
 	})
 }
 
@@ -416,7 +443,7 @@ func FuzzNKBatch(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, rawBatch uint8) {
 		for _, tc := range cases {
-			batch := fuzzBatch(tc.n, data, rawBatch)
+			batch := fuzzBatch(tc.n, data, int(rawBatch)%199+1)
 			for _, p := range lanesBodies(tc.p) {
 				fuzzAgree(t, p, batch, tc.ref)
 			}

@@ -206,6 +206,26 @@ func TestNKPanicsOnBadK(t *testing.T) {
 	}
 }
 
+// TestMaxSATPanicsOnBadShape: no clauses (which made every fitness
+// 0/0, NaN) and fewer than three variables (which died inside
+// rng.SampleInto) are refused by name before anything is drawn.
+func TestMaxSATPanicsOnBadShape(t *testing.T) {
+	for _, nm := range [][2]int{{64, 0}, {2, 4}, {0, 1}, {3, -1}} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.HasPrefix(msg, "problems: MaxSAT requires") {
+					t.Fatalf("NewMaxSAT(%d, %d): recovered %q, want a problems: MaxSAT panic", nm[0], nm[1], msg)
+				}
+			}()
+			NewMaxSAT(nm[0], nm[1], 1)
+		}()
+	}
+	if p := NewMaxSAT(3, 1, 1); p.Evaluate(p.NewGenome(rng.New(1))) < 0 {
+		t.Fatal("the smallest instance the constructor takes does not evaluate")
+	}
+}
+
 func TestSubsetSumPerfectSolutionExists(t *testing.T) {
 	p := NewSubsetSum(30, 11)
 	// Brute-force greedy check is hard; instead verify evaluate semantics.
