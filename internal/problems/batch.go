@@ -179,22 +179,22 @@ func (p maxSATBatch) EvaluateBatch(genomes []core.Genome, out []float64) {
 	evaluateBlocks(p.MaxSAT, genomes, out)
 }
 
-// laneWidth implements laneKernel: one block on the Go body, satBlocks
-// on the vector one.
+// laneWidth implements laneKernel: satBlocks blocks on the vector body,
+// one on the Go body.
 func (p *MaxSAT) laneWidth() int {
 	switch {
-	case p.nvars > laneTile:
-		return 0
 	case p.vector:
 		return satBlocks * 64
+	case p.nvars > laneTile:
+		return 0
 	}
 	return 64
 }
 
 // evaluateLanes evaluates up to laneWidth genomes at once, on the AVX2
-// body when p.vector says this host runs it, on the Go body otherwise.
-// Both count each lane's satisfied clauses as the same integer as
-// Evaluate, hence the same float64.
+// body when p.vector says this host runs it for p, on the Go body
+// otherwise. Both count each lane's satisfied clauses as the same
+// integer as Evaluate, hence the same float64.
 func (p *MaxSAT) evaluateLanes(genomes []core.Genome, out []float64) {
 	if p.vector {
 		p.lanesVector(genomes, out)
@@ -203,44 +203,25 @@ func (p *MaxSAT) evaluateLanes(genomes []core.Genome, out []float64) {
 	p.lanesGo(genomes, out)
 }
 
-// satSmall is the widest instance the smaller of the vector body's two
-// polarity tables takes. Go zeroes a table on every call, and the full
-// one, for laneTile variables, is 64 KiB, more than an L1 cache: that
-// zeroing cost a 64-variable instance more than its whole pass.
-const satSmall = 256
+// satVectorVars is the widest instance the vector body takes: its
+// polarity table, which Go zeroes on every call, is then 16 KiB. The
+// 64 KiB table of a laneTile-variable instance is more than an L1
+// cache, and its zeroing made a one-block batch slower than on the Go
+// body (maxsat(300,1200), 49 genomes: 0 of 10 runs won), so wider
+// instances take the Go body.
+const satVectorVars = 256
 
 // lanesVector is the vector body: up to satBlocks blocks of 64 genomes
-// are gathered into a polarity table of 2*nvars+1 rows or more, on the
-// stack, and counted in one pass over the clauses.
-func (p *MaxSAT) lanesVector(genomes []core.Genome, out []float64) {
-	if p.nvars <= satSmall {
-		p.lanesSmallTable(genomes, out)
-		return
-	}
-	p.lanesLargeTable(genomes, out)
-}
-
-// lanesSmallTable and lanesLargeTable each own one table size. They are
-// not inlined, so that each table has a frame of its own and a small
-// instance's goroutine does not carry the large table's stack too.
+// are gathered into a polarity table on the stack and counted in one
+// pass over the clauses by the Go body's carry-save tree on YMM words
+// (maxsat_amd64.s), which leaves block b's bit-sliced counts in column
+// b of planes. It is not inlined, so that the Go body's goroutines do
+// not carry the table's frame.
 //
 //go:noinline
-func (p *MaxSAT) lanesSmallTable(genomes []core.Genome, out []float64) {
-	var tab [2*satSmall + 1]satRow
-	p.countVector(tab[:], genomes, out)
-}
-
-//go:noinline
-func (p *MaxSAT) lanesLargeTable(genomes []core.Genome, out []float64) {
-	var tab [2*laneTile + 1]satRow
-	p.countVector(tab[:], genomes, out)
-}
-
-// countVector gathers genomes into tab and counts them with the Go
-// body's carry-save tree on YMM words (maxsat_amd64.s), which leaves
-// block b's bit-sliced counts in column b of planes.
-func (p *MaxSAT) countVector(tab []satRow, genomes []core.Genome, out []float64) {
-	gatherTable(p, genomes, tab)
+func (p *MaxSAT) lanesVector(genomes []core.Genome, out []float64) {
+	var tab [2*satVectorVars + 1]satRow
+	gatherTable(p, genomes, tab[:])
 	var planes [64]satRow
 	groups := len(p.rows) / (3 * 8) // three rows per clause, eight clauses per group
 	maxSATCountAVX2(&tab[0], &p.rows[0], groups, &planes)

@@ -460,15 +460,17 @@ func (p *Knapsack) Capacity() float64 { return p.capacity }
 type MaxSAT struct {
 	nvars   int
 	clauses []satClause
-	// rows is the clauses in the AVX2 body's form: each literal is one
-	// row of its polarity table, 2v+neg, three per clause. They are
-	// padded to a whole eight-clause group with clauses of the one row
-	// 2*nvars — gene nvars, past the genome, so no genome satisfies
-	// them — and the pass counts eight at a time with no tail. The
-	// scalar kernel keeps satClause's form: on rows it measured about a
-	// quarter slower, each literal costing one more shift.
+	// rows is the clauses in the AVX2 body's form, built only when
+	// vector is set: each literal is one row of its polarity table,
+	// 2v+neg, three per clause. They are padded to a whole eight-clause
+	// group with clauses of the one row 2*nvars — gene nvars, past the
+	// genome, so no genome satisfies them — and the pass counts eight at
+	// a time with no tail. The scalar kernel keeps satClause's form: on
+	// rows it measured about a quarter slower, each literal costing one
+	// more shift.
 	rows []uint32
-	// vector is whether the bit-sliced kernel runs its AVX2 body.
+	// vector is whether the bit-sliced kernel runs its AVX2 body: on an
+	// AVX2 host, for instances of up to satVectorVars variables.
 	vector bool
 }
 
@@ -507,8 +509,7 @@ func NewMaxSAT(n, m int, seed uint64) *MaxSAT {
 	if n < 3 || m < 1 {
 		panic(fmt.Sprintf("problems: MaxSAT requires n >= 3 and m >= 1, got n=%d m=%d", n, m))
 	}
-	p := &MaxSAT{nvars: n, clauses: make([]satClause, m), rows: make([]uint32, 3*((m+7)&^7)),
-		vector: maxSATVector}
+	p := &MaxSAT{nvars: n, clauses: make([]satClause, m), vector: maxSATVector && n <= satVectorVars}
 	for i, c := range maxSATClauses(n, m, seed) {
 		for j, lit := range c {
 			neg := uint32(0)
@@ -516,11 +517,18 @@ func NewMaxSAT(n, m int, seed uint64) *MaxSAT {
 				lit, neg = -lit, 1
 			}
 			p.clauses[i][j] = satLit{v: uint32(lit - 1), neg: neg}
-			p.rows[3*i+j] = 2*uint32(lit-1) + neg
 		}
 	}
-	for i := 3 * m; i < len(p.rows); i++ {
-		p.rows[i] = uint32(2 * n)
+	if p.vector {
+		p.rows = make([]uint32, 3*((m+7)&^7))
+		for i, c := range p.clauses {
+			for j, l := range c {
+				p.rows[3*i+j] = 2*l.v + l.neg
+			}
+		}
+		for i := 3 * m; i < len(p.rows); i++ {
+			p.rows[i] = uint32(2 * n)
+		}
 	}
 	return p
 }

@@ -110,6 +110,8 @@ func diffCases() []diffCase {
 		maxSATCase(100, 256, 3), maxSATCase(64, 1031, 3),
 		maxSATCase(100, 8, 3), maxSATCase(100, 15, 3), maxSATCase(100, 16, 3),
 		maxSATCase(100, 17, 3), maxSATCase(256, 1023, 3), maxSATCase(256, 1024, 3),
+		// Both sides of the widest instance MaxSAT's vector body takes.
+		maxSATCase(satVectorVars+1, 4*satVectorVars+4, 3),
 	)
 	// NK's lane kernel at the ends of its pattern range (k+1 = 1 and 8)
 	// on every length, and past it: k = 8 falls back to the scalar kernel,
@@ -187,6 +189,24 @@ func lanesBodies(p core.Problem) []core.Problem {
 		}
 	}
 	return []core.Problem{p}
+}
+
+// TestMaxSATVectorBodyWidth: MaxSAT's vector body takes instances of up
+// to satVectorVars variables on hosts that run it, and only those carry
+// its compiled clauses.
+func TestMaxSATVectorBodyWidth(t *testing.T) {
+	for _, n := range []int{3, satVectorVars, satVectorVars + 1, laneTile} {
+		p := NewMaxSAT(n, 4*n, 1)
+		if want := maxSATVector && n <= satVectorVars; p.vector != want {
+			t.Errorf("%s: vector body %v, want %v", p.Name(), p.vector, want)
+		}
+		if p.vector != (p.rows != nil) {
+			t.Errorf("%s: vector body %v with %d compiled rows", p.Name(), p.vector, len(p.rows))
+		}
+		if w := p.laneWidth(); p.vector && w != satBlocks*64 || !p.vector && w != 64 {
+			t.Errorf("%s, %s body: lane width %d", p.Name(), bodyName(p), w)
+		}
+	}
 }
 
 // bodyName names the bit-sliced kernel body p runs.
