@@ -39,7 +39,7 @@ func TestTSPRandomWorseThanOptimal(t *testing.T) {
 }
 
 func TestTSPTourLengthInvariantUnderRotation(t *testing.T) {
-	tsp := NewRandomTSP(10, 2)
+	tsp := NewClusteredTSP(10, 3, 2)
 	r := rng.New(3)
 	p := tsp.NewGenome(r).(*genome.Permutation)
 	base := tsp.Evaluate(p)
@@ -51,14 +51,11 @@ func TestTSPTourLengthInvariantUnderRotation(t *testing.T) {
 }
 
 func TestTSPInstanceGenerators(t *testing.T) {
-	if NewRandomTSP(30, 1).Cities() != 30 {
-		t.Fatal("random size")
-	}
 	if NewClusteredTSP(30, 5, 1).Cities() != 30 {
 		t.Fatal("clustered size")
 	}
 	// Deterministic per seed.
-	a, b := NewRandomTSP(10, 7), NewRandomTSP(10, 7)
+	a, b := NewClusteredTSP(10, 3, 7), NewClusteredTSP(10, 3, 7)
 	g := genome.IdentityPermutation(10)
 	if a.Evaluate(g) != b.Evaluate(g) {
 		t.Fatal("instance not seed-deterministic")
@@ -348,7 +345,7 @@ func TestReactorCoreGAFlattensPower(t *testing.T) {
 
 func TestAppProblemsMetadata(t *testing.T) {
 	ps := []core.Problem{
-		NewRandomTSP(8, 1), NewCircleTSP(8), NewClusteredTSP(8, 2, 1),
+		NewCircleTSP(8), NewClusteredTSP(8, 2, 1),
 		NewScheduling(8, 2, 1), NewFeatureSelection(8, 2, 2, 5, 1),
 		NewImageRegistration(16, 1), NewStockPrediction(100, 3, 2, 1),
 		NewSpectralEstimation(100, 1), NewReactorCore(5, 2, 1),

@@ -137,12 +137,3 @@ func (fs *FeatureSelection) Accuracy(mask *genome.BitString) float64 {
 	}
 	return float64(correct) / float64(len(fs.test))
 }
-
-// InformativeMask returns the ground-truth informative-feature mask.
-func (fs *FeatureSelection) InformativeMask() *genome.BitString {
-	b := genome.NewBitString(fs.nFeatures)
-	for f := 0; f < fs.nInformative; f++ {
-		b.Set(f, true)
-	}
-	return b
-}

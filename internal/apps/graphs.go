@@ -19,7 +19,7 @@ type GraphPartition struct {
 	edges [][2]int
 	// planted is the hidden balanced partition used to generate the
 	// instance (dense inside, sparse across).
-	planted []bool
+	planted *genome.BitString
 }
 
 // NewGraphPartition builds a planted-partition graph with n vertices
@@ -30,15 +30,15 @@ func NewGraphPartition(n int, pIn, pOut float64, seed uint64) *GraphPartition {
 		panic("apps: GraphPartition needs an even vertex count")
 	}
 	r := rng.New(seed)
-	g := &GraphPartition{n: n, planted: make([]bool, n)}
+	g := &GraphPartition{n: n, planted: genome.NewBitString(n)}
 	perm := r.Perm(n)
 	for i, v := range perm {
-		g.planted[v] = i < n/2
+		g.planted.Set(v, i < n/2)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			p := pOut
-			if g.planted[i] == g.planted[j] {
+			if g.planted.Get(i) == g.planted.Get(j) {
 				p = pIn
 			}
 			if r.Chance(p) {
@@ -56,9 +56,6 @@ func (g *GraphPartition) Name() string {
 
 // Direction implements core.Problem.
 func (*GraphPartition) Direction() core.Direction { return core.Minimize }
-
-// Edges returns the edge count.
-func (g *GraphPartition) Edges() int { return len(g.edges) }
 
 // NewGenome implements core.Problem: one side bit per vertex.
 func (g *GraphPartition) NewGenome(r *rng.Source) core.Genome {
@@ -92,12 +89,6 @@ func (g *GraphPartition) Imbalance(b *genome.BitString) int {
 func (g *GraphPartition) Evaluate(gen core.Genome) float64 {
 	b := gen.(*genome.BitString)
 	return float64(g.CutSize(b)) + 2*float64(g.Imbalance(b))*float64(g.n)/4
-}
-
-// PlantedCut returns the cut size of the hidden planted partition (a
-// quality yardstick; the GA can legitimately beat it).
-func (g *GraphPartition) PlantedCut() int {
-	return g.CutSize(genome.BitStringFromBools(g.planted))
 }
 
 // CameraPlacement is Olague (2001)'s photogrammetric network design from
@@ -175,25 +166,6 @@ func (cp *CameraPlacement) sees(pos [3]float64, t int) bool {
 	dx := [3]float64{pos[0] - tg[0], pos[1] - tg[1], pos[2] - tg[2]}
 	dot := dx[0]*nrm[0] + dx[1]*nrm[1] + dx[2]*nrm[2]
 	return dot > 0
-}
-
-// Coverage returns the fraction of targets seen by ≥2 cameras.
-func (cp *CameraPlacement) Coverage(gen core.Genome) float64 {
-	v := gen.(*genome.RealVector)
-	covered := 0
-	for t := range cp.targets {
-		seen := 0
-		for c := 0; c < cp.cameras; c++ {
-			if cp.sees(cp.cameraPos(v, c), t) {
-				seen++
-				if seen >= 2 {
-					covered++
-					break
-				}
-			}
-		}
-	}
-	return float64(covered) / float64(len(cp.targets))
 }
 
 // Evaluate implements core.Problem: for every target seen by at least two

@@ -37,8 +37,7 @@ func TestGraphPartitionImbalancePenalty(t *testing.T) {
 		t.Fatalf("imbalance %d", g.Imbalance(all))
 	}
 	// The degenerate solution must score worse than the planted one.
-	planted := genome.BitStringFromBools(g.planted)
-	if g.Evaluate(all) <= g.Evaluate(planted) {
+	if g.Evaluate(all) <= g.Evaluate(g.planted) {
 		t.Fatal("imbalance penalty too weak: one-sided beats planted")
 	}
 }

@@ -97,37 +97,6 @@ func (sp *StockPrediction) Evaluate(g core.Genome) float64 {
 	return mse / float64(n) * 1e4
 }
 
-// TestMSE returns the held-out mean squared error ×1e4.
-func (sp *StockPrediction) TestMSE(g core.Genome) float64 {
-	w := g.(*genome.RealVector).Genes
-	mse := 0.0
-	n := 0
-	for t := sp.nTrain; t < len(sp.returns); t++ {
-		d := sp.forward(w, t) - sp.returns[t]
-		mse += d * d
-		n++
-	}
-	return mse / float64(n) * 1e4
-}
-
-// BuyAndHoldMSE returns the MSE ×1e4 of always predicting the mean
-// training return — the naive baseline Kwon & Moon compared against.
-func (sp *StockPrediction) BuyAndHoldMSE() float64 {
-	mean := 0.0
-	for t := 0; t < sp.nTrain; t++ {
-		mean += sp.returns[t]
-	}
-	mean /= float64(sp.nTrain)
-	mse := 0.0
-	n := 0
-	for t := sp.nTrain; t < len(sp.returns); t++ {
-		d := mean - sp.returns[t]
-		mse += d * d
-		n++
-	}
-	return mse / float64(n) * 1e4
-}
-
 // SpectralEstimation is the Solano (2000) workload: fit the parameters of
 // an AR(2) resonator to a synthetic Doppler-like signal by minimising the
 // one-step prediction error. Genes: (a1, a2) AR coefficients.
@@ -155,9 +124,6 @@ func NewSpectralEstimation(n int, seed uint64) *SpectralEstimation {
 	return se
 }
 
-// Truth returns the generating AR coefficients.
-func (se *SpectralEstimation) Truth() [2]float64 { return se.truth }
-
 // Name implements core.Problem.
 func (se *SpectralEstimation) Name() string { return "doppler-ar2" }
 
@@ -180,13 +146,4 @@ func (se *SpectralEstimation) Evaluate(g core.Genome) float64 {
 		mse += d * d
 	}
 	return mse / float64(len(se.signal)-2)
-}
-
-// CoefficientError returns the Euclidean distance to the true
-// coefficients.
-func (se *SpectralEstimation) CoefficientError(g core.Genome) float64 {
-	w := g.(*genome.RealVector).Genes
-	d1 := w[0] - se.truth[0]
-	d2 := w[1] - se.truth[1]
-	return math.Sqrt(d1*d1 + d2*d2)
 }

@@ -81,9 +81,6 @@ func NewImageRegistration(size int, seed uint64) *ImageRegistration {
 	return ir
 }
 
-// Truth returns the ground-truth transform.
-func (ir *ImageRegistration) Truth() [3]float64 { return ir.truth }
-
 // apply maps target coordinates through transform t into reference space:
 // rotate about the image centre by θ then translate by (dx, dy).
 func (ir *ImageRegistration) apply(t [3]float64, x, y float64) (float64, float64) {
@@ -155,14 +152,4 @@ func (ir *ImageRegistration) Evaluate(g core.Genome) float64 {
 		}
 	}
 	return -ssd / float64(n)
-}
-
-// TransformError returns the parameter-space distance between the
-// candidate and the ground truth (shift in pixels + angle scaled).
-func (ir *ImageRegistration) TransformError(g core.Genome) float64 {
-	v := g.(*genome.RealVector)
-	dx := v.Genes[0] - ir.truth[0]
-	dy := v.Genes[1] - ir.truth[1]
-	dt := (v.Genes[2] - ir.truth[2]) * float64(ir.size) / 4
-	return math.Sqrt(dx*dx + dy*dy + dt*dt)
 }

@@ -32,18 +32,6 @@ type TSP struct {
 	optimum float64
 }
 
-// NewRandomTSP creates n cities uniformly in the unit square (optimum
-// unknown).
-func NewRandomTSP(n int, seed uint64) *TSP {
-	r := rng.New(seed)
-	t := &TSP{name: fmt.Sprintf("tsp-random(%d)", n)}
-	for i := 0; i < n; i++ {
-		t.xs = append(t.xs, r.Float64())
-		t.ys = append(t.ys, r.Float64())
-	}
-	return t
-}
-
 // NewClusteredTSP creates n cities in k Gaussian clusters (optimum
 // unknown) — the structured instances parallel GAs exploit well.
 func NewClusteredTSP(n, k int, seed uint64) *TSP {
@@ -82,9 +70,6 @@ func (t *TSP) Name() string { return t.name }
 // Direction implements core.Problem.
 func (*TSP) Direction() core.Direction { return core.Minimize }
 
-// Cities returns the number of cities.
-func (t *TSP) Cities() int { return len(t.xs) }
-
 // NewGenome implements core.Problem.
 func (t *TSP) NewGenome(r *rng.Source) core.Genome {
 	return genome.RandomPermutation(len(t.xs), r)
@@ -121,8 +106,6 @@ func (t *TSP) Solved(f float64) bool {
 type Scheduling struct {
 	durations []float64
 	machines  int
-	// lower is the trivial lower bound max(total/m, max task).
-	lower float64
 }
 
 // NewScheduling creates n tasks with log-normal-ish durations on m
@@ -130,19 +113,8 @@ type Scheduling struct {
 func NewScheduling(n, m int, seed uint64) *Scheduling {
 	r := rng.New(seed)
 	s := &Scheduling{machines: m}
-	total := 0.0
-	maxd := 0.0
 	for i := 0; i < n; i++ {
-		d := math.Exp(r.NormFloat64() * 0.8) // heavy-ish tail
-		s.durations = append(s.durations, d)
-		total += d
-		if d > maxd {
-			maxd = d
-		}
-	}
-	s.lower = total / float64(m)
-	if maxd > s.lower {
-		s.lower = maxd
+		s.durations = append(s.durations, math.Exp(r.NormFloat64()*0.8)) // heavy-ish tail
 	}
 	return s
 }
@@ -154,9 +126,6 @@ func (s *Scheduling) Name() string {
 
 // Direction implements core.Problem.
 func (*Scheduling) Direction() core.Direction { return core.Minimize }
-
-// LowerBound returns the theoretical makespan lower bound.
-func (s *Scheduling) LowerBound() float64 { return s.lower }
 
 // NewGenome implements core.Problem.
 func (s *Scheduling) NewGenome(r *rng.Source) core.Genome {

@@ -180,12 +180,6 @@ func (e *Engine) Problem() core.Problem { return e.cfg.Problem }
 // Evaluations implements ga.Engine.
 func (e *Engine) Evaluations() int64 { return e.evals }
 
-// Rows returns the grid height.
-func (e *Engine) Rows() int { return e.rows }
-
-// Cols returns the grid width.
-func (e *Engine) Cols() int { return e.cols }
-
 // neighborhood returns the cell indices of idx's mating pool, centre
 // excluded (the centre is always the first parent).
 func (e *Engine) neighborhood(idx int) []int {

@@ -19,7 +19,6 @@ type TakeoverSim struct {
 	rng        *rng.Source
 	fixedOrder []int
 	neighbors  [][]int
-	sweeps     int
 }
 
 // NewTakeoverSim builds a rows×cols grid where every cell has fitness 0
@@ -56,9 +55,6 @@ func (s *TakeoverSim) BestFraction() float64 {
 	}
 	return float64(n) / float64(len(s.fit))
 }
-
-// Sweeps returns the number of completed sweeps.
-func (s *TakeoverSim) Sweeps() int { return s.sweeps }
 
 // update1 applies the takeover rule to cell i against the given read
 // buffer: binary tournament over the neighbourhood (centre included), the
@@ -116,7 +112,6 @@ func (s *TakeoverSim) Sweep() {
 			s.update1(s.fit, s.fit, i)
 		}
 	}
-	s.sweeps++
 }
 
 // TakeoverCurve runs the simulation until full takeover or maxSweeps and

@@ -54,10 +54,8 @@ type LinkSpec struct {
 }
 
 // Common interconnect presets, loosely matching the survey's technology
-// list (Myrinet, Gigabit Ethernet, Internet).
+// list (Gigabit Ethernet, Internet).
 var (
-	// Myrinet: ~10µs latency, ~2 GB/s (the cluster interconnect of §3.1).
-	Myrinet = LinkSpec{Latency: 10e-6, BytesPerSec: 2e9}
 	// GigabitEthernet: ~100µs latency, ~125 MB/s.
 	GigabitEthernet = LinkSpec{Latency: 100e-6, BytesPerSec: 125e6}
 	// Internet: ~50ms latency, ~1 MB/s, 10ms jitter, 1% loss (the

@@ -115,13 +115,6 @@ func IslandMakespanJittered(nodes []NodeSpec, link LinkSpec, p IslandProfile, ji
 	return makespan
 }
 
-// SequentialMakespan returns the modelled wall-clock of the equivalent
-// single-population run: all evaluations on one speed-1 node, no
-// communication.
-func SequentialMakespan(totalEvaluations int64, evalCost float64) float64 {
-	return float64(totalEvaluations) * evalCost
-}
-
 // MasterSlaveProfile is the computational profile of a master–slave run.
 type MasterSlaveProfile struct {
 	// Generations is the number of generations evaluated.

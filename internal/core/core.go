@@ -140,9 +140,6 @@ func (ind *Individual) CopyFrom(src *Individual) {
 	ind.Evaluated = src.Evaluated
 }
 
-// Invalidate marks the fitness as stale (after a mutating operator).
-func (ind *Individual) Invalidate() { ind.Evaluated = false }
-
 // String implements fmt.Stringer.
 func (ind *Individual) String() string {
 	if !ind.Evaluated {
@@ -240,24 +237,6 @@ func (pop *Population) MeanFitness() float64 {
 	return sum / float64(n)
 }
 
-// StdFitness returns the population fitness standard deviation over
-// evaluated members (0 if fewer than two).
-func (pop *Population) StdFitness() float64 {
-	mean := pop.MeanFitness()
-	sum, n := 0.0, 0
-	for _, ind := range pop.Members {
-		if ind.Evaluated {
-			d := ind.Fitness - mean
-			sum += d * d
-			n++
-		}
-	}
-	if n < 2 {
-		return 0
-	}
-	return math.Sqrt(sum / float64(n))
-}
-
 // Replace swaps in ind at index i, returning the previous occupant.
 func (pop *Population) Replace(i int, ind *Individual) *Individual {
 	old := pop.Members[i]
@@ -291,8 +270,8 @@ type BatchProblem interface {
 
 // Batcher is a Problem that is not itself a BatchProblem but hands out
 // a batch form of itself: the same instance and the same fitness, behind
-// a kernel that wants many genomes per call. The scalar path (CachedProblem,
-// a farm worker with fault injection, a steady-state birth) never asks.
+// a kernel that wants many genomes per call. The scalar path (a farm
+// worker with fault injection, a steady-state birth) never asks.
 type Batcher interface {
 	Problem
 	// Batch returns the batch form. It must not allocate: evaluators

@@ -36,13 +36,6 @@ type RunStats struct {
 	SolvedAtGen int
 	// StopReason describes which condition terminated the run.
 	StopReason string
-	// CacheHits and CacheMisses are the fitness memo-cache counters when
-	// the problem is wrapped in a CachedProblem (both zero otherwise).
-	// A hit is an Evaluate answered from the memo; Evaluations still
-	// counts it, because the engine asked for an evaluation — the
-	// cache's saving shows up in wall time, not in the effort metric.
-	CacheHits   int64
-	CacheMisses int64
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
 }

@@ -45,7 +45,7 @@ func runA09(w io.Writer, quick bool) {
 	}
 	// Homogeneous base speeds isolate the fluctuation effect: with mixed
 	// base speeds the permanently slowest node dominates both modes and
-	// masks the straggler variance (see rampNodes for the static case).
+	// masks the straggler variance.
 	nodes := cluster.UniformNodes(8)
 
 	fprintf(w, "8 island nodes (nominal speed), %d generations, modelled makespans (s)\n\n", profile.Generations)
@@ -68,13 +68,4 @@ func runA09(w io.Writer, quick bool) {
 	fprintf(w, "straggler maximum while async nodes pay only their own time, and the gap\n")
 	fprintf(w, "widens with load — Alba's case for asynchronous PGAs on non-dedicated\n")
 	fprintf(w, "heterogeneous LAN/WAN hardware.\n")
-}
-
-// rampNodes returns n nodes with speeds ramping linearly from slowest to 1.
-func rampNodes(n int, slowest float64) []cluster.NodeSpec {
-	out := make([]cluster.NodeSpec, n)
-	for i := range out {
-		out[i] = cluster.NodeSpec{Speed: slowest + (1-slowest)*float64(i)/float64(n-1)}
-	}
-	return out
 }

@@ -58,10 +58,5 @@ func Run(e Engine, opts RunOptions) *core.Result {
 	res := &core.Result{Problem: e.Problem().Name()}
 	ta, _ := e.Problem().(core.TargetAware)
 	engine.Loop(stepper{e: e}, engine.Options{Stop: opts.Stop, Target: ta}.With(opts.Control), &res.RunStats)
-	// Fitness memo-cache accounting rides the result, not the Observer
-	// seam: a CachedProblem's counters are copied once, after the loop.
-	if cr, ok := e.Problem().(core.CacheReporter); ok {
-		res.CacheHits, res.CacheMisses = cr.CacheStats()
-	}
 	return res
 }

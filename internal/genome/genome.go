@@ -66,18 +66,6 @@ func RandomBitString(n int, r *rng.Source) *BitString {
 	return b
 }
 
-// BitStringFromBools packs a []bool, one gene per element, into a
-// BitString.
-func BitStringFromBools(bools []bool) *BitString {
-	b := NewBitString(len(bools))
-	for i, v := range bools {
-		if v {
-			b.Words[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-	return b
-}
-
 // Get returns gene i. It panics when i is out of range.
 func (b *BitString) Get(i int) bool {
 	if uint(i) >= uint(b.N) {
@@ -188,40 +176,6 @@ func (b *BitString) Hamming(o *BitString) int {
 	return d
 }
 
-// Equal reports whether b and o hold identical bits.
-func (b *BitString) Equal(o *BitString) bool {
-	if b.N != o.N {
-		return false
-	}
-	for i, w := range b.Words {
-		if w != o.Words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Hash128 implements core.Hashable: a 128-bit digest of the packed
-// words and the length, used as the key of the fitness memo-cache. Two
-// independent lanes (FNV-1a and a splitmix-style avalanche) make
-// accidental collisions across a cache's lifetime negligible.
-func (b *BitString) Hash128() (uint64, uint64) {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h1 := uint64(fnvOffset) ^ uint64(b.N)*fnvPrime
-	h2 := uint64(fnvOffset) + uint64(b.N)
-	for _, w := range b.Words {
-		h1 = (h1 ^ w) * fnvPrime
-		h2 += w + 0x9e3779b97f4a7c15
-		h2 = (h2 ^ h2>>30) * 0xbf58476d1ce4e5b9
-		h2 = (h2 ^ h2>>27) * 0x94d049bb133111eb
-		h2 ^= h2 >> 31
-	}
-	return h1, h2
-}
-
 // field extracts w bits (1..64) starting at gene lo, LSB-first.
 func (b *BitString) field(lo, w int) uint64 {
 	fw := lo >> 6
@@ -234,20 +188,6 @@ func (b *BitString) field(lo, w int) uint64 {
 		v &= 1<<uint(w) - 1
 	}
 	return v
-}
-
-// setField deposits the low w bits (1..64) of v at gene lo, LSB-first.
-func (b *BitString) setField(lo, w int, v uint64) {
-	fw := lo >> 6
-	off := uint(lo) & 63
-	mask := ^uint64(0)
-	if w < 64 {
-		mask = 1<<uint(w) - 1
-	}
-	b.Words[fw] = b.Words[fw]&^(mask<<off) | v<<off
-	if off != 0 && off+uint(w) > 64 {
-		b.Words[fw+1] = b.Words[fw+1]&^(mask>>(64-off)) | v>>(64-off)
-	}
 }
 
 // Uint decodes bits [lo, hi) as a big-endian unsigned integer (gene lo
@@ -266,21 +206,6 @@ func (b *BitString) Uint(lo, hi int) uint64 {
 	return bits.Reverse64(b.field(lo, w)) >> (64 - uint(w))
 }
 
-// SetUint encodes the low hi-lo bits of v big-endian into genes [lo, hi).
-func (b *BitString) SetUint(lo, hi int, v uint64) {
-	if lo < 0 || hi > b.N || hi < lo || hi-lo > 64 {
-		panic("genome: SetUint range invalid")
-	}
-	w := hi - lo
-	if w == 0 {
-		return
-	}
-	if w < 64 {
-		v &= 1<<uint(w) - 1
-	}
-	b.setField(lo, w, bits.Reverse64(v)>>(64-uint(w)))
-}
-
 // GrayToBinary converts a Gray-coded value to plain binary.
 func GrayToBinary(g uint64) uint64 {
 	b := g
@@ -289,9 +214,6 @@ func GrayToBinary(g uint64) uint64 {
 	}
 	return b
 }
-
-// BinaryToGray converts a plain binary value to its Gray code.
-func BinaryToGray(b uint64) uint64 { return b ^ (b >> 1) }
 
 // DecodeReal decodes bits [lo, hi) into a float64 in [min, max], treating
 // the bits as Gray code when gray is true. This is the classic
@@ -387,16 +309,6 @@ func (v *RealVector) Clamp() {
 			v.Genes[i] = v.Hi[i]
 		}
 	}
-}
-
-// InBounds reports whether every gene lies within its bounds.
-func (v *RealVector) InBounds() bool {
-	for i, g := range v.Genes {
-		if g < v.Lo[i] || g > v.Hi[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // IntVector is a fixed-length integer chromosome where every gene lies in
@@ -536,30 +448,4 @@ func (p *Permutation) Valid() bool {
 		seen[v] = true
 	}
 	return true
-}
-
-// PositionOf returns the index at which item v appears, or -1. Each
-// call is a linear scan; callers that need the position of every item
-// should build the inverse table once with InverseInto instead of
-// issuing n scans (O(n) vs O(n²)).
-func (p *Permutation) PositionOf(v int) int {
-	for i, x := range p.Perm {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
-// InverseInto fills inv with the inverse index table (inv[v] = position
-// of item v) in one pass — the index-table replacement for repeated
-// PositionOf scans. It panics on length mismatch and requires a valid
-// permutation.
-func (p *Permutation) InverseInto(inv []int) {
-	if len(inv) != len(p.Perm) {
-		panic("genome: Permutation.InverseInto length mismatch")
-	}
-	for i, v := range p.Perm {
-		inv[v] = i
-	}
 }

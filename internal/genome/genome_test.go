@@ -42,15 +42,6 @@ func TestBitStringHamming(t *testing.T) {
 	if d := a.Hamming(b); d != 2 {
 		t.Fatalf("Hamming=%d want 2", d)
 	}
-	if !a.Equal(a.Clone().(*BitString)) {
-		t.Fatal("Equal failed on clone")
-	}
-	if a.Equal(b) {
-		t.Fatal("Equal true for different strings")
-	}
-	if a.Equal(NewBitString(4)) {
-		t.Fatal("Equal true for different lengths")
-	}
 }
 
 func TestBitStringHammingPanics(t *testing.T) {
@@ -62,25 +53,6 @@ func TestBitStringHammingPanics(t *testing.T) {
 	NewBitString(3).Hamming(NewBitString(4))
 }
 
-func TestBitStringUintRoundTrip(t *testing.T) {
-	b := NewBitString(16)
-	for _, v := range []uint64{0, 1, 5, 255, 65535} {
-		b.SetUint(0, 16, v)
-		if got := b.Uint(0, 16); got != v {
-			t.Fatalf("Uint round trip: got %d want %d", got, v)
-		}
-	}
-	// Sub-range encoding must not clobber other bits.
-	b.SetUint(0, 16, 0xFFFF)
-	b.SetUint(4, 8, 0)
-	if got := b.Uint(0, 4); got != 0xF {
-		t.Fatalf("prefix clobbered: %x", got)
-	}
-	if got := b.Uint(8, 16); got != 0xFF {
-		t.Fatalf("suffix clobbered: %x", got)
-	}
-}
-
 func TestBitStringUintPanics(t *testing.T) {
 	b := NewBitString(100)
 	for _, f := range []func(){
@@ -88,7 +60,6 @@ func TestBitStringUintPanics(t *testing.T) {
 		func() { b.Uint(0, 101) },
 		func() { b.Uint(5, 4) },
 		func() { b.Uint(0, 65) },
-		func() { b.SetUint(0, 65, 0) },
 	} {
 		func() {
 			defer func() {
@@ -101,9 +72,13 @@ func TestBitStringUintPanics(t *testing.T) {
 	}
 }
 
+// binaryToGray converts a plain binary value to its Gray code: the
+// encoder GrayToBinary is checked against.
+func binaryToGray(b uint64) uint64 { return b ^ (b >> 1) }
+
 func TestGrayRoundTrip(t *testing.T) {
 	check := func(v uint32) bool {
-		return GrayToBinary(BinaryToGray(uint64(v))) == uint64(v)
+		return GrayToBinary(binaryToGray(uint64(v))) == uint64(v)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -113,7 +88,7 @@ func TestGrayRoundTrip(t *testing.T) {
 func TestGrayAdjacency(t *testing.T) {
 	// Successive Gray codes differ in exactly one bit.
 	for v := uint64(0); v < 1024; v++ {
-		a, b := BinaryToGray(v), BinaryToGray(v+1)
+		a, b := binaryToGray(v), binaryToGray(v+1)
 		x := a ^ b
 		if x == 0 || x&(x-1) != 0 {
 			t.Fatalf("gray(%d) and gray(%d) differ in != 1 bit", v, v+1)
@@ -159,13 +134,23 @@ func TestBitStringStringAbbreviates(t *testing.T) {
 	}
 }
 
+// inBounds reports whether every gene of v lies within its bounds.
+func inBounds(v *RealVector) bool {
+	for i, g := range v.Genes {
+		if g < v.Lo[i] || g > v.Hi[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestRealVectorBasics(t *testing.T) {
 	r := rng.New(3)
 	v := RandomRealVector(10, -2, 2, r)
 	if v.Len() != 10 {
 		t.Fatal("wrong length")
 	}
-	if !v.InBounds() {
+	if !inBounds(v) {
 		t.Fatal("random vector out of bounds")
 	}
 	c := v.Clone().(*RealVector)
@@ -178,11 +163,8 @@ func TestRealVectorBasics(t *testing.T) {
 func TestRealVectorClamp(t *testing.T) {
 	v := NewRealVector(3, -1, 1)
 	v.Genes[0], v.Genes[1], v.Genes[2] = -5, 0.5, 5
-	if v.InBounds() {
-		t.Fatal("out-of-bounds vector reported in bounds")
-	}
 	v.Clamp()
-	if !v.InBounds() || v.Genes[0] != -1 || v.Genes[1] != 0.5 || v.Genes[2] != 1 {
+	if !inBounds(v) || v.Genes[0] != -1 || v.Genes[1] != 0.5 || v.Genes[2] != 1 {
 		t.Fatalf("Clamp wrong: %v", v.Genes)
 	}
 }
@@ -265,13 +247,6 @@ func TestPermutationCloneDeep(t *testing.T) {
 	}
 	if same {
 		t.Fatal("swap did not alter clone (aliasing?)")
-	}
-}
-
-func TestPermutationPositionOf(t *testing.T) {
-	p := &Permutation{Perm: []int{2, 0, 1}}
-	if p.PositionOf(0) != 1 || p.PositionOf(2) != 0 || p.PositionOf(5) != -1 {
-		t.Fatal("PositionOf wrong")
 	}
 }
 

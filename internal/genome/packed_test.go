@@ -62,7 +62,7 @@ func TestBitStringBoundaryLengths(t *testing.T) {
 
 func TestBitStringZeroLength(t *testing.T) {
 	a, b := NewBitString(0), NewBitString(0)
-	if a.OnesCount() != 0 || a.Hamming(b) != 0 || !a.Equal(b) {
+	if a.OnesCount() != 0 || a.Hamming(b) != 0 {
 		t.Fatal("zero-length bitstring arithmetic wrong")
 	}
 	c := a.Clone().(*BitString)
@@ -108,34 +108,13 @@ func TestBitStringCopyFromKeepsTail(t *testing.T) {
 	src := RandomBitString(70, r)
 	dst := NewBitString(70)
 	dst.CopyFrom(src)
-	if !dst.Equal(src) || !tailClean(dst) {
+	if !slices.Equal(dst.Words, src.Words) || !tailClean(dst) {
 		t.Fatal("CopyFrom not exact or tail dirty")
 	}
 	// Mutating the copy must not touch the source (word slices unshared).
 	dst.Flip(69)
-	if dst.Equal(src) {
+	if slices.Equal(dst.Words, src.Words) {
 		t.Fatal("CopyFrom aliases word storage")
-	}
-}
-
-// toBools unpacks b one gene per element: the []bool reference form the
-// packed layout is tested against.
-func toBools(b *BitString) []bool {
-	out := make([]bool, b.N)
-	for i := range out {
-		out[i] = b.Get(i)
-	}
-	return out
-}
-
-func TestBoolsRoundTrip(t *testing.T) {
-	r := rng.New(9)
-	for _, n := range []int{0, 1, 64, 100} {
-		b := RandomBitString(n, r)
-		c := BitStringFromBools(toBools(b))
-		if !b.Equal(c) || !tailClean(c) {
-			t.Fatalf("n=%d: []bool round trip not exact", n)
-		}
 	}
 }
 
@@ -194,83 +173,6 @@ func TestUintMatchesBitReference(t *testing.T) {
 			t.Fatalf("Uint(%d,%d)=%#x, bit-built %#x", lo, hi, got, ref)
 		}
 	}
-}
-
-func TestSetUintCrossesWords(t *testing.T) {
-	b := NewBitString(200)
-	for i := 0; i < 200; i++ {
-		b.Set(i, true)
-	}
-	b.SetUint(60, 124, 0) // spans words 0..1
-	if got := b.Uint(60, 124); got != 0 {
-		t.Fatalf("cross-word SetUint: window = %#x, want 0", got)
-	}
-	if !b.Get(59) || !b.Get(124) {
-		t.Fatal("SetUint clobbered neighbouring bits")
-	}
-	if !tailClean(b) {
-		t.Fatal("SetUint dirtied the tail")
-	}
-}
-
-func TestHash128Distinguishes(t *testing.T) {
-	a := NewBitString(100)
-	b := NewBitString(100)
-	h1a, h2a := a.Hash128()
-	h1b, h2b := b.Hash128()
-	if h1a != h1b || h2a != h2b {
-		t.Fatal("equal bitstrings hash differently")
-	}
-	b.Flip(99)
-	h1b, h2b = b.Hash128()
-	if h1a == h1b && h2a == h2b {
-		t.Fatal("single-bit flip did not change the hash")
-	}
-	// Length is part of the hash: same (empty) words, different N.
-	c, d := NewBitString(63), NewBitString(64)
-	c1, c2 := c.Hash128()
-	d1, d2 := d.Hash128()
-	if c1 == d1 && c2 == d2 {
-		t.Fatal("lengths 63 and 64 collide")
-	}
-}
-
-func TestPermutationInverseInto(t *testing.T) {
-	r := rng.New(13)
-	p := RandomPermutation(40, r)
-	inv := make([]int, 40)
-	p.InverseInto(inv)
-	for v := 0; v < 40; v++ {
-		if p.Perm[inv[v]] != v || inv[v] != p.PositionOf(v) {
-			t.Fatalf("InverseInto disagrees with PositionOf at %d", v)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on InverseInto length mismatch")
-		}
-	}()
-	p.InverseInto(make([]int, 39))
-}
-
-// BenchmarkPositionOf pins the O(n) scan cost that motivated
-// InverseInto: resolving every value's position via PositionOf is
-// quadratic, via one InverseInto pass linear.
-func BenchmarkPositionOf(b *testing.B) {
-	p := RandomPermutation(256, rng.New(14))
-	b.Run("scan-all", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for v := 0; v < 256; v++ {
-				_ = p.PositionOf(v)
-			}
-		}
-	})
-	inv := make([]int, 256)
-	b.Run("inverse-into", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p.InverseInto(inv)
-		}
-	})
 }
 
 // refRandomBitString is RandomBitString as it was before BoolMask: one

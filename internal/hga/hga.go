@@ -251,12 +251,6 @@ func New(cfg Config) *Model {
 	return m
 }
 
-// Demes returns the total deme count.
-func (m *Model) Demes() int { return len(m.demes) }
-
-// Cost returns the accumulated evaluation cost so far.
-func (m *Model) Cost() float64 { return m.cost }
-
 // promote performs the hierarchical exchange: every non-top deme sends a
 // clone of its best to its parent (accepted if better than the parent's
 // worst, re-scored with the parent's model), and every parent sends a

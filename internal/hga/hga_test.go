@@ -93,16 +93,16 @@ func TestQuantizedSolvedAtOptimum(t *testing.T) {
 
 func TestHGAStructure(t *testing.T) {
 	m := New(cfg(1))
-	if m.Demes() != 7 { // 1 + 2 + 4
-		t.Fatalf("demes %d, want 7", m.Demes())
+	if len(m.demes) != 7 { // 1 + 2 + 4
+		t.Fatalf("demes %d, want 7", len(m.demes))
 	}
 	// Layer and parent invariants.
 	if m.parent[0] != -1 {
 		t.Fatal("top deme has a parent")
 	}
-	for i := 1; i < m.Demes(); i++ {
+	for i := 1; i < len(m.demes); i++ {
 		p := m.parent[i]
-		if p < 0 || p >= m.Demes() {
+		if p < 0 || p >= len(m.demes) {
 			t.Fatalf("deme %d parent %d out of range", i, p)
 		}
 		if m.layerOf[p] != m.layerOf[i]-1 {
@@ -184,7 +184,7 @@ func TestHGACostAtSolve(t *testing.T) {
 	c.Problem = NewQuantized(problems.Sphere(3))
 	m := New(c)
 	costAfter := map[int]float64{}
-	watch := engine.Funcs{Generation: func(s core.Status) { costAfter[s.Generation] = m.Cost() }}
+	watch := engine.Funcs{Generation: func(s core.Status) { costAfter[s.Generation] = m.cost }}
 	res := m.Run(CostCap{Model: m, Budget: 9000}, engine.Control{Observers: []engine.Observer{watch}})
 	if !res.Solved || res.StopReason != "cost budget exhausted" || res.SolvedAtGen >= res.Generations/2 {
 		t.Fatalf("want a solve well before the budget: %+v", res.RunStats)

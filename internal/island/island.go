@@ -180,9 +180,6 @@ func newDemeStreams(master *rng.Source, n int) (engineRNGs, migRNGs []*rng.Sourc
 	return engineRNGs, migRNGs
 }
 
-// Demes returns the number of demes.
-func (m *Model) Demes() int { return len(m.engines) }
-
 // Engines exposes the deme engines (read-only use intended; tests and
 // instrumentation).
 func (m *Model) Engines() []ga.Engine { return m.engines }

@@ -54,9 +54,6 @@ func (d MaskDraws) Draws() int {
 	return d.N
 }
 
-// Words returns the number of mask words one application takes.
-func (d MaskDraws) Words() int { return (d.N + 63) >> 6 }
-
 // Width returns the number of genes mask word w covers.
 func (d MaskDraws) Width(w int) int { return min(64, d.N-w<<6) }
 

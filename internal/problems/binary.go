@@ -391,9 +391,6 @@ func (*SubsetSum) Optimum() float64 { return 0 }
 // Solved implements core.TargetAware.
 func (*SubsetSum) Solved(f float64) bool { return f >= 0 }
 
-// Target returns the instance's target sum (for reporting).
-func (p *SubsetSum) Target() int64 { return p.target }
-
 // Knapsack is the 0/1 knapsack with a penalty for overweight solutions.
 type Knapsack struct {
 	values, weights []float64
@@ -446,9 +443,6 @@ func (p *Knapsack) Evaluate(g core.Genome) float64 {
 	}
 	return value
 }
-
-// Capacity returns the instance capacity (for reporting).
-func (p *Knapsack) Capacity() float64 { return p.capacity }
 
 // MaxSAT is a random 3-SAT maximisation instance: fitness is the fraction
 // of satisfied clauses.

@@ -13,7 +13,7 @@ import (
 // registry entry's Make. Constructing a problem compiles its kernel
 // (MaxSAT clause tables, NK contribution tables), so the resolve pass is
 // meant to do it once and hand the instance on: one construction for
-// Parse, Validate or Build, one for the whole of pgarun's flag path
+// Parse, Resolve or Build, one for the whole of pgarun's flag path
 // (Resolve, StopAtOptimum, Build, Run), and for a sweep document one per
 // cell to expand plus one per run — where the validate/build pair it
 // replaced constructed 4–6 times per flag run and ≈ 5 per sweep cell.
@@ -33,7 +33,7 @@ func TestSpecConstructsProblemOnce(t *testing.T) {
 	s := spec.RunSpec{Model: spec.ModelGenerational, Problem: spec.ProblemSpec{Name: "counted", Size: 16},
 		Engine: spec.EngineSpec{Pop: 6}, Budget: spec.BudgetSpec{Generations: 2, TargetOptimum: true}, Seed: 1}
 	doc, _ := s.JSON()
-	count("Validate", 1, func() { _ = s.Validate() })
+	count("Resolve", 1, func() { _, _ = spec.Resolve(s) })
 	count("Parse", 1, func() { _, _ = spec.Parse(doc) })
 	count("Build+Run", 1, func() {
 		if b, err := spec.Build(s); err == nil {

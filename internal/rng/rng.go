@@ -266,14 +266,6 @@ func (r *Source) ShuffleInts(s []int) {
 	}
 }
 
-// Shuffle shuffles n elements using the provided swap function.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Sample returns k distinct indices drawn uniformly from [0, n) in random
 // order. It panics if k > n or k < 0. It allocates and fills an n-entry
 // identity table per call, so a call costs O(n) by design: it is for
@@ -317,20 +309,6 @@ func (r *Source) SampleInto(id, out []int) []int {
 	return out
 }
 
-// Exp returns an exponentially distributed float64 with rate lambda
-// (mean 1/lambda). It panics if lambda <= 0.
-func (r *Source) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("rng: Exp called with lambda <= 0")
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / lambda
-		}
-	}
-}
-
 // State returns the generator's full internal state (four xoshiro words
 // plus the split counter) for checkpointing. Restoring it with SetState
 // resumes the stream exactly.
@@ -346,23 +324,4 @@ func (r *Source) SetState(st [5]uint64) {
 	}
 	r.s = [4]uint64{st[0], st[1], st[2], st[3]}
 	r.splitCtr = st[4]
-}
-
-// Jump advances the stream by 2^128 draws; child code that wants manual
-// stream partitioning can use repeated Jump instead of Split.
-func (r *Source) Jump() {
-	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := uint(0); b < 64; b++ {
-			if j&(1<<b) != 0 {
-				s0 ^= r.s[0]
-				s1 ^= r.s[1]
-				s2 ^= r.s[2]
-				s3 ^= r.s[3]
-			}
-			r.Uint64()
-		}
-	}
-	r.s = [4]uint64{s0, s1, s2, s3}
 }

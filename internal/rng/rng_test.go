@@ -415,52 +415,6 @@ func TestRange(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(43)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exp(2.0)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.02 {
-		t.Fatalf("Exp(2) mean = %v, want ~0.5", mean)
-	}
-}
-
-func TestExpPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Exp(0) did not panic")
-		}
-	}()
-	New(1).Exp(0)
-}
-
-func TestJumpDecorrelates(t *testing.T) {
-	a := New(53)
-	b := New(53)
-	b.Jump()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("jumped stream shares %d/1000 draws with original", same)
-	}
-}
-
-func TestShuffleSwapCount(t *testing.T) {
-	r := New(59)
-	n := 20
-	calls := 0
-	r.Shuffle(n, func(i, j int) { calls++ })
-	if calls != n-1 {
-		t.Fatalf("Shuffle made %d swap calls, want %d", calls, n-1)
-	}
-}
-
 func TestBoolBalance(t *testing.T) {
 	r := New(61)
 	trues := 0

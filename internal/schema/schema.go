@@ -1,11 +1,10 @@
 // Package schema implements schema analysis for binary-coded GAs: parsing,
-// matching, order and defining length, and population-proportion tracking.
+// matching and population-proportion tracking.
 //
 // Alba & Troya (2002) — reviewed in §2 of the survey — compared
 // steady-state, generational and cellular GAs partly by their "schema
 // processing rates"; experiment E5 uses this package to reproduce that
-// comparison, and the classic schema-theorem quantities (order, defining
-// length, proportion growth) are exposed for the ablation benches.
+// comparison through each schema's proportion growth.
 package schema
 
 import (
@@ -14,7 +13,6 @@ import (
 
 	"pga/internal/core"
 	"pga/internal/genome"
-	"pga/internal/rng"
 )
 
 // Wildcard marks a don't-care position in a schema.
@@ -74,35 +72,6 @@ func (s Schema) String() string {
 // Len returns the schema length.
 func (s Schema) Len() int { return len(s.Pattern) }
 
-// Order returns the number of fixed (non-wildcard) positions.
-func (s Schema) Order() int {
-	n := 0
-	for _, p := range s.Pattern {
-		if p != Wildcard {
-			n++
-		}
-	}
-	return n
-}
-
-// DefiningLength returns the distance between the outermost fixed
-// positions (0 for order ≤ 1).
-func (s Schema) DefiningLength() int {
-	first, last := -1, -1
-	for i, p := range s.Pattern {
-		if p != Wildcard {
-			if first == -1 {
-				first = i
-			}
-			last = i
-		}
-	}
-	if first == -1 || first == last {
-		return 0
-	}
-	return last - first
-}
-
 // Matches reports whether b is an instance of the schema. It panics on
 // length mismatch.
 func (s Schema) Matches(b *genome.BitString) bool {
@@ -118,26 +87,6 @@ func (s Schema) Matches(b *genome.BitString) bool {
 		}
 	}
 	return true
-}
-
-// Random returns a schema of the given length with exactly order fixed
-// positions, values drawn uniformly.
-func Random(length, order int, r *rng.Source) Schema {
-	if order > length {
-		panic("schema: order exceeds length")
-	}
-	p := make([]int8, length)
-	for i := range p {
-		p[i] = Wildcard
-	}
-	for _, i := range r.Sample(length, order) {
-		if r.Bool() {
-			p[i] = 1
-		} else {
-			p[i] = 0
-		}
-	}
-	return Schema{Pattern: p}
 }
 
 // Count returns the number of population members matching the schema

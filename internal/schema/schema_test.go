@@ -38,29 +38,6 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("12")
 }
 
-func TestOrderAndDefiningLength(t *testing.T) {
-	cases := []struct {
-		s      string
-		order  int
-		deflen int
-	}{
-		{"****", 0, 0},
-		{"1***", 1, 0},
-		{"1**0", 2, 3},
-		{"*10*", 2, 1},
-		{"1111", 4, 3},
-	}
-	for _, c := range cases {
-		s := MustParse(c.s)
-		if s.Order() != c.order {
-			t.Fatalf("%s order %d, want %d", c.s, s.Order(), c.order)
-		}
-		if s.DefiningLength() != c.deflen {
-			t.Fatalf("%s deflen %d, want %d", c.s, s.DefiningLength(), c.deflen)
-		}
-	}
-}
-
 func TestMatches(t *testing.T) {
 	s := MustParse("1*0")
 	if !s.Matches(bits("110")) || !s.Matches(bits("100")) {
@@ -78,28 +55,6 @@ func TestMatchesPanicsOnLength(t *testing.T) {
 		}
 	}()
 	MustParse("1*").Matches(bits("100"))
-}
-
-func TestRandomSchema(t *testing.T) {
-	r := rng.New(1)
-	for order := 0; order <= 8; order++ {
-		s := Random(8, order, r)
-		if s.Order() != order {
-			t.Fatalf("random schema order %d, want %d", s.Order(), order)
-		}
-		if s.Len() != 8 {
-			t.Fatal("length wrong")
-		}
-	}
-}
-
-func TestRandomSchemaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Random(4, 5, rng.New(1))
 }
 
 func TestCountAndProportion(t *testing.T) {

@@ -65,9 +65,6 @@ func (s Scenario) String() string {
 	return fmt.Sprintf("S?%d", int(s))
 }
 
-// Scenarios lists all seven in order.
-func Scenarios() []Scenario { return []Scenario{S1, S2, S3, S4, S5, S6, S7} }
-
 // scalarProblem adapts a MultiObjective to core.Problem through an
 // objective-weight vector, feeding every evaluation into a shared archive.
 type scalarProblem struct {

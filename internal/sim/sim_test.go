@@ -158,8 +158,11 @@ func TestSchafferObjectives(t *testing.T) {
 	}
 }
 
+// allScenarios lists all seven scenarios in order.
+var allScenarios = []Scenario{S1, S2, S3, S4, S5, S6, S7}
+
 func TestBuildScenarioShapes(t *testing.T) {
-	for _, s := range Scenarios() {
+	for _, s := range allScenarios {
 		specs := buildScenario(s, 2)
 		switch s {
 		case S1:
@@ -202,7 +205,7 @@ func TestScenarioSpecialistsAreOneHot(t *testing.T) {
 }
 
 func TestRunAllScenarios(t *testing.T) {
-	for _, s := range Scenarios() {
+	for _, s := range allScenarios {
 		res := Run(Config{
 			Problem:  ZDT1{Dim: 10},
 			Scenario: s,

@@ -248,7 +248,7 @@ func TestEveryModelTakesTheWholeBudget(t *testing.T) {
 			s := mustParse(t, c.doc)
 			s.Budget.Stagnation = 1
 			if c.free {
-				if err := s.Validate(); err == nil || !hasPath(fieldPaths(t, err), "budget") {
+				if _, err := Resolve(*s); err == nil || !hasPath(fieldPaths(t, err), "budget") {
 					t.Fatalf("free-running islands took a stagnation budget (err %v)", err)
 				}
 				return

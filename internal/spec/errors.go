@@ -18,7 +18,7 @@ type FieldError struct {
 func (e FieldError) Error() string { return e.Path + ": " + e.Reason }
 
 // Error is the structured validation error of the spec layer: every
-// problem found in one pass, each located by field path. Parse, Validate
+// problem found in one pass, each located by field path. Parse, Resolve
 // and Build never return unstructured fmt.Errorf strings — a malformed
 // spec always yields an *Error (and never a panic; FuzzParse enforces
 // this).
@@ -60,17 +60,6 @@ func inUnit(e *Error, path string, v float64) {
 	if !(v >= 0 && v <= 1) {
 		e.add(path, "must be in [0,1]")
 	}
-}
-
-// or returns e when it holds failures and nil otherwise — the standard
-// tail of a validation pass. Callers converting to the error interface
-// must go through asError to avoid a non-nil interface around a nil
-// pointer.
-func (e *Error) or() *Error {
-	if len(e.Fields) == 0 {
-		return nil
-	}
-	return e
 }
 
 // asError converts a possibly-nil *Error to a clean error value.

@@ -300,7 +300,7 @@ func fuzzBound(s *RunSpec) {
 // FuzzValidateBuild is the differential test behind "validates ⇒
 // builds": a RunSpec is decoded from doc (leniently — a document Parse
 // would refuse is still a RunSpec value), mutated field by field from the
-// model and vocabulary tables, and then Validate and Build must agree.
+// model and vocabulary tables, and then Resolve and Build must agree.
 // Accepted: Build succeeds and the run completes within the deadline.
 // Refused: a structured *Error with located fields, and Build returns
 // the same one.
@@ -350,12 +350,12 @@ func checkValidateBuild(t *testing.T, doc, muts []byte) bool {
 	}
 	fuzzBound(&s)
 
-	verr := s.Validate()
+	_, verr := Resolve(s)
 	b, berr := Build(s)
 	if verr != nil {
 		requireStructured(t, verr)
-		if !reflect.DeepEqual(berr, error(verr)) {
-			t.Fatalf("Validate refused with\n%v\nbut Build returned\n%v", verr, berr)
+		if !reflect.DeepEqual(berr, verr) {
+			t.Fatalf("Resolve refused with\n%v\nbut Build returned\n%v", verr, berr)
 		}
 		return false
 	}

@@ -164,5 +164,4 @@ func buildEngine(p *Plan, b *Built) { b.Engine = p.family.engine(p, rng.New(p.sp
 func runEngine(b *Built, ctl engine.Control, rep *Report) {
 	res := ga.Run(b.Engine, ga.RunOptions{Stop: b.Stop, Control: ctl})
 	rep.fill(&res.RunStats)
-	rep.CacheHits, rep.CacheMisses = res.CacheHits, res.CacheMisses
 }

@@ -136,8 +136,6 @@ type Report struct {
 	SolvedAtEval int64        `json:"solved_at_eval,omitempty"`
 	SolvedAtGen  int          `json:"solved_at_gen,omitempty"`
 	StopReason   string       `json:"stop,omitempty"`
-	CacheHits    int64        `json:"cache_hits,omitempty"`
-	CacheMisses  int64        `json:"cache_misses,omitempty"`
 	Trace        []TracePoint `json:"trace,omitempty"`
 
 	// Model extensions.

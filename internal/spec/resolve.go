@@ -66,14 +66,6 @@ func Resolve(s RunSpec) (*Plan, error) {
 	return p, asError(e)
 }
 
-// Validate checks the spec semantically and returns every violation at
-// once as a structured *Error, or nil. It is the resolve pass with the
-// plan dropped, so it never panics and accepts exactly what Build does.
-func (s *RunSpec) Validate() *Error {
-	_, e := resolve(*s)
-	return e
-}
-
 // Build validates s and constructs its runtime. Engine-level zero
 // values pass through to the runtime configs, so a spec-built runtime
 // is draw-identical to the equivalent hand-wired construction.

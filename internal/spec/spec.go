@@ -13,8 +13,8 @@
 // table; model.go declares one entry per model; resolve.go walks them
 // once per spec, applying every default, constructing the problem and
 // collecting every field error, and leaves a Plan that Build assembles
-// the runtime from without looking anything up again. Validate is that
-// pass with the plan dropped — so what validates builds.
+// the runtime from without looking anything up again. Resolve is that
+// pass, and Build assembles its plan — so what validates builds.
 //
 // Contracts:
 //

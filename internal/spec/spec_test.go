@@ -3,6 +3,7 @@ package spec
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestParseMinimal(t *testing.T) {
 // the run would never end.
 func TestNaNBudgetRefused(t *testing.T) {
 	s := RunSpec{Model: ModelHGA, Problem: ProblemSpec{Name: "sphere", Size: 4}, Budget: BudgetSpec{Cost: math.NaN()}}
-	if err := s.Validate(); err == nil || !hasPath(fieldPaths(t, err), "budget.cost") {
+	if _, err := Resolve(s); err == nil || !hasPath(fieldPaths(t, err), "budget.cost") {
 		t.Fatalf("NaN budget.cost validated (err %v)", err)
 	}
 }
@@ -153,12 +154,12 @@ func TestParseStructuredErrors(t *testing.T) {
 // compared them with the zero layers written down and refused).
 func TestHGALevelsAgainstDefaultLayers(t *testing.T) {
 	s := mustParse(t, `{"model":"hga","problem":{"name":"sphere","size":4},"engine":{"pop":6},"hga":{"levels":[0,1,2]},"budget":{"cost":40},"seed":3}`)
-	b, err := Build(*s)
+	p, err := Resolve(*s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := b.Run(RunOpts{}); b.HGA.Demes() != 7 || rep.Evaluations == 0 {
-		t.Errorf("ran %d demes for %d evaluations, want the default 1+2+4", b.HGA.Demes(), rep.Evaluations)
+	if rep := p.Build().Run(RunOpts{}); !slices.Equal(p.hierarchy.LayerSizes, []int{1, 2, 4}) || rep.Evaluations == 0 {
+		t.Errorf("ran layers %v for %d evaluations, want the default 1+2+4", p.hierarchy.LayerSizes, rep.Evaluations)
 	}
 	if _, err := Parse([]byte(`{"model":"hga","problem":{"name":"sphere","size":4},"hga":{"levels":[0,1]}}`)); err == nil || !hasPath(fieldPaths(t, err), "hga.levels") {
 		t.Errorf("two levels for the three default layers: %v", err)
@@ -191,7 +192,7 @@ func TestNonFiniteOperatorParam(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		s := RunSpec{Model: ModelGenerational, Problem: ProblemSpec{Name: "sphere", Size: 4},
 			Engine: EngineSpec{Crossover: &OperatorSpec{Name: "sbx", Params: map[string]float64{"eta": v}}}}
-		if err := s.Validate(); err == nil || !hasPath(fieldPaths(t, err), "engine.crossover.params.eta") {
+		if _, err := Resolve(s); err == nil || !hasPath(fieldPaths(t, err), "engine.crossover.params.eta") {
 			t.Errorf("eta = %v: %v", v, err)
 		}
 	}
@@ -263,8 +264,8 @@ func TestEncodedAndApplicationRowsMinSize(t *testing.T) {
 				Engine: EngineSpec{Pop: 4}, Budget: BudgetSpec{Generations: 1}, Seed: 1}
 		}
 		below := runAt(entry.MinSize - 1)
-		if err := below.Validate(); err == nil || !hasPath(fieldPaths(t, err), "problem.size") {
-			t.Errorf("%s at %d: Validate = %v, want a problem.size refusal", key, entry.MinSize-1, err)
+		if _, err := Resolve(below); err == nil || !hasPath(fieldPaths(t, err), "problem.size") {
+			t.Errorf("%s at %d: Resolve = %v, want a problem.size refusal", key, entry.MinSize-1, err)
 		}
 		for _, size := range []int{entry.MinSize, entry.MinSize + 1, 64} {
 			b, err := Build(runAt(size))
@@ -279,7 +280,7 @@ func TestEncodedAndApplicationRowsMinSize(t *testing.T) {
 	}
 }
 
-// TestValidateCollectsAll checks that Validate reports every violation
+// TestValidateCollectsAll checks that validation reports every violation
 // in one pass rather than stopping at the first.
 func TestValidateCollectsAll(t *testing.T) {
 	doc := `{"model":"generational","problem":{"name":"onemax","size":8},` +

@@ -98,14 +98,6 @@ func (h *HitRate) Runs() int { return h.runs }
 // Hits returns the number of successful runs.
 func (h *HitRate) Hits() int { return h.hits }
 
-// Rate returns hits/runs (0 for no runs).
-func (h *HitRate) Rate() float64 {
-	if h.runs == 0 {
-		return 0
-	}
-	return float64(h.hits) / float64(h.runs)
-}
-
 // Effort returns the summary of evaluations-to-solution over successful
 // runs (the standard "expected effort on success" report).
 func (h *HitRate) Effort() Summary { return Summarize(h.efforts) }
@@ -163,26 +155,6 @@ func LinearRegression(xs, ys []float64) (slope, intercept float64) {
 	slope = (n*sxy - sx*sy) / den
 	intercept = (sy - slope*sx) / n
 	return
-}
-
-// Histogram counts xs into equal-width buckets over [min, max].
-func Histogram(xs []float64, buckets int, min, max float64) []int {
-	out := make([]int, buckets)
-	if buckets == 0 || max <= min {
-		return out
-	}
-	w := (max - min) / float64(buckets)
-	for _, x := range xs {
-		k := int((x - min) / w)
-		if k < 0 {
-			k = 0
-		}
-		if k >= buckets {
-			k = buckets - 1
-		}
-		out[k]++
-	}
-	return out
 }
 
 // Sparkline renders a sequence as a compact unicode bar chart, used by the

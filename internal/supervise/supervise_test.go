@@ -363,8 +363,8 @@ func (badGenome) Len() int             { return 1 }
 func (badGenome) String() string       { return "bad" }
 
 // TestLocksReleasedOnEveryExit takes every exit of each method that locks
-// one of the module's six mutexes (FaultPlan, Supervisor, Router, Farm,
-// TCP, CachedProblem) — error returns, early returns and panics the
+// one of the module's five mutexes (FaultPlan, Supervisor, Router, Farm,
+// TCP) — error returns, early returns and panics the
 // method recovers from included — and then calls the type's locking
 // methods again, under a deadline. A path that returns with the mutex
 // still held turns the next call into a hang, and the deadline into a
@@ -480,19 +480,6 @@ func TestLocksReleasedOnEveryExit(t *testing.T) {
 			ep.Close() // already closed
 			if ep.Send(1, nil) {
 				t.Error("a closed endpoint accepted a send")
-			}
-		})
-	})
-	t.Run("CachedProblem", func(t *testing.T) {
-		c := core.NewCachedProblem(problems.OneMax{N: 16}, 2)
-		r := rng.New(1)
-		withinDeadline(t, deadline, func() {
-			gs := []core.Genome{c.NewGenome(r), c.NewGenome(r), c.NewGenome(r)}
-			for _, g := range append(gs, gs[0], gs[2]) { // misses, a clear at capacity, hits
-				c.Evaluate(g)
-			}
-			if hits, misses := c.CacheStats(); hits+misses != 5 || c.Len() == 0 {
-				t.Errorf("cache stats %d hits, %d misses, %d entries", hits, misses, c.Len())
 			}
 		})
 	})

@@ -240,9 +240,6 @@ func Diameter(t Topology) int {
 	return max
 }
 
-// Connected reports whether every deme can reach every other deme.
-func Connected(t Topology) bool { return Diameter(t) >= 0 }
-
 // bfs returns hop distances from s (-1 = unreachable).
 func bfs(t Topology, s int) []int {
 	n := t.Size()
@@ -263,26 +260,4 @@ func bfs(t Topology, s int) []int {
 		}
 	}
 	return dist
-}
-
-// Validate checks structural invariants: neighbour indices in range, no
-// self-loops, no duplicate edges. It returns a descriptive error.
-func Validate(t Topology) error {
-	n := t.Size()
-	for i := 0; i < n; i++ {
-		seen := map[int]bool{}
-		for _, j := range t.Neighbors(i) {
-			if j < 0 || j >= n {
-				return fmt.Errorf("topology %s: deme %d has out-of-range neighbour %d", t.Name(), i, j)
-			}
-			if j == i {
-				return fmt.Errorf("topology %s: deme %d has a self-loop", t.Name(), i)
-			}
-			if seen[j] {
-				return fmt.Errorf("topology %s: deme %d lists neighbour %d twice", t.Name(), i, j)
-			}
-			seen[j] = true
-		}
-	}
-	return nil
 }

@@ -7,9 +7,10 @@
 // tick per Send — and every random decision is drawn from a seeded
 // rng.Source in a fixed order, so the same seed against the same call
 // sequence reproduces the same fault schedule byte-for-byte (the
-// property the schedule test asserts). That extends the repository's
-// determinism contract to injected *network* faults, the same way
-// supervise.FaultPlan extends it to deme crashes and hangs.
+// determinism test compares what reaches the inner endpoint, and when).
+// That extends the repository's determinism contract to injected
+// *network* faults, the same way supervise.FaultPlan extends it to deme
+// crashes and hangs.
 //
 // The stochastic half of the model (loss + jitter) is LinkFaults, the
 // repository's one link-fault model; cmd/pgaisland's -drop/-jitter flags
@@ -18,9 +19,6 @@
 package transport
 
 import (
-	"fmt"
-	"strings"
-
 	"pga/internal/core"
 	"pga/internal/rng"
 )
@@ -124,15 +122,13 @@ type heldBatch struct {
 }
 
 // Faulty wraps an inner Endpoint with deterministic fault injection.
-// Like every Endpoint it is owned by a single island goroutine;
-// Schedule and Stats are for after the run.
+// Like every Endpoint it is owned by a single island goroutine.
 type Faulty struct {
 	inner Endpoint
 	spec  FaultSpec
 	r     *rng.Source
 
 	tick uint64
-	seq  uint64
 	// held is a fixed-capacity queue allocated once at construction: each
 	// logical tick holds at most one new batch and releaseDue drains
 	// everything due at the top of every Send, so at most MaxDelay batches
@@ -141,7 +137,6 @@ type Faulty struct {
 	// retained past release.
 	held    []heldBatch
 	heldLen int
-	events  strings.Builder
 
 	sent, dropped int64
 }
@@ -172,13 +167,6 @@ func (f *Faulty) SetPeerStateHook(h func(peer int, up bool)) {
 	}
 }
 
-// event appends one line to the fault schedule. The format is stable:
-// it is the byte-identical artifact the determinism test compares.
-func (f *Faulty) event(format string, args ...any) {
-	fmt.Fprintf(&f.events, format, args...)
-	f.events.WriteByte('\n')
-}
-
 // crashed reports whether id is scripted dead at the current tick.
 func (f *Faulty) crashed(id int) bool {
 	for _, c := range f.spec.Crashes {
@@ -204,23 +192,19 @@ func (f *Faulty) partitioned(dest int) bool {
 // (loss+jitter first, then duplicate, then reorder).
 func (f *Faulty) Send(dest int, migrants []*core.Individual) bool {
 	f.tick++
-	f.seq++
 	f.releaseDue()
 	f.sent++
 	switch {
 	case f.crashed(f.inner.Self()), f.crashed(dest):
 		f.dropped++
-		f.event("%06d crash-drop dst=%d seq=%d", f.tick, dest, f.seq)
 		return false
 	case f.partitioned(dest):
 		f.dropped++
-		f.event("%06d partition-drop dst=%d seq=%d", f.tick, dest, f.seq)
 		return false
 	}
 	drop, jit := f.spec.Link.Roll(f.r)
 	if drop {
 		f.dropped++
-		f.event("%06d drop dst=%d seq=%d", f.tick, dest, f.seq)
 		return false
 	}
 	dup := f.spec.DupProb > 0 && f.r.Chance(f.spec.DupProb)
@@ -233,12 +217,8 @@ func (f *Faulty) Send(dest int, migrants []*core.Individual) bool {
 		}
 	} else if f.spec.ReorderProb > 0 && f.r.Chance(f.spec.ReorderProb) {
 		delay = 1
-		f.event("%06d reorder dst=%d seq=%d", f.tick, dest, f.seq)
 	}
 	if delay > 0 {
-		if jit > 0 {
-			f.event("%06d delay=%d dst=%d seq=%d dup=%v", f.tick, delay, dest, f.seq, dup)
-		}
 		// Indexed write into the fixed queue: releaseDue just drained
 		// everything due, so at most MaxDelay earlier batches remain and
 		// this slot always exists (an overflow would be an invariant
@@ -250,9 +230,7 @@ func (f *Faulty) Send(dest int, migrants []*core.Individual) bool {
 		f.heldLen++
 		return true
 	}
-	f.event("%06d deliver dst=%d seq=%d dup=%v", f.tick, dest, f.seq, dup)
-	ok := f.forward(dest, migrants, dup)
-	return ok
+	return f.forward(dest, migrants, dup)
 }
 
 // forward hands a batch (and its duplicate, if rolled) to the inner
@@ -272,10 +250,9 @@ func (f *Faulty) forward(dest int, migrants []*core.Individual, dup bool) bool {
 }
 
 // releaseDue forwards held batches whose due tick has arrived, in
-// insertion order, compacting the queue in place (kept batches emit no
-// events, so the released-event sequence is identical to a two-pass
-// filter). Crash and partition windows are re-checked at release time:
-// a batch delayed into a partition dies in it.
+// insertion order, compacting the queue in place. Crash and partition
+// windows are re-checked at release time: a batch delayed into a
+// partition dies in it.
 func (f *Faulty) releaseDue() {
 	if f.heldLen == 0 {
 		return
@@ -290,10 +267,8 @@ func (f *Faulty) releaseDue() {
 		}
 		if f.crashed(f.inner.Self()) || f.crashed(h.dest) || f.partitioned(h.dest) {
 			f.dropped++
-			f.event("%06d release-drop dst=%d", f.tick, h.dest)
 			continue
 		}
-		f.event("%06d release dst=%d dup=%v", f.tick, h.dest, h.dup)
 		f.forward(h.dest, h.migrants, h.dup)
 	}
 	for i := w; i < f.heldLen; i++ {
@@ -320,11 +295,6 @@ func (f *Faulty) Stats() core.NetStats {
 	s.Dropped += f.dropped
 	return s
 }
-
-// Schedule returns the fault-event log: one line per decision, in
-// order. Two Faulty wrappers with the same seed, spec and operation
-// sequence produce byte-identical schedules.
-func (f *Faulty) Schedule() []byte { return []byte(f.events.String()) }
 
 // Close implements Endpoint: undelivered held batches are dropped and
 // counted, then the inner endpoint closes.

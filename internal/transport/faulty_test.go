@@ -2,29 +2,60 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"pga/internal/core"
 	"pga/internal/rng"
 )
 
+// recorder is an inner Endpoint that writes down every batch Faulty
+// hands it: at which of the driver's operations it arrived, for which
+// peer, and which send it came from (the batch's stamp). Two runs'
+// records compare byte for byte.
+type recorder struct {
+	op    int // the driver's operation in progress, set before each call
+	log   bytes.Buffer
+	sends int64
+}
+
+func (r *recorder) Self() int { return 0 }
+func (r *recorder) Send(dest int, migrants []*core.Individual) bool {
+	fmt.Fprintf(&r.log, "op=%d dst=%d batch=%g\n", r.op, dest, migrants[0].Fitness)
+	r.sends++
+	return true
+}
+func (r *recorder) Recv() ([]*core.Individual, bool) { return nil, false }
+func (r *recorder) Stats() core.NetStats             { return core.NetStats{Sent: r.sends} }
+func (r *recorder) Close() error                     { return nil }
+
+// stamped is a one-migrant batch stamped with the number of its send.
+func stamped(i int) []*core.Individual {
+	b := testBatch(1, 8)
+	b[0].Fitness = float64(i)
+	return b
+}
+
 // driveFaulty runs a fixed Send/Recv sequence against a fresh Faulty
-// over a fresh Loopback pair and returns the wrapper.
-func driveFaulty(spec FaultSpec, seed uint64, sends int) *Faulty {
-	eps := NewLoopback(2, 64)
-	f := NewFaulty(eps[0], spec, seed)
+// over a fresh recorder and returns both.
+func driveFaulty(spec FaultSpec, seed uint64, sends int) (*Faulty, *recorder) {
+	rec := &recorder{}
+	f := NewFaulty(rec, spec, seed)
 	for i := 0; i < sends; i++ {
-		f.Send(1, testBatch(1, 8))
+		rec.op = i
+		f.Send(1, stamped(i))
 		if i%3 == 0 {
 			f.Recv()
 		}
 	}
 	_ = f.Close()
-	return f
+	return f, rec
 }
 
 // TestFaultySchedulePropertyDeterministic is the schedule property the
-// package doc promises: same (seed, spec, operation sequence) → a
-// byte-identical fault schedule; a different seed diverges.
+// package doc promises: same (seed, spec, operation sequence) → byte-
+// identical deliveries to the inner endpoint, at the same operations;
+// a different seed diverges.
 func TestFaultySchedulePropertyDeterministic(t *testing.T) {
 	spec := FaultSpec{
 		Link:        LinkFaults{LossProb: 0.2, Jitter: 0.05},
@@ -35,24 +66,24 @@ func TestFaultySchedulePropertyDeterministic(t *testing.T) {
 		Crashes:     []Crash{{Peer: 1, At: 50, Until: 60}},
 	}
 	for _, seed := range []uint64{1, 7, 12345} {
-		a := driveFaulty(spec, seed, 100)
-		b := driveFaulty(spec, seed, 100)
-		if !bytes.Equal(a.Schedule(), b.Schedule()) {
-			t.Fatalf("seed %d: schedules diverge:\n--- a ---\n%s--- b ---\n%s",
-				seed, a.Schedule(), b.Schedule())
-		}
-		if len(a.Schedule()) == 0 {
-			t.Fatalf("seed %d: no fault events recorded over 100 sends", seed)
+		a, ra := driveFaulty(spec, seed, 100)
+		b, rb := driveFaulty(spec, seed, 100)
+		if !bytes.Equal(ra.log.Bytes(), rb.log.Bytes()) {
+			t.Fatalf("seed %d: deliveries diverge:\n--- a ---\n%s--- b ---\n%s",
+				seed, ra.log.Bytes(), rb.log.Bytes())
 		}
 		sa, sb := a.Stats(), b.Stats()
 		if sa != sb {
 			t.Fatalf("seed %d: stats diverge: %+v vs %+v", seed, sa, sb)
 		}
+		if ra.sends == 0 || sa.Dropped == 0 {
+			t.Fatalf("seed %d: 100 sends delivered %d and dropped %d; want both", seed, ra.sends, sa.Dropped)
+		}
 	}
-	a := driveFaulty(spec, 1, 100)
-	c := driveFaulty(spec, 2, 100)
-	if bytes.Equal(a.Schedule(), c.Schedule()) {
-		t.Fatal("different seeds produced identical 100-send schedules")
+	_, ra := driveFaulty(spec, 1, 100)
+	_, rc := driveFaulty(spec, 2, 100)
+	if bytes.Equal(ra.log.Bytes(), rc.log.Bytes()) {
+		t.Fatal("different seeds delivered identical 100-send records")
 	}
 }
 
@@ -73,9 +104,6 @@ func TestFaultyZeroSpecIsTransparent(t *testing.T) {
 	}
 	if got != 5 {
 		t.Fatalf("delivered %d of 5 batches", got)
-	}
-	if len(f.Schedule()) == 0 {
-		t.Fatal("transparent wrapper should still log deliveries")
 	}
 	if s := f.Stats(); s.Sent != 5 || s.Dropped != 0 {
 		t.Fatalf("stats = %+v", s)
@@ -150,43 +178,30 @@ func TestFaultyDuplicateDeliversClones(t *testing.T) {
 // a partition window must die at release time (release-drop), not slip
 // through because its fate was rolled before the cut opened — the
 // analogue of a reconnect attempt in flight when the partition lands.
-// The whole interaction must be byte-reproducible.
 func TestFaultyPartitionCatchesInFlightDelayedBatch(t *testing.T) {
 	spec := FaultSpec{
 		Link:       LinkFaults{Jitter: 1}, // every survivor is held ≥1 tick
 		MaxDelay:   2,
 		Partitions: []Partition{{From: 2, Until: 10, Peers: []int{1}}},
 	}
-	run := func() (*Faulty, int) {
-		eps := NewLoopback(2, 64)
-		f := NewFaulty(eps[0], spec, 21)
-		// Tick 1: pre-partition send, delayed to tick 2 or 3 — due inside
-		// the window. Ticks 2..5: sends into the cut (partition-drop) whose
-		// clock advances release the held batch into the partition.
-		for i := 0; i < 5; i++ {
-			f.Send(1, testBatch(1, 8))
-		}
-		got := 0
-		for {
-			if _, ok := eps[1].Recv(); !ok {
-				break
-			}
-			got++
-		}
-		return f, got
+	rec := &recorder{}
+	f := NewFaulty(rec, spec, 21)
+	// Tick 1: pre-partition send, delayed to tick 2 or 3 — due inside
+	// the window. Ticks 2..5: sends into the cut (partition-drop) whose
+	// clock advances release the held batch into the partition.
+	for i := 0; i < 5; i++ {
+		rec.op = i
+		f.Send(1, stamped(i))
 	}
-	a, gotA := run()
-	b, gotB := run()
-	if !bytes.Equal(a.Schedule(), b.Schedule()) {
-		t.Fatalf("schedules diverge:\n--- a ---\n%s--- b ---\n%s", a.Schedule(), b.Schedule())
+	if rec.sends != 0 {
+		t.Fatalf("delivered through the partition:\n%s", rec.log.Bytes())
 	}
-	if gotA != 0 || gotB != 0 {
-		t.Fatalf("delivered %d/%d batches through the partition, want 0", gotA, gotB)
+	// Nothing is held and nothing was closed, so the tick-1 batch can
+	// only have been dropped at its release.
+	if f.heldLen != 0 {
+		t.Fatalf("%d batches still held at tick 5; the tick-1 batch was due by tick 3", f.heldLen)
 	}
-	if !bytes.Contains(a.Schedule(), []byte("release-drop")) {
-		t.Fatalf("delayed batch was not release-dropped in the partition:\n%s", a.Schedule())
-	}
-	if s := a.Stats(); s.Dropped != 5 {
+	if s := f.Stats(); s.Dropped != 5 {
 		t.Fatalf("dropped = %d, want all 5 (1 released into the cut + 4 sent into it)", s.Dropped)
 	}
 }
@@ -194,40 +209,29 @@ func TestFaultyPartitionCatchesInFlightDelayedBatch(t *testing.T) {
 // TestFaultyCrashAtDuplicateTickDropsBoth: with DupProb=1 every
 // surviving send delivers twice, but a crash scheduled at the same
 // logical tick wins — the batch crash-drops before the duplicate roll,
-// consuming no randomness, so the post-crash stream (and the schedule
-// bytes) are unperturbed and reproducible.
+// consuming no randomness, so the post-crash stream (and what reaches
+// the inner endpoint) is unperturbed and reproducible.
 func TestFaultyCrashAtDuplicateTickDropsBoth(t *testing.T) {
 	spec := FaultSpec{
 		DupProb: 1,
 		Crashes: []Crash{{Peer: 1, At: 2, Until: 3}},
 	}
-	run := func() (*Faulty, int) {
-		eps := NewLoopback(2, 64)
-		f := NewFaulty(eps[0], spec, 5)
+	run := func() (*Faulty, *recorder) {
+		rec := &recorder{}
+		f := NewFaulty(rec, spec, 5)
 		for i := 0; i < 3; i++ { // ticks 1 (live), 2 (crashed), 3 (live again)
-			f.Send(1, testBatch(1, 8))
+			rec.op = i
+			f.Send(1, stamped(i))
 		}
-		got := 0
-		for {
-			if _, ok := eps[1].Recv(); !ok {
-				break
-			}
-			got++
-		}
-		return f, got
+		return f, rec
 	}
-	a, gotA := run()
-	b, gotB := run()
-	if !bytes.Equal(a.Schedule(), b.Schedule()) {
-		t.Fatalf("schedules diverge:\n--- a ---\n%s--- b ---\n%s", a.Schedule(), b.Schedule())
-	}
+	a, ra := run()
+	_, rb := run()
 	// Ticks 1 and 3 deliver original + duplicate; tick 2 delivers
 	// neither copy — the crash outranks the guaranteed duplicate.
-	if gotA != 4 || gotB != 4 {
-		t.Fatalf("delivered %d/%d batches, want 4 (2 doubled sends, crashed tick drops both copies)", gotA, gotB)
-	}
-	if n := bytes.Count(a.Schedule(), []byte("crash-drop")); n != 1 {
-		t.Fatalf("crash-drop events = %d, want exactly 1:\n%s", n, a.Schedule())
+	const want = "op=0 dst=1 batch=0\nop=0 dst=1 batch=0\nop=2 dst=1 batch=2\nop=2 dst=1 batch=2\n"
+	if got := ra.log.String(); got != want || rb.log.String() != want {
+		t.Fatalf("deliveries:\n--- a ---\n%s--- b ---\n%s--- want ---\n%s", got, rb.log.Bytes(), want)
 	}
 	if s := a.Stats(); s.Dropped != 1 {
 		t.Fatalf("dropped = %d, want 1 (the injected duplicate of a dropped batch is never counted)", s.Dropped)

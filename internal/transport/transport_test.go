@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -310,7 +310,7 @@ func TestWireRoundTripBoundaryLengths(t *testing.T) {
 			t.Fatalf("migrant %d (len %d): %s, want %s", i, w.Genome.Len(), ind.Genome, w.Genome)
 		}
 		if g, ok := ind.Genome.(*genome.BitString); ok {
-			if !g.Equal(w.Genome.(*genome.BitString)) {
+			if w := w.Genome.(*genome.BitString); g.N != w.N || !slices.Equal(g.Words, w.Words) {
 				t.Fatalf("migrant %d (len %d): bits corrupted in transit", i, g.Len())
 			}
 			if g.Words[len(g.Words)-1]&^genome.TailMask(g.N) != 0 {
@@ -382,8 +382,7 @@ func TestWireAllocBudget(t *testing.T) {
 const steadySends = 4096
 
 // TestSendAllocBudget gates what a warm endpoint allocates per send:
-// nothing for Loopback, nothing beyond its schedule line for Faulty, and
-// for TCP the one encoded buffer TestWireAllocBudget allows encodeBatch.
+// nothing for Loopback or Faulty, and for TCP the one encoded buffer TestWireAllocBudget allows encodeBatch.
 func TestSendAllocBudget(t *testing.T) {
 	batch := testBatch(2, 8)
 	sends := func(send func()) uint64 {
@@ -404,25 +403,10 @@ func TestSendAllocBudget(t *testing.T) {
 		}
 	})
 	t.Run("faulty", func(t *testing.T) {
-		if raceEnabled {
-			t.Skip("sync.Pool drops at random under -race; the schedule lines' count is not fixed")
-		}
 		eps := NewLoopback(2, 1)
 		f := NewFaulty(eps[0], FaultSpec{}, 1)
-		f.events.Grow(1 << 20)
-		got := sends(func() { f.Send(1, batch); eps[1].Recv() })
-		// Every send writes one schedule line; formatting it is the
-		// allowance. The counters are past 255 already, as Faulty's are.
-		var line strings.Builder
-		line.Grow(1 << 20)
-		tick := uint64(1 << 20)
-		want := sends(func() {
-			tick++
-			fmt.Fprintf(&line, "%06d deliver dst=%d seq=%d dup=%v", tick, 1, tick, false)
-			line.WriteByte('\n')
-		})
-		if got > want {
-			t.Errorf("Faulty: %d mallocs over %d sends, want at most the %d its schedule lines take", got, steadySends, want)
+		if n := sends(func() { f.Send(1, batch); eps[1].Recv() }); n != 0 {
+			t.Errorf("Faulty: %d mallocs over %d sends, want 0", n, steadySends)
 		}
 	})
 	t.Run("tcp", func(t *testing.T) {

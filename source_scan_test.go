@@ -1,8 +1,8 @@
 package pga
 
-// TestSourceScan holds three source rules of the replay contract over
-// every non-test Go file of the module (testdata and dot-directories
-// skipped, as the go tool does):
+// TestSourceScan holds four source rules over every non-test Go file of
+// the module (testdata and dot-directories skipped, as the go tool does),
+// three of the replay contract and one of its size:
 //
 //   - rawrand: no file imports math/rand, math/rand/v2 or crypto/rand.
 //     Every draw comes from a seeded internal/rng stream, which owns its
@@ -16,6 +16,16 @@ package pga
 //   - unbufferedchan: in the communication packages every make(chan T)
 //     has a capacity; a rendezvous couples sender and receiver. Close-only
 //     signals (chan struct{}) are exempt.
+//   - testonly: every exported function and method declared under
+//     internal/ is referenced by name in some non-test file, so no code
+//     that only tests reach stays in the library (and a mutant in it
+//     cannot count as killed). Names are matched, not types: a package
+//     function counts when its package names it or an importer writes
+//     pkg.F; a method counts when any selector .M or interface method M
+//     outside a package qualifier carries its name. Methods named by a
+//     standard-library interface (stdlibMethods) are exempt, and
+//     testOnlyAllowed holds the few test-only names that stay, with the
+//     reason each does.
 //
 // Allowlisted helpers that read the clock and are called from evolution
 // code are sanctioned, not scanned: supervise.(*Supervisor).RunStep (the
@@ -53,6 +63,29 @@ var wallClockFuncs = []string{"internal/engine.Loop", "internal/hga.(*Model).Run
 // chanPackages are the communication packages whose channels must be
 // buffered.
 var chanPackages = []string{"internal/transport", "internal/supervise", "internal/island"}
+
+// stdlibMethods are methods the standard library calls through its
+// interfaces (sort, fmt, errors, encoding/json); no module file names them.
+var stdlibMethods = map[string]bool{
+	"Len": true, "Less": true, "Swap": true, "String": true, "Error": true,
+	"MarshalJSON": true, "UnmarshalJSON": true,
+}
+
+// testOnlyAllowed are the exported functions and methods under internal/
+// that only tests call and that stay, each with its reason.
+var testOnlyAllowed = map[string]string{
+	"internal/core.RandomPopulation":         "fixture of several packages' tests, which cannot share a test file",
+	"internal/genome.IdentityPermutation":    "fixture of several packages' tests, which cannot share a test file",
+	"internal/genome.(*BitString).Flip":      "fixture of several packages' tests, which cannot share a test file",
+	"internal/operators.OperatorTypeName":    "input of the operator purity and spec-key contract tests",
+	"internal/operators.RegisteredOperators": "input of the operator purity and spec-key contract tests",
+	"internal/operators.SpecEntries":         "input of the operator purity and spec-key contract tests",
+	"internal/sim.Dominates":                 "the reference the rank archive's property test checks it against",
+	"internal/mallocs.Count":                 "the allocation gates' counter",
+	"internal/mallocs.Bytes":                 "the allocation gates' counter",
+	"internal/persist.(*Checkpoint).Marshal": "encode half of the versioned, fuzzed on-disk checkpoint format",
+	"internal/persist.(*Checkpoint).Restore": "decode half of the versioned, fuzzed on-disk checkpoint format",
+}
 
 // sourceFile is one non-test Go file: its package directory relative to
 // the module root ("." for the root package) and its path.
@@ -137,6 +170,26 @@ func TestSourceScan(t *testing.T) {
 			}
 		}
 	})
+	t.Run("testonly", func(t *testing.T) {
+		fset := token.NewFileSet()
+		var parsed []parsedFile
+		for _, f := range files {
+			file, err := parser.ParseFile(fset, f.path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parsed = append(parsed, parsedFile{f.dir, file})
+		}
+		used := map[string]bool{}
+		for _, msg := range testOnlyFindings(fset, parsed, testOnlyAllowed, used) {
+			t.Error(msg)
+		}
+		for fn := range testOnlyAllowed {
+			if !used[fn] {
+				t.Errorf("%s is allowlisted but a non-test file references it; drop it from testOnlyAllowed", fn)
+			}
+		}
+	})
 }
 
 // TestSourceScanCatches feeds each rule one violation and one legal
@@ -179,6 +232,132 @@ func chans() {
 		t.Error("wallclock: the allowlisted runFree was not matched")
 	}
 	count("unbufferedchan", unbufferedChanFindings(fset, file), 1)
+
+	// testonly: Seeded is called by no file, Kept only by tests but
+	// allowlisted; the rest are referenced in the legal forms.
+	const lib = `package p
+
+type T struct{}
+
+func Used()               {}
+func Bare()               {}
+func Seeded()             {}
+func Kept()               {}
+func (T) String() string  { return "" }
+func (*T) Method()        {}
+func (*T) ViaInterface()  {}
+func helper()             { Bare() }
+`
+	const caller = `package main
+
+import q "pga/internal/p"
+
+type viaInterface interface{ ViaInterface() }
+
+func main() {
+	q.Used()
+	var t q.T
+	t.Method()
+}
+`
+	fset = token.NewFileSet()
+	var parsed []parsedFile
+	for _, f := range []struct{ dir, src string }{{"internal/p", lib}, {"cmd/x", caller}} {
+		file, err := parser.ParseFile(fset, f.dir+"/x.go", f.src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed = append(parsed, parsedFile{f.dir, file})
+	}
+	used = map[string]bool{}
+	got := testOnlyFindings(fset, parsed, map[string]string{"internal/p.Kept": "fixture"}, used)
+	count("testonly", got, 1)
+	if len(got) == 1 && !strings.Contains(got[0], "internal/p.Seeded") {
+		t.Errorf("testonly: flagged %q, want internal/p.Seeded", got[0])
+	}
+	if !used["internal/p.Kept"] {
+		t.Error("testonly: the allowlisted Kept was not matched")
+	}
+}
+
+// parsedFile is one parsed non-test file and its package directory.
+type parsedFile struct {
+	dir  string
+	file *ast.File
+}
+
+// testOnlyFindings reports every exported function and method declared
+// under internal/ in files that no file of files references by name,
+// except stdlibMethods and those allowed lists, which it marks in used.
+func testOnlyFindings(fset *token.FileSet, files []parsedFile, allowed map[string]string, used map[string]bool) []string {
+	funcRefs := map[string]bool{}   // "dir.F": a package function named in or into its package
+	methodRefs := map[string]bool{} // "M": a selector or interface method carrying the name
+	for _, f := range files {
+		imports := map[string]string{} // local name → module-relative directory
+		for _, imp := range f.file.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			name := path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = strings.TrimPrefix(path, "pga/")
+		}
+		declared := map[*ast.Ident]bool{}
+		for _, d := range f.file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				declared[fd.Name] = true
+			}
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Obj == nil && imports[x.Name] != "" {
+					funcRefs[imports[x.Name]+"."+n.Sel.Name] = true
+					return false
+				}
+				methodRefs[n.Sel.Name] = true
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						methodRefs[id.Name] = true
+					}
+				}
+			case *ast.Ident:
+				if !declared[n] {
+					funcRefs[f.dir+"."+n.Name] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(f.file, visit)
+	}
+	var out []string
+	for _, f := range files {
+		if !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() {
+				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil && (stdlibMethods[name] || methodRefs[name]) || fd.Recv == nil && funcRefs[f.dir+"."+name] {
+				continue
+			}
+			fn := f.dir + "." + funcName(fd)
+			if _, ok := allowed[fn]; ok {
+				used[fn] = true
+				continue
+			}
+			out = append(out, fmt.Sprintf("%s: %s is referenced by no non-test file; delete it, or move it into a _test.go file",
+				fset.Position(fd.Pos()), fn))
+		}
+	}
+	return out
 }
 
 func parseFull(t *testing.T, path string) (*token.FileSet, *ast.File) {

@@ -130,7 +130,7 @@ func TestStopUniformityMaxGenerations(t *testing.T) {
 
 	if res := sim.Run(sim.Config{
 		Problem:  sim.ZDT1{Dim: 6},
-		Scenario: sim.Scenarios()[2],
+		Scenario: sim.S3,
 		DemeSize: 12,
 		Seed:     11,
 	}, MaxGenerations(gens), Control{}); res.Generations != gens || res.StopReason != "max generations" {
