@@ -61,9 +61,10 @@ lint:
 # population decoder and the frame reader around it (no panic, bounded
 # allocation, accepted bytes re-encode identically), the packed
 # BitString vs its []bool reference model, the run-spec parser
-# (structured errors, never panics) and its validate-vs-build
+# (structured errors, never panics), its validate-vs-build
 # differential (accepted specs build and run, refused ones are refused
-# identically by Build), the bit-sliced MaxSAT and NK kernels vs
+# identically by Build) and sweep expansion (typed cells ≡ the JSON
+# expansion's, or the same refusal), the bit-sliced MaxSAT and NK kernels vs
 # their per-literal and per-gene references, the lane transpose's
 # bodies vs its Go body, the ChanceMask lane kernels vs per-lane
 # ChanceMask, and Leap.image's bodies vs its generic one.
@@ -78,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLeapBodies -fuzztime=30s ./internal/rng/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/spec/
 	$(GO) test -fuzz=FuzzValidateBuild -fuzztime=30s ./internal/spec/
+	$(GO) test -fuzz=FuzzSweepExpansion -fuzztime=30s ./internal/spec/
 
 # Sweep determinism smoke: validate every checked-in sweep config (the
 # experiment documents under examples/experiments/ included), then

@@ -104,12 +104,6 @@ func fprintf(w io.Writer, format string, args ...interface{}) {
 	fmt.Fprintf(w, format, args...)
 }
 
-// header prints the experiment banner.
-func header(w io.Writer, e Experiment) {
-	fprintf(w, "\n=== %s: %s ===\n", e.ID, e.Title)
-	fprintf(w, "    reproduces: %s\n\n", e.Source)
-}
-
 // scale returns full unless quick, then reduced.
 func scale(quick bool, full, reduced int) int {
 	if quick {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -57,6 +58,12 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			}
 		})
 	}
+}
+
+// header prints the experiment banner.
+func header(w io.Writer, e Experiment) {
+	fprintf(w, "\n=== %s: %s ===\n", e.ID, e.Title)
+	fprintf(w, "    reproduces: %s\n\n", e.Source)
 }
 
 func TestHeaderFormat(t *testing.T) {

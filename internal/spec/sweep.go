@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -234,7 +237,14 @@ func DeriveSeed(base uint64, cell, rep int) uint64 {
 // document could exhaust it.
 const maxSweepRuns = 100000
 
-// Cells expands the sweep into its validated run matrix.
+// Cells expands the sweep into its validated run matrix. Each cell is
+// assembled from Base, which ParseFile has validated: Base is copied, the
+// cell's axis values — each decoded once, strictly, into its field's type
+// — are assigned at their paths, and the cell is validated as Parse
+// validates a document. A cell is the spec that Parse gives for the base
+// document with the cell's values written into it, and its errors are
+// that document's; cells share no pointer, slice or map with each other
+// or with Base.
 func (s *Sweep) Cells() ([]Cell, *Error) {
 	if s.cells != nil {
 		return s.cells, nil
@@ -276,43 +286,30 @@ func (s *Sweep) Cells() ([]Cell, *Error) {
 		return nil, errf("replicates", "%d cells × %d replicates expands to over %d runs", total, reps, maxSweepRuns)
 	}
 
-	baseJSON, err := s.Base.JSON()
-	if err != nil {
-		return nil, errf("base", "cannot serialise base spec: %v", err)
+	a, aerr := s.assembly(paths)
+	if aerr != nil {
+		return nil, aerr
 	}
-	var baseDoc map[string]any
-	if uerr := unmarshalNumbers(baseJSON, &baseDoc); uerr != nil {
-		return nil, errf("base", "cannot re-read base spec: %v", uerr)
-	}
-
 	var cells []Cell
 	idx := make([]int, len(s.Axes))
 	for cell := 0; cell < total; cell++ {
 		overrides := map[string]any{}
-		doc := deepCopy(baseDoc).(map[string]any)
-		for i, ax := range s.Axes {
-			for j, p := range paths[i] {
-				v := ax.Values[idx[i]]
-				if len(paths[i]) > 1 {
-					v = v.([]any)[j]
-				}
-				overrides[p] = v
-				if serr := setPath(doc, p, deepCopy(v)); serr != nil {
-					return nil, serr
-				}
-			}
+		for _, p := range a.paths {
+			overrides[p.name] = p.value(s.Axes, idx[p.axis])
 		}
-		cellJSON, merr := json.Marshal(doc)
-		if merr != nil {
-			return nil, errf("sweep", "cell %d does not serialise: %v", cell, merr)
+		cellSpec, cerr := a.cell(idx, cell)
+		if cerr != nil {
+			return nil, cerr
 		}
-		cellSpec, perr := Parse(cellJSON)
-		if perr != nil {
-			pe, _ := prefixPaths(perr, "sweep(cell "+strconv.Itoa(cell)+").").(*Error)
+		if _, rerr := resolve(cellSpec); rerr != nil {
+			pe, _ := prefixPaths(rerr, "sweep(cell "+strconv.Itoa(cell)+").").(*Error)
 			return nil, pe
 		}
 		for rep := 0; rep < reps; rep++ {
-			cs := *cellSpec
+			cs := cellSpec
+			if rep > 0 {
+				cs = copySpec(cellSpec, false)
+			}
 			if swept["seed"] {
 				cs.Seed = DeriveSeed(cs.Seed, 0, rep)
 			} else {
@@ -337,50 +334,365 @@ func (s *Sweep) Cells() ([]Cell, *Error) {
 	return cells, nil
 }
 
-// setPath assigns v at the dotted path inside a JSON object tree,
-// creating intermediate objects as needed. The subsequent strict
-// re-Parse of the cell document catches paths that name no spec field.
-func setPath(doc map[string]any, path string, v any) *Error {
-	parts := strings.Split(path, ".")
-	cur := doc
-	for i, p := range parts[:len(parts)-1] {
-		next, ok := cur[p]
-		if !ok || next == nil {
-			child := map[string]any{}
-			cur[p] = child
-			cur = child
-			continue
+// assembly is how a sweep's cells are put together: its paths in the
+// order their values are written, each resolved to its RunSpec field,
+// with every axis value decoded once.
+type assembly struct {
+	axes []Axis
+	// base is Base as its JSON document decodes: every slice and map of
+	// the schema is tagged omitempty, so an empty one is nil.
+	base  RunSpec
+	paths []sweptPath
+	// viaJSON[axis][value] reports that the value cannot simply be
+	// assigned as decoded: a path of it names no field, it does not
+	// decode, or a path swept beneath it later meets a non-object, or a
+	// key that names its next field in another case, on its way through
+	// it. A cell with such a value is assembled from the JSON document
+	// of its values, which the strict decoder reads as it would read
+	// the whole cell document; every other cell by assignment.
+	viaJSON [][]bool
+	// leaves are the base values that paths are swept beneath. They go
+	// into that document too: a path through a base value is no object,
+	// while through an absent one it puts an object in a scalar field.
+	leaves []leaf
+}
+
+// leaf is a base value at a path.
+type leaf struct {
+	segs []string
+	v    any
+}
+
+// sweptPath is one path of one axis.
+type sweptPath struct {
+	name  string
+	segs  []string
+	axis  int
+	slot  int // position in a zipped axis's tuples; -1 for a plain axis
+	at    route
+	named bool            // at resolves every segment
+	typed []reflect.Value // the axis values decoded into at's type
+}
+
+// value is the path's part of axis value j, as the document wrote it.
+func (p *sweptPath) value(axes []Axis, j int) any {
+	v := axes[p.axis].Values[j]
+	if p.slot >= 0 {
+		v = v.([]any)[p.slot]
+	}
+	return v
+}
+
+// route is a field below RunSpec: struct field indices (through
+// pointers), then a map key when the path ends inside a map.
+type route struct {
+	index     []int
+	key       string
+	inMap     bool
+	omitEmpty bool         // the route ends at a field tagged omitempty
+	typ       reflect.Type // what a value at the route decodes into
+}
+
+// routeOf follows segs down RunSpec by JSON field name. It returns the
+// route of the longest prefix it could follow and that prefix's length;
+// beneathLeaf reports that it stopped below a scalar, an array or a map
+// entry, not at an unknown field. A segment that names a field only in
+// another case is refused: the decoder would merge it with the base's
+// own key for the field, and the base's value would win.
+func routeOf(segs []string) (r route, n int, beneathLeaf bool, err *Error) {
+	t := reflect.TypeOf(RunSpec{})
+	for ; n < len(segs); n++ {
+		if t.Kind() == reflect.Pointer {
+			t = t.Elem()
 		}
-		child, ok := next.(map[string]any)
+		switch {
+		case t.Kind() == reflect.Struct:
+			f, ok := jsonField(t, segs[n])
+			if !ok {
+				return r, n, false, nil
+			}
+			if name := jsonName(f); name != segs[n] {
+				return r, n, false, errf("sweep."+strings.Join(segs, "."), "%q names field %q in another case; sweep paths name fields exactly", segs[n], name)
+			}
+			r.index = append(r.index, f.Index[0])
+			r.omitEmpty = strings.HasSuffix(f.Tag.Get("json"), ",omitempty")
+			t = f.Type
+		case t.Kind() == reflect.Map && !r.inMap:
+			r.key, r.inMap, r.omitEmpty = segs[n], true, false
+			t = t.Elem()
+		default:
+			return r, n, true, nil
+		}
+	}
+	r.typ = t
+	return r, n, false, nil
+}
+
+// jsonField finds t's field for the JSON key name as encoding/json does:
+// the field of that name, or else one whose name matches in another case.
+func jsonField(t reflect.Type, name string) (reflect.StructField, bool) {
+	var fold reflect.StructField
+	found := false
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if n := jsonName(f); n == name {
+			return f, true
+		} else if !found && strings.EqualFold(n, name) {
+			fold, found = f, true
+		}
+	}
+	return fold, found
+}
+
+// jsonName is a field's JSON key.
+func jsonName(f reflect.StructField) string {
+	name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+	return name
+}
+
+// assembly resolves the sweep's paths and decodes its axis values.
+func (s *Sweep) assembly(paths [][]string) (*assembly, *Error) {
+	a := &assembly{axes: s.Axes, base: copySpec(s.Base, true), viaJSON: make([][]bool, len(s.Axes))}
+	for i, ax := range s.Axes {
+		a.viaJSON[i] = make([]bool, len(ax.Values))
+		for slot, name := range paths[i] {
+			p := sweptPath{name: name, segs: strings.Split(name, "."), axis: i, slot: -1}
+			if len(paths[i]) > 1 {
+				p.slot = slot
+			}
+			at, n, beneathLeaf, err := routeOf(p.segs)
+			if err != nil {
+				return nil, err
+			}
+			p.at, p.named = at, n == len(p.segs)
+			if v, ok := get(reflect.ValueOf(&a.base).Elem(), at); ok && beneathLeaf &&
+				!(at.omitEmpty && v.IsZero()) && !(v.Kind() == reflect.Pointer && v.IsNil()) {
+				a.leaves = append(a.leaves, leaf{p.segs[:n], v.Interface()})
+			}
+			for j := range ax.Values {
+				v, ok := p.decode(p.value(s.Axes, j))
+				p.typed = append(p.typed, v)
+				a.viaJSON[i][j] = a.viaJSON[i][j] || !ok
+			}
+			a.paths = append(a.paths, p)
+		}
+	}
+	for i, r := range a.paths {
+		for _, p := range a.paths[i+1:] {
+			if len(p.segs) > len(r.segs) && slices.Equal(p.segs[:len(r.segs)], r.segs) {
+				for j := range s.Axes[r.axis].Values {
+					if !writesThrough(r.value(s.Axes, j), p.segs[len(r.segs):]) {
+						a.viaJSON[r.axis][j] = true
+					}
+				}
+			}
+		}
+	}
+	return a, nil
+}
+
+// decode decodes one axis value strictly into the path's field type.
+func (p *sweptPath) decode(v any) (reflect.Value, bool) {
+	if !p.named {
+		return reflect.Value{}, false
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		return reflect.Value{}, false
+	}
+	out := reflect.New(p.at.typ)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if dec.Decode(out.Interface()) != nil {
+		return reflect.Value{}, false
+	}
+	return out.Elem(), true
+}
+
+// writesThrough reports whether writing at rel inside the JSON value v
+// assigns a field and nothing else: v holds objects (or nothing) along
+// rel, and no key on the way names a segment of rel in another case.
+func writesThrough(v any, rel []string) bool {
+	for _, seg := range rel {
+		if v == nil {
+			return true
+		}
+		m, ok := v.(map[string]any)
 		if !ok {
-			return errf("sweep."+path, "path segment %q is not an object", strings.Join(parts[:i+1], "."))
+			return false
 		}
+		for k := range m {
+			if k != seg && strings.EqualFold(k, seg) {
+				return false
+			}
+		}
+		v = m[seg]
+	}
+	return true
+}
+
+// cell assembles the spec of the cell at idx (cell is its number).
+func (a *assembly) cell(idx []int, cell int) (RunSpec, *Error) {
+	for i, j := range idx {
+		if a.viaJSON[i][j] {
+			return a.cellFromJSON(idx, cell)
+		}
+	}
+	spec := copySpec(a.base, false)
+	dst := reflect.ValueOf(&spec).Elem()
+	for _, p := range a.paths {
+		set(dst, p.at, p.typed[idx[p.axis]])
+	}
+	return spec, nil
+}
+
+// cellFromJSON assembles the cell at idx from the JSON document of its
+// values and of the base leaves paths are swept beneath, decoded as
+// Parse decodes; a decoding error is the whole cell document's.
+func (a *assembly) cellFromJSON(idx []int, cell int) (RunSpec, *Error) {
+	doc := map[string]any{}
+	for _, l := range a.leaves {
+		put(doc, l.segs, l.v) // cannot fail: no leaf lies beneath another
+	}
+	for _, p := range a.paths {
+		if err := put(doc, p.segs, p.value(a.axes, idx[p.axis])); err != nil {
+			return RunSpec{}, err
+		}
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		return RunSpec{}, errf("sweep", "cell %d does not serialise: %v", cell, err)
+	}
+	var values RunSpec
+	if err := strictUnmarshal(data, &values); err != nil {
+		pe, _ := prefixPaths(err, "sweep(cell "+strconv.Itoa(cell)+").").(*Error)
+		return RunSpec{}, pe
+	}
+	spec := copySpec(a.base, false)
+	dst, src := reflect.ValueOf(&spec).Elem(), reflect.ValueOf(&values).Elem()
+	for _, p := range a.paths {
+		if v, ok := get(src, p.at); ok && p.named {
+			set(dst, p.at, v)
+		}
+	}
+	return spec, nil
+}
+
+// put writes v at segs in the JSON object tree doc, creating objects
+// where it finds nothing (or null) and copying each object it enters, so
+// that the axis values the tree holds are never written.
+func put(doc map[string]any, segs []string, v any) *Error {
+	cur := doc
+	for i, seg := range segs[:len(segs)-1] {
+		var child map[string]any
+		switch next := cur[seg].(type) {
+		case nil:
+			child = map[string]any{}
+		case map[string]any:
+			child = maps.Clone(next)
+		default:
+			return errf("sweep."+strings.Join(segs, "."), "path segment %q is not an object", strings.Join(segs[:i+1], "."))
+		}
+		cur[seg] = child
 		cur = child
 	}
-	cur[parts[len(parts)-1]] = v
+	cur[segs[len(segs)-1]] = v
 	return nil
 }
 
-// deepCopy copies the maps and slices of a decoded JSON value, so that an
-// axis writing beneath the copy changes this cell's document only — not
-// the base document every cell starts from, not the axis value, and not
-// the Overrides of the cells that share it.
-func deepCopy(v any) any {
-	switch t := v.(type) {
-	case map[string]any:
-		out := make(map[string]any, len(t))
-		for k, e := range t {
-			out[k] = deepCopy(e)
+// get reads the value at r inside v; ok is false when a nil pointer or a
+// missing map key is on the way.
+func get(v reflect.Value, r route) (reflect.Value, bool) {
+	for _, i := range r.index {
+		if v.Kind() == reflect.Pointer {
+			if v.IsNil() {
+				return reflect.Value{}, false
+			}
+			v = v.Elem()
 		}
-		return out
-	case []any:
-		out := make([]any, len(t))
-		for i, e := range t {
-			out[i] = deepCopy(e)
-		}
-		return out
+		v = v.Field(i)
 	}
-	return v
+	if r.inMap {
+		v = v.MapIndex(reflect.ValueOf(r.key))
+	}
+	return v, v.IsValid()
+}
+
+// set assigns a copy of x at r inside v (see deepen), allocating the
+// structs and the map on the way.
+func set(v reflect.Value, r route, x reflect.Value) {
+	for _, i := range r.index {
+		if v.Kind() == reflect.Pointer {
+			if v.IsNil() {
+				v.Set(reflect.New(v.Type().Elem()))
+			}
+			v = v.Elem()
+		}
+		v = v.Field(i)
+	}
+	if r.inMap {
+		if v.IsNil() {
+			v.Set(reflect.MakeMap(v.Type()))
+		}
+		v.SetMapIndex(reflect.ValueOf(r.key), deepened(x))
+		return
+	}
+	v.Set(x)
+	deepen(v, false)
+}
+
+// copySpec returns a copy of s that shares no pointer, slice or map
+// with it. With omitEmpty an empty slice or map copies as nil.
+func copySpec(s RunSpec, omitEmpty bool) RunSpec {
+	deepen(reflect.ValueOf(&s).Elem(), omitEmpty)
+	return s
+}
+
+// deepen replaces every pointer, slice and map reachable from the
+// settable v with a copy of what it refers to.
+func deepen(v reflect.Value, omitEmpty bool) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			c := reflect.New(v.Type().Elem())
+			c.Elem().Set(v.Elem())
+			deepen(c.Elem(), omitEmpty)
+			v.Set(c)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			deepen(v.Field(i), omitEmpty)
+		}
+	case reflect.Slice:
+		if v.IsNil() || omitEmpty && v.Len() == 0 {
+			v.SetZero()
+			return
+		}
+		c := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
+		reflect.Copy(c, v)
+		for i := 0; i < c.Len(); i++ {
+			deepen(c.Index(i), omitEmpty)
+		}
+		v.Set(c)
+	case reflect.Map:
+		if v.IsNil() || omitEmpty && v.Len() == 0 {
+			v.SetZero()
+			return
+		}
+		c := reflect.MakeMapWithSize(v.Type(), v.Len())
+		for it := v.MapRange(); it.Next(); {
+			c.SetMapIndex(it.Key(), deepened(it.Value()))
+		}
+		v.Set(c)
+	}
+}
+
+// deepened is a deepened copy of v.
+func deepened(v reflect.Value) reflect.Value {
+	c := reflect.New(v.Type()).Elem()
+	c.Set(v)
+	deepen(c, false)
+	return c
 }
 
 // run builds and runs the cell and labels the report with the cell's

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -199,6 +201,20 @@ func TestSweepErrors(t *testing.T) {
 	}
 }
 
+// TestSweepPathCase: a path segment that names a field in another case
+// is refused. The decoder matches keys case-insensitively, so such a key
+// was merged with the base's own key for the field, and the base's value
+// won wherever it had one.
+func TestSweepPathCase(t *testing.T) {
+	_, err := ParseFile([]byte(`{"base":{"model":"generational","problem":{"name":"onemax","size":8},"engine":{"pop":6}},"sweep":{"Engine.pop":[4,8]}}`))
+	if err == nil {
+		t.Fatal("ParseFile accepted the sweep path Engine.pop")
+	}
+	if !hasPath(fieldPaths(t, err), "sweep.Engine.pop") {
+		t.Errorf("error paths %v do not mention sweep.Engine.pop", fieldPaths(t, err))
+	}
+}
+
 // TestZippedAxis: a zipped axis steps its paths together, one cell per
 // tuple, and records each path in Overrides on its own.
 func TestZippedAxis(t *testing.T) {
@@ -284,6 +300,24 @@ func TestOverridesNotAliased(t *testing.T) {
 			t.Errorf("axis %s = %v after expansion, want %v", ax.Path, ax.Values, written[ax.Path])
 		}
 	}
+}
+
+// TestMaskedAxisValue: an object value whose bad key a later axis
+// overwrites is accepted, as the cell document it makes is valid; the
+// cell takes the later value, and the axis values stay as written.
+func TestMaskedAxisValue(t *testing.T) {
+	const doc = `{"base":{"model":"generational","problem":{"name":"onemax","size":8},"budget":{"generations":2},"seed":1},
+	  "sweep":{"engine":[{"pop":"x","elitism":2},{"pop":6}],"engine.pop":[10]}}`
+	sw := parseSweep(t, "masked", doc)
+	cells, _ := sw.Cells()
+	if len(cells) != 2 || cells[0].Spec.Engine.Pop != 10 || cells[0].Spec.Engine.Elitism != 2 || cells[1].Spec.Engine.Pop != 10 {
+		t.Fatalf("cells %+v, want pop 10 in both and elitism 2 in the first", cells)
+	}
+	if v := sw.Axes[0].Values[0].(map[string]any); v["pop"] != "x" || len(v) != 2 {
+		t.Errorf("axis value written during expansion: %v", v)
+	}
+	want, werr := cellsByJSON(&Sweep{Base: sw.Base, Axes: sw.Axes})
+	sameExpansion(t, "masked", cells, nil, want, werr)
 }
 
 // TestSweepRunDeterminism runs a small two-axis sweep twice and requires
@@ -546,5 +580,627 @@ func TestSweepOnStepConcurrent(t *testing.T) {
 	}
 	if steps.Load() != want || want == 0 {
 		t.Errorf("OnStep fired %d times for %d generations", steps.Load(), want)
+	}
+}
+
+// cellsByJSON is the expansion Sweep.Cells replaced, kept as its
+// reference: every cell is the base spec's JSON document with the cell's
+// axis values set at their paths, marshalled and parsed again.
+func cellsByJSON(s *Sweep) ([]Cell, *Error) {
+	reps := s.Replicates
+	if reps == 0 {
+		reps = 1
+	}
+	dims := make([]int, len(s.Axes))
+	paths := make([][]string, len(s.Axes))
+	swept := map[string]bool{}
+	total := 1
+	for i, ax := range s.Axes {
+		if len(ax.Values) == 0 {
+			return nil, errf("sweep."+ax.Path, "axis has no values")
+		}
+		paths[i] = strings.Split(ax.Path, ",")
+		for _, p := range paths[i] {
+			if strings.TrimSpace(p) == "" {
+				return nil, errf("sweep", "axis %q has an empty path", ax.Path)
+			}
+			if swept[p] {
+				return nil, errf("sweep."+ax.Path, "path %q is swept twice (a path may appear in one axis only)", p)
+			}
+			swept[p] = true
+		}
+		for j, v := range ax.Values {
+			if t, ok := v.([]any); len(paths[i]) > 1 && (!ok || len(t) != len(paths[i])) {
+				return nil, errf("sweep."+ax.Path, "value %d must be an array of %d values, one per path", j, len(paths[i]))
+			}
+		}
+		dims[i] = len(ax.Values)
+		total *= dims[i]
+		if total > maxSweepRuns {
+			return nil, errf("sweep", "matrix expands to over %d cells", maxSweepRuns)
+		}
+	}
+	if reps > maxSweepRuns/total {
+		return nil, errf("replicates", "%d cells × %d replicates expands to over %d runs", total, reps, maxSweepRuns)
+	}
+
+	baseJSON, err := s.Base.JSON()
+	if err != nil {
+		return nil, errf("base", "cannot serialise base spec: %v", err)
+	}
+	var baseDoc map[string]any
+	if uerr := unmarshalNumbers(baseJSON, &baseDoc); uerr != nil {
+		return nil, errf("base", "cannot re-read base spec: %v", uerr)
+	}
+
+	var cells []Cell
+	idx := make([]int, len(s.Axes))
+	for cell := 0; cell < total; cell++ {
+		overrides := map[string]any{}
+		doc := deepCopy(baseDoc).(map[string]any)
+		for i, ax := range s.Axes {
+			for j, p := range paths[i] {
+				v := ax.Values[idx[i]]
+				if len(paths[i]) > 1 {
+					v = v.([]any)[j]
+				}
+				overrides[p] = v
+				if serr := setPath(doc, p, deepCopy(v)); serr != nil {
+					return nil, serr
+				}
+			}
+		}
+		cellJSON, merr := json.Marshal(doc)
+		if merr != nil {
+			return nil, errf("sweep", "cell %d does not serialise: %v", cell, merr)
+		}
+		cellSpec, perr := Parse(cellJSON)
+		if perr != nil {
+			pe, _ := prefixPaths(perr, "sweep(cell "+strconv.Itoa(cell)+").").(*Error)
+			return nil, pe
+		}
+		for rep := 0; rep < reps; rep++ {
+			cs := *cellSpec
+			if swept["seed"] {
+				cs.Seed = DeriveSeed(cs.Seed, 0, rep)
+			} else {
+				cs.Seed = DeriveSeed(s.Base.Seed, cell, rep)
+			}
+			cells = append(cells, Cell{Index: cell, Replicate: rep, Spec: cs, Overrides: overrides})
+		}
+		for i := len(idx) - 1; i >= 0; i-- {
+			idx[i]++
+			if idx[i] < dims[i] {
+				break
+			}
+			idx[i] = 0
+		}
+	}
+	return cells, nil
+}
+
+// setPath assigns v at the dotted path inside a JSON object tree,
+// creating intermediate objects as needed. The subsequent strict
+// re-Parse of the cell document catches paths that name no spec field.
+func setPath(doc map[string]any, path string, v any) *Error {
+	parts := strings.Split(path, ".")
+	cur := doc
+	for i, p := range parts[:len(parts)-1] {
+		next, ok := cur[p]
+		if !ok || next == nil {
+			child := map[string]any{}
+			cur[p] = child
+			cur = child
+			continue
+		}
+		child, ok := next.(map[string]any)
+		if !ok {
+			return errf("sweep."+path, "path segment %q is not an object", strings.Join(parts[:i+1], "."))
+		}
+		cur = child
+	}
+	cur[parts[len(parts)-1]] = v
+	return nil
+}
+
+// deepCopy copies the maps and slices of a decoded JSON value, so that an
+// axis writing beneath the copy changes this cell's document only — not
+// the base document every cell starts from, not the axis value, and not
+// the Overrides of the cells that share it.
+func deepCopy(v any) any {
+	switch t := v.(type) {
+	case map[string]any:
+		out := make(map[string]any, len(t))
+		for k, e := range t {
+			out[k] = deepCopy(e)
+		}
+		return out
+	case []any:
+		out := make([]any, len(t))
+		for i, e := range t {
+			out[i] = deepCopy(e)
+		}
+		return out
+	}
+	return v
+}
+
+// sameExpansion fails the test unless two expansions are the same cells,
+// or both refused the sweep with errors at the same field paths.
+func sameExpansion(t *testing.T, name string, got []Cell, gerr *Error, want []Cell, werr *Error) {
+	t.Helper()
+	if gerr != nil || werr != nil {
+		if gerr == nil || werr == nil {
+			t.Fatalf("%s: Cells error %v, JSON expansion error %v", name, gerr, werr)
+		}
+		if gp, wp := fieldPaths(t, gerr), fieldPaths(t, werr); !reflect.DeepEqual(gp, wp) {
+			t.Fatalf("%s: Cells refuses at %v (%v), the JSON expansion at %v (%v)", name, gp, gerr, wp, werr)
+		}
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d cells, the JSON expansion has %d", name, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Index != w.Index || g.Replicate != w.Replicate {
+			t.Fatalf("%s: cell %d is (%d, %d), want (%d, %d)", name, i, g.Index, g.Replicate, w.Index, w.Replicate)
+		}
+		if !reflect.DeepEqual(g.Spec, w.Spec) {
+			gj, _ := g.Spec.JSON()
+			wj, _ := w.Spec.JSON()
+			t.Fatalf("%s: cell %d spec differs\n got %s\nwant %s\n got %#v\nwant %#v", name, i, gj, wj, g.Spec, w.Spec)
+		}
+		if !reflect.DeepEqual(g.Overrides, w.Overrides) {
+			t.Fatalf("%s: cell %d overrides %v, want %v", name, i, g.Overrides, w.Overrides)
+		}
+	}
+}
+
+// sweepDocuments lists the checked-in sweep documents.
+func sweepDocuments(tb testing.TB) []string {
+	tb.Helper()
+	var docs []string
+	for _, dir := range []string{"../../examples/sweeps", "../../examples/experiments"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+		if err != nil || len(files) == 0 {
+			tb.Fatalf("no documents in %s: %v", dir, err)
+		}
+		docs = append(docs, files...)
+	}
+	return docs
+}
+
+// TestCellsMatchJSONExpansion: every checked-in sweep expands to the
+// cells the JSON expansion gives it.
+func TestCellsMatchJSONExpansion(t *testing.T) {
+	n := 0
+	for _, path := range sweepDocuments(t) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := ParseFile(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if f.Sweep == nil {
+			continue
+		}
+		got, gerr := f.Sweep.Cells()
+		want, werr := cellsByJSON(&Sweep{Base: f.Sweep.Base, Axes: f.Sweep.Axes, Replicates: f.Sweep.Replicates})
+		sameExpansion(t, path, got, gerr, want, werr)
+		n++
+	}
+	if n < 30 {
+		t.Fatalf("compared %d sweep documents, want every checked-in one", n)
+	}
+}
+
+// TestSweepCellsShareNothing writes through every pointer, slice and map
+// reachable from one cell's spec and requires every other cell and the
+// base to be unchanged — also where two cells take the same axis value.
+func TestSweepCellsShareNothing(t *testing.T) {
+	docs := map[string]string{
+		"islands": `{"base":{"model":"islands","problem":{"name":"nk","size":16,"seed":3},
+		  "engine":{"pop":8,"crossover":{"name":"uniform","params":{"p":0.4}}},
+		  "islands":{"demes":3,"migration":{"interval":2},"mode":"parallel","resilience":"default",
+		    "faults":[{"kind":"panic","deme":0,"gen":1}]},
+		  "budget":{"generations":3,"target":16},"seed":6},
+		  "sweep":{"engine.crossover":[{"name":"uniform","params":{"p":0.3}}],
+		    "islands.faults":[[{"kind":"panic","deme":1,"gen":2}]],"problem.seed":[5],"budget.target":[15],
+		    "seed":[1,2]},"replicates":2}`,
+		"islands-base": `{"base":{"model":"islands","problem":{"name":"nk","size":16,"seed":3},
+		  "engine":{"pop":8,"crossover":{"name":"uniform","params":{"p":0.4}}},
+		  "islands":{"demes":3,"mode":"parallel","resilience":"default","faults":[{"kind":"panic","deme":0,"gen":1}]},
+		  "budget":{"generations":3,"target":16},"seed":6},
+		  "sweep":{"engine.pop":[8,10]}}`,
+		"hga":      `{"base":` + smokeSpecs[ModelHGA] + `,"sweep":{"hga.layers":[[1,3]],"seed":[1,2]}}`,
+		"hga-base": `{"base":` + smokeSpecs[ModelHGA] + `,"sweep":{"seed":[1,2]}}`,
+		"sim": `{"base":{"model":"sim","problem":{"name":"zdt1","size":5},"sim":{"deme_size":10,"hv_ref":[11,11]},"budget":{"generations":3},"seed":9},
+		  "sweep":{"sim.hv_ref":[[12,12]],"seed":[1,2]}}`,
+		"sim-base": `{"base":{"model":"sim","problem":{"name":"zdt1","size":5},"sim":{"deme_size":10,"hv_ref":[11,11]},"budget":{"generations":3},"seed":9},
+		  "sweep":{"seed":[1,2]}}`,
+	}
+	reaches := map[string]func(s *RunSpec) bool{
+		"Engine.Crossover.Params": func(s *RunSpec) bool { return s.Engine.Crossover != nil && len(s.Engine.Crossover.Params) > 0 },
+		"Islands.Faults":          func(s *RunSpec) bool { return s.Islands != nil && len(s.Islands.Faults) > 0 },
+		"Problem.Seed":            func(s *RunSpec) bool { return s.Problem.Seed != nil },
+		"Budget.Target":           func(s *RunSpec) bool { return s.Budget.Target != nil },
+		"HGA.Layers":              func(s *RunSpec) bool { return s.HGA != nil && len(s.HGA.Layers) > 0 },
+		"SIM.HVRef":               func(s *RunSpec) bool { return s.SIM != nil && len(s.SIM.HVRef) > 0 },
+	}
+	reached := map[string]bool{}
+	for name, doc := range docs {
+		n := len(parseSweep(t, name, doc).cells)
+		for i := 0; i < n; i++ {
+			sw := parseSweep(t, name, doc) // a fresh expansion per scribbled cell
+			before := make([]string, n)
+			for j := range sw.cells {
+				before[j] = specJSON(t, sw.cells[j].Spec)
+			}
+			base := specJSON(t, sw.Base)
+			for field, reach := range reaches {
+				if reach(&sw.cells[i].Spec) {
+					reached[field] = true
+				}
+			}
+			c := sw.cells[i]
+			scribble(reflect.ValueOf(&sw.cells[i].Spec).Elem(), false)
+			if specJSON(t, sw.cells[i].Spec) == before[i] {
+				t.Fatalf("%s: writing through cell %d replicate %d changed nothing", name, c.Index, c.Replicate)
+			}
+			for j, o := range sw.cells {
+				if j != i && specJSON(t, o.Spec) != before[j] {
+					t.Errorf("%s: writing through cell %d replicate %d changed cell %d replicate %d",
+						name, c.Index, c.Replicate, o.Index, o.Replicate)
+				}
+			}
+			if specJSON(t, sw.Base) != base {
+				t.Errorf("%s: writing through cell %d replicate %d changed the base", name, c.Index, c.Replicate)
+			}
+		}
+	}
+	for field := range reaches {
+		if !reached[field] {
+			t.Errorf("no cell reaches %s: the documents no longer cover it", field)
+		}
+	}
+}
+
+// specJSON is a spec's JSON form, which follows every pointer.
+func specJSON(t *testing.T, s RunSpec) string {
+	t.Helper()
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// scribble overwrites every value it reaches through a pointer, a slice
+// or a map below v, and adds a key to every map.
+func scribble(v reflect.Value, behind bool) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			scribble(v.Elem(), true)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			scribble(v.Field(i), behind)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			scribble(v.Index(i), true)
+		}
+	case reflect.Map:
+		for _, k := range v.MapKeys() {
+			e := reflect.New(v.Type().Elem()).Elem()
+			e.Set(v.MapIndex(k))
+			scribble(e, true)
+			v.SetMapIndex(k, e)
+		}
+		v.SetMapIndex(reflect.ValueOf("scribbled"), reflect.Zero(v.Type().Elem()))
+	case reflect.Int, reflect.Int64:
+		if behind {
+			v.SetInt(v.Int() + 7777)
+		}
+	case reflect.Uint64:
+		if behind {
+			v.SetUint(v.Uint() + 7777)
+		}
+	case reflect.Float64:
+		if behind {
+			v.SetFloat(v.Float() + 7777)
+		}
+	case reflect.String:
+		if behind {
+			v.SetString(v.String() + "!")
+		}
+	case reflect.Bool:
+		if behind {
+			v.SetBool(!v.Bool())
+		}
+	}
+}
+
+// sweepGen draws a sweep from fuzz bytes: a valid base, then one to
+// three axes — plain, zipped, range or seed — over paths that name
+// fields, sections, map keys, unknown fields and fields beneath a
+// scalar, with values of every JSON kind.
+type sweepGen struct{ data []byte }
+
+func (g *sweepGen) pick(n int) int {
+	if len(g.data) == 0 {
+		return 0
+	}
+	b := g.data[0]
+	g.data = g.data[1:]
+	return int(b) % n
+}
+
+// genBase is a valid base spec and the paths its cells can validly
+// set, each with values that fit it; bits bases also take genBits.
+type genBase struct {
+	doc   string
+	bits  bool
+	paths map[string][]string
+}
+
+var (
+	genCommon = map[string][]string{
+		"seed":                  {"1", "2", "77"},
+		"replicates":            {"0", "1"},
+		"engine.pop":            {"6", "8", "12"},
+		"engine.crossover_rate": {"0.5", "0.9"},
+		"problem.seed":          {"3", "4", "null"},
+		"budget.generations":    {"2", "3"},
+		"budget.target":         {"16", "10", "null"},
+	}
+	genBits = map[string][]string{
+		"engine":                    {`{"pop":6}`, `{"pop":8,"crossover":{"name":"uniform","params":{"p":0.2}}}`, `{}`, `null`},
+		"engine.elitism":            {"1", "2", "-1"},
+		"engine.selector":           {`{"name":"tournament","params":{"k":3}}`, `{"name":"rank"}`},
+		"engine.crossover":          {`{"name":"uniform","params":{"p":0.3}}`, `{"name":"onepoint"}`, `null`},
+		"engine.crossover.name":     {`"uniform"`, `"twopoint"`},
+		"engine.crossover.params":   {`{"p":0.2}`, `{}`},
+		"engine.crossover.params.p": {"0.1", "0.7"},
+		"problem":                   {`{"name":"onemax","size":16}`, `{"name":"trap","size":20}`},
+		"problem.name":              {`"onemax"`, `"trap"`},
+		"problem.size":              {"16", "20"},
+	}
+	genBases = []genBase{
+		{smokeSpecs[ModelGenerational], true, map[string][]string{"model": {`"generational"`, `"steadystate"`}}},
+		{`{"model":"generational","problem":{"name":"onemax","size":16},"budget":{"generations":3},"seed":4,
+		  "engine":{"pop":10,"elitism":0,"crossover":{"name":"uniform","params":{"p":0}}}}`, true, nil},
+		{`{"model":"cellular","problem":{"name":"onemax","size":16},"budget":{"generations":4},"seed":5,
+		  "engine":{"grid":{"rows":3,"cols":3},"mutator":{"name":"bitflip","params":{}}}}`, true, map[string][]string{
+			"engine.grid":      {`{"rows":3,"cols":3}`, `{"rows":2,"cols":5,"update":"ls"}`},
+			"engine.grid.rows": {"2", "4"},
+		}},
+		{smokeSpecs[ModelMasterSlave], true, map[string][]string{"farm": {`{"workers":2}`, `{}`}, "farm.workers": {"1", "3"}}},
+		{smokeSpecs[ModelHGA], false, map[string][]string{
+			"hga":          {`{"layers":[1,2]}`, `{"layers":[1,1],"interval":3}`},
+			"hga.layers":   {"[1,2]", "[1,3]"},
+			"problem.name": {`"sphere"`, `"rastrigin"`},
+		}},
+		{`{"model":"sim","problem":{"name":"zdt1","size":5},"sim":{"deme_size":10,"hv_ref":[]},"budget":{"generations":3},"seed":9}`, false, map[string][]string{
+			"sim.hv_ref": {"[11,11]", "[12,12]"}, "sim.deme_size": {"8", "12"},
+			"problem.name": {`"zdt1"`, `"schaffer"`},
+		}},
+		{`{"model":"islands","problem":{"name":"nk","size":16,"seed":3},
+		  "engine":{"pop":8,"crossover":{"name":"uniform","params":{"p":0.4}}},
+		  "islands":{"demes":2,"topology":{"kind":"torus","rows":1,"cols":2},"migration":{"interval":2},
+		    "mode":"parallel","resilience":"default","faults":[{"kind":"panic","deme":0,"gen":1}]},
+		  "budget":{"generations":3,"target":16},"seed":6}`, true, map[string][]string{
+			"engine.type":                {`"generational"`, `"steadystate"`},
+			"islands":                    {`{"demes":2,"migration":{"interval":1}}`, `{"demes":4,"topology":"ring"}`, `{"demes":2,"topology":{"kind":"torus","rows":1,"cols":2}}`},
+			"islands.demes":              {"2", "4"},
+			"islands.topology":           {`"ring"`, `{"kind":"complete"}`, `{"kind":"torus","rows":1,"cols":2}`},
+			"islands.topology.kind":      {`"ring"`, `"complete"`},
+			"islands.topology.rows":      {"1"},
+			"islands.migration":          {`{"interval":3}`, `{"interval":1,"select":"random"}`},
+			"islands.migration.interval": {"1", "3"},
+			"islands.faults":             {"[]", `[{"kind":"panic","deme":1,"gen":2}]`},
+			"problem.name":               {`"nk"`},
+		}},
+	}
+	// genOdd are paths no base sets validly: unknown fields, fields
+	// beneath a scalar, sections of another model.
+	genOdd     = []string{"engine.popsize", "seed.low", "engine.pop.x", "engine.crossover.params.p.q", "islands.faults.x", "hga", "farm.workers", "islands.demes"}
+	genKeys    = []string{"pop", "name", "kind", "interval", "rows", "cols", "demes", "params", "p", "size", "seed", "deme", "gen", "topology", "migration", "bogus", "Pop", "Kind"}
+	genNumbers = []string{"0", "1", "2", "3", "4", "8", "16", "-1", "0.5", "2.5e1", "18446744073709551615", "1e400"}
+	genStrings = []string{"ring", "torus", "generational", "islands", "tournament", "uniform", "onemax", "panic", "x", ""}
+)
+
+// path draws a path for base b and a value generator for it.
+func (g *sweepGen) path(b genBase) string {
+	var names []string
+	for _, m := range []map[string][]string{genCommon, b.paths} {
+		for p := range m {
+			names = append(names, p)
+		}
+	}
+	if b.bits {
+		for p := range genBits {
+			names = append(names, p)
+		}
+	}
+	if g.pick(8) == 0 {
+		names = genOdd
+	}
+	sort.Strings(names)
+	return names[g.pick(len(names))]
+}
+
+// valueFor draws a value for path p: mostly one that fits it, else one
+// of any JSON kind.
+func (g *sweepGen) valueFor(b genBase, p string) any {
+	fits := b.paths[p]
+	if fits == nil {
+		fits = genCommon[p]
+	}
+	if fits == nil && b.bits {
+		fits = genBits[p]
+	}
+	if len(fits) == 0 || g.pick(6) == 0 {
+		return g.value(0)
+	}
+	var v any
+	if err := unmarshalNumbers([]byte(fits[g.pick(len(fits))]), &v); err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func (g *sweepGen) value(depth int) any {
+	kinds := 8
+	if depth >= 2 {
+		kinds = 5
+	}
+	switch g.pick(kinds) {
+	case 0:
+		return nil
+	case 1:
+		return g.pick(2) == 1
+	case 2, 3:
+		return json.Number(genNumbers[g.pick(len(genNumbers))])
+	case 4:
+		return genStrings[g.pick(len(genStrings))]
+	case 5:
+		arr := []any{}
+		for n := g.pick(3); n > 0; n-- {
+			arr = append(arr, g.value(depth+1))
+		}
+		return arr
+	default:
+		obj := map[string]any{}
+		for n := g.pick(4); n > 0; n-- {
+			obj[genKeys[g.pick(len(genKeys))]] = g.value(depth + 1)
+		}
+		return obj
+	}
+}
+
+// sweep returns the generated sweep, or false when its axes are refused
+// before expansion (both expansions share that step).
+func (g *sweepGen) sweep(t *testing.T) (*Sweep, bool) {
+	b := genBases[g.pick(len(genBases))]
+	base, err := Parse([]byte(b.doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	axes := map[string]any{}
+	for n := 1 + g.pick(3); n > 0; n-- {
+		switch g.pick(5) {
+		case 0: // range
+			froms := []float64{0, 1, 2, 0.5}
+			steps := []float64{1, 2, 0.5, 0.25}
+			from := froms[g.pick(len(froms))]
+			axes[g.path(b)] = map[string]any{
+				"from": from, "to": from + float64(g.pick(4)), "step": steps[g.pick(len(steps))]}
+		case 1: // seed
+			var vals []any
+			for k := 1 + g.pick(3); k > 0; k-- {
+				vals = append(vals, g.valueFor(b, "seed"))
+			}
+			axes["seed"] = vals
+		case 2: // zipped
+			p, q := g.path(b), g.path(b)
+			var vals []any
+			for k := 1 + g.pick(3); k > 0; k-- {
+				if g.pick(8) == 0 {
+					vals = append(vals, g.value(0)) // a malformed tuple, mostly
+				} else {
+					vals = append(vals, []any{g.valueFor(b, p), g.valueFor(b, q)})
+				}
+			}
+			axes[p+","+q] = vals
+		default:
+			p := g.path(b)
+			var vals []any
+			for k := 1 + g.pick(3); k > 0; k-- {
+				vals = append(vals, g.valueFor(b, p))
+			}
+			axes[p] = vals
+		}
+	}
+	sw := &Sweep{Base: *base, Replicates: g.pick(3)}
+	keys := make([]string, 0, len(axes))
+	for k := range axes {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		raw, err := json.Marshal(axes[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		values, aerr := parseAxisValues(k, raw)
+		if aerr != nil {
+			return nil, false
+		}
+		sw.Axes = append(sw.Axes, Axis{Path: k, Values: values})
+	}
+	return sw, true
+}
+
+// FuzzSweepExpansion: Sweep.Cells and the JSON expansion agree on every
+// generated sweep, in every cell, or in the field paths of the error
+// they refuse it with.
+func FuzzSweepExpansion(f *testing.F) {
+	for _, seed := range []string{
+		"\x00\x00\x03\x04\x02",
+		"\x05\x02\x02\x1a\x05\x00\x03",
+		"\x05\x01\x03\x11\x12\x06\x02\x00\x07\x01\x08\x02\x04\x03",
+		"\x02\x01\x00\x03\x01\x00\x02\x04\x00\x01",
+		"\x05\x00\x03\x13\x07\x02\x01\x0e\x07\x01\x01\x05\x02\x1b\x06\x03\x00",
+		"\x00\x01\x03\x24\x02\x06\x02\x02\x02\x01",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &sweepGen{data: data}
+		sw, ok := g.sweep(t)
+		if !ok {
+			return
+		}
+		// Each expansion gets its own axis values, so that one writing
+		// into them shows as overrides the other does not have.
+		ref := &Sweep{Base: sw.Base, Replicates: sw.Replicates}
+		for _, ax := range sw.Axes {
+			ref.Axes = append(ref.Axes, Axis{Path: ax.Path, Values: deepCopy(ax.Values).([]any)})
+		}
+		want, werr := cellsByJSON(ref)
+		got, gerr := sw.Cells()
+		sameExpansion(t, "generated sweep", got, gerr, want, werr)
+	})
+}
+
+// BenchmarkParseFile times ParseFile on each checked-in sweep document —
+// decoding, base validation, expansion and every cell's validation —
+// and reports the time per expanded cell.
+func BenchmarkParseFile(b *testing.B) {
+	for _, path := range sweepDocuments(b) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := filepath.Base(filepath.Dir(path)) + "/" + strings.TrimSuffix(filepath.Base(path), ".json")
+		b.Run(name, func(b *testing.B) {
+			cells := 0
+			for i := 0; i < b.N; i++ {
+				f, err := ParseFile(data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if f.Sweep == nil {
+					b.Skip("not a sweep document")
+				}
+				cells = len(f.Sweep.cells)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"io"
 	"math"
 	"runtime"
 	"slices"
@@ -19,6 +20,17 @@ import (
 	"pga/internal/persist"
 	"pga/internal/rng"
 )
+
+// readFrame reads and decodes one frame from r, as the connection
+// reader does with readFrameBody and decodeFrame, returning the sender
+// id and the migrant batch.
+func readFrame(r io.Reader) (from int, migrants []*core.Individual, err error) {
+	body, err := readFrameBody(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	return decodeFrame(body)
+}
 
 // testBatch builds a batch of evaluated bit-string individuals with
 // recognisable fitness values.

@@ -86,18 +86,6 @@ func encodeBatch(from int, seq uint64, migrants []*core.Individual) ([]byte, err
 	return buf, nil
 }
 
-// readFrame reads and decodes one frame from r, returning the sender
-// id and the migrant batch. Any framing, version or population error
-// is returned to the caller, which must treat the stream as poisoned
-// (close the connection and wait for a reconnect).
-func readFrame(r io.Reader) (from int, migrants []*core.Individual, err error) {
-	body, err := readFrameBody(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	return decodeFrame(body)
-}
-
 // readFrameBody reads one length-prefixed frame from r without
 // decoding it.
 func readFrameBody(r io.Reader) ([]byte, error) {
