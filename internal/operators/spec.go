@@ -3,9 +3,6 @@ package operators
 import (
 	"math"
 	"sort"
-
-	"pga/internal/core"
-	"pga/internal/genome"
 )
 
 // This file is the operator half of the run-specification vocabulary:
@@ -79,19 +76,19 @@ func (e SpecEntry) Param(name string) (SpecParam, bool) {
 	return SpecParam{}, false
 }
 
-// Canonical names the genome class of g and the default crossover and
-// mutator of that class — the pairing every front end (spec documents,
-// pgarun flags, pgaisland) runs when a slot is left empty.
-func Canonical(g core.Genome) (class string, c Crossover, m Mutator) {
-	switch g.(type) {
-	case *genome.RealVector:
-		return "real", SBX{}, Polynomial{}
-	case *genome.Permutation:
-		return "perm", OX{}, Inversion{}
-	case *genome.IntVector:
-		return "int", Uniform{}, UniformReset{}
+// Canonical returns the default crossover and mutator of a genome class
+// ("bits", "real", "int" or "perm") — the pairing every front end (spec
+// documents, pgarun flags, pgaisland) runs when a slot is left empty.
+func Canonical(class string) (Crossover, Mutator) {
+	switch class {
+	case "real":
+		return SBX{}, Polynomial{}
+	case "perm":
+		return OX{}, Inversion{}
+	case "int":
+		return Uniform{}, UniformReset{}
 	default:
-		return "bits", Uniform{}, BitFlip{}
+		return Uniform{}, BitFlip{}
 	}
 }
 

@@ -245,37 +245,6 @@ type NKLandscape struct {
 // per gene is already 128 MiB.
 const nkMaxPattern = 24
 
-// nkInstance draws an NK instance in source form: links[i] are the k+1
-// loci feeding gene i's table, table[i][pattern] its contribution.
-func nkInstance(n, k int, seed uint64) (links [][]int, table [][]float64) {
-	if k < 0 || k >= n {
-		panic(fmt.Sprintf("problems: NK requires 0 <= k < n, got n=%d k=%d", n, k))
-	}
-	if k+1 > nkMaxPattern {
-		panic(fmt.Sprintf("problems: NK requires k+1 <= %d (2^(k+1) contributions per gene), got k=%d", nkMaxPattern, k))
-	}
-	r := rng.New(seed)
-	links = make([][]int, n)
-	table = make([][]float64, n)
-	id, others := identity(n-1), make([]int, k)
-	for i := 0; i < n; i++ {
-		links[i] = make([]int, 0, k+1)
-		links[i] = append(links[i], i)
-		// k distinct other loci.
-		for _, j := range r.SampleInto(id, others) {
-			if j >= i {
-				j++
-			}
-			links[i] = append(links[i], j)
-		}
-		table[i] = make([]float64, 1<<uint(k+1))
-		for p := range table[i] {
-			table[i][p] = r.Float64()
-		}
-	}
-	return links, table
-}
-
 // identity returns the identity table of [0, n) that the instance
 // generators draw from with rng.SampleInto, which leaves it the identity:
 // one table per instance, not one per sample.
@@ -289,19 +258,37 @@ func identity(n int) []int {
 
 // NewNKLandscape creates an NK instance with n genes, k epistatic links per
 // gene, drawn from seed. It panics unless 0 <= k < n and k+1 <= 24: the
-// kernels index a 2^(k+1)-entry table per gene.
+// kernels index a 2^(k+1)-entry table per gene. The instance is drawn
+// straight into its compiled tables, gene by gene: its k distinct other
+// loci, then its contributions.
 func NewNKLandscape(n, k int, seed uint64) *NKLandscape {
-	links, table := nkInstance(n, k, seed)
-	p := &NKLandscape{n: n, k: k,
-		loci:   make([]uint32, 0, n*(k+1)),
-		table:  make([]float64, 0, n<<uint(k+1)),
-		vector: nkVector && k+1 <= nkVectorPattern,
+	if k < 0 || k >= n {
+		panic(fmt.Sprintf("problems: NK requires 0 <= k < n, got n=%d k=%d", n, k))
 	}
-	for i := range links {
-		for _, j := range links[i] {
-			p.loci = append(p.loci, uint32(j))
+	if k+1 > nkMaxPattern {
+		panic(fmt.Sprintf("problems: NK requires k+1 <= %d (2^(k+1) contributions per gene), got k=%d", nkMaxPattern, k))
+	}
+	stride := k + 1
+	p := &NKLandscape{n: n, k: k,
+		loci:   make([]uint32, n*stride),
+		table:  make([]float64, n<<uint(stride)),
+		vector: nkVector && stride <= nkVectorPattern,
+	}
+	r := rng.New(seed)
+	id, others := identity(n-1), make([]int, k)
+	for i := 0; i < n; i++ {
+		loci := p.loci[i*stride : (i+1)*stride]
+		loci[0] = uint32(i)
+		for l, j := range r.SampleInto(id, others) {
+			if j >= i {
+				j++
+			}
+			loci[1+l] = uint32(j)
 		}
-		p.table = append(p.table, table[i]...)
+		table := p.table[i<<uint(stride) : (i+1)<<uint(stride)]
+		for t := range table {
+			table[t] = r.Float64()
+		}
 	}
 	return p
 }

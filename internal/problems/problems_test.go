@@ -363,6 +363,10 @@ func TestBinaryEncodedEvaluateMatchesInner(t *testing.T) {
 	}
 }
 
+// TestRegistryAllKeysInstantiate builds every row at its minimum size,
+// 24 and 64 on two seeds, and holds what the row declares — the genome
+// class, a known optimum, the *RealFunc type, which the spec layer
+// validates against without constructing — to each instance built.
 func TestRegistryAllKeysInstantiate(t *testing.T) {
 	r := rng.New(8)
 	for _, key := range Keys() {
@@ -370,20 +374,40 @@ func TestRegistryAllKeysInstantiate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Lookup(%q): %v", key, err)
 		}
-		size := 24
-		if key == "mmdp" {
-			size = 24 // divisible by 6
-		}
-		p := spec.Make(size, 1)
-		g := p.NewGenome(r)
-		f := p.Evaluate(g)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			t.Fatalf("%s produced non-finite fitness", key)
-		}
 		if spec.Class == "" {
 			t.Fatalf("%s has no class", key)
 		}
+		for _, size := range []int{spec.MinSize, 24, 64} {
+			for _, seed := range []uint64{1, 2} {
+				p := spec.Make(size, seed)
+				g := p.NewGenome(r)
+				if f := p.Evaluate(g); math.IsNaN(f) || math.IsInf(f, 0) {
+					t.Fatalf("%s produced non-finite fitness", key)
+				}
+				_, optimum := p.(core.TargetAware)
+				_, realFunc := p.(*RealFunc)
+				if class := genomeClass(g); class != spec.Genome || optimum != spec.Optimum || realFunc != spec.RealFunc {
+					t.Errorf("%s size %d seed %d: built genome %q, optimum %v, *RealFunc %v; declared %q, %v, %v",
+						key, size, seed, class, optimum, realFunc, spec.Genome, spec.Optimum, spec.RealFunc)
+				}
+			}
+		}
 	}
+}
+
+// genomeClass names g's class in the operator registry's vocabulary.
+func genomeClass(g core.Genome) string {
+	switch g.(type) {
+	case *genome.BitString:
+		return "bits"
+	case *genome.RealVector:
+		return "real"
+	case *genome.IntVector:
+		return "int"
+	case *genome.Permutation:
+		return "perm"
+	}
+	return fmt.Sprintf("%T", g)
 }
 
 func TestRegistryUnknownKey(t *testing.T) {

@@ -3,6 +3,7 @@ package spec
 import (
 	"encoding/json"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"pga/internal/core"
@@ -12,6 +13,7 @@ import (
 	"pga/internal/p2p"
 	"pga/internal/problems"
 	"pga/internal/rng"
+	"pga/internal/sim"
 )
 
 // smokeSpecs is one small runnable spec per model string.
@@ -100,6 +102,47 @@ func TestBuiltHandles(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSimConstructsProblemOnce is TestSpecConstructsProblemOnce
+// (internal/problems) for sim, whose multi-objective problems are this
+// package's own vocabulary: validation constructs none, a run one.
+func TestSimConstructsProblemOnce(t *testing.T) {
+	var made atomic.Int64 // a sweep's cells are built on Sweep.Run's worker goroutines
+	saved := simProblems
+	defer func() { simProblems = saved }()
+	simProblems = slices.Clone(saved)
+	zdt1 := simProblems[0].val.make
+	simProblems[0].val.make = func(size int) sim.MultiObjective { made.Add(1); return zdt1(size) }
+	count := func(what string, want int, f func()) {
+		t.Helper()
+		made.Store(0)
+		if f(); made.Load() != int64(want) {
+			t.Errorf("%s constructed the problem %d times, want %d", what, made.Load(), want)
+		}
+	}
+
+	doc := []byte(smokeSpecs[ModelSIM])
+	s := mustParse(t, string(doc))
+	count("Resolve", 1, func() { _, _ = Resolve(*s) })
+	count("Parse", 0, func() { _, _ = Parse(doc) })
+	count("Build+Run", 1, func() {
+		if b, err := Build(*s); err == nil {
+			b.Run(RunOpts{})
+		}
+	})
+	var f *File
+	count("ParseFile of a 3-cell sweep", 0, func() {
+		var err error
+		if f, err = ParseFile([]byte(`{"base":` + string(doc) + `,"sweep":{"sim.scenario":[1,2,3]}}`)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	count("running the parsed sweep", 3, func() {
+		if _, err := f.Sweep.Run(RunOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestRegistryCompletenessProblems exercises every model × every

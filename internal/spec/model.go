@@ -11,6 +11,7 @@ import (
 	"pga/internal/island"
 	"pga/internal/masterslave"
 	"pga/internal/p2p"
+	"pga/internal/problems"
 	"pga/internal/rng"
 	"pga/internal/sim"
 )
@@ -120,7 +121,8 @@ var models = []*model{
 		check: (*Plan).hga,
 		build: func(p *Plan, b *Built) {
 			cfg := p.hierarchy
-			cfg.Problem, cfg.DemeSize, cfg.Seed = p.fidelity, p.spec.Engine.Pop, p.spec.Seed
+			cfg.DemeSize, cfg.Seed = p.spec.Engine.Pop, p.spec.Seed
+			cfg.Problem = hga.NewQuantized(p.prob.(*problems.RealFunc))
 			cfg.Selector, cfg.Crossover, cfg.Mutator = p.sel, p.xover, p.mut
 			b.HGA = hga.New(cfg)
 		},

@@ -23,17 +23,24 @@ import (
 )
 
 // Plan is a resolved spec: validated, every vocabulary name looked up in
-// its table, every spec-layer default applied and the problem
-// constructed — each exactly once. Build only assembles runtime configs
-// from these values; it looks nothing up and checks nothing, which is
-// why a spec that validates cannot fail to build.
+// its table and every spec-layer default applied — each exactly once.
+// Validation constructs no problem: it checks the spec against what the
+// problem's registry row declares, and Resolve then constructs the one
+// instance of the run. Build only assembles runtime configs from these
+// values; it looks nothing up and checks nothing, which is why a spec
+// that validates cannot fail to build.
 type Plan struct {
 	spec   RunSpec
 	model  *model
 	family *family // nil for sim
 
-	prob     core.Problem           // nil for sim
-	fidelity *hga.QuantizedFidelity // hga: the multi-fidelity wrapper of prob
+	// The problem validation resolved: its registry row (not sim) or
+	// sim's multi-objective entry, whose constructor is nil unless
+	// problem.* resolved. Resolve constructs from it into prob (or sim's
+	// scenario.Problem).
+	row    problems.Spec
+	simRow simProblem
+	prob   core.Problem // nil for sim
 
 	sel          operators.Selector // nil: the engine's own default
 	xover        operators.Crossover
@@ -60,23 +67,30 @@ type Plan struct {
 }
 
 // Resolve validates s in one pass over the model and vocabulary tables
-// and returns its plan, or every violation found as an *Error.
+// and returns its plan, with the problem constructed, or every violation
+// found as an *Error.
 func Resolve(s RunSpec) (*Plan, error) {
 	p, e := resolve(s)
-	return p, asError(e)
+	if e != nil {
+		return nil, e
+	}
+	p.construct()
+	return p, nil
 }
 
 // Build validates s and constructs its runtime. Engine-level zero
 // values pass through to the runtime configs, so a spec-built runtime
 // is draw-identical to the equivalent hand-wired construction.
 func Build(s RunSpec) (*Built, error) {
-	p, e := resolve(s)
-	if e != nil {
-		return nil, e
+	p, err := Resolve(s)
+	if err != nil {
+		return nil, err
 	}
 	return p.Build(), nil
 }
 
+// resolve validates s into a plan without constructing its problem:
+// what Parse, ParseFile and Sweep.Cells call.
 func resolve(s RunSpec) (*Plan, *Error) {
 	e := &Error{}
 	if s.Version < 0 || s.Version > 1 {
@@ -118,55 +132,81 @@ func sizeOK(e *Error, name string, size, minSize int) bool {
 	return size >= max(minSize, 0)
 }
 
+// lookup finds the registry row the spec names and checks the size
+// against it, constructing nothing.
+func (ps ProblemSpec) lookup() (problems.Spec, *Error) {
+	entry, err := problems.Lookup(ps.Name)
+	if err != nil {
+		return problems.Spec{}, errf("problem.name", "unknown problem %q (known: %v)", ps.Name, problems.Keys())
+	}
+	if e := (&Error{}); !sizeOK(e, ps.Name, ps.Size, entry.MinSize) {
+		return problems.Spec{}, e
+	}
+	return entry, nil
+}
+
+// newInstance constructs an instance from the spec's registry row, using
+// defaultSeed for seed-parameterised instances unless the spec pins its
+// own seed.
+func (ps ProblemSpec) newInstance(row problems.Spec, defaultSeed uint64) core.Problem {
+	if ps.Seed != nil {
+		defaultSeed = *ps.Seed
+	}
+	return row.Make(ps.Size, defaultSeed)
+}
+
 // Instance materialises the problem the spec names, using defaultSeed
 // for seed-parameterised instances unless the spec pins its own seed.
 // Callers that only need to inspect the problem (its name, direction or
 // known optimum) can use it without building a whole runtime.
 func (ps ProblemSpec) Instance(defaultSeed uint64) (core.Problem, *Error) {
-	entry, err := problems.Lookup(ps.Name)
-	if err != nil {
-		return nil, errf("problem.name", "unknown problem %q (known: %v)", ps.Name, problems.Keys())
-	}
-	if e := (&Error{}); !sizeOK(e, ps.Name, ps.Size, entry.MinSize) {
+	row, e := ps.lookup()
+	if e != nil {
 		return nil, e
 	}
-	if ps.Seed != nil {
-		defaultSeed = *ps.Seed
-	}
-	return entry.Make(ps.Size, defaultSeed), nil
+	return ps.newInstance(row, defaultSeed), nil
 }
 
-// registryProblem constructs the single-objective problem; its instance
-// seed defaults to the run seed.
+// registryProblem resolves the single-objective problem to its registry
+// row; Resolve constructs it with the instance seed defaulting to the
+// run seed.
 func (p *Plan) registryProblem(e *Error) {
-	prob, perr := p.spec.Problem.Instance(p.spec.Seed)
+	row, perr := p.spec.Problem.lookup()
 	if perr != nil {
 		e.Fields = append(e.Fields, perr.Fields...)
 		return
 	}
-	p.prob = prob
+	p.row = row
 }
 
 // realProblem is registryProblem for hga, which evaluates a real-valued
 // benchmark through its quantized multi-fidelity wrapper.
 func (p *Plan) realProblem(e *Error) {
 	p.registryProblem(e)
-	rf, ok := p.prob.(*problems.RealFunc)
-	if !ok && p.prob != nil {
+	if p.row.Make != nil && !p.row.RealFunc {
 		e.add("problem.name", "%v needs a real-valued benchmark (sphere, rastrigin, ...)", p.model)
 	}
-	p.fidelity = hga.NewQuantized(rf) // its level count is the wrapper's own
 }
 
-// simProblem constructs sim's multi-objective problem.
+// simProblem resolves sim's multi-objective problem.
 func (p *Plan) simProblem(e *Error) {
 	ps := p.spec.Problem
 	entry, ok := simProblems.find(ps.Name)
 	if !ok {
 		e.add("problem.name", "%v needs a multi-objective problem (%s)", p.model, simProblems.names())
 	} else if sizeOK(e, ps.Name, ps.Size, entry.minSize) {
-		p.scenario.Problem = entry.make(ps.Size)
+		p.simRow = entry
 	}
+}
+
+// construct builds the problem of a plan that resolved without error:
+// the one construction of a run.
+func (p *Plan) construct() {
+	if p.simRow.make != nil {
+		p.scenario.Problem = p.simRow.make(p.spec.Problem.Size)
+		return
+	}
+	p.prob = p.spec.Problem.newInstance(p.row, p.spec.Seed)
 }
 
 // engine resolves the Engine section against the model's engine family
@@ -233,14 +273,10 @@ func (p *Plan) engine(e *Error) {
 	p.hood = neighborhoods.pick(e, "engine.grid.neighborhood", "neighbourhood", g.Neighborhood)
 
 	// Operators: an empty crossover or mutator slot takes the canonical
-	// operator of the problem's genome class, "none" disables the slot,
-	// an empty selector leaves the engine's own default.
-	class := ""
-	if p.prob != nil {
-		// The probe stream is throwaway: runtimes build their populations
-		// from their own seeded streams.
-		class, p.xover, p.mut = operators.Canonical(p.prob.NewGenome(rng.New(0)))
-	}
+	// operator of the problem's declared genome class, "none" disables
+	// the slot, an empty selector leaves the engine's own default.
+	class := p.row.Genome // "": problem.* did not resolve, and no class check runs
+	p.xover, p.mut = operators.Canonical(class)
 	if op, ok := operator(e, "engine.selector", es.Selector, operators.KindSelector, class, false); ok {
 		p.sel, _ = op.(operators.Selector)
 	}
@@ -322,7 +358,7 @@ func (p *Plan) budget(e *Error) {
 	if p.async() && b != (BudgetSpec{Generations: b.Generations}) {
 		e.add("budget", "free-running islands (async migration) stop at a generation cap; set budget.generations only")
 	}
-	if _, known := p.prob.(core.TargetAware); b.TargetOptimum && !known && (p.prob != nil || p.scenario.Problem != nil) {
+	if b.TargetOptimum && !p.row.Optimum && (p.row.Make != nil || p.simRow.make != nil) {
 		e.add("budget.target_optimum", "problem %q has no known optimum", p.spec.Problem.Name)
 	}
 	if b.Cost != 0 && m.costCap == nil {
@@ -338,12 +374,12 @@ func (p *Plan) async() bool { return p.parallel && !p.deme.Policy.Sync }
 
 // StopAtOptimum adds the target-optimum stop to a plan whose problem has
 // a known optimum and reports whether the plan now stops there. It asks
-// exactly what validating budget.target_optimum asks, of the problem
-// already built. Free-running islands are left as they are: they take no
-// budget field but generations, and the first deme to solve ends their
-// run anyway.
+// exactly what validating budget.target_optimum asks: the registry
+// row's declaration. Free-running islands are left as they are: they
+// take no budget field but generations, and the first deme to solve ends
+// their run anyway.
 func (p *Plan) StopAtOptimum() bool {
-	if _, known := p.prob.(core.TargetAware); known && !p.async() {
+	if p.row.Optimum && !p.async() {
 		p.spec.Budget.TargetOptimum = true
 	}
 	return p.spec.Budget.TargetOptimum
@@ -453,7 +489,8 @@ func (p *Plan) p2p(e *Error) {
 }
 
 // hga validates the hga section. Levels are checked against the
-// resolved layers and the fidelity levels the wrapper really has.
+// resolved layers and the fidelity levels the wrapper really has, which
+// do not depend on the problem it wraps.
 func (p *Plan) hga(e *Error) {
 	hs := p.spec.HGA
 	if hs == nil {
@@ -471,9 +508,10 @@ func (p *Plan) hga(e *Error) {
 	if hs.Levels != nil && len(hs.Levels) != len(layers) {
 		e.add("hga.levels", "must have one entry per layer (%d layers, %d levels)", len(layers), len(hs.Levels))
 	}
+	levels := hga.NewQuantized(nil).Levels()
 	for i, l := range hs.Levels {
-		if l < 0 || l >= p.fidelity.Levels() {
-			e.add("hga.levels["+strconv.Itoa(i)+"]", "fidelity level %d out of range [0,%d)", l, p.fidelity.Levels())
+		if l < 0 || l >= levels {
+			e.add("hga.levels["+strconv.Itoa(i)+"]", "fidelity level %d out of range [0,%d)", l, levels)
 		}
 	}
 	nonNegative(e, "hga.interval", hs.Interval)

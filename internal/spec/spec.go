@@ -11,10 +11,13 @@
 // The package is data plus one pass over it. vocab.go declares each
 // closed vocabulary of the schema once, as an ordered name → value
 // table; model.go declares one entry per model; resolve.go walks them
-// once per spec, applying every default, constructing the problem and
-// collecting every field error, and leaves a Plan that Build assembles
-// the runtime from without looking anything up again. Resolve is that
-// pass, and Build assembles its plan — so what validates builds.
+// once per spec, applying every default and collecting every field
+// error, and leaves a Plan that Build assembles the runtime from without
+// looking anything up again. Validation (Parse, ParseFile, Sweep.Cells)
+// constructs no problem instance: it checks the spec against what the
+// problem's registry row declares. Resolve is that pass plus the run's
+// one construction of its problem, and Build assembles its plan — so
+// what validates builds.
 //
 // Contracts:
 //
@@ -32,9 +35,8 @@
 //     to hand-wired constructions when they replaced them, and
 //     TestRecordedResults replays their recorded results through Build.
 //   - Determinism: the package reads no wall clock and draws no random
-//     numbers beyond a throwaway genome probe; reports serialise
-//     without timing fields, so a sweep run twice yields byte-identical
-//     JSON.
+//     numbers of its own; reports serialise without timing fields, so a
+//     sweep run twice yields byte-identical JSON.
 //
 // See DESIGN.md §11 for the schema, the defaulting rules and the
 // seed-derivation scheme for sweep cells.

@@ -1204,3 +1204,34 @@ func BenchmarkParseFile(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBuild builds the cells of every checked-in sweep document in
+// turn, one cell per op: ns/op and allocs/op are per cell. It is the
+// run-side counterpart of BenchmarkParseFile, and its figure includes
+// the one construction of each cell's problem.
+func BenchmarkBuild(b *testing.B) {
+	for _, path := range sweepDocuments(b) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := filepath.Base(filepath.Dir(path)) + "/" + strings.TrimSuffix(filepath.Base(path), ".json")
+		b.Run(name, func(b *testing.B) {
+			f, err := ParseFile(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if f.Sweep == nil {
+				b.Skip("not a sweep document")
+			}
+			cells := f.Sweep.cells
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(cells[i%len(cells)].Spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
