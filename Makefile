@@ -28,12 +28,13 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Perf gate: hard allocation budgets on the generation hot path (zero
-# steady-state allocs for the sequential engines, small fixed budgets
-# for parallel/island and the master–slave farm, one buffer per encoded
-# migrant batch), then one short pass of the repo's benchmark on its
-# default-path workload, which exits non-zero when the run fails its own
-# correctness gate. Timings are compared between commits on one host
-# (perf-compare below), never against recorded constants.
+# steady-state allocs for the sequential engines and a migration epoch,
+# small fixed budgets for the parallel engines and the master–slave
+# farm, nothing per warm endpoint send or codec call), then one short
+# pass of the repo's benchmark on its default-path workload, which
+# exits non-zero when the run fails its own correctness gate. Timings
+# are compared between commits on one host (perf-compare below), never
+# against recorded constants.
 perf:
 	$(GO) test -run 'AllocBudget' -count=1 ./internal/ga/ ./internal/cellular/ ./internal/island/ ./internal/masterslave/ ./internal/transport/
 	$(GO) run ./cmd/pgaperf -workload bitwise-gen -seconds 5 -trace 0
@@ -59,7 +60,9 @@ lint:
 
 # Short local fuzz passes for the property-tested surfaces: the binary
 # population decoder and the frame reader around it (no panic, bounded
-# allocation, accepted bytes re-encode identically), the packed
+# allocation, accepted bytes re-encode identically), the decoder's reuse
+# form (decoding over a filled batch gives the fresh verdict, error and
+# values, and leaves storage a later population decodes into), the packed
 # BitString vs its []bool reference model, the run-spec parser
 # (structured errors, never panics), its validate-vs-build
 # differential (accepted specs build and run, refused ones are refused
@@ -70,6 +73,7 @@ lint:
 # ChanceMask, and Leap.image's bodies vs its generic one.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalPopulation -fuzztime=30s ./internal/persist/
+	$(GO) test -fuzz=FuzzDecodePopulationInto -fuzztime=30s ./internal/persist/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/transport/
 	$(GO) test -fuzz=FuzzBitStringOps -fuzztime=30s ./internal/genome/
 	$(GO) test -fuzz=FuzzMaxSATBatch -fuzztime=30s ./internal/problems/

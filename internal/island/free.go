@@ -27,11 +27,83 @@ type solvedAt int
 // Error implements error.
 func (solvedAt) Error() string { return core.ReasonTarget }
 
-// pendingBatch is an undelivered migrant batch awaiting retry.
-type pendingBatch struct {
-	dest     int
-	batch    []*core.Individual
-	attempts int
+// retryRing holds a supervised deme's refused migrant batches until
+// their next attempt, oldest first, in a fixed ring of slots whose
+// individuals are reused from batch to batch: an endpoint only borrows
+// what it is sent, so a batch that must outlive its Send is copied into
+// deme-owned storage. Every epoch offers each queued batch again and at
+// most one fresh batch per neighbour, and a batch is dead-lettered once
+// it has been offered MaxSendRetries times, so no more than neighbours ×
+// (MaxSendRetries − 1) batches wait at once. A deme has at most Size − 1
+// neighbours, however the Router heals, so a ring of (Size − 1) ×
+// MaxSendRetries slots never fills; push refuses rather than grow if it
+// ever does.
+type retryRing struct {
+	slots   []retrySlot
+	head, n int
+}
+
+// retrySlot is one queued batch: its destination, the attempts made so
+// far and the slot's own copy of the migrants.
+type retrySlot struct {
+	dest, attempts int
+	batch          []*core.Individual
+}
+
+func newRetryRing(size int) *retryRing { return &retryRing{slots: make([]retrySlot, size)} }
+
+// push copies batch into the slot after the newest, reporting false
+// when every slot is taken.
+func (q *retryRing) push(dest, attempts int, batch []*core.Individual) bool {
+	if q.n == len(q.slots) {
+		return false
+	}
+	s := &q.slots[(q.head+q.n)%len(q.slots)]
+	s.dest, s.attempts = dest, attempts
+	s.batch = copyBatch(s.batch, batch)
+	q.n++
+	return true
+}
+
+// pop removes the oldest batch and returns its slot, whose batch stays
+// valid until the next push (which may copy it into another slot, or
+// onto itself).
+func (q *retryRing) pop() *retrySlot {
+	s := &q.slots[q.head]
+	q.head = (q.head + 1) % len(q.slots)
+	q.n--
+	return s
+}
+
+// copyBatch copies src into dst's individuals by value and returns dst
+// resized to src, cloning into slots that hold no individual yet. dst
+// and src come from one problem, so their genomes agree in type and
+// length.
+func copyBatch(dst, src []*core.Individual) []*core.Individual {
+	if cap(dst) < len(src) {
+		grown := make([]*core.Individual, len(src))
+		copy(grown, dst[:cap(dst)])
+		dst = grown
+	}
+	dst = dst[:len(src)]
+	for i, m := range src {
+		if dst[i] == nil {
+			dst[i] = m.Clone()
+		} else {
+			dst[i].CopyFrom(m)
+		}
+	}
+	return dst
+}
+
+// lend appends to dst the members of pop that idx names: a batch of
+// references to the deme's own individuals, for a callee that copies
+// what it keeps.
+func lend(dst []*core.Individual, pop *core.Population, idx []int) []*core.Individual {
+	for _, i := range idx {
+		dst = append(dst, pop.Members[i])
+	}
+	return dst
 }
 
 // freeDeme is the engine.Stepper of the free-running discipline, one per
@@ -45,6 +117,11 @@ type pendingBatch struct {
 // while the survivors route around it, and refused migrant batches are
 // retried on later epochs and dead-lettered after their retry budget
 // instead of being dropped.
+//
+// The deme lends its own members to the endpoint: one batch of member
+// pointers goes to every neighbour, each Send borrows it, and the
+// endpoint copies what it keeps. What arrives is lent by the endpoint
+// until the next Recv, and the Replacer copies it in.
 type freeDeme struct {
 	self   int
 	e      ga.Engine
@@ -68,7 +145,12 @@ type freeDeme struct {
 	// supervised step fails.
 	sup     *supervise.Supervisor
 	m       *Model
-	pending []pendingBatch
+	retries *retryRing
+
+	// picked and out are the emigrant indices and the batch of member
+	// pointers lent to Send, reused every epoch.
+	picked []int
+	out    []*core.Individual
 
 	// gen is the last generation the deme completed, delivered the number
 	// of batches an endpoint accepted; runFree reads both after the join.
@@ -94,18 +176,21 @@ func (d *freeDeme) Step(g int) engine.StepInfo {
 	if !p.Due(g) {
 		return info
 	}
-	// Emigrate: queued retries first (oldest first), then a fresh clone
-	// batch per link.
+	// Emigrate: queued retries first (oldest first), then this epoch's
+	// emigrants, lent to every link.
 	before := d.delivered
-	queued := d.pending
-	d.pending = d.pending[len(d.pending):]
-	for _, pb := range queued {
-		d.deliver(pb)
+	if d.retries != nil {
+		for k := d.retries.n; k > 0; k-- {
+			s := d.retries.pop()
+			d.deliver(s.dest, s.attempts, s.batch)
+		}
 	}
 	if nbrs := d.routes.Neighbors(d.self); len(nbrs) > 0 {
-		out := p.Select.Pick(d.e.Population(), d.dir, p.Count, d.mr)
+		pop := d.e.Population()
+		d.picked = p.Select.Indices(pop, d.dir, p.Count, d.mr, d.picked[:0])
+		d.out = lend(d.out[:0], pop, d.picked)
 		for _, nbr := range nbrs {
-			d.deliver(pendingBatch{dest: nbr, batch: migration.CloneBatch(out), attempts: 1})
+			d.deliver(nbr, 1, d.out)
 		}
 	}
 	info.Migrations = d.delivered - before
@@ -120,29 +205,25 @@ func (d *freeDeme) Step(g int) engine.StepInfo {
 	return info
 }
 
-// deliver makes one best-effort endpoint send. An unsupervised deme drops
-// a refused batch; a supervised one re-queues it for the next epoch and
+// deliver makes one best-effort endpoint send of a batch on its
+// attempts-th offer. An unsupervised deme drops a refused batch; a
+// supervised one copies it into its retry ring for the next epoch and
 // dead-letters batches whose receiver died or whose retries ran out.
-func (d *freeDeme) deliver(pb pendingBatch) {
-	if d.sup != nil && !d.sup.Router().Alive(pb.dest) {
+func (d *freeDeme) deliver(dest, attempts int, batch []*core.Individual) {
+	if d.sup != nil && !d.sup.Router().Alive(dest) {
 		d.sup.DeadLetter(1)
 		return
 	}
-	if d.ep.Send(pb.dest, pb.batch) {
+	if d.ep.Send(dest, batch) {
 		d.delivered++
 		return
 	}
 	if d.sup == nil {
 		return
 	}
-	if pb.attempts >= d.sup.Config().MaxSendRetries {
+	if attempts >= d.sup.Config().MaxSendRetries || !d.retries.push(dest, attempts+1, batch) {
 		d.sup.DeadLetter(1)
-		return
 	}
-	pb.attempts++
-	// Bounded by MaxSendRetries: each batch re-queues at most that many
-	// times before dead-lettering, and Step drains pending every epoch.
-	d.pending = append(d.pending, pb)
 }
 
 // restart handles a failed supervised step: rewind to the checkpoint on a
@@ -172,8 +253,8 @@ func (d *freeDeme) checkpoint(s core.Status) {
 // queued when the loop exits — run over, deme solved, or deme dead — never
 // arrived, and the counters must say so.
 func (d *freeDeme) deadLetterPending(*core.RunStats) {
-	d.sup.DeadLetter(int64(len(d.pending)))
-	d.pending = nil
+	d.sup.DeadLetter(int64(d.retries.n))
+	d.retries.n = 0
 }
 
 // Best implements engine.Stepper: the deme's own best (the in-process
@@ -231,6 +312,7 @@ func (m *Model) runFree(stop core.StopCondition, sup *supervise.Supervisor, ctl 
 		demes[i] = d
 		opts := engine.Options{Stop: stop, SkipBest: true, Context: ctx}
 		if sup != nil {
+			d.retries = newRetryRing((routes.Size() - 1) * sup.Config().MaxSendRetries)
 			opts.Observers = []engine.Observer{engine.Funcs{Generation: d.checkpoint, Done: d.deadLetterPending}}
 		}
 		wg.Add(1)

@@ -128,10 +128,12 @@ type Model struct {
 	sup      *supervise.Supervisor
 	deadPops []*core.Population
 
-	// outgoing is the pooled per-deme emigrant list of synchronous
-	// exchanges (the migrant clones themselves are necessarily fresh —
-	// they enter the receiving populations).
+	// outgoing holds each deme's copies of its emigrants during a
+	// synchronous exchange, copied from the members picked names (lent
+	// lists them); all three are reused from epoch to epoch.
 	outgoing [][]*core.Individual
+	picked   []int
+	lent     []*core.Individual
 }
 
 // New builds the demes. Deme i's engine stream and migration stream are
@@ -240,10 +242,11 @@ func (m *Model) maybeRewire(epoch int64) bool {
 }
 
 // exchangeOn performs one synchronous migration epoch over topo: every
-// deme's emigrants are picked from the pre-exchange populations, then
-// delivered. Returns the number of batches sent. Demes with no outgoing
-// links (including dead demes under a healed Router, whose lists are
-// empty and who appear in no live deme's list) take no part.
+// deme's emigrants are copied out of the pre-exchange populations, then
+// copied into each neighbour's. Returns the number of batches sent. Demes
+// with no outgoing links (including dead demes under a healed Router,
+// whose lists are empty and who appear in no live deme's list) take no
+// part.
 func (m *Model) exchangeOn(topo topology.Topology) int64 {
 	p := m.cfg.Policy
 	n := len(m.engines)
@@ -252,11 +255,14 @@ func (m *Model) exchangeOn(topo topology.Topology) int64 {
 	}
 	outgoing := m.outgoing
 	for i := 0; i < n; i++ {
-		outgoing[i] = nil
 		if len(topo.Neighbors(i)) == 0 {
+			outgoing[i] = outgoing[i][:0]
 			continue
 		}
-		outgoing[i] = p.Select.Pick(m.engines[i].Population(), m.dir, p.Count, m.migRNGs[i])
+		pop := m.engines[i].Population()
+		m.picked = p.Select.Indices(pop, m.dir, p.Count, m.migRNGs[i], m.picked[:0])
+		m.lent = lend(m.lent[:0], pop, m.picked)
+		outgoing[i] = copyBatch(outgoing[i], m.lent)
 	}
 	var batches int64
 	for i := 0; i < n; i++ {
@@ -264,8 +270,7 @@ func (m *Model) exchangeOn(topo topology.Topology) int64 {
 			if len(outgoing[i]) == 0 {
 				continue
 			}
-			// Each neighbour receives its own clones.
-			p.Replace.Integrate(m.engines[nbr].Population(), m.dir, migration.CloneBatch(outgoing[i]), m.migRNGs[nbr])
+			p.Replace.Integrate(m.engines[nbr].Population(), m.dir, outgoing[i], m.migRNGs[nbr])
 			batches++
 		}
 	}

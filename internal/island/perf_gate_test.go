@@ -1,11 +1,11 @@
 package island
 
 // Allocation-budget perf gate for the island model's sequential
-// generation loop. Unlike the flat engines this path has a small fixed
-// per-migration-epoch budget: migrant clones genuinely enter the
-// receiving populations and the emigrant picks are policy-owned slices,
-// so they are not pooled. The gate pins that budget so it cannot creep
-// back toward the historical one-allocation-per-birth regime.
+// generation loop. A migration epoch allocates nothing once warm: the
+// emigrants are copied into per-deme buffers the Model reuses, and the
+// Replacer copies them into the members they displace. What is left is
+// the run's own fixed state, and the gate pins it so per-epoch or
+// per-birth allocations cannot creep back.
 
 import (
 	"testing"
@@ -38,25 +38,29 @@ func gateModel() *Model {
 }
 
 // TestAllocBudget gates a 10-generation sequential run segment (which
-// includes exactly one migration epoch at interval 10): the per-run
-// fixed state (Result, stop condition, tracker, PerDemeBest) plus one
-// epoch of migrant clones over 8 ring links must stay within a small
-// fixed budget — far below one allocation per birth (8 demes × 25
-// births × 10 generations = 2000 births per run).
+// includes exactly one migration epoch at interval 10) at the run's
+// fixed state: the Result, the stop condition, the tracker and
+// PerDemeBest, 6 allocations. The epoch over 8 ring links and the 2000
+// births (8 demes × 25 births × 10 generations) add none. Until
+// migration copied in, each delivered batch cost ≈ 12 allocations and
+// the budget was 150.
 func TestAllocBudget(t *testing.T) {
 	m := gateModel()
 	for _, e := range m.Engines() {
 		e.Step() // build each deme's pooled buffers outside the measured region
 	}
-	avg := testing.AllocsPerRun(10, func() {
+	m.RunSequential(core.MaxGenerations(10), engine.Control{}) // and the exchange's
+	budget := 6.0
+	if raceEnabled {
+		// The race detector makes sync.Pool drop a share of what is put
+		// back, so the selectors' pooled scratch is allocated again now
+		// and then; the budget from before migration copied in holds.
+		budget = 150
+	}
+	if avg := testing.AllocsPerRun(10, func() {
 		m.RunSequential(core.MaxGenerations(10), engine.Control{})
-	})
-	// Measured 125: ~25 fixed run-level allocations plus ~12 per delivered
-	// batch over 8 ring links — each emigrant pick and each migrant clone
-	// is 3 allocations (individual + genome + gene slice). 150 leaves
-	// headroom without tolerating per-birth leaks (2000 births per run).
-	if avg > 150 {
-		t.Errorf("RunSequential(10 gens): %.1f allocs, budget 150", avg)
+	}); avg > budget {
+		t.Errorf("RunSequential(10 gens): %.1f allocs, budget %g", avg, budget)
 	}
 }
 

@@ -7,24 +7,53 @@
 // solution." Alba & Troya (2000) studied exactly the knobs modelled here —
 // migration frequency and migrant selection in a ring of islands — and
 // Alba & Troya (2001) the synchronous/asynchronous axis.
+//
+// Migration moves values, never individuals: a Selector names emigrants
+// by index (Indices) or clones them (Pick), and a Replacer copies
+// immigrants into the members it displaces (Integrate), so no
+// individual or gene slice is ever shared between two populations, or
+// between a population and the batch that fed it. The island runtimes
+// rely on it to lend their own members to a transport and to integrate
+// batches an endpoint only lends them.
 package migration
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"pga/internal/core"
 	"pga/internal/rng"
 )
 
-// Selector picks the individuals that emigrate from a deme. Returned
-// individuals are clones: emigration is by copy, as in the reviewed
-// systems (the sender keeps its individuals).
+// Selector picks the individuals that emigrate from a deme. Emigration is
+// by copy, as in the reviewed systems (the sender keeps its individuals):
+// Indices names the emigrants without copying them, for a sender that
+// lends its own members to a borrowing transport.Endpoint, and Pick
+// returns clones of exactly those members.
 type Selector interface {
 	// Name identifies the policy in tables and logs.
 	Name() string
-	// Pick returns count cloned emigrants from pop.
+	// Indices appends to dst the pop.Members indices of count emigrants
+	// (fewer when pop is smaller) and returns the extended slice. It
+	// allocates nothing once dst has room, and it makes Pick's draws.
+	Indices(pop *core.Population, d core.Direction, count int, r *rng.Source, dst []int) []int
+	// Pick returns count cloned emigrants from pop: clones of the
+	// members Indices names.
 	Pick(pop *core.Population, d core.Direction, count int, r *rng.Source) []*core.Individual
+}
+
+// pickClones is every selector's Pick: fresh clones of the members
+// s.Indices names, its index list held in pooled scratch.
+func pickClones(s Selector, pop *core.Population, d core.Direction, count int, r *rng.Source) []*core.Individual {
+	sc := pickScratch.Get().(*scratch)
+	defer pickScratch.Put(sc)
+	sc.picked = s.Indices(pop, d, count, r, sc.picked[:0])
+	out := make([]*core.Individual, len(sc.picked))
+	for i, j := range sc.picked {
+		out[i] = pop.Members[j].Clone()
+	}
+	return out
 }
 
 // SelectBest emigrates the deme's best individuals (the canonical policy).
@@ -33,30 +62,35 @@ type SelectBest struct{}
 // Name implements Selector.
 func (SelectBest) Name() string { return "best" }
 
-// Pick implements Selector.
-func (SelectBest) Pick(pop *core.Population, d core.Direction, count int, r *rng.Source) []*core.Individual {
-	if count > pop.Len() {
-		count = pop.Len()
+// Indices implements Selector: a partial selection sort of a pooled
+// index table by fitness.
+func (SelectBest) Indices(pop *core.Population, d core.Direction, count int, r *rng.Source, dst []int) []int {
+	n := pop.Len()
+	if count > n {
+		count = n
 	}
-	// Partial selection sort of indices by fitness.
-	idx := make([]int, pop.Len())
+	sc := indexScratch.Get().(*scratch)
+	defer indexScratch.Put(sc)
+	idx := slices.Grow(sc.order[:0], n)[:n]
+	sc.order = idx
 	for i := range idx {
 		idx[i] = i
 	}
 	for i := 0; i < count; i++ {
 		best := i
-		for j := i + 1; j < len(idx); j++ {
+		for j := i + 1; j < n; j++ {
 			if d.Better(pop.Members[idx[j]].Fitness, pop.Members[idx[best]].Fitness) {
 				best = j
 			}
 		}
 		idx[i], idx[best] = idx[best], idx[i]
 	}
-	out := make([]*core.Individual, count)
-	for i := 0; i < count; i++ {
-		out[i] = pop.Members[idx[i]].Clone()
-	}
-	return out
+	return append(dst, idx[:count]...)
+}
+
+// Pick implements Selector.
+func (s SelectBest) Pick(pop *core.Population, d core.Direction, count int, r *rng.Source) []*core.Individual {
+	return pickClones(s, pop, d, count, r)
 }
 
 // SelectRandom emigrates uniformly random individuals (the low-pressure
@@ -66,39 +100,44 @@ type SelectRandom struct{}
 // Name implements Selector.
 func (SelectRandom) Name() string { return "random" }
 
-// Pick implements Selector. It draws what r.Sample(pop.Len(), count)
+// Indices implements Selector. It draws what r.Sample(pop.Len(), count)
 // would, from a pooled identity table instead of a fresh one per pick.
-func (SelectRandom) Pick(pop *core.Population, d core.Direction, count int, r *rng.Source) []*core.Individual {
+func (SelectRandom) Indices(pop *core.Population, d core.Direction, count int, r *rng.Source, dst []int) []int {
 	n := pop.Len()
 	if count > n {
 		count = n
 	}
-	s := pickScratch.Get().(*sampleScratch)
-	defer pickScratch.Put(s)
-	if len(s.id) < n {
-		s.id = make([]int, n)
-		for i := range s.id {
-			s.id[i] = i
+	sc := indexScratch.Get().(*scratch)
+	defer indexScratch.Put(sc)
+	if len(sc.id) < n {
+		sc.id = make([]int, n)
+		for i := range sc.id {
+			sc.id[i] = i
 		}
 	}
-	if len(s.out) < count {
-		s.out = make([]int, count)
-	}
-	out := make([]*core.Individual, 0, count)
-	for _, i := range r.SampleInto(s.id[:n], s.out[:count]) {
-		out = append(out, pop.Members[i].Clone())
-	}
-	return out
+	at := len(dst)
+	dst = slices.Grow(dst, count)[:at+count]
+	r.SampleInto(sc.id[:n], dst[at:])
+	return dst
 }
 
-// sampleScratch is SelectRandom's working memory: id is an identity table,
-// which rng.SampleInto hands back as the identity, and out receives the
-// drawn indices.
-type sampleScratch struct{ id, out []int }
+// Pick implements Selector.
+func (s SelectRandom) Pick(pop *core.Population, d core.Direction, count int, r *rng.Source) []*core.Individual {
+	return pickClones(s, pop, d, count, r)
+}
 
-// pickScratch pools sampleScratch values: a Selector value is shared by
-// every deme of a run, and the free-running demes pick concurrently.
-var pickScratch = sync.Pool{New: func() any { return new(sampleScratch) }}
+// scratch is the selectors' pooled working memory: id is SelectRandom's
+// identity table, which rng.SampleInto hands back as the identity; order
+// is SelectBest's index table; picked is Pick's index list.
+type scratch struct{ id, order, picked []int }
+
+// indexScratch and pickScratch pool scratch values, for Indices and for
+// Pick around it: a Selector value is shared by every deme of a run, and
+// the free-running demes pick concurrently.
+var (
+	indexScratch = sync.Pool{New: func() any { return new(scratch) }}
+	pickScratch  = sync.Pool{New: func() any { return new(scratch) }}
+)
 
 // SelectTournament emigrates tournament winners — pressure between best
 // and random.
@@ -117,12 +156,12 @@ func (s SelectTournament) k() int {
 	return s.K
 }
 
-// Pick implements Selector.
-func (s SelectTournament) Pick(pop *core.Population, d core.Direction, count int, r *rng.Source) []*core.Individual {
+// Indices implements Selector. A member may win more than one
+// tournament, and is then named more than once.
+func (s SelectTournament) Indices(pop *core.Population, d core.Direction, count int, r *rng.Source, dst []int) []int {
 	if count > pop.Len() {
 		count = pop.Len()
 	}
-	out := make([]*core.Individual, 0, count)
 	for n := 0; n < count; n++ {
 		best := r.Intn(pop.Len())
 		for i := 1; i < s.k(); i++ {
@@ -131,16 +170,19 @@ func (s SelectTournament) Pick(pop *core.Population, d core.Direction, count int
 				best = c
 			}
 		}
-		out = append(out, pop.Members[best].Clone())
+		dst = append(dst, best)
 	}
-	return out
+	return dst
 }
 
-// CloneBatch returns a fresh deep copy of a migrant batch. Each
-// neighbour (and each duplicate delivery on a faulty link) must receive
-// its own clones: migrants enter the receiving population by reference,
-// so sharing one batch across destinations would alias individuals
-// between demes. Used by the island runtimes and the transport layer.
+// Pick implements Selector.
+func (s SelectTournament) Pick(pop *core.Population, d core.Direction, count int, r *rng.Source) []*core.Individual {
+	return pickClones(s, pop, d, count, r)
+}
+
+// CloneBatch returns a fresh deep copy of a migrant batch, for a caller
+// that keeps a batch beyond the endpoint call or Integrate that lent it
+// (the island runtimes copy into storage they own instead).
 func CloneBatch(batch []*core.Individual) []*core.Individual {
 	out := make([]*core.Individual, len(batch))
 	for i, ind := range batch {
@@ -153,8 +195,10 @@ func CloneBatch(batch []*core.Individual) []*core.Individual {
 type Replacer interface {
 	// Name identifies the policy in tables and logs.
 	Name() string
-	// Integrate inserts migrants into pop, returning how many were
-	// accepted. Implementations must not retain the migrants slice.
+	// Integrate copies migrants into pop's members by value, returning
+	// how many were accepted. It keeps nothing of migrants, which stay
+	// the caller's: a migrant batch may be lent by an endpoint, or be
+	// another deme's own members.
 	Integrate(pop *core.Population, d core.Direction, migrants []*core.Individual, r *rng.Source) int
 }
 
@@ -173,7 +217,7 @@ func (ReplaceWorst) Integrate(pop *core.Population, d core.Direction, migrants [
 		if w < 0 {
 			break
 		}
-		pop.Replace(w, m)
+		pop.Members[w].CopyFrom(m)
 		accepted++
 	}
 	return accepted
@@ -195,7 +239,7 @@ func (ReplaceWorstIfBetter) Integrate(pop *core.Population, d core.Direction, mi
 			break
 		}
 		if d.Better(m.Fitness, pop.Members[w].Fitness) {
-			pop.Replace(w, m)
+			pop.Members[w].CopyFrom(m)
 			accepted++
 		}
 	}
@@ -221,7 +265,7 @@ func (ReplaceRandom) Integrate(pop *core.Population, d core.Direction, migrants 
 		if v == best {
 			v = (v + 1) % pop.Len()
 		}
-		pop.Replace(v, m)
+		pop.Members[v].CopyFrom(m)
 		accepted++
 	}
 	return accepted

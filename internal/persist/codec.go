@@ -191,6 +191,20 @@ func errNotU32(what string, x int) error {
 // DecodePopulation decodes one population encoding, which must span data
 // exactly. The result shares no memory with data.
 func DecodePopulation(data []byte) ([]*core.Individual, error) {
+	return DecodePopulationInto(nil, data)
+}
+
+// DecodePopulationInto is DecodePopulation into dst's storage: it
+// decodes over the individuals dst holds up to its capacity, reusing a
+// genome whose class and length match the encoded one's and allocating
+// what does not match or is missing, and returns dst resized to the
+// population. It accepts and refuses exactly what DecodePopulation does,
+// with the same error, and its result equals DecodePopulation's value
+// for value. Real bounds are never overwritten in place: a genome whose
+// encoded bounds differ from the ones it holds gets fresh bound slices,
+// so bounds shared by an earlier RealVector.CopyFrom stay as they were.
+// On error the individuals of dst may hold anything, but stay reusable.
+func DecodePopulationInto(dst []*core.Individual, data []byte) ([]*core.Individual, error) {
 	if len(data) == 0 {
 		return nil, errors.New("persist: empty population encoding")
 	}
@@ -208,10 +222,15 @@ func DecodePopulation(data []byte) ([]*core.Individual, error) {
 	if uint64(count) > uint64(len(rest)/indHeaderLen) {
 		return nil, fmt.Errorf("persist: population count %d exceeds what %d bytes can hold", count, len(rest))
 	}
-	members := make([]*core.Individual, count)
+	if cap(dst) < int(count) {
+		grown := make([]*core.Individual, count)
+		copy(grown, dst[:cap(dst)])
+		dst = grown
+	}
+	members := dst[:count]
 	for i := range members {
 		var err error
-		if members[i], rest, err = decodeIndividual(rest); err != nil {
+		if members[i], rest, err = decodeIndividual(members[i], rest); err != nil {
 			return nil, fmt.Errorf("persist: member %d: %w", i, err)
 		}
 	}
@@ -221,9 +240,10 @@ func DecodePopulation(data []byte) ([]*core.Individual, error) {
 	return members, nil
 }
 
-// decodeIndividual decodes the individual at the front of b and returns
-// the bytes after it.
-func decodeIndividual(b []byte) (*core.Individual, []byte, error) {
+// decodeIndividual decodes the individual at the front of b into ind's
+// storage (a fresh individual when ind is nil) and returns it and the
+// bytes after it.
+func decodeIndividual(ind *core.Individual, b []byte) (*core.Individual, []byte, error) {
 	if len(b) < indHeaderLen {
 		return nil, nil, errors.New("truncated individual header")
 	}
@@ -234,6 +254,9 @@ func decodeIndividual(b []byte) (*core.Individual, []byte, error) {
 	fitness := math.Float64frombits(le.Uint64(b[2:]))
 	n := le.Uint32(b[10:])
 	b = b[indHeaderLen:]
+	if ind == nil {
+		ind = new(core.Individual)
+	}
 
 	var g core.Genome
 	switch tag {
@@ -242,7 +265,10 @@ func decodeIndividual(b []byte) (*core.Individual, []byte, error) {
 		if !ok {
 			return nil, nil, shortGenes("bit", n, b)
 		}
-		bs := genome.NewBitString(int(n))
+		bs, ok := ind.Genome.(*genome.BitString)
+		if !ok || bs.N != int(n) {
+			bs = genome.NewBitString(int(n))
+		}
 		for i := range bs.Words {
 			bs.Words[i] = le.Uint64(block[8*i:])
 		}
@@ -259,12 +285,7 @@ func decodeIndividual(b []byte) (*core.Individual, []byte, error) {
 		if !ok {
 			return nil, nil, shortGenes("real", n, b)
 		}
-		all := make([]float64, 3*int(n))
-		for i := range all {
-			all[i] = math.Float64frombits(le.Uint64(block[8*i:]))
-		}
-		k := int(n)
-		g, b = &genome.RealVector{Genes: all[:k:k], Lo: all[k : 2*k : 2*k], Hi: all[2*k:]}, rest
+		g, b = decodeReal(ind.Genome, int(n), block), rest
 	case tagInt:
 		if len(b) < 4 {
 			return nil, nil, shortGenes("int", n, b)
@@ -274,7 +295,12 @@ func decodeIndividual(b []byte) (*core.Individual, []byte, error) {
 		if !ok {
 			return nil, nil, shortGenes("int", n, b)
 		}
-		iv := &genome.IntVector{Genes: decodeInts(block), Card: int(card)}
+		iv, ok := ind.Genome.(*genome.IntVector)
+		if !ok || len(iv.Genes) != int(n) {
+			iv = &genome.IntVector{Genes: make([]int, n)}
+		}
+		decodeInts(iv.Genes, block)
+		iv.Card = int(card)
 		if !iv.Valid() {
 			return nil, nil, fmt.Errorf("int genome has a gene outside [0, %d)", card)
 		}
@@ -284,7 +310,11 @@ func decodeIndividual(b []byte) (*core.Individual, []byte, error) {
 		if !ok {
 			return nil, nil, shortGenes("permutation", n, b)
 		}
-		p := &genome.Permutation{Perm: decodeInts(block)}
+		p, ok := ind.Genome.(*genome.Permutation)
+		if !ok || len(p.Perm) != int(n) {
+			p = &genome.Permutation{Perm: make([]int, n)}
+		}
+		decodeInts(p.Perm, block)
 		if !p.Valid() {
 			return nil, nil, errors.New("corrupt permutation genome")
 		}
@@ -292,7 +322,40 @@ func decodeIndividual(b []byte) (*core.Individual, []byte, error) {
 	default:
 		return nil, nil, fmt.Errorf("unknown genome class tag %d", tag)
 	}
-	return &core.Individual{Genome: g, Fitness: fitness, Evaluated: evaluated == 1}, b, nil
+	ind.Genome, ind.Fitness, ind.Evaluated = g, fitness, evaluated == 1
+	return ind, b, nil
+}
+
+// decodeReal decodes a real genome of n genes from block (genes, lo, hi)
+// into old when it is a RealVector of n genes, else into a fresh one
+// whose three slices share one allocation. Bounds are kept when equal,
+// bit for bit, to the encoded ones and replaced otherwise, never written.
+func decodeReal(old core.Genome, n int, block []byte) *genome.RealVector {
+	at := func(i int) float64 { return math.Float64frombits(le.Uint64(block[8*i:])) }
+	rv, ok := old.(*genome.RealVector)
+	if !ok || len(rv.Genes) != n {
+		all := make([]float64, 3*n)
+		for i := range all {
+			all[i] = at(i)
+		}
+		return &genome.RealVector{Genes: all[:n:n], Lo: all[n : 2*n : 2*n], Hi: all[2*n:]}
+	}
+	for i := range rv.Genes {
+		rv.Genes[i] = at(i)
+	}
+	same := len(rv.Lo) == n && len(rv.Hi) == n
+	for i := 0; same && i < n; i++ {
+		same = math.Float64bits(rv.Lo[i]) == le.Uint64(block[8*(n+i):]) &&
+			math.Float64bits(rv.Hi[i]) == le.Uint64(block[8*(2*n+i):])
+	}
+	if !same {
+		bounds := make([]float64, 2*n)
+		for i := range bounds {
+			bounds[i] = at(n + i)
+		}
+		rv.Lo, rv.Hi = bounds[:n:n], bounds[n:]
+	}
+	return rv
 }
 
 // take splits count items of size bytes off the front of b. It reports
@@ -305,12 +368,11 @@ func take(b []byte, count uint64, size int) (block, rest []byte, ok bool) {
 	return b[:k], b[k:], true
 }
 
-func decodeInts(block []byte) []int {
-	out := make([]int, len(block)/4)
+// decodeInts fills out with the u32s of block, one per entry.
+func decodeInts(out []int, block []byte) {
 	for i := range out {
 		out[i] = int(le.Uint32(block[4*i:]))
 	}
-	return out
 }
 
 func shortGenes(class string, n uint32, b []byte) error {

@@ -112,7 +112,8 @@ func (s FaultSpec) withDefaults() FaultSpec {
 	return s
 }
 
-// heldBatch is a delayed batch awaiting release. Insertion order is
+// heldBatch is a delayed batch awaiting release: the slot's own copy of
+// the migrants, since Send only borrows them. Insertion order is
 // positional in Faulty.held, which breaks due ties deterministically.
 type heldBatch struct {
 	due      uint64
@@ -133,8 +134,8 @@ type Faulty struct {
 	// logical tick holds at most one new batch and releaseDue drains
 	// everything due at the top of every Send, so at most MaxDelay batches
 	// survive a release plus the one this tick may add. heldLen is the
-	// live prefix; slots beyond it are zeroed so migrant batches are not
-	// retained past release.
+	// live prefix; slots beyond it keep their individuals for the next
+	// batch held.
 	held    []heldBatch
 	heldLen int
 
@@ -223,28 +224,23 @@ func (f *Faulty) Send(dest int, migrants []*core.Individual) bool {
 		// everything due, so at most MaxDelay earlier batches remain and
 		// this slot always exists (an overflow would be an invariant
 		// breach worth the panic).
-		f.held[f.heldLen] = heldBatch{
-			due:  f.tick + uint64(delay),
-			dest: dest, migrants: migrants, dup: dup,
-		}
+		h := &f.held[f.heldLen]
+		h.due, h.dest, h.dup = f.tick+uint64(delay), dest, dup
+		h.migrants = copyBatch(h.migrants, migrants)
 		f.heldLen++
 		return true
 	}
 	return f.forward(dest, migrants, dup)
 }
 
-// forward hands a batch (and its duplicate, if rolled) to the inner
-// endpoint, counting inner refusals as drops of the injected copy only.
+// forward hands a batch (and its duplicate, if rolled: a second Send of
+// the same batch, which the inner endpoint borrows like the first) to
+// the inner endpoint, counting inner refusals as drops of the injected
+// copy only.
 func (f *Faulty) forward(dest int, migrants []*core.Individual, dup bool) bool {
 	ok := f.inner.Send(dest, migrants)
 	if dup {
-		// The duplicate must carry its own clones: the originals' owner
-		// is now the receiving population.
-		copies := make([]*core.Individual, len(migrants))
-		for i, ind := range migrants {
-			copies[i] = ind.Clone()
-		}
-		_ = f.inner.Send(dest, copies)
+		_ = f.inner.Send(dest, migrants)
 	}
 	return ok
 }
@@ -259,9 +255,10 @@ func (f *Faulty) releaseDue() {
 	}
 	w := 0
 	for i := 0; i < f.heldLen; i++ {
-		h := f.held[i]
+		h := &f.held[i]
 		if h.due > f.tick {
-			f.held[w] = h
+			// Swap, not copy: the released slot at w keeps its storage.
+			f.held[w], f.held[i] = f.held[i], f.held[w]
 			w++
 			continue
 		}
@@ -270,9 +267,6 @@ func (f *Faulty) releaseDue() {
 			continue
 		}
 		f.forward(h.dest, h.migrants, h.dup)
-	}
-	for i := w; i < f.heldLen; i++ {
-		f.held[i] = heldBatch{}
 	}
 	f.heldLen = w
 }
@@ -300,9 +294,6 @@ func (f *Faulty) Stats() core.NetStats {
 // counted, then the inner endpoint closes.
 func (f *Faulty) Close() error {
 	f.dropped += int64(f.heldLen)
-	for i := 0; i < f.heldLen; i++ {
-		f.held[i] = heldBatch{}
-	}
 	f.heldLen = 0
 	return f.inner.Close()
 }

@@ -3,9 +3,11 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"pga/internal/core"
+	"pga/internal/genome"
 	"pga/internal/rng"
 )
 
@@ -305,5 +307,113 @@ func TestLinkFaultsRoll(t *testing.T) {
 	}
 	if r.State() != before {
 		t.Fatal("a lossless, jitterless link consumed a draw")
+	}
+}
+
+// stamp writes send i's values into batch: migrant j carries fitness
+// 10i+j and a bit pattern that is a function of (i, j).
+func stamp(batch []*core.Individual, i int) {
+	for j, ind := range batch {
+		g := ind.Genome.(*genome.BitString)
+		for b := 0; b < g.N; b++ {
+			g.Set(b, (i*31+j*7+b)%3 == 0)
+		}
+		ind.Fitness, ind.Evaluated = float64(10*i+j), true
+	}
+}
+
+// stampOf returns the send a received batch says it is, or -1 when the
+// batch is not, value for value, a batch stamp wrote.
+func stampOf(batch []*core.Individual, size int) int {
+	if len(batch) != size {
+		return -1
+	}
+	i := int(batch[0].Fitness) / 10
+	want := testBatch(size, batch[0].Genome.Len())
+	stamp(want, i)
+	for j, ind := range batch {
+		g, ok := ind.Genome.(*genome.BitString)
+		w := want[j].Genome.(*genome.BitString)
+		if !ok || ind.Fitness != want[j].Fitness || !ind.Evaluated || g.N != w.N || !slices.Equal(g.Words, w.Words) {
+			return -1
+		}
+	}
+	return i
+}
+
+// TestFaultyHoldsBorrowContract drives random fault schedules — drop,
+// jitter delay, duplicate, reorder, partition and crash — over Loopback
+// with a sender that overwrites its one batch after every Send, as an
+// island that lends its own members does. Every batch that arrives must
+// equal, value for value, the batch sent at that point; no send arrives
+// more than twice (original and duplicate) or after the one that
+// overtook it by more than MaxDelay ticks; and the accounting closes at
+// both layers: the inner endpoint's Sent = Delivered + Dropped, and the
+// wrapper's offers are its drops plus the originals it forwarded, which
+// is what arrived less the duplicates.
+func TestFaultyHoldsBorrowContract(t *testing.T) {
+	pick := func(r *rng.Source, xs ...float64) float64 { return xs[r.Intn(len(xs))] }
+	for seed := uint64(1); seed <= 60; seed++ {
+		r := rng.New(seed)
+		spec := FaultSpec{
+			Link:        LinkFaults{LossProb: pick(r, 0, 0.2), Jitter: pick(r, 0, 1)},
+			MaxDelay:    1 + r.Intn(4),
+			DupProb:     pick(r, 0, 0.5),
+			ReorderProb: pick(r, 0, 0.5),
+		}
+		if r.Chance(0.5) {
+			from := uint64(r.Intn(100))
+			spec.Partitions = []Partition{{From: from, Until: from + uint64(r.Intn(50)), Peers: []int{1}}}
+		}
+		if r.Chance(0.5) {
+			at := uint64(r.Intn(100))
+			spec.Crashes = []Crash{{Peer: r.Intn(2), At: at, Until: at + uint64(r.Intn(50))}}
+		}
+		const sends = 150
+		size := 1 + r.Intn(4)
+		eps := NewLoopback(2, 4*sends) // the receiver never refuses
+		f := NewFaulty(eps[0], spec, seed)
+		batch := testBatch(size, 1+r.Intn(130))
+		arrived := make([]int, sends)
+		drain := func(now int) {
+			for {
+				got, ok := eps[1].Recv()
+				if !ok {
+					return
+				}
+				i := stampOf(got, size)
+				if i < 0 || i > now || now-i > spec.MaxDelay+1 {
+					t.Fatalf("seed %d, send %d: received a batch that is no send's (stamp %d): %v", seed, now, i, got)
+				}
+				arrived[i]++
+			}
+		}
+		for i := 0; i < sends; i++ {
+			stamp(batch, i)
+			f.Send(1, batch)
+			stamp(batch, -1) // the sender's members move on at once
+			if r.Chance(0.3) {
+				f.Recv()
+			}
+			drain(i)
+		}
+		_ = f.Close()
+		drain(sends)
+
+		received, dups := 0, 0
+		for i, n := range arrived {
+			if n > 2 {
+				t.Fatalf("seed %d: send %d arrived %d times", seed, i, n)
+			}
+			received += n
+			dups += max(n-1, 0)
+		}
+		inner, outer := eps[0].Stats(), f.Stats()
+		if inner.Sent != inner.Delivered+inner.Dropped || inner.Dropped != 0 || inner.Delivered != int64(received) {
+			t.Fatalf("seed %d: inner %+v, %d received", seed, inner, received)
+		}
+		if forwarded := outer.Delivered - int64(dups); outer.Sent != forwarded+outer.Dropped {
+			t.Fatalf("seed %d: %d offers ≠ %d forwarded + %d dropped (%+v)", seed, outer.Sent, forwarded, outer.Dropped, outer)
+		}
 	}
 }

@@ -5,6 +5,12 @@
 //   - Per-peer bounded send queues with drop-oldest backpressure: Send
 //     encodes the batch and offers it to the peer's queue; a full queue
 //     evicts its oldest batch first. Evolution never blocks on the wire.
+//   - Nothing is allocated per batch once the endpoint is warm. Send
+//     encodes into a frame buffer from the peer's free list, to which
+//     the sender goroutine returns it after the write (an evicted or
+//     replaced frame returns too); each inbound connection reads into
+//     one body buffer and decodes into a batch from the endpoint's free
+//     list, which Recv refills with the batch it lent last time.
 //   - Connections are established lazily by each peer's sender
 //     goroutine, with a connect timeout and exponential backoff plus
 //     seeded jitter between attempts. Write failures close the
@@ -117,6 +123,9 @@ type tcpPeer struct {
 	id    int
 	addr  string
 	queue chan []byte
+	// frames holds spare frame buffers: every frame of the link is
+	// queued, being written, or being encoded by Send.
+	frames chan []byte
 	// jitter is this link's private backoff-jitter stream (drawn only
 	// on the sender goroutine).
 	jitter *rng.Source
@@ -129,8 +138,12 @@ type TCP struct {
 	self  int
 	ln    net.Listener
 	inbox chan []*core.Individual
-	peers map[int]*tcpPeer
-	seq   atomic.Uint64
+	// batches holds spare decode batches: every batch is queued in inbox,
+	// lent by Recv (lent), or being decoded into by a connection reader.
+	batches chan []*core.Individual
+	lent    []*core.Individual
+	peers   map[int]*tcpPeer
+	seq     atomic.Uint64
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -170,16 +183,22 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		self:  cfg.Self,
 		ln:    ln,
 		inbox: make(chan []*core.Individual, cfg.InboxLen),
-		peers: make(map[int]*tcpPeer, len(cfg.Peers)),
-		done:  make(chan struct{}),
-		conns: make(map[net.Conn]struct{}),
+		// Room for every batch: the inbox's, the lent one and one in
+		// each peer's reader (a reconnect's second reader allocates).
+		batches: make(chan []*core.Individual, cfg.InboxLen+1+len(cfg.Peers)),
+		peers:   make(map[int]*tcpPeer, len(cfg.Peers)),
+		done:    make(chan struct{}),
+		conns:   make(map[net.Conn]struct{}),
 	}
 	master := rng.New(cfg.Seed)
 	for id, addr := range cfg.Peers {
 		if id == cfg.Self {
 			continue
 		}
-		p := &tcpPeer{id: id, addr: addr, queue: make(chan []byte, cfg.QueueLen), jitter: master.Split()}
+		p := &tcpPeer{
+			id: id, addr: addr, queue: make(chan []byte, cfg.QueueLen),
+			frames: make(chan []byte, cfg.QueueLen+2), jitter: master.Split(),
+		}
 		t.peers[id] = p
 		t.wg.Add(1)
 		go t.runSender(p)
@@ -205,9 +224,9 @@ func (t *TCP) reportPeer(peer int, up bool) {
 	}
 }
 
-// Send implements Endpoint: encode now (the caller's goroutine owns the
-// migrants), then offer to the peer's bounded queue, evicting the
-// oldest queued batch under backpressure.
+// Send implements Endpoint: encode now, into a spare frame of the peer's
+// (Send only borrows the migrants), then offer the frame to the peer's
+// bounded queue, evicting the oldest queued frame under backpressure.
 func (t *TCP) Send(dest int, migrants []*core.Individual) bool {
 	t.sent.Add(1)
 	p, ok := t.peers[dest]
@@ -221,7 +240,7 @@ func (t *TCP) Send(dest int, migrants []*core.Individual) bool {
 		return false
 	default:
 	}
-	data, err := encodeBatch(t.self, t.seq.Add(1), migrants)
+	data, err := appendFrame(take(p.frames), t.self, t.seq.Add(1), migrants)
 	if err != nil {
 		t.dropped.Add(1)
 		return false
@@ -235,7 +254,8 @@ func (t *TCP) Send(dest int, migrants []*core.Individual) bool {
 	// least valuable — and retry once. A racing sender goroutine may
 	// have drained the queue meanwhile; both selects stay non-blocking.
 	select {
-	case <-p.queue:
+	case old := <-p.queue:
+		give(p.frames, old)
 		t.dropped.Add(1)
 	default:
 	}
@@ -243,16 +263,23 @@ func (t *TCP) Send(dest int, migrants []*core.Individual) bool {
 	case p.queue <- data:
 		return true
 	default:
+		give(p.frames, data)
 		t.dropped.Add(1)
 		return false
 	}
 }
 
-// Recv implements Endpoint.
+// Recv implements Endpoint: the batch lent last time goes back to the
+// readers' free list first.
 func (t *TCP) Recv() ([]*core.Individual, bool) {
+	if t.lent != nil {
+		give(t.batches, t.lent)
+		t.lent = nil
+	}
 	select {
 	case batch := <-t.inbox:
 		t.received.Add(1)
+		t.lent = batch
 		return batch, true
 	default:
 		return nil, false
@@ -355,9 +382,10 @@ func (t *TCP) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(conn)
 	defer conn.Close()
+	var body []byte
 	for {
-		body, err := readFrameBody(conn)
-		if err != nil {
+		var err error
+		if body, err = readFrameInto(conn, body); err != nil {
 			return
 		}
 		select {
@@ -368,8 +396,10 @@ func (t *TCP) serveConn(conn net.Conn) {
 			continue
 		default:
 		}
-		_, migrants, err := decodeFrame(body)
+		batch := take(t.batches)
+		_, migrants, err := decodeFrameInto(batch, body)
 		if err != nil {
+			give(t.batches, batch)
 			return
 		}
 		select {
@@ -377,6 +407,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 			t.delivered.Add(1)
 		default:
 			// Inbox full: receiver-side backpressure drops the arrival.
+			give(t.batches, migrants)
 			t.dropped.Add(1)
 		}
 	}
@@ -436,13 +467,16 @@ func (t *TCP) runSender(p *tcpPeer) {
 			// oldest — replace it and count the eviction.
 			select {
 			case newer := <-p.queue:
+				give(p.frames, data)
 				data = newer
 				t.dropped.Add(1)
 			default:
 			}
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-		if _, err := conn.Write(data); err != nil {
+		_, err := conn.Write(data)
+		give(p.frames, data)
+		if err != nil {
 			// Best-effort: the batch may be partially on the wire; count
 			// it dropped, poison the link and reconnect on the next batch.
 			t.dropped.Add(1)

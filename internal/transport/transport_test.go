@@ -21,6 +21,18 @@ import (
 	"pga/internal/rng"
 )
 
+// encodeBatch, readFrameBody and decodeFrame are the codec's forms
+// without reused storage: a fresh frame, body buffer and batch per call.
+func encodeBatch(from int, seq uint64, migrants []*core.Individual) ([]byte, error) {
+	return appendFrame(nil, from, seq, migrants)
+}
+
+func readFrameBody(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
+
+func decodeFrame(body []byte) (from int, migrants []*core.Individual, err error) {
+	return decodeFrameInto(nil, body)
+}
+
 // readFrame reads and decodes one frame from r, as the connection
 // reader does with readFrameBody and decodeFrame, returning the sender
 // id and the migrant batch.
@@ -366,25 +378,46 @@ func TestReadFrameBodyGrowsWithArrivingBytes(t *testing.T) {
 func perfBatch() []*core.Individual { return testBatch(4, 256) }
 
 // TestWireAllocBudget gates the codec's allocations on the migration
-// batch the benchmark sends: encoding makes the one buffer handed to the
-// peer queue; decoding makes the batch slice plus individual, genome and
-// word slice per migrant.
+// batch the benchmark sends, in the forms the TCP endpoint runs warm:
+// encoding into a frame buffer a previous frame left, reading a frame
+// into a connection's body buffer, and decoding into a batch a previous
+// frame filled, allocate nothing. (Until frames and batches were reused,
+// encoding made one buffer per frame, reading one prefix and one body,
+// and decoding the batch slice plus individual, genome and word slice
+// per migrant.)
 func TestWireAllocBudget(t *testing.T) {
 	batch := perfBatch()
-	body := mustEncode(t, 0, batch)[prefixLen:]
+	frame := mustEncode(t, 0, batch)
+	body := frame[prefixLen:]
+	var r bytes.Reader
+	read := make([]byte, 0, len(body))
 	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := encodeBatch(0, 1, batch); err != nil {
+		r.Reset(frame)
+		var err error
+		if read, err = readFrameInto(&r, read); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 1 {
-		t.Errorf("encodeBatch: %.1f allocs, budget 1", avg)
+	}); avg != 0 {
+		t.Errorf("readFrameInto a warm buffer: %.1f allocs, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if _, _, err := decodeFrame(body); err != nil {
+		var err error
+		if frame, err = appendFrame(frame, 0, 1, batch); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > float64(1+3*len(batch)) {
-		t.Errorf("decodeFrame: %.1f allocs, budget %d", avg, 1+3*len(batch))
+	}); avg != 0 {
+		t.Errorf("appendFrame into a warm buffer: %.1f allocs, want 0", avg)
+	}
+	_, warm, err := decodeFrame(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, warm, err = decodeFrameInto(warm, body); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("decodeFrameInto a warm batch: %.1f allocs, want 0", avg)
 	}
 }
 
@@ -394,7 +427,7 @@ func TestWireAllocBudget(t *testing.T) {
 const steadySends = 4096
 
 // TestSendAllocBudget gates what a warm endpoint allocates per send:
-// nothing for Loopback or Faulty, and for TCP the one encoded buffer TestWireAllocBudget allows encodeBatch.
+// nothing, for Loopback, Faulty and TCP alike.
 func TestSendAllocBudget(t *testing.T) {
 	batch := testBatch(2, 8)
 	sends := func(send func()) uint64 {
@@ -433,36 +466,64 @@ func TestSendAllocBudget(t *testing.T) {
 		})
 		ep.Send(1, batch)
 		waitUntil(t, 5*time.Second, func() bool { return ep.Stats().PeerDowns == 1 }, "peer reported down")
-		if n := sends(func() { ep.Send(1, batch) }); n > steadySends {
-			t.Errorf("TCP: %d mallocs over %d sends, budget one buffer per send", n, steadySends)
+		if n := sends(func() { ep.Send(1, batch) }); n != 0 {
+			t.Errorf("TCP: %d mallocs over %d sends, want 0", n, steadySends)
 		}
 	})
 }
 
 var benchSink int
 
+func reuseName(warm bool) string {
+	if warm {
+		return "warm"
+	}
+	return "fresh"
+}
+
+// BenchmarkEncodeBatch times one frame of the benchmark's migration
+// batch: fresh is a new buffer per frame, warm the TCP sender's reuse
+// (0 allocs/op).
 func BenchmarkEncodeBatch(b *testing.B) {
 	batch := perfBatch()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		data, err := encodeBatch(0, uint64(i), batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += len(data)
+	for _, warm := range []bool{false, true} {
+		b.Run(reuseName(warm), func(b *testing.B) {
+			var frame []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !warm {
+					frame = nil
+				}
+				var err error
+				if frame, err = appendFrame(frame, 0, uint64(i), batch); err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(frame)
+			}
+		})
 	}
 }
 
+// BenchmarkDecodeFrame times decoding that frame: fresh into a new
+// batch per frame, warm into the batch the previous frame filled, as a
+// TCP reader does (0 allocs/op).
 func BenchmarkDecodeFrame(b *testing.B) {
 	body := mustEncode(b, 0, perfBatch())[prefixLen:]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, migrants, err := decodeFrame(body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += len(migrants)
+	for _, warm := range []bool{false, true} {
+		b.Run(reuseName(warm), func(b *testing.B) {
+			var migrants []*core.Individual
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !warm {
+					migrants = nil
+				}
+				var err error
+				if _, migrants, err = decodeFrameInto(migrants, body); err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(migrants)
+			}
+		})
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"pga/internal/core"
 	"pga/internal/persist"
@@ -62,11 +61,13 @@ const (
 // the descriptor of the old frame struct.
 var gobV1Preamble = []byte("\x3b\x7f\x03\x01\x01\x05frame")
 
-// encodeBatch serialises a migrant batch into one framed []byte — prefix,
-// header and population in a single buffer — ready to be written to a
-// connection. seq is the sender's frame sequence number (monotonic per
-// endpoint; for logging and fault attribution, not read on receipt).
-func encodeBatch(from int, seq uint64, migrants []*core.Individual) ([]byte, error) {
+// appendFrame serialises a migrant batch into one frame — prefix, header
+// and population — in dst's storage, ready to be written to a
+// connection. A dst too small for the frame is replaced by a fresh
+// buffer of the frame's exact size. seq is the sender's frame sequence
+// number (monotonic per endpoint; for logging and fault attribution, not
+// read on receipt).
+func appendFrame(dst []byte, from int, seq uint64, migrants []*core.Individual) ([]byte, error) {
 	if from < math.MinInt32 || from > math.MaxInt32 {
 		return nil, fmt.Errorf("transport: island id %d does not fit the frame's i32", from)
 	}
@@ -74,8 +75,10 @@ func encodeBatch(from int, seq uint64, migrants []*core.Individual) ([]byte, err
 	if n > maxFrameBytes {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte limit", n, maxFrameBytes)
 	}
-	buf := make([]byte, prefixLen, prefixLen+n)
-	buf = append(buf, wireVersion)
+	if cap(dst) < prefixLen+n {
+		dst = make([]byte, 0, prefixLen+n)
+	}
+	buf := append(dst[:0], 0, 0, 0, 0, wireVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(from)))
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf, err := persist.AppendPopulation(buf, migrants)
@@ -86,25 +89,38 @@ func encodeBatch(from int, seq uint64, migrants []*core.Individual) ([]byte, err
 	return buf, nil
 }
 
-// readFrameBody reads one length-prefixed frame from r without
-// decoding it.
-func readFrameBody(r io.Reader) ([]byte, error) {
-	var prefix [prefixLen]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+// readFrameInto reads one length-prefixed frame body from r into buf's
+// storage without decoding it. A buf too small for the body grows only
+// as the body's bytes arrive.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	// The prefix is read into buf's storage too (the body overwrites it):
+	// a local array would escape into r.Read and cost an allocation per
+	// frame.
+	prefix := buf[:0]
+	if cap(prefix) < prefixLen {
+		prefix = make([]byte, 0, prefixLen)
+	}
+	prefix = prefix[:prefixLen]
+	if _, err := io.ReadFull(r, prefix); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(prefix[:])
+	n := binary.BigEndian.Uint32(prefix)
 	if n == 0 || n > maxFrameBytes {
 		return nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
-	// The prefix is only a claim. A body beyond readChunk is read into a
-	// buffer that doubles as bytes actually arrive, so a peer cannot make
-	// the reader allocate 16 MiB by sending four bytes.
+	// The prefix is only a claim. A body beyond buf's capacity is read
+	// into a buffer that grows, by readChunk or by doubling, only as bytes
+	// actually arrive, so a peer cannot make the reader allocate 16 MiB by
+	// sending four bytes.
 	size := int(n)
-	body := make([]byte, 0, min(size, readChunk))
+	body := buf[:0]
 	for len(body) < size {
 		have := len(body)
-		body = slices.Grow(body, min(size-have, max(have, readChunk)))
+		if cap(body) == have {
+			grown := make([]byte, have, have+min(size-have, max(have, readChunk)))
+			copy(grown, body)
+			body = grown
+		}
 		body = body[:min(size, cap(body))]
 		if _, err := io.ReadFull(r, body[have:]); err != nil {
 			return nil, fmt.Errorf("transport: truncated frame: %w", err)
@@ -113,10 +129,11 @@ func readFrameBody(r io.Reader) ([]byte, error) {
 	return body, nil
 }
 
-// decodeFrame decodes one frame body in place: the header is read where
-// it lies and the rest handed to the population decoder, which copies
-// the genes out, so the result does not alias body.
-func decodeFrame(body []byte) (from int, migrants []*core.Individual, err error) {
+// decodeFrameInto decodes one frame body over the migrants dst holds
+// (persist.DecodePopulationInto): the header is read where it lies and
+// the rest handed to the population decoder, which copies the genes out,
+// so the result does not alias body.
+func decodeFrameInto(dst []*core.Individual, body []byte) (from int, migrants []*core.Individual, err error) {
 	if len(body) > 0 && body[0] != wireVersion {
 		if bytes.HasPrefix(body, gobV1Preamble) {
 			return 0, nil, fmt.Errorf("transport: wire version 1 (gob) frame, want %d", wireVersion)
@@ -127,7 +144,7 @@ func decodeFrame(body []byte) (from int, migrants []*core.Individual, err error)
 		return 0, nil, fmt.Errorf("transport: frame body of %d bytes is shorter than its %d-byte header", len(body), frameHeaderLen)
 	}
 	from = int(int32(binary.LittleEndian.Uint32(body[1:])))
-	migrants, err = persist.DecodePopulation(body[frameHeaderLen:])
+	migrants, err = persist.DecodePopulationInto(dst, body[frameHeaderLen:])
 	if err != nil {
 		return 0, nil, fmt.Errorf("transport: decode population: %w", err)
 	}
