@@ -28,15 +28,16 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Perf gate: hard allocation budgets on the generation hot path (zero
-# steady-state allocs for the sequential engines and a migration epoch,
-# small fixed budgets for the parallel engines and the master–slave
-# farm, nothing per warm endpoint send or codec call), then one short
+# steady-state allocs for every spec model's generation or epoch, the
+# parallel engines and the master–slave farm included, and nothing per
+# warm endpoint send or codec call), then one short
 # pass of the repo's benchmark on its default-path workload, which
 # exits non-zero when the run fails its own correctness gate. Timings
 # are compared between commits on one host (perf-compare below), never
 # against recorded constants.
 perf:
-	$(GO) test -run 'AllocBudget' -count=1 ./internal/ga/ ./internal/cellular/ ./internal/island/ ./internal/masterslave/ ./internal/transport/
+	$(GO) test -run 'AllocBudget' -count=1 ./internal/ga/ ./internal/cellular/ ./internal/island/ ./internal/masterslave/ \
+		./internal/hga/ ./internal/sim/ ./internal/p2p/ ./internal/supervise/ ./internal/transport/
 	$(GO) run ./cmd/pgaperf -workload bitwise-gen -seconds 5 -trace 0
 
 # Cross-commit comparison on this host, by the benchmark's own rules

@@ -285,7 +285,7 @@ func TestTwoProcessRingResult(t *testing.T) {
 	}
 	bin := buildIsland(t, t.TempDir())
 	keys := []string{"self", "best", "solved", "generations", "evaluations", "migrations",
-		"dead_lettered", "restarts", "net", "stop_reason", "elapsed_ms"}
+		"dead_lettered", "refused", "restarts", "net", "stop_reason", "elapsed_ms"}
 
 	solo := runRing(t, bin, 2, "-problem", "nk", "-size", "32", "-pop", "20", "-gens", "40", "-interval", "0", "-seed", "5")
 	for i, best := range []float64{0.7115270273656605, 0.7115551126597729} {

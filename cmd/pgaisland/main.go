@@ -71,6 +71,7 @@ type result struct {
 	Evaluations  int64         `json:"evaluations"`
 	Migrations   int64         `json:"migrations"`
 	DeadLettered int64         `json:"dead_lettered"`
+	Refused      int64         `json:"refused"`
 	Restarts     int64         `json:"restarts"`
 	Net          core.NetStats `json:"net"`
 	StopReason   string        `json:"stop_reason"`
@@ -253,13 +254,14 @@ func main() {
 		Evaluations:  res.Evaluations,
 		Migrations:   res.Migrations,
 		DeadLettered: net.Dropped,
+		Refused:      res.Refused,
 		Restarts:     net.Reconnects,
 		Net:          net,
 		StopReason:   res.StopReason,
 		ElapsedMS:    time.Since(start).Milliseconds(),
 	}
-	log.Printf("done: best=%g solved=%v gens=%d sent=%d delivered=%d received=%d dropped=%d reconnects=%d",
-		out.Best, out.Solved, out.Generations, net.Sent, net.Delivered, net.Received, net.Dropped, net.Reconnects)
+	log.Printf("done: best=%g solved=%v gens=%d sent=%d delivered=%d received=%d dropped=%d refused=%d reconnects=%d",
+		out.Best, out.Solved, out.Generations, net.Sent, net.Delivered, net.Received, net.Dropped, out.Refused, net.Reconnects)
 	enc := json.NewEncoder(os.Stdout)
 	if err := enc.Encode(out); err != nil {
 		log.Fatal(err)

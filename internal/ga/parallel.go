@@ -40,6 +40,11 @@ type ParallelGenerational struct {
 	discards  []*core.Individual
 	counts    []int64
 	ranker    bestSorter
+	// run holds each worker's goroutine func, bound once to the worker's
+	// index, and wg joins them: a step starts its workers without
+	// allocating.
+	run []func()
+	wg  sync.WaitGroup
 }
 
 var _ Engine = (*ParallelGenerational)(nil)
@@ -99,6 +104,13 @@ func (e *ParallelGenerational) ensureBuffers() {
 		e.discards[w] = e.pop.Members[0].Clone()
 	}
 	e.counts = make([]int64, e.workers)
+	e.run = make([]func(), e.workers)
+	for w := range e.run {
+		e.run[w] = func() {
+			defer e.wg.Done()
+			e.breed(w)
+		}
+	}
 }
 
 // Step implements Engine: one full generation produced in parallel.
@@ -109,48 +121,17 @@ func (e *ParallelGenerational) ensureBuffers() {
 // allocating implementation, so seeded runs are unchanged.
 func (e *ParallelGenerational) Step() {
 	cfg := &e.cfg
-	n := cfg.PopSize
-	births := n - cfg.Elitism
 	e.ensureBuffers()
 
 	// Offspring fill next.Members[Elitism : n], worker w owning the
-	// contiguous block [Elitism+lo, Elitism+hi).
-	var wg sync.WaitGroup
+	// contiguous block blockOf(w).
 	for w := 0; w < e.workers; w++ {
-		lo := births * w / e.workers
-		hi := births * (w + 1) / e.workers
-		if lo == hi {
-			continue
+		if lo, hi := e.blockOf(w); lo < hi {
+			e.wg.Add(1)
+			go e.run[w]()
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			r := e.streams[w]
-			scratch := &e.scratches[w]
-			discard := e.discards[w]
-			// e.pop is immutable during the step: one plan per worker.
-			scratch.Plan(cfg.Selector, e.pop, e.dir)
-			for i := lo; i < hi; i++ {
-				a := operators.SelectWith(cfg.Selector, e.pop, e.dir, r, scratch)
-				b := operators.SelectWith(cfg.Selector, e.pop, e.dir, r, scratch)
-				pa, pb := e.pop.Members[a], e.pop.Members[b]
-				child := e.next.Members[cfg.Elitism+i]
-				if cfg.Crossover != nil && r.Chance(cfg.CrossoverRate) {
-					operators.CrossInto(cfg.Crossover, pa.Genome, pb.Genome, child, discard, r, scratch)
-				} else {
-					child.Genome = core.CopyGenome(child.Genome, pa.Genome)
-				}
-				if cfg.Mutator != nil {
-					cfg.Mutator.Mutate(child.Genome, r)
-				}
-				child.Fitness = cfg.Problem.Evaluate(child.Genome)
-				child.Evaluated = true
-				e.counts[w]++
-			}
-			scratch.Unplan()
-		}(w, lo, hi)
 	}
-	wg.Wait()
+	e.wg.Wait()
 	for w, c := range e.counts {
 		e.evals += c
 		e.counts[w] = 0
@@ -163,4 +144,41 @@ func (e *ParallelGenerational) Step() {
 	// Swap buffers, keeping the *Population identity stable for callers
 	// that hold Population() across steps.
 	e.pop.Members, e.next.Members = e.next.Members, e.pop.Members
+}
+
+// blockOf returns the births [lo, hi) worker w breeds, offsets into
+// next.Members[Elitism:].
+func (e *ParallelGenerational) blockOf(w int) (lo, hi int) {
+	births := e.cfg.PopSize - e.cfg.Elitism
+	return births * w / e.workers, births * (w + 1) / e.workers
+}
+
+// breed is worker w's share of a step: it breeds and evaluates its block
+// of the next generation from its own stream and scratch.
+func (e *ParallelGenerational) breed(w int) {
+	cfg := &e.cfg
+	lo, hi := e.blockOf(w)
+	r := e.streams[w]
+	scratch := &e.scratches[w]
+	discard := e.discards[w]
+	// e.pop is immutable during the step: one plan per worker.
+	scratch.Plan(cfg.Selector, e.pop, e.dir)
+	for i := lo; i < hi; i++ {
+		a := operators.SelectWith(cfg.Selector, e.pop, e.dir, r, scratch)
+		b := operators.SelectWith(cfg.Selector, e.pop, e.dir, r, scratch)
+		pa, pb := e.pop.Members[a], e.pop.Members[b]
+		child := e.next.Members[cfg.Elitism+i]
+		if cfg.Crossover != nil && r.Chance(cfg.CrossoverRate) {
+			operators.CrossInto(cfg.Crossover, pa.Genome, pb.Genome, child, discard, r, scratch)
+		} else {
+			child.Genome = core.CopyGenome(child.Genome, pa.Genome)
+		}
+		if cfg.Mutator != nil {
+			cfg.Mutator.Mutate(child.Genome, r)
+		}
+		child.Fitness = cfg.Problem.Evaluate(child.Genome)
+		child.Evaluated = true
+		e.counts[w]++
+	}
+	scratch.Unplan()
 }

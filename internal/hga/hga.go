@@ -31,8 +31,11 @@ type MultiFidelity interface {
 	core.Problem // Evaluate is the level-0 (precise) model
 	// Levels returns the number of fidelity levels.
 	Levels() int
-	// EvaluateAt evaluates g with the model at the given level.
-	EvaluateAt(level int, g core.Genome) float64
+	// EvaluateAt evaluates g with the model at the given level. buf is
+	// caller-owned scratch the model may grow and reuse for a level's
+	// transformed input, so a caller that keeps its buffer evaluates
+	// without allocating; a nil buf gets a buffer for this call alone.
+	EvaluateAt(level int, g core.Genome, buf *[]float64) float64
 	// CostAt returns the relative cost of one evaluation at the level
 	// (level 0 = 1.0 by convention).
 	CostAt(level int) float64
@@ -43,7 +46,9 @@ type MultiFidelity interface {
 // to a grid of 2^(bits-2k) points, which is deterministic, strongly
 // correlated with the precise model, and progressively blurs fine
 // structure — the behaviour of the simplified aerodynamic models in the
-// original HGA work (substitution documented in DESIGN.md).
+// original HGA work (substitution documented in DESIGN.md). It holds no
+// evaluation state: a coarse level snaps into the caller's buffer, so one
+// instance serves every deme.
 type QuantizedFidelity struct {
 	// Inner is the precise model.
 	Inner *problems.RealFunc
@@ -69,7 +74,7 @@ func (q *QuantizedFidelity) Direction() core.Direction { return q.Inner.Directio
 func (q *QuantizedFidelity) NewGenome(r *rng.Source) core.Genome { return q.Inner.NewGenome(r) }
 
 // Evaluate implements core.Problem (precise model).
-func (q *QuantizedFidelity) Evaluate(g core.Genome) float64 { return q.EvaluateAt(0, g) }
+func (q *QuantizedFidelity) Evaluate(g core.Genome) float64 { return q.EvaluateAt(0, g, nil) }
 
 // Optimum implements core.TargetAware.
 func (q *QuantizedFidelity) Optimum() float64 { return q.Inner.Optimum() }
@@ -83,8 +88,9 @@ func (q *QuantizedFidelity) Levels() int { return len(q.LevelCosts) }
 // CostAt implements MultiFidelity.
 func (q *QuantizedFidelity) CostAt(level int) float64 { return q.LevelCosts[level] }
 
-// EvaluateAt implements MultiFidelity.
-func (q *QuantizedFidelity) EvaluateAt(level int, g core.Genome) float64 {
+// EvaluateAt implements MultiFidelity: level 0 reads the genes as they
+// are, a coarser level snaps them into *buf.
+func (q *QuantizedFidelity) EvaluateAt(level int, g core.Genome, buf *[]float64) float64 {
 	v := g.(*genome.RealVector)
 	if level == 0 {
 		return q.Inner.F(v.Genes)
@@ -94,7 +100,13 @@ func (q *QuantizedFidelity) EvaluateAt(level int, g core.Genome) float64 {
 		bits = 2
 	}
 	steps := math.Exp2(float64(bits))
-	x := make([]float64, len(v.Genes))
+	if buf == nil {
+		buf = new([]float64)
+	}
+	if cap(*buf) < len(v.Genes) {
+		*buf = make([]float64, len(v.Genes))
+	}
+	x := (*buf)[:len(v.Genes)]
 	for i, gv := range v.Genes {
 		lo, hi := v.Lo[i], v.Hi[i]
 		t := (gv - lo) / (hi - lo)
@@ -135,11 +147,13 @@ type Config struct {
 }
 
 // layerProblem evaluates at a fixed fidelity level and accumulates cost.
+// buf is the deme's own EvaluateAt scratch.
 type layerProblem struct {
 	mf    MultiFidelity
 	level int
 	cost  *float64
 	evals *int64
+	buf   []float64
 }
 
 func (p *layerProblem) Name() string              { return fmt.Sprintf("%s@L%d", p.mf.Name(), p.level) }
@@ -154,7 +168,7 @@ func (p *layerProblem) NewGenome(r *rng.Source) core.Genome {
 func (p *layerProblem) Evaluate(g core.Genome) float64 {
 	*p.cost += p.mf.CostAt(p.level)
 	*p.evals++
-	return p.mf.EvaluateAt(p.level, g)
+	return p.mf.EvaluateAt(p.level, g, &p.buf)
 }
 
 // Result summarises an HGA run. The embedded core.RunStats holds the
@@ -180,6 +194,9 @@ type Model struct {
 	cost    float64
 	evals   int64
 	dir     core.Direction
+	// buf is the EvaluateAt scratch of promote and the final re-scoring,
+	// which run between the demes' steps.
+	buf []float64
 }
 
 // New builds the hierarchy.
@@ -251,10 +268,12 @@ func New(cfg Config) *Model {
 	return m
 }
 
-// promote performs the hierarchical exchange: every non-top deme sends a
-// clone of its best to its parent (accepted if better than the parent's
-// worst, re-scored with the parent's model), and every parent sends a
-// random individual down to each child to maintain diversity.
+// promote performs the hierarchical exchange: every non-top deme sends
+// its best to its parent (accepted if better than the parent's worst,
+// re-scored with the parent's model), and every parent sends a random
+// individual down to each child to maintain diversity. A migrant is
+// scored where it stands and copied into the member it displaces, so
+// the exchange allocates nothing.
 func (m *Model) promote() {
 	for i, e := range m.demes {
 		p := m.parent[i]
@@ -263,35 +282,41 @@ func (m *Model) promote() {
 		}
 		pop := e.Population()
 		if b := pop.Best(m.dir); b >= 0 {
-			up := pop.Members[b].Clone()
+			up := pop.Members[b]
 			// Re-score with the parent's fidelity model.
 			parentLevel := m.cfg.LevelOf[m.layerOf[p]]
-			up.Fitness = m.cfg.Problem.EvaluateAt(parentLevel, up.Genome)
-			m.cost += m.cfg.Problem.CostAt(parentLevel)
-			m.evals++
-			up.Evaluated = true
+			f := m.score(parentLevel, up.Genome)
 			ppop := m.demes[p].Population()
-			if w := ppop.Worst(m.dir); w >= 0 && m.dir.Better(up.Fitness, ppop.Members[w].Fitness) {
-				ppop.Replace(w, up)
+			if w := ppop.Worst(m.dir); w >= 0 && m.dir.Better(f, ppop.Members[w].Fitness) {
+				placeScored(ppop.Members[w], up, f)
 			}
 		}
 		// Downward diversity: a random parent individual replaces a random
 		// non-best child individual, re-scored with the child's model.
 		ppop := m.demes[p].Population()
-		down := ppop.Members[m.migRNG.Intn(ppop.Len())].Clone()
-		childLevel := m.cfg.LevelOf[m.layerOf[i]]
-		down.Fitness = m.cfg.Problem.EvaluateAt(childLevel, down.Genome)
-		m.cost += m.cfg.Problem.CostAt(childLevel)
-		m.evals++
-		down.Evaluated = true
+		down := ppop.Members[m.migRNG.Intn(ppop.Len())]
+		f := m.score(m.cfg.LevelOf[m.layerOf[i]], down.Genome)
 		if pop.Len() >= 2 {
 			v := m.migRNG.Intn(pop.Len())
 			if v == pop.Best(m.dir) {
 				v = (v + 1) % pop.Len()
 			}
-			pop.Replace(v, down)
+			placeScored(pop.Members[v], down, f)
 		}
 	}
+}
+
+// score evaluates g at a fidelity level and charges the evaluation.
+func (m *Model) score(level int, g core.Genome) float64 {
+	m.cost += m.cfg.Problem.CostAt(level)
+	m.evals++
+	return m.cfg.Problem.EvaluateAt(level, g, &m.buf)
+}
+
+// placeScored copies src's genome into dst with fitness f.
+func placeScored(dst, src *core.Individual, f float64) {
+	dst.Genome = core.CopyGenome(dst.Genome, src.Genome)
+	dst.Fitness, dst.Evaluated = f, true
 }
 
 // CostCap stops the hierarchy once its accumulated evaluation cost
@@ -371,7 +396,7 @@ func (m *Model) Run(stop core.StopCondition, ctl engine.Control) *Result {
 	for _, e := range m.demes {
 		pop := e.Population()
 		if b := pop.Best(m.dir); b >= 0 {
-			precise := m.cfg.Problem.EvaluateAt(0, pop.Members[b].Genome)
+			precise := m.cfg.Problem.EvaluateAt(0, pop.Members[b].Genome, &m.buf)
 			if m.dir.Better(precise, res.BestFitness) {
 				res.BestFitness = precise
 				res.Best = pop.Members[b].Clone()

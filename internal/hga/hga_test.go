@@ -42,10 +42,10 @@ func TestQuantizedLevel0IsExact(t *testing.T) {
 	q := quantized()
 	r := rng.New(1)
 	g := q.NewGenome(r)
-	if q.EvaluateAt(0, g) != q.Inner.Evaluate(g) {
+	if q.EvaluateAt(0, g, nil) != q.Inner.Evaluate(g) {
 		t.Fatal("level 0 differs from precise model")
 	}
-	if q.Evaluate(g) != q.EvaluateAt(0, g) {
+	if q.Evaluate(g) != q.EvaluateAt(0, g, nil) {
 		t.Fatal("Evaluate is not level 0")
 	}
 }
@@ -57,8 +57,8 @@ func TestQuantizedCoarseLevelsCorrelated(t *testing.T) {
 	// snapped inputs).
 	for i := 0; i < 50; i++ {
 		g := q.NewGenome(r)
-		precise := q.EvaluateAt(0, g)
-		coarse := q.EvaluateAt(2, g)
+		precise := q.EvaluateAt(0, g, nil)
+		coarse := q.EvaluateAt(2, g, nil)
 		if coarse < 0 {
 			t.Fatal("coarse rastrigin negative")
 		}
@@ -74,7 +74,7 @@ func TestQuantizedDiffersAtCoarseLevel(t *testing.T) {
 	differs := false
 	for i := 0; i < 20; i++ {
 		g := q.NewGenome(r)
-		if q.EvaluateAt(0, g) != q.EvaluateAt(2, g) {
+		if q.EvaluateAt(0, g, nil) != q.EvaluateAt(2, g, nil) {
 			differs = true
 		}
 	}

@@ -40,6 +40,13 @@ type barrierStepper struct {
 	outcomes []supervise.StepOutcome
 	// epochs counts completed migration epochs for dynamic rewiring.
 	epochs int64
+
+	// run holds each deme's goroutine func for the parallel discipline,
+	// bound once to the deme's index on the first step; gen is the
+	// generation they step and wg joins them.
+	run []func()
+	gen int
+	wg  sync.WaitGroup
 }
 
 // alive reports whether deme i still takes part in the run.
@@ -59,18 +66,23 @@ func (s *barrierStepper) Step(g int) engine.StepInfo {
 	m := s.m
 	var info engine.StepInfo
 	if s.parallel {
-		var wg sync.WaitGroup
-		for i := range m.engines {
-			if !s.alive(i) {
-				continue
+		if s.run == nil {
+			s.run = make([]func(), len(m.engines))
+			for i := range s.run {
+				s.run[i] = func() {
+					defer s.wg.Done()
+					s.stepDeme(i, s.gen)
+				}
 			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				s.stepDeme(i, g)
-			}(i)
 		}
-		wg.Wait()
+		s.gen = g
+		for i := range m.engines {
+			if s.alive(i) {
+				s.wg.Add(1)
+				go s.run[i]()
+			}
+		}
+		s.wg.Wait()
 	} else {
 		for i := range m.engines {
 			if s.alive(i) {
@@ -141,6 +153,17 @@ func (a allDead) Done(core.Status) bool { return a.router.AliveCount() == 0 }
 // Reason implements core.StopCondition.
 func (a allDead) Reason() string { return "all demes dead" }
 
+// newBarrier returns the barriered stepper over m's demes, supervised by
+// sup when it is not nil.
+func (m *Model) newBarrier(parallel bool, sup *supervise.Supervisor) *barrierStepper {
+	st := &barrierStepper{m: m, parallel: parallel, sup: sup, routes: m.cfg.Topology}
+	if sup != nil {
+		st.routes = sup.Router()
+		st.outcomes = make([]supervise.StepOutcome, len(m.engines))
+	}
+	return st
+}
+
 // runBarrier drives one barrierStepper under engine.Loop until stop fires:
 // lockstep or a goroutine per deme, supervised or not. A supervised run
 // additionally stops when no deme is left and checkpoints through an
@@ -150,11 +173,9 @@ func (m *Model) runBarrier(parallel bool, sup *supervise.Supervisor, stop core.S
 	if stop == nil {
 		panic("island: stop condition required")
 	}
-	st := &barrierStepper{m: m, parallel: parallel, sup: sup, routes: m.cfg.Topology}
+	st := m.newBarrier(parallel, sup)
 	opts := engine.Options{Stop: stop}
 	if sup != nil {
-		st.routes = sup.Router()
-		st.outcomes = make([]supervise.StepOutcome, len(m.engines))
 		opts.Stop = core.AnyOf{opts.Stop, allDead{sup.Router()}}
 		opts.Observers = []engine.Observer{engine.Funcs{Generation: st.checkpoint}}
 	}

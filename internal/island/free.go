@@ -2,6 +2,7 @@ package island
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"time"
 
@@ -153,9 +154,12 @@ type freeDeme struct {
 	out    []*core.Individual
 
 	// gen is the last generation the deme completed, delivered the number
-	// of batches an endpoint accepted; runFree reads both after the join.
+	// of batches an endpoint accepted and refused the number of received
+	// batches that did not fit the deme (see fits); runFree and RunWire
+	// read them after the loop.
 	gen       int
 	delivered int64
+	refused   int64
 }
 
 // Step implements engine.Stepper.
@@ -200,9 +204,30 @@ func (d *freeDeme) Step(g int) engine.StepInfo {
 		if !ok {
 			break
 		}
+		if !fits(d.e.Population(), batch) {
+			d.refused++
+			continue
+		}
 		p.Replace.Integrate(d.e.Population(), d.dir, batch, d.mr)
 	}
 	return info
+}
+
+// fits reports whether every migrant's genome has the concrete type and
+// length of the deme's own. A wire peer running another problem size
+// sends well-formed frames of genomes that would not fit: copying one in
+// would panic, and so would crossing it with a member.
+func fits(pop *core.Population, batch []*core.Individual) bool {
+	if len(pop.Members) == 0 {
+		return true
+	}
+	own := pop.Members[0].Genome
+	for _, m := range batch {
+		if reflect.TypeOf(m.Genome) != reflect.TypeOf(own) || m.Genome.Len() != own.Len() {
+			return false
+		}
+	}
+	return true
 }
 
 // deliver makes one best-effort endpoint send of a batch on its
@@ -328,6 +353,7 @@ func (m *Model) runFree(stop core.StopCondition, sup *supervise.Supervisor, ctl 
 	for i, d := range demes {
 		res.Net.Add(eps[i].Stats())
 		res.Migrations += d.delivered
+		res.Refused += d.refused
 		res.Generations = max(res.Generations, d.gen)
 	}
 	var best *core.Individual

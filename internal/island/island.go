@@ -99,6 +99,11 @@ type Result struct {
 	// retry budget (wire-mode runs additionally count transport-level
 	// losses here; see Net).
 	DeadLettered int64
+	// Refused counts received migrant batches a free-running deme refused
+	// because their genomes do not fit its own in type or length (a wire
+	// peer running another problem size). The transport delivered them,
+	// so Net counts them received, not dropped.
+	Refused int64
 	// Net is the transport-level delivery accounting: the summed
 	// endpoint stats of the asynchronous in-process modes, or the
 	// single endpoint's stats of a wire-mode run (RunWire). Zero for
@@ -332,20 +337,27 @@ func (m *Model) finish(res *Result) {
 // whose population meets the problem's known optimum ends every deme's
 // run. Its observers hear OnDone only (see runFree).
 func (m *Model) RunParallel(stop core.StopCondition, ctl engine.Control) *Result {
-	var sup *supervise.Supervisor
-	if m.cfg.Resilience != nil {
-		sup = supervise.New(*m.cfg.Resilience, m.cfg.Faults, m.cfg.Topology,
-			m.cfg.NewEngine, m.restartRNG)
-		for i := range m.engines {
-			sup.Attach(i, m.engineRNGs[i])
-		}
-		m.sup = sup
-		m.deadPops = make([]*core.Population, len(m.engines))
-	}
+	sup := m.supervise()
 	if !m.cfg.Policy.Sync {
 		return m.runFree(stop, sup, ctl)
 	}
 	return m.runBarrier(true, sup, stop, ctl)
+}
+
+// supervise starts the run's supervisor when Config.Resilience asks for
+// one, and returns it (nil otherwise).
+func (m *Model) supervise() *supervise.Supervisor {
+	if m.cfg.Resilience == nil {
+		return nil
+	}
+	sup := supervise.New(*m.cfg.Resilience, m.cfg.Faults, m.cfg.Topology,
+		m.cfg.NewEngine, m.restartRNG)
+	for i := range m.engines {
+		sup.Attach(i, m.engineRNGs[i])
+	}
+	m.sup = sup
+	m.deadPops = make([]*core.Population, len(m.engines))
+	return sup
 }
 
 // failureKind maps a failed supervised step to its failure class.

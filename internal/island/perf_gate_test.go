@@ -9,14 +9,17 @@ package island
 
 import (
 	"testing"
+	"time"
 
 	"pga/internal/core"
 	"pga/internal/engine"
 	"pga/internal/ga"
+	"pga/internal/mallocs"
 	"pga/internal/migration"
 	"pga/internal/operators"
 	"pga/internal/problems"
 	"pga/internal/rng"
+	"pga/internal/supervise"
 	"pga/internal/topology"
 )
 
@@ -64,6 +67,74 @@ func TestAllocBudget(t *testing.T) {
 	}
 }
 
+// barrierGate returns gateModel's barriered stepper, supervised under
+// resilience when it is not nil, and a func that runs its next
+// generation as runBarrier's loop does: the step (with the epoch every
+// tenth generation), then the supervised checkpoint hook.
+func barrierGate(parallel bool, resilience *supervise.Config) func() {
+	m := gateModel()
+	m.cfg.Resilience = resilience
+	st := m.newBarrier(parallel, m.supervise())
+	g := 0
+	return func() {
+		g++
+		st.Step(g)
+		if st.sup != nil {
+			st.checkpoint(core.Status{Generation: g})
+		}
+	}
+}
+
+// TestBarrierAllocBudget gates a barriered generation at zero
+// allocations in each discipline: lockstep, a goroutine per deme, and
+// supervised, with steps inline or on heartbeat goroutines. The deme
+// goroutines start from funcs bound once, a supervised step runs inline
+// or from the deme's reused heartbeat slot, and a checkpoint encodes
+// into the deme's previous buffer. testing.AllocsPerRun reads the
+// process-wide counter, so the goroutines' allocations count; a
+// mallocs.Count window 20 times longer catches an append that grows a
+// buffer now and then on the calling goroutine. Under -race, sync.Pool
+// drops the selectors' pooled scratch at random, so the gate cannot
+// hold there and skips.
+func TestBarrierAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops on purpose under -race")
+	}
+	for _, tc := range []struct {
+		name       string
+		parallel   bool
+		resilience *supervise.Config
+	}{
+		{"sequential", false, nil},
+		{"parallel", true, nil},
+		{"supervised", true, &supervise.Config{CheckpointEvery: 2}},
+		{"supervised-heartbeat", true, &supervise.Config{CheckpointEvery: 2, Heartbeat: time.Minute}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := barrierGate(tc.parallel, tc.resilience)
+			for i := 0; i < 20; i++ {
+				gen() // two epochs and ten checkpoints build every buffer
+			}
+			if avg := testing.AllocsPerRun(50, gen); avg != 0 {
+				t.Errorf("%.1f allocs per generation, want 0", avg)
+			}
+			// mallocs.Count collects before its window, emptying the
+			// selectors' sync.Pool, so the window's first epoch refills
+			// it: what must not grow with the window is the rest.
+			gens := func(n int) uint64 {
+				return mallocs.Count(func() {
+					for i := 0; i < n; i++ {
+						gen()
+					}
+				})
+			}
+			if short, long := gens(10), gens(200); long != short {
+				t.Errorf("%d mallocs over 200 warm generations, %d over 10: want as many", long, short)
+			}
+		})
+	}
+}
+
 // BenchmarkGenerationAllocs reports ns/op, B/op and allocs/op for one
 // sequential island generation (8 demes × 25, ring).
 func BenchmarkGenerationAllocs(b *testing.B) {
@@ -74,4 +145,23 @@ func BenchmarkGenerationAllocs(b *testing.B) {
 			m.RunSequential(core.MaxGenerations(1), engine.Control{})
 		}
 	})
+	for _, tc := range []struct {
+		name       string
+		resilience *supervise.Config
+	}{
+		{"island/parallel", nil},
+		{"island/supervised", &supervise.Config{CheckpointEvery: 2}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			gen := barrierGate(true, tc.resilience)
+			for i := 0; i < 20; i++ {
+				gen() // warm, as the gate is
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gen()
+			}
+		})
+	}
 }

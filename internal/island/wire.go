@@ -11,7 +11,8 @@ package island
 //
 //   - Migration is best-effort. A batch that cannot reach a peer is
 //     dropped and counted (Result.Net, surfaced through DeadLettered);
-//     evolution never blocks on the wire.
+//     evolution never blocks on the wire. A batch whose genomes do not
+//     fit this island's problem is refused and counted (Result.Refused).
 //   - An island that loses peers keeps evolving solo. Peer-liveness
 //     transitions from the transport feed a supervise.Router over the
 //     island topology, so migration reroutes around a partitioned or
@@ -130,6 +131,7 @@ func RunWire(cfg WireConfig) *Result {
 		Observers: cfg.Observers,
 	}, &res.RunStats)
 	res.Migrations = totals.Migrations
+	res.Refused = d.refused
 	res.PerDemeBest = []float64{d.e.Population().BestFitness(d.dir)}
 	res.Net = cfg.Endpoint.Stats()
 	res.DeadLettered = res.Net.Dropped

@@ -213,3 +213,53 @@ func TestRunWireValidation(t *testing.T) {
 	}
 	RunWire(valid()) // the unbroken config runs
 }
+
+// TestRunWireRefusesMismatchedGenomes: two wire islands whose problems
+// differ in size (OneMax on 64 and 65 bits) exchange well-formed batches
+// neither can integrate. Each refuses and counts every batch it receives
+// and runs to its generation cap, where integrating them panicked in
+// the next copy-in or crossover; the refusals stay out of the
+// transport's drop count, so batch conservation still sums.
+func TestRunWireRefusesMismatchedGenomes(t *testing.T) {
+	const n = 2
+	eps := transport.NewLoopback(n, 16)
+	results := make([]*Result, n)
+	var wg sync.WaitGroup
+	for i, bits := range []int{64, 65} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			er, mr := WireStreams(7, n, i)
+			results[i] = RunWire(WireConfig{
+				Self:     i,
+				Topology: topology.Ring(n),
+				Endpoint: eps[i],
+				Policy:   migration.Policy{Interval: 2, Count: 2},
+				Engine:   onemaxEngines(bits, 20)(i, er),
+				MigRNG:   mr,
+				MaxGens:  60,
+			})
+		}()
+	}
+	wg.Wait()
+	var net core.NetStats
+	var refused int64
+	for i, res := range results {
+		if res.Generations != 60 {
+			t.Errorf("island %d stopped at generation %d of 60", i, res.Generations)
+		}
+		if res.Refused != res.Net.Received {
+			t.Errorf("island %d refused %d of %d received batches, want all of them", i, res.Refused, res.Net.Received)
+		}
+		refused += res.Refused
+		net.Add(res.Net)
+	}
+	// An island may finish before its peer sends anything, but not both:
+	// the later one drains what the earlier one left in its inbox.
+	if refused == 0 {
+		t.Error("no batch was refused")
+	}
+	if net.Sent != net.Delivered+net.Dropped {
+		t.Errorf("sent %d != delivered %d + dropped %d", net.Sent, net.Delivered, net.Dropped)
+	}
+}

@@ -49,6 +49,7 @@ func Uniform(n int) []WorkerSpec {
 }
 
 // Farm is a parallel fitness-evaluation farm implementing core.Evaluator.
+// EvaluateAll runs one call at a time: a farm serves one engine.
 type Farm struct {
 	specs []WorkerSpec
 	rngs  []*rng.Source
@@ -62,6 +63,23 @@ type Farm struct {
 	tasksDone []int64 // per-worker successful tasks
 	failCount []int   // per-worker failures so far
 	dead      []bool
+
+	// The state of the EvaluateAll call in progress, reused from call to
+	// call so that a warm call allocates nothing: the pending task list,
+	// the alive workers and their shares, and per worker its slice of
+	// pending, its failed list, its batch buffers and the func its
+	// goroutine runs, bound once to the worker's index.
+	prob    core.Problem
+	pop     *core.Population
+	pending []int
+	alive   []int
+	share   []int
+	slices  [][]int
+	failed  [][]int
+	genomes [][]core.Genome
+	fits    [][]float64
+	run     []func()
+	wg      sync.WaitGroup
 }
 
 var _ core.Evaluator = (*Farm)(nil)
@@ -86,6 +104,25 @@ func NewFarm(seed uint64, specs []WorkerSpec) *Farm {
 		}
 	}
 	return f
+}
+
+// ensureWorkers builds the per-worker call state on the first call.
+func (f *Farm) ensureWorkers() {
+	if f.run != nil {
+		return
+	}
+	n := len(f.specs)
+	f.slices = make([][]int, n)
+	f.failed = make([][]int, n)
+	f.genomes = make([][]core.Genome, n)
+	f.fits = make([][]float64, n)
+	f.run = make([]func(), n)
+	for w := range f.run {
+		f.run[w] = func() {
+			defer f.wg.Done()
+			f.failed[w] = f.worker(w, f.prob, f.pop, f.slices[w])
+		}
+	}
 }
 
 // Workers returns the number of configured workers.
@@ -149,28 +186,33 @@ func (f *Farm) Makespan(baseCost float64) float64 {
 	return max
 }
 
-// aliveWorkers returns the indices of workers still alive.
+// aliveWorkers returns the indices of workers still alive, in f.alive.
 func (f *Farm) aliveWorkers() []int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var out []int
+	out := f.alive[:0]
 	for i, d := range f.dead {
 		if !d {
 			out = append(out, i)
 		}
 	}
+	f.alive = out
 	return out
 }
 
 // shares splits n tasks across the alive workers proportionally to their
-// speeds (the master's adaptive load balancing); remainders go to the
-// fastest workers first.
+// speeds (the master's adaptive load balancing), in f.share; remainders go
+// to the fastest workers first.
 func (f *Farm) shares(n int, alive []int) []int {
 	total := 0.0
 	for _, w := range alive {
 		total += f.specs[w].Speed
 	}
-	out := make([]int, len(alive))
+	if cap(f.share) < len(alive) {
+		f.share = make([]int, len(alive))
+	}
+	out := f.share[:len(alive)]
+	clear(out)
 	assigned := 0
 	for k, w := range alive {
 		out[k] = int(float64(n) * f.specs[w].Speed / total)
@@ -197,13 +239,22 @@ func (f *Farm) shares(n int, alive []int) []int {
 // master-side evaluation if every worker has died. Task→worker assignment
 // is deterministic, so fault scenarios are reproducible per seed.
 func (f *Farm) EvaluateAll(p core.Problem, pop *core.Population) {
-	pending := make([]int, 0, pop.Len())
+	f.ensureWorkers()
+	pending := f.pending[:0]
 	for i, ind := range pop.Members {
 		if !ind.Evaluated {
 			pending = append(pending, i)
 		}
 	}
+	f.prob, f.pop = p, pop
+	f.pending = f.dispatch(pending)
+	f.prob, f.pop = nil, nil
+}
 
+// dispatch runs rounds of the pending tasks on the alive workers until
+// none is left, and returns pending's buffer for the next call.
+func (f *Farm) dispatch(pending []int) []int {
+	p, pop := f.prob, f.pop
 	for len(pending) > 0 {
 		alive := f.aliveWorkers()
 		if len(alive) == 0 {
@@ -215,36 +266,36 @@ func (f *Farm) EvaluateAll(p core.Problem, pop *core.Population) {
 				f.evals.Add(1)
 				f.attempts.Add(1)
 			}
-			return
+			return pending
 		}
 
 		share := f.shares(len(pending), alive)
-		failed := make([][]int, len(alive))
-		var wg sync.WaitGroup
 		off := 0
 		for k, w := range alive {
-			slice := pending[off : off+share[k]]
+			f.slices[w] = pending[off : off+share[k]]
 			off += share[k]
-			wg.Add(1)
-			go func(k, w int, slice []int) {
-				defer wg.Done()
-				failed[k] = f.worker(w, p, pop, slice)
-			}(k, w, slice)
 		}
-		wg.Wait()
+		f.wg.Add(len(alive))
+		for _, w := range alive {
+			go f.run[w]()
+		}
+		f.wg.Wait()
 
 		pending = pending[:0]
-		for _, fs := range failed {
+		for _, w := range alive {
+			fs := f.failed[w]
 			pending = append(pending, fs...)
 			f.redisp.Add(int64(len(fs)))
 		}
 	}
+	return pending
 }
 
 // worker attempts every task in its slice, writing successful fitness
 // values directly into the population (tasks are disjoint across workers).
-// It returns the indices that failed. A worker that dies mid-slice reports
-// the rest of its slice as failed without attempting it.
+// It returns the indices that failed, in its failed buffer. A worker that
+// dies mid-slice reports the rest of its slice as failed without
+// attempting it.
 func (f *Farm) worker(w int, p core.Problem, pop *core.Population, slice []int) []int {
 	spec := f.specs[w]
 	r := f.rngs[w]
@@ -256,7 +307,7 @@ func (f *Farm) worker(w int, p core.Problem, pop *core.Population, slice []int) 
 			return f.workerBatch(w, bp, pop, slice)
 		}
 	}
-	var failed []int
+	failed := f.failed[w][:0]
 	for _, idx := range slice {
 		f.mu.Lock()
 		isDead := f.dead[w]
@@ -293,21 +344,26 @@ func (f *Farm) worker(w int, p core.Problem, pop *core.Population, slice []int) 
 // by the BatchProblem contract, so the farm's output is unchanged).
 func (f *Farm) workerBatch(w int, bp core.BatchProblem, pop *core.Population, slice []int) []int {
 	if len(slice) == 0 {
-		return nil
+		return f.failed[w][:0]
 	}
 	f.mu.Lock()
 	isDead := f.dead[w]
 	f.mu.Unlock()
 	if isDead {
 		// Mirror worker's per-task dead check: report the slice failed.
-		return slice
+		return append(f.failed[w][:0], slice...)
 	}
-	genomes := make([]core.Genome, len(slice))
-	out := make([]float64, len(slice))
-	for k, idx := range slice {
-		genomes[k] = pop.Members[idx].Genome
+	genomes := f.genomes[w][:0]
+	for _, idx := range slice {
+		genomes = append(genomes, pop.Members[idx].Genome)
 	}
+	if cap(f.fits[w]) < len(slice) {
+		f.fits[w] = make([]float64, len(slice))
+	}
+	out := f.fits[w][:len(slice)]
 	bp.EvaluateBatch(genomes, out)
+	clear(genomes) // hold no genome past the call
+	f.genomes[w] = genomes
 	for k, idx := range slice {
 		ind := pop.Members[idx]
 		ind.Fitness = out[k]
@@ -319,5 +375,5 @@ func (f *Farm) workerBatch(w int, bp core.BatchProblem, pop *core.Population, sl
 	f.mu.Lock()
 	f.tasksDone[w] += n
 	f.mu.Unlock()
-	return nil
+	return f.failed[w][:0]
 }

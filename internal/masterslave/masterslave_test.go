@@ -347,28 +347,36 @@ func TestFarmBatchMatchesScalarFarm(t *testing.T) {
 	}
 }
 
-// TestAllocBudget: a fault-free farm's EvaluateAll allocates a fixed
-// amount per call — the pending list, and per worker its goroutine and
-// its genome and fitness slices — whatever the population size. The
-// bit-sliced batch forms must add nothing to it: their lane tiles live on
-// the worker goroutines' stacks, so NK and MaxSAT are held to what the
-// same farm spends on OneMax, whose batch form has no scratch at all.
+// TestAllocBudget: a warm farm's EvaluateAll allocates nothing, whatever
+// the population size. The pending list, the shares, each worker's failed
+// list and batch buffers live on the farm, and each worker's goroutine
+// runs a func bound once to its index; the bit-sliced batch forms of NK
+// and MaxSAT keep their lane tiles on the worker goroutines' stacks. A
+// faulty farm, whose failed tasks go round again, is held to the same.
+// testing.AllocsPerRun reads the process-wide counter, so the worker
+// goroutines' allocations count too.
 func TestAllocBudget(t *testing.T) {
-	perCall := func(prob core.Problem, size int) float64 {
-		f := NewFarm(1, Uniform(3))
-		pop := freshPop(prob, size, 5)
-		return testing.AllocsPerRun(20, func() {
-			for _, ind := range pop.Members {
-				ind.Evaluated = false
-			}
-			f.EvaluateAll(prob, pop)
-		})
-	}
-	budget := perCall(problems.OneMax{N: 100}, 200)
-	for _, prob := range []core.Problem{problems.NewNKLandscape(100, 4, 1), problems.NewMaxSAT(100, 400, 1)} {
+	faulty := []WorkerSpec{{Speed: 1, FailProb: 0.2}, {Speed: 2, FailProb: 0.1}, {Speed: 1}}
+	for _, tc := range []struct {
+		prob  core.Problem
+		specs []WorkerSpec
+	}{
+		{problems.OneMax{N: 100}, Uniform(3)},
+		{problems.NewNKLandscape(100, 4, 1), Uniform(3)},
+		{problems.NewMaxSAT(100, 400, 1), Uniform(3)},
+		{problems.OneMax{N: 100}, faulty},
+		{problems.NewNKLandscape(100, 4, 1), faulty},
+	} {
 		for _, size := range []int{50, 200} {
-			if avg := perCall(prob, size); avg > budget {
-				t.Errorf("farm/%s, %d members: %.1f allocs per EvaluateAll, budget %.0f", prob.Name(), size, avg, budget)
+			f := NewFarm(1, tc.specs)
+			pop := freshPop(tc.prob, size, 5)
+			if avg := testing.AllocsPerRun(20, func() {
+				for _, ind := range pop.Members {
+					ind.Evaluated = false
+				}
+				f.EvaluateAll(tc.prob, pop)
+			}); avg != 0 {
+				t.Errorf("farm/%s, %d workers, %d members: %.1f allocs per EvaluateAll, want 0", tc.prob.Name(), len(tc.specs), size, avg)
 			}
 		}
 	}

@@ -14,6 +14,8 @@
 package p2p
 
 import (
+	"slices"
+
 	"pga/internal/core"
 	"pga/internal/engine"
 	"pga/internal/ga"
@@ -78,6 +80,14 @@ type Network struct {
 	peers []*peer
 	dir   core.Direction
 	rng   *rng.Source
+
+	// Gossip's storage, reused every round: pool holds two merged
+	// views, cand a pool less one peer, id the identity table SampleInto
+	// draws from and draw its output.
+	pool []int
+	cand []int
+	id   []int
+	draw []int
 }
 
 // New builds the overlay with all peers alive and random initial views.
@@ -110,20 +120,30 @@ func New(cfg Config) *Network {
 		p := &peer{engine: cfg.NewEngine(i, pr), alive: true, rng: pr}
 		n.peers = append(n.peers, p)
 	}
+	// A merged pool holds at most every peer id; a view or a draw holds
+	// at most ViewSize of them.
+	n.pool = make([]int, 0, len(n.peers))
+	n.cand = make([]int, 0, len(n.peers))
+	n.id = make([]int, len(n.peers))
+	for i := range n.id {
+		n.id[i] = i
+	}
+	n.draw = make([]int, cfg.ViewSize)
 	for i, p := range n.peers {
-		p.view = n.randomView(i)
+		p.view = n.randomView(i, make([]int, 0, cfg.ViewSize))
 	}
 	return n
 }
 
-// randomView draws ViewSize distinct peer ids ≠ self.
-func (n *Network) randomView(self int) []int {
+// randomView draws ViewSize distinct peer ids ≠ self into view's storage
+// and returns it.
+func (n *Network) randomView(self int, view []int) []int {
 	k := n.cfg.ViewSize
 	if k > len(n.peers)-1 {
 		k = len(n.peers) - 1
 	}
-	view := make([]int, 0, k)
-	for _, j := range n.rng.Sample(len(n.peers)-1, k) {
+	view = view[:0]
+	for _, j := range n.rng.SampleInto(n.id[:len(n.peers)-1], n.draw[:k]) {
 		if j >= self {
 			j++
 		}
@@ -176,7 +196,7 @@ func (s *netStepper) Step(gen int) engine.StepInfo {
 				pr := p.rng.Split()
 				p.engine = n.cfg.NewEngine(i, pr)
 				p.alive = true
-				p.view = n.randomView(i)
+				p.view = n.randomView(i, p.view)
 				s.res.Joins++
 			}
 		}
@@ -229,7 +249,7 @@ func (n *Network) Run(stop core.StopCondition, ctl engine.Control) *Result {
 // gossip refreshes views newscast-style: each alive peer contacts one
 // random view member; the pair pool their views and each keeps a random
 // ViewSize subset (dead contacts are simply dropped — failure detection
-// by silence, as in epidemic protocols).
+// by silence, as in epidemic protocols). Views are rewritten in place.
 func (n *Network) gossip() {
 	for i, p := range n.peers {
 		if !p.alive || len(p.view) == 0 {
@@ -240,17 +260,55 @@ func (n *Network) gossip() {
 		if !q.alive {
 			// Drop the dead contact and draw a random replacement.
 			p.view = dropValue(p.view, j)
-			p.view = append(p.view, n.randomView(i)[0])
+			p.view = append(p.view, n.randomView(i, n.cand)[0])
 			continue
 		}
-		pool := mergeViews(p.view, q.view, i, j)
-		p.view = samplePool(pool, n.cfg.ViewSize, i, n.rng)
-		q.view = samplePool(pool, n.cfg.ViewSize, j, n.rng)
+		n.pool = n.mergeViews(p.view, q.view, i, j)
+		p.view = n.samplePool(p.view, i)
+		q.view = n.samplePool(q.view, j)
 	}
 }
 
+// mergeViews pools two views plus both peer ids, deduplicated, in the
+// pool's storage.
+func (n *Network) mergeViews(a, b []int, ia, ib int) []int {
+	pool := n.pool[:0]
+	add := func(v int) {
+		if !slices.Contains(pool, v) {
+			pool = append(pool, v)
+		}
+	}
+	for _, v := range a {
+		add(v)
+	}
+	for _, v := range b {
+		add(v)
+	}
+	add(ia)
+	add(ib)
+	return pool
+}
+
+// samplePool draws up to ViewSize distinct values from the pool,
+// excluding self, into view's storage and returns it.
+func (n *Network) samplePool(view []int, self int) []int {
+	cand := n.cand[:0]
+	for _, v := range n.pool {
+		if v != self {
+			cand = append(cand, v)
+		}
+	}
+	k := min(n.cfg.ViewSize, len(cand))
+	view = view[:0]
+	for _, idx := range n.rng.SampleInto(n.id[:len(cand)], n.draw[:k]) {
+		view = append(view, cand[idx])
+	}
+	return view
+}
+
 // migrate sends each alive peer's best individual to one random alive
-// view member (replace-worst integration). Returns messages delivered.
+// view member, copied into the member it replaces (replace-worst
+// integration). Returns messages delivered.
 func (n *Network) migrate() int {
 	sent := 0
 	for _, p := range n.peers {
@@ -267,10 +325,9 @@ func (n *Network) migrate() int {
 		if b < 0 {
 			continue
 		}
-		migrant := pop.Members[b].Clone()
 		qpop := q.engine.Population()
 		if w := qpop.Worst(n.dir); w >= 0 {
-			qpop.Replace(w, migrant)
+			qpop.Members[w].CopyFrom(pop.Members[b])
 			sent++
 		}
 	}
@@ -296,45 +353,6 @@ func dropValue(s []int, v int) []int {
 		if x != v {
 			out = append(out, x)
 		}
-	}
-	return out
-}
-
-// mergeViews pools two views plus both peer ids, deduplicated.
-func mergeViews(a, b []int, ia, ib int) []int {
-	seen := map[int]bool{}
-	var pool []int
-	add := func(v int) {
-		if !seen[v] {
-			seen[v] = true
-			pool = append(pool, v)
-		}
-	}
-	for _, v := range a {
-		add(v)
-	}
-	for _, v := range b {
-		add(v)
-	}
-	add(ia)
-	add(ib)
-	return pool
-}
-
-// samplePool draws up to k distinct values from pool, excluding self.
-func samplePool(pool []int, k, self int, r *rng.Source) []int {
-	var candidates []int
-	for _, v := range pool {
-		if v != self {
-			candidates = append(candidates, v)
-		}
-	}
-	if k > len(candidates) {
-		k = len(candidates)
-	}
-	out := make([]int, 0, k)
-	for _, idx := range r.Sample(len(candidates), k) {
-		out = append(out, candidates[idx])
 	}
 	return out
 }

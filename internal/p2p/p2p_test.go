@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"slices"
 	"testing"
 
 	"pga/internal/core"
@@ -169,18 +170,24 @@ func TestHelpers(t *testing.T) {
 	if got := dropValue([]int{1, 2, 3}, 2); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("dropValue %v", got)
 	}
-	pool := mergeViews([]int{1, 2}, []int{2, 3}, 0, 4)
-	if len(pool) != 5 { // 1,2,3,0,4
-		t.Fatalf("mergeViews %v", pool)
+	n := New(Config{Problem: problems.OneMax{N: 8}, NewEngine: engineFactory(8, 4), Peers: 5, ViewSize: 3})
+	pool := n.mergeViews([]int{1, 2}, []int{2, 3}, 0, 4)
+	if want := []int{1, 2, 3, 0, 4}; !slices.Equal(pool, want) {
+		t.Fatalf("mergeViews %v, want %v", pool, want)
 	}
-	r := rng.New(1)
-	s := samplePool(pool, 3, 2, r)
+	n.pool = pool
+	s := n.samplePool(make([]int, 0, 3), 2)
 	if len(s) != 3 {
 		t.Fatalf("samplePool size %d", len(s))
 	}
 	for _, v := range s {
 		if v == 2 {
 			t.Fatal("samplePool returned self")
+		}
+	}
+	for i, v := range n.id {
+		if v != i {
+			t.Fatalf("samplePool left the identity table %v", n.id)
 		}
 	}
 }

@@ -67,11 +67,13 @@ func (s Scenario) String() string {
 
 // scalarProblem adapts a MultiObjective to core.Problem through an
 // objective-weight vector, feeding every evaluation into a shared archive.
+// objs is the island's objective buffer, which Archive.Add copies from.
 type scalarProblem struct {
 	mo      MultiObjective
 	weights []float64
 	archive *Archive
 	evals   *int64
+	objs    []float64
 }
 
 func (p *scalarProblem) Name() string                        { return p.mo.Name() }
@@ -82,7 +84,8 @@ func (p *scalarProblem) NewGenome(r *rng.Source) core.Genome { return p.mo.NewGe
 // scenarios run demes sequentially, and Archive.Add is the documented
 // side channel for Pareto collection.
 func (p *scalarProblem) Evaluate(g core.Genome) float64 {
-	objs := p.mo.Objectives(g)
+	objs := p.objs
+	p.mo.Objectives(g, objs)
 	*p.evals++
 	p.archive.Add(g, objs)
 	s := 0.0
@@ -238,38 +241,14 @@ func Run(cfg Config, stop core.StopCondition, ctl engine.Control) *Result {
 		cfg.HVRef = [2]float64{11, 11}
 	}
 
-	nObj := cfg.Problem.NObjectives()
-	specs := buildScenario(cfg.Scenario, nObj)
-	archive := NewArchive(cfg.ArchiveCap)
-	var evals int64
-
-	master := rng.New(cfg.Seed)
-	migRNG := master.Split()
-	engines := make([]ga.Engine, len(specs))
-	scalars := make([]*scalarProblem, len(specs))
-	for i, spec := range specs {
-		scalars[i] = &scalarProblem{mo: cfg.Problem, weights: spec.weights, archive: archive, evals: &evals}
-		engines[i] = ga.NewGenerational(ga.Config{
-			Problem:   scalars[i],
-			PopSize:   cfg.DemeSize,
-			Selector:  operators.Tournament{K: 2},
-			Crossover: operators.SBX{},
-			Mutator:   operators.Polynomial{},
-			RNG:       master.Split(),
-		})
-	}
-
+	st := newScenario(cfg)
 	res := &Result{
 		Scenario: cfg.Scenario,
-		Archive:  archive,
-		Islands:  len(specs),
-	}
-	st := &scenarioStepper{
-		engines: engines, scalars: scalars, specs: specs,
-		migRNG: migRNG, evals: &evals, interval: cfg.MigrationInterval,
+		Archive:  st.archive,
+		Islands:  len(st.specs),
 	}
 	engine.Loop(st, engine.Options{Stop: stop}.With(ctl), &res.RunStats)
-	if nObj == 2 {
+	if archive := st.archive; cfg.Problem.NObjectives() == 2 {
 		pts := make([][]float64, 0, archive.Len())
 		for _, it := range archive.Items() {
 			pts = append(pts, it.Objectives)
@@ -277,6 +256,33 @@ func Run(cfg Config, stop core.StopCondition, ctl engine.Control) *Result {
 		res.Hypervolume = Hypervolume2D(pts, cfg.HVRef)
 	}
 	return res
+}
+
+// newScenario builds the sub-EAs of cfg (defaults applied) around one
+// shared archive.
+func newScenario(cfg Config) *scenarioStepper {
+	nObj := cfg.Problem.NObjectives()
+	st := &scenarioStepper{
+		specs:    buildScenario(cfg.Scenario, nObj),
+		archive:  NewArchive(cfg.ArchiveCap),
+		interval: cfg.MigrationInterval,
+	}
+	master := rng.New(cfg.Seed)
+	st.migRNG = master.Split()
+	st.engines = make([]ga.Engine, len(st.specs))
+	st.scalars = make([]*scalarProblem, len(st.specs))
+	for i, spec := range st.specs {
+		st.scalars[i] = &scalarProblem{mo: cfg.Problem, weights: spec.weights, archive: st.archive, evals: &st.evals, objs: make([]float64, nObj)}
+		st.engines[i] = ga.NewGenerational(ga.Config{
+			Problem:   st.scalars[i],
+			PopSize:   cfg.DemeSize,
+			Selector:  operators.Tournament{K: 2},
+			Crossover: operators.SBX{},
+			Mutator:   operators.Polynomial{},
+			RNG:       master.Split(),
+		})
+	}
+	return st
 }
 
 // scenarioStepper is the SIM runtime's engine.Stepper: one generation
@@ -287,9 +293,23 @@ type scenarioStepper struct {
 	engines  []ga.Engine
 	scalars  []*scalarProblem
 	specs    []islandSpec
+	archive  *Archive
 	migRNG   *rng.Source
-	evals    *int64
+	evals    int64
 	interval int
+
+	// The migration epoch's storage, built on the first epoch and reused:
+	// the outbox's copies of the emigrants, the two SBX children and the
+	// crossover's scratch.
+	outbox  []migrant
+	c1, c2  core.Genome
+	scratch operators.Scratch
+}
+
+// migrant is one outbox entry: a copy of an island's best, bound for to.
+type migrant struct {
+	to int
+	g  core.Genome
 }
 
 // Step implements engine.Stepper.
@@ -298,7 +318,7 @@ func (s *scenarioStepper) Step(gen int) engine.StepInfo {
 		e.Step()
 	}
 	if gen%s.interval == 0 {
-		migrate(s.engines, s.scalars, s.specs, s.migRNG, s.evals)
+		s.migrate()
 	}
 	return engine.StepInfo{}
 }
@@ -318,7 +338,7 @@ func (s *scenarioStepper) Best() (*core.Individual, float64) {
 }
 
 // Evaluations implements engine.Stepper.
-func (s *scenarioStepper) Evaluations() int64 { return *s.evals }
+func (s *scenarioStepper) Evaluations() int64 { return s.evals }
 
 // Direction implements engine.Stepper.
 func (s *scenarioStepper) Direction() core.Direction { return core.Minimize }
@@ -326,28 +346,31 @@ func (s *scenarioStepper) Direction() core.Direction { return core.Minimize }
 // migrate sends each island's best to its neighbours; the migrant is
 // re-evaluated under the receiver's objective weights (the defining SIM
 // mechanic: a solution good for objective i seeds the search for
-// objective j).
-func migrate(engines []ga.Engine, scalars []*scalarProblem, specs []islandSpec, r *rng.Source, evals *int64) {
+// objective j). Every emigrant is copied out before any island takes one
+// in, and what an island takes in is copied into the members it
+// displaces, so a warm epoch allocates nothing.
+func (s *scenarioStepper) migrate() {
 	dir := core.Minimize
-	type migrant struct {
-		to int
-		g  core.Genome
-	}
-	var outbox []migrant
-	for i, e := range engines {
-		if len(specs[i].neighbors) == 0 {
+	n := 0
+	for i, e := range s.engines {
+		if len(s.specs[i].neighbors) == 0 {
 			continue
 		}
 		pop := e.Population()
 		if b := pop.Best(dir); b >= 0 {
-			for _, nbr := range specs[i].neighbors {
-				outbox = append(outbox, migrant{to: nbr, g: pop.Members[b].Genome.Clone()})
+			for _, nbr := range s.specs[i].neighbors {
+				if n == len(s.outbox) {
+					s.outbox = append(s.outbox, migrant{})
+				}
+				m := &s.outbox[n]
+				m.to, m.g = nbr, core.CopyGenome(m.g, pop.Members[b].Genome)
+				n++
 			}
 		}
 	}
 	sbx := operators.SBX{}
-	for _, m := range outbox {
-		pop := engines[m.to].Population()
+	for _, m := range s.outbox[:n] {
+		pop := s.engines[m.to].Population()
 		// A raw cross-specialist migrant scores poorly on the receiver's
 		// objective and is discarded by the next generational step before
 		// selection can exploit it. Integrate by recombination instead:
@@ -359,14 +382,14 @@ func migrate(engines []ga.Engine, scalars []*scalarProblem, specs []islandSpec, 
 			continue
 		}
 		best := pop.Members[b].Genome
-		c1, c2 := m.g.Clone(), best.Clone()
-		sbx.CrossInto(m.g, best, c1, c2, r, &operators.Scratch{})
-		for _, g := range []core.Genome{m.g, c1, c2} {
-			ind := core.NewIndividual(g)
-			ind.Fitness = scalars[m.to].Evaluate(ind.Genome)
-			ind.Evaluated = true
+		s.c1, s.c2 = core.CopyGenome(s.c1, m.g), core.CopyGenome(s.c2, best)
+		sbx.CrossInto(m.g, best, s.c1, s.c2, s.migRNG, &s.scratch)
+		for _, g := range [...]core.Genome{m.g, s.c1, s.c2} {
+			f := s.scalars[m.to].Evaluate(g)
 			if w := pop.Worst(dir); w >= 0 {
-				pop.Replace(w, ind)
+				ind := pop.Members[w]
+				ind.Genome = core.CopyGenome(ind.Genome, g)
+				ind.Fitness, ind.Evaluated = f, true
 			}
 		}
 	}

@@ -24,10 +24,11 @@ type MultiObjective interface {
 	NObjectives() int
 	// NewGenome returns a fresh random genome.
 	NewGenome(r *rng.Source) core.Genome
-	// Objectives returns all objective values of g (all minimised). They
-	// should be finite: an Archive refuses a vector with a NaN or infinite
-	// component.
-	Objectives(g core.Genome) []float64
+	// Objectives writes all NObjectives() objective values of g (all
+	// minimised) into out, which has at least that length; it keeps
+	// nothing of out. They should be finite: an Archive refuses a vector
+	// with a NaN or infinite component.
+	Objectives(g core.Genome, out []float64)
 }
 
 // Dominates reports whether objective vector a Pareto-dominates b
@@ -67,6 +68,10 @@ type Archive struct {
 	// next is eviction's slot renumbering, kept so eviction allocates
 	// nothing once it has run at the archive's size.
 	next []int
+	// free holds evicted items whose genome and objective buffers a
+	// growing Add takes over, so an archive that has once held n items
+	// allocates nothing more until it holds more than n.
+	free []ArchiveItem
 }
 
 // NewArchive returns an archive holding at most cap items (0 = unbounded).
@@ -80,7 +85,7 @@ func (a *Archive) Len() int { return len(a.items) }
 // may overwrite a replaced item's genome and objectives in place.
 func (a *Archive) Items() []ArchiveItem { return a.items }
 
-// Add inserts the solution if it is not dominated by any archived item,
+// Add inserts a copy of the solution if it is not dominated by any archived item,
 // evicting items it dominates. Returns true if inserted. When the archive
 // is full, the new item replaces its nearest neighbour in objective space
 // (a simple crowding rule), the lowest slot of equally near ones. A
@@ -140,11 +145,10 @@ func (a *Archive) Add(g core.Genome, objs []float64) bool {
 		a.byF1[p] = ^a.byF1[p]
 		dominated = true
 	}
-	var spare ArchiveItem
 	if dominated {
 		// Every evicted rank is at or above lo, so lo is still the
 		// newcomer's rank.
-		spare = a.evict()
+		a.evict()
 	} else if a.cap > 0 && len(a.items) >= a.cap {
 		p := a.nearest(lo, objs)
 		s := a.byF1[p]
@@ -159,6 +163,11 @@ func (a *Archive) Add(g core.Genome, objs []float64) bool {
 		}
 		a.byF1[lo] = s
 		return true
+	}
+	var spare ArchiveItem
+	if n := len(a.free); n > 0 {
+		spare, a.free[n-1] = a.free[n-1], ArchiveItem{}
+		a.free = a.free[:n-1]
 	}
 	item := ArchiveItem{Genome: core.CopyGenome(spare.Genome, g), Objectives: append(spare.Objectives[:0], objs...)}
 	a.items = append(a.items, item)
@@ -196,9 +205,9 @@ func (a *Archive) nearest(lo int, objs []float64) int {
 }
 
 // evict removes the items whose byF1 entries Add complemented, keeping the
-// survivors' slot order, renumbers byF1 to match, and returns one evicted
-// item so the newcomer can take over its buffers.
-func (a *Archive) evict() (spare ArchiveItem) {
+// survivors' slot order, renumbers byF1 to match, and puts the evicted
+// items on the free list so later newcomers take over their buffers.
+func (a *Archive) evict() {
 	if cap(a.next) < len(a.items) {
 		a.next = make([]int, len(a.items))
 	}
@@ -213,7 +222,7 @@ func (a *Archive) evict() (spare ArchiveItem) {
 	kept := 0
 	for s, it := range a.items {
 		if next[s] < 0 {
-			spare = it
+			a.free = append(a.free, it)
 			continue
 		}
 		next[s] = kept
@@ -229,7 +238,6 @@ func (a *Archive) evict() (spare ArchiveItem) {
 		}
 	}
 	a.byF1 = ranks
-	return spare
 }
 
 // The outcomes of comparing an archived vector with a newcomer.
@@ -323,7 +331,7 @@ func (z ZDT1) NewGenome(r *rng.Source) core.Genome {
 }
 
 // Objectives implements MultiObjective.
-func (z ZDT1) Objectives(gen core.Genome) []float64 {
+func (z ZDT1) Objectives(gen core.Genome, out []float64) {
 	x := genes(gen)
 	f1 := x[0]
 	g := 0.0
@@ -331,8 +339,7 @@ func (z ZDT1) Objectives(gen core.Genome) []float64 {
 		g += v
 	}
 	g = 1 + 9*g/float64(len(x)-1)
-	f2 := g * (1 - math.Sqrt(f1/g))
-	return []float64{f1, f2}
+	out[0], out[1] = f1, g*(1-math.Sqrt(f1/g))
 }
 
 // Schaffer is Schaffer's single-variable bi-objective problem:
@@ -350,7 +357,7 @@ func (Schaffer) NObjectives() int { return 2 }
 func (Schaffer) NewGenome(r *rng.Source) core.Genome { return randomUnitVector(1, r) }
 
 // Objectives implements MultiObjective.
-func (Schaffer) Objectives(gen core.Genome) []float64 {
+func (Schaffer) Objectives(gen core.Genome, out []float64) {
 	x := genes(gen)[0]*10 - 4
-	return []float64{x * x, (x - 2) * (x - 2)}
+	out[0], out[1] = x*x, (x-2)*(x-2)
 }

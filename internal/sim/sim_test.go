@@ -128,13 +128,14 @@ func TestHypervolumeMoreFrontIsBigger(t *testing.T) {
 func TestZDT1Objectives(t *testing.T) {
 	z := ZDT1{Dim: 30}
 	g := genome.NewRealVector(30, 0, 1) // all zeros: on the Pareto front
-	objs := z.Objectives(g)
+	objs := make([]float64, 2)
+	z.Objectives(g, objs)
 	if objs[0] != 0 || math.Abs(objs[1]-1) > 1e-12 {
 		t.Fatalf("zdt1(0)=%v, want [0,1]", objs)
 	}
 	// x0=1, rest 0: f1=1, f2=0 — the other end of the front.
 	g.Genes[0] = 1
-	objs = z.Objectives(g)
+	z.Objectives(g, objs)
 	if objs[0] != 1 || math.Abs(objs[1]) > 1e-12 {
 		t.Fatalf("zdt1 end=%v, want [1,0]", objs)
 	}
@@ -147,12 +148,13 @@ func TestSchafferObjectives(t *testing.T) {
 	s := Schaffer{}
 	g := genome.NewRealVector(1, 0, 1)
 	g.Genes[0] = 0.4 // x = 0
-	objs := s.Objectives(g)
+	objs := make([]float64, 2)
+	s.Objectives(g, objs)
 	if objs[0] != 0 || objs[1] != 4 {
 		t.Fatalf("schaffer(0)=%v", objs)
 	}
 	g.Genes[0] = 0.6 // x = 2
-	objs = s.Objectives(g)
+	s.Objectives(g, objs)
 	if objs[0] != 4 || objs[1] != 0 {
 		t.Fatalf("schaffer(2)=%v", objs)
 	}

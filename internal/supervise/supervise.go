@@ -164,8 +164,11 @@ type demeState struct {
 	// src is the RNG stream of the deme's *current* engine (replaced on
 	// restart); checkpoints capture its state.
 	src *rng.Source
-	// cp is the last checkpoint.
-	cp *persist.Checkpoint
+	// cp is the last checkpoint. Each checkpoint rewrites it in place,
+	// encoding into spare, the population bytes of the one before, so a
+	// failed encoding leaves cp as it was.
+	cp    *persist.Checkpoint
+	spare []byte
 	// restarts is the consumed restart budget.
 	restarts int
 	// dead marks an abandoned deme.
@@ -186,6 +189,10 @@ type Supervisor struct {
 	demes      []demeState
 	failures   []DemeFailure
 
+	// beats holds each deme's heartbeat machinery when Heartbeat is set;
+	// only RunStep calls for that deme, which never overlap, touch it.
+	beats []*heartbeat
+
 	restarts     atomic.Int64
 	panics       atomic.Int64
 	timeouts     atomic.Int64
@@ -203,7 +210,7 @@ type Supervisor struct {
 // factory used for restarts, and a private source from which every
 // restarted deme's fresh stream is split.
 func New(cfg Config, plan *FaultPlan, base topology.Topology, newEngine func(int, *rng.Source) ga.Engine, restartSrc *rng.Source) *Supervisor {
-	return &Supervisor{
+	s := &Supervisor{
 		cfg:        cfg.WithDefaults(),
 		plan:       plan,
 		router:     NewRouter(base),
@@ -211,6 +218,10 @@ func New(cfg Config, plan *FaultPlan, base topology.Topology, newEngine func(int
 		restartSrc: restartSrc,
 		demes:      make([]demeState, base.Size()),
 	}
+	if s.cfg.Heartbeat > 0 {
+		s.beats = make([]*heartbeat, base.Size())
+	}
+	return s
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -229,15 +240,22 @@ func (s *Supervisor) Attach(i int, src *rng.Source) {
 
 // Checkpoint snapshots deme i: population, current stream state, and
 // caller bookkeeping. The population is serialised immediately, so later
-// mutations by the engine never leak into the checkpoint.
+// mutations by the engine never leak into the checkpoint. A deme's
+// checkpoints reuse two byte buffers, so a warm checkpoint allocates
+// nothing.
 func (s *Supervisor) Checkpoint(i int, pop *core.Population, gen int, evals int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cp, err := persist.Capture(pop, s.demes[i].src, gen, evals)
+	d := &s.demes[i]
+	data, err := persist.AppendPopulation(d.spare[:0], pop.Members)
 	if err != nil {
 		return err
 	}
-	s.demes[i].cp = cp
+	if d.cp == nil {
+		d.cp = new(persist.Checkpoint)
+	}
+	d.spare = d.cp.Population
+	*d.cp = persist.Checkpoint{Population: data, RNGState: d.src.State(), Generation: gen, Evaluations: evals}
 	return nil
 }
 
@@ -252,35 +270,80 @@ func (s *Supervisor) CheckpointDue(gen int) bool {
 // deadline is configured — the step is abandoned if it overruns. After a
 // StepTimedOut outcome the engine e must be discarded: the abandoned
 // goroutine may still be mutating it.
+//
+// Without a heartbeat the step runs inline. With one, it runs on a
+// goroutine started from deme i's heartbeat slot, whose channel, timer
+// and goroutine func are reused from step to step; a timeout abandons the
+// slot with its step, and the deme's next step builds a fresh one.
 func (s *Supervisor) RunStep(i, gen int, e ga.Engine) StepOutcome {
-	step := func() (out StepOutcome) {
-		defer func() {
-			if r := recover(); r != nil {
-				out = StepOutcome{Status: StepPanicked, Err: r}
-			}
-		}()
-		s.plan.apply(i, gen)
-		e.Step()
-		return StepOutcome{Status: StepOK}
-	}
 	if s.cfg.Heartbeat <= 0 {
-		return step()
+		return s.step(i, gen, e)
 	}
-	ch := make(chan StepOutcome, 1) // buffered: an abandoned step never blocks
+	hb := s.beats[i]
+	if hb == nil {
+		hb = s.newHeartbeat(i)
+		s.beats[i] = hb
+	}
+	hb.gen, hb.e = gen, e
 	// The one deliberately unsupervised goroutine in the library: a hung
 	// step cannot be cancelled (Engine.Step takes no context), so the
 	// supervisor abandons it on heartbeat timeout and the restart budget
 	// bounds how many can accumulate. The send is provably non-blocking:
-	// capacity-1 buffer, exactly one send per goroutine.
-	go func() { ch <- step() }()
-	timer := time.NewTimer(s.cfg.Heartbeat)
-	defer timer.Stop()
+	// capacity-1 buffer, exactly one send per goroutine, and a slot whose
+	// step timed out is never started again.
+	go hb.run()
+	if hb.timer == nil {
+		hb.timer = time.NewTimer(s.cfg.Heartbeat)
+	} else {
+		hb.timer.Reset(s.cfg.Heartbeat)
+	}
 	select {
-	case out := <-ch:
+	case out := <-hb.done:
+		// Stop the timer and drain a tick that raced the step's finish,
+		// so the next Reset starts from a quiet timer.
+		if !hb.timer.Stop() {
+			select {
+			case <-hb.timer.C:
+			default:
+			}
+		}
 		return out
-	case <-timer.C:
+	case <-hb.timer.C:
+		s.beats[i] = nil
 		return StepOutcome{Status: StepTimedOut}
 	}
+}
+
+// step runs one step of deme i at generation gen on e, injecting the
+// plan's scripted fault and recovering a panic.
+func (s *Supervisor) step(i, gen int, e ga.Engine) (out StepOutcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			out = StepOutcome{Status: StepPanicked, Err: r}
+		}
+	}()
+	s.plan.apply(i, gen)
+	e.Step()
+	return StepOutcome{Status: StepOK}
+}
+
+// heartbeat is one deme's reusable heartbeat machinery: the channel its
+// step goroutine reports on (buffered, so an abandoned step never
+// blocks), the deadline timer, and the goroutine's func, bound once to
+// the slot, with the step it runs next.
+type heartbeat struct {
+	done  chan StepOutcome
+	timer *time.Timer
+	run   func()
+	gen   int
+	e     ga.Engine
+}
+
+// newHeartbeat returns a fresh heartbeat slot for deme i.
+func (s *Supervisor) newHeartbeat(i int) *heartbeat {
+	hb := &heartbeat{done: make(chan StepOutcome, 1)}
+	hb.run = func() { hb.done <- s.step(i, hb.gen, hb.e) }
+	return hb
 }
 
 // Restart handles a failed step of deme i at generation gen: it records

@@ -32,7 +32,7 @@ func testFactory(bits, pop int) func(int, *rng.Source) ga.Engine {
 
 // newTestSupervisor builds a supervisor over a ring with attached deme
 // streams and engines, returning both.
-func newTestSupervisor(t *testing.T, cfg Config, plan *FaultPlan, demes int) (*Supervisor, []ga.Engine) {
+func newTestSupervisor(t testing.TB, cfg Config, plan *FaultPlan, demes int) (*Supervisor, []ga.Engine) {
 	t.Helper()
 	factory := testFactory(16, 8)
 	master := rng.New(99)
